@@ -17,11 +17,16 @@ imaginary part) gives
                   exp(-lam coth(4 lam) |z|^2) cos(lam s) dlam.
 
 The integral is evaluated by composite Gauss-Legendre panels sized to the
-oscillation wavelength; for |s| > 24 the contour is shifted to
-lam -> lam + i tau (tau < pi/8, inside the analyticity strip) which extracts
-the e^(-tau |s|) decay before quadrature. Bulk evaluation goes through a
-bicubic spline of log gamma in (|z|, |s|); the direct quadrature backs the
-PDE-residual and certification paths and points outside the table.
+oscillation wavelength of each point's own |s|; for |s| > 24 and |z|^2 small
+against |s| the contour is shifted to lam -> lam + i tau (tau < pi/8, inside
+the analyticity strip) which extracts the e^(-tau |s|) decay before
+quadrature, and past that the real-axis rule is kept, because the shifted
+integrand picks up an oscillation of frequency ~|z|^2 that its panels do not
+resolve. The rule is chosen per point, so a value never depends on what else
+is in the call. Bulk evaluation goes through a bicubic spline of log gamma in
+(|z|, |s|); the direct quadrature backs the PDE-residual and certification
+paths and points outside the table. gamma depends only on (|z|, |s|), so each
+call evaluates every distinct pair once and scatters the values back.
 
 Constants are fixed by this construction and must pass the validation battery
 (`validate_profile`): positivity, symmetry, normalization, semigroup property,
@@ -63,6 +68,8 @@ _TABLE_SIG_MAX = 32.0
 _LAM_MAX = 14.0
 _CONTOUR_SIGMA = 24.0
 _TAU_SHIFT = 0.98 * math.pi / 8.0
+# entries of one (points x nodes) quadrature matrix in the direct branches
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -130,9 +137,9 @@ def euclidean_profile(n: int) -> KernelProfile:
 # Heisenberg profile
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, b: float, width: float, order: int = 16):
+def _gl_rule(a: float, b: float, n_panels: int, order: int = 16):
+    """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [a, b]."""
     xs, ws = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(math.ceil((b - a) / width)))
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -141,8 +148,21 @@ def _gl_panels(a: float, b: float, width: float, order: int = 16):
     return nodes, weights
 
 
+def _gl_panels(a: float, b: float, width: float, order: int = 16):
+    return _gl_rule(a, b, max(1, int(math.ceil((b - a) / width))), order)
+
+
 def _panel_width(sigma: float) -> float:
     return 0.5 if sigma <= 24.0 else min(0.5, 12.0 / sigma)
+
+
+def _panel_counts(freq: np.ndarray) -> np.ndarray:
+    """Panels on [0, lambda_max] for integrands oscillating at ``freq``.
+
+    The width is `_panel_width(freq)`: 12 radians of oscillation per panel.
+    """
+    width = np.minimum(0.5, 12.0 / np.fmax(freq, 24.0))
+    return np.ceil(_LAM_MAX / width).astype(np.int64)
 
 
 def _direct_plain(rho2: np.ndarray, sigma: float) -> np.ndarray:
@@ -154,78 +174,110 @@ def _direct_plain(rho2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-np.outer(np.atleast_1d(rho2), cth)) @ amp / math.pi ** 2
 
 
-def _direct_shifted(rho2: float, sigma: float) -> float:
-    """Contour-shifted quadrature for large |s| (extracts e^(-tau sigma))."""
-    tau = _TAU_SHIFT
-    u, wt = _gl_panels(0.0, _LAM_MAX, _panel_width(sigma))
-    lam = u + 1j * tau
+def _row_chunks(n_rows: int, n_nodes: int):
+    """Row slices whose (rows x nodes) quadrature matrices stay bounded."""
+    step = max(1, _CHUNK_ENTRIES // n_nodes)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
+
+def _plain_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndarray:
+    """Cosine-transform quadrature on the real lambda axis, one row per point."""
+    lam, wt = _gl_rule(0.0, _LAM_MAX, n_panels)
     four = 4.0 * lam
-    g = (lam / np.sinh(four)) * np.exp(-(lam / np.tanh(four)) * rho2)
-    val = float(np.sum(wt * (g * np.exp(1j * u * sigma)).real))
-    out = math.exp(-tau * sigma) * val / math.pi ** 2
-    if out <= 0.0:
-        # oscillatory cancellation floor; strictly positive resolution limit
-        out = 1e-18 * math.exp(-tau * sigma - 0.25 * rho2)
+    base = lam / np.sinh(four)
+    cth = lam / np.tanh(four)
+    out = np.empty(sigma.size)
+    for rows in _row_chunks(sigma.size, lam.size):
+        ex = np.exp(-np.outer(rho2[rows], cth))
+        cos = np.cos(np.outer(sigma[rows], lam))
+        out[rows] = (ex * cos * (base * wt)[None, :]).sum(axis=1) / math.pi ** 2
     return out
 
 
-def _direct_shifted_batch(rho2: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Vectorized contour-shifted quadrature for batches of far points.
+def _shifted_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndarray:
+    """Contour-shifted quadrature (lam -> lam + i tau), one row per point.
 
-    Points are processed in sigma-sorted chunks sharing one panel rule sized
-    for the largest sigma in the chunk (finer than any member needs). Points
-    whose shift factor exp(-tau sigma - rho^2/4) underflows double precision
-    are returned as zero without quadrature; this also caps the panel count.
+    The shift extracts the e^(-tau sigma) decay before quadrature.
     """
     tau = _TAU_SHIFT
-    out = np.zeros(sigma.size)
-    live = np.nonzero((tau * sigma + 0.25 * rho2 <= 700.0) & (sigma <= 400.0))[0]
-    sigma, rho2 = sigma[live], rho2[live]
-    order = np.argsort(sigma, kind="stable")
-    chunk = 2048
-    for start in range(0, order.size, chunk):
-        idx = order[start:start + chunk]
-        sg, r2 = sigma[idx], rho2[idx]
-        u, wt = _gl_panels(0.0, _LAM_MAX, _panel_width(float(sg.max())))
-        lam = u + 1j * tau
-        four = 4.0 * lam
-        base = (lam / np.sinh(four)) * wt
-        cth = lam / np.tanh(four)
-        envelope = np.exp(-np.outer(r2, cth))
-        phase = np.exp(1j * np.outer(sg, u))
-        vals = ((envelope * phase) @ base).real / math.pi ** 2
-        vals *= np.exp(-tau * sg)
-        floor = 1e-18 * np.exp(-tau * sg - 0.25 * r2)
-        out[live[idx]] = np.where(vals <= 0.0, floor, vals)
-    return out
+    u, wt = _gl_rule(0.0, _LAM_MAX, n_panels)
+    lam = u + 1j * tau
+    four = 4.0 * lam
+    base = (lam / np.sinh(four)) * wt
+    cth = lam / np.tanh(four)
+    out = np.empty(sigma.size)
+    for rows in _row_chunks(sigma.size, u.size):
+        envelope = np.exp(-np.outer(rho2[rows], cth))
+        phase = np.exp(1j * np.outer(sigma[rows], u))
+        out[rows] = (envelope * phase * base[None, :]).real.sum(axis=1)
+    return out * np.exp(-tau * sigma) / math.pi ** 2
 
 
 def _direct_gamma_rho_sigma(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Direct quadrature of gamma on (|z|, |s|) pairs, vectorized by branch."""
+    """Direct quadrature of gamma on (|z|, |s|) pairs.
+
+    Each point gets its own lambda rule from its own (rho, sigma). Past
+    contour_sigma it takes the contour whose integrand is smaller at lam = 0,
+    which is the one that loses fewer digits to cancellation: the shifted one
+    while rho^2 is below ~1.6 sigma, the real axis beyond. Panels resolve the
+    oscillation in lam: frequency sigma on the real axis, and sigma + 1.5 rho^2
+    on the shifted contour, where Im(lam coth 4 lam) turns rho^2 into a phase.
+    Points sharing a rule are batched, and every row is summed on its own, so
+    a value never depends on what else is in the call. Far points whose shift
+    factor exp(-tau sigma - rho^2/4) underflows double precision are exact
+    zeros.
+    """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     rho, sigma = np.broadcast_arrays(rho, sigma)
-    out = np.empty(rho.shape)
-    flat_r, flat_s, flat_o = rho.ravel(), sigma.ravel(), out.ravel()
-    near = flat_s <= _CONTOUR_SIGMA
-    if np.any(near):
-        # group by identical panel rule (all near sigmas share width 0.5)
-        idx = np.nonzero(near)[0]
-        lam, wt = _gl_panels(0.0, _LAM_MAX, 0.5)
-        four = 4.0 * lam
-        base = lam / np.sinh(four)
-        cth = lam / np.tanh(four)
-        ex = np.exp(-np.outer(flat_r[idx] ** 2, cth))
-        cos = np.cos(np.outer(flat_s[idx], lam))
-        flat_o[idx] = (ex * cos * (base * wt)[None, :]).sum(axis=1) / math.pi ** 2
-    far = np.nonzero(~near)[0]
-    if far.size:
-        flat_o[far] = _direct_shifted_batch(flat_r[far] ** 2, flat_s[far])
+    flat_r, flat_s = rho.ravel(), sigma.ravel()
+    r2 = flat_r ** 2
+    out = np.zeros(flat_s.size)
+    far = flat_s > _CONTOUR_SIGMA
+    tau = _TAU_SHIFT
+    zero = far & ((tau * flat_s + 0.25 * r2 > 700.0) | (flat_s > 400.0))
+    # log of the integrand at lam = 0 (real axis) and lam = i tau (shifted)
+    log_real = math.log(0.25) - 0.25 * r2
+    log_shifted = (math.log(tau / math.sin(4.0 * tau)) - tau * flat_s
+                   - r2 * tau / math.tan(4.0 * tau))
+    shifted = far & ~zero & (log_shifted < log_real)
+    freq = np.where(shifted, flat_s + 1.5 * r2, flat_s)
+    n_panels = _panel_counts(np.where(zero, 0.0, freq))  # zeros need no rule
+    for rule, use in ((_plain_rows, ~zero & ~shifted), (_shifted_rows, shifted)):
+        idx = np.nonzero(use)[0]
+        idx = idx[np.argsort(n_panels[idx], kind="stable")]
+        cuts = np.nonzero(np.diff(n_panels[idx]))[0] + 1
+        for sel in np.split(idx, cuts):
+            if sel.size:
+                out[sel] = rule(r2[sel], flat_s[sel], int(n_panels[sel[0]]))
+    # oscillatory cancellation floor: a strictly positive resolution limit
+    low = far & ~zero & (out <= 0.0)
+    out[low] = 1e-18 * np.exp(-tau * flat_s[low] - 0.25 * r2[low])
     return out.reshape(rho.shape)
 
 
+def _distinct_pairs(coords):
+    """Distinct (|z|, |s|) pairs of a coordinate array, and the map back.
+
+    Returns (rho, sigma, inverse, scalar): gamma over the input is
+    ``vals[inverse]`` for vals evaluated on the distinct pairs.
+    """
+    c = np.asarray(coords, dtype=float)
+    scalar = c.ndim == 1
+    c = np.atleast_2d(c)
+    key = np.hypot(c[..., 0], c[..., 1]).astype(complex)
+    key.imag = np.abs(c[..., 2])
+    pairs, inverse = np.unique(key.ravel(), return_inverse=True)
+    return pairs.real, pairs.imag, inverse.reshape(key.shape), scalar
+
+
 class _HeisenbergGamma:
-    """Table-backed evaluation of the Heisenberg time-1 profile."""
+    """Table-backed evaluation of the Heisenberg time-1 profile.
+
+    gamma depends only on (|z|, |s|): each call evaluates every distinct pair
+    once and scatters the values back to the input's shape.
+    """
 
     def __init__(self, n_rho: int = 241, n_sig: int = 481):
         self.rho_grid = np.linspace(0.0, _TABLE_RHO_MAX, n_rho)
@@ -242,26 +294,19 @@ class _HeisenbergGamma:
         )
 
     def __call__(self, coords) -> np.ndarray | float:
-        c = np.asarray(coords, dtype=float)
-        scalar = c.ndim == 1
-        c = np.atleast_2d(c)
-        rho = np.hypot(c[..., 0], c[..., 1])
-        sig = np.abs(c[..., 2])
-        out = np.empty(rho.shape)
+        rho, sig, inverse, scalar = _distinct_pairs(coords)
+        vals = np.empty(rho.size)
         inside = (rho <= _TABLE_RHO_MAX) & (sig <= _TABLE_SIG_MAX)
         if np.any(inside):
-            out[inside] = np.exp(self.spline.ev(rho[inside], sig[inside]))
-        if np.any(~inside):
-            out[~inside] = _direct_gamma_rho_sigma(rho[~inside], sig[~inside])
+            vals[inside] = np.exp(self.spline.ev(rho[inside], sig[inside]))
+        if not np.all(inside):
+            vals[~inside] = _direct_gamma_rho_sigma(rho[~inside], sig[~inside])
+        out = vals[inverse]
         return float(out[0]) if scalar else out
 
     def accurate(self, coords) -> np.ndarray | float:
-        c = np.asarray(coords, dtype=float)
-        scalar = c.ndim == 1
-        c = np.atleast_2d(c)
-        rho = np.hypot(c[..., 0], c[..., 1])
-        sig = np.abs(c[..., 2])
-        out = _direct_gamma_rho_sigma(rho, sig)
+        rho, sig, inverse, scalar = _distinct_pairs(coords)
+        out = _direct_gamma_rho_sigma(rho, sig)[inverse]
         return float(out[0]) if scalar else out
 
 

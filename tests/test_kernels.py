@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import fatoulab as F
+from fatoulab import kernels as K
 from conftest import ensure_validated
 
 GAMMA_EU1_ZERO = 0.28209479177387814  # (4 pi)^(-1/2)
@@ -86,6 +87,80 @@ def test_heisenberg_far_field_matches_center_line(ph):
     # deep tail is cut off to exact zero (value ~ exp(-0.98*pi/8*500) ~ 1e-84)
     assert ph.gamma(np.array([0.0, 0.0, 500.0])) == 0.0
     assert ph.gamma(np.array([60.0, 0.0, 40.0])) == 0.0
+
+
+# Far-field values past the table, converged with both the real-axis and the
+# shifted-contour rule (mpmath, 50 digits).
+FAR_FIELD = {
+    (10.0, 0.0, 28.0): 6.25430770746e-15,
+    (12.0, 0.0, 30.0): 1.16605384177e-19,
+    (9.0, 0.0, 25.0): 8.23112929324e-13,
+    (3.0, 0.0, 60.0): 3.94182417878e-16,
+}
+
+# table, near-field (past the table, |s| <= 24), far-field on both rules,
+# and underflow-to-zero points
+MIXED_BATCH = np.array([
+    [0.3, -0.2, 1.0],
+    [5.0, 6.0, -20.0],
+    [10.5, 0.0, 3.0],
+    [-7.0, 8.0, 22.0],
+    [10.0, 0.0, 28.0],
+    [12.0, 0.0, -30.0],
+    [2.0, 1.0, 40.0],
+    [3.0, 0.0, 60.0],
+    [0.5, -0.5, 300.0],
+    [60.0, 0.0, 40.0],
+    [0.0, 0.0, 500.0],
+])
+
+
+def test_heisenberg_far_field_anchors(ph):
+    for (x, y, s), expected in FAR_FIELD.items():
+        pt = np.array([x, y, s])
+        assert ph.gamma(pt) == pytest.approx(expected, rel=1e-6), (x, y, s)
+        assert ph.gamma_accurate(pt) == pytest.approx(expected, rel=1e-6)
+
+
+def test_heisenberg_gamma_is_batch_independent(ph):
+    rng = np.random.default_rng(11)
+    batch = np.concatenate([MIXED_BATCH, rng.normal(size=(40, 3)) * [6, 6, 40]])
+    for gam in (ph.gamma, ph.gamma_accurate):
+        full = np.asarray(gam(batch))
+        for i in range(batch.shape[0]):
+            assert gam(batch[i:i + 1])[0] == full[i], batch[i]
+            assert gam(batch[i]) == full[i], batch[i]
+        half = batch.shape[0] // 2
+        halves = np.concatenate([gam(batch[:half]), gam(batch[half:])])
+        assert np.array_equal(halves, full)
+
+
+def test_heisenberg_gamma_exact_on_images(ph):
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1)
+                      for c in (1, -1)], dtype=float)
+    for p in MIXED_BATCH:
+        images = np.concatenate([signs * p, signs * p[[1, 0, 2]]])
+        for gam in (ph.gamma, ph.gamma_accurate):
+            value = gam(p)
+            assert all(gam(q) == value for q in images), p
+            assert np.all(gam(images) == value), p
+
+
+def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
+    # the symmetric mass grid holds 1035 values of |z| x 70 of |s|
+    counted = []
+
+    def counting(fn):
+        def wrapped(rho, sigma):
+            counted.append(np.size(rho))
+            return fn(rho, sigma)
+        return wrapped
+
+    monkeypatch.setattr(K, "_direct_gamma_rho_sigma",
+                        counting(K._direct_gamma_rho_sigma))
+    monkeypatch.setattr(ph.gamma.spline, "ev", counting(ph.gamma.spline.ev))
+    F.kernel_mass(ph, 1.0)
+    assert 0 < sum(counted) <= 72450
 
 
 def test_heisenberg_marginals(ph):
@@ -237,3 +312,22 @@ def test_validation_battery_passes(name, p1, p2, p3, ph):
     failed = [c["property"] for c in report["checks"] if not c["pass"]]
     assert report["passed"], f"failed checks: {failed}"
     assert profile.validation_state == "validated"
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1", "euclidean:2"])
+def test_normalization_check_fails_on_scaled_kernel(name, p2, ph):
+    # negative control: a kernel with 5% too much mass must fail the battery
+    real = {"heisenberg:1": ph, "euclidean:2": p2}[name]
+    scaled = F.KernelProfile(
+        group=real.group,
+        gamma=lambda c: 1.05 * real.gamma(c),
+        gamma_accurate=lambda c: 1.05 * real.gamma_accurate(c),
+        quadrature_spec=dict(real.quadrature_spec),
+    )
+    report = F.validate_profile(scaled)
+    checks = {c["property"]: c for c in report["checks"]}
+    assert not checks["normalization t=1.0"]["pass"]
+    assert checks["normalization t=1.0"]["max_residual"] == pytest.approx(
+        0.05, abs=1e-3)
+    assert not report["passed"]
+    assert scaled.validation_state == "failed"
