@@ -4,7 +4,8 @@ The package provides, per group (Euclidean lines/planes/space and the first
 Heisenberg group):
 
 * exact group operations, gauge balls, and certified structure constants
-  (:mod:`fatoulab.groups`);
+  (:mod:`fatoulab.groups`), with every quadrature rule built by one layer
+  (:mod:`fatoulab.quadrature`);
 * validated heat kernels with Gaussian envelope certificates
   (:mod:`fatoulab.kernels`);
 * boundary measures and strong-derivative traces (:mod:`fatoulab.measures`);
@@ -25,6 +26,7 @@ from .errors import (
     NumericsError,
 )
 from .groups import (
+    GROUP_LABELS,
     Ball,
     GroupDescriptor,
     GroupPoint,
@@ -128,6 +130,7 @@ from .scenarios import (
     run_scenario,
     run_suite,
     suite_names,
+    summarize_suite,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

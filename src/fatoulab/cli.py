@@ -29,8 +29,6 @@ from . import scenarios as S
 
 __all__ = ["main", "build_parser"]
 
-_GROUPS = ("euclidean:1", "euclidean:2", "euclidean:3", "heisenberg:1")
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -52,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--out", help="directory for report files")
 
     kc = sub.add_parser("kernel-check", help="validate kernel profiles")
-    kc.add_argument("--group", action="append", choices=_GROUPS,
+    kc.add_argument("--group", action="append", choices=G.GROUP_LABELS,
                     help="restrict to a group (repeatable; default all)")
 
     mc = sub.add_parser("maximal-check", help="run the maximal sandwich suite")
@@ -114,7 +112,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    labels = args.group or list(_GROUPS)
+    labels = args.group or list(G.GROUP_LABELS)
     rc = 0
     for label in labels:
         profile = K.profile_for(G.get_group(label))

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
+from .quadrature import gauss_legendre, tensor_rule
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -60,14 +61,12 @@ __all__ = [
 # scaled quadrature grid (one per group, cached on the kernel profile)
 # ---------------------------------------------------------------------------
 
-def _panel_rule_1d(lo: float, hi: float, n_panels: int, order: int = 16):
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * base_x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+# eta-grid rows per block of a density extension. Whole-grid temporaries
+# (7 MB each on the Heisenberg grid) can make the C allocator hand the heap
+# back to the OS after every evaluation and fault it in again on the next;
+# blocks this size are reused in place. Densities are pointwise, so blocks
+# change no value.
+_ETA_BLOCK = 1 << 15
 
 
 def _ext_grid(profile: K.KernelProfile):
@@ -76,26 +75,7 @@ def _ext_grid(profile: K.KernelProfile):
     if "ext_grid" in cache:
         return cache["ext_grid"]
     g = profile.group
-    if g.label == "heisenberg:1":
-        xz, wz = _panel_rule_1d(-7.5, 7.5, 3)
-        xs, ws = _panel_rule_1d(-30.0, 30.0, 8)
-        X, Y, S = np.meshgrid(xz, xz, xs, indexing="ij")
-        eta = np.stack([X.ravel(), Y.ravel(), S.ravel()], axis=-1)
-        w = (
-            wz[:, None, None] * wz[None, :, None] * ws[None, None, :]
-        ).ravel()
-    else:
-        per_axis = {1: (12, 16), 2: (6, 16), 3: (4, 16)}[g.total_dim]
-        x1, w1 = _panel_rule_1d(-12.0, 12.0, per_axis[0], per_axis[1])
-        mesh = np.meshgrid(*([x1] * g.total_dim), indexing="ij")
-        eta = np.stack([m.ravel() for m in mesh], axis=-1)
-        w = np.ones(eta.shape[0])
-        for i in range(g.total_dim):
-            shape = [1] * g.total_dim
-            shape[i] = -1
-            w = w * np.broadcast_to(
-                w1.reshape(shape), [x1.size] * g.total_dim
-            ).ravel()
+    eta, w = tensor_rule([gauss_legendre(*axis) for axis in g.eta_grid])
     gamma_w = profile.gamma(eta) * w
     eta_inv = G.inverse(g, eta)
     cache["ext_grid"] = (eta_inv, gamma_w)
@@ -139,9 +119,14 @@ class HeatExtension:
             eta_inv, gamma_w = _ext_grid(self.profile)
             sqrt_t = math.sqrt(t)
             out = np.empty(pts.shape[0])
+            f = np.empty(gamma_w.size)
             for i, x in enumerate(pts):
-                y = G.mul(g, x, G.dilate(g, sqrt_t, eta_inv))
-                out[i] = float(gamma_w @ mu.density_at(y))
+                for start in range(0, f.size, _ETA_BLOCK):
+                    rows = slice(start, start + _ETA_BLOCK)
+                    f[rows] = mu.density_at(
+                        G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
+                    )
+                out[i] = float(gamma_w @ f)
             return out
         if isinstance(mu, MixtureMeasure):
             total = np.zeros(pts.shape[0])

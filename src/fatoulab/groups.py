@@ -5,6 +5,15 @@ second layer: group multiplication, inverse, anisotropic dilations delta_r
 (scaling layer j by r^j), a homogeneous quasi-norm, Lebesgue measure as Haar
 measure, and the homogeneous dimension Q (so m(delta_r E) = r^Q m(E)).
 
+A group is one factory. It fills in a `GroupDescriptor` with everything that
+is particular to the group: its law, its gauge, a polar chart of the unit
+sphere {d = 1} (with the node counts of its surface and convolution rules),
+a box containing the unit ball, and the axis specs of the kernel mass grid
+and the heat-extension eta-grid. Every other module reads these fields and
+never asks which group it has; the quadrature rules themselves are built by
+:mod:`fatoulab.quadrature`. Horizontal flows and Brownian increments follow
+from the law: the flow of the i-th horizontal field is x -> x * (h e_i).
+
 Shipped instances:
 
 * ``euclidean_group(n)`` for n in {1, 2, 3}: abelian, step 1, Euclidean norm,
@@ -16,7 +25,7 @@ Shipped instances:
 The quasi-triangle constant of the gauge is certified numerically at
 construction (large-sample maximization of d(x*y)/(d(x)+d(y)) plus local
 refinement); it is NOT assumed to be 1. The unit-sphere surface rule used by
-``polar_integrate`` is precomputed per group and reproduces Cartesian
+``polar_integrate`` comes from the group's chart and reproduces Cartesian
 quadrature on smooth integrands.
 """
 
@@ -31,8 +40,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import GroupError, NumericsError
+from .quadrature import SphereChart, gauss_legendre
 
 __all__ = [
+    "GROUP_LABELS",
     "GroupDescriptor",
     "GroupPoint",
     "Ball",
@@ -62,6 +73,12 @@ class GroupDescriptor:
 
     ``quasi_triangle_const`` is the certified constant C with
     d(x*y) <= C (d(x) + d(y)); ``certification`` records how it was obtained.
+    ``unit_box`` holds rows (lo, hi) of an axis-aligned box containing
+    B(0,1); ``sphere`` is the polar chart of {d = 1}. ``mass_grid`` and
+    ``eta_grid`` give, per axis, the composite Gauss-Legendre rule
+    (lo, hi, n_panels, order) of the kernel mass grid and of the
+    heat-extension eta-grid. The first ``n_horizontal`` coordinates span the
+    first layer.
     """
 
     label: str
@@ -76,6 +93,10 @@ class GroupDescriptor:
     mul_fn: Callable = field(compare=False, repr=False)
     inv_fn: Callable = field(compare=False, repr=False)
     norm_fn: Callable = field(compare=False, repr=False)
+    unit_box: tuple = field(compare=False, repr=False)
+    sphere: SphereChart = field(compare=False, repr=False)
+    mass_grid: tuple = field(compare=False, repr=False)
+    eta_grid: tuple = field(compare=False, repr=False)
     n_horizontal: int = 0
 
     def __post_init__(self):
@@ -175,22 +196,13 @@ def translate_ball(g: GroupDescriptor, x0, ball: Ball) -> Ball:
     return Ball(mul(g, x0, ball.center), ball.radius)
 
 
-def _unit_box(g: GroupDescriptor) -> np.ndarray:
-    """Axis-aligned box containing B(0,1), rows (lo, hi)."""
-    if g.label.startswith("euclidean"):
-        return np.array([[-1.0, 1.0]] * g.total_dim)
-    if g.label == "heisenberg:1":
-        return np.array([[-1.0, 1.0], [-1.0, 1.0], [-0.25, 0.25]])
-    raise GroupError(f"no bounding box rule for group {g.label}")
-
-
 def ball_bounding_box(g: GroupDescriptor, ball: Ball) -> np.ndarray:
     """Axis-aligned bounding box of a ball, shape (N, 2).
 
     Left translation is affine in exponential coordinates, so the box is the
     hull of the translated corners of the centered ball's box (exact).
     """
-    base = _unit_box(g)
+    base = np.array(g.unit_box)
     r = ball.radius
     scale = np.array([r ** e for e in g.layer_exponents])
     box0 = base * scale[:, None]
@@ -296,12 +308,46 @@ def _certify_quasi_triangle(mul_fn, norm_fn, dim, center_slots, seed=20260823,
     return const, log
 
 
+def _circle(p, phi):
+    """Unit circle; it has no polar parameter."""
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def _polar_stack(rho, phi, last):
+    """Points (rho cos phi, rho sin phi, last), broadcast over p and phi."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(phi))
+    return np.stack(
+        [rho * np.cos(phi), rho * np.sin(phi), np.broadcast_to(last, shape)],
+        axis=-1,
+    )
+
+
+def _round_sphere(u, phi):
+    """Unit 2-sphere with u = cos(polar angle)."""
+    return _polar_stack(np.sqrt(1.0 - u ** 2), phi, u)
+
+
+def _koranyi_sphere(psi, phi):
+    """Koranyi sphere z = sqrt(cos psi) e^{i phi}, s = sin(psi) / 4."""
+    return _polar_stack(np.sqrt(np.cos(psi)), phi, np.sin(psi) / 4.0)
+
+
+_EUCLIDEAN_SPHERES = {
+    1: SphereChart(None),
+    2: SphereChart(_circle, fine=(0, 64), coarse=(0, 48)),
+    3: SphereChart(_round_sphere, polar=(-1.0, 1.0), spread=(-1.0, 1.0),
+                   fine=(32, 64), coarse=(16, 24)),
+}
+
+
 @lru_cache(maxsize=None)
 def euclidean_group(n: int) -> GroupDescriptor:
     """Abelian group R^n with Euclidean norm; n in {1, 2, 3}."""
     if n not in (1, 2, 3):
         raise GroupError(f"euclidean instances ship for n in 1..3, got {n}")
     vols = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+    mass_nodes = {1: 200, 2: 110, 3: 64}[n]
+    eta_panels = {1: 12, 2: 6, 3: 4}[n]
     return GroupDescriptor(
         label=f"euclidean:{n}",
         step=1,
@@ -315,6 +361,10 @@ def euclidean_group(n: int) -> GroupDescriptor:
         mul_fn=_eu_mul,
         inv_fn=_eu_inv,
         norm_fn=_eu_norm,
+        unit_box=((-1.0, 1.0),) * n,
+        sphere=_EUCLIDEAN_SPHERES[n],
+        mass_grid=((-12.0, 12.0, 1, mass_nodes),) * n,
+        eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
         n_horizontal=n,
     )
 
@@ -336,6 +386,15 @@ def heisenberg_group() -> GroupDescriptor:
         mul_fn=_h1_mul,
         inv_fn=_h1_inv,
         norm_fn=_h1_norm,
+        unit_box=((-1.0, 1.0), (-1.0, 1.0), (-0.25, 0.25)),
+        # the coarea Jacobian of the chart is the constant r^3/4, so the
+        # surface density is 1/4
+        sphere=SphereChart(_koranyi_sphere, density=0.25,
+                           polar=(-0.5 * np.pi, 0.5 * np.pi),
+                           spread=(-1.25, 1.25),
+                           fine=(48, 64), coarse=(20, 24)),
+        mass_grid=((-9.0, 9.0, 1, 90),) * 2 + ((-30.0, 30.0, 1, 140),),
+        eta_grid=((-7.5, 7.5, 3, 16),) * 2 + ((-30.0, 30.0, 8, 16),),
         n_horizontal=2,
     )
 
@@ -346,6 +405,7 @@ _REGISTRY = {
     "euclidean:3": lambda: euclidean_group(3),
     "heisenberg:1": heisenberg_group,
 }
+GROUP_LABELS = tuple(_REGISTRY)
 
 
 def get_group(label: str) -> GroupDescriptor:
@@ -362,63 +422,14 @@ def get_group(label: str) -> GroupDescriptor:
 # unit-sphere surface rule and polar integration
 # ---------------------------------------------------------------------------
 
-_SURFACE_CACHE: dict = {}
-
-
 def surface_rule(g: GroupDescriptor, resolution: int = 0):
     """Quadrature rule (nodes, weights) on the unit sphere {d = 1}.
 
     Total weight equals the surface constant sigma(S) = Q * m(B(0,1)).
     ``resolution`` > 0 scales the node counts (for refinement studies).
     """
-    key = (g.label, resolution)
-    if key in _SURFACE_CACHE:
-        return _SURFACE_CACHE[key]
     mult = max(1, resolution)
-    if g.label == "euclidean:1":
-        nodes = np.array([[1.0], [-1.0]])
-        weights = np.array([1.0, 1.0])
-    elif g.label == "euclidean:2":
-        m = 64 * mult
-        th = np.arange(m) * 2.0 * np.pi / m
-        nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        weights = np.full(m, 2.0 * np.pi / m)
-    elif g.label == "euclidean:3":
-        nu, nphi = 32 * mult, 64 * mult
-        xu, wu = np.polynomial.legendre.leggauss(nu)
-        phi = np.arange(nphi) * 2.0 * np.pi / nphi
-        st = np.sqrt(1.0 - xu ** 2)
-        nodes = np.stack(
-            [
-                st[:, None] * np.cos(phi)[None, :],
-                st[:, None] * np.sin(phi)[None, :],
-                xu[:, None] * np.ones(nphi)[None, :],
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        weights = (wu[:, None] * np.full(nphi, 2.0 * np.pi / nphi)[None, :]).ravel()
-    elif g.label == "heisenberg:1":
-        # Parametrize z = sqrt(cos psi) e^{i phi}, s = sin(psi)/4; the coarea
-        # Jacobian is the constant r^3/4, so the surface density is 1/4.
-        npsi, nphi = 48 * mult, 64 * mult
-        xp, wp = np.polynomial.legendre.leggauss(npsi)
-        psi = 0.5 * np.pi * xp
-        wpsi = 0.5 * np.pi * wp
-        phi = np.arange(nphi) * 2.0 * np.pi / nphi
-        rho = np.sqrt(np.cos(psi))
-        nodes = np.stack(
-            [
-                rho[:, None] * np.cos(phi)[None, :],
-                rho[:, None] * np.sin(phi)[None, :],
-                (np.sin(psi) / 4.0)[:, None] * np.ones(nphi)[None, :],
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        weights = (0.25 * wpsi[:, None] * np.full(nphi, 2.0 * np.pi / nphi)[None, :]).ravel()
-    else:
-        raise GroupError(f"no surface rule for group {g.label}")
-    _SURFACE_CACHE[key] = (nodes, weights)
-    return nodes, weights
+    return g.sphere.rule(tuple(n * mult for n in g.sphere.fine))
 
 
 def polar_integrate(g: GroupDescriptor, f, r_max: float, n_radial: int = 256,
@@ -432,13 +443,7 @@ def polar_integrate(g: GroupDescriptor, f, r_max: float, n_radial: int = 256,
     if r_max <= 0:
         raise GroupError(f"r_max must be positive, got {r_max}")
     omega, w_s = surface_rule(g, resolution)
-    n_panels = max(1, n_radial // 16)
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    r = (half[:, None] * xg[None, :] + mid[:, None]).ravel()
-    w_r = (half[:, None] * wg[None, :]).ravel()
+    r, w_r = gauss_legendre(0.0, r_max, max(1, n_radial // 16))
     exps = np.array(g.layer_exponents, dtype=float)
     pts = r[:, None, None] ** exps[None, None, :] * omega[None, :, :]
     vals = np.asarray(f(pts), dtype=float)
@@ -454,26 +459,7 @@ def polar_integrate(g: GroupDescriptor, f, r_max: float, n_radial: int = 256,
 
 def unit_directions(g: GroupDescriptor, k: int = 8) -> np.ndarray:
     """Deterministic spread of k points on the unit sphere {d = 1}."""
-    if g.label == "euclidean:1":
-        return np.array([[1.0] if i % 2 == 0 else [-1.0] for i in range(k)])
-    if g.label == "euclidean:2":
-        th = np.arange(k) * 2.0 * np.pi / k
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    if g.label == "euclidean:3":
-        i = np.arange(k)
-        u = -1.0 + 2.0 * (i + 0.5) / k
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        st = np.sqrt(1.0 - u ** 2)
-        return np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=-1)
-    if g.label == "heisenberg:1":
-        i = np.arange(k)
-        psi = -1.25 + 2.5 * (i + 0.5) / k
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        rho = np.sqrt(np.cos(psi))
-        return np.stack(
-            [rho * np.cos(phi), rho * np.sin(phi), np.sin(psi) / 4.0], axis=-1
-        )
-    raise GroupError(f"no direction rule for group {g.label}")
+    return g.sphere.directions(k)
 
 
 def certify_bilipschitz(g: GroupDescriptor, n_samples: int = 200_000,

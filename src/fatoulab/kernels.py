@@ -46,6 +46,7 @@ from scipy.optimize import brentq
 
 from .errors import CertificationError, GroupError, NumericsError
 from . import groups as G
+from .quadrature import gauss_legendre, tensor_rule
 
 __all__ = [
     "KernelProfile",
@@ -129,7 +130,7 @@ def euclidean_profile(n: int) -> KernelProfile:
         group=g,
         gamma=gam,
         gamma_accurate=gam,
-        quadrature_spec={"form": "closed", "n": n},
+        quadrature_spec={"form": "closed", "n": n, "semigroup_tol": 1e-6},
     )
 
 
@@ -137,19 +138,9 @@ def euclidean_profile(n: int) -> KernelProfile:
 # Heisenberg profile
 # ---------------------------------------------------------------------------
 
-def _gl_rule(a: float, b: float, n_panels: int, order: int = 16):
-    """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [a, b]."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (half[:, None] * xs[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * ws[None, :]).ravel()
-    return nodes, weights
-
-
-def _gl_panels(a: float, b: float, width: float, order: int = 16):
-    return _gl_rule(a, b, max(1, int(math.ceil((b - a) / width))), order)
+def _gl_panels(a: float, b: float, width: float):
+    """Composite Gauss-Legendre rule on [a, b], panels no wider than width."""
+    return gauss_legendre(a, b, max(1, int(math.ceil((b - a) / width))))
 
 
 def _panel_width(sigma: float) -> float:
@@ -183,7 +174,7 @@ def _row_chunks(n_rows: int, n_nodes: int):
 
 def _plain_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndarray:
     """Cosine-transform quadrature on the real lambda axis, one row per point."""
-    lam, wt = _gl_rule(0.0, _LAM_MAX, n_panels)
+    lam, wt = gauss_legendre(0.0, _LAM_MAX, n_panels)
     four = 4.0 * lam
     base = lam / np.sinh(four)
     cth = lam / np.tanh(four)
@@ -201,7 +192,7 @@ def _shifted_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndar
     The shift extracts the e^(-tau sigma) decay before quadrature.
     """
     tau = _TAU_SHIFT
-    u, wt = _gl_rule(0.0, _LAM_MAX, n_panels)
+    u, wt = gauss_legendre(0.0, _LAM_MAX, n_panels)
     lam = u + 1j * tau
     four = 4.0 * lam
     base = (lam / np.sinh(four)) * wt
@@ -364,17 +355,25 @@ def heisenberg_profile() -> KernelProfile:
             "table_shape": machine.table.shape,
             "table_rho_max": _TABLE_RHO_MAX,
             "table_sig_max": _TABLE_SIG_MAX,
+            "semigroup_tol": 1e-2,
         },
     )
 
 
+_PROFILES = {
+    "euclidean:1": lambda: euclidean_profile(1),
+    "euclidean:2": lambda: euclidean_profile(2),
+    "euclidean:3": lambda: euclidean_profile(3),
+    "heisenberg:1": heisenberg_profile,
+}
+
+
 def profile_for(g: G.GroupDescriptor) -> KernelProfile:
-    """Kernel profile for a shipped group."""
-    if g.label.startswith("euclidean:"):
-        return euclidean_profile(int(g.label.split(":")[1]))
-    if g.label == "heisenberg:1":
-        return heisenberg_profile()
-    raise GroupError(f"no kernel profile for group {g.label}")
+    """Kernel profile for a shipped group, looked up by its registry label."""
+    try:
+        return _PROFILES[g.label]()
+    except KeyError:
+        raise GroupError(f"no kernel profile for group {g.label}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +391,11 @@ def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
 
 def _mass_grid(k: KernelProfile):
     """Cached scaled-coordinate quadrature grid covering the kernel mass."""
-    if "mass_grid" in k._caches:
-        return k._caches["mass_grid"]
-    g = k.group
-    if g.label == "heisenberg:1":
-        nz, ns, lz, ls = 90, 140, 9.0, 30.0
-        xz, wz = np.polynomial.legendre.leggauss(nz)
-        xs, ws = np.polynomial.legendre.leggauss(ns)
-        zg, wzg = xz * lz, wz * lz
-        sg, wsg = xs * ls, ws * ls
-        gx, gy, gs = np.meshgrid(zg, zg, sg, indexing="ij")
-        w = (wzg[:, None, None] * wzg[None, :, None] * wsg[None, None, :]).ravel()
-        pts = np.stack([gx.ravel(), gy.ravel(), gs.ravel()], axis=-1)
-    else:
-        n = g.total_dim
-        per_axis = {1: 200, 2: 110, 3: 64}[n]
-        xg, wg = np.polynomial.legendre.leggauss(per_axis)
-        half = 12.0
-        axes = [xg * half] * n
-        wts = [wg * half] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        w = np.ones_like(mesh[0])
-        for i in range(n):
-            shape = [1] * n
-            shape[i] = per_axis
-            w = w * wts[i].reshape(shape)
-        w = w.ravel()
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    k._caches["mass_grid"] = (pts, w)
-    return pts, w
+    if "mass_grid" not in k._caches:
+        k._caches["mass_grid"] = tensor_rule(
+            [gauss_legendre(*axis) for axis in k.group.mass_grid]
+        )
+    return k._caches["mass_grid"]
 
 
 def kernel_mass(k: KernelProfile, t: float) -> float:
@@ -452,31 +427,13 @@ def check_semigroup(k: KernelProfile, x, t: float, tau: float) -> float:
     return abs(conv - direct)
 
 
-def _horizontal_flow(g: G.GroupDescriptor, x: np.ndarray, i: int, h: float) -> np.ndarray:
-    """Exact flow of the i-th horizontal field for time h."""
-    out = np.array(x, dtype=float)
-    if g.label.startswith("euclidean:"):
-        out[i] += h
-        return out
-    if g.label == "heisenberg:1":
-        if i == 0:
-            out[0] += h
-            out[2] += 2.0 * x[1] * h
-        elif i == 1:
-            out[1] += h
-            out[2] -= 2.0 * x[0] * h
-        else:
-            raise GroupError("heisenberg:1 has two horizontal fields")
-        return out
-    raise GroupError(f"no horizontal flows for group {g.label}")
-
-
 def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
     """|L_h Gamma - d_t,h Gamma| at (x, t).
 
-    L_h uses centered second differences along the exact horizontal flows;
-    d_t,h is a centered time difference with step h^2 (so the residual is
-    second order in h). Requires t > 2 h^2.
+    L_h uses centered second differences along the exact horizontal flows,
+    x -> x * (h e_i) by the group law; d_t,h is a centered time difference
+    with step h^2 (so the residual is second order in h). Requires
+    t > 2 h^2.
     """
     if not (t > 2.0 * h * h):
         raise NumericsError(f"pde_residual requires t > 2 h^2, got t={t}, h={h}")
@@ -491,9 +448,9 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
     x = np.asarray(x, dtype=float)
     center = ev(x, t)
     spatial = 0.0
-    for i in range(g.n_horizontal):
-        up = ev(_horizontal_flow(g, x, i, h), t)
-        dn = ev(_horizontal_flow(g, x, i, -h), t)
+    for step in h * np.eye(g.total_dim)[: g.n_horizontal]:
+        up = ev(G.mul(g, x, step), t)
+        dn = ev(G.mul(g, x, -step), t)
         spatial += (up - 2.0 * center + dn) / (h * h)
     dt = (ev(x, t + h * h) - ev(x, t - h * h)) / (2.0 * h * h)
     return abs(spatial - dt)
@@ -603,7 +560,7 @@ def validate_profile(k: KernelProfile, t_values=(0.25, 1.0, 4.0),
         "symmetry": 1e-8,
         "normalization": 1e-3,
         "scaling": 1e-13,
-        "semigroup": 1e-6 if k.group.label.startswith("euclidean") else 1e-2,
+        "semigroup": k.quadrature_spec["semigroup_tol"],
         "pde_ratio": (2.5, 6.0),
     }
     if tolerances:

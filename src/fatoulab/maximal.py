@@ -36,6 +36,7 @@ from .errors import CertificationError, MeasureError
 from . import groups as G
 from . import kernels as K
 from .extension import HeatExtension
+from .quadrature import gauss_legendre
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 _SCALE_SWITCH = 1.0  # density conv: scaled grid below, cell grid above
-_PHI_GRID_CACHE: dict = {}
 
 
 @dataclass(eq=False)
@@ -85,6 +85,7 @@ class RadialProfile:
             raise MeasureError(f"profile {self.label!r} must be nonincreasing")
         below = np.nonzero(v <= 1e-14 * v[0])[0]
         self.support_radius = float(r[below[0]]) if below.size else 50.0
+        self._grids = {}  # phi-weighted convolution grids, one per group
 
     def __call__(self, r):
         return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
@@ -139,64 +140,20 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
 # mollifier convolutions
 # ---------------------------------------------------------------------------
 
-def _coarse_sphere(g: G.GroupDescriptor):
-    """Reduced-count surface rule for convolution grids (same total weight)."""
-    if g.label == "euclidean:1":
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if g.label == "euclidean:2":
-        m = 48
-        th = np.arange(m) * 2.0 * np.pi / m
-        return (np.stack([np.cos(th), np.sin(th)], axis=-1),
-                np.full(m, 2.0 * np.pi / m))
-    if g.label == "euclidean:3":
-        nu, nphi = 16, 24
-        xu, wu = np.polynomial.legendre.leggauss(nu)
-        phi = np.arange(nphi) * 2.0 * np.pi / nphi
-        st = np.sqrt(1.0 - xu ** 2)
-        nodes = np.stack(
-            [st[:, None] * np.cos(phi)[None, :],
-             st[:, None] * np.sin(phi)[None, :],
-             xu[:, None] * np.ones(nphi)[None, :]], axis=-1
-        ).reshape(-1, 3)
-        w = (wu[:, None] * np.full(nphi, 2.0 * np.pi / nphi)[None, :]).ravel()
-        return nodes, w
-    if g.label == "heisenberg:1":
-        npsi, nphi = 20, 24
-        xp, wp = np.polynomial.legendre.leggauss(npsi)
-        psi = 0.5 * np.pi * xp
-        wpsi = 0.5 * np.pi * wp
-        phi = np.arange(nphi) * 2.0 * np.pi / nphi
-        rho = np.sqrt(np.cos(psi))
-        nodes = np.stack(
-            [rho[:, None] * np.cos(phi)[None, :],
-             rho[:, None] * np.sin(phi)[None, :],
-             (np.sin(psi) / 4.0)[:, None] * np.ones(nphi)[None, :]], axis=-1
-        ).reshape(-1, 3)
-        w = (0.25 * wpsi[:, None] * np.full(nphi, 2.0 * np.pi / nphi)[None, :]).ravel()
-        return nodes, w
-    raise MeasureError(f"no sphere rule for group {g.label}")
-
-
 def _phi_grid(g: G.GroupDescriptor, phi: RadialProfile):
-    """phi-weighted polar grid in the scaled variable: (eta_inverse, weights)."""
-    key = (g.label, phi.label)
-    if key in _PHI_GRID_CACHE:
-        return _PHI_GRID_CACHE[key]
-    omega, w_s = _coarse_sphere(g)
-    r_max = min(phi.support_radius, 50.0)
-    n_panels = 4
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    r = (half[:, None] * xg[None, :] + mid[:, None]).ravel()
-    w_r = (half[:, None] * wg[None, :]).ravel()
+    """phi-weighted polar grid in the scaled variable: (eta_inverse, weights).
+
+    Cached on the profile, so two profiles never share a grid.
+    """
+    if g in phi._grids:
+        return phi._grids[g]
+    omega, w_s = g.sphere.rule(g.sphere.coarse)
+    r, w_r = gauss_legendre(0.0, min(phi.support_radius, 50.0), 4)
     exps = np.array(g.layer_exponents, dtype=float)
     eta = r[:, None, None] ** exps[None, None, :] * omega[None, :, :]
     eta = eta.reshape(-1, g.total_dim)
     w = (w_r * r ** (g.hom_dim - 1) * phi(r))[:, None] * w_s[None, :]
-    out = (G.inverse(g, eta), w.ravel())
-    _PHI_GRID_CACHE[key] = out
+    phi._grids[g] = out = (G.inverse(g, eta), w.ravel())
     return out
 
 

@@ -60,43 +60,30 @@ def simulate_horizontal_bm(g: G.GroupDescriptor, n_paths: int,
     """Euler-Maruyama paths of the horizontal diffusion started at identity.
 
     The generator is the sum of squares of the horizontal fields, so each
-    horizontal coordinate gains variance 2 dt per step. On the step-2 group
-    the vertical increment uses the pre-update horizontal coordinates; the
-    Ito correction vanishes because the two horizontal drivers are
-    independent.
+    horizontal coordinate gains variance 2 dt per step. A step is the group
+    product pos * increment with the increment in the first layer; on the
+    step-2 group the vertical increment therefore uses the pre-update
+    horizontal coordinates, and the Ito correction vanishes because the two
+    horizontal drivers are independent.
     """
     if n_paths <= 0 or n_steps <= 0 or not (t_final > 0):
         raise MeasureError("n_paths, n_steps, t_final must be positive")
     dt = t_final / n_steps
     amp = math.sqrt(2.0 * dt)
-    if g.label.startswith("euclidean"):
-        d = g.total_dim
-        pos = np.zeros((n_paths, d))
-        for j in range(n_steps):
-            pos += amp * _step_rng(seed, j).standard_normal((n_paths, d))
-        tag = f"sum of squares of the {d} coordinate fields"
-    elif g.label == "heisenberg:1":
-        x = np.zeros(n_paths)
-        y = np.zeros(n_paths)
-        s = np.zeros(n_paths)
-        for j in range(n_steps):
-            xi = _step_rng(seed, j).standard_normal((n_paths, 2))
-            dx = amp * xi[:, 0]
-            dy = amp * xi[:, 1]
-            s += 2.0 * (y * dx - x * dy)
-            x += dx
-            y += dy
-        pos = np.stack([x, y, s], axis=-1)
-        tag = "X^2 + Y^2 with X = d/dx + 2y d/ds, Y = d/dy - 2x d/ds"
-    else:
-        raise MeasureError(f"no simulator for group {g.label}")
+    m = g.n_horizontal
+    pos = np.zeros((n_paths, g.total_dim))
+    # column-major, so that filling the first layer writes contiguous columns
+    increment = np.zeros((n_paths, g.total_dim), order="F")
+    for j in range(n_steps):
+        increment[:, :m] = amp * _step_rng(seed, j).standard_normal((n_paths, m))
+        pos = G.mul(g, pos, increment)
     return PathEnsemble(
         group_label=g.label,
         endpoints=pos,
         t_final=t_final,
         n_steps=n_steps,
         seed=seed,
-        generator_tag=tag,
+        generator_tag=f"sum of squares of the {m} horizontal fields",
     )
 
 

@@ -1,0 +1,112 @@
+"""The quadrature layer: every grid in fatoulab is built from these rules.
+
+* `gauss_legendre`: composite Gauss-Legendre panels on an interval (radial
+  rules, kernel lambda rules, and each axis of the mass and eta grids);
+* `tensor_rule`: tensor products of one-dimensional rules;
+* `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
+  yields its quadrature rules at any node count and its spread of
+  deterministic directions.
+
+Which rule a group uses is data carried by its descriptor (see
+:mod:`fatoulab.groups`); nothing here knows about particular groups.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+__all__ = ["gauss_legendre", "tensor_rule", "SphereChart"]
+
+
+def gauss_legendre(a: float, b: float, n_panels: int, order: int = 16):
+    """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [a, b].
+
+    Returns (nodes, weights), panel by panel, each panel carrying ``order``
+    nodes.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (half[:, None] * xs[None, :] + mid[:, None]).ravel()
+    weights = (half[:, None] * ws[None, :]).ravel()
+    return nodes, weights
+
+
+def tensor_rule(rules):
+    """Tensor product of one-dimensional (nodes, weights) rules.
+
+    Returns points (N, d) and weights (N,), the first axis varying slowest.
+    """
+    mesh = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
+    weights = rules[0][1]
+    for _, w in rules[1:]:
+        weights = np.multiply.outer(weights, w)
+    return np.stack([m.ravel() for m in mesh], axis=-1), weights.ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class SphereChart:
+    """Polar chart (p, phi) of a unit sphere {d = 1}.
+
+    ``embed(p, phi)`` maps a polar parameter p and an azimuth phi (arrays
+    that broadcast against each other) to coordinates, with surface density
+    ``density`` = dsigma / (dp dphi). On a circle there is no polar
+    parameter: ``polar`` is None and ``embed`` ignores p. ``embed`` None
+    marks the sphere of a line, the two points 1 and -1.
+
+    ``polar`` is the range of p that the quadrature rules cover and
+    ``spread`` the band of p that `directions` samples. ``fine`` and
+    ``coarse`` are (polar, azimuth) node counts: the surface rule's per unit
+    of resolution, and the mollifier convolution grids'.
+    """
+
+    embed: Callable | None
+    density: float = 1.0
+    polar: tuple | None = None
+    spread: tuple | None = None
+    fine: tuple = (0, 0)
+    coarse: tuple = (0, 0)
+    _rules: dict = field(default_factory=dict, init=False, repr=False)
+
+    def rule(self, counts: tuple):
+        """Cached rule (nodes, weights) with (polar, azimuth) node counts.
+
+        Gauss-Legendre in p times the equispaced azimuth; the total weight
+        is the surface measure of the sphere.
+        """
+        if counts in self._rules:
+            return self._rules[counts]
+        if self.embed is None:
+            out = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        else:
+            n_polar, n_phi = counts
+            phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
+            w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
+            if self.polar is None:
+                out = self.embed(None, phi), self.density * w_phi
+            else:
+                p, w_p = gauss_legendre(self.polar[0], self.polar[1], 1, n_polar)
+                nodes = self.embed(p[:, None], phi[None, :])
+                out = (nodes.reshape(-1, nodes.shape[-1]),
+                       np.multiply.outer(self.density * w_p, w_phi).ravel())
+        self._rules[counts] = out
+        return out
+
+    def directions(self, k: int) -> np.ndarray:
+        """Deterministic spread of k points on the sphere.
+
+        Alternating signs on a line, equispaced angles on a circle, and
+        otherwise p equispaced over ``spread`` with golden-angle azimuths.
+        """
+        if self.embed is None:
+            return np.array([[1.0] if i % 2 == 0 else [-1.0] for i in range(k)])
+        i = np.arange(k)
+        if self.polar is None:
+            return self.embed(None, i * 2.0 * np.pi / k)
+        lo, hi = self.spread
+        p = lo + (hi - lo) * (i + 0.5) / k
+        return self.embed(p, i * np.pi * (3.0 - np.sqrt(5.0)))

@@ -61,6 +61,7 @@ __all__ = [
     "build_measure",
     "run_scenario",
     "run_suite",
+    "summarize_suite",
     "preset_suite",
     "suite_names",
     "emit_report",
@@ -71,8 +72,6 @@ SCHEMA_VERSION = 1
 VERDICT_EQUIVALENT = "equivalent"
 VERDICT_BOTH_DIVERGE = "both-diverge"
 VERDICT_MISMATCH = "MISMATCH"
-
-_GROUP_LABELS = ("euclidean:1", "euclidean:2", "euclidean:3", "heisenberg:1")
 
 
 def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
@@ -239,9 +238,9 @@ class Scenario:
             )
         if not isinstance(cfg["label"], str) or not cfg["label"]:
             raise ConfigError("config.label: expected a non-empty string")
-        if cfg["group"] not in _GROUP_LABELS:
+        if cfg["group"] not in G.GROUP_LABELS:
             raise ConfigError(
-                f"config.group: expected one of {_GROUP_LABELS}, "
+                f"config.group: expected one of {G.GROUP_LABELS}, "
                 f"got {cfg['group']!r}"
             )
         g = G.get_group(cfg["group"])
@@ -725,6 +724,31 @@ def run_maximal_case(cfg: dict, alphas=(0.5, 1.0, 2.0)) -> dict:
     }
 
 
+def summarize_suite(name: str, reports) -> dict:
+    """Suite result {suite, cases, n_mismatch, passed} from scenario reports.
+
+    A case fails on a MISMATCH verdict or when it does not match its
+    expectations.
+    """
+    cases = []
+    n_mismatch = 0
+    for rep in reports:
+        bad = rep.verdict == VERDICT_MISMATCH or not rep.matches_expected
+        n_mismatch += bad
+        cases.append({
+            "label": rep.label,
+            "verdict": rep.verdict,
+            "expected": rep.expected_verdict,
+            "passed": not bad,
+        })
+    return {
+        "suite": name,
+        "cases": cases,
+        "n_mismatch": int(n_mismatch),
+        "passed": n_mismatch == 0,
+    }
+
+
 def run_suite(name: str, out_dir: str | None = None) -> dict:
     """Run a preset suite; returns {suite, cases, passed}."""
     if name in _PRESETS:
@@ -735,25 +759,10 @@ def run_suite(name: str, out_dir: str | None = None) -> dict:
                 reports = list(ex.map(run_scenario, configs))
         else:
             reports = [run_scenario(c) for c in configs]
-        cases = []
-        n_mismatch = 0
-        for rep in reports:
-            if out_dir:
+        if out_dir:
+            for rep in reports:
                 emit_report(rep, out_dir)
-            bad = rep.verdict == VERDICT_MISMATCH or not rep.matches_expected
-            n_mismatch += bad
-            cases.append({
-                "label": rep.label,
-                "verdict": rep.verdict,
-                "expected": rep.expected_verdict,
-                "passed": not bad,
-            })
-        return {
-            "suite": name,
-            "cases": cases,
-            "n_mismatch": int(n_mismatch),
-            "passed": n_mismatch == 0,
-        }
+        return summarize_suite(name, reports)
     if name == "maximal-sandwich":
         results = [run_maximal_case(c) for c in maximal_cases()]
         passed = all(r["passed"] for r in results)
@@ -764,7 +773,7 @@ def run_suite(name: str, out_dir: str | None = None) -> dict:
     if name == "kernel-battery":
         cases = []
         all_ok = True
-        for label in _GROUP_LABELS:
+        for label in G.GROUP_LABELS:
             profile = K.profile_for(G.get_group(label))
             report = K.validate_profile(profile)
             cases.append({"label": label, "passed": report["passed"],

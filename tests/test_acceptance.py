@@ -35,8 +35,6 @@ import pytest
 import fatoulab as F
 from conftest import ensure_validated
 
-ALL_GROUP_LABELS = ("euclidean:1", "euclidean:2", "euclidean:3", "heisenberg:1")
-
 
 def announce(capsys, ok: bool, text: str):
     with capsys.disabled():
@@ -63,7 +61,7 @@ def test_criterion_1_group_axioms(capsys):
     n = 10_000
     t0 = time.time()
     worst = {}
-    for label in ALL_GROUP_LABELS:
+    for label in F.GROUP_LABELS:
         g = F.get_group(label)
         rng = np.random.default_rng(101)
         dim = g.total_dim
@@ -220,7 +218,7 @@ def test_criterion_5_commutation(capsys):
     rng = np.random.default_rng(555)
     worst_atomic = 0.0
     for i in range(100):
-        g = F.get_group(ALL_GROUP_LABELS[i % 4])
+        g = F.get_group(F.GROUP_LABELS[i % 4])
         profile = F.profile_for(g)
         mu = _random_atomic(g, rng)
         x = rng.normal(size=g.total_dim) * 0.7
@@ -266,8 +264,12 @@ def test_criterion_5_commutation(capsys):
 def test_criterion_6_scenario_suites(capsys, preset_reports):
     reports, fixture_elapsed = preset_reports
     t0 = time.time()
-    eu = F.run_suite("euclidean-gehring")
-    h1 = F.run_suite("heisenberg-core")
+    eu, h1 = (
+        F.summarize_suite(
+            suite, [reports[cfg["label"]] for cfg in F.preset_suite(suite)]
+        )
+        for suite in ("euclidean-gehring", "heisenberg-core")
+    )
     elapsed = time.time() - t0 + fixture_elapsed
     problems = []
     if eu["n_mismatch"] or not eu["passed"]:

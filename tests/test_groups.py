@@ -10,6 +10,7 @@ Frozen oracles (worked out independently before implementation):
 * quasi-triangle constant approx 1.4565502 for the quartic gauge.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,13 +93,13 @@ def test_ball_volume_vs_monte_carlo(gh):
     assert abs(z) <= 4.0
 
 
-def test_surface_rule_total_weight(gh, g3):
-    for g in (gh, g3):
-        _, w = G.surface_rule(g)
+def test_surface_rule_total_weight(g1, g2, g3, gh):
+    for g in (g1, g2, g3, gh):
         total = g.hom_dim * g.unit_ball_volume
-        assert w.sum() == pytest.approx(total, rel=1e-12)
-        _, w2 = G.surface_rule(g, resolution=2)
-        assert w2.sum() == pytest.approx(total, rel=1e-12)
+        rules = (G.surface_rule(g), G.surface_rule(g, resolution=2),
+                 g.sphere.rule(g.sphere.coarse))  # coarse: convolution grids
+        for _, w in rules:
+            assert w.sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_surface_nodes_on_unit_sphere(gh):
@@ -228,3 +229,25 @@ def test_group_point_wrapper(gh):
     assert p.coords.shape == (3,)
     with pytest.raises(F.GroupError):
         F.GroupPoint(np.array([1.0, 0.0]), gh)
+
+
+def test_rules_come_from_the_descriptor_not_the_label(g2, gh):
+    # a relabelled copy carries the same fields, so every rule is identical
+    for g, name in ((g2, "plane-copy"), (gh, "heisenberg-copy")):
+        copy = dataclasses.replace(g, label=name)
+        for res in (0, 2):
+            for a, b in zip(G.surface_rule(g, res), G.surface_rule(copy, res)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(F.unit_directions(g, 7),
+                              F.unit_directions(copy, 7))
+
+        def f(p):
+            return np.exp(-(p * p).sum(axis=-1)) * (1.0 + p[..., 0])
+
+        assert F.polar_integrate(g, f, 1.3) == F.polar_integrate(copy, f, 1.3)
+        b = F.Ball(np.array([0.3, -0.2, 0.1])[: g.total_dim], 0.7)
+        assert np.array_equal(G.ball_bounding_box(g, b),
+                              G.ball_bounding_box(copy, b))
+        paths = F.simulate_horizontal_bm(g, 500, n_steps=20, seed=4)
+        paths_copy = F.simulate_horizontal_bm(copy, 500, n_steps=20, seed=4)
+        assert np.array_equal(paths.endpoints, paths_copy.endpoints)

@@ -173,6 +173,20 @@ def test_mollifier_recovers_profile_mass(gh):
         F.mollifier_convolution(mu, F.default_profile(), np.zeros(3), 0.0)
 
 
+def test_profiles_sharing_a_label_keep_their_own_grids(g2):
+    # the phi-weighted grid belongs to the profile, not to its label:
+    # integral of exp(-a r^2) over the plane is pi / a
+    mu = F.DensityMeasure(g2, lambda p: np.ones(p.shape[:-1]),
+                          [[-1.0, 1.0], [-1.0, 1.0]], label="unit")
+    wide = F.RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), "p")
+    narrow = F.RadialProfile(lambda r: np.exp(-4.0 * np.asarray(r) ** 2), "p")
+    x = np.zeros(2)
+    got_wide = F.mollifier_convolution(mu, wide, x, 0.1)
+    got_narrow = F.mollifier_convolution(mu, narrow, x, 0.1)
+    assert got_wide == pytest.approx(math.pi, rel=1e-9)
+    assert got_narrow == pytest.approx(math.pi / 4.0, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # heat maximal chain
 # ---------------------------------------------------------------------------
