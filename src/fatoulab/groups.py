@@ -79,6 +79,12 @@ class GroupDescriptor:
     (lo, hi, n_panels, order) of the kernel mass grid and of the
     heat-extension eta-grid. The first ``n_horizontal`` coordinates span the
     first layer.
+
+    Every ball is convex in exponential coordinates: the gauge's sublevel
+    set B(0, r) is convex (on H^1, |z|^4 + 16 s^2 is a convex function) and
+    left translation x -> c * x is affine, so B(c, r) = c * B(0, r) is
+    convex. A new gauge must keep this: ball masses of densities treat a
+    ball that holds the corners of a box as holding the whole box.
     """
 
     label: str
@@ -231,14 +237,13 @@ def _eu_norm(a):
 
 
 def _h1_mul(a, b):
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 0] + b[..., 0]
-    out[..., 1] = a[..., 1] + b[..., 1]
-    out[..., 2] = (
-        a[..., 2]
-        + b[..., 2]
-        + 2.0 * (a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1])
-    )
+    # the coordinate sums, then 2 (y x' - x y') added in place to the last
+    # column: s'' = (s + s') + 2 (y x' - x y')
+    out = np.add(a, b, order="C")
+    c = a[..., 1] * b[..., 0]
+    c -= a[..., 0] * b[..., 1]
+    c *= 2.0
+    out[..., 2] += c
     return out
 
 
@@ -247,8 +252,16 @@ def _h1_inv(a):
 
 
 def _h1_norm(a):
-    z2 = a[..., 0] ** 2 + a[..., 1] ** 2
-    return (z2 * z2 + 16.0 * a[..., 2] ** 2) ** 0.25
+    # ((x^2 + y^2)^2 + 16 s^2)^(1/4), updated in place (a scalar for one point)
+    x, y, s = a[..., 0], a[..., 1], a[..., 2]
+    n4 = x * x
+    n4 += y * y
+    n4 *= n4
+    s2 = s * s
+    s2 *= 16.0
+    n4 += s2
+    n4 **= 0.25
+    return n4
 
 
 def _certify_quasi_triangle(mul_fn, norm_fn, dim, center_slots, seed=20260823,

@@ -20,6 +20,7 @@ below tolerance (ties count as not converged).
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,22 @@ __all__ = [
 ]
 
 _DEFAULT_CELLS = {1: 512, 2: 128, 3: 48}
+
+# A density's ball mass classifies each cell by its center and its own
+# corners c +- h/2. Those corners are tested once each, on a lattice that
+# neighbouring cells share, although c + h/2 of one cell and c' - h/2 of
+# the next can round an ulp apart: the two can only be on different sides
+# of the sphere where d is within rounding of the radius. A point whose d
+# is within _TIE times the spread of d (over the points tested) of the
+# radius is a tie: its cells test their own corners, and a support corner
+# that ties does not make the ball cover the support.
+_TIE = 1e-6
+
+
+def _tensor(axes) -> np.ndarray:
+    """Points (N, d) of the grid of per-axis nodes, the first axis slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 class BoundaryMeasure:
@@ -111,7 +128,7 @@ class DensityMeasure(BoundaryMeasure):
         self.support_box = box
         self.cells_per_axis = cells_per_axis or _DEFAULT_CELLS[group.total_dim]
         self.label = label
-        self._mass = self._validate()
+        self._mass, self._support_cell_sum = self._validate()
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         """Effective density: f clipped to the support box."""
@@ -124,20 +141,29 @@ class DensityMeasure(BoundaryMeasure):
             )
         return np.where(inside, vals, 0.0)
 
-    def _grid(self, box: np.ndarray):
-        n = self.group.total_dim
+    def _axes(self, box: np.ndarray):
+        """Cell centers of ``box`` along each axis, and the cell widths."""
         cells = self.cells_per_axis
         axes, steps = [], []
-        for i in range(n):
+        for i in range(self.group.total_dim):
             lo, hi = box[i]
             h = (hi - lo) / cells
             axes.append(lo + h * (np.arange(cells) + 0.5))
             steps.append(h)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        return centers, np.prod(steps), np.array(steps)
+        return axes, np.array(steps)
 
-    def _validate(self) -> float:
+    def _grid(self, box: np.ndarray):
+        """Cell centers (N, d) of ``box``, the cell volume and the widths."""
+        axes, steps = self._axes(box)
+        return _tensor(axes), np.prod(steps), steps
+
+    def _validate(self) -> tuple[float, float]:
+        """Check the density on the cell grid of the support.
+
+        Returns the total mass (negative rounding noise clipped) and the
+        unclipped cell sum, which is what the cell rule gives a ball holding
+        the whole support.
+        """
         centers, vol, _ = self._grid(self.support_box)
         vals = np.asarray(self.density(centers), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -149,7 +175,7 @@ class DensityMeasure(BoundaryMeasure):
         mass = float(vals.clip(min=0.0).sum() * vol)
         if not math.isfinite(mass):
             raise MeasureError("density has non-finite total mass")
-        return mass
+        return mass, float(vals.sum() * vol)
 
     @property
     def total_mass(self) -> float:
@@ -157,24 +183,50 @@ class DensityMeasure(BoundaryMeasure):
 
     def _ball_mass(self, ball: G.Ball):
         g = self.group
+        n = g.total_dim
         bb = G.ball_bounding_box(g, ball)
         lo = np.maximum(bb[:, 0], self.support_box[:, 0])
         hi = np.minimum(bb[:, 1], self.support_box[:, 1])
         if np.any(hi <= lo):
             return 0.0, 0.0
-        box = np.stack([lo, hi], axis=1)
-        centers, vol, steps = self._grid(box)
-        n = g.total_dim
+        # balls are convex, so a ball holding the corners of the support box
+        # holds every cell of it; the box center is tested only so that d
+        # has a spread when all corners are equally far
+        sb = self.support_box
+        d = np.asarray(G.dist(g, np.vstack([_tensor(sb), sb.mean(axis=1)]),
+                              ball.center))
+        if np.all(d[:-1] < ball.radius - _TIE * np.ptp(d)):
+            return self._support_cell_sum, 0.0
+        axes, steps = self._axes(np.stack([lo, hi], axis=1))
+        centers, vol = _tensor(axes), np.prod(steps)
         inside_c = G.ball_contains(g, ball, centers)
+        # each cell is classified by its center and its 2^n corners, read
+        # from one lattice of shared corners: node k of an axis is the low
+        # corner of cell k, the last node the high corner of the last cell
+        cells = self.cells_per_axis
+        nodes = [np.append(a - 0.5 * h, a[-1] + 0.5 * h)
+                 for a, h in zip(axes, steps)]
+        d = np.asarray(G.dist(g, _tensor(nodes), ball.center))
+        d = d.reshape((cells + 1,) * n)
+        node_in = d < ball.radius
+        tie = np.abs(d - ball.radius) <= _TIE * np.ptp(d)
+        all_in = inside_c.reshape((cells,) * n).copy()
+        any_in = all_in.copy()
+        near_tie = np.zeros_like(all_in)
+        for corner in itertools.product((0, 1), repeat=n):
+            window = tuple(slice(k, k + cells) for k in corner)
+            all_in &= node_in[window]
+            any_in |= node_in[window]
+            near_tie |= tie[window]
+        all_in, any_in = all_in.ravel(), any_in.ravel()
+        redo = np.flatnonzero(near_tie)
+        if redo.size:
+            offs = _tensor([(-0.5, 0.5)] * n) * steps
+            corner_in = np.stack(
+                [G.ball_contains(g, ball, centers[redo] + o) for o in offs])
+            all_in[redo] = corner_in.all(axis=0) & inside_c[redo]
+            any_in[redo] = corner_in.any(axis=0) | inside_c[redo]
         # boundary shell: cells whose corners disagree with each other
-        offs = np.stack(
-            np.meshgrid(*[np.array([-0.5, 0.5])] * n, indexing="ij"), axis=-1
-        ).reshape(-1, n) * steps
-        corner_in = np.stack(
-            [G.ball_contains(g, ball, centers + o) for o in offs], axis=0
-        )
-        all_in = corner_in.all(axis=0) & inside_c
-        any_in = corner_in.any(axis=0) | inside_c
         shell = any_in & ~all_in
         interior_val = 0.0
         if np.any(all_in):
@@ -183,21 +235,17 @@ class DensityMeasure(BoundaryMeasure):
             )
         shell_val, shell_err = 0.0, 0.0
         if np.any(shell):
-            sub_off = np.stack(
-                np.meshgrid(*[np.array([-0.25, 0.25])] * n, indexing="ij"),
-                axis=-1,
-            ).reshape(-1, n) * steps
+            sub_off = _tensor([(-0.25, 0.25)] * n) * steps
             sub_vol = vol / 2 ** n
             sc = centers[shell]
+            cut = np.linalg.norm(steps) / 2.0
             for o in sub_off:
                 pts = sc + o
-                m = G.ball_contains(g, ball, pts)
+                d = np.asarray(G.dist(g, pts, ball.center))
                 fv = self.density_at(pts)
-                shell_val += float(fv[m].sum() * sub_vol)
+                shell_val += float(fv[d < ball.radius].sum() * sub_vol)
                 # residual uncertainty: subcells still cut by the sphere
-                near = np.abs(
-                    np.asarray(G.dist(g, pts, ball.center)) - ball.radius
-                ) < np.linalg.norm(steps) / 2.0
+                near = np.abs(d - ball.radius) < cut
                 shell_err += float(np.abs(fv[near]).sum() * sub_vol * 0.5)
         return interior_val + shell_val, shell_err
 
@@ -281,12 +329,7 @@ def translate_measure(mu: BoundaryMeasure, x0) -> BoundaryMeasure:
         )
     if isinstance(mu, DensityMeasure):
         inner = mu.density_at
-        n = g.total_dim
-        corners = np.stack(
-            np.meshgrid(*[mu.support_box[i] for i in range(n)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, n)
-        moved = G.mul(g, G.inverse(g, x0), corners)
+        moved = G.mul(g, G.inverse(g, x0), _tensor(mu.support_box))
         box = np.stack([moved.min(axis=0), moved.max(axis=0)], axis=1)
         return DensityMeasure(
             g,

@@ -139,6 +139,9 @@ def test_quasi_triangle_certificate(gh, g1):
     c = gh.quasi_triangle_const
     assert 1.45 < c < 1.47
     assert abs(c - 1.4565502) <= 1e-5
+    # set-up feeds 1.2M samples through the product and the gauge, so the
+    # exact value pins both bit for bit
+    assert c == 1.4565502169606948
     assert g1.quasi_triangle_const == 1.0
     # no violation on a fresh random sample
     rng = np.random.default_rng(77)
@@ -251,3 +254,89 @@ def test_rules_come_from_the_descriptor_not_the_label(g2, gh):
         paths = F.simulate_horizontal_bm(g, 500, n_steps=20, seed=4)
         paths_copy = F.simulate_horizontal_bm(copy, 500, n_steps=20, seed=4)
         assert np.array_equal(paths.endpoints, paths_copy.endpoints)
+
+
+# ---------------------------------------------------------------------------
+# Heisenberg primitives: the in-place forms are the plain expressions
+# ---------------------------------------------------------------------------
+
+def _h1_mul_expression(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 0] + b[..., 0]
+    out[..., 1] = a[..., 1] + b[..., 1]
+    out[..., 2] = (
+        a[..., 2]
+        + b[..., 2]
+        + 2.0 * (a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1])
+    )
+    return out
+
+
+def _h1_norm_expression(a):
+    z2 = a[..., 0] ** 2 + a[..., 1] ** 2
+    return (z2 * z2 + 16.0 * a[..., 2] ** 2) ** 0.25
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_h1_primitives_match_the_expressions_bitwise():
+    rng = np.random.default_rng(31)
+
+    def sample(*shape, order="C"):
+        return np.asarray(rng.normal(size=shape) * rng.choice([1e-3, 1.0, 30.0]),
+                          order=order)
+
+    pairs = [
+        (sample(3), sample(4097, 3)),
+        (sample(4097, 3), sample(3)),
+        (sample(257, 1, 3), sample(1, 129, 3)),
+        (sample(3), sample(3)),
+        (sample(5001, 3), sample(5001, 3, order="F")),
+        (sample(5001, 3, order="F"), sample(5001, 3)),
+        (sample(5001, 3, order="F"), sample(5001, 3, order="F")),
+    ]
+    for a, b in pairs:
+        got = G._h1_mul(a, b)
+        assert _same_bits(got, _h1_mul_expression(a, b))
+        assert got.flags.c_contiguous
+    for a in (sample(4097, 3), sample(257, 129, 3), sample(3),
+              sample(5001, 3, order="F")):
+        assert _same_bits(G._h1_norm(a), _h1_norm_expression(a))
+    # one point gives a scalar, as the expression does
+    assert np.ndim(G._h1_norm(sample(3))) == 0
+
+
+# ---------------------------------------------------------------------------
+# convexity of balls (density ball masses rely on it)
+# ---------------------------------------------------------------------------
+
+def _midpoint_failures(g, ball, n_candidates=200_000, seed=41):
+    """Midpoints of sampled pairs of ball points that fall outside the ball."""
+    rng = np.random.default_rng(seed)
+    box = G.ball_bounding_box(g, ball)
+    cand = rng.uniform(box[:, 0], box[:, 1], size=(n_candidates, g.total_dim))
+    pts = cand[G.ball_contains(g, ball, cand)]
+    half = pts.shape[0] // 2
+    assert half > 2000
+    mid = 0.5 * (pts[:half] + pts[half:2 * half])
+    return int(np.count_nonzero(~G.ball_contains(g, ball, mid)))
+
+
+def test_balls_are_midpoint_convex(g1, g2, g3, gh):
+    for g in (g1, g2, g3, gh):
+        n = g.total_dim
+        for center, radius in ((np.zeros(n), 1.0),
+                               (np.array([0.7, -1.2, 0.4])[:n], 0.6),
+                               (np.array([-2.0, 0.5, 3.0])[:n], 1.7)):
+            assert _midpoint_failures(g, F.Ball(center, radius)) == 0
+
+
+def test_midpoint_convexity_check_catches_a_nonconvex_gauge(g2):
+    def astroid(a):
+        return (np.sqrt(np.abs(a[..., 0])) + np.sqrt(np.abs(a[..., 1]))) ** 2
+
+    g = dataclasses.replace(g2, label="astroid", norm_fn=astroid)
+    assert _midpoint_failures(g, F.Ball(np.zeros(2), 1.0)) > 0

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
+from fatoulab import groups as G
 
 V1_H = math.pi ** 2 / 8.0
 
@@ -105,6 +106,109 @@ def test_density_ball_mass_heisenberg(gh):
     val, err = F.measure_ball(mu, F.Ball(np.zeros(3), 1.0))
     assert val == pytest.approx(V1_H, rel=2e-3)
     assert abs(val - V1_H) <= err
+
+
+def _per_corner_ball_mass(mu, ball):
+    """Reference: each cell tests its own 2^n corners c +- h/2."""
+    g = mu.group
+    bb = G.ball_bounding_box(g, ball)
+    lo = np.maximum(bb[:, 0], mu.support_box[:, 0])
+    hi = np.minimum(bb[:, 1], mu.support_box[:, 1])
+    if np.any(hi <= lo):
+        return 0.0, 0.0
+    centers, vol, steps = mu._grid(np.stack([lo, hi], axis=1))
+    n = g.total_dim
+    inside_c = G.ball_contains(g, ball, centers)
+    offs = np.stack(
+        np.meshgrid(*[np.array([-0.5, 0.5])] * n, indexing="ij"), axis=-1
+    ).reshape(-1, n) * steps
+    corner_in = np.stack(
+        [G.ball_contains(g, ball, centers + o) for o in offs], axis=0
+    )
+    all_in = corner_in.all(axis=0) & inside_c
+    any_in = corner_in.any(axis=0) | inside_c
+    shell = any_in & ~all_in
+    interior_val = 0.0
+    if np.any(all_in):
+        interior_val = float(mu.density_at(centers[all_in]).sum() * vol)
+    shell_val, shell_err = 0.0, 0.0
+    if np.any(shell):
+        sub_off = np.stack(
+            np.meshgrid(*[np.array([-0.25, 0.25])] * n, indexing="ij"),
+            axis=-1,
+        ).reshape(-1, n) * steps
+        sub_vol = vol / 2 ** n
+        sc = centers[shell]
+        for o in sub_off:
+            pts = sc + o
+            m = G.ball_contains(g, ball, pts)
+            fv = mu.density_at(pts)
+            shell_val += float(fv[m].sum() * sub_vol)
+            near = np.abs(
+                np.asarray(G.dist(g, pts, ball.center)) - ball.radius
+            ) < np.linalg.norm(steps) / 2.0
+            shell_err += float(np.abs(fv[near]).sum() * sub_vol * 0.5)
+    return interior_val + shell_val, shell_err
+
+
+def _smooth(p):
+    return 1.0 + 0.4 * np.sin(2.0 * p[..., 0]) + 0.2 * np.cos(p.sum(axis=-1))
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_density_ball_mass_matches_per_corner_rule(label, monkeypatch):
+    g = F.get_group(label)
+    n = g.total_dim
+    f = _smooth
+
+    def at(*coords):
+        return np.array(coords[:n], dtype=float)
+
+    mu = F.DensityMeasure(g, f, [[-1.0, 1.3]] * n, label="smooth")
+    derived = F.restrict(F.translate_measure(mu, at(0.3, -0.2, 0.1)),
+                         F.Ball(at(-0.1, 0.2, 0.05), 0.9))
+    cell = 2.3 / mu.cells_per_axis
+    cases = [
+        (mu, F.Ball(at(0.1, 0.2, -0.1), 0.5)),         # inside the support
+        (mu, F.Ball(at(1.3, 0.1, 0.0), 0.6)),          # straddling an edge
+        (mu, F.Ball(at(0.4, 0.5, 0.2), 0.3 * cell)),   # smaller than a cell
+        (mu, F.Ball(at(5.0, -4.0, 9.0), 0.5)),         # disjoint
+        (derived, F.Ball(at(0.2, 0.0, 0.1), 0.6)),
+        (derived, F.Ball(at(-0.8, 0.4, -0.2), 0.5)),
+    ]
+    for measure, ball in cases:
+        assert F.measure_ball(measure, ball) == _per_corner_ball_mass(measure, ball)
+
+    # a centered ball on a wide support: its grid box is its bounding box,
+    # so lattice nodes lie on the sphere in exact arithmetic (on R^3, where
+    # 16^2 + 16^2 + 8^2 = 24^2) and rounding decides their membership
+    wide = F.DensityMeasure(g, f, [[-3.0, 3.0]] * n, label="wide")
+    ball = F.Ball(np.zeros(n), 1.0)
+    assert F.measure_ball(wide, ball) == _per_corner_ball_mass(wide, ball)
+
+    # a ball covering the support returns the whole cell sum, without
+    # classifying a single cell
+    cover = F.Ball(at(0.2, -0.1, 0.3), 6.0)
+    expected = _per_corner_ball_mass(mu, cover)
+    assert expected[1] == 0.0
+
+    def no_cells(*args):
+        raise AssertionError("cells classified for a covering ball")
+
+    monkeypatch.setattr(G, "ball_contains", no_cells)
+    assert F.measure_ball(mu, cover) == expected
+
+
+def test_ball_just_holding_the_support_matches_per_corner_rule(g1):
+    # the far corner of the support is inside by one ulp, but the edge
+    # cell's own corner c + h/2 rounds out of the ball: not a covering ball
+    mu = F.DensityMeasure(g1, _smooth, [[-0.7, 0.9]], label="smooth")
+    center = np.array([0.1])
+    reach = float(np.max(G.dist(g1, mu.support_box.T, center)))
+    ball = F.Ball(center, float(np.nextafter(reach, np.inf)))
+    expected = _per_corner_ball_mass(mu, ball)
+    assert expected[1] > 0.0
+    assert F.measure_ball(mu, ball) == expected
 
 
 def test_density_validation_errors(g1):
