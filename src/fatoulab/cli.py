@@ -132,6 +132,10 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_maximal_check(args) -> int:
+    if args.n_atomic < 0 or args.n_density < 0:
+        raise ConfigError("--n-atomic and --n-density must be >= 0")
+    if args.n_atomic + args.n_density == 0:
+        raise ConfigError("maximal-check needs at least one case")
     cases = S.maximal_cases(args.n_atomic, args.n_density)
     results = [S.run_maximal_case(c) for c in cases]
     passed = all(r["passed"] for r in results)
@@ -144,6 +148,9 @@ def _cmd_maximal_check(args) -> int:
 
 
 def _cmd_oracle_validate(args) -> int:
+    if args.paths < 2:
+        # the z-scores divide by sample standard deviations
+        raise ConfigError(f"--paths must be >= 2, got {args.paths}")
     checks = []
 
     g1 = G.euclidean_group(1)

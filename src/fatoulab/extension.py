@@ -12,6 +12,15 @@ so one fixed gamma-weighted grid in eta serves every (x, t). This keeps the
 quadrature error independent of t, which matters when chasing limits along
 shrinking parabolic regions.
 
+The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of the
+eta-box's 2^n corners span the image of the whole grid, and the density's
+``hull_state`` classifies that hull. Where it lies inside the density's
+smooth region the group's smaller ``eta_grid_smooth`` rule is used (Gauss-
+Legendre converges geometrically on smooth integrands); where the density
+is zero on it, u is 0.0 without evaluating anything; where a support or
+clip edge cuts it, the full eta-grid is used, and only its rows inside the
+support box evaluate the density.
+
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
 beta in [0, 1) and unit directions omega, with t shrinking geometrically.
@@ -23,6 +32,7 @@ tolerance, mirroring the strong-derivative rule.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,16 +79,38 @@ __all__ = [
 _ETA_BLOCK = 1 << 15
 
 
+def _weighted_grid(profile: K.KernelProfile, spec):
+    """(eta_inverse, gamma * quad_weight) of one eta-grid spec."""
+    eta, w = tensor_rule([gauss_legendre(*axis) for axis in spec])
+    # gamma first, in row blocks (its values do not depend on the batch):
+    # its temporaries then share memory with eta alone, a block at a time
+    gamma_w = np.empty(w.size)
+    for start in range(0, w.size, _ETA_BLOCK):
+        rows = slice(start, start + _ETA_BLOCK)
+        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
+    return G.inverse(profile.group, eta), gamma_w
+
+
 def _ext_grid(profile: K.KernelProfile):
-    """Gamma-weighted eta-grid: returns (eta_inverse, gamma * quad_weight)."""
+    """The eta-grids of a group: (fine, smooth, corner_inverses).
+
+    ``fine`` and ``smooth`` are (eta_inverse, gamma * quad_weight);
+    ``smooth`` is ``fine`` itself when the group has no smaller rule.
+    ``corner_inverses`` are the inverted corners of a box holding both.
+    The smooth grid is built after the fine one, in the same fill.
+    """
     cache = profile._caches
     if "ext_grid" in cache:
         return cache["ext_grid"]
     g = profile.group
-    eta, w = tensor_rule([gauss_legendre(*axis) for axis in g.eta_grid])
-    gamma_w = profile.gamma(eta) * w
-    eta_inv = G.inverse(g, eta)
-    cache["ext_grid"] = (eta_inv, gamma_w)
+    fine = _weighted_grid(profile, g.eta_grid)
+    smooth = fine
+    if g.eta_grid_smooth is not None:
+        smooth = _weighted_grid(profile, g.eta_grid_smooth)
+    box = [(min(a[0], b[0]), max(a[1], b[1]))
+           for a, b in zip(g.eta_grid, g.eta_grid_smooth or g.eta_grid)]
+    corners = np.array(list(itertools.product(*box)), dtype=float)
+    cache["ext_grid"] = (fine, smooth, G.inverse(g, corners))
     return cache["ext_grid"]
 
 
@@ -116,16 +148,31 @@ class HeatExtension:
             vals = K.eval_kernel(self.profile, rel, t)
             return mu.weights @ vals
         if isinstance(mu, DensityMeasure):
-            eta_inv, gamma_w = _ext_grid(self.profile)
+            fine, smooth, corner_inv = _ext_grid(self.profile)
             sqrt_t = math.sqrt(t)
-            out = np.empty(pts.shape[0])
-            f = np.empty(gamma_w.size)
+            corners = G.dilate(g, sqrt_t, corner_inv)
+            out = np.zeros(pts.shape[0])
+            buf = np.empty(max(fine[1].size, smooth[1].size))
             for i, x in enumerate(pts):
+                state = mu.hull_state(G.mul(g, x, corners))
+                if state == "outside":
+                    continue
+                eta_inv, gamma_w = smooth if state == "inside" else fine
+                f = buf[:gamma_w.size]
                 for start in range(0, f.size, _ETA_BLOCK):
                     rows = slice(start, start + _ETA_BLOCK)
-                    f[rows] = mu.density_at(
-                        G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
-                    )
+                    y = G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
+                    keep = None if state == "inside" else mu.in_support(y)
+                    if keep is None or keep.all():
+                        f[rows] = mu.density_at(y)
+                    else:
+                        # rows off the support box are zero: the density
+                        # chain runs on the others only (y is replaced, so
+                        # no more than one block of points is held)
+                        block = f[rows]
+                        block[~keep] = 0.0
+                        y = y[keep]
+                        block[keep] = mu.density_at(y)
                 out[i] = float(gamma_w @ f)
             return out
         if isinstance(mu, MixtureMeasure):
@@ -231,13 +278,12 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     n_p = len(placements)
     pts = np.empty((n_p, n_steps, g.total_dim))
     vals = np.empty((n_p, n_steps))
-    for pi, (beta, k) in enumerate(placements):
-        for ti, t in enumerate(t_vals):
+    for ti, t in enumerate(t_vals):
+        for pi, (beta, k) in enumerate(placements):
             offset = G.dilate(g, max(beta * region.aperture * math.sqrt(t), 0.0),
                               dirs[k]) if beta > 0 else np.zeros(g.total_dim)
-            x = G.mul(g, region.vertex, offset)
-            pts[pi, ti] = x
-            vals[pi, ti] = u(x, float(t))
+            pts[pi, ti] = G.mul(g, region.vertex, offset)
+        vals[:, ti] = u(pts[:, ti], float(t))
     tail = vals[:, -window:]
     finite = np.all(np.isfinite(tail))
     est = float(tail.mean()) if finite else math.inf
@@ -403,7 +449,7 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
         for d in dirs:
             pts.append(G.dilate(g, frac * inner_r, d))
     pts = np.array(pts)
-    values = np.array([max(u(p, float(t)) for p in pts) for t in t_schedule])
+    values = np.array([u(pts, float(t)).max() for t in t_schedule])
     slack = 1e-12 * max(1.0, float(values.max(initial=0.0)))
     vanishes = bool(values[-1] <= tol * max(1.0, mu.total_mass))
     monotone = bool(np.all(np.diff(values) <= slack)) or vanishes

@@ -77,8 +77,15 @@ class GroupDescriptor:
     B(0,1); ``sphere`` is the polar chart of {d = 1}. ``mass_grid`` and
     ``eta_grid`` give, per axis, the composite Gauss-Legendre rule
     (lo, hi, n_panels, order) of the kernel mass grid and of the
-    heat-extension eta-grid. The first ``n_horizontal`` coordinates span the
+    heat-extension eta-grid. ``eta_grid_smooth`` is a smaller eta-grid on
+    the same box, accurate only where the integrand is smooth; None means
+    the eta-grid itself. The first ``n_horizontal`` coordinates span the
     first layer.
+
+    A density is assumed smooth inside its support box: its clips (the box
+    edges, and the balls of ``restrict`` and ``restrict_complement``) are
+    where it may jump, and the heat extension uses ``eta_grid_smooth`` only
+    where the image of the eta-box lies strictly inside all of them.
 
     Every ball is convex in exponential coordinates: the gauge's sublevel
     set B(0, r) is convex (on H^1, |z|^4 + 16 s^2 is a convex function) and
@@ -104,6 +111,8 @@ class GroupDescriptor:
     mass_grid: tuple = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
     n_horizontal: int = 0
+    eta_grid_smooth: tuple | None = field(default=None, compare=False,
+                                          repr=False)
 
     def __post_init__(self):
         if self.total_dim != sum(self.layer_dims):
@@ -409,6 +418,7 @@ def heisenberg_group() -> GroupDescriptor:
         mass_grid=((-9.0, 9.0, 1, 90),) * 2 + ((-30.0, 30.0, 1, 140),),
         eta_grid=((-7.5, 7.5, 3, 16),) * 2 + ((-30.0, 30.0, 8, 16),),
         n_horizontal=2,
+        eta_grid_smooth=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
     )
 
 

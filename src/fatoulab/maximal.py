@@ -167,6 +167,12 @@ def _density_cells(mu: DensityMeasure):
     return cache
 
 
+def _cell_conv(g: G.GroupDescriptor, masses: np.ndarray, rho: np.ndarray,
+               phi: RadialProfile, s: float) -> float:
+    """(nu * phi_s)(x) on the cell grid, from the cell distances rho to x."""
+    return float(s ** (-g.hom_dim) * (masses @ phi(rho / s)))
+
+
 def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
     """(nu * phi_s)(x) for a single scale."""
     g = mu.group
@@ -181,8 +187,7 @@ def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
             y = G.mul(g, x, G.dilate(g, s, eta_inv))
             return float(w @ mu.density_at(y))
         centers, masses = _density_cells(mu)
-        rho = np.asarray(G.dist(g, x, centers))
-        return float(s ** (-g.hom_dim) * (masses @ phi(rho / s)))
+        return _cell_conv(g, masses, np.asarray(G.dist(g, x, centers)), phi, s)
     if isinstance(mu, MixtureMeasure):
         return sum(_conv_one(c, phi, x, s) for c in mu.components)
     raise MeasureError(f"unsupported measure type {type(mu).__name__}")
@@ -210,6 +215,18 @@ def _conv_profile(mu, phi, x: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
         for c in mu.components:
             total += _conv_profile(c, phi, x, s_grid)
         return total
+    if isinstance(mu, DensityMeasure):
+        # scaled-grid scales one at a time, then the cell-grid scales, which
+        # share one set of cell distances
+        cell = s_grid > _SCALE_SWITCH
+        out = np.empty(s_grid.size)
+        out[~cell] = [_conv_one(mu, phi, x, float(s)) for s in s_grid[~cell]]
+        if np.any(cell):
+            centers, masses = _density_cells(mu)
+            rho = np.asarray(G.dist(g, x, centers))
+            out[cell] = [_cell_conv(g, masses, rho, phi, float(s))
+                         for s in s_grid[cell]]
+        return out
     return np.array([_conv_one(mu, phi, x, float(s)) for s in s_grid])
 
 

@@ -11,6 +11,13 @@ translated corners while the density itself is clipped to the original
 support. Densities are validated at construction (finite, nonnegative, finite
 total mass).
 
+A density is assumed smooth inside its support box; where it may jump is
+known to the measure: the box edges and the balls that ``restrict`` and
+``restrict_complement`` clip by. ``DensityMeasure.hull_state`` tells whether
+the convex hull of a few points lies where the density is smooth, where it
+is zero, or across a jump; each derived measure composes it from its inner
+measure's, as it composes the density itself.
+
 The strong derivative at a point is estimated over a finite ball family along
 a shrinking radius schedule; the trace records all quotients, and convergence
 means the oscillation over the trailing window across ALL family members is
@@ -56,6 +63,47 @@ _DEFAULT_CELLS = {1: 512, 2: 128, 3: 48}
 # radius is a tie: its cells test their own corners, and a support corner
 # that ties does not make the ball cover the support.
 _TIE = 1e-6
+
+
+def _meet(a: str, b: str) -> str:
+    """Hull state of a product of two factors with hull states a and b."""
+    if "outside" in (a, b):
+        return "outside"
+    return "inside" if a == b == "inside" else "cut"
+
+
+def _box_state(corners: np.ndarray, box: np.ndarray) -> str:
+    """Hull state of ``corners`` against a box.
+
+    "inside": strictly inside; "outside": beyond one face; else "cut". A
+    coordinate within _TIE times the spread of its axis of a face is too
+    close to tell, so it counts as neither.
+    """
+    lo, hi = box[:, 0], box[:, 1]
+    tie = _TIE * np.ptp(np.vstack([corners, box.T]), axis=0)
+    if np.any(np.all(corners < lo - tie, axis=0)
+              | np.all(corners > hi + tie, axis=0)):
+        return "outside"
+    if np.all((corners > lo + tie) & (corners < hi - tie)):
+        return "inside"
+    return "cut"
+
+
+def _ball_state(g: G.GroupDescriptor, corners: np.ndarray, ball: G.Ball) -> str:
+    """Hull state of ``corners`` against a ball.
+
+    "inside": every corner is, with a _TIE margin (balls are convex);
+    "outside": the corners' bounding box misses the ball's; else "cut".
+    """
+    d = np.asarray(G.dist(g, corners, ball.center))
+    if np.all(d < ball.radius - _TIE * (ball.radius + d.max())):
+        return "inside"
+    if _box_state(corners, G.ball_bounding_box(g, ball)) == "outside":
+        return "outside"
+    return "cut"
+
+
+_COMPLEMENT = {"inside": "outside", "outside": "inside", "cut": "cut"}
 
 
 def _tensor(axes) -> np.ndarray:
@@ -112,10 +160,18 @@ class AtomicMeasure(BoundaryMeasure):
 
 
 class DensityMeasure(BoundaryMeasure):
-    """Absolutely continuous measure f dm supported on a finite box."""
+    """Absolutely continuous measure f dm supported on a finite box.
+
+    ``density`` is assumed smooth inside the support box; a density that
+    jumps inside it should be built with ``restrict``/``restrict_complement``
+    so that ``hull_state`` sees the jump. ``hull`` classifies point hulls
+    against the jumps of ``density`` itself (None: it has none); the
+    derived-measure constructors pass it.
+    """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box,
-                 cells_per_axis: int | None = None, label: str = "density"):
+                 cells_per_axis: int | None = None, label: str = "density",
+                 hull=None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -128,18 +184,37 @@ class DensityMeasure(BoundaryMeasure):
         self.support_box = box
         self.cells_per_axis = cells_per_axis or _DEFAULT_CELLS[group.total_dim]
         self.label = label
+        self._hull = hull
         self._mass, self._support_cell_sum = self._validate()
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         """Effective density: f clipped to the support box."""
         pts = np.asarray(pts, dtype=float)
         vals = np.asarray(self.density(pts), dtype=float)
+        return np.where(self.in_support(pts), vals, 0.0)
+
+    def in_support(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the points in the closed support box."""
         inside = np.ones(pts.shape[:-1], dtype=bool)
         for i in range(self.group.total_dim):
             inside &= (pts[..., i] >= self.support_box[i, 0]) & (
                 pts[..., i] <= self.support_box[i, 1]
             )
-        return np.where(inside, vals, 0.0)
+        return inside
+
+    def hull_state(self, corners: np.ndarray) -> str:
+        """Where the convex hull of ``corners`` (k, n) lies for this density.
+
+        "inside": strictly inside the support box and every clip, where the
+        density is smooth; "outside": where it is zero (off the support box
+        or inside a ``restrict_complement`` hole); "cut": anything else.
+        Boxes and balls are convex and the maps of derived densities are
+        affine, so the corners decide for the whole hull.
+        """
+        state = _box_state(corners, self.support_box)
+        if state == "outside" or self._hull is None:
+            return state
+        return _meet(state, self._hull(corners))
 
     def _axes(self, box: np.ndarray):
         """Cell centers of ``box`` along each axis, and the cell widths."""
@@ -311,6 +386,7 @@ def dilate_measure(mu: BoundaryMeasure, r: float) -> BoundaryMeasure:
             box,
             cells_per_axis=mu.cells_per_axis,
             label=f"dilate({mu.label}, r={r!r})",
+            hull=lambda c, _h=mu.hull_state, _r=r: _h(G.dilate(g, _r, c)),
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [dilate_measure(c, r) for c in mu.components])
@@ -337,6 +413,7 @@ def translate_measure(mu: BoundaryMeasure, x0) -> BoundaryMeasure:
             box,
             cells_per_axis=mu.cells_per_axis,
             label=f"translate({mu.label})",
+            hull=lambda c, _h=mu.hull_state, _x0=x0: _h(G.mul(g, _x0, c)),
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [translate_measure(c, x0) for c in mu.components])
@@ -362,12 +439,16 @@ def restrict(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
             m = np.asarray(G.dist(g, pts, center)) < radius
             return np.where(m, _f(pts), 0.0)
 
+        def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
+            return _meet(_ball_state(g, c, _ball), _h(c))
+
         return DensityMeasure(
             g,
             clipped,
             np.stack([lo, hi], axis=1),
             cells_per_axis=mu.cells_per_axis,
             label=f"restrict({mu.label})",
+            hull=hull,
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [restrict(c, ball) for c in mu.components])
@@ -390,12 +471,16 @@ def restrict_complement(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
             m = np.asarray(G.dist(g, pts, center)) >= radius
             return np.where(m, _f(pts), 0.0)
 
+        def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
+            return _meet(_COMPLEMENT[_ball_state(g, c, _ball)], _h(c))
+
         return DensityMeasure(
             g,
             clipped,
             mu.support_box.copy(),
             cells_per_axis=mu.cells_per_axis,
             label=f"restrict_complement({mu.label})",
+            hull=hull,
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [restrict_complement(c, ball) for c in mu.components])

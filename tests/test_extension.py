@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 import fatoulab as F
+from fatoulab import extension as E
+from fatoulab import groups as G
+from fatoulab.quadrature import gauss_legendre, tensor_rule
 
 
 def line_quadratic():
@@ -212,3 +215,103 @@ def test_strip_finite_for_growing_atoms(p1, g1):
     expected = 1.0 / (rate * p1.certificate.c0 * g1.quasi_triangle_const ** 2)
     assert strip == pytest.approx(expected, rel=1e-12)
     assert math.isfinite(strip)
+
+
+# ---------------------------------------------------------------------------
+# eta-rules chosen by the hull of the eta-box image
+# ---------------------------------------------------------------------------
+
+def _fine_grid(profile):
+    """The full eta-grid: (eta_inverse, gamma * quad_weight)."""
+    g = profile.group
+    eta, w = tensor_rule([gauss_legendre(*axis) for axis in g.eta_grid])
+    return G.inverse(g, eta), profile.gamma(eta) * w
+
+
+def _fine_loop(mu, grid, pts, t):
+    """Reference: every point on the full eta-grid, row block by row block."""
+    g = mu.group
+    eta_inv, gamma_w = grid
+    sqrt_t = math.sqrt(t)
+    out = np.empty(pts.shape[0])
+    f = np.empty(gamma_w.size)
+    for i, x in enumerate(pts):
+        for start in range(0, f.size, 1 << 15):
+            rows = slice(start, start + (1 << 15))
+            f[rows] = mu.density_at(
+                G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
+            )
+        out[i] = float(gamma_w @ f)
+    return out
+
+
+def _hull_states(mu, profile, pts, t):
+    corner_inv = E._ext_grid(profile)[2]
+    corners = G.dilate(mu.group, math.sqrt(t), corner_inv)
+    return [mu.hull_state(G.mul(mu.group, x, corners)) for x in pts]
+
+
+def _bump(p):
+    return 1.0 + 0.5 * np.exp(-(p * p).sum(axis=-1))
+
+
+def _derived_densities(g):
+    n = g.total_dim
+    base = F.DensityMeasure(g, _bump, [[-1.5, 1.5]] * n, label="bump")
+    moved = F.translate_measure(base, np.array([0.3, -0.2, 0.1][:n]))
+    ball = F.Ball(np.zeros(n), 0.7)
+    clipped = F.restrict(moved, ball)
+    return {
+        "base": base,
+        "translated": moved,
+        "restricted": clipped,
+        "complement": F.restrict_complement(moved, ball),
+        "dilated": F.dilate_measure(clipped, 0.8),
+    }
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_cut_and_outside_values_match_the_fine_loop(label):
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    pts = np.array([[0.0] * n, [0.1, 0.05, -0.02][:n], [5.0, 0.0, 0.0][:n]])
+    grid = _fine_grid(profile)
+    seen = set()
+    for name, mu in _derived_densities(g).items():
+        u = F.heat_extend(mu, profile)
+        for t in (1e-4, 0.0625, 1.0):
+            got = u(pts, t)
+            want = _fine_loop(mu, grid, pts, t)
+            for state, a, b in zip(_hull_states(mu, profile, pts, t), got, want):
+                seen.add(state)
+                where = (name, t, state)
+                if state != "inside" or g.eta_grid_smooth is None:
+                    assert a == b, where
+                else:
+                    assert a == pytest.approx(b, rel=1e-8, abs=0.0), where
+    assert seen == {"inside", "cut", "outside"}
+
+
+def test_forcing_the_smooth_rule_across_a_clip_misses(gh, ph, monkeypatch):
+    # negative control: at t = 0.0625 the ball's sphere cuts the eta-image,
+    # so the small rule is wrong there and the hull test must not pick it
+    mu = _derived_densities(gh)["restricted"]
+    x = np.zeros((1, 3))
+    t = 0.0625
+    assert _hull_states(mu, ph, x, t) == ["cut"]
+    fine = _fine_loop(mu, _fine_grid(ph), x, t)[0]
+    assert F.heat_extend(mu, ph)(x, t)[0] == fine
+    monkeypatch.setattr(F.DensityMeasure, "hull_state",
+                        lambda self, corners: "inside")
+    forced = F.heat_extend(mu, ph)(x, t)[0]
+    assert abs(forced - fine) > 1e-4 * abs(fine)
+
+
+def test_limit_trace_batches_match_pointwise_values(p2):
+    u = F.heat_extend(plane_quadratic(), p2)
+    region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
+    trace = F.parabolic_limit(u, region, n_steps=4)
+    for pi in range(trace.values.shape[0]):
+        for ti, t in enumerate(trace.t_values):
+            assert trace.values[pi, ti] == u(trace.points[pi, ti], float(t))

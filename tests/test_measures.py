@@ -334,3 +334,54 @@ def test_dilated_measure_weak_limit():
     nu = F.dilate_measure(mu, 2.0 ** -8)
     val, _ = F.measure_ball(nu, F.Ball([0.0], 1.0))
     assert val == pytest.approx(2.0, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# hull classification
+# ---------------------------------------------------------------------------
+
+def _cube(center, half):
+    """The 2^n corners of the cube of half-width ``half`` around a point."""
+    n = len(center)
+    offs = np.stack(np.meshgrid(*[np.array([-1.0, 1.0])] * n, indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    return np.asarray(center, dtype=float) + half * offs
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_hull_state_against_box_and_balls(label):
+    g = F.get_group(label)
+    n = g.total_dim
+    mu = F.DensityMeasure(g, _smooth, [[-1.0, 1.0]] * n, label="smooth")
+    ball = F.Ball(np.zeros(n), 0.5)
+    inner = F.restrict(mu, ball)
+    hole = F.restrict_complement(mu, ball)
+    on_face = np.zeros(n)
+    on_face[0] = 1.0
+    on_sphere = G.dilate(g, 0.5, G.unit_directions(g, 3)[1])
+    tiny = 1e-3
+
+    assert mu.hull_state(_cube(np.zeros(n), tiny)) == "inside"
+    assert mu.hull_state(_cube(5.0 + np.zeros(n), tiny)) == "outside"
+    # negative controls: hulls straddling a box face or a sphere are cut
+    assert mu.hull_state(_cube(on_face, tiny)) == "cut"
+    assert inner.hull_state(_cube(on_sphere, tiny)) == "cut"
+    assert hole.hull_state(_cube(on_sphere, tiny)) == "cut"
+    # a hull inside the ball is smooth for the restriction and zero for the
+    # complement; one beside it the other way round
+    assert inner.hull_state(_cube(np.zeros(n), tiny)) == "inside"
+    assert hole.hull_state(_cube(np.zeros(n), tiny)) == "outside"
+    beside = np.full(n, 0.9)
+    assert inner.hull_state(_cube(beside, tiny)) == "outside"
+    assert hole.hull_state(_cube(beside, tiny)) == "inside"
+    # derived measures map the corners: translation by x0 moves the support
+    # to x0^-1 * support, dilation by r to delta_(1/r)(support)
+    x0 = np.full(n, 0.7)
+    moved = F.translate_measure(mu, x0)
+    assert moved.hull_state(_cube(G.inverse(g, x0), tiny)) == "inside"
+    assert moved.hull_state(
+        _cube(G.mul(g, G.inverse(g, x0), on_face), tiny)) == "cut"
+    assert F.dilate_measure(inner, 4.0).hull_state(
+        _cube(G.dilate(g, 0.25, on_sphere), tiny)) == "cut"
+    assert F.dilate_measure(inner, 4.0).hull_state(
+        _cube(G.dilate(g, 0.25, beside), tiny)) == "outside"
