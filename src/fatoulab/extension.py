@@ -41,7 +41,7 @@ import numpy as np
 from .errors import MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .quadrature import gauss_legendre, tensor_rule
+from .quadrature import gauss_legendre, tensor_rule, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -173,7 +173,7 @@ class HeatExtension:
                         block[~keep] = 0.0
                         y = y[keep]
                         block[keep] = mu.density_at(y)
-                out[i] = float(gamma_w @ f)
+                out[i] = weighted_sum(gamma_w, f)
             return out
         if isinstance(mu, MixtureMeasure):
             total = np.zeros(pts.shape[0])

@@ -7,7 +7,8 @@ measure, and the homogeneous dimension Q (so m(delta_r E) = r^Q m(E)).
 
 A group is one factory. It fills in a `GroupDescriptor` with everything that
 is particular to the group: its law, its gauge, a polar chart of the unit
-sphere {d = 1} (with the node counts of its surface and convolution rules),
+sphere {d = 1} (with the node counts of its surface and convolution rules
+and of the unit-ball rules that density ball masses use),
 a box containing the unit ball, and the axis specs of the kernel mass grid
 and the heat-extension eta-grid. Every other module reads these fields and
 never asks which group it has; the quadrature rules themselves are built by
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import GroupError, NumericsError
-from .quadrature import SphereChart, gauss_legendre
+from .quadrature import SphereChart, ball_rule, gauss_legendre
 
 __all__ = [
     "GROUP_LABELS",
@@ -62,6 +63,7 @@ __all__ = [
     "translate_ball",
     "surface_rule",
     "polar_integrate",
+    "unit_ball_rule",
     "unit_directions",
     "certify_bilipschitz",
 ]
@@ -74,7 +76,10 @@ class GroupDescriptor:
     ``quasi_triangle_const`` is the certified constant C with
     d(x*y) <= C (d(x) + d(y)); ``certification`` records how it was obtained.
     ``unit_box`` holds rows (lo, hi) of an axis-aligned box containing
-    B(0,1); ``sphere`` is the polar chart of {d = 1}. ``mass_grid`` and
+    B(0,1); ``sphere`` is the polar chart of {d = 1}, and carries the
+    (radial, polar, azimuth) node counts of the fine and coarse unit-ball
+    rules (`unit_ball_rule`: 12 x (12 x 24) = 3,456 and 8 x (8 x 16) = 1,024
+    nodes on the Heisenberg group and on R^3). ``mass_grid`` and
     ``eta_grid`` give, per axis, the composite Gauss-Legendre rule
     (lo, hi, n_panels, order) of the kernel mass grid and of the
     heat-extension eta-grid. ``eta_grid_smooth`` is a smaller eta-grid on
@@ -84,8 +89,10 @@ class GroupDescriptor:
 
     A density is assumed smooth inside its support box: its clips (the box
     edges, and the balls of ``restrict`` and ``restrict_complement``) are
-    where it may jump, and the heat extension uses ``eta_grid_smooth`` only
-    where the image of the eta-box lies strictly inside all of them.
+    where it may jump. The heat extension uses ``eta_grid_smooth`` only
+    where the image of the eta-box lies strictly inside all of them, and a
+    ball mass uses the unit-ball rule only where the ball's bounding box
+    does.
 
     Every ball is convex in exponential coordinates: the gauge's sublevel
     set B(0, r) is convex (on H^1, |z|^4 + 16 s^2 is a convex function) and
@@ -113,6 +120,8 @@ class GroupDescriptor:
     n_horizontal: int = 0
     eta_grid_smooth: tuple | None = field(default=None, compare=False,
                                           repr=False)
+    _ball_rules: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         if self.total_dim != sum(self.layer_dims):
@@ -355,10 +364,12 @@ def _koranyi_sphere(psi, phi):
 
 
 _EUCLIDEAN_SPHERES = {
-    1: SphereChart(None),
-    2: SphereChart(_circle, fine=(0, 64), coarse=(0, 48)),
+    1: SphereChart(None, ball_fine=(12, 0, 0), ball_coarse=(8, 0, 0)),
+    2: SphereChart(_circle, fine=(0, 64), coarse=(0, 48),
+                   ball_fine=(12, 0, 24), ball_coarse=(8, 0, 16)),
     3: SphereChart(_round_sphere, polar=(-1.0, 1.0), spread=(-1.0, 1.0),
-                   fine=(32, 64), coarse=(16, 24)),
+                   fine=(32, 64), coarse=(16, 24),
+                   ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
 }
 
 
@@ -414,7 +425,8 @@ def heisenberg_group() -> GroupDescriptor:
         sphere=SphereChart(_koranyi_sphere, density=0.25,
                            polar=(-0.5 * np.pi, 0.5 * np.pi),
                            spread=(-1.25, 1.25),
-                           fine=(48, 64), coarse=(20, 24)),
+                           fine=(48, 64), coarse=(20, 24),
+                           ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
         mass_grid=((-9.0, 9.0, 1, 90),) * 2 + ((-30.0, 30.0, 1, 140),),
         eta_grid=((-7.5, 7.5, 3, 16),) * 2 + ((-30.0, 30.0, 8, 16),),
         n_horizontal=2,
@@ -478,6 +490,33 @@ def polar_integrate(g: GroupDescriptor, f, r_max: float, n_radial: int = 256,
         )
     radial = vals @ w_s
     return float(np.sum(w_r * r ** (g.hom_dim - 1) * radial))
+
+
+def unit_ball_rule(g: GroupDescriptor):
+    """The unit ball's polar rules: (nodes, fine weights, coarse weights).
+
+    ``nodes`` holds the fine rule's nodes followed by the coarse rule's, so
+    one evaluation serves both. Built once per descriptor from the sphere
+    chart's ``ball_fine`` and ``ball_coarse`` counts. Raises
+    ``NumericsError`` if either rule's total weight misses
+    ``unit_ball_volume`` by more than 1e-12 relative.
+    """
+    if "rule" in g._ball_rules:
+        return g._ball_rules["rule"]
+    nodes, weights = [], []
+    for counts in (g.sphere.ball_fine, g.sphere.ball_coarse):
+        x, w = ball_rule(g.sphere, counts, g.layer_exponents, g.hom_dim)
+        total = math.fsum(w)
+        if abs(total - g.unit_ball_volume) > 1e-12 * g.unit_ball_volume:
+            raise NumericsError(
+                f"unit-ball rule {counts} of {g.label} has total weight "
+                f"{total!r}, not m(B(0,1)) = {g.unit_ball_volume!r}",
+                estimate=total,
+            )
+        nodes.append(x)
+        weights.append(w)
+    g._ball_rules["rule"] = out = (np.vstack(nodes), *weights)
+    return out
 
 
 def unit_directions(g: GroupDescriptor, k: int = 8) -> np.ndarray:

@@ -36,7 +36,7 @@ from .errors import CertificationError, MeasureError
 from . import groups as G
 from . import kernels as K
 from .extension import HeatExtension
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -170,7 +170,7 @@ def _density_cells(mu: DensityMeasure):
 def _cell_conv(g: G.GroupDescriptor, masses: np.ndarray, rho: np.ndarray,
                phi: RadialProfile, s: float) -> float:
     """(nu * phi_s)(x) on the cell grid, from the cell distances rho to x."""
-    return float(s ** (-g.hom_dim) * (masses @ phi(rho / s)))
+    return s ** (-g.hom_dim) * weighted_sum(masses, phi(rho / s))
 
 
 def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
@@ -185,7 +185,7 @@ def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
         if s <= _SCALE_SWITCH:
             eta_inv, w = _phi_grid(g, phi)
             y = G.mul(g, x, G.dilate(g, s, eta_inv))
-            return float(w @ mu.density_at(y))
+            return weighted_sum(w, mu.density_at(y))
         centers, masses = _density_cells(mu)
         return _cell_conv(g, masses, np.asarray(G.dist(g, x, centers)), phi, s)
     if isinstance(mu, MixtureMeasure):

@@ -5,7 +5,11 @@
 * `tensor_rule`: tensor products of one-dimensional rules;
 * `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
   yields its quadrature rules at any node count and its spread of
-  deterministic directions.
+  deterministic directions;
+* `ball_rule`: the unit ball {d < 1} in homogeneous polar coordinates,
+  radial Gauss-Legendre times a sphere rule;
+* `weighted_sum`: sum_i w_i f_i in a fixed order, so that a quadrature
+  value does not depend on how many threads the BLAS library runs.
 
 Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
@@ -18,7 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "tensor_rule", "SphereChart"]
+__all__ = ["gauss_legendre", "tensor_rule", "SphereChart", "ball_rule",
+           "weighted_sum"]
+
+# rows per block of `weighted_sum`
+_SUM_BLOCK = 1 << 15
 
 
 def gauss_legendre(a: float, b: float, n_panels: int, order: int = 16):
@@ -34,6 +42,21 @@ def gauss_legendre(a: float, b: float, n_panels: int, order: int = 16):
     nodes = (half[:, None] * xs[None, :] + mid[:, None]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
+
+
+def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
+    """sum_i w_i f_i for 1-d arrays, reduced in an order fixed by the length.
+
+    A BLAS dot product splits its sum by thread count, so its last bits
+    depend on the thread setting. Here each block of 2^15 products is
+    reduced by numpy's pairwise ``add.reduce`` and the block sums are added
+    in order; a block's products are the only temporary.
+    """
+    total = 0.0
+    for start in range(0, w.size, _SUM_BLOCK):
+        rows = slice(start, start + _SUM_BLOCK)
+        total += float(np.add.reduce(w[rows] * f[rows]))
+    return total
 
 
 def tensor_rule(rules):
@@ -61,7 +84,10 @@ class SphereChart:
     ``polar`` is the range of p that the quadrature rules cover and
     ``spread`` the band of p that `directions` samples. ``fine`` and
     ``coarse`` are (polar, azimuth) node counts: the surface rule's per unit
-    of resolution, and the mollifier convolution grids'.
+    of resolution, and the mollifier convolution grids'. ``ball_fine`` and
+    ``ball_coarse`` are (radial, polar, azimuth) node counts of the two
+    unit-ball rules (see `ball_rule`) that density ball masses use, the
+    coarse one only for the error estimate.
     """
 
     embed: Callable | None
@@ -70,6 +96,8 @@ class SphereChart:
     spread: tuple | None = None
     fine: tuple = (0, 0)
     coarse: tuple = (0, 0)
+    ball_fine: tuple = (0, 0, 0)
+    ball_coarse: tuple = (0, 0, 0)
     _rules: dict = field(default_factory=dict, init=False, repr=False)
 
     def rule(self, counts: tuple):
@@ -110,3 +138,22 @@ class SphereChart:
         lo, hi = self.spread
         p = lo + (hi - lo) * (i + 0.5) / k
         return self.embed(p, i * np.pi * (3.0 - np.sqrt(5.0)))
+
+
+def ball_rule(chart: SphereChart, counts: tuple, exponents, hom_dim: int):
+    """Rule (nodes, weights) on the unit ball {d < 1} of a homogeneous group.
+
+    Homogeneous polar coordinates x = delta_r(omega) give
+    dx = r^(Q-1) dr dsigma(omega) (Folland-Stein, Hardy Spaces on
+    Homogeneous Groups, 1982, Prop. 1.15), so the rule is ``counts[0]``
+    Gauss-Legendre nodes in r on [0, 1] with weight r^(Q-1), times the
+    chart's sphere rule with (polar, azimuth) counts ``counts[1:]``. Its
+    total weight is m(B(0, 1)); the ball B(c, R) takes nodes c * delta_R(x)
+    and weights R^Q w.
+    """
+    omega, w_s = chart.rule(tuple(counts[1:]))
+    r, w_r = gauss_legendre(0.0, 1.0, 1, counts[0])
+    exps = np.asarray(exponents, dtype=float)
+    nodes = r[:, None, None] ** exps * omega[None, :, :]
+    weights = np.multiply.outer(w_r * r ** (hom_dim - 1), w_s)
+    return nodes.reshape(-1, omega.shape[-1]), weights.ravel()

@@ -430,6 +430,8 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
             "estimate": dtrace.estimate,
             "oscillation": dtrace.oscillation,
             "converged": dtrace.converged,
+            "quadrature_error": float(
+                dtrace.errors[:, -dtrace.window:].max()),
         },
         limits=limits,
         tail={

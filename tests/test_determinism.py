@@ -1,0 +1,57 @@
+"""Quadrature sums do not depend on the BLAS thread count.
+
+A BLAS dot product splits a long sum across threads, so its last bits move
+with ``OPENBLAS_NUM_THREADS``. The heat extension, the cell-grid
+convolution and the polar ball mass reduce their sums in a fixed order
+instead; the same script run at one and at two BLAS threads must print the
+same bytes.
+"""
+
+import os
+import subprocess
+import sys
+
+import fatoulab as F
+
+SCRIPT = r"""
+import numpy as np
+import fatoulab as F
+from fatoulab import groups as G, kernels as K, scenarios as S
+from fatoulab.extension import _ext_grid
+
+gh = F.heisenberg_group()
+profile = K.profile_for(gh)
+spec = {"type": "density", "family": "polynomial",
+        "params": {"constant": 1.0, "quadratic": 0.3333333333333333},
+        "box": [[-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]]}
+mu = F.translate_measure(S.build_measure(gh, spec), [0.3, -0.2, 0.1])
+mu_loc = F.restrict(mu, F.Ball(np.zeros(3), 1.0 / gh.quasi_triangle_const))
+u = F.HeatExtension(mu_loc, profile)
+corner_inv = _ext_grid(profile)[2]
+x = np.zeros(3)
+for t in (1e-3, 0.0625):
+    state = mu_loc.hull_state(G.dilate(gh, t ** 0.5, corner_inv))
+    print(state, repr(u(x, t)))
+flat = S.build_measure(gh, {"type": "density", "family": "polynomial",
+                            "params": {"constant": 1.0}})
+print(repr(F.mollifier_convolution(flat, F.default_profile(), x, 2.0)))
+print(repr(F.measure_ball(mu_loc, F.Ball([0.05, -0.02, 0.01], 0.2))))
+"""
+
+
+def _run(threads: int) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_sums_are_bitwise_equal_at_one_and_two_blas_threads():
+    one, two = _run(1), _run(2)
+    lines = one.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["inside", "cut"]
+    assert len(lines) == 4
+    assert one == two

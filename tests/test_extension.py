@@ -19,7 +19,7 @@ import pytest
 import fatoulab as F
 from fatoulab import extension as E
 from fatoulab import groups as G
-from fatoulab.quadrature import gauss_legendre, tensor_rule
+from fatoulab.quadrature import gauss_legendre, tensor_rule, weighted_sum
 
 
 def line_quadratic():
@@ -229,7 +229,8 @@ def _fine_grid(profile):
 
 
 def _fine_loop(mu, grid, pts, t):
-    """Reference: every point on the full eta-grid, row block by row block."""
+    """Reference: every point on the full eta-grid, row block by row block,
+    summed in the extension's fixed order."""
     g = mu.group
     eta_inv, gamma_w = grid
     sqrt_t = math.sqrt(t)
@@ -241,7 +242,7 @@ def _fine_loop(mu, grid, pts, t):
             f[rows] = mu.density_at(
                 G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
             )
-        out[i] = float(gamma_w @ f)
+        out[i] = weighted_sum(gamma_w, f)
     return out
 
 

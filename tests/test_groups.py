@@ -102,6 +102,29 @@ def test_surface_rule_total_weight(g1, g2, g3, gh):
             assert w.sum() == pytest.approx(total, rel=1e-12)
 
 
+def test_unit_ball_rule_total_weight(g1, g2, g3, gh):
+    for g in (g1, g2, g3, gh):
+        nodes, w_fine, w_coarse = G.unit_ball_rule(g)
+        assert nodes.shape == (w_fine.size + w_coarse.size, g.total_dim)
+        assert np.all(np.asarray(F.norm(g, nodes)) < 1.0)
+        for w in (w_fine, w_coarse):
+            assert np.all(w > 0.0)
+            assert math.fsum(w) == pytest.approx(g.unit_ball_volume,
+                                                 rel=1e-12)
+    # 12 x (12 x 24) and 8 x (8 x 16) nodes on the Heisenberg group
+    _, w_fine, w_coarse = G.unit_ball_rule(gh)
+    assert (w_fine.size, w_coarse.size) == (3456, 1024)
+
+
+def test_unit_ball_rule_rejects_a_wrong_unit_ball_volume(gh):
+    # negative control: the rule's weights sum to the true volume, so a
+    # descriptor claiming 1% more fails the self-check when it is built
+    wrong = dataclasses.replace(gh, unit_ball_volume=1.01 * gh.unit_ball_volume)
+    with pytest.raises(F.NumericsError, match="total weight"):
+        G.unit_ball_rule(wrong)
+    assert G.unit_ball_rule(gh)[1].size == 3456
+
+
 def test_surface_nodes_on_unit_sphere(gh):
     nodes, _ = G.surface_rule(gh)
     assert np.max(np.abs(F.norm(gh, nodes) - 1.0)) <= 1e-12

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
-from fatoulab import groups as G
+from fatoulab import groups as G, quadrature
 
 V1_H = math.pi ** 2 / 8.0
 
@@ -104,7 +104,7 @@ def test_density_ball_mass_heisenberg(gh):
         [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]], label="lebesgue",
     )
     val, err = F.measure_ball(mu, F.Ball(np.zeros(3), 1.0))
-    assert val == pytest.approx(V1_H, rel=2e-3)
+    assert val == pytest.approx(V1_H, rel=1e-12)
     assert abs(val - V1_H) <= err
 
 
@@ -155,40 +155,80 @@ def _smooth(p):
     return 1.0 + 0.4 * np.sin(2.0 * p[..., 0]) + 0.2 * np.cos(p.sum(axis=-1))
 
 
-@pytest.mark.parametrize("label", F.GROUP_LABELS)
-def test_density_ball_mass_matches_per_corner_rule(label, monkeypatch):
-    g = F.get_group(label)
+_POLAR, _LATTICE = "_polar_ball_mass", "_lattice_ball_mass"
+
+
+def _record_paths(monkeypatch):
+    """List that collects which ball-mass rule each density call runs."""
+    taken = []
+    for name in (_POLAR, _LATTICE):
+        method = getattr(F.DensityMeasure, name)
+
+        def wrapped(self, *args, _method=method, _name=name):
+            taken.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(F.DensityMeasure, name, wrapped)
+    return taken
+
+
+def _ball_cases(g, f):
+    """Measures and balls shared by the ball-mass tests: {name: (mu, ball)}."""
     n = g.total_dim
-    f = _smooth
 
     def at(*coords):
         return np.array(coords[:n], dtype=float)
 
     mu = F.DensityMeasure(g, f, [[-1.0, 1.3]] * n, label="smooth")
-    derived = F.restrict(F.translate_measure(mu, at(0.3, -0.2, 0.1)),
-                         F.Ball(at(-0.1, 0.2, 0.05), 0.9))
+    clip = F.Ball(at(-0.1, 0.2, 0.05), 0.9)
+    derived = F.restrict(F.translate_measure(mu, at(0.3, -0.2, 0.1)), clip)
+    hole = F.restrict_complement(mu, F.Ball(at(0.1, 0.2, -0.1), 0.9))
     cell = 2.3 / mu.cells_per_axis
-    cases = [
-        (mu, F.Ball(at(0.1, 0.2, -0.1), 0.5)),         # inside the support
-        (mu, F.Ball(at(1.3, 0.1, 0.0), 0.6)),          # straddling an edge
-        (mu, F.Ball(at(0.4, 0.5, 0.2), 0.3 * cell)),   # smaller than a cell
-        (mu, F.Ball(at(5.0, -4.0, 9.0), 0.5)),         # disjoint
-        (derived, F.Ball(at(0.2, 0.0, 0.1), 0.6)),
-        (derived, F.Ball(at(-0.8, 0.4, -0.2), 0.5)),
-    ]
-    for measure, ball in cases:
-        assert F.measure_ball(measure, ball) == _per_corner_ball_mass(measure, ball)
+    return {
+        # the smooth region: the polar rule
+        "inside": (mu, F.Ball(at(0.1, 0.2, -0.1), 0.5)),
+        "below-cell": (mu, F.Ball(at(0.4, 0.5, 0.2), 0.3 * cell)),
+        "wide-centered": (F.DensityMeasure(g, f, [[-3.0, 3.0]] * n),
+                          F.Ball(np.zeros(n), 1.0)),
+        "derived-inside": (derived, F.Ball(clip.center, 0.1)),
+        # across a jump: the lattice
+        "straddling": (mu, F.Ball(at(1.3, 0.1, 0.0), 0.6)),
+        "derived-cut-1": (derived, F.Ball(at(0.2, 0.0, 0.1), 0.6)),
+        "derived-cut-2": (derived, F.Ball(at(-0.8, 0.4, -0.2), 0.5)),
+        # the lattice box is the ball's bounding box, so lattice nodes lie
+        # on the sphere in exact arithmetic (on R^3, where
+        # 16^2 + 16^2 + 8^2 = 24^2) and rounding decides their membership
+        "nodes-on-sphere": (F.DensityMeasure(g, f, [[-1.0, 3.0]] * n),
+                            F.Ball(np.zeros(n), 1.0)),
+        # where the density is zero: no rule runs
+        "disjoint": (mu, F.Ball(at(5.0, -4.0, 9.0), 0.5)),
+        "in-hole": (hole, F.Ball(at(0.1, 0.2, -0.1), 0.1)),
+    }
 
-    # a centered ball on a wide support: its grid box is its bounding box,
-    # so lattice nodes lie on the sphere in exact arithmetic (on R^3, where
-    # 16^2 + 16^2 + 8^2 = 24^2) and rounding decides their membership
-    wide = F.DensityMeasure(g, f, [[-3.0, 3.0]] * n, label="wide")
-    ball = F.Ball(np.zeros(n), 1.0)
-    assert F.measure_ball(wide, ball) == _per_corner_ball_mass(wide, ball)
+
+_POLAR_CASES = ("inside", "below-cell", "wide-centered", "derived-inside")
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_density_ball_mass_matches_per_corner_rule(label, monkeypatch):
+    g = F.get_group(label)
+    cases = _ball_cases(g, _smooth)
+    paths = {"straddling": [_LATTICE], "derived-cut-1": [_LATTICE],
+             "derived-cut-2": [_LATTICE], "nodes-on-sphere": [_LATTICE],
+             "disjoint": [], "in-hole": []}
+    assert set(paths) | set(_POLAR_CASES) == set(cases)
+    taken = _record_paths(monkeypatch)
+    for name, path in paths.items():
+        measure, ball = cases[name]
+        taken.clear()
+        got = F.measure_ball(measure, ball)
+        assert taken == path, name
+        assert got == _per_corner_ball_mass(measure, ball), name
 
     # a ball covering the support returns the whole cell sum, without
     # classifying a single cell
-    cover = F.Ball(at(0.2, -0.1, 0.3), 6.0)
+    mu = cases["inside"][0]
+    cover = F.Ball(np.array([0.2, -0.1, 0.3][:g.total_dim]), 6.0)
     expected = _per_corner_ball_mass(mu, cover)
     assert expected[1] == 0.0
 
@@ -196,10 +236,61 @@ def test_density_ball_mass_matches_per_corner_rule(label, monkeypatch):
         raise AssertionError("cells classified for a covering ball")
 
     monkeypatch.setattr(G, "ball_contains", no_cells)
+    taken.clear()
     assert F.measure_ball(mu, cover) == expected
+    assert taken == []
 
 
-def test_ball_just_holding_the_support_matches_per_corner_rule(g1):
+def _refined_rule_mass(mu, ball, factor):
+    """R^Q sum w f(c * delta_R(x)) on the fine unit-ball rule with its node
+    counts multiplied by ``factor`` along every axis."""
+    g = mu.group
+    counts = tuple(factor * c for c in g.sphere.ball_fine)
+    nodes, w = quadrature.ball_rule(g.sphere, counts, g.layer_exponents,
+                                    g.hom_dim)
+    f = mu.density_at(G.mul(g, ball.center, G.dilate(g, ball.radius, nodes)))
+    return ball.radius ** g.hom_dim * math.fsum(w * f)
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_density_ball_mass_polar_rule_inside(label, monkeypatch):
+    g = F.get_group(label)
+    taken = _record_paths(monkeypatch)
+    ones = _ball_cases(g, lambda p: np.ones(p.shape[:-1]))
+    smooth = _ball_cases(g, _smooth)
+    for name in _POLAR_CASES:
+        # f = 1 gives the ball's volume
+        measure, ball = ones[name]
+        taken.clear()
+        val, err = F.measure_ball(measure, ball)
+        assert taken == [_POLAR], name
+        exact = G.ball_volume(g, ball.radius)
+        assert val == pytest.approx(exact, rel=1e-13), name
+        assert abs(val - exact) <= err, name
+        # a smooth density: converged, and the error bounds the distance
+        # to the rule at doubled node counts
+        measure, ball = smooth[name]
+        taken.clear()
+        val, err = F.measure_ball(measure, ball)
+        assert taken == [_POLAR], name
+        ref = _refined_rule_mass(measure, ball, 2)
+        assert val == pytest.approx(ref, rel=1e-12), name
+        assert abs(val - ref) <= err < 1e-6 * val, name
+
+    # a sharp bump, on which the fine rule misses by more than rounding
+    # (up to 7e-10 relative on the Heisenberg group): the coarse rule's
+    # difference still covers the miss
+    n = g.total_dim
+    peak = np.array([0.2, -0.1, 0.05][:n])
+    bump = F.DensityMeasure(
+        g, lambda p: np.exp(-8.0 * ((p - peak) ** 2).sum(axis=-1)),
+        [[-3.0, 3.0]] * n, label="bump")
+    ball = F.Ball(np.zeros(n), 1.0)
+    val, err = F.measure_ball(bump, ball)
+    assert abs(val - _refined_rule_mass(bump, ball, 4)) <= err < 1e-4 * val
+
+
+def test_ball_just_holding_the_support_matches_per_corner_rule(g1, monkeypatch):
     # the far corner of the support is inside by one ulp, but the edge
     # cell's own corner c + h/2 rounds out of the ball: not a covering ball
     mu = F.DensityMeasure(g1, _smooth, [[-0.7, 0.9]], label="smooth")
@@ -208,7 +299,9 @@ def test_ball_just_holding_the_support_matches_per_corner_rule(g1):
     ball = F.Ball(center, float(np.nextafter(reach, np.inf)))
     expected = _per_corner_ball_mass(mu, ball)
     assert expected[1] > 0.0
+    taken = _record_paths(monkeypatch)
     assert F.measure_ball(mu, ball) == expected
+    assert taken == [_LATTICE]
 
 
 def test_density_validation_errors(g1):
@@ -273,6 +366,36 @@ def test_derivative_quotient_oracle_line():
         assert trace.quotients[0, ri] == pytest.approx(1 + r * r / 3, abs=1e-5)
     assert trace.converged
     assert trace.estimate == pytest.approx(1.0, abs=1e-4)
+
+
+def _quadratic_quotient(lo, hi, center, radius):
+    """Exact mean of 1 + x^2 over (center +- radius) clipped to [lo, hi]."""
+    a, b = max(center - radius, lo), min(center + radius, hi)
+    if (a, b) == (center - radius, center + radius):
+        # unclipped: the closed form, without cancellation in b - a
+        return 1.0 + center ** 2 + radius ** 2 / 3.0
+    return ((b - a) + (b ** 3 - a ** 3) / 3.0) / (2.0 * radius)
+
+
+def test_derivative_errors_bound_the_quotient_errors():
+    # every ball of 1 + x^2 on [-2, 2] has an exact mass, polar-rule balls
+    # and lattice balls (the off-center ones that reach past the support
+    # at the largest radii) alike
+    mu = quadratic_line_measure()
+    x0 = 0.3
+    trace = F.strong_derivative(mu, np.array([x0]))
+    assert trace.errors.shape == trace.quotients.shape
+    fam = F.default_ball_family(mu.group)
+    for bi, ball in enumerate(fam):
+        for ri, r in enumerate(trace.radii):
+            exact = _quadratic_quotient(-2.0, 2.0, x0 + r * ball.center[0],
+                                        r * ball.radius)
+            got, err = trace.quotients[bi, ri], trace.errors[bi, ri]
+            assert abs(got - exact) <= err
+    # the largest balls are cut by the support edge and carry lattice
+    # errors; the trailing window is integrated by the polar rule
+    assert trace.errors[:, 0].max() > 1e-4
+    assert 0.0 < trace.errors[:, -trace.window:].max() < 1e-12
 
 
 def test_derivative_lebesgue_heisenberg(gh):

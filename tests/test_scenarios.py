@@ -116,6 +116,35 @@ def test_run_scenario_constant_density():
     assert set(report.traces) == {"derivative", "limit-0.5", "limit-1.0"}
 
 
+def test_report_carries_the_ball_mass_error():
+    # 1 + x^2 at the vertex 0.3: the derivative trace's quotients have exact
+    # values, and the report's quadrature_error bounds their errors over
+    # the trailing window
+    cfg = line_config("t-quadratic")
+    cfg["measure"]["params"] = {"constant": 1.0, "quadratic": 1.0}
+    cfg["vertex"] = [0.3]
+    cfg["expected_limit"] = 1.09
+    report = F.run_scenario(cfg)
+    q_err = report.derivative["quadrature_error"]
+    assert 0.0 < q_err < 1e-12
+    assert json.loads(F.report_to_json(report))["derivative"][
+        "quadrature_error"] == q_err
+    family = F.default_ball_family(F.euclidean_group(1))
+    rows = [line.split(",") for line in
+            report.traces["derivative"].strip().split("\n")[1:]]
+    radii = sorted({float(r) for _, r, _ in rows})[:5]
+    worst = 0.0
+    for ball_id, r, quotient in rows:
+        r = float(r)
+        if r not in radii:
+            continue
+        ball = family[int(ball_id[len("ball"):])]
+        exact = 1.0 + ((0.3 + r * ball.center[0]) ** 2
+                       + (r * ball.radius) ** 2 / 3.0)
+        worst = max(worst, abs(float(quotient) - exact))
+    assert worst <= q_err
+
+
 def test_report_json_deterministic():
     a = F.report_to_json(F.run_scenario(line_config()))
     b = F.report_to_json(F.run_scenario(line_config()))
