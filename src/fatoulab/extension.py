@@ -12,14 +12,17 @@ so one fixed gamma-weighted grid in eta serves every (x, t). This keeps the
 quadrature error independent of t, which matters when chasing limits along
 shrinking parabolic regions.
 
-The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of the
-eta-box's 2^n corners span the image of the whole grid, and the density's
-``hull_state`` classifies that hull. Where it lies inside the density's
-smooth region the group's smaller ``eta_grid_smooth`` rule is used (Gauss-
-Legendre converges geometrically on smooth integrands); where the density
-is zero on it, u is 0.0 without evaluating anything; where a support or
-clip edge cuts it, the full eta-grid is used, and only its rows inside the
-support box evaluate the density.
+Each group carries one eta-grid (``GroupDescriptor.eta_grid``), built once
+per kernel profile. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so
+the images of the eta-box's 2^n corners span the image of the whole grid,
+and the density's ``hull_state`` classifies that hull. Where it lies inside
+the density's smooth region the whole grid is summed (Gauss-Legendre
+converges geometrically on smooth integrands); where the density is zero on
+it, u is 0.0 without evaluating anything. Where a support face or a clip
+sphere cuts it, the grid is integrated column by column between exact
+limits: each eta-column maps onto a vertical line on which y_last is affine
+in eta_last, and ``DensityMeasure.sections`` gives the intervals of that
+line where the density may be nonzero (see ``_column_rule``).
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -35,6 +38,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,46 +76,183 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # eta-grid rows per block of a density extension. Whole-grid temporaries
-# (7 MB each on the Heisenberg grid) can make the C allocator hand the heap
-# back to the OS after every evaluation and fault it in again on the next;
-# blocks this size are reused in place. Densities are pointwise, so blocks
-# change no value.
+# (6 MB each on the 262,144-node euclidean:3 grid) can make the C allocator
+# hand the heap back to the OS after every evaluation and fault it in again
+# on the next; blocks this size are reused in place. Densities are
+# pointwise, so blocks change no value.
 _ETA_BLOCK = 1 << 15
 
 
-def _weighted_grid(profile: K.KernelProfile, spec):
-    """(eta_inverse, gamma * quad_weight) of one eta-grid spec."""
-    eta, w = tensor_rule([gauss_legendre(*axis) for axis in spec])
-    # gamma first, in row blocks (its values do not depend on the batch):
-    # its temporaries then share memory with eta alone, a block at a time
-    gamma_w = np.empty(w.size)
-    for start in range(0, w.size, _ETA_BLOCK):
-        rows = slice(start, start + _ETA_BLOCK)
-        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
-    return G.inverse(profile.group, eta), gamma_w
+@dataclass(frozen=True, eq=False)
+class _EtaGrid:
+    """A group's gamma-weighted eta-grid, cached on the kernel profile.
 
-
-def _ext_grid(profile: K.KernelProfile):
-    """The eta-grids of a group: (fine, smooth, corner_inverses).
-
-    ``fine`` and ``smooth`` are (eta_inverse, gamma * quad_weight);
-    ``smooth`` is ``fine`` itself when the group has no smaller rule.
-    ``corner_inverses`` are the inverted corners of a box holding both.
-    The smooth grid is built after the fine one, in the same fill.
+    Rows run column by column: the last (column) axis varies fastest, so
+    the rows of column c are c * m .. c * m + m - 1, m nodes per column.
     """
+
+    eta_inv: np.ndarray     # (N, n) inverted nodes
+    gamma_w: np.ndarray     # (N,) gamma * quadrature weight
+    gamma_peak: float       # largest gamma on the grid
+    corner_inv: np.ndarray  # (2^n, n) inverted corners of the eta-box
+    axes: tuple             # per axis: (nodes, weights) of its rule
+
+
+def _ext_grid(profile: K.KernelProfile) -> _EtaGrid:
+    """The eta-grid of a group (``eta_grid`` on its descriptor), built once."""
     cache = profile._caches
     if "ext_grid" in cache:
         return cache["ext_grid"]
     g = profile.group
-    fine = _weighted_grid(profile, g.eta_grid)
-    smooth = fine
-    if g.eta_grid_smooth is not None:
-        smooth = _weighted_grid(profile, g.eta_grid_smooth)
-    box = [(min(a[0], b[0]), max(a[1], b[1]))
-           for a, b in zip(g.eta_grid, g.eta_grid_smooth or g.eta_grid)]
+    axes = tuple(gauss_legendre(*axis) for axis in g.eta_grid)
+    eta, w = tensor_rule(axes)
+    # gamma first, in row blocks (its values do not depend on the batch):
+    # its temporaries then share memory with eta alone, a block at a time
+    gamma_w = np.empty(w.size)
+    peak = 0.0
+    for start in range(0, w.size, _ETA_BLOCK):
+        rows = slice(start, start + _ETA_BLOCK)
+        gamma = profile.gamma(eta[rows])
+        peak = max(peak, float(gamma.max()))
+        gamma_w[rows] = gamma * w[rows]
+    box = [axis[:2] for axis in g.eta_grid]
     corners = np.array(list(itertools.product(*box)), dtype=float)
-    cache["ext_grid"] = (fine, smooth, G.inverse(g, corners))
+    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w, peak,
+                                 G.inverse(g, corners), axes)
     return cache["ext_grid"]
+
+
+def _density_rows(mu: DensityMeasure, x: np.ndarray, eta_t: np.ndarray,
+                  rows=None) -> np.ndarray:
+    """f(x * eta) over ``eta_t`` (scaled eta^-1) or its ``rows``, by blocks."""
+    g = mu.group
+    n_rows = eta_t.shape[0] if rows is None else rows.size
+    f = np.empty(n_rows)
+    for start in range(0, n_rows, _ETA_BLOCK):
+        block = slice(start, start + _ETA_BLOCK)
+        sel = eta_t[block] if rows is None else eta_t[rows[block]]
+        f[block] = mu.density_at(G.mul(g, x, sel))
+    return f
+
+
+# A partial panel whose cached gamma stays below _FRESH times the grid's
+# peak takes gamma from the Legendre interpolant of its own nodes' values:
+# on the hc-translated-vertex cut calls that moves u by at most 1e-9
+# relative, where interpolating every panel moves it by up to 6e-7.
+_FRESH = 1e-3
+
+
+@lru_cache(maxsize=None)
+def _to_legendre(order: int) -> np.ndarray:
+    """(k, j): Legendre coefficient k of the polynomial through values at
+    the ``order`` Gauss-Legendre nodes j of [-1, 1] (exact below degree
+    ``order``, by the rule's exactness up to degree 2 order - 1)."""
+    x, w = gauss_legendre(-1.0, 1.0, 1, order)
+    k = np.arange(order)
+    return (np.polynomial.legendre.legvander(x, order - 1) * w[:, None]).T \
+        * (k[:, None] + 0.5)
+
+
+def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
+                 sqrt_t: float):
+    """Rules of the non-column axes for a cut value, and whether they are
+    the grid's own; None when the support box misses the eta-box.
+
+    First-layer coordinates add, so y_i = x_i - sqrt(t) eta_i and the
+    support box's faces on axis i map to two values of eta_i. Where they
+    leave at most half of the axis's range, the axis takes Gauss-Legendre
+    panels (no wider than the grid's) between them instead, and its
+    integrand no longer jumps at a face.
+    """
+    g = mu.group
+    rules, cached = [], True
+    for i, (lo, hi, n_panels, order) in enumerate(g.eta_grid[:-1]):
+        scale = sqrt_t ** g.layer_exponents[i]
+        a = max(lo, (x[i] - mu.support_box[i, 1]) / scale)
+        b = min(hi, (x[i] - mu.support_box[i, 0]) / scale)
+        if not a < b:
+            return None, False
+        if 2.0 * (b - a) > hi - lo:
+            rules.append(grid.axes[i])
+        else:
+            k = math.ceil(n_panels * (b - a) / (hi - lo))
+            rules.append(gauss_legendre(a, b, k, order))
+            cached = False
+    return rules, cached
+
+
+def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
+                 grid: _EtaGrid, x: np.ndarray, sqrt_t: float,
+                 eta_t: np.ndarray) -> float:
+    """u(x, t) of a density whose clips cut the eta-image.
+
+    Under eta -> x * delta_sqrt(t)(eta^-1) the eta-column over (eta_1, ..,
+    eta_(n-1)) maps onto a vertical line on which y_last = c - sqrt(t)^e
+    eta_last, and ``mu.sections`` gives the eta_last-intervals of that line
+    where the density may be nonzero. Each column is integrated between
+    those exact limits on the grid's column panels:
+
+    * a panel wholly inside an interval keeps its cached gamma * w;
+    * a panel that an interval end falls in is integrated over the covered
+      piece only, with the panel's number of Gauss-Legendre nodes; gamma
+      there is fresh, or interpolated from the panel's cached values where
+      it is below _FRESH of the peak;
+    * rows outside the intervals are never evaluated.
+
+    Where a support face cuts an outer axis (see `_outer_rules`), every
+    column is new and every piece takes fresh gamma.
+    """
+    g = mu.group
+    outer, cached = _outer_rules(mu, grid, x, sqrt_t)
+    if outer is None:
+        return 0.0
+    col_lo, col_hi, n_panels, order = g.eta_grid[-1]
+    m = n_panels * order
+    heads, w_cols = tensor_rule(outer + [(np.zeros(1), np.ones(1))])
+    base = G.mul(g, x, G.dilate(g, sqrt_t, G.inverse(g, heads)))
+    lo, hi = mu.sections(base, -sqrt_t ** g.layer_exponents[-1])
+    # the covered piece of each (column, interval, panel)
+    edges = np.linspace(col_lo, col_hi, n_panels + 1)
+    p_lo = np.maximum(lo[:, :, None], edges[:-1])
+    p_hi = np.minimum(hi[:, :, None], edges[1:])
+    live = p_lo < p_hi
+    whole = live & (p_lo == edges[:-1]) & (p_hi == edges[1:]) & cached
+    col, _, panel = np.nonzero(whole)
+    rows = ((col * m + panel * order)[:, None] + np.arange(order)).ravel()
+    part = live & ~whole
+    col, _, panel = np.nonzero(part)
+    a, b = p_lo[part], p_hi[part]
+    ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
+    eta = np.repeat(heads[col], order, axis=0)
+    eta[:, -1] = ((0.5 * (a + b))[:, None]
+                  + 0.5 * (b - a)[:, None] * ref_x).ravel()
+    w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
+    gamma = np.empty(w.size)
+    fresh = np.ones(col.size, dtype=bool)
+    if cached:
+        own = (col * m + panel * order)[:, None] + np.arange(order)
+        s_w = grid.axes[-1][1].reshape(n_panels, order)
+        known = grid.gamma_w[own] / (w_cols[col, None] * s_w[panel])
+        fresh = known.max(axis=1) >= _FRESH * grid.gamma_peak
+        if not fresh.all():
+            # the panel's interpolant at the piece's nodes, in the panel's
+            # own coordinate; sums along a row are numpy's, not BLAS's
+            mid = 0.5 * (edges[panel] + edges[panel + 1])[~fresh]
+            xi = ((eta[:, -1].reshape(-1, order)[~fresh] - mid[:, None])
+                  / (0.5 * (edges[1] - edges[0])))
+            coef = np.add.reduce(_to_legendre(order) * known[~fresh, None, :],
+                                 axis=2)
+            gamma.reshape(-1, order)[~fresh] = np.add.reduce(
+                np.polynomial.legendre.legvander(xi, order - 1)
+                * coef[:, None, :], axis=2)
+    if fresh.any():
+        sel = np.repeat(fresh, order)
+        gamma[sel] = profile.gamma(eta[sel])
+    f = np.concatenate([
+        _density_rows(mu, x, eta_t, rows),
+        _density_rows(mu, x, G.dilate(g, sqrt_t, G.inverse(g, eta))),
+    ])
+    return weighted_sum(np.concatenate([grid.gamma_w[rows], gamma * w]), f)
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +289,24 @@ class HeatExtension:
             vals = K.eval_kernel(self.profile, rel, t)
             return mu.weights @ vals
         if isinstance(mu, DensityMeasure):
-            fine, smooth, corner_inv = _ext_grid(self.profile)
+            grid = _ext_grid(self.profile)
             sqrt_t = math.sqrt(t)
-            corners = G.dilate(g, sqrt_t, corner_inv)
+            corners = G.dilate(g, sqrt_t, grid.corner_inv)
             out = np.zeros(pts.shape[0])
-            buf = np.empty(max(fine[1].size, smooth[1].size))
+            eta_t = None
             for i, x in enumerate(pts):
                 state = mu.hull_state(G.mul(g, x, corners))
                 if state == "outside":
                     continue
-                eta_inv, gamma_w = smooth if state == "inside" else fine
-                f = buf[:gamma_w.size]
-                for start in range(0, f.size, _ETA_BLOCK):
-                    rows = slice(start, start + _ETA_BLOCK)
-                    y = G.mul(g, x, G.dilate(g, sqrt_t, eta_inv[rows]))
-                    keep = None if state == "inside" else mu.in_support(y)
-                    if keep is None or keep.all():
-                        f[rows] = mu.density_at(y)
-                    else:
-                        # rows off the support box are zero: the density
-                        # chain runs on the others only (y is replaced, so
-                        # no more than one block of points is held)
-                        block = f[rows]
-                        block[~keep] = 0.0
-                        y = y[keep]
-                        block[keep] = mu.density_at(y)
-                out[i] = weighted_sum(gamma_w, f)
+                if eta_t is None:
+                    # the scaled grid depends on t alone: once per slice
+                    eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
+                if state == "inside":
+                    out[i] = weighted_sum(grid.gamma_w,
+                                          _density_rows(mu, x, eta_t))
+                else:
+                    out[i] = _column_rule(mu, self.profile, grid, x, sqrt_t,
+                                          eta_t)
             return out
         if isinstance(mu, MixtureMeasure):
             total = np.zeros(pts.shape[0])

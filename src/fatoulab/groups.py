@@ -82,17 +82,26 @@ class GroupDescriptor:
     nodes on the Heisenberg group and on R^3). ``mass_grid`` and
     ``eta_grid`` give, per axis, the composite Gauss-Legendre rule
     (lo, hi, n_panels, order) of the kernel mass grid and of the
-    heat-extension eta-grid. ``eta_grid_smooth`` is a smaller eta-grid on
-    the same box, accurate only where the integrand is smooth; None means
-    the eta-grid itself. The first ``n_horizontal`` coordinates span the
-    first layer.
+    heat-extension eta-grid; a group has this one eta-grid. The first
+    ``n_horizontal`` coordinates span the first layer.
+
+    The last coordinate is the column axis: it is central, so a left
+    translation moves the vertical line {p + v e_last} onto the vertical
+    line {x * p + v e_last}, point for point, and a dilation delta_r scales
+    v by r^(last exponent). ``section`` is the half-height of the unit
+    ball's vertical sections: B(0, 1) meets the line through (w, 0) in
+    |v| < section(rho), rho = |w| the Euclidean norm of the other
+    coordinates, and misses it for rho >= 1: sqrt(1 - rho^4) / 4 on the
+    Heisenberg group and sqrt(1 - rho^2) on R^n. B(c, R) = c * delta_R(B(0, 1))
+    then meets every vertical line in one interval of known ends.
 
     A density is assumed smooth inside its support box: its clips (the box
     edges, and the balls of ``restrict`` and ``restrict_complement``) are
-    where it may jump. The heat extension uses ``eta_grid_smooth`` only
-    where the image of the eta-box lies strictly inside all of them, and a
-    ball mass uses the unit-ball rule only where the ball's bounding box
-    does.
+    where it may jump. The heat extension integrates each eta-column
+    between the exact limits of these clips (see
+    ``DensityMeasure.sections``) wherever the image of the eta-box meets
+    one of them, and a ball mass uses the unit-ball rule only where the
+    ball's bounding box lies strictly inside all of them.
 
     Every ball is convex in exponential coordinates: the gauge's sublevel
     set B(0, r) is convex (on H^1, |z|^4 + 16 s^2 is a convex function) and
@@ -117,9 +126,8 @@ class GroupDescriptor:
     sphere: SphereChart = field(compare=False, repr=False)
     mass_grid: tuple = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
+    section: Callable = field(compare=False, repr=False)
     n_horizontal: int = 0
-    eta_grid_smooth: tuple | None = field(default=None, compare=False,
-                                          repr=False)
     _ball_rules: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
 
@@ -344,6 +352,16 @@ def _circle(p, phi):
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
+def _round_section(rho):
+    """Half-height sqrt(1 - rho^2) of the unit Euclidean ball's sections."""
+    return np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+
+
+def _koranyi_section(rho):
+    """Half-height sqrt(1 - rho^4) / 4 of the Koranyi unit ball's sections."""
+    return 0.25 * np.sqrt(np.maximum(1.0 - rho ** 4, 0.0))
+
+
 def _polar_stack(rho, phi, last):
     """Points (rho cos phi, rho sin phi, last), broadcast over p and phi."""
     shape = np.broadcast_shapes(np.shape(rho), np.shape(phi))
@@ -398,6 +416,7 @@ def euclidean_group(n: int) -> GroupDescriptor:
         sphere=_EUCLIDEAN_SPHERES[n],
         mass_grid=((-12.0, 12.0, 1, mass_nodes),) * n,
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
+        section=_round_section,
         n_horizontal=n,
     )
 
@@ -428,9 +447,9 @@ def heisenberg_group() -> GroupDescriptor:
                            fine=(48, 64), coarse=(20, 24),
                            ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
         mass_grid=((-9.0, 9.0, 1, 90),) * 2 + ((-30.0, 30.0, 1, 140),),
-        eta_grid=((-7.5, 7.5, 3, 16),) * 2 + ((-30.0, 30.0, 8, 16),),
+        eta_grid=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
+        section=_koranyi_section,
         n_horizontal=2,
-        eta_grid_smooth=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
     )
 
 

@@ -61,6 +61,9 @@ __all__ = [
 
 _SCALE_SWITCH = 1.0  # density conv: scaled grid below, cell grid above
 
+# values within this many ulps (relative) of a maximum tie for its argmax
+_ARGMAX_ULPS = 4
+
 
 @dataclass(eq=False)
 class RadialProfile:
@@ -103,6 +106,20 @@ def geometric_grid(r_min: float = 1e-3, r_max: float = 1e3,
     return np.geomspace(r_min, r_max, n)
 
 
+def _argmax(values: np.ndarray) -> int:
+    """First index within _ARGMAX_ULPS ulps of the maximum.
+
+    On a flat stretch the values differ by rounding only; a plain argmax
+    would let the last bits pick the scale.
+    """
+    i = int(np.argmax(values))
+    top = float(values[i])
+    if not math.isfinite(top):
+        return i
+    tie = _ARGMAX_ULPS * np.finfo(float).eps * abs(top)
+    return int(np.argmax(values >= top - tie))
+
+
 def _decade_flag(scales: np.ndarray, values: np.ndarray) -> bool:
     """True when values keep growing by > 10x per decade at the smallest scale."""
     if not np.all(np.isfinite(values)):
@@ -126,10 +143,9 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
         [measure_ball(mu, G.Ball(x, float(rr)))[0] / G.ball_volume(g, float(rr))
          for rr in r]
     )
-    i = int(np.argmax(quot))
     return {
-        "value": float(quot[i]),
-        "argmax_r": float(r[i]),
+        "value": float(quot.max()),
+        "argmax_r": float(r[_argmax(quot)]),
         "radii": r,
         "quotients": quot,
         "divergent": _decade_flag(r, quot),
@@ -236,10 +252,9 @@ def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     x = np.asarray(x, dtype=float)
     s = np.asarray(s_grid if s_grid is not None else geometric_grid(), dtype=float)
     vals = _conv_profile(mu, phi, x, s)
-    i = int(np.argmax(vals))
     return {
-        "value": float(vals[i]),
-        "argmax_s": float(s[i]),
+        "value": float(vals.max()),
+        "argmax_s": float(s[_argmax(vals)]),
         "scales": s,
         "values": vals,
         "divergent": _decade_flag(s, vals),
@@ -279,10 +294,9 @@ def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
                 for ss in s
             ])
         best = np.maximum(best, vals)
-    i = int(np.argmax(best))
     return {
-        "value": float(best[i]),
-        "argmax_s": float(s[i]),
+        "value": float(best.max()),
+        "argmax_s": float(s[_argmax(best)]),
         "scales": s,
         "values": best,
         "alpha": alpha,
@@ -418,10 +432,9 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     )
     u = HeatExtension(mu, profile)
     vals = np.array([u(x, float(ss) ** 2) for ss in s])
-    i = int(np.argmax(vals))
     return {
-        "value": float(vals[i]),
-        "argmax_s": float(s[i]),
+        "value": float(vals.max()),
+        "argmax_s": float(s[_argmax(vals)]),
         "scales": s,
         "values": vals,
         "divergent": _decade_flag(s, vals),

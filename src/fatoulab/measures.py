@@ -16,7 +16,11 @@ known to the measure: the box edges and the balls that ``restrict`` and
 ``restrict_complement`` clip by. ``DensityMeasure.hull_state`` tells whether
 the convex hull of a few points lies where the density is smooth, where it
 is zero, or across a jump; each derived measure composes it from its inner
-measure's, as it composes the density itself.
+measure's, as it composes the density itself. ``DensityMeasure.sections``
+gives the exact limits of the same clips along vertical lines (the last
+coordinate is the group's central column axis): a box or a ball meets such
+a line in one interval and a ``restrict_complement`` hole removes one, so
+the density is smooth between the ends it returns.
 
 A density's ball mass asks ``hull_state`` about the corners of the ball's
 bounding box. A ball in the smooth region ("inside") is integrated with the
@@ -120,6 +124,52 @@ def _ball_state(g: G.GroupDescriptor, corners: np.ndarray, ball: G.Ball) -> str:
 
 _COMPLEMENT = {"inside": "outside", "outside": "inside", "cut": "cut"}
 
+# Section intervals (lo, hi) come as (k, m) arrays: m intervals on each of k
+# lines, disjoint on a line; an interval with lo >= hi is empty, and
+# (inf, inf) stands for "none".
+
+
+def _box_section(base: np.ndarray, slope: float, box: np.ndarray):
+    """Parameters tau where base + tau * slope * e_last lies in ``box``."""
+    a = (box[-1, 0] - base[:, -1]) / slope
+    b = (box[-1, 1] - base[:, -1]) / slope
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    off = np.any((base[:, :-1] < box[:-1, 0]) | (base[:, :-1] > box[:-1, 1]),
+                 axis=1)
+    lo[off] = hi[off] = np.inf
+    return lo[:, None], hi[:, None]
+
+
+def _ball_section(g: G.GroupDescriptor, base: np.ndarray, slope: float,
+                  ball: G.Ball):
+    """Parameters tau where base + tau * slope * e_last lies in ``ball``.
+
+    c^-1 * (p + v e_last) = c^-1 * p + v e_last, and the ball B(0, R) is
+    delta_R of the unit ball, whose sections ``g.section`` gives.
+    """
+    q = G.mul(g, G.inverse(g, ball.center), base)
+    rho = np.sqrt((q[:, :-1] ** 2).sum(axis=1)) / ball.radius
+    half = ball.radius ** g.layer_exponents[-1] * g.section(rho)
+    a = (-half - q[:, -1]) / slope
+    b = (half - q[:, -1]) / slope
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    off = ~(rho < 1.0)
+    lo[off] = hi[off] = np.inf
+    return lo[:, None], hi[:, None]
+
+
+def _cap(lo, hi, lo2, hi2):
+    """Intersections of every interval of (lo, hi) with every one of (lo2, hi2)."""
+    k = lo.shape[0]
+    return (np.maximum(lo[:, :, None], lo2[:, None, :]).reshape(k, -1),
+            np.minimum(hi[:, :, None], hi2[:, None, :]).reshape(k, -1))
+
+
+def _cut_out(lo, hi, lo2, hi2):
+    """The intervals (lo, hi) less one interval (lo2, hi2) (k, 1) per line."""
+    return (np.concatenate([lo, np.maximum(lo, hi2)], axis=1),
+            np.concatenate([np.minimum(hi, lo2), hi], axis=1))
+
 
 def _tensor(axes) -> np.ndarray:
     """Points (N, d) of the grid of per-axis nodes, the first axis slowest."""
@@ -180,13 +230,15 @@ class DensityMeasure(BoundaryMeasure):
     ``density`` is assumed smooth inside the support box; a density that
     jumps inside it should be built with ``restrict``/``restrict_complement``
     so that ``hull_state`` sees the jump. ``hull`` classifies point hulls
-    against the jumps of ``density`` itself (None: it has none); the
-    derived-measure constructors pass it.
+    against the jumps of ``density`` itself (None: it has none), and
+    ``sections`` gives the exact limits of those jumps on vertical lines
+    (None: none but the support box's); the derived-measure constructors
+    pass both.
     """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box,
                  cells_per_axis: int | None = None, label: str = "density",
-                 hull=None):
+                 hull=None, sections=None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -200,6 +252,7 @@ class DensityMeasure(BoundaryMeasure):
         self.cells_per_axis = cells_per_axis or _DEFAULT_CELLS[group.total_dim]
         self.label = label
         self._hull = hull
+        self._sections = sections
         self._mass, self._support_cell_sum = self._validate()
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
@@ -230,6 +283,20 @@ class DensityMeasure(BoundaryMeasure):
         if state == "outside" or self._hull is None:
             return state
         return _meet(state, self._hull(corners))
+
+    def sections(self, base: np.ndarray, slope: float):
+        """Where the density may be nonzero on vertical lines.
+
+        Line j is y(tau) = base[j] + tau * slope * e_last (``base`` (k, n),
+        ``slope`` nonzero). Returns (lo, hi), each (k, m): the tau-intervals
+        of line j that lie in the support box and every clip, disjoint, an
+        interval with lo >= hi being empty. Between its ends the density is
+        as smooth as ``density`` itself.
+        """
+        lo, hi = _box_section(base, slope, self.support_box)
+        if self._sections is None:
+            return lo, hi
+        return _cap(lo, hi, *self._sections(base, slope))
 
     def _axes(self, box: np.ndarray):
         """Cell centers of ``box`` along each axis, and the cell widths."""
@@ -433,6 +500,8 @@ def dilate_measure(mu: BoundaryMeasure, r: float) -> BoundaryMeasure:
             cells_per_axis=mu.cells_per_axis,
             label=f"dilate({mu.label}, r={r!r})",
             hull=lambda c, _h=mu.hull_state, _r=r: _h(G.dilate(g, _r, c)),
+            sections=lambda b, sl, _s=mu.sections, _r=r: _s(
+                G.dilate(g, _r, b), sl * _r ** g.layer_exponents[-1]),
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [dilate_measure(c, r) for c in mu.components])
@@ -460,6 +529,8 @@ def translate_measure(mu: BoundaryMeasure, x0) -> BoundaryMeasure:
             cells_per_axis=mu.cells_per_axis,
             label=f"translate({mu.label})",
             hull=lambda c, _h=mu.hull_state, _x0=x0: _h(G.mul(g, _x0, c)),
+            sections=lambda b, sl, _s=mu.sections, _x0=x0: _s(
+                G.mul(g, _x0, b), sl),
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [translate_measure(c, x0) for c in mu.components])
@@ -488,6 +559,9 @@ def restrict(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
         def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
             return _meet(_ball_state(g, c, _ball), _h(c))
 
+        def sections(b, sl, _s=mu.sections, _ball=G.Ball(center, radius)):
+            return _cap(*_s(b, sl), *_ball_section(g, b, sl, _ball))
+
         return DensityMeasure(
             g,
             clipped,
@@ -495,6 +569,7 @@ def restrict(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
             cells_per_axis=mu.cells_per_axis,
             label=f"restrict({mu.label})",
             hull=hull,
+            sections=sections,
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [restrict(c, ball) for c in mu.components])
@@ -520,6 +595,9 @@ def restrict_complement(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
         def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
             return _meet(_COMPLEMENT[_ball_state(g, c, _ball)], _h(c))
 
+        def sections(b, sl, _s=mu.sections, _ball=G.Ball(center, radius)):
+            return _cut_out(*_s(b, sl), *_ball_section(g, b, sl, _ball))
+
         return DensityMeasure(
             g,
             clipped,
@@ -527,6 +605,7 @@ def restrict_complement(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
             cells_per_axis=mu.cells_per_axis,
             label=f"restrict_complement({mu.label})",
             hull=hull,
+            sections=sections,
         )
     if isinstance(mu, MixtureMeasure):
         return MixtureMeasure(g, [restrict_complement(c, ball) for c in mu.components])

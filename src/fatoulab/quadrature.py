@@ -18,6 +18,7 @@ Which rule a group uses is data carried by its descriptor (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,13 +30,19 @@ __all__ = ["gauss_legendre", "tensor_rule", "SphereChart", "ball_rule",
 _SUM_BLOCK = 1 << 15
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def gauss_legendre(a: float, b: float, n_panels: int, order: int = 16):
     """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [a, b].
 
     Returns (nodes, weights), panel by panel, each panel carrying ``order``
     nodes.
     """
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _leggauss(order)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -3,8 +3,8 @@
 A BLAS dot product splits a long sum across threads, so its last bits move
 with ``OPENBLAS_NUM_THREADS``. The heat extension, the cell-grid
 convolution and the polar ball mass reduce their sums in a fixed order
-instead; the same script run at one and at two BLAS threads must print the
-same bytes.
+instead, the column rule of "cut" heat-extension values included; the same
+script run at one and at two BLAS threads must print the same bytes.
 """
 
 import os
@@ -27,11 +27,17 @@ spec = {"type": "density", "family": "polynomial",
 mu = F.translate_measure(S.build_measure(gh, spec), [0.3, -0.2, 0.1])
 mu_loc = F.restrict(mu, F.Ball(np.zeros(3), 1.0 / gh.quasi_triangle_const))
 u = F.HeatExtension(mu_loc, profile)
-corner_inv = _ext_grid(profile)[2]
+corner_inv = _ext_grid(profile).corner_inv
 x = np.zeros(3)
 for t in (1e-3, 0.0625):
     state = mu_loc.hull_state(G.dilate(gh, t ** 0.5, corner_inv))
     print(state, repr(u(x, t)))
+# the hole cuts the cached columns: partial panels with fresh and with
+# interpolated gamma, whole panels from the cache
+mu_tail = F.restrict_complement(mu, F.Ball(np.zeros(3), 0.6))
+t = 0.015625
+state = mu_tail.hull_state(G.dilate(gh, t ** 0.5, corner_inv))
+print(state, repr(F.HeatExtension(mu_tail, profile)(x, t)))
 flat = S.build_measure(gh, {"type": "density", "family": "polynomial",
                             "params": {"constant": 1.0}})
 print(repr(F.mollifier_convolution(flat, F.default_profile(), x, 2.0)))
@@ -52,6 +58,6 @@ def _run(threads: int) -> str:
 def test_sums_are_bitwise_equal_at_one_and_two_blas_threads():
     one, two = _run(1), _run(2)
     lines = one.splitlines()
-    assert [line.split()[0] for line in lines[:2]] == ["inside", "cut"]
-    assert len(lines) == 4
+    assert [line.split()[0] for line in lines[:3]] == ["inside", "cut", "cut"]
+    assert len(lines) == 5
     assert one == two

@@ -221,16 +221,20 @@ def test_strip_finite_for_growing_atoms(p1, g1):
 # eta-rules chosen by the hull of the eta-box image
 # ---------------------------------------------------------------------------
 
-def _fine_grid(profile):
-    """The full eta-grid: (eta_inverse, gamma * quad_weight)."""
+# the 48 x 48 x 128 eta-grid that Heisenberg "cut" values used to take
+_FINE_H1 = ((-7.5, 7.5, 3, 16),) * 2 + ((-30.0, 30.0, 8, 16),)
+
+
+def _weighted_grid(profile, spec):
+    """(eta_inverse, gamma * quad_weight) of an eta-grid spec."""
     g = profile.group
-    eta, w = tensor_rule([gauss_legendre(*axis) for axis in g.eta_grid])
+    eta, w = tensor_rule([gauss_legendre(*axis) for axis in spec])
     return G.inverse(g, eta), profile.gamma(eta) * w
 
 
-def _fine_loop(mu, grid, pts, t):
-    """Reference: every point on the full eta-grid, row block by row block,
-    summed in the extension's fixed order."""
+def _grid_loop(mu, grid, pts, t):
+    """Every point on a whole eta-grid, row block by row block, summed in
+    the extension's fixed order."""
     g = mu.group
     eta_inv, gamma_w = grid
     sqrt_t = math.sqrt(t)
@@ -247,7 +251,7 @@ def _fine_loop(mu, grid, pts, t):
 
 
 def _hull_states(mu, profile, pts, t):
-    corner_inv = E._ext_grid(profile)[2]
+    corner_inv = E._ext_grid(profile).corner_inv
     corners = G.dilate(mu.group, math.sqrt(t), corner_inv)
     return [mu.hull_state(G.mul(mu.group, x, corners)) for x in pts]
 
@@ -256,57 +260,170 @@ def _bump(p):
     return 1.0 + 0.5 * np.exp(-(p * p).sum(axis=-1))
 
 
+_X0 = np.array([0.3, -0.2, 0.1])
+_RADIUS = 0.7
+_DILATION = 0.8
+
+
 def _derived_densities(g):
     n = g.total_dim
     base = F.DensityMeasure(g, _bump, [[-1.5, 1.5]] * n, label="bump")
-    moved = F.translate_measure(base, np.array([0.3, -0.2, 0.1][:n]))
-    ball = F.Ball(np.zeros(n), 0.7)
+    moved = F.translate_measure(base, _X0[:n])
+    ball = F.Ball(np.zeros(n), _RADIUS)
     clipped = F.restrict(moved, ball)
     return {
         "base": base,
         "translated": moved,
         "restricted": clipped,
         "complement": F.restrict_complement(moved, ball),
-        "dilated": F.dilate_measure(clipped, 0.8),
+        "dilated": F.dilate_measure(clipped, _DILATION),
     }
+
+
+# ---------------------------------------------------------------------------
+# exact-limit reference in y-space: u(x, t) = int Gamma(t, y^-1 x) f(y) dy
+# ---------------------------------------------------------------------------
+
+def _kernel_sum(profile, x, t, y, w, f):
+    g = profile.group
+    k = F.eval_kernel(profile, G.mul(g, G.inverse(g, y), x), t)
+    return float(np.sum(w * k * f(y)))
+
+
+def _ball_part(profile, x, t, k):
+    """Over B(0, R) of the translated bump: polar in the first n - 1
+    coordinates (rho = R sin phi), and Gauss-Legendre on each column's
+    exact interval |y_n| < h(rho). B(0, R) lies inside the translated box
+    on every group, so the ball is the whole domain."""
+    g = profile.group
+    n = g.total_dim
+    R = _RADIUS
+
+    def f(y):
+        return _bump(G.mul(g, _X0[:n], y))
+
+    col, w_col = gauss_legendre(-1.0, 1.0, 2 * k, 16)
+    if n == 1:
+        return _kernel_sum(profile, x, t, (R * col)[:, None], R * w_col, f)
+    if n == 2:
+        phi, w_phi = gauss_legendre(-0.5 * math.pi, 0.5 * math.pi, 2 * k, 16)
+        heads = (R * np.sin(phi))[:, None]
+        w_heads = R * np.cos(phi) * w_phi
+    else:
+        phi, w_phi = gauss_legendre(0.0, 0.5 * math.pi, 2 * k, 16)
+        n_theta = 32 * k
+        theta = np.arange(n_theta) * 2.0 * math.pi / n_theta
+        rho = R * np.sin(phi)
+        heads = np.stack([np.multiply.outer(rho, np.cos(theta)).ravel(),
+                          np.multiply.outer(rho, np.sin(theta)).ravel()],
+                         axis=1)
+        w_heads = np.repeat(rho * R * np.cos(phi) * w_phi
+                            * 2.0 * math.pi / n_theta, n_theta)
+    rho = np.sqrt((heads ** 2).sum(axis=1))
+    if g.step == 2:   # Koranyi ball: |z|^4 + 16 s^2 < R^4
+        half = np.sqrt(R ** 4 - rho ** 4) / 4.0
+    else:
+        half = np.sqrt(R ** 2 - rho ** 2)
+    y = np.empty((heads.shape[0], col.size, n))
+    y[..., :-1] = heads[:, None, :]
+    y[..., -1] = half[:, None] * col
+    w = (w_heads * half)[:, None] * w_col
+    return _kernel_sum(profile, x, t, y.reshape(-1, n), w.ravel(), f)
+
+
+def _box_part(profile, x, t, k):
+    """Over the base box [-1.5, 1.5]^n of the bump: tensor Gauss-Legendre."""
+    n = profile.group.total_dim
+    rule = gauss_legendre(-1.5, 1.5, (2 if t >= 1.0 else 4) * k, 16)
+    w_nodes, w = tensor_rule([rule] * n)
+    return _kernel_sum(profile, x, t, w_nodes, w, _bump)
+
+
+def _reference(profile, name, x, t):
+    """The exact-limit value, checked against its own doubling to 1e-8."""
+    g = profile.group
+    moved = G.mul(g, _X0[:g.total_dim], x)   # u_(tau nu)(x) = u_nu(x0 * x)
+    parts = {
+        "base": lambda k: _box_part(profile, x, t, k),
+        "translated": lambda k: _box_part(profile, moved, t, k),
+        "restricted": lambda k: _ball_part(profile, x, t, k),
+        "complement": lambda k: (_box_part(profile, moved, t, k)
+                                 - _ball_part(profile, x, t, k)),
+        # u_(nu_r)(x, t) = u_nu(delta_r x, r^2 t)
+        "dilated": lambda k: _ball_part(profile, G.dilate(g, _DILATION, x),
+                                        _DILATION ** 2 * t, k),
+    }[name]
+    coarse, value = parts(1), parts(2)
+    assert abs(value - coarse) <= 1e-8 * abs(value), (name, x, t)
+    return value
+
+
+# Heisenberg box references at t < 1 need ~7M kernel values; the cut
+# values there come from box faces six kernel widths away, and are left to
+# the hc-translated-vertex probes recorded in CHANGES.md
+def _has_reference(g, name, t):
+    return g.step == 1 or t >= 1.0 or name in ("restricted", "dilated")
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_cut_and_outside_values_match_the_fine_loop(label):
+    # "inside" and "outside" values are the eta-grid's bit for bit; "cut"
+    # values integrate each eta-column between exact limits and must come
+    # within 2% of the y-space reference (the grid itself misses it by up
+    # to 100% at the points below)
     g = F.get_group(label)
     profile = F.profile_for(g)
     n = g.total_dim
     pts = np.array([[0.0] * n, [0.1, 0.05, -0.02][:n], [5.0, 0.0, 0.0][:n]])
-    grid = _fine_grid(profile)
+    grid = _weighted_grid(profile, g.eta_grid)
     seen = set()
     for name, mu in _derived_densities(g).items():
         u = F.heat_extend(mu, profile)
         for t in (1e-4, 0.0625, 1.0):
             got = u(pts, t)
-            want = _fine_loop(mu, grid, pts, t)
-            for state, a, b in zip(_hull_states(mu, profile, pts, t), got, want):
+            want = _grid_loop(mu, grid, pts, t)
+            states = _hull_states(mu, profile, pts, t)
+            for x, state, a, b in zip(pts, states, got, want):
                 seen.add(state)
-                where = (name, t, state)
-                if state != "inside" or g.eta_grid_smooth is None:
+                where = (name, t, x.tolist(), state)
+                if state != "cut":
                     assert a == b, where
-                else:
-                    assert a == pytest.approx(b, rel=1e-8, abs=0.0), where
+                elif _has_reference(g, name, t):
+                    ref = _reference(profile, name, x, t)
+                    assert abs(a - ref) <= 2e-2 * abs(ref), (where, a, ref)
     assert seen == {"inside", "cut", "outside"}
 
 
+def _whole_panels(sections, edges):
+    """``sections`` widened to the column panels each interval touches."""
+    def widened(self, base, slope):
+        lo, hi = sections(self, base, slope)
+        live = lo < hi
+        i = np.clip(np.searchsorted(edges, lo, "right") - 1, 0, edges.size - 1)
+        j = np.clip(np.searchsorted(edges, hi, "left"), 0, edges.size - 1)
+        return np.where(live, edges[i], lo), np.where(live, edges[j], hi)
+    return widened
+
+
 def test_forcing_the_smooth_rule_across_a_clip_misses(gh, ph, monkeypatch):
-    # negative control: at t = 0.0625 the ball's sphere cuts the eta-image,
-    # so the small rule is wrong there and the hull test must not pick it
+    # negative control: at t = 0.0625 the ball's sphere cuts the eta-image.
+    # The column rule comes closer to the exact-limit reference than the
+    # 48 x 48 x 128 grid does; integrating its partial panels as if they
+    # were whole misses by more than that grid
     mu = _derived_densities(gh)["restricted"]
-    x = np.zeros((1, 3))
+    x = np.zeros(3)
     t = 0.0625
-    assert _hull_states(mu, ph, x, t) == ["cut"]
-    fine = _fine_loop(mu, _fine_grid(ph), x, t)[0]
-    assert F.heat_extend(mu, ph)(x, t)[0] == fine
-    monkeypatch.setattr(F.DensityMeasure, "hull_state",
-                        lambda self, corners: "inside")
-    forced = F.heat_extend(mu, ph)(x, t)[0]
-    assert abs(forced - fine) > 1e-4 * abs(fine)
+    assert _hull_states(mu, ph, x[None], t) == ["cut"]
+    ref = _reference(ph, "restricted", x, t)
+    fine = _grid_loop(mu, _weighted_grid(ph, _FINE_H1), x[None], t)[0]
+    rule = F.heat_extend(mu, ph)(x, t)
+    lo, hi, n_panels, _ = gh.eta_grid[-1]
+    monkeypatch.setattr(
+        F.DensityMeasure, "sections",
+        _whole_panels(F.DensityMeasure.sections,
+                      np.linspace(lo, hi, n_panels + 1)))
+    forced = F.heat_extend(mu, ph)(x, t)
+    assert abs(rule - ref) < abs(fine - ref) < abs(forced - ref)
 
 
 def test_limit_trace_batches_match_pointwise_values(p2):

@@ -214,3 +214,53 @@ def test_heat_max_atom_value(g1, p1):
     out = F.heat_max(mu, p1, np.zeros(1))
     exact = math.sqrt(2.0 / math.pi) * math.exp(-0.5)
     assert out["value"] == pytest.approx(exact, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# argmax on flat stretches
+# ---------------------------------------------------------------------------
+
+# values 1 +- 1 ulp on a flat stretch, the largest (1 + ulp) late in it
+_UP, _DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+_FLAT = np.array([0.5, 1.0, _DOWN, 1.0, _UP, _DOWN, 1.0, 0.25])
+_SCALES = 2.0 ** -np.arange(_FLAT.size)   # powers of two: m(B(x, r)) = 2r exact
+
+
+class _FlatMeasure(F.BoundaryMeasure):
+    """Ball quotients mu(B(x, r)) / m(B(x, r)) = _FLAT at r = _SCALES."""
+
+    def _ball_mass(self, ball):
+        i = int(np.flatnonzero(_SCALES == ball.radius)[0])
+        return 2.0 * ball.radius * _FLAT[i], 0.0
+
+
+class _FlatExtension:
+    """u(x, s^2) = _FLAT at s = _SCALES."""
+
+    def __init__(self, mu, profile):
+        pass
+
+    def __call__(self, x, t):
+        return float(_FLAT[np.flatnonzero(_SCALES == math.sqrt(t))[0]])
+
+
+def test_argmax_takes_the_first_scale_within_ulps_of_the_max(g1, p1,
+                                                             monkeypatch):
+    from fatoulab import maximal as M
+
+    mu = _FlatMeasure(g1)
+    x = np.zeros(1)
+    monkeypatch.setattr(M, "_conv_profile", lambda *a: _FLAT.copy())
+    monkeypatch.setattr(M, "_conv_one", lambda *a: 0.0)
+    monkeypatch.setattr(M, "HeatExtension", _FlatExtension)
+    phi = F.default_profile()
+    outs = {
+        "hardy_littlewood": F.hardy_littlewood(mu, x, radii=_SCALES),
+        "radial": F.radial_max(mu, phi, x, s_grid=_SCALES),
+        "nontangential": F.nontangential_max(mu, phi, x, 1.0, s_grid=_SCALES),
+        "heat": F.heat_max(mu, p1, x, s_grid=_SCALES),
+    }
+    for name, out in outs.items():
+        # the value is still the largest; the scale is the first that ties
+        assert out["value"] == _UP, name
+        assert out.get("argmax_r", out.get("argmax_s")) == _SCALES[1], name
