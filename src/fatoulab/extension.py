@@ -38,7 +38,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,7 +92,6 @@ class _EtaGrid:
 
     eta_inv: np.ndarray     # (N, n) inverted nodes
     gamma_w: np.ndarray     # (N,) gamma * quadrature weight
-    gamma_peak: float       # largest gamma on the grid
     corner_inv: np.ndarray  # (2^n, n) inverted corners of the eta-box
     axes: tuple             # per axis: (nodes, weights) of its rule
 
@@ -109,15 +107,12 @@ def _ext_grid(profile: K.KernelProfile) -> _EtaGrid:
     # gamma first, in row blocks (its values do not depend on the batch):
     # its temporaries then share memory with eta alone, a block at a time
     gamma_w = np.empty(w.size)
-    peak = 0.0
     for start in range(0, w.size, _ETA_BLOCK):
         rows = slice(start, start + _ETA_BLOCK)
-        gamma = profile.gamma(eta[rows])
-        peak = max(peak, float(gamma.max()))
-        gamma_w[rows] = gamma * w[rows]
+        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
     box = [axis[:2] for axis in g.eta_grid]
     corners = np.array(list(itertools.product(*box)), dtype=float)
-    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w, peak,
+    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w,
                                  G.inverse(g, corners), axes)
     return cache["ext_grid"]
 
@@ -133,24 +128,6 @@ def _density_rows(mu: DensityMeasure, x: np.ndarray, eta_t: np.ndarray,
         sel = eta_t[block] if rows is None else eta_t[rows[block]]
         f[block] = mu.density_at(G.mul(g, x, sel))
     return f
-
-
-# A partial panel whose cached gamma stays below _FRESH times the grid's
-# peak takes gamma from the Legendre interpolant of its own nodes' values:
-# on the hc-translated-vertex cut calls that moves u by at most 1e-9
-# relative, where interpolating every panel moves it by up to 6e-7.
-_FRESH = 1e-3
-
-
-@lru_cache(maxsize=None)
-def _to_legendre(order: int) -> np.ndarray:
-    """(k, j): Legendre coefficient k of the polynomial through values at
-    the ``order`` Gauss-Legendre nodes j of [-1, 1] (exact below degree
-    ``order``, by the rule's exactness up to degree 2 order - 1)."""
-    x, w = gauss_legendre(-1.0, 1.0, 1, order)
-    k = np.arange(order)
-    return (np.polynomial.legendre.legvander(x, order - 1) * w[:, None]).T \
-        * (k[:, None] + 0.5)
 
 
 def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
@@ -195,12 +172,17 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     * a panel wholly inside an interval keeps its cached gamma * w;
     * a panel that an interval end falls in is integrated over the covered
       piece only, with the panel's number of Gauss-Legendre nodes; gamma
-      there is fresh, or interpolated from the panel's cached values where
-      it is below _FRESH of the peak;
+      there comes from the Legendre interpolant of the panel's cached
+      values (exact below degree ``order``);
     * rows outside the intervals are never evaluated.
 
     Where a support face cuts an outer axis (see `_outer_rules`), every
     column is new and every piece takes fresh gamma.
+
+    The interpolant spares fresh gamma, whose nodes in the eta-box's
+    corners lie beyond the Heisenberg kernel table and fall back to direct
+    quadrature; against fresh gamma it moves u by at most 6e-7 relative on
+    the hc-translated-vertex cut calls, far below the rule's own error.
     """
     g = mu.group
     outer, cached = _outer_rules(mu, grid, x, sqrt_t)
@@ -227,27 +209,23 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     eta[:, -1] = ((0.5 * (a + b))[:, None]
                   + 0.5 * (b - a)[:, None] * ref_x).ravel()
     w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
-    gamma = np.empty(w.size)
-    fresh = np.ones(col.size, dtype=bool)
     if cached:
-        own = (col * m + panel * order)[:, None] + np.arange(order)
+        # Legendre coefficients of gamma on each piece's panel, then their
+        # sum at the piece's nodes in the panel's own coordinate; the sums
+        # run along rows with numpy's add.reduce, not BLAS
         s_w = grid.axes[-1][1].reshape(n_panels, order)
+        own = (col * m + panel * order)[:, None] + np.arange(order)
         known = grid.gamma_w[own] / (w_cols[col, None] * s_w[panel])
-        fresh = known.max(axis=1) >= _FRESH * grid.gamma_peak
-        if not fresh.all():
-            # the panel's interpolant at the piece's nodes, in the panel's
-            # own coordinate; sums along a row are numpy's, not BLAS's
-            mid = 0.5 * (edges[panel] + edges[panel + 1])[~fresh]
-            xi = ((eta[:, -1].reshape(-1, order)[~fresh] - mid[:, None])
-                  / (0.5 * (edges[1] - edges[0])))
-            coef = np.add.reduce(_to_legendre(order) * known[~fresh, None, :],
-                                 axis=2)
-            gamma.reshape(-1, order)[~fresh] = np.add.reduce(
-                np.polynomial.legendre.legvander(xi, order - 1)
-                * coef[:, None, :], axis=2)
-    if fresh.any():
-        sel = np.repeat(fresh, order)
-        gamma[sel] = profile.gamma(eta[sel])
+        to_coef = (np.polynomial.legendre.legvander(ref_x, order - 1)
+                   * ref_w[:, None]).T * (np.arange(order)[:, None] + 0.5)
+        coef = np.add.reduce(to_coef * known[:, None, :], axis=2)
+        mid = 0.5 * (edges[panel] + edges[panel + 1])
+        xi = ((eta[:, -1].reshape(-1, order) - mid[:, None])
+              / (0.5 * (edges[1] - edges[0])))
+        gamma = np.add.reduce(np.polynomial.legendre.legvander(xi, order - 1)
+                              * coef[:, None, :], axis=2).ravel()
+    else:
+        gamma = profile.gamma(eta)
     f = np.concatenate([
         _density_rows(mu, x, eta_t, rows),
         _density_rows(mu, x, G.dilate(g, sqrt_t, G.inverse(g, eta))),
