@@ -49,8 +49,8 @@ from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
     DensityMeasure,
-    MixtureMeasure,
     measure_ball,
+    midpoint_grid,
     restrict_complement,
 )
 
@@ -253,45 +253,45 @@ class HeatExtension:
             raise NumericsError(f"time must be positive, got {t}")
         scalar = x.ndim == 1
         pts = x[None, :] if scalar else x.reshape(-1, self.group.total_dim)
-        out = self._eval(self.mu, pts, float(t))
+        out = self._eval(pts, float(t))
         if scalar:
             return float(out[0])
         return out.reshape(x.shape[:-1])
 
-    def _eval(self, mu, pts: np.ndarray, t: float) -> np.ndarray:
+    def _eval(self, pts: np.ndarray, t: float) -> np.ndarray:
         g = self.group
-        if isinstance(mu, AtomicMeasure):
-            if mu.points.shape[0] == 0:
-                return np.zeros(pts.shape[0])
-            rel = G.mul(g, G.inverse(g, mu.points)[:, None, :], pts[None, :, :])
-            vals = K.eval_kernel(self.profile, rel, t)
-            return mu.weights @ vals
-        if isinstance(mu, DensityMeasure):
-            grid = _ext_grid(self.profile)
-            sqrt_t = math.sqrt(t)
-            corners = G.dilate(g, sqrt_t, grid.corner_inv)
-            out = np.zeros(pts.shape[0])
-            eta_t = None
-            for i, x in enumerate(pts):
-                state = mu.hull_state(G.mul(g, x, corners))
-                if state == "outside":
-                    continue
-                if eta_t is None:
-                    # the scaled grid depends on t alone: once per slice
-                    eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
-                if state == "inside":
-                    out[i] = weighted_sum(grid.gamma_w,
-                                          _density_rows(mu, x, eta_t))
-                else:
-                    out[i] = _column_rule(mu, self.profile, grid, x, sqrt_t,
-                                          eta_t)
-            return out
-        if isinstance(mu, MixtureMeasure):
-            total = np.zeros(pts.shape[0])
-            for c in mu.components:
-                total += self._eval(c, pts, t)
-            return total
-        raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+        total = np.zeros(pts.shape[0])
+        for part in self.mu.parts():
+            if not isinstance(part, AtomicMeasure):
+                total += self._density(part, pts, t)
+            elif part.points.shape[0]:
+                rel = G.mul(g, G.inverse(g, part.points)[:, None, :],
+                            pts[None, :, :])
+                total += part.weights @ K.eval_kernel(self.profile, rel, t)
+        return total
+
+    def _density(self, mu: DensityMeasure, pts: np.ndarray, t: float):
+        """The eta-grid rule the hull of each point's eta-image calls for."""
+        g = self.group
+        grid = _ext_grid(self.profile)
+        sqrt_t = math.sqrt(t)
+        corners = G.dilate(g, sqrt_t, grid.corner_inv)
+        out = np.zeros(pts.shape[0])
+        eta_t = None
+        for i, x in enumerate(pts):
+            state = mu.hull_state(G.mul(g, x, corners))
+            if state == "outside":
+                continue
+            if eta_t is None:
+                # the scaled grid depends on t alone: once per slice
+                eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
+            if state == "inside":
+                out[i] = weighted_sum(grid.gamma_w,
+                                      _density_rows(mu, x, eta_t))
+            else:
+                out[i] = _column_rule(mu, self.profile, grid, x, sqrt_t,
+                                      eta_t)
+        return out
 
 
 def heat_extend(mu: BoundaryMeasure, profile: K.KernelProfile) -> HeatExtension:
@@ -457,7 +457,7 @@ def uniform_ratio_check(u: HeatExtension, region: ParabolicRegion,
 
 
 def duality_check(mu: BoundaryMeasure, profile: K.KernelProfile,
-                  x, t: float, cells_per_axis: int | None = None) -> dict:
+                  x, t: float) -> dict:
     """Evaluate the extension by two independent quadratures and compare.
 
     Route A is the scaled eta-grid used by HeatExtension; route B integrates
@@ -468,31 +468,19 @@ def duality_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     g = mu.group
     x = np.asarray(x, dtype=float)
     route_a = HeatExtension(mu, profile)(x, t)
-
-    def _route_b(m) -> float:
-        if isinstance(m, AtomicMeasure):
-            if m.points.shape[0] == 0:
-                return 0.0
-            rel = G.mul(g, G.inverse(g, m.points), x)
-            return float(m.weights @ np.atleast_1d(K.eval_kernel(profile, rel, t)))
-        if isinstance(m, DensityMeasure):
-            cells = cells_per_axis or {1: 600, 2: 150, 3: 60}[g.total_dim]
-            axes, hs = [], []
-            for i in range(g.total_dim):
-                lo, hi = m.support_box[i]
-                h = (hi - lo) / cells
-                axes.append(lo + h * (np.arange(cells) + 0.5))
-                hs.append(h)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            ys = np.stack([m_.ravel() for m_ in mesh], axis=-1)
-            fv = m.density_at(ys)
+    route_b = 0.0
+    for part in mu.parts():
+        if isinstance(part, AtomicMeasure):
+            if part.points.shape[0] == 0:
+                continue
+            rel = G.mul(g, G.inverse(g, part.points), x)
+            route_b += float(
+                part.weights @ np.atleast_1d(K.eval_kernel(profile, rel, t)))
+        else:
+            ys, vol, _ = midpoint_grid(part.support_box,
+                                       {1: 600, 2: 150, 3: 60}[g.total_dim])
             kv = K.eval_kernel(profile, G.mul(g, G.inverse(g, ys), x), t)
-            return float((fv * kv).sum() * np.prod(hs))
-        if isinstance(m, MixtureMeasure):
-            return sum(_route_b(c) for c in m.components)
-        raise MeasureError(f"unsupported measure type {type(m).__name__}")
-
-    route_b = _route_b(mu)
+            route_b += float((part.density_at(ys) * kv).sum() * vol)
     denom = max(abs(route_a), abs(route_b), 1e-300)
     return {
         "scaled_grid": route_a,

@@ -163,9 +163,11 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise GroupError(f"ball radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        if not 0 < self.radius < math.inf or not np.all(np.isfinite(center)):
+            raise GroupError("ball needs a finite center and a positive finite "
+                             f"radius, got {center.tolist()}, {self.radius}")
+        object.__setattr__(self, "center", center)
 
 
 def _coords(x) -> np.ndarray:

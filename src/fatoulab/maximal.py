@@ -41,7 +41,6 @@ from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
     DensityMeasure,
-    MixtureMeasure,
     measure_ball,
 )
 
@@ -192,21 +191,22 @@ def _cell_conv(g: G.GroupDescriptor, masses: np.ndarray, rho: np.ndarray,
 def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
     """(nu * phi_s)(x) for a single scale."""
     g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        if mu.points.shape[0] == 0:
-            return 0.0
-        rho = np.asarray(G.dist(g, x, mu.points))
-        return float(s ** (-g.hom_dim) * (mu.weights @ phi(rho / s)))
-    if isinstance(mu, DensityMeasure):
-        if s <= _SCALE_SWITCH:
+    total = 0.0
+    for part in mu.parts():
+        if isinstance(part, AtomicMeasure):
+            if part.points.shape[0] == 0:
+                continue
+            rho = np.asarray(G.dist(g, x, part.points))
+            total += float(s ** (-g.hom_dim) * (part.weights @ phi(rho / s)))
+        elif s <= _SCALE_SWITCH:
             eta_inv, w = _phi_grid(g, phi)
             y = G.mul(g, x, G.dilate(g, s, eta_inv))
-            return weighted_sum(w, mu.density_at(y))
-        centers, masses = _density_cells(mu)
-        return _cell_conv(g, masses, np.asarray(G.dist(g, x, centers)), phi, s)
-    if isinstance(mu, MixtureMeasure):
-        return sum(_conv_one(c, phi, x, s) for c in mu.components)
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+            total += weighted_sum(w, part.density_at(y))
+        else:
+            centers, masses = _density_cells(part)
+            total += _cell_conv(g, masses, np.asarray(G.dist(g, x, centers)),
+                                phi, s)
+    return total
 
 
 def mollifier_convolution(mu: BoundaryMeasure, phi: RadialProfile, x,
@@ -220,30 +220,27 @@ def mollifier_convolution(mu: BoundaryMeasure, phi: RadialProfile, x,
 def _conv_profile(mu, phi, x: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     """Convolution values along a whole scale grid (vectorized where cheap)."""
     g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        if mu.points.shape[0] == 0:
-            return np.zeros(s_grid.size)
-        rho = np.asarray(G.dist(g, x, mu.points))
-        mat = phi(rho[None, :] / s_grid[:, None])
-        return s_grid ** (-g.hom_dim) * (mat @ mu.weights)
-    if isinstance(mu, MixtureMeasure):
-        total = np.zeros(s_grid.size)
-        for c in mu.components:
-            total += _conv_profile(c, phi, x, s_grid)
-        return total
-    if isinstance(mu, DensityMeasure):
+    total = np.zeros(s_grid.size)
+    for part in mu.parts():
+        if isinstance(part, AtomicMeasure):
+            if part.points.shape[0] == 0:
+                continue
+            rho = np.asarray(G.dist(g, x, part.points))
+            mat = phi(rho[None, :] / s_grid[:, None])
+            total += s_grid ** (-g.hom_dim) * (mat @ part.weights)
+            continue
         # scaled-grid scales one at a time, then the cell-grid scales, which
         # share one set of cell distances
         cell = s_grid > _SCALE_SWITCH
         out = np.empty(s_grid.size)
-        out[~cell] = [_conv_one(mu, phi, x, float(s)) for s in s_grid[~cell]]
+        out[~cell] = [_conv_one(part, phi, x, float(s)) for s in s_grid[~cell]]
         if np.any(cell):
-            centers, masses = _density_cells(mu)
+            centers, masses = _density_cells(part)
             rho = np.asarray(G.dist(g, x, centers))
             out[cell] = [_cell_conv(g, masses, rho, phi, float(s))
                          for s in s_grid[cell]]
-        return out
-    return np.array([_conv_one(mu, phi, x, float(s)) for s in s_grid])
+        total += out
+    return total
 
 
 def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
@@ -350,11 +347,7 @@ def sandwich_constants(g: G.GroupDescriptor, phi: RadialProfile,
 
 
 def _is_atomic(mu: BoundaryMeasure) -> bool:
-    if isinstance(mu, AtomicMeasure):
-        return True
-    if isinstance(mu, MixtureMeasure):
-        return all(_is_atomic(c) for c in mu.components)
-    return False
+    return all(isinstance(p, AtomicMeasure) for p in mu.parts())
 
 
 def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,

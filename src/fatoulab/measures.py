@@ -1,26 +1,32 @@
 """Nonnegative boundary measures and the strong-derivative estimator.
 
-Measures come in three variants: finite atomic combinations, densities against
-Haar measure supported on a finite coordinate box, and finite mixtures. All
-variants support ball mass, group dilation nu_r(E) = r^(-Q) nu(delta_r(E)),
-group translation (tau_x0 nu)(E) = nu(x0 * E), and restriction to a ball.
+Measures come in three kinds: finite atomic combinations, densities against
+Haar measure supported on a finite coordinate box, and finite mixtures. Each
+kind has the reductions as methods: dilation nu_r(E) = r^(-Q) nu(delta_r(E)),
+translation (tau_x0 nu)(E) = nu(x0 * E), restriction to a ball and to its
+complement; a mixture maps its components, and ``parts`` lists the atomic
+and density measures it sums, so consumers branch once per part.
 
-Group translation is affine in exponential coordinates, so translated density
-supports are tracked exactly: the support box maps to the bounding box of its
-translated corners while the density itself is clipped to the original
-support. Densities are validated at construction (finite, nonnegative, finite
+A derived density is data: the base f and its box, one map
+A(y) = a * delta_s(y) into the base frame, and clip balls, each in the
+measure's own frame with a complement flag. Its density at y is f(A(y))
+where A(y) lies in the base box and y passes every clip, else 0. Dilations
+are automorphisms and left translations isometries, so translating by x0
+composes a <- a * delta_s(x0) and moves a clip B(c, R) to B(x0^-1 * c, R),
+and dilating by r composes s <- s * r and moves it to
+B(delta_(1/r)(c), R / r). The own ``support_box`` (translated corners'
+hull, dilated box, box clipped to a ball's bounding box) carries the cell
+grids. Densities are validated at construction (finite, nonnegative, finite
 total mass).
 
-A density is assumed smooth inside its support box; where it may jump is
-known to the measure: the box edges and the balls that ``restrict`` and
-``restrict_complement`` clip by. ``DensityMeasure.hull_state`` tells whether
-the convex hull of a few points lies where the density is smooth, where it
-is zero, or across a jump; each derived measure composes it from its inner
-measure's, as it composes the density itself. ``DensityMeasure.sections``
-gives the exact limits of the same clips along vertical lines (the last
-coordinate is the group's central column axis): a box or a ball meets such
-a line in one interval and a ``restrict_complement`` hole removes one, so
-the density is smooth between the ends it returns.
+A density is assumed smooth inside its base box, so it may jump only at its
+box faces and clip spheres. ``DensityMeasure.hull_state`` tells whether the
+convex hull of a few points lies where the density is smooth, where it is
+zero, or across a jump. ``DensityMeasure.sections`` gives the exact limits
+of the same boundaries along vertical lines (the last coordinate is the
+group's central column axis): a box or a ball meets such a line in one
+interval and a complement clip removes one, so the density is smooth
+between the ends it returns.
 
 A density's ball mass asks ``hull_state`` about the corners of the ball's
 bounding box. A ball in the smooth region ("inside") is integrated with the
@@ -43,6 +49,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 import numpy as np
 
@@ -66,6 +73,7 @@ __all__ = [
     "trace_to_csv",
 ]
 
+# midpoint cells per axis of a density's support box
 _DEFAULT_CELLS = {1: 512, 2: 128, 3: 48}
 
 # A density's ball mass classifies each cell by its center and its own
@@ -177,11 +185,37 @@ def _tensor(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _midpoint_axes(box: np.ndarray, cells: int):
+    """Cell centers of ``box`` along each axis, and the cell widths."""
+    axes, steps = [], []
+    for lo, hi in box:
+        h = (hi - lo) / cells
+        axes.append(lo + h * (np.arange(cells) + 0.5))
+        steps.append(h)
+    return axes, np.array(steps)
+
+
+def midpoint_grid(box: np.ndarray, cells: int):
+    """Centers (N, n) of ``cells`` midpoint cells per axis of ``box``, the
+    cell volume and the cell widths."""
+    axes, steps = _midpoint_axes(box, cells)
+    return _tensor(axes), np.prod(steps), steps
+
+
 class BoundaryMeasure:
-    """Base class for nonnegative measures on a stratified group."""
+    """Base class for nonnegative measures on a stratified group.
+
+    Each kind has the methods ``translate(x0)`` (x0 nonzero),
+    ``dilate(r)``, ``restrict(ball)`` and ``restrict_complement(ball)``; the
+    module functions of the same names check their input and call them.
+    """
 
     def __init__(self, group: G.GroupDescriptor):
         self.group = group
+
+    def parts(self) -> tuple:
+        """The atomic and density measures this measure sums, depth first."""
+        return (self,)
 
     @property
     def total_mass(self) -> float:
@@ -217,28 +251,52 @@ class AtomicMeasure(BoundaryMeasure):
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def _ball_mass(self, ball: G.Ball):
+    def _in(self, ball: G.Ball) -> np.ndarray:
+        """Mask of the atoms in ``ball``."""
         if self.points.shape[0] == 0:
-            return 0.0, 0.0
-        mask = G.ball_contains(self.group, ball, self.points)
-        return float(self.weights[mask].sum()), 0.0
+            return np.zeros(0, dtype=bool)
+        return G.ball_contains(self.group, ball, self.points)
+
+    def _ball_mass(self, ball: G.Ball):
+        return float(self.weights[self._in(ball)].sum()), 0.0
+
+    def translate(self, x0):
+        """Atoms move by p -> x0^-1 * p."""
+        g = self.group
+        return AtomicMeasure(g, G.mul(g, G.inverse(g, x0), self.points),
+                             self.weights.copy())
+
+    def dilate(self, r):
+        """Atoms move by delta_(1/r), weights scale by r^(-Q)."""
+        g = self.group
+        return AtomicMeasure(g, G.dilate(g, 1.0 / r, self.points),
+                             self.weights * r ** (-g.hom_dim))
+
+    def restrict(self, ball):
+        return self._keep(self._in(ball))
+
+    def restrict_complement(self, ball):
+        return self._keep(~self._in(ball))
+
+    def _keep(self, mask: np.ndarray) -> "AtomicMeasure":
+        return AtomicMeasure(self.group, self.points[mask], self.weights[mask])
 
 
 class DensityMeasure(BoundaryMeasure):
     """Absolutely continuous measure f dm supported on a finite box.
 
-    ``density`` is assumed smooth inside the support box; a density that
+    ``density`` is assumed smooth inside ``support_box``; a density that
     jumps inside it should be built with ``restrict``/``restrict_complement``
-    so that ``hull_state`` sees the jump. ``hull`` classifies point hulls
-    against the jumps of ``density`` itself (None: it has none), and
-    ``sections`` gives the exact limits of those jumps on vertical lines
-    (None: none but the support box's); the derived-measure constructors
-    pass both.
+    so that ``hull_state`` and ``sections`` see the jump.
+
+    A derived density (see the module docstring) keeps the base f and box
+    as ``base_density`` and ``base_box``, the map A(y) = shift *
+    delta_scale(y) into the base frame (``shift`` None: no translation),
+    and ``clips``, (ball, complement) pairs in its own frame.
+    ``support_box`` is its own cell-grid box.
     """
 
-    def __init__(self, group: G.GroupDescriptor, density, support_box,
-                 cells_per_axis: int | None = None, label: str = "density",
-                 hull=None, sections=None):
+    def __init__(self, group: G.GroupDescriptor, density, support_box):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -247,72 +305,123 @@ class DensityMeasure(BoundaryMeasure):
             )
         if not np.all(np.isfinite(box)) or np.any(box[:, 1] < box[:, 0]):
             raise MeasureError("support_box must be finite with lo <= hi")
-        self.density = density
-        self.support_box = box
-        self.cells_per_axis = cells_per_axis or _DEFAULT_CELLS[group.total_dim]
-        self.label = label
-        self._hull = hull
-        self._sections = sections
+        self.base_density = density
+        self.base_box = self.support_box = box
+        self.shift, self.scale, self.clips = None, 1.0, ()
         self._mass, self._support_cell_sum = self._validate()
 
-    def density_at(self, pts: np.ndarray) -> np.ndarray:
-        """Effective density: f clipped to the support box."""
-        pts = np.asarray(pts, dtype=float)
-        vals = np.asarray(self.density(pts), dtype=float)
-        return np.where(self.in_support(pts), vals, 0.0)
+    def _derive(self, support_box: np.ndarray, shift, scale: float,
+                clips: tuple) -> "DensityMeasure":
+        """This density's base f and box under a new map and clips."""
+        out = object.__new__(DensityMeasure)
+        BoundaryMeasure.__init__(out, self.group)
+        out.base_density, out.base_box = self.base_density, self.base_box
+        out.support_box, out.shift, out.scale, out.clips = (
+            support_box, shift, scale, clips)
+        out._mass, out._support_cell_sum = out._validate()
+        return out
 
-    def in_support(self, pts: np.ndarray) -> np.ndarray:
-        """Mask of the points in the closed support box."""
-        inside = np.ones(pts.shape[:-1], dtype=bool)
-        for i in range(self.group.total_dim):
-            inside &= (pts[..., i] >= self.support_box[i, 0]) & (
-                pts[..., i] <= self.support_box[i, 1]
-            )
-        return inside
+    def _to_base(self, pts: np.ndarray) -> np.ndarray:
+        """A(y) = shift * delta_scale(y) of each point."""
+        g = self.group
+        if self.scale != 1.0:
+            pts = G.dilate(g, self.scale, pts)
+        return pts if self.shift is None else G.mul(g, self.shift, pts)
+
+    def density_at(self, pts: np.ndarray) -> np.ndarray:
+        """f(A(y)) where A(y) is in the base box and y passes every clip,
+        else 0."""
+        pts = np.asarray(pts, dtype=float)
+        q = self._to_base(pts)
+        keep = np.ones(pts.shape[:-1], dtype=bool)
+        for i, (lo, hi) in enumerate(self.base_box):
+            keep &= (q[..., i] >= lo) & (q[..., i] <= hi)
+        for ball, complement in self.clips:
+            keep &= G.ball_contains(self.group, ball, pts) != complement
+        return np.where(keep, np.asarray(self.base_density(q), dtype=float),
+                        0.0)
 
     def hull_state(self, corners: np.ndarray) -> str:
         """Where the convex hull of ``corners`` (k, n) lies for this density.
 
-        "inside": strictly inside the support box and every clip, where the
-        density is smooth; "outside": where it is zero (off the support box
-        or inside a ``restrict_complement`` hole); "cut": anything else.
-        Boxes and balls are convex and the maps of derived densities are
-        affine, so the corners decide for the whole hull.
+        "inside": strictly inside the support box, the base box (through A)
+        and every clip, where the density is smooth; "outside": where it is
+        zero (off a box or inside a complement clip); "cut": anything else.
+        Boxes and balls are convex and A is affine, so the corners decide
+        for the whole hull.
         """
         state = _box_state(corners, self.support_box)
-        if state == "outside" or self._hull is None:
+        if state == "outside":
             return state
-        return _meet(state, self._hull(corners))
+        state = _meet(state, _box_state(self._to_base(corners), self.base_box))
+        for ball, complement in self.clips:
+            clip = _ball_state(self.group, corners, ball)
+            state = _meet(state, _COMPLEMENT[clip] if complement else clip)
+        return state
 
     def sections(self, base: np.ndarray, slope: float):
         """Where the density may be nonzero on vertical lines.
 
         Line j is y(tau) = base[j] + tau * slope * e_last (``base`` (k, n),
         ``slope`` nonzero). Returns (lo, hi), each (k, m): the tau-intervals
-        of line j that lie in the support box and every clip, disjoint, an
+        of line j that lie in both boxes and every clip, disjoint, an
         interval with lo >= hi being empty. Between its ends the density is
-        as smooth as ``density`` itself.
+        as smooth as the base f. A maps the line onto the vertical line
+        through A(base[j]) with slope * scale^(last layer exponent).
         """
-        lo, hi = _box_section(base, slope, self.support_box)
-        if self._sections is None:
-            return lo, hi
-        return _cap(lo, hi, *self._sections(base, slope))
+        g = self.group
+        lo, hi = _cap(
+            *_box_section(base, slope, self.support_box),
+            *_box_section(self._to_base(base),
+                          slope * self.scale ** g.layer_exponents[-1],
+                          self.base_box))
+        for ball, complement in self.clips:
+            lo, hi = (_cut_out if complement else _cap)(
+                lo, hi, *_ball_section(g, base, slope, ball))
+        return lo, hi
 
-    def _axes(self, box: np.ndarray):
-        """Cell centers of ``box`` along each axis, and the cell widths."""
-        cells = self.cells_per_axis
-        axes, steps = [], []
-        for i in range(self.group.total_dim):
-            lo, hi = box[i]
-            h = (hi - lo) / cells
-            axes.append(lo + h * (np.arange(cells) + 0.5))
-            steps.append(h)
-        return axes, np.array(steps)
+    def translate(self, x0):
+        """f(A(x0 * y)): a <- a * delta_s(x0); the support box becomes the
+        hull of its corners moved by x0^-1."""
+        g = self.group
+        step = x0 if self.scale == 1.0 else G.dilate(g, self.scale, x0)
+        shift = step if self.shift is None else G.mul(g, self.shift, step)
+        back = G.inverse(g, x0)
+        moved = G.mul(g, back, _tensor(self.support_box))
+        box = np.stack([moved.min(axis=0), moved.max(axis=0)], axis=1)
+        clips = tuple((G.translate_ball(g, back, ball), complement)
+                      for ball, complement in self.clips)
+        return self._derive(box, shift, self.scale, clips)
+
+    def dilate(self, r):
+        """f(A(delta_r y)) on delta_(1/r)(support box): s <- s * r."""
+        g = self.group
+        clips = tuple((G.dilate_ball(g, 1.0 / r, ball), complement)
+                      for ball, complement in self.clips)
+        return self._derive(G.dilate(g, 1.0 / r, self.support_box.T).T,
+                            self.shift, self.scale * r, clips)
+
+    def restrict(self, ball):
+        """The density on ``ball``; the support box is clipped to the ball's
+        bounding box, and a ball that misses it gives the zero measure."""
+        g = self.group
+        bb = G.ball_bounding_box(g, ball)
+        lo = np.maximum(bb[:, 0], self.support_box[:, 0])
+        hi = np.minimum(bb[:, 1], self.support_box[:, 1])
+        if np.any(hi <= lo):
+            return AtomicMeasure(g, np.zeros((0, g.total_dim)), np.zeros(0))
+        clip = G.Ball(ball.center.copy(), ball.radius)
+        return self._derive(np.stack([lo, hi], axis=1), self.shift,
+                            self.scale, self.clips + ((clip, False),))
+
+    def restrict_complement(self, ball):
+        clip = G.Ball(ball.center.copy(), ball.radius)
+        return self._derive(self.support_box, self.shift, self.scale,
+                            self.clips + ((clip, True),))
 
     def _grid(self, box: np.ndarray):
         """Cell centers (N, d) of ``box``, the cell volume and the widths."""
-        axes, steps = self._axes(box)
-        return _tensor(axes), np.prod(steps), steps
+        return midpoint_grid(box, _DEFAULT_CELLS[self.group.total_dim])
 
     def _validate(self) -> tuple[float, float]:
         """Check the density on the cell grid of the support.
@@ -322,7 +431,7 @@ class DensityMeasure(BoundaryMeasure):
         the whole support.
         """
         centers, vol, _ = self._grid(self.support_box)
-        vals = np.asarray(self.density(centers), dtype=float)
+        vals = self.density_at(centers)
         if not np.all(np.isfinite(vals)):
             bad = centers[~np.isfinite(vals)][0]
             raise MeasureError(f"density non-finite at {bad.tolist()}")
@@ -385,13 +494,13 @@ class DensityMeasure(BoundaryMeasure):
         """
         g = self.group
         n = g.total_dim
-        axes, steps = self._axes(np.stack([lo, hi], axis=1))
+        cells = _DEFAULT_CELLS[n]
+        axes, steps = _midpoint_axes(np.stack([lo, hi], axis=1), cells)
         centers, vol = _tensor(axes), np.prod(steps)
         inside_c = G.ball_contains(g, ball, centers)
         # each cell is classified by its center and its 2^n corners, read
         # from one lattice of shared corners: node k of an axis is the low
         # corner of cell k, the last node the high corner of the last cell
-        cells = self.cells_per_axis
         nodes = [np.append(a - 0.5 * h, a[-1] + 0.5 * h)
                  for a, h in zip(axes, steps)]
         d = np.asarray(G.dist(g, _tensor(nodes), ball.center))
@@ -439,7 +548,7 @@ class DensityMeasure(BoundaryMeasure):
 
 
 class MixtureMeasure(BoundaryMeasure):
-    """Finite sum of component measures."""
+    """Finite sum of component measures; each operation maps every one."""
 
     def __init__(self, group: G.GroupDescriptor, components):
         super().__init__(group)
@@ -451,6 +560,9 @@ class MixtureMeasure(BoundaryMeasure):
                 raise MeasureError("mixture components must share the group")
         self.components = comps
 
+    def parts(self) -> tuple:
+        return tuple(p for c in self.components for p in c.parts())
+
     @property
     def total_mass(self) -> float:
         return float(sum(c.total_mass for c in self.components))
@@ -459,13 +571,33 @@ class MixtureMeasure(BoundaryMeasure):
         vals, errs = zip(*(c._ball_mass(ball) for c in self.components))
         return float(sum(vals)), float(sum(errs))
 
+    def _each(self, op: str, arg) -> "MixtureMeasure":
+        """The mixture of ``op(arg)`` of every component."""
+        return MixtureMeasure(
+            self.group, [getattr(c, op)(arg) for c in self.components])
+
+    translate = partialmethod(_each, "translate")
+    dilate = partialmethod(_each, "dilate")
+    restrict = partialmethod(_each, "restrict")
+    restrict_complement = partialmethod(_each, "restrict_complement")
+
 
 # ---------------------------------------------------------------------------
 # measure operations
 # ---------------------------------------------------------------------------
 
+def _point(g: G.GroupDescriptor, x, what: str) -> np.ndarray:
+    """``x`` as a point of ``g``: total_dim finite coordinates."""
+    x = np.array(x, dtype=float)
+    if x.shape != (g.total_dim,) or not np.all(np.isfinite(x)):
+        raise GroupError(
+            f"{what} must be {g.total_dim} finite coordinates, got {x.tolist()}")
+    return x
+
+
 def measure_ball(mu: BoundaryMeasure, ball: G.Ball):
     """Mass of a quasi-metric ball; returns (value, error_estimate)."""
+    _point(mu.group, ball.center, "ball center")
     return mu._ball_mass(ball)
 
 
@@ -477,139 +609,29 @@ def dilate_measure(mu: BoundaryMeasure, r: float) -> BoundaryMeasure:
     """
     if not (r > 0) or not math.isfinite(r):
         raise GroupError(f"dilation factor must be positive, got {r}")
-    g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        return AtomicMeasure(
-            g,
-            G.dilate(g, 1.0 / r, mu.points),
-            mu.weights * r ** (-g.hom_dim),
-        )
-    if isinstance(mu, DensityMeasure):
-        inner = mu.density_at
-        box = np.stack(
-            [
-                G.dilate(g, 1.0 / r, mu.support_box[:, 0]),
-                G.dilate(g, 1.0 / r, mu.support_box[:, 1]),
-            ],
-            axis=1,
-        )
-        return DensityMeasure(
-            g,
-            lambda pts, _f=inner, _r=r: _f(G.dilate(g, _r, pts)),
-            box,
-            cells_per_axis=mu.cells_per_axis,
-            label=f"dilate({mu.label}, r={r!r})",
-            hull=lambda c, _h=mu.hull_state, _r=r: _h(G.dilate(g, _r, c)),
-            sections=lambda b, sl, _s=mu.sections, _r=r: _s(
-                G.dilate(g, _r, b), sl * _r ** g.layer_exponents[-1]),
-        )
-    if isinstance(mu, MixtureMeasure):
-        return MixtureMeasure(g, [dilate_measure(c, r) for c in mu.components])
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+    return mu.dilate(r)
 
 
 def translate_measure(mu: BoundaryMeasure, x0) -> BoundaryMeasure:
     """(tau_x0 nu)(E) = nu(x0 * E); atoms move by p -> x0^-1 * p."""
-    g = mu.group
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _point(mu.group, x0, "translation")
     if np.all(x0 == 0.0):
         return mu
-    if isinstance(mu, AtomicMeasure):
-        return AtomicMeasure(
-            g, G.mul(g, G.inverse(g, x0), mu.points), mu.weights.copy()
-        )
-    if isinstance(mu, DensityMeasure):
-        inner = mu.density_at
-        moved = G.mul(g, G.inverse(g, x0), _tensor(mu.support_box))
-        box = np.stack([moved.min(axis=0), moved.max(axis=0)], axis=1)
-        return DensityMeasure(
-            g,
-            lambda pts, _f=inner, _x0=x0: _f(G.mul(g, _x0, pts)),
-            box,
-            cells_per_axis=mu.cells_per_axis,
-            label=f"translate({mu.label})",
-            hull=lambda c, _h=mu.hull_state, _x0=x0: _h(G.mul(g, _x0, c)),
-            sections=lambda b, sl, _s=mu.sections, _x0=x0: _s(
-                G.mul(g, _x0, b), sl),
-        )
-    if isinstance(mu, MixtureMeasure):
-        return MixtureMeasure(g, [translate_measure(c, x0) for c in mu.components])
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+    return mu.translate(x0)
 
 
 def restrict(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
     """Restriction of the measure to a ball."""
-    g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        mask = G.ball_contains(g, ball, mu.points) if mu.points.size else np.zeros(0, bool)
-        return AtomicMeasure(g, mu.points[mask], mu.weights[mask])
-    if isinstance(mu, DensityMeasure):
-        inner = mu.density_at
-        bb = G.ball_bounding_box(g, ball)
-        lo = np.maximum(bb[:, 0], mu.support_box[:, 0])
-        hi = np.minimum(bb[:, 1], mu.support_box[:, 1])
-        if np.any(hi <= lo):
-            return AtomicMeasure(g, np.zeros((0, g.total_dim)), np.zeros(0))
-        center, radius = ball.center.copy(), ball.radius
-
-        def clipped(pts, _f=inner):
-            m = np.asarray(G.dist(g, pts, center)) < radius
-            return np.where(m, _f(pts), 0.0)
-
-        def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
-            return _meet(_ball_state(g, c, _ball), _h(c))
-
-        def sections(b, sl, _s=mu.sections, _ball=G.Ball(center, radius)):
-            return _cap(*_s(b, sl), *_ball_section(g, b, sl, _ball))
-
-        return DensityMeasure(
-            g,
-            clipped,
-            np.stack([lo, hi], axis=1),
-            cells_per_axis=mu.cells_per_axis,
-            label=f"restrict({mu.label})",
-            hull=hull,
-            sections=sections,
-        )
-    if isinstance(mu, MixtureMeasure):
-        return MixtureMeasure(g, [restrict(c, ball) for c in mu.components])
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+    _point(mu.group, ball.center, "ball center")
+    return mu.restrict(ball)
 
 
 def restrict_complement(mu: BoundaryMeasure, ball: G.Ball) -> BoundaryMeasure:
     """Restriction to the complement of a ball (no cancellation in tails)."""
-    g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        if mu.points.size == 0:
-            return mu
-        mask = ~G.ball_contains(g, ball, mu.points)
-        return AtomicMeasure(g, mu.points[mask], mu.weights[mask])
-    if isinstance(mu, DensityMeasure):
-        inner = mu.density_at
-        center, radius = ball.center.copy(), ball.radius
+    _point(mu.group, ball.center, "ball center")
+    return mu.restrict_complement(ball)
 
-        def clipped(pts, _f=inner):
-            m = np.asarray(G.dist(g, pts, center)) >= radius
-            return np.where(m, _f(pts), 0.0)
 
-        def hull(c, _h=mu.hull_state, _ball=G.Ball(center, radius)):
-            return _meet(_COMPLEMENT[_ball_state(g, c, _ball)], _h(c))
-
-        def sections(b, sl, _s=mu.sections, _ball=G.Ball(center, radius)):
-            return _cut_out(*_s(b, sl), *_ball_section(g, b, sl, _ball))
-
-        return DensityMeasure(
-            g,
-            clipped,
-            mu.support_box.copy(),
-            cells_per_axis=mu.cells_per_axis,
-            label=f"restrict_complement({mu.label})",
-            hull=hull,
-            sections=sections,
-        )
-    if isinstance(mu, MixtureMeasure):
-        return MixtureMeasure(g, [restrict_complement(c, ball) for c in mu.components])
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
 
 
 # ---------------------------------------------------------------------------

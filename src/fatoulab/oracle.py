@@ -21,13 +21,8 @@ import numpy as np
 
 from .errors import MeasureError, NumericsError
 from . import groups as G
-from .measures import (
-    AtomicMeasure,
-    BoundaryMeasure,
-    DensityMeasure,
-    MixtureMeasure,
-    translate_measure,
-)
+from .measures import (AtomicMeasure, BoundaryMeasure, measure_ball,
+                       translate_measure)
 
 __all__ = [
     "PathEnsemble",
@@ -146,37 +141,29 @@ def mc_ball_volume(g: G.GroupDescriptor, radius: float = 1.0,
 
 
 def _mc_ball_mass(mu, ball: G.Ball, n_samples: int, seed: int):
-    """(estimate, stderr) for nu(ball); exact for atomic parts."""
+    """(estimate, stderr) for nu(ball); exact for atomic parts.
+
+    Density part i samples with seed + 7 * i.
+    """
     g = mu.group
-    if isinstance(mu, AtomicMeasure):
-        if mu.points.shape[0] == 0:
-            return 0.0, 0.0
-        mask = G.ball_contains(g, ball, mu.points)
-        return float(mu.weights[mask].sum()), 0.0
-    if isinstance(mu, DensityMeasure):
+    vals, errs = [], []
+    for i, part in enumerate(mu.parts()):
+        if isinstance(part, AtomicMeasure):
+            vals.append(measure_ball(part, ball)[0])
+            continue
         bb = G.ball_bounding_box(g, ball)
-        lo = np.maximum(bb[:, 0], mu.support_box[:, 0])
-        hi = np.minimum(bb[:, 1], mu.support_box[:, 1])
+        lo = np.maximum(bb[:, 0], part.support_box[:, 0])
+        hi = np.minimum(bb[:, 1], part.support_box[:, 1])
         if np.any(hi <= lo):
-            return 0.0, 0.0
+            vals.append(0.0)
+            continue
         vol = float(np.prod(hi - lo))
-        rng = _step_rng(seed, 1)
+        rng = _step_rng(seed + 7 * i, 1)
         pts = rng.uniform(lo, hi, size=(n_samples, g.total_dim))
-        vals = mu.density_at(pts) * G.ball_contains(g, ball, pts)
-        return (
-            float(vals.mean() * vol),
-            float(vals.std(ddof=1) / math.sqrt(n_samples) * vol),
-        )
-    if isinstance(mu, MixtureMeasure):
-        parts = [
-            _mc_ball_mass(c, ball, n_samples, seed + 7 * i)
-            for i, c in enumerate(mu.components)
-        ]
-        return (
-            float(sum(v for v, _ in parts)),
-            float(math.sqrt(sum(e ** 2 for _, e in parts))),
-        )
-    raise MeasureError(f"unsupported measure type {type(mu).__name__}")
+        f = part.density_at(pts) * G.ball_contains(g, ball, pts)
+        vals.append(float(f.mean() * vol))
+        errs.append(float(f.std(ddof=1) / math.sqrt(n_samples) * vol))
+    return float(sum(vals)), math.hypot(*errs)
 
 
 def oracle_strong_derivative(mu: BoundaryMeasure, x0, radii,

@@ -182,7 +182,7 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
         fn = _density_fn(g, fam, params, f"{where}.params")
-        return DensityMeasure(g, fn, box, label=f"{fam}")
+        return DensityMeasure(g, fn, box)
     if kind == "mixture":
         _check_keys(spec, {"type", "components"}, {"type", "components"}, where)
         comps = spec["components"]

@@ -210,7 +210,7 @@ def _random_density(g, rng):
         rho = np.asarray(F.norm(g, p))
         return _a + _b * rho ** 2
 
-    return F.DensityMeasure(g, fn, box, label="rand-poly")
+    return F.DensityMeasure(g, fn, box)
 
 
 def test_criterion_5_commutation(capsys):

@@ -25,7 +25,7 @@ from fatoulab.quadrature import gauss_legendre, tensor_rule, weighted_sum
 def line_quadratic():
     g = F.euclidean_group(1)
     return F.DensityMeasure(
-        g, lambda x: 1.0 + x[..., 0] ** 2, [[-8.0, 8.0]], label="quadratic"
+        g, lambda x: 1.0 + x[..., 0] ** 2, [[-8.0, 8.0]]
     )
 
 
@@ -35,7 +35,6 @@ def plane_quadratic():
         g,
         lambda x: 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2,
         [[-8.0, 8.0], [-8.0, 8.0]],
-        label="quadratic2",
     )
 
 
@@ -163,7 +162,7 @@ def test_duality_density_line(p1):
 def test_duality_density_heisenberg(gh, ph):
     mu = F.DensityMeasure(
         gh, lambda p: np.ones(p.shape[:-1]),
-        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]], label="lebesgue",
+        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
     out = F.duality_check(mu, ph, np.array([0.2, 0.1, 0.0]), 0.5)
     assert out["rel_diff"] <= 1e-2
@@ -267,7 +266,7 @@ _DILATION = 0.8
 
 def _derived_densities(g):
     n = g.total_dim
-    base = F.DensityMeasure(g, _bump, [[-1.5, 1.5]] * n, label="bump")
+    base = F.DensityMeasure(g, _bump, [[-1.5, 1.5]] * n)
     moved = F.translate_measure(base, _X0[:n])
     ball = F.Ball(np.zeros(n), _RADIUS)
     clipped = F.restrict(moved, ball)

@@ -134,7 +134,7 @@ def test_sandwich_atomic_line(g1):
 
 def test_sandwich_density_line(g1):
     mu = F.DensityMeasure(
-        g1, lambda x: 1.0 + 0.5 * x[..., 0] ** 2, [[-2.0, 2.0]], label="q"
+        g1, lambda x: 1.0 + 0.5 * x[..., 0] ** 2, [[-2.0, 2.0]]
     )
     report = F.check_sandwich(mu, np.array([0.3]))
     assert report["chain_ok"]
@@ -151,7 +151,6 @@ def test_nontangential_dominates_radial(g2):
         g2,
         lambda p: np.exp(-p[..., 0] ** 2 - p[..., 1] ** 2),
         [[-2.0, 2.0], [-2.0, 2.0]],
-        label="bump2",
     )
     phi = F.default_profile()
     x = np.array([0.4, -0.2])
@@ -165,7 +164,7 @@ def test_nontangential_dominates_radial(g2):
 def test_mollifier_recovers_profile_mass(gh):
     mu = F.DensityMeasure(
         gh, lambda p: np.ones(p.shape[:-1]),
-        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]], label="lebesgue",
+        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
     got = F.mollifier_convolution(mu, F.default_profile(), np.zeros(3), 0.5)
     assert got == pytest.approx(math.pi ** 2 / 4.0, rel=1e-3)
@@ -177,7 +176,7 @@ def test_profiles_sharing_a_label_keep_their_own_grids(g2):
     # the phi-weighted grid belongs to the profile, not to its label:
     # integral of exp(-a r^2) over the plane is pi / a
     mu = F.DensityMeasure(g2, lambda p: np.ones(p.shape[:-1]),
-                          [[-1.0, 1.0], [-1.0, 1.0]], label="unit")
+                          [[-1.0, 1.0], [-1.0, 1.0]])
     wide = F.RadialProfile(lambda r: np.exp(-np.asarray(r) ** 2), "p")
     narrow = F.RadialProfile(lambda r: np.exp(-4.0 * np.asarray(r) ** 2), "p")
     x = np.zeros(2)

@@ -27,7 +27,6 @@ def quadratic_line_measure(scale=1.0, half_width=2.0):
         g,
         lambda x: scale * (1.0 + x[..., 0] ** 2),
         [[-half_width, half_width]],
-        label="quadratic",
     )
 
 
@@ -101,7 +100,7 @@ def test_density_ball_mass_line():
 def test_density_ball_mass_heisenberg(gh):
     mu = F.DensityMeasure(
         gh, lambda p: np.ones(p.shape[:-1]),
-        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]], label="lebesgue",
+        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
     val, err = F.measure_ball(mu, F.Ball(np.zeros(3), 1.0))
     assert val == pytest.approx(V1_H, rel=1e-12)
@@ -179,11 +178,11 @@ def _ball_cases(g, f):
     def at(*coords):
         return np.array(coords[:n], dtype=float)
 
-    mu = F.DensityMeasure(g, f, [[-1.0, 1.3]] * n, label="smooth")
+    mu = F.DensityMeasure(g, f, [[-1.0, 1.3]] * n)
     clip = F.Ball(at(-0.1, 0.2, 0.05), 0.9)
     derived = F.restrict(F.translate_measure(mu, at(0.3, -0.2, 0.1)), clip)
     hole = F.restrict_complement(mu, F.Ball(at(0.1, 0.2, -0.1), 0.9))
-    cell = 2.3 / mu.cells_per_axis
+    cell = 2.3 / F.measures._DEFAULT_CELLS[n]
     return {
         # the smooth region: the polar rule
         "inside": (mu, F.Ball(at(0.1, 0.2, -0.1), 0.5)),
@@ -284,7 +283,7 @@ def test_density_ball_mass_polar_rule_inside(label, monkeypatch):
     peak = np.array([0.2, -0.1, 0.05][:n])
     bump = F.DensityMeasure(
         g, lambda p: np.exp(-8.0 * ((p - peak) ** 2).sum(axis=-1)),
-        [[-3.0, 3.0]] * n, label="bump")
+        [[-3.0, 3.0]] * n)
     ball = F.Ball(np.zeros(n), 1.0)
     val, err = F.measure_ball(bump, ball)
     assert abs(val - _refined_rule_mass(bump, ball, 4)) <= err < 1e-4 * val
@@ -293,7 +292,7 @@ def test_density_ball_mass_polar_rule_inside(label, monkeypatch):
 def test_ball_just_holding_the_support_matches_per_corner_rule(g1, monkeypatch):
     # the far corner of the support is inside by one ulp, but the edge
     # cell's own corner c + h/2 rounds out of the ball: not a covering ball
-    mu = F.DensityMeasure(g1, _smooth, [[-0.7, 0.9]], label="smooth")
+    mu = F.DensityMeasure(g1, _smooth, [[-0.7, 0.9]])
     center = np.array([0.1])
     reach = float(np.max(G.dist(g1, mu.support_box.T, center)))
     ball = F.Ball(center, float(np.nextafter(reach, np.inf)))
@@ -401,7 +400,7 @@ def test_derivative_errors_bound_the_quotient_errors():
 def test_derivative_lebesgue_heisenberg(gh):
     mu = F.DensityMeasure(
         gh, lambda p: np.ones(p.shape[:-1]),
-        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]], label="lebesgue",
+        [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
     trace = F.strong_derivative(mu, np.zeros(3), radii=F.default_radii(8))
     assert trace.converged
@@ -475,7 +474,7 @@ def _cube(center, half):
 def test_hull_state_against_box_and_balls(label):
     g = F.get_group(label)
     n = g.total_dim
-    mu = F.DensityMeasure(g, _smooth, [[-1.0, 1.0]] * n, label="smooth")
+    mu = F.DensityMeasure(g, _smooth, [[-1.0, 1.0]] * n)
     ball = F.Ball(np.zeros(n), 0.5)
     inner = F.restrict(mu, ball)
     hole = F.restrict_complement(mu, ball)
@@ -508,3 +507,198 @@ def test_hull_state_against_box_and_balls(label):
         _cube(G.dilate(g, 0.25, on_sphere), tiny)) == "cut"
     assert F.dilate_measure(inner, 4.0).hull_state(
         _cube(G.dilate(g, 0.25, beside), tiny)) == "outside"
+
+
+# ---------------------------------------------------------------------------
+# input checks of the measure operations
+# ---------------------------------------------------------------------------
+
+_BAD_INPUT = {
+    "ball-nan-radius": lambda mu: F.Ball(np.zeros(3), np.nan),
+    "ball-inf-radius": lambda mu: F.Ball(np.zeros(3), np.inf),
+    "ball-nan-center": lambda mu: F.Ball([np.nan, 0.0, 0.0], 1.0),
+    "ball-inf-center": lambda mu: F.Ball([0.0, -np.inf, 0.0], 1.0),
+    "translate-length": lambda mu: F.translate_measure(mu, [0.1, 0.2]),
+    "translate-nan": lambda mu: F.translate_measure(mu, [0.1, np.nan, 0.0]),
+    "restrict-length": lambda mu: F.restrict(mu, F.Ball([0.0, 0.0], 1.0)),
+    "complement-length": lambda mu: F.restrict_complement(
+        mu, F.Ball([0.0, 0.0, 0.0, 0.0], 1.0)),
+    "measure-ball-length": lambda mu: F.measure_ball(
+        mu, F.Ball([0.0, 0.0], 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT))
+def test_measure_operations_reject_bad_input(gh, case):
+    mu = F.MixtureMeasure(gh, [
+        F.DensityMeasure(gh, _smooth, [[-1.0, 1.0]] * 3),
+        F.AtomicMeasure(gh, [[0.1, 0.2, 0.0]], [1.0]),
+    ])
+    with pytest.raises(F.GroupError):
+        _BAD_INPUT[case](mu)
+
+
+# ---------------------------------------------------------------------------
+# derived-density geometry: sections and hull states against density_at
+# ---------------------------------------------------------------------------
+
+_CHAIN_R = 1.7
+
+
+def _chains(g):
+    """Derived densities of a positive base f, by chain name."""
+    n = g.total_dim
+
+    def at(*coords):
+        return np.array(coords[:n], dtype=float)
+
+    base = F.DensityMeasure(g, _smooth, [[-1.0, 1.2]] * n)
+    return {
+        "translate-translate": F.translate_measure(
+            F.translate_measure(base, at(0.3, -0.2, 0.1)),
+            at(-0.1, 0.25, -0.2)),
+        "restrict-dilate": F.dilate_measure(
+            F.restrict(base, F.Ball(at(0.1, 0.2, -0.1), 0.8)), _CHAIN_R),
+        "complement-translate": F.translate_measure(
+            F.restrict_complement(base, F.Ball(at(-0.2, 0.1, 0.05), 0.6)),
+            at(0.2, 0.3, -0.1)),
+    }
+
+
+def _section_misses(mu, sections, n_lines=60, n_tau=200, seed=0):
+    """Samples along random vertical lines where the density disagrees with
+    the intervals of ``sections``: nonzero outside them or zero strictly
+    inside one. Samples within 1e-9 of an interval end are skipped."""
+    g = mu.group
+    rng = np.random.default_rng(seed)
+    box = mu.support_box
+    pad = 0.2 * (box[:, 1] - box[:, 0])
+    base = rng.uniform(box[:, 0] - pad, box[:, 1] + pad, (n_lines, g.total_dim))
+    slope = rng.choice([-1.0, 1.0], n_lines) * rng.uniform(0.5, 2.0, n_lines)
+    misses = 0
+    for j in range(n_lines):
+        lo, hi = sections(base[j:j + 1], slope[j])
+        lo, hi = lo[0][lo[0] < hi[0]], hi[0][lo[0] < hi[0]]
+        # the line meets the support box for tau in this range
+        ends = (box[-1] - base[j, -1]) / slope[j]
+        span = ends.max() - ends.min()
+        tau = rng.uniform(ends.min() - 0.2 * span, ends.max() + 0.2 * span,
+                          n_tau)
+        pts = np.repeat(base[j:j + 1], n_tau, axis=0)
+        pts[:, -1] += tau * slope[j]
+        f = mu.density_at(pts)
+        eps = 1e-9 * max(span, 1.0)
+        inside = np.any((tau[:, None] > lo + eps) & (tau[:, None] < hi - eps),
+                        axis=1)
+        near = np.any((np.abs(tau[:, None] - lo) <= eps)
+                      | (np.abs(tau[:, None] - hi) <= eps), axis=1)
+        misses += int(np.sum(inside & ~(f > 0.0)))
+        misses += int(np.sum(~inside & ~near & (f != 0.0)))
+    return misses
+
+
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+@pytest.mark.parametrize("chain", ["translate-translate", "restrict-dilate",
+                                   "complement-translate"])
+def test_sections_bound_the_density_on_vertical_lines(label, chain):
+    mu = _chains(F.get_group(label))[chain]
+    assert _section_misses(mu, mu.sections) == 0
+
+
+def test_sections_negative_control_wrong_dilation_power(gh):
+    # the dilated line's slope scaled by r instead of r^2 (the column axis
+    # of heisenberg:1 is in the second layer; on R^n the two coincide)
+    mu = _chains(gh)["restrict-dilate"]
+    e = gh.layer_exponents[-1]
+    assert e == 2
+
+    def wrong(base, slope):
+        return mu.sections(base, slope * _CHAIN_R ** (1 - e))
+
+    assert _section_misses(mu, wrong) > 0
+
+
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+@pytest.mark.parametrize("chain", ["translate-translate", "restrict-dilate",
+                                   "complement-translate"])
+def test_hull_state_matches_density_samples(label, chain):
+    g = F.get_group(label)
+    n = g.total_dim
+    mu = _chains(g)[chain]
+    rng = np.random.default_rng(3)
+    box = mu.support_box
+    width = box[:, 1] - box[:, 0]
+    seen = {"inside": 0, "outside": 0, "cut": 0}
+    for _ in range(200):
+        center = rng.uniform(box[:, 0] - 0.3 * width, box[:, 1] + 0.3 * width)
+        half = rng.uniform(0.005, 0.05, n) * width
+        state = mu.hull_state(_cube(center, half))
+        seen[state] += 1
+        f = mu.density_at(center + half * rng.uniform(-1.0, 1.0, (300, n)))
+        if state == "outside":
+            assert np.all(f == 0.0), (center, half)
+        elif state == "inside":
+            assert np.all(f > 0.0), (center, half)
+    assert seen["inside"] and seen["outside"] and seen["cut"], seen
+
+
+# ---------------------------------------------------------------------------
+# mixtures: every consumer sums over the parts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+def test_mixture_consumers_sum_over_components(label):
+    g = F.get_group(label)
+    n = g.total_dim
+
+    def at(*coords):
+        return np.array(coords[:n], dtype=float)
+
+    def reduce(mu):
+        mu = F.translate_measure(mu, at(0.2, -0.1, 0.05))
+        mu = F.restrict(mu, F.Ball(np.zeros(n), 1.2))
+        mu = F.restrict_complement(mu, F.Ball(at(0.5, 0.4, 0.0), 0.25))
+        return F.dilate_measure(mu, 1.5)
+
+    atoms = F.AtomicMeasure(
+        g, [at(0.25, -0.05, 0.1), at(-0.1, 0.3, 0.0), at(0.6, -0.4, 0.2)],
+        [1.0, 2.0, 0.5])
+    dens = F.DensityMeasure(g, _smooth, [[-1.0, 1.2]] * n)
+    mix = reduce(F.MixtureMeasure(g, [atoms, dens]))
+    comps = [reduce(atoms), reduce(dens)]
+    assert [type(p) for p in mix.parts()] == [F.AtomicMeasure, F.DensityMeasure]
+    assert comps[0].points.shape[0] == 3
+
+    def summed(values):
+        return pytest.approx(sum(values), rel=1e-12, abs=1e-300)
+
+    ball = F.Ball(at(0.05, 0.1, 0.0), 0.4)
+    val, err = F.measure_ball(mix, ball)
+    assert val == summed(F.measure_ball(c, ball)[0] for c in comps)
+    assert err == summed(F.measure_ball(c, ball)[1] for c in comps)
+    assert val > F.measure_ball(comps[0], ball)[0] > 0.0
+
+    profile = F.profile_for(g)
+    x, t = at(0.05, -0.02, 0.01), 0.05
+    assert F.HeatExtension(mix, profile)(x, t) == summed(
+        F.HeatExtension(c, profile)(x, t) for c in comps)
+
+    phi = F.default_profile()
+    for s in (0.3, 2.0):  # the scaled grid and the cell grid
+        assert F.mollifier_convolution(mix, phi, x, s) == summed(
+            F.mollifier_convolution(c, phi, x, s) for c in comps)
+
+    # part i samples with seed + 7 i; atoms are counted exactly
+    radii = np.array([0.4, 0.2])
+    out = F.oracle_strong_derivative(mix, x, radii, n_samples=20_000, seed=3)
+    per = [F.oracle_strong_derivative(c, x, radii, n_samples=20_000,
+                                      seed=3 + 7 * i)
+           for i, c in enumerate(comps)]
+    assert list(out["quotients"]) == [
+        summed(q) for q in zip(*(p["quotients"] for p in per))]
+    assert np.all(per[0]["stderr"] == 0.0)
+    assert list(out["stderr"]) == [summed([e]) for e in per[1]["stderr"]]
+    moved = F.translate_measure(comps[0], x)
+    assert list(per[0]["quotients"]) == [
+        F.measure_ball(moved, F.Ball(np.zeros(n), r))[0] / F.ball_volume(g, r)
+        for r in radii]

@@ -95,7 +95,7 @@ def test_mc_ball_volume_heisenberg(gh):
 
 def test_oracle_quotients_match_quadrature(g1):
     mu = F.DensityMeasure(
-        g1, lambda x: 1.0 + x[..., 0] ** 2, [[-2.0, 2.0]], label="quadratic"
+        g1, lambda x: 1.0 + x[..., 0] ** 2, [[-2.0, 2.0]]
     )
     radii = np.array([1.0, 0.5, 0.25])
     out = F.oracle_strong_derivative(mu, np.zeros(1), radii,
