@@ -44,7 +44,7 @@ import numpy as np
 from .errors import MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .quadrature import gauss_legendre, tensor_rule, weighted_sum
+from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -125,7 +125,9 @@ def _density_rows(mu: DensityMeasure, x: np.ndarray, eta_t: np.ndarray,
     f = np.empty(n_rows)
     for start in range(0, n_rows, _ETA_BLOCK):
         block = slice(start, start + _ETA_BLOCK)
-        sel = eta_t[block] if rows is None else eta_t[rows[block]]
+        # a row gather of a column-major array would come out row-major
+        sel = eta_t[block] if rows is None else point_array(
+            col[rows[block]] for col in eta_t.T)
         f[block] = mu.density_at(G.mul(g, x, sel))
     return f
 
@@ -205,7 +207,7 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     col, _, panel = np.nonzero(part)
     a, b = p_lo[part], p_hi[part]
     ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
-    eta = np.repeat(heads[col], order, axis=0)
+    eta = point_array(np.repeat(h[col], order) for h in heads.T)
     eta[:, -1] = ((0.5 * (a + b))[:, None]
                   + 0.5 * (b - a)[:, None] * ref_x).ravel()
     w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import GroupError, NumericsError
-from .quadrature import SphereChart, ball_rule, gauss_legendre
+from .quadrature import SphereChart, ball_rule, gauss_legendre, point_array
 
 __all__ = [
     "GROUP_LABELS",
@@ -108,6 +108,16 @@ class GroupDescriptor:
     left translation x -> c * x is affine, so B(c, r) = c * B(0, r) is
     convex. A new gauge must keep this: ball masses of densities treat a
     ball that holds the corners of a box as holding the whole box.
+
+    ``mul_fn``, ``inv_fn`` and ``norm_fn`` act row by row on arrays whose
+    last axis holds the coordinates, broadcasting over the leading axes,
+    and keep their operands' layout: on the column-major point arrays of
+    :mod:`fatoulab.quadrature` they return column-major arrays, and a row's
+    value does not depend on the layout. The gauge must be symmetric,
+    N(x^-1) = N(x), with an inverse that is exact (negation on both shipped
+    groups), so that d(x, y) = N(y^-1 * x) and d(y, x) give the same bits;
+    `dist` to many points passes them first, so that only the single point
+    is inverted.
     """
 
     label: str
@@ -204,7 +214,11 @@ def norm(g: GroupDescriptor, x) -> np.ndarray | float:
 
 
 def dist(g: GroupDescriptor, x, y) -> np.ndarray | float:
-    """Quasi-distance d(x, y) = d(y^(-1) * x)."""
+    """Quasi-distance d(x, y) = d(y^(-1) * x).
+
+    Symmetric, so the distances from one point to many are taken with the
+    many as ``x``: only the one point is inverted.
+    """
     return g.norm_fn(g.mul_fn(g.inv_fn(_coords(y)), _coords(x)))
 
 
@@ -265,9 +279,9 @@ def _eu_norm(a):
 
 
 def _h1_mul(a, b):
-    # the coordinate sums, then 2 (y x' - x y') added in place to the last
-    # column: s'' = (s + s') + 2 (y x' - x y')
-    out = np.add(a, b, order="C")
+    # the coordinate sums, in the operands' layout, then 2 (y x' - x y')
+    # added in place to the last column: s'' = (s + s') + 2 (y x' - x y')
+    out = np.add(a, b, order="K")
     c = a[..., 1] * b[..., 0]
     c -= a[..., 0] * b[..., 1]
     c *= 2.0
@@ -536,7 +550,7 @@ def unit_ball_rule(g: GroupDescriptor):
             )
         nodes.append(x)
         weights.append(w)
-    g._ball_rules["rule"] = out = (np.vstack(nodes), *weights)
+    g._ball_rules["rule"] = out = (point_array(np.vstack(nodes).T), *weights)
     return out
 
 

@@ -19,15 +19,22 @@ for atomic measures; densities carry a small quadrature allowance), while
 the upper one is checked with a disclosed slack covering the gap between a
 grid sup and the true sup.
 
-Density convolutions switch quadrature by scale: for small s the mollifier
-is sharp, so a fixed phi-weighted polar grid in the scaled variable is
-used; for s above the support cell size the original-variable cell grid
-resolves phi_s directly and reuses cached density values.
+All convolutions go through one function over rows (point, scale): the
+radial maximum's scales, every cone placement of the nontangential maximum
+at every scale, and a single `mollifier_convolution`, which is one row, so
+a maximal value equals the single convolution bit for bit. Atomic parts
+take one (rows, atoms) distance matrix. Density convolutions switch
+quadrature by scale: for small s the mollifier is sharp, so a fixed
+phi-weighted polar grid in the scaled variable is used; for s above the
+support cell size the original-variable cell grid resolves phi_s directly
+and reuses cached density values. Scale and radius grids must be finite,
+positive and strictly increasing.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +43,13 @@ from .errors import CertificationError, MeasureError
 from . import groups as G
 from . import kernels as K
 from .extension import HeatExtension
-from .quadrature import gauss_legendre, weighted_sum
+from .quadrature import gauss_legendre, point_array, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
     DensityMeasure,
-    measure_ball,
+    _point,
+    ball_masses,
 )
 
 __all__ = [
@@ -59,6 +67,10 @@ __all__ = [
 ]
 
 _SCALE_SWITCH = 1.0  # density conv: scaled grid below, cell grid above
+
+# (row, atom) entries per block of an atomic convolution; rows are
+# independent, so blocks bound memory without moving a value
+_ATOM_ENTRIES = 1 << 16
 
 # values within this many ulps (relative) of a maximum tie for its argmax
 _ARGMAX_ULPS = 4
@@ -105,6 +117,24 @@ def geometric_grid(r_min: float = 1e-3, r_max: float = 1e3,
     return np.geomspace(r_min, r_max, n)
 
 
+def _scale_grid(grid, r_max: float = 1e3) -> np.ndarray:
+    """A scale or radius grid: ``grid``, or the geometric grid on
+    [1e-3, r_max] when None.
+
+    It must be a non-empty 1-d array of finite, positive and strictly
+    increasing values: the divergence flag reads its first entry as the
+    smallest scale.
+    """
+    s = np.asarray(geometric_grid(1e-3, r_max) if grid is None else grid,
+                   dtype=float)
+    if (s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s))
+            or not s[0] > 0 or np.any(np.diff(s) <= 0)):
+        raise MeasureError("a scale grid must be a non-empty 1-d array of "
+                           "finite, positive, strictly increasing values, "
+                           f"got {np.array2string(s, threshold=8)}")
+    return s
+
+
 def _argmax(values: np.ndarray) -> int:
     """First index within _ARGMAX_ULPS ulps of the maximum.
 
@@ -134,14 +164,15 @@ def _decade_flag(scales: np.ndarray, values: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
-    """Grid sup of ball-mass quotients; flags divergence at small radii."""
+    """Grid sup of ball-mass quotients; flags divergence at small radii.
+
+    The masses are ``measure_ball``'s, bit for bit; an atomic part takes
+    its distances to x once for all radii (see ``ball_masses``).
+    """
     g = mu.group
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(radii if radii is not None else geometric_grid(), dtype=float)
-    quot = np.array(
-        [measure_ball(mu, G.Ball(x, float(rr)))[0] / G.ball_volume(g, float(rr))
-         for rr in r]
-    )
+    r = _scale_grid(radii)
+    masses = ball_masses(mu, x, r)
+    quot = masses / np.array([G.ball_volume(g, float(rr)) for rr in r])
     return {
         "value": float(quot.max()),
         "argmax_r": float(r[_argmax(quot)]),
@@ -165,8 +196,8 @@ def _phi_grid(g: G.GroupDescriptor, phi: RadialProfile):
     omega, w_s = g.sphere.rule(g.sphere.coarse)
     r, w_r = gauss_legendre(0.0, min(phi.support_radius, 50.0), 4)
     exps = np.array(g.layer_exponents, dtype=float)
-    eta = r[:, None, None] ** exps[None, None, :] * omega[None, :, :]
-    eta = eta.reshape(-1, g.total_dim)
+    eta = point_array(np.moveaxis(
+        r[:, None, None] ** exps[None, None, :] * omega[None, :, :], -1, 0))
     w = (w_r * r ** (g.hom_dim - 1) * phi(r))[:, None] * w_s[None, :]
     phi._grids[g] = out = (G.inverse(g, eta), w.ravel())
     return out
@@ -182,73 +213,67 @@ def _density_cells(mu: DensityMeasure):
     return cache
 
 
-def _cell_conv(g: G.GroupDescriptor, masses: np.ndarray, rho: np.ndarray,
-               phi: RadialProfile, s: float) -> float:
-    """(nu * phi_s)(x) on the cell grid, from the cell distances rho to x."""
-    return s ** (-g.hom_dim) * weighted_sum(masses, phi(rho / s))
+def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
+               s: np.ndarray) -> np.ndarray:
+    """(nu * phi_s)(x) for each row (x, s) of ``pts`` (m, n) and ``s`` (m,).
 
-
-def _conv_one(mu, phi: RadialProfile, x: np.ndarray, s: float) -> float:
-    """(nu * phi_s)(x) for a single scale."""
+    Atomic parts take one (m, k) matrix of distances from the rows' points
+    to the k atoms (in row blocks of ``_ATOM_ENTRIES`` entries), one phi
+    evaluation over it and a sum along each row in a fixed order (numpy's
+    ``add.reduce`` on C-ordered rows, not BLAS), so a row's value does not
+    depend on the other rows. Density parts keep one rule per scale:
+    below ``_SCALE_SWITCH`` the phi-weighted grid in the scaled variable,
+    one density evaluation per row; above it the cached cell grid, with one
+    set of cell distances for each run of rows that share a point.
+    """
     g = mu.group
-    total = 0.0
+    total = np.zeros(s.size)
     for part in mu.parts():
         if isinstance(part, AtomicMeasure):
             if part.points.shape[0] == 0:
                 continue
-            rho = np.asarray(G.dist(g, x, part.points))
-            total += float(s ** (-g.hom_dim) * (part.weights @ phi(rho / s)))
-        elif s <= _SCALE_SWITCH:
+            step = _ATOM_ENTRIES // part.points.shape[0] + 1
+            for start in range(0, s.size, step):
+                rows = slice(start, start + step)
+                rho = np.asarray(G.dist(g, part.points[None, :, :],
+                                        pts[rows, None, :]))
+                vals = np.ascontiguousarray(
+                    phi(rho / s[rows, None]) * part.weights)
+                total[rows] += (s[rows] ** (-g.hom_dim)
+                                * np.add.reduce(vals, axis=1))
+            continue
+        vals = np.empty(s.size)
+        for i in np.flatnonzero(s <= _SCALE_SWITCH):
             eta_inv, w = _phi_grid(g, phi)
-            y = G.mul(g, x, G.dilate(g, s, eta_inv))
-            total += weighted_sum(w, part.density_at(y))
-        else:
+            y = G.mul(g, pts[i], G.dilate(g, float(s[i]), eta_inv))
+            vals[i] = weighted_sum(w, part.density_at(y))
+        x = None
+        for i in np.flatnonzero(s > _SCALE_SWITCH):
             centers, masses = _density_cells(part)
-            total += _cell_conv(g, masses, np.asarray(G.dist(g, x, centers)),
-                                phi, s)
+            if x is None or not np.array_equal(pts[i], x):
+                x = pts[i]
+                rho = np.asarray(G.dist(g, centers, x))
+            ss = float(s[i])
+            vals[i] = ss ** (-g.hom_dim) * weighted_sum(masses, phi(rho / ss))
+        total += vals
     return total
 
 
 def mollifier_convolution(mu: BoundaryMeasure, phi: RadialProfile, x,
                           s: float) -> float:
     """(nu * phi_s)(x) with phi_s(y) = s^(-Q) phi(rho(y)/s)."""
-    if not (s > 0):
-        raise MeasureError(f"scale must be positive, got {s}")
-    return _conv_one(mu, phi, np.asarray(x, dtype=float), float(s))
-
-
-def _conv_profile(mu, phi, x: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Convolution values along a whole scale grid (vectorized where cheap)."""
-    g = mu.group
-    total = np.zeros(s_grid.size)
-    for part in mu.parts():
-        if isinstance(part, AtomicMeasure):
-            if part.points.shape[0] == 0:
-                continue
-            rho = np.asarray(G.dist(g, x, part.points))
-            mat = phi(rho[None, :] / s_grid[:, None])
-            total += s_grid ** (-g.hom_dim) * (mat @ part.weights)
-            continue
-        # scaled-grid scales one at a time, then the cell-grid scales, which
-        # share one set of cell distances
-        cell = s_grid > _SCALE_SWITCH
-        out = np.empty(s_grid.size)
-        out[~cell] = [_conv_one(part, phi, x, float(s)) for s in s_grid[~cell]]
-        if np.any(cell):
-            centers, masses = _density_cells(part)
-            rho = np.asarray(G.dist(g, x, centers))
-            out[cell] = [_cell_conv(g, masses, rho, phi, float(s))
-                         for s in s_grid[cell]]
-        total += out
-    return total
+    if not (s > 0) or not math.isfinite(s):
+        raise MeasureError(f"scale must be positive and finite, got {s}")
+    x = _point(mu.group, x, "convolution point")
+    return float(_conv_rows(mu, phi, x[None, :], np.array([float(s)]))[0])
 
 
 def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
                s_grid=None) -> dict:
     """Grid sup over scales of (nu * phi_s)(x)."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s_grid if s_grid is not None else geometric_grid(), dtype=float)
-    vals = _conv_profile(mu, phi, x, s)
+    x = _point(mu.group, x, "query point")
+    s = _scale_grid(s_grid)
+    vals = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     return {
         "value": float(vals.max()),
         "argmax_s": float(s[_argmax(vals)]),
@@ -258,39 +283,45 @@ def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     }
 
 
+def _cone_points(g: G.GroupDescriptor, x: np.ndarray, r: np.ndarray,
+                 omega: np.ndarray) -> np.ndarray:
+    """x * delta_(r_i)(omega) for each r_i > 0: rows (len(r), n).
+
+    Each row takes the same bits as ``G.mul(g, x, G.dilate(g, r_i,
+    omega))``: the dilation factors r_i^e are Python powers, as there.
+    """
+    scale = np.array([[float(ri) ** e for e in g.layer_exponents] for ri in r])
+    return G.mul(g, x, omega * scale)
+
+
 def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
                       alpha: float, s_grid=None, betas=(0.0, 0.6, 0.9),
                       n_directions: int = 4) -> dict:
     """Grid sup of (nu * phi_s)(x') over the cone d(x, x') < alpha * s.
 
-    Samples x' = x * delta_(beta * alpha * s)(omega); beta = 0 reproduces the
-    radial value, so the nontangential grid sup dominates the radial one by
-    construction.
+    Samples x' = x * delta_(beta * alpha * s)(omega) for beta in [0, 1) and
+    ``n_directions`` >= 1 unit directions; beta = 0 is x itself and
+    reproduces the radial value, so the nontangential grid sup dominates
+    the radial one by construction. All placements at all scales are rows
+    of one convolution call.
     """
     g = mu.group
-    x = np.asarray(x, dtype=float)
-    if not (alpha > 0):
-        raise MeasureError(f"aperture must be positive, got {alpha}")
-    s = np.asarray(s_grid if s_grid is not None else geometric_grid(), dtype=float)
+    x = _point(g, x, "query point")
+    if not (alpha > 0) or not math.isfinite(alpha):
+        raise MeasureError(f"aperture must be positive and finite, got {alpha}")
+    betas = [float(b) for b in betas]
+    if not all(0.0 <= b < 1.0 for b in betas):
+        raise MeasureError(f"cone placements need beta in [0, 1), got {betas}")
+    if not (isinstance(n_directions, numbers.Integral) and n_directions >= 1):
+        raise MeasureError(
+            f"n_directions must be an integer >= 1, got {n_directions!r}")
+    s = _scale_grid(s_grid)
     dirs = G.unit_directions(g, n_directions)
-    placements = [(0.0, 0)]
-    placements += [
-        (float(b), k) for b in betas if b > 0 for k in range(n_directions)
-    ]
-    best = np.full(s.size, -np.inf)
-    for beta, k in placements:
-        if beta == 0.0:
-            vals = _conv_profile(mu, phi, x, s)
-        else:
-            vals = np.array([
-                _conv_one(
-                    mu, phi,
-                    G.mul(g, x, G.dilate(g, beta * alpha * float(ss), dirs[k])),
-                    float(ss),
-                )
-                for ss in s
-            ])
-        best = np.maximum(best, vals)
+    pts = [np.broadcast_to(x, (s.size, x.size))]
+    pts += [_cone_points(g, x, beta * alpha * s, dirs[k])
+            for beta in betas if beta > 0 for k in range(n_directions)]
+    vals = _conv_rows(mu, phi, np.concatenate(pts), np.tile(s, len(pts)))
+    best = vals.reshape(len(pts), s.size).max(axis=0)
     return {
         "value": float(best.max()),
         "argmax_s": float(s[_argmax(best)]),
@@ -365,7 +396,7 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     g = mu.group
     x = np.asarray(x, dtype=float)
     phi = phi or default_profile()
-    s = np.asarray(s_grid if s_grid is not None else geometric_grid(), dtype=float)
+    s = _scale_grid(s_grid)
     if slack_lower is None:
         slack_lower = 1e-9 if _is_atomic(mu) else 1e-2
     hl = hardy_littlewood(mu, x, radii=s)
@@ -420,9 +451,7 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     convention phi_s = s^(-Q) phi(delta_(1/s) argument).
     """
     x = np.asarray(x, dtype=float)
-    s = np.asarray(
-        s_grid if s_grid is not None else geometric_grid(1e-3, 3.0), dtype=float
-    )
+    s = _scale_grid(s_grid, 3.0)
     u = HeatExtension(mu, profile)
     vals = np.array([u(x, float(ss) ** 2) for ss in s])
     return {
@@ -449,9 +478,7 @@ def check_heat_chain(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     c0 = profile.certificate.c0
     g = mu.group
     x = np.asarray(x, dtype=float)
-    s = np.asarray(
-        s_grid if s_grid is not None else geometric_grid(1e-3, 3.0), dtype=float
-    )
+    s = _scale_grid(s_grid, 3.0)
     lo = RadialProfile(
         lambda r: np.exp(-c0 * np.asarray(r) ** 2) / c0,
         f"gauss-lower-{g.label}-{c0:.6g}",

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import GroupError, MeasureError
 from . import groups as G
-from .quadrature import weighted_sum
+from .quadrature import point_array, weighted_sum
 
 __all__ = [
     "BoundaryMeasure",
@@ -64,6 +64,7 @@ __all__ = [
     "MixtureMeasure",
     "DerivativeTrace",
     "measure_ball",
+    "ball_masses",
     "dilate_measure",
     "translate_measure",
     "restrict",
@@ -180,9 +181,9 @@ def _cut_out(lo, hi, lo2, hi2):
 
 
 def _tensor(axes) -> np.ndarray:
-    """Points (N, d) of the grid of per-axis nodes, the first axis slowest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """Points (N, d) of the grid of per-axis nodes, the first axis slowest
+    (column-major, see `point_array`)."""
+    return point_array(np.meshgrid(*axes, indexing="ij"))
 
 
 def _midpoint_axes(box: np.ndarray, cells: int):
@@ -224,6 +225,12 @@ class BoundaryMeasure:
     def _ball_mass(self, ball: G.Ball):
         raise NotImplementedError
 
+    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Values of `measure_ball` on B(center, r) for each r of
+        ``radii``, one call per radius."""
+        return np.array([measure_ball(self, G.Ball(center, float(r)))[0]
+                         for r in radii])
+
 
 class AtomicMeasure(BoundaryMeasure):
     """Finite sum of point masses: sum_i w_i delta_(p_i), w_i >= 0."""
@@ -259,6 +266,13 @@ class AtomicMeasure(BoundaryMeasure):
 
     def _ball_mass(self, ball: G.Ball):
         return float(self.weights[self._in(ball)].sum()), 0.0
+
+    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """`_ball_mass` for each radius, from one set of atom distances."""
+        if self.points.shape[0] == 0:
+            return np.zeros(len(radii))
+        d = np.asarray(G.dist(self.group, self.points, center))
+        return np.array([float(self.weights[d < r].sum()) for r in radii])
 
     def translate(self, x0):
         """Atoms move by p -> x0^-1 * p."""
@@ -571,6 +585,9 @@ class MixtureMeasure(BoundaryMeasure):
         vals, errs = zip(*(c._ball_mass(ball) for c in self.components))
         return float(sum(vals)), float(sum(errs))
 
+    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        return sum(c._ball_masses(center, radii) for c in self.components)
+
     def _each(self, op: str, arg) -> "MixtureMeasure":
         """The mixture of ``op(arg)`` of every component."""
         return MixtureMeasure(
@@ -599,6 +616,18 @@ def measure_ball(mu: BoundaryMeasure, ball: G.Ball):
     """Mass of a quasi-metric ball; returns (value, error_estimate)."""
     _point(mu.group, ball.center, "ball center")
     return mu._ball_mass(ball)
+
+
+def ball_masses(mu: BoundaryMeasure, center, radii) -> np.ndarray:
+    """Masses of the balls B(center, r), r in ``radii``, without error
+    estimates: the values of `measure_ball`, bit for bit, with each atomic
+    part's distances to the center taken once."""
+    center = _point(mu.group, center, "ball center")
+    radii = np.asarray(radii, dtype=float)
+    if not np.all((radii > 0) & (radii < math.inf)):
+        raise GroupError(f"ball radii must be positive and finite, got "
+                         f"{np.array2string(radii, threshold=8)}")
+    return mu._ball_masses(center, radii)
 
 
 def dilate_measure(mu: BoundaryMeasure, r: float) -> BoundaryMeasure:

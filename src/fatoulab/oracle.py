@@ -66,15 +66,18 @@ def simulate_horizontal_bm(g: G.GroupDescriptor, n_paths: int,
     dt = t_final / n_steps
     amp = math.sqrt(2.0 * dt)
     m = g.n_horizontal
-    pos = np.zeros((n_paths, g.total_dim))
-    # column-major, so that filling the first layer writes contiguous columns
+    # column-major, so that filling the first layer writes contiguous
+    # columns and each product reads and writes whole columns
+    pos = np.zeros((n_paths, g.total_dim), order="F")
     increment = np.zeros((n_paths, g.total_dim), order="F")
     for j in range(n_steps):
         increment[:, :m] = amp * _step_rng(seed, j).standard_normal((n_paths, m))
         pos = G.mul(g, pos, increment)
     return PathEnsemble(
         group_label=g.label,
-        endpoints=pos,
+        # handed out row-major: the column sums of `kde_density` (std over
+        # axis 0) are reduced in another order on a column-major array
+        endpoints=np.ascontiguousarray(pos),
         t_final=t_final,
         n_steps=n_steps,
         seed=seed,

@@ -1,5 +1,8 @@
 """The quadrature layer: every grid in fatoulab is built from these rules.
 
+* `point_array`: the one layout of bulk point arrays, (N, n) stored
+  column-major, so that each coordinate of every point is one contiguous
+  column;
 * `gauss_legendre`: composite Gauss-Legendre panels on an interval (radial
   rules, kernel lambda rules, and each axis of the mass and eta grids);
 * `tensor_rule`: tensor products of one-dimensional rules;
@@ -13,6 +16,15 @@
 
 Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
+
+Layout: every rule's nodes, and every other bulk point array (the cell
+centres and corner lattices of density ball masses, the mollifier grid),
+come out of `point_array`. The group primitives act row by row and keep
+their operands' layout, so a product, gauge or dilation over such an array
+reads and writes whole contiguous columns (the Heisenberg law and gauge
+are written per coordinate), where a row-major (N, n) array would be read
+with a stride of n. Layout moves no value: every primitive computes each
+row the same way in either layout.
 """
 
 from __future__ import annotations
@@ -23,11 +35,22 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "tensor_rule", "SphereChart", "ball_rule",
-           "weighted_sum"]
+__all__ = ["point_array", "gauss_legendre", "tensor_rule", "SphereChart",
+           "ball_rule", "weighted_sum"]
 
 # rows per block of `weighted_sum`
 _SUM_BLOCK = 1 << 15
+
+
+def point_array(columns) -> np.ndarray:
+    """Points (N, n) from their n coordinate columns, stored column-major.
+
+    ``columns`` holds n arrays of N values each; an array of any shape is
+    read in C order, so ``np.moveaxis(a, -1, 0)`` of an array ``a`` with
+    coordinates on its last axis gives its points in C order of the leading
+    axes.
+    """
+    return np.stack([np.ravel(c) for c in columns]).T
 
 
 @lru_cache(maxsize=None)
@@ -69,13 +92,14 @@ def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
 def tensor_rule(rules):
     """Tensor product of one-dimensional (nodes, weights) rules.
 
-    Returns points (N, d) and weights (N,), the first axis varying slowest.
+    Returns points (N, d) (see `point_array`) and weights (N,), the first
+    axis varying slowest.
     """
     mesh = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
     weights = rules[0][1]
     for _, w in rules[1:]:
         weights = np.multiply.outer(weights, w)
-    return np.stack([m.ravel() for m in mesh], axis=-1), weights.ravel()
+    return point_array(mesh), weights.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +146,12 @@ class SphereChart:
             phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
             w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
             if self.polar is None:
-                out = self.embed(None, phi), self.density * w_phi
+                nodes, w = self.embed(None, phi), self.density * w_phi
             else:
                 p, w_p = gauss_legendre(self.polar[0], self.polar[1], 1, n_polar)
                 nodes = self.embed(p[:, None], phi[None, :])
-                out = (nodes.reshape(-1, nodes.shape[-1]),
-                       np.multiply.outer(self.density * w_p, w_phi).ravel())
+                w = np.multiply.outer(self.density * w_p, w_phi).ravel()
+            out = point_array(np.moveaxis(nodes, -1, 0)), w
         self._rules[counts] = out
         return out
 
@@ -163,4 +187,4 @@ def ball_rule(chart: SphereChart, counts: tuple, exponents, hom_dim: int):
     exps = np.asarray(exponents, dtype=float)
     nodes = r[:, None, None] ** exps * omega[None, :, :]
     weights = np.multiply.outer(w_r * r ** (hom_dim - 1), w_s)
-    return nodes.reshape(-1, omega.shape[-1]), weights.ravel()
+    return point_array(np.moveaxis(nodes, -1, 0)), weights.ravel()

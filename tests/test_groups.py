@@ -324,7 +324,13 @@ def test_h1_primitives_match_the_expressions_bitwise():
     for a, b in pairs:
         got = G._h1_mul(a, b)
         assert _same_bits(got, _h1_mul_expression(a, b))
-        assert got.flags.c_contiguous
+        # the product keeps its operands' layout: column-major only when
+        # every operand of more than one row is
+        big = [v for v in (a, b) if v.ndim > 1 and v.shape[0] > 1]
+        if all(v.flags.f_contiguous for v in big):
+            assert got.flags.f_contiguous
+        if all(v.flags.c_contiguous for v in big):
+            assert got.flags.c_contiguous
     for a in (sample(4097, 3), sample(257, 129, 3), sample(3),
               sample(5001, 3, order="F")):
         assert _same_bits(G._h1_norm(a), _h1_norm_expression(a))
@@ -363,3 +369,60 @@ def test_midpoint_convexity_check_catches_a_nonconvex_gauge(g2):
 
     g = dataclasses.replace(g2, label="astroid", norm_fn=astroid)
     assert _midpoint_failures(g, F.Ball(np.zeros(2), 1.0)) > 0
+
+
+# ---------------------------------------------------------------------------
+# layout: bulk point arrays are column-major, and layout moves no bits
+# ---------------------------------------------------------------------------
+
+def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
+    from fatoulab import extension as E, kernels as K, maximal as M
+
+    phi = F.default_profile()
+    for g, profile in ((g1, p1), (g2, p2), (g3, p3), (gh, ph)):
+        n = g.total_dim
+        mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]),
+                              [[-1.0, 1.0]] * n)
+        arrays = {
+            "eta-grid": E._ext_grid(profile).eta_inv,
+            "phi-grid": M._phi_grid(g, phi)[0],
+            "cell-grid": M._density_cells(mu)[0],
+            "unit-ball": G.unit_ball_rule(g)[0],
+            "mass-grid": K._mass_grid(profile)[0],
+        }
+        for name, pts in arrays.items():
+            assert pts.ndim == 2 and pts.shape[1] == n, (g.label, name)
+            assert pts.shape[0] > 1, (g.label, name)
+            assert pts.flags.f_contiguous, (g.label, name)
+        # the primitives keep the layout of the grid they are given
+        pts = arrays["cell-grid"]
+        x = np.linspace(0.1, 0.3, n)
+        for out in (G.mul(g, x, pts), G.mul(g, pts, x), G.inverse(g, pts),
+                    G.dilate(g, 0.7, pts)):
+            assert out.flags.f_contiguous, g.label
+
+
+def test_primitives_give_the_same_bits_in_either_layout(g1, g2, g3, gh):
+    rng = np.random.default_rng(8)
+    for g in (g1, g2, g3, gh):
+        n = g.total_dim
+        c = rng.normal(size=(4099, n)) * rng.choice([1e-3, 1.0, 30.0],
+                                                    size=(4099, 1))
+        f = np.asfortranarray(c)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous or n == 1
+        x = rng.normal(size=n)
+        pairs = [
+            (G.mul(g, x, c), G.mul(g, x, f)),
+            (G.mul(g, c, x), G.mul(g, f, x)),
+            (G.mul(g, c, c[::-1]), G.mul(g, f, f[::-1])),
+            (G.inverse(g, c), G.inverse(g, f)),
+            (G.dilate(g, 0.37, c), G.dilate(g, 0.37, f)),
+            (G.norm(g, c), G.norm(g, f)),
+            (G.dist(g, c, x), G.dist(g, f, x)),
+            # the gauge is symmetric and the inverse exact, so the grid may
+            # be either argument
+            (G.dist(g, x, c), G.dist(g, f, x)),
+            (G.dist(g, c, c[::-1]), G.dist(g, f[::-1], f)),
+        ]
+        for i, (got_c, got_f) in enumerate(pairs):
+            assert _same_bits(got_c, got_f), (g.label, i)

@@ -222,7 +222,8 @@ def test_heat_max_atom_value(g1, p1):
 # values 1 +- 1 ulp on a flat stretch, the largest (1 + ulp) late in it
 _UP, _DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
 _FLAT = np.array([0.5, 1.0, _DOWN, 1.0, _UP, _DOWN, 1.0, 0.25])
-_SCALES = 2.0 ** -np.arange(_FLAT.size)   # powers of two: m(B(x, r)) = 2r exact
+# increasing powers of two: m(B(x, r)) = 2r exact
+_SCALES = 2.0 ** np.arange(-_FLAT.size + 1, 1)
 
 
 class _FlatMeasure(F.BoundaryMeasure):
@@ -249,8 +250,9 @@ def test_argmax_takes_the_first_scale_within_ulps_of_the_max(g1, p1,
 
     mu = _FlatMeasure(g1)
     x = np.zeros(1)
-    monkeypatch.setattr(M, "_conv_profile", lambda *a: _FLAT.copy())
-    monkeypatch.setattr(M, "_conv_one", lambda *a: 0.0)
+    # every placement of every scale takes the flat value of its scale
+    monkeypatch.setattr(M, "_conv_rows", lambda mu, phi, pts, s:
+                        _FLAT[np.searchsorted(_SCALES, s)])
     monkeypatch.setattr(M, "HeatExtension", _FlatExtension)
     phi = F.default_profile()
     outs = {
@@ -263,3 +265,109 @@ def test_argmax_takes_the_first_scale_within_ulps_of_the_max(g1, p1,
         # the value is still the largest; the scale is the first that ties
         assert out["value"] == _UP, name
         assert out.get("argmax_r", out.get("argmax_s")) == _SCALES[1], name
+
+
+# ---------------------------------------------------------------------------
+# one convolution path: batched rows equal single calls, bit for bit
+# ---------------------------------------------------------------------------
+
+def _batch_measures(g):
+    n = g.total_dim
+    rng = np.random.default_rng(5)
+    atoms = F.AtomicMeasure(g, rng.uniform(-1.0, 1.0, size=(9, n)),
+                            rng.uniform(0.2, 2.0, size=9))
+    density = F.DensityMeasure(
+        g, lambda p: 1.0 + 0.3 * np.cos(p[..., 0]) + 0.2 * p[..., -1] ** 2,
+        [[-1.0, 1.0]] * n)
+    mixture = F.MixtureMeasure(g, [atoms, density])
+    return {"atomic": atoms, "density": density, "mixture": mixture}
+
+
+@pytest.mark.parametrize("entries", [None, 20])   # 20: blocks of 3 rows
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+def test_batched_values_equal_single_calls_bitwise(label, entries,
+                                                   monkeypatch):
+    from fatoulab import maximal as M
+
+    if entries is not None:
+        monkeypatch.setattr(M, "_ATOM_ENTRIES", entries)
+    g = F.get_group(label)
+    phi = F.default_profile()
+    x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
+    s = F.geometric_grid(0.05, 5.0, 4)     # both sides of the scale switch
+    alpha, betas, k_dirs = 1.0, (0.0, 0.6), 2
+    dirs = F.unit_directions(g, k_dirs)
+    cone = [[x] * s.size] + [
+        [F.mul(g, x, F.dilate(g, 0.6 * alpha * float(ss), dirs[k])) for ss in s]
+        for k in range(k_dirs)]
+    for kind, mu in _batch_measures(g).items():
+        single = np.array([[F.mollifier_convolution(mu, phi, xp, float(ss))
+                            for xp, ss in zip(row, s)] for row in cone])
+        rad = F.radial_max(mu, phi, x, s_grid=s)
+        nt = F.nontangential_max(mu, phi, x, alpha, s_grid=s, betas=betas,
+                                 n_directions=k_dirs)
+        assert rad["values"].tobytes() == single[0].tobytes(), kind
+        assert nt["values"].tobytes() == single.max(axis=0).tobytes(), kind
+        # each placement row, as nontangential_max builds it
+        for k in range(k_dirs):
+            pts = M._cone_points(g, x, 0.6 * alpha * s, dirs[k])
+            assert pts.tobytes() == np.array(cone[k + 1]).tobytes(), kind
+            got = M._conv_rows(mu, phi, pts, s)
+            assert got.tobytes() == single[k + 1].tobytes(), kind
+        hl = F.hardy_littlewood(mu, x, radii=s)
+        quot = [F.measure_ball(mu, F.Ball(x, float(r)))[0]
+                / F.ball_volume(g, float(r)) for r in s]
+        assert hl["quotients"].tobytes() == np.array(quot).tobytes(), kind
+
+
+# ---------------------------------------------------------------------------
+# input validation of the maximal functions
+# ---------------------------------------------------------------------------
+
+def _atom_line():
+    return F.AtomicMeasure(F.euclidean_group(1), [[0.5]], [1.0])
+
+
+_REVERSED = F.geometric_grid()[::-1]
+_BAD_INPUTS = {
+    "radial-reversed": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=_REVERSED),
+    "radial-negative": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=[-1.0, 1.0]),
+    "radial-nan": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=[np.nan]),
+    "radial-inf": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=[np.inf]),
+    "radial-empty": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=[]),
+    "radial-repeated": lambda mu, phi, p: F.radial_max(
+        mu, phi, [0.0], s_grid=[0.5, 0.5, 1.0]),
+    "hl-reversed": lambda mu, phi, p: F.hardy_littlewood(
+        mu, [0.0], radii=_REVERSED),
+    "nt-reversed": lambda mu, phi, p: F.nontangential_max(
+        mu, phi, [0.0], 1.0, s_grid=_REVERSED),
+    "nt-beta-above-one": lambda mu, phi, p: F.nontangential_max(
+        mu, phi, [0.0], 1.0, betas=(0.0, 1.5)),
+    "nt-beta-negative": lambda mu, phi, p: F.nontangential_max(
+        mu, phi, [0.0], 1.0, betas=(-0.2,)),
+    "nt-no-directions": lambda mu, phi, p: F.nontangential_max(
+        mu, phi, [0.0], 1.0, n_directions=0),
+    "nt-infinite-aperture": lambda mu, phi, p: F.nontangential_max(
+        mu, phi, [0.0], np.inf),
+    "conv-infinite-scale": lambda mu, phi, p: F.mollifier_convolution(
+        mu, phi, [0.0], np.inf),
+    "conv-nan-scale": lambda mu, phi, p: F.mollifier_convolution(
+        mu, phi, [0.0], np.nan),
+    "sandwich-reversed": lambda mu, phi, p: F.check_sandwich(
+        mu, [0.0], phi, s_grid=_REVERSED),
+    "heat-reversed": lambda mu, phi, p: F.heat_max(
+        mu, p, [0.0], s_grid=_REVERSED),
+    "heat-chain-reversed": lambda mu, phi, p: F.check_heat_chain(
+        mu, p, [0.0], s_grid=_REVERSED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_maximal_functions_reject_bad_inputs(case, p1):
+    with pytest.raises(F.MeasureError):
+        _BAD_INPUTS[case](_atom_line(), F.default_profile(), p1)
