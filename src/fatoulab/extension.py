@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MeasureError, NumericsError
+from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
 from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
@@ -49,6 +49,7 @@ from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
     DensityMeasure,
+    _point,
     measure_ball,
     midpoint_grid,
     restrict_complement,
@@ -250,11 +251,17 @@ class HeatExtension:
         self.group = mu.group
 
     def __call__(self, x, t: float):
+        """u at the point x (total_dim finite coordinates) or at each point
+        of an array of them along its last axis, at time t > 0."""
         x = np.asarray(x, dtype=float)
+        n = self.group.total_dim
+        if x.shape[-1:] != (n,) or not np.all(np.isfinite(x)):
+            raise GroupError(f"points must have {n} finite coordinates, got "
+                             f"{np.array2string(x, threshold=8)}")
         if not (t > 0) or not math.isfinite(t):
             raise NumericsError(f"time must be positive, got {t}")
         scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x.reshape(-1, self.group.total_dim)
+        pts = x[None, :] if scalar else x.reshape(-1, n)
         out = self._eval(pts, float(t))
         if scalar:
             return float(out[0])
@@ -345,6 +352,9 @@ class ParabolicRegion:
 
     def __post_init__(self):
         self.vertex = np.asarray(self.vertex, dtype=float)
+        if self.vertex.ndim != 1 or not np.all(np.isfinite(self.vertex)):
+            raise GroupError(f"region vertex must be finite coordinates, "
+                             f"got {self.vertex.tolist()}")
         if not (self.aperture > 0) or not (self.t_max > 0):
             raise MeasureError("aperture and t_max must be positive")
 
@@ -378,6 +388,7 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     central axis and appears once.
     """
     g = u.group
+    _point(g, region.vertex, "region vertex")
     dirs = G.unit_directions(g, n_directions)
     placements = []
     for beta in betas:

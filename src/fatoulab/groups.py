@@ -100,14 +100,17 @@ class GroupDescriptor:
     where it may jump. The heat extension integrates each eta-column
     between the exact limits of these clips (see
     ``DensityMeasure.sections``) wherever the image of the eta-box meets
-    one of them, and a ball mass uses the unit-ball rule only where the
-    ball's bounding box lies strictly inside all of them.
+    one of them. A ball mass uses the unit-ball rule only where the ball's
+    bounding box lies strictly inside all of them; a ball they cut is
+    integrated section by section, each vertical line between the exact
+    limits of the clips and of the ball itself.
 
     Every ball is convex in exponential coordinates: the gauge's sublevel
     set B(0, r) is convex (on H^1, |z|^4 + 16 s^2 is a convex function) and
     left translation x -> c * x is affine, so B(c, r) = c * B(0, r) is
     convex. A new gauge must keep this: ball masses of densities treat a
-    ball that holds the corners of a box as holding the whole box.
+    ball that holds the corners of a box as holding the whole box, and a
+    ball's vertical sections as single intervals.
 
     ``mul_fn``, ``inv_fn`` and ``norm_fn`` act row by row on arrays whose
     last axis holds the coordinates, broadcasting over the leading axes,

@@ -16,8 +16,8 @@ composes a <- a * delta_s(x0) and moves a clip B(c, R) to B(x0^-1 * c, R),
 and dilating by r composes s <- s * r and moves it to
 B(delta_(1/r)(c), R / r). The own ``support_box`` (translated corners'
 hull, dilated box, box clipped to a ball's bounding box) carries the cell
-grids. Densities are validated at construction (finite, nonnegative, finite
-total mass).
+grid and the section rules. Densities are validated at construction
+(finite, nonnegative, finite total mass).
 
 A density is assumed smooth inside its base box, so it may jump only at its
 box faces and clip spheres. ``DensityMeasure.hull_state`` tells whether the
@@ -33,9 +33,14 @@ bounding box. A ball in the smooth region ("inside") is integrated with the
 group's unit-ball polar rule mapped onto it, mu(B(c, R)) =
 R^Q int_(B(0,1)) f(c * delta_R(xi)) dxi: 3,456 nodes on the Heisenberg
 group, with the 1,024-node coarse rule's difference as the error. A ball
-where the density is zero has mass 0; a ball across a jump ("cut") is
-summed on midpoint cells of its bounding box (see
-``DensityMeasure._lattice_ball_mass``).
+where the density is zero has mass 0. A ball across a jump ("cut") is an
+iterated integral with exact inner limits (Stroud, Approximate Calculation
+of Multiple Integrals, 1971): Gauss-Legendre panels on the horizontal axes
+of its bounding box clipped to the support box, and on each vertical line
+Gauss-Legendre nodes on every interval that ``sections`` and the ball's own
+section leave (see ``DensityMeasure._section_ball_mass``). A ball that
+holds the support box gets the same rule's mass of the whole box, computed
+once per measure.
 
 The strong derivative at a point is estimated over a finite ball family along
 a shrinking radius schedule; the trace records all quotients, and convergence
@@ -46,16 +51,15 @@ below tolerance (ties count as not converged).
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partialmethod
+from functools import cached_property, partialmethod
 
 import numpy as np
 
 from .errors import GroupError, MeasureError
 from . import groups as G
-from .quadrature import point_array, weighted_sum
+from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
 
 __all__ = [
     "BoundaryMeasure",
@@ -77,17 +81,16 @@ __all__ = [
 # midpoint cells per axis of a density's support box
 _DEFAULT_CELLS = {1: 512, 2: 128, 3: 48}
 
-# A density's ball mass classifies each cell by its center and its own
-# corners c +- h/2. Those corners are tested once each, on a lattice that
-# neighbouring cells share, although c + h/2 of one cell and c' - h/2 of
-# the next can round an ulp apart: the two can only be on different sides
-# of the sphere where d is within rounding of the radius. A point whose d
-# is within _TIE times the spread of d (over the points tested) of the
-# radius is a tie: its cells test their own corners, and a support corner
-# that ties does not make the ball cover the support.
+# A coordinate or a distance within _TIE times the scale of the values
+# tested of a box face or a sphere is too close to tell: the hull counts as
+# cut, and a support corner that ties does not make a ball cover the support.
 _TIE = 1e-6
 
-# Rounding floor of a polar-rule ball mass, relative to the value: the
+# (Gauss-Legendre panels per horizontal axis, nodes per panel and per
+# section interval) of the fine and the coarse section rule of a cut ball
+_SECTION_RULES = ((4, 16), (2, 8))
+
+# Rounding floor of a ball mass by a rule, relative to the value: the
 # rule's nodes and weights, the density values and the fixed-order sum each
 # round at ~1e-16 relative, and |fine - coarse| can come out below that.
 _ROUNDING = 1e-13
@@ -186,20 +189,11 @@ def _tensor(axes) -> np.ndarray:
     return point_array(np.meshgrid(*axes, indexing="ij"))
 
 
-def _midpoint_axes(box: np.ndarray, cells: int):
-    """Cell centers of ``box`` along each axis, and the cell widths."""
-    axes, steps = [], []
-    for lo, hi in box:
-        h = (hi - lo) / cells
-        axes.append(lo + h * (np.arange(cells) + 0.5))
-        steps.append(h)
-    return axes, np.array(steps)
-
-
 def midpoint_grid(box: np.ndarray, cells: int):
     """Centers (N, n) of ``cells`` midpoint cells per axis of ``box``, the
     cell volume and the cell widths."""
-    axes, steps = _midpoint_axes(box, cells)
+    steps = (box[:, 1] - box[:, 0]) / cells
+    axes = [lo + h * (np.arange(cells) + 0.5) for (lo, _), h in zip(box, steps)]
     return _tensor(axes), np.prod(steps), steps
 
 
@@ -322,7 +316,7 @@ class DensityMeasure(BoundaryMeasure):
         self.base_density = density
         self.base_box = self.support_box = box
         self.shift, self.scale, self.clips = None, 1.0, ()
-        self._mass, self._support_cell_sum = self._validate()
+        self._mass = self._validate()
 
     def _derive(self, support_box: np.ndarray, shift, scale: float,
                 clips: tuple) -> "DensityMeasure":
@@ -332,7 +326,7 @@ class DensityMeasure(BoundaryMeasure):
         out.base_density, out.base_box = self.base_density, self.base_box
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
-        out._mass, out._support_cell_sum = out._validate()
+        out._mass = out._validate()
         return out
 
     def _to_base(self, pts: np.ndarray) -> np.ndarray:
@@ -437,13 +431,9 @@ class DensityMeasure(BoundaryMeasure):
         """Cell centers (N, d) of ``box``, the cell volume and the widths."""
         return midpoint_grid(box, _DEFAULT_CELLS[self.group.total_dim])
 
-    def _validate(self) -> tuple[float, float]:
-        """Check the density on the cell grid of the support.
-
-        Returns the total mass (negative rounding noise clipped) and the
-        unclipped cell sum, which is what the cell rule gives a ball holding
-        the whole support.
-        """
+    def _validate(self) -> float:
+        """Check the density on the cell grid of the support; returns the
+        total mass (negative rounding noise clipped)."""
         centers, vol, _ = self._grid(self.support_box)
         vals = self.density_at(centers)
         if not np.all(np.isfinite(vals)):
@@ -455,7 +445,7 @@ class DensityMeasure(BoundaryMeasure):
         mass = float(vals.clip(min=0.0).sum() * vol)
         if not math.isfinite(mass):
             raise MeasureError("density has non-finite total mass")
-        return mass, float(vals.sum() * vol)
+        return mass
 
     @property
     def total_mass(self) -> float:
@@ -469,19 +459,26 @@ class DensityMeasure(BoundaryMeasure):
         if np.any(hi <= lo):
             return 0.0, 0.0
         # balls are convex, so a ball holding the corners of the support box
-        # holds every cell of it; the box center is tested only so that d
-        # has a spread when all corners are equally far
+        # holds all of it; the box center is tested only so that d has a
+        # spread when all corners are equally far
         sb = self.support_box
         d = np.asarray(G.dist(g, np.vstack([_tensor(sb), sb.mean(axis=1)]),
                               ball.center))
         if np.all(d[:-1] < ball.radius - _TIE * np.ptp(d)):
-            return self._support_cell_sum, 0.0
+            return self._support_mass
         state = self.hull_state(_tensor(bb))
         if state == "inside":
             return self._polar_ball_mass(ball)
         if state == "outside":
             return 0.0, 0.0
-        return self._lattice_ball_mass(ball, lo, hi)
+        return self._section_ball_mass(ball, lo, hi)
+
+    @cached_property
+    def _support_mass(self):
+        """The section rule's mass of the whole support box and its error:
+        its value on any ball that holds the box, where the ball's cap
+        removes nothing."""
+        return self._section_ball_mass(None, *self.support_box.T)
 
     def _polar_ball_mass(self, ball: G.Ball):
         """Mass of a ball in the smooth region, by the unit-ball polar rule.
@@ -498,67 +495,41 @@ class DensityMeasure(BoundaryMeasure):
         coarse = scale * weighted_sum(w_coarse, f[w_fine.size:])
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
 
-    def _lattice_ball_mass(self, ball: G.Ball, lo: np.ndarray,
+    def _section_ball_mass(self, ball: G.Ball | None, lo: np.ndarray,
                            hi: np.ndarray):
-        """Mass of a ball on the midpoint cells of the box [lo, hi].
+        """Mass of a ball across a jump (``ball`` None: of the box), by
+        vertical sections of the box [lo, hi].
 
-        Cells whose center and 2^n corners are all inside count whole, cells
-        cut by the sphere are split into 2^n subcells, and subcells still
-        cut carry half their mass as the error.
+        The horizontal axes of the box take Gauss-Legendre panels, so the
+        support's horizontal faces are panel edges. Each vertical line meets
+        the density in the intervals of ``sections``, capped by the ball's
+        own section, and every interval takes Gauss-Legendre nodes. The
+        value is the fine rule's of _SECTION_RULES; the error is its
+        distance from the coarse rule's plus a rounding floor.
         """
+        fine, coarse = (self._section_sum(ball, lo, hi, *r)
+                        for r in _SECTION_RULES)
+        return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
+
+    def _section_sum(self, ball, lo, hi, n_panels: int, order: int) -> float:
+        """One section rule: ``n_panels`` panels of ``order`` nodes per
+        horizontal axis, ``order`` nodes per section interval."""
         g = self.group
-        n = g.total_dim
-        cells = _DEFAULT_CELLS[n]
-        axes, steps = _midpoint_axes(np.stack([lo, hi], axis=1), cells)
-        centers, vol = _tensor(axes), np.prod(steps)
-        inside_c = G.ball_contains(g, ball, centers)
-        # each cell is classified by its center and its 2^n corners, read
-        # from one lattice of shared corners: node k of an axis is the low
-        # corner of cell k, the last node the high corner of the last cell
-        nodes = [np.append(a - 0.5 * h, a[-1] + 0.5 * h)
-                 for a, h in zip(axes, steps)]
-        d = np.asarray(G.dist(g, _tensor(nodes), ball.center))
-        d = d.reshape((cells + 1,) * n)
-        node_in = d < ball.radius
-        tie = np.abs(d - ball.radius) <= _TIE * np.ptp(d)
-        all_in = inside_c.reshape((cells,) * n).copy()
-        any_in = all_in.copy()
-        near_tie = np.zeros_like(all_in)
-        for corner in itertools.product((0, 1), repeat=n):
-            window = tuple(slice(k, k + cells) for k in corner)
-            all_in &= node_in[window]
-            any_in |= node_in[window]
-            near_tie |= tie[window]
-        all_in, any_in = all_in.ravel(), any_in.ravel()
-        redo = np.flatnonzero(near_tie)
-        if redo.size:
-            offs = _tensor([(-0.5, 0.5)] * n) * steps
-            corner_in = np.stack(
-                [G.ball_contains(g, ball, centers[redo] + o) for o in offs])
-            all_in[redo] = corner_in.all(axis=0) & inside_c[redo]
-            any_in[redo] = corner_in.any(axis=0) | inside_c[redo]
-        # boundary shell: cells whose corners disagree with each other
-        shell = any_in & ~all_in
-        interior_val = 0.0
-        if np.any(all_in):
-            interior_val = float(
-                self.density_at(centers[all_in]).sum() * vol
-            )
-        shell_val, shell_err = 0.0, 0.0
-        if np.any(shell):
-            sub_off = _tensor([(-0.25, 0.25)] * n) * steps
-            sub_vol = vol / 2 ** n
-            sc = centers[shell]
-            cut = np.linalg.norm(steps) / 2.0
-            for o in sub_off:
-                pts = sc + o
-                d = np.asarray(G.dist(g, pts, ball.center))
-                fv = self.density_at(pts)
-                shell_val += float(fv[d < ball.radius].sum() * sub_vol)
-                # residual uncertainty: subcells still cut by the sphere
-                near = np.abs(d - ball.radius) < cut
-                shell_err += float(np.abs(fv[near]).sum() * sub_vol * 0.5)
-        return interior_val + shell_val, shell_err
+        heads, w_cols = tensor_rule(
+            [gauss_legendre(a, b, n_panels, order)
+             for a, b in zip(lo[:-1], hi[:-1])] + [(np.zeros(1), np.ones(1))])
+        s_lo, s_hi = self.sections(heads, 1.0)
+        if ball is not None:
+            s_lo, s_hi = _cap(s_lo, s_hi, *_ball_section(g, heads, 1.0, ball))
+        live = s_lo < s_hi
+        col = np.nonzero(live)[0]
+        a, b = s_lo[live], s_hi[live]
+        ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
+        pts = point_array(np.repeat(h[col], order) for h in heads.T)
+        pts[:, -1] = ((0.5 * (a + b))[:, None]
+                      + 0.5 * (b - a)[:, None] * ref_x).ravel()
+        w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
+        return weighted_sum(w, self.density_at(pts))
 
 
 class MixtureMeasure(BoundaryMeasure):

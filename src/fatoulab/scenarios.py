@@ -24,7 +24,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -649,15 +648,6 @@ def preset_suite(name: str) -> list[dict]:
     return [dict(cfg) for cfg in _PRESETS[name]]
 
 
-def _n_workers() -> int:
-    env = os.environ.get("FATOU_THREADS", "")
-    try:
-        n = int(env) if env else 1
-    except ValueError:
-        raise ConfigError(f"FATOU_THREADS must be an integer, got {env!r}")
-    return max(1, n)
-
-
 def _atoms_plus_noise(base_cfg: dict, k: int, seed: int) -> list[dict]:
     """Deterministic perturbed variants of an atomic measure config."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
@@ -754,13 +744,7 @@ def summarize_suite(name: str, reports) -> dict:
 def run_suite(name: str, out_dir: str | None = None) -> dict:
     """Run a preset suite; returns {suite, cases, passed}."""
     if name in _PRESETS:
-        configs = preset_suite(name)
-        workers = _n_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                reports = list(ex.map(run_scenario, configs))
-        else:
-            reports = [run_scenario(c) for c in configs]
+        reports = [run_scenario(c) for c in preset_suite(name)]
         if out_dir:
             for rep in reports:
                 emit_report(rep, out_dir)

@@ -88,6 +88,26 @@ def test_region_validation():
         F.ParabolicRegion(np.zeros(1), t_max=-1.0)
 
 
+_BAD_POINTS = {"nan": [np.nan, 0.0], "inf": [0.0, -np.inf],
+               "length": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_POINTS))
+def test_points_and_vertices_are_checked(case):
+    # a point of euclidean:2 needs two finite coordinates: u at such a point
+    # and a region with such a vertex raise instead of giving 0
+    g = F.euclidean_group(2)
+    mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]), [[-1, 1]] * 2)
+    u = F.heat_extend(mu, F.profile_for(g))
+    bad = np.array(_BAD_POINTS[case])
+    with pytest.raises(F.GroupError):
+        u(bad, 0.5)
+    with pytest.raises(F.GroupError):
+        u(np.stack([np.zeros_like(bad), bad]), 0.5)
+    with pytest.raises(F.GroupError):
+        F.parabolic_limit(u, F.ParabolicRegion(bad), n_steps=5)
+
+
 # ---------------------------------------------------------------------------
 # parabolic limits
 # ---------------------------------------------------------------------------

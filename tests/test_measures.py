@@ -10,6 +10,7 @@ Closed-form oracles frozen here:
 * unit-ball volume pi^2/8 on the Heisenberg group.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -107,60 +108,27 @@ def test_density_ball_mass_heisenberg(gh):
     assert abs(val - V1_H) <= err
 
 
-def _per_corner_ball_mass(mu, ball):
-    """Reference: each cell tests its own 2^n corners c +- h/2."""
+def _refined_section_mass(mu, ball):
+    """Reference: the section rule with 4x its panels per horizontal axis."""
     g = mu.group
     bb = G.ball_bounding_box(g, ball)
     lo = np.maximum(bb[:, 0], mu.support_box[:, 0])
     hi = np.minimum(bb[:, 1], mu.support_box[:, 1])
-    if np.any(hi <= lo):
-        return 0.0, 0.0
-    centers, vol, steps = mu._grid(np.stack([lo, hi], axis=1))
-    n = g.total_dim
-    inside_c = G.ball_contains(g, ball, centers)
-    offs = np.stack(
-        np.meshgrid(*[np.array([-0.5, 0.5])] * n, indexing="ij"), axis=-1
-    ).reshape(-1, n) * steps
-    corner_in = np.stack(
-        [G.ball_contains(g, ball, centers + o) for o in offs], axis=0
-    )
-    all_in = corner_in.all(axis=0) & inside_c
-    any_in = corner_in.any(axis=0) | inside_c
-    shell = any_in & ~all_in
-    interior_val = 0.0
-    if np.any(all_in):
-        interior_val = float(mu.density_at(centers[all_in]).sum() * vol)
-    shell_val, shell_err = 0.0, 0.0
-    if np.any(shell):
-        sub_off = np.stack(
-            np.meshgrid(*[np.array([-0.25, 0.25])] * n, indexing="ij"),
-            axis=-1,
-        ).reshape(-1, n) * steps
-        sub_vol = vol / 2 ** n
-        sc = centers[shell]
-        for o in sub_off:
-            pts = sc + o
-            m = G.ball_contains(g, ball, pts)
-            fv = mu.density_at(pts)
-            shell_val += float(fv[m].sum() * sub_vol)
-            near = np.abs(
-                np.asarray(G.dist(g, pts, ball.center)) - ball.radius
-            ) < np.linalg.norm(steps) / 2.0
-            shell_err += float(np.abs(fv[near]).sum() * sub_vol * 0.5)
-    return interior_val + shell_val, shell_err
+    (panels, order), _ = F.measures._SECTION_RULES
+    return mu._section_sum(ball, lo, hi, 4 * panels, order)
 
 
 def _smooth(p):
     return 1.0 + 0.4 * np.sin(2.0 * p[..., 0]) + 0.2 * np.cos(p.sum(axis=-1))
 
 
-_POLAR, _LATTICE = "_polar_ball_mass", "_lattice_ball_mass"
+_POLAR, _SECTION = "_polar_ball_mass", "_section_ball_mass"
 
 
 def _record_paths(monkeypatch):
     """List that collects which ball-mass rule each density call runs."""
     taken = []
-    for name in (_POLAR, _LATTICE):
+    for name in (_POLAR, _SECTION):
         method = getattr(F.DensityMeasure, name)
 
         def wrapped(self, *args, _method=method, _name=name):
@@ -190,13 +158,13 @@ def _ball_cases(g, f):
         "wide-centered": (F.DensityMeasure(g, f, [[-3.0, 3.0]] * n),
                           F.Ball(np.zeros(n), 1.0)),
         "derived-inside": (derived, F.Ball(clip.center, 0.1)),
-        # across a jump: the lattice
+        # across a jump: the section rule
         "straddling": (mu, F.Ball(at(1.3, 0.1, 0.0), 0.6)),
         "derived-cut-1": (derived, F.Ball(at(0.2, 0.0, 0.1), 0.6)),
         "derived-cut-2": (derived, F.Ball(at(-0.8, 0.4, -0.2), 0.5)),
-        # the lattice box is the ball's bounding box, so lattice nodes lie
-        # on the sphere in exact arithmetic (on R^3, where
-        # 16^2 + 16^2 + 8^2 = 24^2) and rounding decides their membership
+        # the ball touches the low support faces from inside: its bounding
+        # box ties with the support box, so the hull test says cut, and the
+        # ball's sections end on the faces in exact arithmetic
         "nodes-on-sphere": (F.DensityMeasure(g, f, [[-1.0, 3.0]] * n),
                             F.Ball(np.zeros(n), 1.0)),
         # where the density is zero: no rule runs
@@ -209,35 +177,60 @@ _POLAR_CASES = ("inside", "below-cell", "wide-centered", "derived-inside")
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
-def test_density_ball_mass_matches_per_corner_rule(label, monkeypatch):
+def test_density_ball_mass_matches_refined_section_rule(label, monkeypatch):
     g = F.get_group(label)
     cases = _ball_cases(g, _smooth)
-    paths = {"straddling": [_LATTICE], "derived-cut-1": [_LATTICE],
-             "derived-cut-2": [_LATTICE], "nodes-on-sphere": [_LATTICE],
+    paths = {"straddling": [_SECTION], "derived-cut-1": [_SECTION],
+             "derived-cut-2": [_SECTION], "nodes-on-sphere": [_SECTION],
              "disjoint": [], "in-hole": []}
     assert set(paths) | set(_POLAR_CASES) == set(cases)
     taken = _record_paths(monkeypatch)
     for name, path in paths.items():
         measure, ball = cases[name]
         taken.clear()
-        got = F.measure_ball(measure, ball)
+        val, err = F.measure_ball(measure, ball)
         assert taken == path, name
-        assert got == _per_corner_ball_mass(measure, ball), name
+        if not path:
+            assert (val, err) == (0.0, 0.0), name
+            continue
+        ref = _refined_section_mass(measure, ball)
+        assert abs(val - ref) <= err < 1e-2 * val, name
 
-    # a ball covering the support returns the whole cell sum, without
-    # classifying a single cell
+    # a ball covering the support returns the section rule's mass of the
+    # support box, computed once per measure
     mu = cases["inside"][0]
-    cover = F.Ball(np.array([0.2, -0.1, 0.3][:g.total_dim]), 6.0)
-    expected = _per_corner_ball_mass(mu, cover)
-    assert expected[1] == 0.0
-
-    def no_cells(*args):
-        raise AssertionError("cells classified for a covering ball")
-
-    monkeypatch.setattr(G, "ball_contains", no_cells)
+    expected = mu._section_ball_mass(None, *mu.support_box.T)
+    assert 0.0 < expected[1] < 1e-12 * expected[0]
     taken.clear()
+    cover = F.Ball(np.array([0.2, -0.1, 0.3][:g.total_dim]), 6.0)
     assert F.measure_ball(mu, cover) == expected
+    assert taken == [_SECTION]
+    taken.clear()
+    assert F.measure_ball(mu, G.dilate_ball(g, 2.0, cover)) == expected
     assert taken == []
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_half_ball_on_a_support_face(label, monkeypatch):
+    # f = 1 and the center c on the support's low face of the first or of
+    # the last axis, no other face near: the mass is m(B) / 2. The ball is
+    # c * B(0, R), q -> -q keeps B(0, R), and the face coordinate of c * q
+    # is odd in q (q_1, or q_last + 2(c_2 q_1 - c_1 q_2) on the Heisenberg
+    # group), so q -> -q swaps the two sides of the face
+    g = F.get_group(label)
+    n = g.total_dim
+    exact = 0.5 * G.ball_volume(g, 0.7)
+    taken = _record_paths(monkeypatch)
+    for axis in sorted({0, n - 1}):
+        box = np.array([[-3.0, 3.0]] * n)
+        box[axis, 0] = 0.0
+        mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]), box)
+        center = np.array([0.1, -0.05, 0.05][:n])
+        center[axis] = 0.0
+        taken.clear()
+        val, err = F.measure_ball(mu, F.Ball(center, 0.7))
+        assert taken == [_SECTION], axis
+        assert abs(val - exact) <= err < 1e-2 * exact, axis
 
 
 def _refined_rule_mass(mu, ball, factor):
@@ -289,18 +282,25 @@ def test_density_ball_mass_polar_rule_inside(label, monkeypatch):
     assert abs(val - _refined_rule_mass(bump, ball, 4)) <= err < 1e-4 * val
 
 
-def test_ball_just_holding_the_support_matches_per_corner_rule(g1, monkeypatch):
-    # the far corner of the support is inside by one ulp, but the edge
-    # cell's own corner c + h/2 rounds out of the ball: not a covering ball
-    mu = F.DensityMeasure(g1, _smooth, [[-0.7, 0.9]])
-    center = np.array([0.1])
-    reach = float(np.max(G.dist(g1, mu.support_box.T, center)))
-    ball = F.Ball(center, float(np.nextafter(reach, np.inf)))
-    expected = _per_corner_ball_mass(mu, ball)
-    assert expected[1] > 0.0
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_ball_just_holding_the_support_agrees_across_the_reach(label,
+                                                              monkeypatch):
+    # one ulp over the support's reach the far corner is inside, one ulp
+    # under it is not; the corner test ties either way, so both balls take
+    # the section rule, and they agree with a ball that covers the support
     taken = _record_paths(monkeypatch)
-    assert F.measure_ball(mu, ball) == expected
-    assert taken == [_LATTICE]
+    g = F.get_group(label)
+    n = g.total_dim
+    mu = F.DensityMeasure(g, _smooth, [[-0.7, 0.9]] * n)
+    center = np.array([0.1, -0.2, 0.05][:n])
+    corners = np.array(list(itertools.product(*mu.support_box)))
+    reach = float(np.max(G.dist(g, corners, center)))
+    over, under = (F.measure_ball(mu, F.Ball(center, float(np.nextafter(
+        reach, way)))) for way in (np.inf, -np.inf))
+    cover = F.measure_ball(mu, F.Ball(center, 2.0 * reach))
+    assert taken == [_SECTION] * 3
+    assert over[0] == pytest.approx(under[0], rel=1e-12, abs=0.0)
+    assert over[0] == pytest.approx(cover[0], rel=1e-12, abs=0.0)
 
 
 def test_density_validation_errors(g1):
@@ -378,8 +378,8 @@ def _quadratic_quotient(lo, hi, center, radius):
 
 def test_derivative_errors_bound_the_quotient_errors():
     # every ball of 1 + x^2 on [-2, 2] has an exact mass, polar-rule balls
-    # and lattice balls (the off-center ones that reach past the support
-    # at the largest radii) alike
+    # and section-rule balls (the off-center ones that reach past the
+    # support at the largest radii) alike
     mu = quadratic_line_measure()
     x0 = 0.3
     trace = F.strong_derivative(mu, np.array([x0]))
@@ -391,10 +391,9 @@ def test_derivative_errors_bound_the_quotient_errors():
                                         r * ball.radius)
             got, err = trace.quotients[bi, ri], trace.errors[bi, ri]
             assert abs(got - exact) <= err
-    # the largest balls are cut by the support edge and carry lattice
-    # errors; the trailing window is integrated by the polar rule
-    assert trace.errors[:, 0].max() > 1e-4
-    assert 0.0 < trace.errors[:, -trace.window:].max() < 1e-12
+    # the largest balls are cut by the support edge; both rules integrate
+    # the quadratic exactly, so every error is a rounding floor
+    assert 0.0 < trace.errors.max() < 1e-12
 
 
 def test_derivative_lebesgue_heisenberg(gh):

@@ -215,17 +215,6 @@ def test_maximal_case_list():
     assert cases == again
 
 
-def test_threaded_suite_matches_serial(monkeypatch):
-    serial = F.run_suite("euclidean-gehring")
-    monkeypatch.setenv("FATOU_THREADS", "2")
-    threaded = F.run_suite("euclidean-gehring")
-    assert serial["cases"] == threaded["cases"]
-    assert serial["passed"] and threaded["passed"]
-    monkeypatch.setenv("FATOU_THREADS", "zebra")
-    with pytest.raises(F.ConfigError):
-        F.run_suite("euclidean-gehring")
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
