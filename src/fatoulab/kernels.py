@@ -25,8 +25,12 @@ integrand picks up an oscillation of frequency ~|z|^2 that its panels do not
 resolve. The rule is chosen per point, so a value never depends on what else
 is in the call. Bulk evaluation goes through a bicubic spline of log gamma in
 (|z|, |s|); the direct quadrature backs the PDE-residual and certification
-paths and points outside the table. gamma depends only on (|z|, |s|), so each
-call evaluates every distinct pair once and scatters the values back.
+paths and points outside the table. The table's |s|-columns share lambda
+rules (one for every |s| <= 24, one per panel count beyond), so each rule's
+nodes and exponentials exp(-lam coth(4 lam) |z|^2) are built once and a
+column is one matrix-vector product with its own cosine weights. gamma
+depends only on (|z|, |s|), so each call evaluates every distinct pair once
+and scatters the values back.
 
 Constants are fixed by this construction and must pass the validation battery
 (`validate_profile`): positivity, symmetry, normalization, semigroup property,
@@ -156,15 +160,6 @@ def _panel_counts(freq: np.ndarray) -> np.ndarray:
     return np.ceil(_LAM_MAX / width).astype(np.int64)
 
 
-def _direct_plain(rho2: np.ndarray, sigma: float) -> np.ndarray:
-    """Cosine-transform quadrature, shared lambda rule for a fixed sigma."""
-    lam, wt = _gl_panels(0.0, _LAM_MAX, _panel_width(sigma))
-    four = 4.0 * lam
-    amp = (lam / np.sinh(four)) * wt * np.cos(lam * sigma)
-    cth = lam / np.tanh(four)
-    return np.exp(-np.outer(np.atleast_1d(rho2), cth)) @ amp / math.pi ** 2
-
-
 def _row_chunks(n_rows: int, n_nodes: int):
     """Row slices whose (rows x nodes) quadrature matrices stay bounded."""
     step = max(1, _CHUNK_ENTRIES // n_nodes)
@@ -267,7 +262,10 @@ class _HeisenbergGamma:
     """Table-backed evaluation of the Heisenberg time-1 profile.
 
     gamma depends only on (|z|, |s|): each call evaluates every distinct pair
-    once and scatters the values back to the input's shape.
+    once and scatters the values back to the input's shape. The table's
+    columns are grouped by their lambda rule (`_panel_counts`); a rule's
+    (rho, lambda) exponential matrix serves all of its columns, and each
+    column is summed by its own matrix-vector product.
     """
 
     def __init__(self, n_rho: int = 241, n_sig: int = 481):
@@ -275,8 +273,15 @@ class _HeisenbergGamma:
         self.sig_grid = np.linspace(0.0, _TABLE_SIG_MAX, n_sig)
         table = np.empty((n_rho, n_sig))
         r2 = self.rho_grid ** 2
-        for j, sg in enumerate(self.sig_grid):
-            table[:, j] = _direct_plain(r2, float(sg))
+        n_panels = _panel_counts(self.sig_grid)
+        for n in np.unique(n_panels):
+            lam, wt = gauss_legendre(0.0, _LAM_MAX, int(n))
+            four = 4.0 * lam
+            base = (lam / np.sinh(four)) * wt
+            ex = np.exp(-np.outer(r2, lam / np.tanh(four)))
+            for j in np.flatnonzero(n_panels == n):
+                amp = base * np.cos(lam * self.sig_grid[j])
+                table[:, j] = ex @ amp / math.pi ** 2
         if table.min() <= 0.0:
             raise NumericsError("kernel table contains non-positive entries")
         self.table = table

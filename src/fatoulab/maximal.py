@@ -75,6 +75,10 @@ _ATOM_ENTRIES = 1 << 16
 # values within this many ulps (relative) of a maximum tie for its argmax
 _ARGMAX_ULPS = 4
 
+# default cone placements of nontangential_max: beta values and directions
+_BETAS = (0.0, 0.6, 0.9)
+_N_DIRECTIONS = 4
+
 
 @dataclass(eq=False)
 class RadialProfile:
@@ -295,8 +299,8 @@ def _cone_points(g: G.GroupDescriptor, x: np.ndarray, r: np.ndarray,
 
 
 def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
-                      alpha: float, s_grid=None, betas=(0.0, 0.6, 0.9),
-                      n_directions: int = 4) -> dict:
+                      alpha: float, s_grid=None, betas=_BETAS,
+                      n_directions: int = _N_DIRECTIONS) -> dict:
     """Grid sup of (nu * phi_s)(x') over the cone d(x, x') < alpha * s.
 
     Samples x' = x * delta_(beta * alpha * s)(omega) for beta in [0, 1) and
@@ -304,6 +308,18 @@ def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     reproduces the radial value, so the nontangential grid sup dominates
     the radial one by construction. All placements at all scales are rows
     of one convolution call.
+    """
+    return _nontangential(mu, phi, x, alpha, s_grid, betas, n_directions)
+
+
+def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
+                   s_grid=None, betas=_BETAS, n_directions=_N_DIRECTIONS,
+                   radial=None) -> dict:
+    """`nontangential_max`, taking the beta = 0 row from ``radial``.
+
+    ``radial`` holds the radial values of `radial_max` at x on the same
+    scales, or None to compute them here. Rows of `_conv_rows` do not
+    depend on each other, so either way every value has the same bits.
     """
     g = mu.group
     x = _point(g, x, "query point")
@@ -317,11 +333,15 @@ def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
             f"n_directions must be an integer >= 1, got {n_directions!r}")
     s = _scale_grid(s_grid)
     dirs = G.unit_directions(g, n_directions)
-    pts = [np.broadcast_to(x, (s.size, x.size))]
-    pts += [_cone_points(g, x, beta * alpha * s, dirs[k])
-            for beta in betas if beta > 0 for k in range(n_directions)]
-    vals = _conv_rows(mu, phi, np.concatenate(pts), np.tile(s, len(pts)))
-    best = vals.reshape(len(pts), s.size).max(axis=0)
+    pts = [_cone_points(g, x, beta * alpha * s, dirs[k])
+           for beta in betas if beta > 0 for k in range(n_directions)]
+    if radial is None:
+        pts.insert(0, np.broadcast_to(x, (s.size, x.size)))
+    rows = [radial] if radial is not None else []
+    if pts:
+        vals = _conv_rows(mu, phi, np.concatenate(pts), np.tile(s, len(pts)))
+        rows += list(vals.reshape(len(pts), s.size))
+    best = np.max(rows, axis=0)
     return {
         "value": float(best.max()),
         "argmax_s": float(s[_argmax(best)]),
@@ -391,7 +411,8 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     to 1e-9 for atomic measures, 1e-2 for densities whose two convolution
     quadratures differ) absorbs only floating-point and quadrature error.
     ``slack_upper`` covers the gap between the grid sup and the true sup on
-    the Hardy-Littlewood side.
+    the Hardy-Littlewood side. The radial values serve as the beta = 0
+    placement of every aperture's nontangential maximum.
     """
     g = mu.group
     x = np.asarray(x, dtype=float)
@@ -417,7 +438,7 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     if not all_div:
         chain_ok &= c_phi * hl["value"] <= rad["value"] * (1.0 + slack_lower)
     for alpha in alphas:
-        nt = nontangential_max(mu, phi, x, alpha, s_grid=s)
+        nt = _nontangential(mu, phi, x, alpha, s, radial=rad["values"])
         consts = sandwich_constants(g, phi, alpha)
         if all_div and nt["divergent"]:
             ok_low, ok_up = True, True

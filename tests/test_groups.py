@@ -158,22 +158,52 @@ def test_polar_integrate_reports_bad_integrand(gh):
     assert err.value.location is not None
 
 
+def _triangle_sample():
+    """A fresh sample of pairs (x, y), independent of the search's."""
+    rng = np.random.default_rng(77)
+    return rng.normal(size=(2, 100_000, 3)) * 2.0
+
+
+def _triangle_sides(g, x, y):
+    """(d(x*y), C (d(x) + d(y))) with the descriptor's constant C."""
+    lhs = F.norm(g, F.mul(g, x, y))
+    return lhs, g.quasi_triangle_const * (F.norm(g, x) + F.norm(g, y))
+
+
 def test_quasi_triangle_certificate(gh, g1):
     c = gh.quasi_triangle_const
     assert 1.45 < c < 1.47
     assert abs(c - 1.4565502) <= 1e-5
-    # set-up feeds 1.2M samples through the product and the gauge, so the
-    # exact value pins both bit for bit
     assert c == 1.4565502169606948
     assert g1.quasi_triangle_const == 1.0
+    # the search feeds 1.2M samples through the product and the gauge, so
+    # reproducing the stored constant and log pins both bit for bit
+    const, log = G._certify_quasi_triangle(G._h1_mul, G._h1_norm, 3,
+                                           center_slots=[2])
+    assert const == 1.4565502169606948
+    assert log == gh.certification
     # no violation on a fresh random sample
-    rng = np.random.default_rng(77)
-    x, y = rng.normal(size=(2, 100_000, 3)) * 2.0
-    lhs = F.norm(gh, F.mul(gh, x, y))
-    rhs = c * (F.norm(gh, x) + F.norm(gh, y))
+    lhs, rhs = _triangle_sides(gh, *_triangle_sample())
     assert np.all(lhs <= rhs * (1.0 + 1e-12))
     # the constant is not wastefully large: some pair comes close
     assert np.max(lhs / rhs) > 0.95
+
+
+def test_heisenberg_group_runs_no_search(gh, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("heisenberg_group() ran the quasi-triangle search")
+
+    monkeypatch.setattr(G, "_certify_quasi_triangle", refuse)
+    fresh = G.heisenberg_group.__wrapped__()
+    assert fresh == gh
+    assert fresh.certification == gh.certification
+
+
+def test_quasi_triangle_check_catches_a_small_constant(gh):
+    # negative control: C = 1.40 is below the sampled maximum 1.4555
+    wrong = dataclasses.replace(gh, quasi_triangle_const=1.40)
+    lhs, rhs = _triangle_sides(wrong, *_triangle_sample())
+    assert not np.all(lhs <= rhs * (1.0 + 1e-12))
 
 
 def test_reverse_triangle_euclidean(g2):

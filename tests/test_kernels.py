@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import fatoulab as F
-from fatoulab import kernels as K
+from fatoulab import kernels as K, quadrature
 from conftest import ensure_validated
 
 GAMMA_EU1_ZERO = 0.28209479177387814  # (4 pi)^(-1/2)
@@ -161,6 +161,44 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
     monkeypatch.setattr(ph.gamma.spline, "ev", counting(ph.gamma.spline.ev))
     F.kernel_mass(ph, 1.0)
     assert 0 < sum(counted) <= 72450
+
+
+def _direct_plain(rho2, sigma):
+    """Reference column of the kernel table: its own lambda rule per sigma."""
+    lam, wt = K._gl_panels(0.0, K._LAM_MAX, K._panel_width(sigma))
+    four = 4.0 * lam
+    amp = (lam / np.sinh(four)) * wt * np.cos(lam * sigma)
+    cth = lam / np.tanh(four)
+    return np.exp(-np.outer(np.atleast_1d(rho2), cth)) @ amp / math.pi ** 2
+
+
+def test_heisenberg_table_matches_per_column_quadrature(ph):
+    machine = ph.gamma
+    r2 = machine.rho_grid ** 2
+    assert machine.table.shape == (241, 481)
+    # both lambda-rule regimes: one shared rule up to |s| = 24, then
+    # rules narrowing with |s|
+    assert machine.sig_grid.min() <= 24.0 < machine.sig_grid.max()
+    for j, sg in enumerate(machine.sig_grid):
+        reference = _direct_plain(r2, float(sg))
+        assert np.array_equal(machine.table[:, j], reference), sg
+
+
+def test_heisenberg_table_builds_each_lambda_rule_once(ph, monkeypatch):
+    built = []
+
+    def counting(a, b, n_panels, *args, **kwargs):
+        built.append(n_panels)
+        return quadrature.gauss_legendre(a, b, n_panels, *args, **kwargs)
+
+    monkeypatch.setattr(K, "gauss_legendre", counting)
+    fresh = K._HeisenbergGamma()
+    rules = {max(1, math.ceil(K._LAM_MAX / K._panel_width(float(sg))))
+             for sg in fresh.sig_grid}
+    widths = {K._panel_width(float(sg)) for sg in fresh.sig_grid}
+    assert sorted(built) == sorted(rules)
+    assert len(rules) < len(widths)
+    assert np.array_equal(fresh.table, ph.gamma.table)
 
 
 def test_heisenberg_marginals(ph):

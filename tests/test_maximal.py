@@ -320,6 +320,45 @@ def test_batched_values_equal_single_calls_bitwise(label, entries,
         assert hl["quotients"].tobytes() == np.array(quot).tobytes(), kind
 
 
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+def test_check_sandwich_equals_separate_maximal_calls_bitwise(label,
+                                                              monkeypatch):
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    phi = F.default_profile()
+    x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
+    s = F.geometric_grid(0.05, 5.0, 4)     # both sides of the scale switch
+    alphas = (0.5, 2.0)
+    rows = []
+    conv_rows = M._conv_rows
+
+    def counting(mu, phi, pts, ss):
+        rows.append(ss.size)
+        return conv_rows(mu, phi, pts, ss)
+
+    for kind in ("atomic", "density"):
+        mu = _batch_measures(g)[kind]
+        rad = F.radial_max(mu, phi, x, s_grid=s)
+        nts = {a: F.nontangential_max(mu, phi, x, a, s_grid=s) for a in alphas}
+        monkeypatch.setattr(M, "_conv_rows", counting)
+        rows.clear()
+        rep = F.check_sandwich(mu, x, phi, alphas=alphas, s_grid=s)
+        monkeypatch.setattr(M, "_conv_rows", conv_rows)
+        # the radial rows are evaluated once, not again per aperture:
+        # two betas > 0 times four directions per aperture
+        assert sum(rows) == s.size * (1 + 8 * len(alphas)), kind
+        for key in ("value", "argmax_s", "divergent"):
+            assert rep["radial"][key] == rad[key], (kind, key)
+        assert rep["radial"]["values"].tobytes() == rad["values"].tobytes()
+        for a in alphas:
+            got = rep["alphas"][a]["nontangential"]
+            for key in ("value", "argmax_s", "alpha", "divergent"):
+                assert got[key] == nts[a][key], (kind, a, key)
+            assert got["values"].tobytes() == nts[a]["values"].tobytes()
+        assert rep["chain_ok"], kind
+
+
 # ---------------------------------------------------------------------------
 # input validation of the maximal functions
 # ---------------------------------------------------------------------------
