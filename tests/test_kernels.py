@@ -12,6 +12,10 @@ Oracles used here (derived by hand / with mpmath, frozen as constants):
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -199,6 +203,120 @@ def test_heisenberg_table_builds_each_lambda_rule_once(ph, monkeypatch):
     assert sorted(built) == sorted(rules)
     assert len(rules) < len(widths)
     assert np.array_equal(fresh.table, ph.gamma.table)
+
+
+# ---------------------------------------------------------------------------
+# in-house spline and root finder against SciPy's FITPACK and brentq
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fitpack(ph):
+    from scipy.interpolate import RectBivariateSpline
+
+    machine = ph.gamma
+    return RectBivariateSpline(machine.rho_grid, machine.sig_grid,
+                               np.log(machine.table), kx=3, ky=3, s=0)
+
+
+def test_spline_knots_equal_fitpack(ph, fitpack):
+    tx, ty = fitpack.get_knots()
+    assert np.array_equal(ph.gamma.spline.tx, tx)
+    assert np.array_equal(ph.gamma.spline.ty, ty)
+
+
+def test_spline_matches_fitpack(ph, fitpack):
+    machine = ph.gamma
+    rho, sig = machine.rho_grid, machine.sig_grid
+    nodes = np.meshgrid(rho, sig, indexing="ij")
+    fine_r = np.linspace(0.0, K._TABLE_RHO_MAX, 997)
+    fine_s = np.linspace(0.0, K._TABLE_SIG_MAX, 1999)
+    edges = (
+        np.concatenate([fine_r, fine_r, np.zeros(fine_s.size),
+                        np.full(fine_s.size, K._TABLE_RHO_MAX)]),
+        np.concatenate([np.zeros(fine_r.size),
+                        np.full(fine_r.size, K._TABLE_SIG_MAX), fine_s, fine_s]),
+    )
+    corners = (np.array([0.0, 0.0, K._TABLE_RHO_MAX, K._TABLE_RHO_MAX]),
+               np.array([0.0, K._TABLE_SIG_MAX, 0.0, K._TABLE_SIG_MAX]))
+    rng = np.random.default_rng(12)
+    random = (rng.uniform(0.0, K._TABLE_RHO_MAX, 400_000),
+              rng.uniform(0.0, K._TABLE_SIG_MAX, 400_000))
+    for name, (r, s) in {"nodes": nodes, "edges": edges, "corners": corners,
+                         "random": random}.items():
+        ours = machine.spline.ev(r, s)
+        ref = fitpack.ev(np.ravel(r), np.ravel(s))
+        assert np.max(np.abs(ours - ref)) <= 1e-13, name
+    # an interpolant: the table is reproduced at its nodes
+    assert np.max(np.abs(machine.spline.ev(*nodes) - np.log(machine.table).ravel())) <= 1e-13
+
+
+def test_brentq_port_equals_scipy_on_certificate_solves(p1, p2, p3, ph, monkeypatch):
+    from scipy.optimize import brentq
+
+    solves = []
+    port = K._brentq
+
+    def both(f, a, b, xtol, rtol):
+        ours = port(f, a, b, xtol, rtol)
+        solves.append((ours, brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        return ours
+
+    monkeypatch.setattr(K, "_brentq", both)
+    for k in (p1, p2, p3, ph):
+        kept = k.certificate
+        try:
+            K.certify_gaussian(k)
+        finally:
+            k.certificate = kept
+    assert len(solves) > 100
+    assert all(ours == ref for ours, ref in solves)
+
+
+def test_brentq_rejects_a_bracket_without_sign_change():
+    with pytest.raises(F.NumericsError):
+        K._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-14)
+    assert K._brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-14, 1e-15) == \
+        pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
+def test_runtime_needs_no_scipy():
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        import numpy as np
+        import fatoulab as F
+        from fatoulab import groups as G, kernels as K
+        for label in G.GROUP_LABELS:
+            K.certify_gaussian(K.profile_for(G.get_group(label)))
+        gh = G.get_group("heisenberg:1")
+        mu = F.AtomicMeasure(gh, [[0.6, 0.2, 0.1]], [1.0])
+        u = F.HeatExtension(mu, K.profile_for(gh))(np.zeros(3), 0.5)
+        m = F.mollifier_convolution(mu, F.default_profile(), np.zeros(3), 0.5)
+        assert u > 0.0 and m > 0.0
+        loaded = [name for name, mod in sys.modules.items()
+                  if name.split(".")[0] == "scipy" and mod is not None]
+        assert not loaded, loaded
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_spline_vs_direct_row_catches_a_bad_table_column(ph):
+    err, n_held = K._spline_vs_direct(ph)
+    assert n_held == 7200
+    assert err <= K._SPLINE_VS_DIRECT_TOL
+    # negative control: one column of the table 0.1% off
+    bad = K._HeisenbergGamma()
+    bad.table[:, 100] *= 1.0 + 1e-3
+    bad.spline = K._BicubicSpline(bad.rho_grid, bad.sig_grid, np.log(bad.table))
+    scaled = F.KernelProfile(group=ph.group, gamma=bad, gamma_accurate=bad.accurate,
+                             quadrature_spec=dict(ph.quadrature_spec))
+    bad_err, _ = K._spline_vs_direct(scaled)
+    assert bad_err > K._SPLINE_VS_DIRECT_TOL
+    assert K._spline_vs_direct(F.euclidean_profile(2)) is None
 
 
 def test_heisenberg_marginals(ph):

@@ -14,6 +14,7 @@ query point, Gaussian profile phi(r) = exp(-r^2)):
   integral of phi = sigma(S) int phi r^3 dr = (pi^2/2) * (1/2) = pi^2/4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,6 +205,26 @@ def test_heat_chain_heisenberg_atoms(gh, ph):
     )
     report = F.check_heat_chain(mu, ph, np.zeros(3))
     assert report["chain_ok"] and not report["divergent"]
+
+
+@pytest.mark.parametrize("label", ["ms-h1-atoms-v3", "ms-eu2-atoms-v1",
+                                   "ms-h1-density-v2", "ms-eu1-density-v0"])
+def test_heat_chain_fails_with_swapped_envelope(label):
+    # negative control: c0 -> 1/c0 swaps the lower and upper Gaussians
+    cfg = next(c for c in F.maximal_cases(20, 3) if c["label"] == label)
+    g = F.get_group(cfg["group"])
+    mu = F.build_measure(g, cfg["measure"])
+    profile = F.profile_for(g)
+    real = profile.certificate or F.certify_gaussian(profile)
+    profile.certificate = dataclasses.replace(real, c0=1.0 / real.c0)
+    try:
+        report = F.check_heat_chain(
+            mu, profile, np.asarray(cfg["points"][0], dtype=float),
+            slack=1e-9 if cfg["measure"]["type"] == "atomic" else 0.02)
+    finally:
+        profile.certificate = real
+    assert not report["chain_ok"]
+    assert not report["divergent"]
 
 
 def test_heat_max_atom_value(g1, p1):
