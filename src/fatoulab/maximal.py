@@ -25,9 +25,14 @@ at every scale, and a single `mollifier_convolution`, which is one row, so
 a maximal value equals the single convolution bit for bit. Atomic parts
 take one (rows, atoms) distance matrix. Density convolutions switch
 quadrature by scale: for small s the mollifier is sharp, so a fixed
-phi-weighted polar grid in the scaled variable is used; for s above the
-support cell size the original-variable cell grid resolves phi_s directly
-and reuses cached density values. Scale and radius grids must be finite,
+phi-weighted polar grid in the scaled variable is used; above s = 1 the
+density's section rule in the original variable (Gauss-Legendre panels
+whose edges sit on the support faces, see
+``DensityMeasure._convolution_rule``) resolves phi_s directly. A row whose
+mollifier reaches past the support uses that rule on the whole support
+box, cached with its density values; a row whose mollifier support
+B(x, phi.support_radius * s) does not hold the support box uses it on the
+part of the box in that ball. Scale and radius grids must be finite,
 positive and strictly increasing.
 """
 
@@ -47,8 +52,8 @@ from .quadrature import gauss_legendre, point_array, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
-    DensityMeasure,
     _point,
+    _tensor,
     ball_masses,
 )
 
@@ -66,7 +71,7 @@ __all__ = [
     "check_heat_chain",
 ]
 
-_SCALE_SWITCH = 1.0  # density conv: scaled grid below, cell grid above
+_SCALE_SWITCH = 1.0  # density conv: scaled grid below, section rule above
 
 # (row, atom) entries per block of an atomic convolution; rows are
 # independent, so blocks bound memory without moving a value
@@ -207,16 +212,6 @@ def _phi_grid(g: G.GroupDescriptor, phi: RadialProfile):
     return out
 
 
-def _density_cells(mu: DensityMeasure):
-    """Cached midpoint cells with density values (centers, masses)."""
-    cache = getattr(mu, "_cells_cache", None)
-    if cache is None:
-        centers, vol, _ = mu._grid(mu.support_box)
-        cache = (centers, mu.density_at(centers) * vol)
-        mu._cells_cache = cache
-    return cache
-
-
 def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
                s: np.ndarray) -> np.ndarray:
     """(nu * phi_s)(x) for each row (x, s) of ``pts`` (m, n) and ``s`` (m,).
@@ -227,8 +222,14 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
     ``add.reduce`` on C-ordered rows, not BLAS), so a row's value does not
     depend on the other rows. Density parts keep one rule per scale:
     below ``_SCALE_SWITCH`` the phi-weighted grid in the scaled variable,
-    one density evaluation per row; above it the cached cell grid, with one
-    set of cell distances for each run of rows that share a point.
+    one density evaluation per row; above it the section rule of
+    ``DensityMeasure._convolution_rule``. It covers the whole support box,
+    cached with its density values and with one set of node distances for
+    each run of rows that share a point, where the ball B(x, R),
+    R = phi.support_radius * s, holds the support box's corners (phi_s is
+    below 1e-14 of its peak past R); else it covers the support box's part
+    in that ball, one rule per row, so a sharp profile at small s keeps
+    its nodes where phi_s lives.
     """
     g = mu.group
     total = np.zeros(s.size)
@@ -251,14 +252,21 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
             eta_inv, w = _phi_grid(g, phi)
             y = G.mul(g, pts[i], G.dilate(g, float(s[i]), eta_inv))
             vals[i] = weighted_sum(w, part.density_at(y))
+        above = np.flatnonzero(s > _SCALE_SWITCH)
+        reach = phi.support_radius * s[above]
+        # balls are convex: one that holds the support box's corners holds
+        # the box, and the row needs no clip
+        corners = _tensor(part.support_box)
+        far = np.asarray(G.dist(g, corners[None, :, :], pts[above, None, :]))
         x = None
-        for i in np.flatnonzero(s > _SCALE_SWITCH):
-            centers, masses = _density_cells(part)
-            if x is None or not np.array_equal(pts[i], x):
-                x = pts[i]
-                rho = np.asarray(G.dist(g, centers, x))
+        for i, r, inside in zip(above, reach, far.max(axis=1) < reach):
+            ball = None if inside else G.Ball(pts[i], float(r))
+            if ball is not None or x is None or not np.array_equal(pts[i], x):
+                nodes, wf = part._convolution_rule(ball)
+                x = pts[i] if ball is None else None
+                rho = np.asarray(G.dist(g, nodes, pts[i]))
             ss = float(s[i])
-            vals[i] = ss ** (-g.hom_dim) * weighted_sum(masses, phi(rho / ss))
+            vals[i] = ss ** (-g.hom_dim) * weighted_sum(wf, phi(rho / ss))
         total += vals
     return total
 

@@ -15,9 +15,10 @@ are automorphisms and left translations isometries, so translating by x0
 composes a <- a * delta_s(x0) and moves a clip B(c, R) to B(x0^-1 * c, R),
 and dilating by r composes s <- s * r and moves it to
 B(delta_(1/r)(c), R / r). The own ``support_box`` (translated corners'
-hull, dilated box, box clipped to a ball's bounding box) carries the cell
-grid and the section rules. Densities are validated at construction
-(finite, nonnegative, finite total mass).
+hull, dilated box, box clipped to a ball's bounding box) carries the
+section rules. Densities are validated at construction: finite and
+nonnegative at the nodes of the support box's section rules, whose mass of
+the box is the total mass.
 
 A density is assumed smooth inside its base box, so it may jump only at its
 box faces and clip spheres. ``DensityMeasure.hull_state`` tells whether the
@@ -38,9 +39,11 @@ iterated integral with exact inner limits (Stroud, Approximate Calculation
 of Multiple Integrals, 1971): Gauss-Legendre panels on the horizontal axes
 of its bounding box clipped to the support box, and on each vertical line
 Gauss-Legendre nodes on every interval that ``sections`` and the ball's own
-section leave (see ``DensityMeasure._section_ball_mass``). A ball that
-holds the support box gets the same rule's mass of the whole box, computed
-once per measure.
+section leave (see ``DensityMeasure._section_rule``). A ball that holds
+the support box gets the same rule's mass of the whole box, which is the
+total mass, computed once at construction. The mollifier convolutions of
+the maximal module read the same rule, with more panels per vertical
+section (``DensityMeasure._convolution_rule``).
 
 The strong derivative at a point is estimated over a finite ball family along
 a shrinking radius schedule; the trace records all quotients, and convergence
@@ -78,17 +81,19 @@ __all__ = [
     "trace_to_csv",
 ]
 
-# midpoint cells per axis of a density's support box
-_DEFAULT_CELLS = {1: 512, 2: 128, 3: 48}
-
 # A coordinate or a distance within _TIE times the scale of the values
 # tested of a box face or a sphere is too close to tell: the hull counts as
 # cut, and a support corner that ties does not make a ball cover the support.
 _TIE = 1e-6
 
-# (Gauss-Legendre panels per horizontal axis, nodes per panel and per
+# (Gauss-Legendre panels per horizontal axis, nodes per panel, panels per
 # section interval) of the fine and the coarse section rule of a cut ball
-_SECTION_RULES = ((4, 16), (2, 8))
+# and of the support box
+_SECTION_RULES = ((4, 16, 1), (2, 8, 1))
+
+# the same for a density's mollifier convolutions above the maximal
+# module's scale switch: 27,648 nodes on the Heisenberg group
+_CONVOLUTION_RULE = (2, 12, 4)
 
 # Rounding floor of a ball mass by a rule, relative to the value: the
 # rule's nodes and weights, the density values and the fixed-order sum each
@@ -187,14 +192,6 @@ def _tensor(axes) -> np.ndarray:
     """Points (N, d) of the grid of per-axis nodes, the first axis slowest
     (column-major, see `point_array`)."""
     return point_array(np.meshgrid(*axes, indexing="ij"))
-
-
-def midpoint_grid(box: np.ndarray, cells: int):
-    """Centers (N, n) of ``cells`` midpoint cells per axis of ``box``, the
-    cell volume and the cell widths."""
-    steps = (box[:, 1] - box[:, 0]) / cells
-    axes = [lo + h * (np.arange(cells) + 0.5) for (lo, _), h in zip(box, steps)]
-    return _tensor(axes), np.prod(steps), steps
 
 
 class BoundaryMeasure:
@@ -301,7 +298,7 @@ class DensityMeasure(BoundaryMeasure):
     as ``base_density`` and ``base_box``, the map A(y) = shift *
     delta_scale(y) into the base frame (``shift`` None: no translation),
     and ``clips``, (ball, complement) pairs in its own frame.
-    ``support_box`` is its own cell-grid box.
+    ``support_box`` is its own box, which the section rules cover.
     """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box):
@@ -316,7 +313,7 @@ class DensityMeasure(BoundaryMeasure):
         self.base_density = density
         self.base_box = self.support_box = box
         self.shift, self.scale, self.clips = None, 1.0, ()
-        self._mass = self._validate()
+        self._support_mass = self._validate()
 
     def _derive(self, support_box: np.ndarray, shift, scale: float,
                 clips: tuple) -> "DensityMeasure":
@@ -326,7 +323,7 @@ class DensityMeasure(BoundaryMeasure):
         out.base_density, out.base_box = self.base_density, self.base_box
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
-        out._mass = out._validate()
+        out._support_mass = out._validate()
         return out
 
     def _to_base(self, pts: np.ndarray) -> np.ndarray:
@@ -413,13 +410,11 @@ class DensityMeasure(BoundaryMeasure):
         """The density on ``ball``; the support box is clipped to the ball's
         bounding box, and a ball that misses it gives the zero measure."""
         g = self.group
-        bb = G.ball_bounding_box(g, ball)
-        lo = np.maximum(bb[:, 0], self.support_box[:, 0])
-        hi = np.minimum(bb[:, 1], self.support_box[:, 1])
-        if np.any(hi <= lo):
+        clipped = self._clip_box(G.ball_bounding_box(g, ball))
+        if clipped is None:
             return AtomicMeasure(g, np.zeros((0, g.total_dim)), np.zeros(0))
         clip = G.Ball(ball.center.copy(), ball.radius)
-        return self._derive(np.stack([lo, hi], axis=1), self.shift,
+        return self._derive(np.stack(clipped, axis=1), self.shift,
                             self.scale, self.clips + ((clip, False),))
 
     def restrict_complement(self, ball):
@@ -427,36 +422,42 @@ class DensityMeasure(BoundaryMeasure):
         return self._derive(self.support_box, self.shift, self.scale,
                             self.clips + ((clip, True),))
 
-    def _grid(self, box: np.ndarray):
-        """Cell centers (N, d) of ``box``, the cell volume and the widths."""
-        return midpoint_grid(box, _DEFAULT_CELLS[self.group.total_dim])
+    def _validate(self):
+        """Check the density at the nodes of the support box's section
+        rules; returns their mass of the box and its error (see
+        `_section_ball_mass`), which is the value on any ball that holds
+        the box, where the ball's cap removes nothing."""
+        def checked(pts):
+            vals = self.density_at(pts)
+            for bad, what in ((~np.isfinite(vals), "non-finite"),
+                              (vals < -1e-12, "negative")):
+                if np.any(bad):
+                    raise MeasureError(
+                        f"density {what} at {pts[bad][0].tolist()}")
+            return vals
 
-    def _validate(self) -> float:
-        """Check the density on the cell grid of the support; returns the
-        total mass (negative rounding noise clipped)."""
-        centers, vol, _ = self._grid(self.support_box)
-        vals = self.density_at(centers)
-        if not np.all(np.isfinite(vals)):
-            bad = centers[~np.isfinite(vals)][0]
-            raise MeasureError(f"density non-finite at {bad.tolist()}")
-        if np.any(vals < -1e-12):
-            bad = centers[vals < -1e-12][0]
-            raise MeasureError(f"density negative at {bad.tolist()}")
-        mass = float(vals.clip(min=0.0).sum() * vol)
-        if not math.isfinite(mass):
+        mass = self._section_ball_mass(None, *self.support_box.T, checked)
+        if not math.isfinite(mass[0]):
             raise MeasureError("density has non-finite total mass")
         return mass
 
     @property
     def total_mass(self) -> float:
-        return self._mass
+        """The fine section rule's mass of the support box."""
+        return self._support_mass[0]
+
+    def _clip_box(self, bb: np.ndarray):
+        """(lo, hi) of the support box clipped to the box ``bb`` (n, 2), or
+        None where they do not overlap."""
+        lo = np.maximum(bb[:, 0], self.support_box[:, 0])
+        hi = np.minimum(bb[:, 1], self.support_box[:, 1])
+        return None if np.any(hi <= lo) else (lo, hi)
 
     def _ball_mass(self, ball: G.Ball):
         g = self.group
         bb = G.ball_bounding_box(g, ball)
-        lo = np.maximum(bb[:, 0], self.support_box[:, 0])
-        hi = np.minimum(bb[:, 1], self.support_box[:, 1])
-        if np.any(hi <= lo):
+        clipped = self._clip_box(bb)
+        if clipped is None:
             return 0.0, 0.0
         # balls are convex, so a ball holding the corners of the support box
         # holds all of it; the box center is tested only so that d has a
@@ -471,14 +472,7 @@ class DensityMeasure(BoundaryMeasure):
             return self._polar_ball_mass(ball)
         if state == "outside":
             return 0.0, 0.0
-        return self._section_ball_mass(ball, lo, hi)
-
-    @cached_property
-    def _support_mass(self):
-        """The section rule's mass of the whole support box and its error:
-        its value on any ball that holds the box, where the ball's cap
-        removes nothing."""
-        return self._section_ball_mass(None, *self.support_box.T)
+        return self._section_ball_mass(ball, *clipped)
 
     def _polar_ball_mass(self, ball: G.Ball):
         """Mass of a ball in the smooth region, by the unit-ball polar rule.
@@ -496,25 +490,33 @@ class DensityMeasure(BoundaryMeasure):
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
 
     def _section_ball_mass(self, ball: G.Ball | None, lo: np.ndarray,
-                           hi: np.ndarray):
+                           hi: np.ndarray, density=None):
         """Mass of a ball across a jump (``ball`` None: of the box), by
-        vertical sections of the box [lo, hi].
+        vertical sections of the box [lo, hi] (see `_section_rule`).
 
-        The horizontal axes of the box take Gauss-Legendre panels, so the
-        support's horizontal faces are panel edges. Each vertical line meets
-        the density in the intervals of ``sections``, capped by the ball's
-        own section, and every interval takes Gauss-Legendre nodes. The
-        value is the fine rule's of _SECTION_RULES; the error is its
-        distance from the coarse rule's plus a rounding floor.
+        The value is the fine rule's of _SECTION_RULES; the error is its
+        distance from the coarse rule's plus a rounding floor. ``density``
+        evaluates the density at the nodes (default `density_at`).
         """
-        fine, coarse = (self._section_sum(ball, lo, hi, *r)
-                        for r in _SECTION_RULES)
+        density = density or self.density_at
+        fine, coarse = (weighted_sum(w, density(pts)) for pts, w in (
+            self._section_rule(lo, hi, r, ball) for r in _SECTION_RULES))
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
 
-    def _section_sum(self, ball, lo, hi, n_panels: int, order: int) -> float:
-        """One section rule: ``n_panels`` panels of ``order`` nodes per
-        horizontal axis, ``order`` nodes per section interval."""
+    def _section_rule(self, lo: np.ndarray, hi: np.ndarray, rule: tuple,
+                      ball: G.Ball | None = None):
+        """Nodes (N, n) and weights (N,) of a section rule on the box
+        [lo, hi], ``ball`` None or its part in ``ball``.
+
+        ``rule`` is (panels per horizontal axis, nodes per panel, panels
+        per section interval). The horizontal axes of the box take
+        Gauss-Legendre panels, so its horizontal faces are panel edges.
+        Each vertical line meets the density in the intervals of
+        ``sections``, capped by the ball's own section, and every interval
+        takes its panels of Gauss-Legendre nodes.
+        """
         g = self.group
+        n_panels, order, n_sub = rule
         heads, w_cols = tensor_rule(
             [gauss_legendre(a, b, n_panels, order)
              for a, b in zip(lo[:-1], hi[:-1])] + [(np.zeros(1), np.ones(1))])
@@ -524,12 +526,31 @@ class DensityMeasure(BoundaryMeasure):
         live = s_lo < s_hi
         col = np.nonzero(live)[0]
         a, b = s_lo[live], s_hi[live]
-        ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
-        pts = point_array(np.repeat(h[col], order) for h in heads.T)
+        ref_x, ref_w = gauss_legendre(-1.0, 1.0, n_sub, order)
+        pts = point_array(np.repeat(h[col], ref_x.size) for h in heads.T)
         pts[:, -1] = ((0.5 * (a + b))[:, None]
                       + 0.5 * (b - a)[:, None] * ref_x).ravel()
         w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
-        return weighted_sum(w, self.density_at(pts))
+        return pts, w
+
+    @cached_property
+    def _support_convolution_rule(self):
+        """`_convolution_rule` of the whole support box."""
+        pts, w = self._section_rule(*self.support_box.T, _CONVOLUTION_RULE)
+        return pts, w * self.density_at(pts)
+
+    def _convolution_rule(self, ball: G.Ball | None = None):
+        """Nodes (N, n) and weights times density values of the section
+        rule _CONVOLUTION_RULE on the support box (cached), or on its part
+        in ``ball``: the support box clipped to the ball's bounding box,
+        each vertical section capped by the ball's."""
+        if ball is None:
+            return self._support_convolution_rule
+        clipped = self._clip_box(G.ball_bounding_box(self.group, ball))
+        if clipped is None:
+            return np.zeros((0, self.group.total_dim)), np.zeros(0)
+        pts, w = self._section_rule(*clipped, _CONVOLUTION_RULE, ball)
+        return pts, w * self.density_at(pts)
 
 
 class MixtureMeasure(BoundaryMeasure):

@@ -5,7 +5,7 @@
   column;
 * `gauss_legendre`: composite Gauss-Legendre panels on an interval (radial
   rules, kernel lambda rules, each axis of the mass and eta grids, and the
-  section rule of a cut ball mass);
+  section rules of density masses and convolutions);
 * `tensor_rule`: tensor products of one-dimensional rules;
 * `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
   yields its quadrature rules at any node count and its spread of
@@ -19,12 +19,13 @@ Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
 
 Layout: every rule's nodes, and every other bulk point array (the cell
-centres of a density's support box, the section-rule nodes of density ball
-masses, the mollifier grid), come out of `point_array`. The group primitives act row by row and keep
-their operands' layout, so a product, gauge or dilation over such an array
-reads and writes whole contiguous columns (the Heisenberg law and gauge
-are written per coordinate), where a row-major (N, n) array would be read
-with a stride of n. Layout moves no value: every primitive computes each
+centres of `duality_check`'s route B, the section-rule nodes of density
+masses and convolutions, the mollifier grid), come out of `point_array`.
+The group primitives act row by row and keep their operands' layout, so a
+product, gauge or dilation over such an array reads and writes whole
+contiguous columns (the Heisenberg law and gauge are written per
+coordinate), where a row-major (N, n) array would be read with a stride
+of n. Layout moves no value: every primitive computes each
 row the same way in either layout.
 """
 

@@ -416,7 +416,7 @@ def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
         arrays = {
             "eta-grid": E._ext_grid(profile).eta_inv,
             "phi-grid": M._phi_grid(g, phi)[0],
-            "cell-grid": M._density_cells(mu)[0],
+            "convolution-rule": mu._convolution_rule()[0],
             "unit-ball": G.unit_ball_rule(g)[0],
             "mass-grid": K._mass_grid(profile)[0],
         }
@@ -425,7 +425,7 @@ def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
             assert pts.shape[0] > 1, (g.label, name)
             assert pts.flags.f_contiguous, (g.label, name)
         # the primitives keep the layout of the grid they are given
-        pts = arrays["cell-grid"]
+        pts = arrays["convolution-rule"]
         x = np.linspace(0.1, 0.3, n)
         for out in (G.mul(g, x, pts), G.mul(g, pts, x), G.inverse(g, pts),
                     G.dilate(g, 0.7, pts)):

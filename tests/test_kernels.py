@@ -11,6 +11,7 @@ Oracles used here (derived by hand / with mpmath, frozen as constants):
   integral of gamma^2 -> 1/256.
 """
 
+import copy
 import math
 import os
 import subprocess
@@ -317,6 +318,28 @@ def test_spline_vs_direct_row_catches_a_bad_table_column(ph):
     bad_err, _ = K._spline_vs_direct(scaled)
     assert bad_err > K._SPLINE_VS_DIRECT_TOL
     assert K._spline_vs_direct(F.euclidean_profile(2)) is None
+
+
+def test_validation_catches_a_kernel_with_the_wrong_homogeneous_dimension(p2):
+    # negative control: a copy of the euclidean:2 group that reports Q + 1,
+    # so Gamma(x, t) = t^(-(Q+1)/2) gamma(delta_(1/sqrt t) x) is off by
+    # t^(-1/2). The normalization and scaling rows carry the same exponent
+    # on both sides and cancel it; the PDE residual keeps a first-order
+    # term (ratio near 1), and the semigroup's direct side is off by
+    # (t + tau)^(-1/2) while its convolution at t = 1 is not.
+    g = copy.copy(p2.group)
+    object.__setattr__(g, "hom_dim", p2.group.hom_dim + 1)
+    object.__setattr__(g, "_ball_rules", {})
+    wrong = F.KernelProfile(group=g, gamma=p2.gamma,
+                            gamma_accurate=p2.gamma_accurate,
+                            quadrature_spec=dict(p2.quadrature_spec))
+    report = F.validate_profile(wrong)
+    failed = {c["property"] for c in report["checks"] if not c["pass"]}
+    assert not report["passed"]
+    assert failed == {"pde_residual_order", "semigroup"}
+    ratio = next(c["max_residual"] for c in report["checks"]
+                 if c["property"] == "pde_residual_order")
+    assert ratio == pytest.approx(1.0, abs=0.05)
 
 
 def test_heisenberg_marginals(ph):

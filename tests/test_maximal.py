@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
+from fatoulab import groups as G
 
 C_PHI_EU1 = 0.7357588823428847  # 2/e
 C_PHI_H1 = 0.4538530689569951   # exp(-1) pi^2 / 8
@@ -225,6 +226,149 @@ def test_heat_chain_fails_with_swapped_envelope(label):
         profile.certificate = real
     assert not report["chain_ok"]
     assert not report["divergent"]
+
+
+# ---------------------------------------------------------------------------
+# density convolutions above the scale switch against a split reference
+# ---------------------------------------------------------------------------
+
+def _h1_density_v2(gh):
+    cfg = next(c for c in F.maximal_cases(0, 3)
+               if c["label"] == "ms-h1-density-v2")
+    return F.build_measure(gh, cfg["measure"])
+
+
+def _split_panels(a, b, c, order):
+    """Gauss-Legendre nodes and weights on [a, b]: one panel of ``order``
+    nodes on each side of c when c is inside, else one panel."""
+    from fatoulab.quadrature import gauss_legendre
+
+    if not a < c < b:
+        return gauss_legendre(a, b, 1, order)
+    (n1, w1), (n2, w2) = gauss_legendre(a, c, 1, order), gauss_legendre(
+        c, b, 1, order)
+    return np.concatenate([n1, n2]), np.concatenate([w1, w2])
+
+
+def _h1_split_reference(part, phi, x, s, order=40):
+    """(part * phi_s)(x) on the Heisenberg group by a rule split at the kink.
+
+    The gauge d(x, y) is not smooth at y = x: on the vertical line through
+    y = (z, t) it has its kink at t = s*(z), where x^-1 * y has last
+    coordinate 0. The horizontal axes of the support box, clipped to
+    x +- R with R = phi.support_radius * s, break at x's coordinates, and
+    each vertical line's range, clipped to s* +- R^2 / 4 (the vertical
+    reach of B(x, R) for d^4 = |z|^4 + 16 t^2), breaks at s*.
+    """
+    from fatoulab.quadrature import weighted_sum
+
+    g = part.group
+    box = part.support_box
+    reach = phi.support_radius * s
+    lo = np.maximum(box[:2, 0], x[:2] - reach)
+    hi = np.minimum(box[:2, 1], x[:2] + reach)
+    if np.any(hi <= lo):
+        return 0.0
+    (z1, w1), (z2, w2) = (_split_panels(lo[i], hi[i], x[i], order)
+                          for i in range(2))
+    heads = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size),
+                      np.zeros(z1.size * z2.size)], axis=1)
+    w_cols = np.multiply.outer(w1, w2).ravel()
+    kink = -G.mul(g, G.inverse(g, x), heads)[:, 2]
+    a = np.maximum(box[2, 0], kink - reach ** 2 / 4.0)
+    b = np.minimum(box[2, 1], kink + reach ** 2 / 4.0)
+    mid = np.clip(kink, a, b)
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for u, v in ((a, mid), (mid, b)):
+        live = v > u
+        half, centre = 0.5 * (v - u)[live], 0.5 * (v + u)[live]
+        pts = np.stack([np.repeat(heads[live, 0], order),
+                        np.repeat(heads[live, 1], order),
+                        (centre[:, None] + half[:, None] * xs).ravel()], axis=1)
+        w = ((w_cols[live] * half)[:, None] * ws).ravel()
+        rho = np.asarray(G.dist(g, pts, x))
+        total += weighted_sum(w * part.density_at(pts), phi(rho / s))
+    return s ** (-g.hom_dim) * total
+
+
+_CONV_SCALES = (1.004, 1.2, 3.0, 10.0, 100.0)
+
+# largest error of a convolution row above the scale switch, relative to
+# the reference value at x = 0 on the same scale, over x = 0 and the four
+# cone placements at distance 0.9 s (bounds about twice the measured ones)
+_CONV_BOUNDS = {
+    "default": (1.5e-4, 1.5e-4, 1.5e-5, 2e-9, 1e-10),
+    "lower": (3e-4, 3e-4, 1.5e-3, 1e-6, 1e-9),
+    "upper": (2e-7, 3e-7, 1.5e-7, 3e-11, 1e-12),
+}
+
+
+def _gauss_profiles(c0):
+    """The default profile and the heat chain's two Gaussians."""
+    return {
+        "default": F.default_profile(),
+        "lower": F.RadialProfile(
+            lambda r: np.exp(-c0 * np.asarray(r) ** 2) / c0, "lower"),
+        "upper": F.RadialProfile(
+            lambda r: c0 * np.exp(-np.asarray(r) ** 2 / c0), "upper"),
+    }
+
+
+def _conv_errors(mu, phi, scales):
+    """Largest |_conv_rows - reference| at each scale over x = 0 and the
+    cone placements, relative to the reference at x = 0."""
+    from fatoulab import maximal as M
+
+    g = mu.group
+    part, = mu.parts()
+    x0 = np.zeros(g.total_dim)
+    dirs = G.unit_directions(g, 4)
+    rows = [np.broadcast_to(x0, (scales.size, 3))] + [
+        M._cone_points(g, x0, 0.9 * scales, d) for d in dirs]
+    errs, base = np.zeros(scales.size), None
+    for pts in rows:
+        got = M._conv_rows(mu, phi, np.ascontiguousarray(pts), scales)
+        ref = np.array([_h1_split_reference(part, phi, p, s)
+                        for p, s in zip(pts, scales)])
+        base = ref if base is None else base
+        errs = np.maximum(errs, np.abs(got - ref) / base)
+    return errs
+
+
+@pytest.mark.parametrize("name", sorted(_CONV_BOUNDS))
+def test_density_convolution_matches_split_reference(gh, ph, name):
+    mu = _h1_density_v2(gh)
+    c0 = (ph.certificate or F.certify_gaussian(ph)).c0
+    phi = _gauss_profiles(c0)[name]
+    errs = _conv_errors(mu, phi, np.array(_CONV_SCALES))
+    assert np.all(errs <= _CONV_BOUNDS[name]), errs
+
+
+def test_unclipped_rule_misses_the_sharp_lower_profile(gh, ph, monkeypatch):
+    # negative control: every row on the support box's cached rule
+    mu = _h1_density_v2(gh)
+    c0 = (ph.certificate or F.certify_gaussian(ph)).c0
+    whole = F.DensityMeasure._convolution_rule
+    monkeypatch.setattr(F.DensityMeasure, "_convolution_rule",
+                        lambda self, ball=None: whole(self))
+    errs = _conv_errors(mu, _gauss_profiles(c0)["lower"], np.array([1.004]))
+    assert errs[0] > 10.0 * _CONV_BOUNDS["lower"][0]
+
+
+def test_heat_chain_lower_values_above_the_switch(gh, ph):
+    # phi(r) = exp(-c0 r^2) / c0 is below 1e-14 of its peak past 0.70, and
+    # B(0, 0.70 s) lies in the support box [-1.5, 1.5]^3 for s <= 2, so on
+    # those scales the lower value at x = 0 is the profile's whole integral
+    # 2 m(B(0, 1)) / c0^3 = pi^2 / (4 c0^3) = 8.8695e-6
+    mu = _h1_density_v2(gh)
+    report = F.check_heat_chain(mu, ph, np.zeros(3))
+    exact = math.pi ** 2 / (4.0 * report["c0"] ** 3)
+    assert exact == pytest.approx(8.8695e-6, rel=1e-4)
+    s = report["lower"]["scales"]
+    vals = report["lower"]["values"][(s > 1.0) & (s <= 2.0)]
+    assert vals.size > 5
+    assert np.all(np.abs(vals / exact - 1.0) <= 2e-4), vals / exact - 1.0
 
 
 def test_heat_max_atom_value(g1, p1):

@@ -114,8 +114,9 @@ def _refined_section_mass(mu, ball):
     bb = G.ball_bounding_box(g, ball)
     lo = np.maximum(bb[:, 0], mu.support_box[:, 0])
     hi = np.minimum(bb[:, 1], mu.support_box[:, 1])
-    (panels, order), _ = F.measures._SECTION_RULES
-    return mu._section_sum(ball, lo, hi, 4 * panels, order)
+    (panels, order, sub), _ = F.measures._SECTION_RULES
+    pts, w = mu._section_rule(lo, hi, (4 * panels, order, sub), ball)
+    return quadrature.weighted_sum(w, mu.density_at(pts))
 
 
 def _smooth(p):
@@ -150,7 +151,8 @@ def _ball_cases(g, f):
     clip = F.Ball(at(-0.1, 0.2, 0.05), 0.9)
     derived = F.restrict(F.translate_measure(mu, at(0.3, -0.2, 0.1)), clip)
     hole = F.restrict_complement(mu, F.Ball(at(0.1, 0.2, -0.1), 0.9))
-    cell = 2.3 / F.measures._DEFAULT_CELLS[n]
+    # 0.3 of a 48th (three axes), 128th (two) or 512th (one) of the box width
+    cell = 2.3 / {1: 512, 2: 128, 3: 48}[n]
     return {
         # the smooth region: the polar rule
         "inside": (mu, F.Ball(at(0.1, 0.2, -0.1), 0.5)),
@@ -197,15 +199,15 @@ def test_density_ball_mass_matches_refined_section_rule(label, monkeypatch):
         assert abs(val - ref) <= err < 1e-2 * val, name
 
     # a ball covering the support returns the section rule's mass of the
-    # support box, computed once per measure
+    # support box, which is the total mass, computed once at construction
     mu = cases["inside"][0]
     expected = mu._section_ball_mass(None, *mu.support_box.T)
     assert 0.0 < expected[1] < 1e-12 * expected[0]
+    assert mu.total_mass == expected[0]
     taken.clear()
     cover = F.Ball(np.array([0.2, -0.1, 0.3][:g.total_dim]), 6.0)
     assert F.measure_ball(mu, cover) == expected
-    assert taken == [_SECTION]
-    taken.clear()
+    assert taken == []
     assert F.measure_ball(mu, G.dilate_ball(g, 2.0, cover)) == expected
     assert taken == []
 
