@@ -17,12 +17,22 @@ per kernel profile. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so
 the images of the eta-box's 2^n corners span the image of the whole grid,
 and the density's ``hull_state`` classifies that hull. Where it lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
-converges geometrically on smooth integrands); where the density is zero on
-it, u is 0.0 without evaluating anything. Where a support face or a clip
-sphere cuts it, the grid is integrated column by column between exact
-limits: each eta-column maps onto a vertical line on which y_last is affine
-in eta_last, and ``DensityMeasure.sections`` gives the intervals of that
-line where the density may be nonzero (see ``_column_rule``).
+converges geometrically on smooth integrands), with
+``DensityMeasure.density_inside``: every box and clip test passes there, so
+they are skipped. Where the density is zero on it, u is 0.0 without
+evaluating anything. Where a support face or a clip sphere cuts it, the
+grid is integrated column by column between exact limits: each eta-column
+maps onto a vertical line on which y_last is affine in eta_last, and
+``DensityMeasure.sections`` gives the intervals of that line where the
+density may be nonzero (see ``_column_rule``).
+
+A call at many points with one t (a slice, as the limit traces make) takes
+one pass per rule: one ``hull_state`` call classifies every point's hull;
+"inside" points share a block of density evaluations while points x nodes
+fit in _ETA_BLOCK rows; "cut" points on the grid's own outer rules share a
+``_column_rule`` call of up to _CUT_LINES vertical lines. Every step is row
+by row and each point keeps its own fixed-order sum, so each value is the
+one a call at that point alone gives, bit for bit.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -44,7 +54,8 @@ import numpy as np
 from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
+from .quadrature import (_legendre_projection, gauss_legendre, point_array,
+                         tensor_rule, weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -117,19 +128,45 @@ def _ext_grid(profile: K.KernelProfile) -> _EtaGrid:
     return cache["ext_grid"]
 
 
-def _density_rows(mu: DensityMeasure, x: np.ndarray, eta_t: np.ndarray,
-                  rows=None) -> np.ndarray:
-    """f(x * eta) over ``eta_t`` (scaled eta^-1) or its ``rows``, by blocks."""
-    g = mu.group
-    n_rows = eta_t.shape[0] if rows is None else rows.size
+def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
+                  eta: np.ndarray, rows=None, owner=None) -> np.ndarray:
+    """``density`` at xs[owner] * eta[rows], by blocks of _ETA_BLOCK rows.
+
+    ``rows`` None takes every row of ``eta`` in order, and ``owner`` None
+    the one point of ``xs`` (p, n).
+    """
+    n_rows = eta.shape[0] if rows is None else rows.size
     f = np.empty(n_rows)
     for start in range(0, n_rows, _ETA_BLOCK):
         block = slice(start, start + _ETA_BLOCK)
         # a row gather of a column-major array would come out row-major
-        sel = eta_t[block] if rows is None else point_array(
-            col[rows[block]] for col in eta_t.T)
-        f[block] = mu.density_at(G.mul(g, x, sel))
+        y = eta[block] if rows is None else point_array(
+            col[rows[block]] for col in eta.T)
+        x = xs[0] if owner is None else point_array(
+            col[owner[block]] for col in xs.T)
+        f[block] = density(G.mul(g, x, y))
     return f
+
+
+def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
+                   eta_t: np.ndarray) -> np.ndarray:
+    """u at points whose eta-image hull is "inside": the whole grid, with
+    `DensityMeasure.density_inside`. On a grid of at most _ETA_BLOCK / p
+    nodes, p points share one block; each point's sum is its own."""
+    n_nodes = grid.gamma_w.size
+    per = max(1, _ETA_BLOCK // n_nodes)
+    out = np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], per):
+        batch = xs[start:start + per]
+        k = batch.shape[0]
+        many = k > 1
+        f = _density_rows(mu.density_inside, mu.group, batch, eta_t,
+                          np.tile(np.arange(n_nodes), k) if many else None,
+                          np.repeat(np.arange(k), n_nodes) if many else None)
+        for i in range(k):
+            out[start + i] = weighted_sum(
+                grid.gamma_w, f[i * n_nodes:(i + 1) * n_nodes])
+    return out
 
 
 def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
@@ -160,10 +197,43 @@ def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
     return rules, cached
 
 
+# Vertical lines per `_column_rule` call: points on the grid's own outer
+# rules share a call while points x columns stay within this (one point on
+# the Heisenberg group's 1,024 columns), so that its per-piece temporaries
+# stay near _ETA_BLOCK rows.
+_CUT_LINES = 1024
+
+
+def _cut_values(mu: DensityMeasure, profile: K.KernelProfile,
+                grid: _EtaGrid, xs: np.ndarray, sqrt_t: float,
+                eta_t: np.ndarray) -> np.ndarray:
+    """u at points whose eta-image hull is "cut", by `_column_rule`: in
+    batches of up to _CUT_LINES lines where the outer rules are the grid's,
+    one point at a time where `_outer_rules` narrows them."""
+    out = np.zeros(xs.shape[0])
+    shared = []
+    for i, x in enumerate(xs):
+        outer, cached = _outer_rules(mu, grid, x, sqrt_t)
+        if cached:
+            shared.append(i)
+        elif outer is not None:
+            out[i] = _column_rule(mu, profile, grid, xs[i:i + 1], sqrt_t,
+                                  eta_t, outer, False)[0]
+    n_cols = math.prod(nodes.size for nodes, _ in grid.axes[:-1])
+    per = max(1, _CUT_LINES // n_cols)
+    for start in range(0, len(shared), per):
+        batch = shared[start:start + per]
+        out[batch] = _column_rule(mu, profile, grid, xs[batch], sqrt_t,
+                                  eta_t, list(grid.axes[:-1]), True)
+    return out
+
+
 def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
-                 grid: _EtaGrid, x: np.ndarray, sqrt_t: float,
-                 eta_t: np.ndarray) -> float:
-    """u(x, t) of a density whose clips cut the eta-image.
+                 grid: _EtaGrid, xs: np.ndarray, sqrt_t: float,
+                 eta_t: np.ndarray, outer: list, cached: bool) -> np.ndarray:
+    """u(x, t) at each point x of ``xs`` (p, n), a density whose clips cut
+    the eta-image, on the outer rules ``outer`` (the grid's own if
+    ``cached``; see `_outer_rules`).
 
     Under eta -> x * delta_sqrt(t)(eta^-1) the eta-column over (eta_1, ..,
     eta_(n-1)) maps onto a vertical line on which y_last = c - sqrt(t)^e
@@ -178,8 +248,13 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
       values (exact below degree ``order``);
     * rows outside the intervals are never evaluated.
 
-    Where a support face cuts an outer axis (see `_outer_rules`), every
-    column is new and every piece takes fresh gamma.
+    Where a support face cuts an outer axis, every column is new and every
+    piece takes fresh gamma.
+
+    The p points share one ``sections`` call on their p x columns lines,
+    one interpolation and one density pass (every step is row by row);
+    each point's value is its own `weighted_sum`, in the order of a call
+    with that point alone.
 
     The interpolant spares fresh gamma, whose nodes in the eta-box's
     corners lie beyond the Heisenberg kernel table and fall back to direct
@@ -187,24 +262,28 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     the hc-translated-vertex cut calls, far below the rule's own error.
     """
     g = mu.group
-    outer, cached = _outer_rules(mu, grid, x, sqrt_t)
-    if outer is None:
-        return 0.0
+    p = xs.shape[0]
     col_lo, col_hi, n_panels, order = g.eta_grid[-1]
     m = n_panels * order
     heads, w_cols = tensor_rule(outer + [(np.zeros(1), np.ones(1))])
-    base = G.mul(g, x, G.dilate(g, sqrt_t, G.inverse(g, heads)))
+    n_cols = w_cols.size
+    # line j of point i is line i * n_cols + j
+    heads_t = G.dilate(g, sqrt_t, G.inverse(g, heads))
+    base = G.mul(g, point_array(np.repeat(c, n_cols) for c in xs.T),
+                 point_array(np.tile(c, p) for c in heads_t.T))
     lo, hi = mu.sections(base, -sqrt_t ** g.layer_exponents[-1])
-    # the covered piece of each (column, interval, panel)
+    # the covered piece of each (line, interval, panel)
     edges = np.linspace(col_lo, col_hi, n_panels + 1)
     p_lo = np.maximum(lo[:, :, None], edges[:-1])
     p_hi = np.minimum(hi[:, :, None], edges[1:])
     live = p_lo < p_hi
     whole = live & (p_lo == edges[:-1]) & (p_hi == edges[1:]) & cached
-    col, _, panel = np.nonzero(whole)
+    line, _, panel = np.nonzero(whole)
+    whole_of, col = np.divmod(line, n_cols)
     rows = ((col * m + panel * order)[:, None] + np.arange(order)).ravel()
     part = live & ~whole
-    col, _, panel = np.nonzero(part)
+    line, _, panel = np.nonzero(part)
+    part_of, col = np.divmod(line, n_cols)
     a, b = p_lo[part], p_hi[part]
     ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
     eta = point_array(np.repeat(h[col], order) for h in heads.T)
@@ -218,9 +297,8 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
         s_w = grid.axes[-1][1].reshape(n_panels, order)
         own = (col * m + panel * order)[:, None] + np.arange(order)
         known = grid.gamma_w[own] / (w_cols[col, None] * s_w[panel])
-        to_coef = (np.polynomial.legendre.legvander(ref_x, order - 1)
-                   * ref_w[:, None]).T * (np.arange(order)[:, None] + 0.5)
-        coef = np.add.reduce(to_coef * known[:, None, :], axis=2)
+        coef = np.add.reduce(_legendre_projection(order) * known[:, None, :],
+                             axis=2)
         mid = 0.5 * (edges[panel] + edges[panel + 1])
         xi = ((eta[:, -1].reshape(-1, order) - mid[:, None])
               / (0.5 * (edges[1] - edges[0])))
@@ -228,11 +306,22 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
                               * coef[:, None, :], axis=2).ravel()
     else:
         gamma = profile.gamma(eta)
-    f = np.concatenate([
-        _density_rows(mu, x, eta_t, rows),
-        _density_rows(mu, x, G.dilate(g, sqrt_t, G.inverse(g, eta))),
-    ])
-    return weighted_sum(np.concatenate([grid.gamma_w[rows], gamma * w]), f)
+    one = p == 1
+    f_rows = _density_rows(mu.density_at, g, xs, eta_t, rows,
+                           None if one else np.repeat(whole_of, order))
+    f_part = _density_rows(mu.density_at, g, xs,
+                           G.dilate(g, sqrt_t, G.inverse(g, eta)), None,
+                           None if one else np.repeat(part_of, order))
+    gw_rows, gw_part = grid.gamma_w[rows], gamma * w
+    # each point's rows and piece nodes are contiguous, in line order
+    r_end = order * np.searchsorted(whole_of, np.arange(p + 1))
+    s_end = order * np.searchsorted(part_of, np.arange(p + 1))
+    out = np.empty(p)
+    for i in range(p):
+        r, s = slice(r_end[i], r_end[i + 1]), slice(s_end[i], s_end[i + 1])
+        out[i] = weighted_sum(np.concatenate([gw_rows[r], gw_part[s]]),
+                              np.concatenate([f_rows[r], f_part[s]]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +368,24 @@ class HeatExtension:
         return total
 
     def _density(self, mu: DensityMeasure, pts: np.ndarray, t: float):
-        """The eta-grid rule the hull of each point's eta-image calls for."""
+        """The eta-grid rule the hull of each point's eta-image calls for:
+        one hull test for the slice, then one pass per rule over the points
+        that take it."""
         g = self.group
         grid = _ext_grid(self.profile)
         sqrt_t = math.sqrt(t)
         corners = G.dilate(g, sqrt_t, grid.corner_inv)
+        states = mu.hull_state(G.mul(g, pts[:, None, :], corners))
         out = np.zeros(pts.shape[0])
-        eta_t = None
-        for i, x in enumerate(pts):
-            state = mu.hull_state(G.mul(g, x, corners))
-            if state == "outside":
-                continue
-            if eta_t is None:
-                # the scaled grid depends on t alone: once per slice
-                eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
-            if state == "inside":
-                out[i] = weighted_sum(grid.gamma_w,
-                                      _density_rows(mu, x, eta_t))
-            else:
-                out[i] = _column_rule(mu, self.profile, grid, x, sqrt_t,
-                                      eta_t)
+        if np.all(states == "outside"):
+            return out
+        # the scaled grid depends on t alone: once per slice
+        eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
+        inside = np.flatnonzero(states == "inside")
+        out[inside] = _inside_values(mu, grid, pts[inside], eta_t)
+        cut = np.flatnonzero(states == "cut")
+        out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t,
+                               eta_t)
         return out
 
 

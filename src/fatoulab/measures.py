@@ -22,8 +22,10 @@ the box is the total mass.
 
 A density is assumed smooth inside its base box, so it may jump only at its
 box faces and clip spheres. ``DensityMeasure.hull_state`` tells whether the
-convex hull of a few points lies where the density is smooth, where it is
-zero, or across a jump. ``DensityMeasure.sections`` gives the exact limits
+convex hull of a few points (or each of many such hulls, in one call) lies
+where the density is smooth, where it is zero, or across a jump; where it
+is smooth, ``DensityMeasure.density_inside`` gives the density without the
+box and clip tests. ``DensityMeasure.sections`` gives the exact limits
 of the same boundaries along vertical lines (the last coordinate is the
 group's central column axis): a box or a ball meets such a line in one
 interval and a complement clip removes one, so the density is smooth
@@ -101,45 +103,45 @@ _CONVOLUTION_RULE = (2, 12, 4)
 _ROUNDING = 1e-13
 
 
-def _meet(a: str, b: str) -> str:
-    """Hull state of a product of two factors with hull states a and b."""
-    if "outside" in (a, b):
-        return "outside"
-    return "inside" if a == b == "inside" else "cut"
+# Hull states by index, ordered so that the state of a product of factors is
+# the least of theirs: zero on one factor makes it zero, and it is smooth only
+# where every factor is. A complement clip's state is _INSIDE minus the ball's.
+_STATES = np.array(["outside", "cut", "inside"])
+_OUTSIDE, _CUT, _INSIDE = range(3)
 
 
-def _box_state(corners: np.ndarray, box: np.ndarray) -> str:
-    """Hull state of ``corners`` against a box.
+def _box_state(corners: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Hull state indices of ``corners`` (..., k, n) against a box, one per
+    hull along the leading axes.
 
     "inside": strictly inside; "outside": beyond one face; else "cut". A
-    coordinate within _TIE times the spread of its axis of a face is too
-    close to tell, so it counts as neither.
+    coordinate within _TIE times the spread of its axis (the hull's corners
+    and the box) of a face is too close to tell, so it counts as neither.
     """
     lo, hi = box[:, 0], box[:, 1]
-    tie = _TIE * np.ptp(np.vstack([corners, box.T]), axis=0)
-    if np.any(np.all(corners < lo - tie, axis=0)
-              | np.all(corners > hi + tie, axis=0)):
-        return "outside"
-    if np.all((corners > lo + tie) & (corners < hi - tie)):
-        return "inside"
-    return "cut"
+    top, bottom = corners.max(axis=-2), corners.min(axis=-2)
+    tie = _TIE * (np.maximum(top, hi) - np.minimum(bottom, lo))
+    beyond = np.any((top < lo - tie) | (bottom > hi + tie), axis=-1)
+    within = np.all((bottom > lo + tie) & (top < hi - tie), axis=-1)
+    return np.where(beyond, _OUTSIDE, np.where(within, _INSIDE, _CUT))
 
 
-def _ball_state(g: G.GroupDescriptor, corners: np.ndarray, ball: G.Ball) -> str:
-    """Hull state of ``corners`` against a ball.
+def _ball_state(g: G.GroupDescriptor, corners: np.ndarray,
+                ball: G.Ball) -> np.ndarray:
+    """Hull state indices of ``corners`` (..., k, n) against a ball.
 
     "inside": every corner is, with a _TIE margin (balls are convex);
     "outside": the corners' bounding box misses the ball's; else "cut".
     """
     d = np.asarray(G.dist(g, corners, ball.center))
-    if np.all(d < ball.radius - _TIE * (ball.radius + d.max())):
-        return "inside"
-    if _box_state(corners, G.ball_bounding_box(g, ball)) == "outside":
-        return "outside"
-    return "cut"
+    within = np.all(
+        d < ball.radius - _TIE * (ball.radius + d.max(axis=-1, keepdims=True)),
+        axis=-1)
+    if np.all(within):
+        return np.full(within.shape, _INSIDE)
+    beyond = _box_state(corners, G.ball_bounding_box(g, ball)) == _OUTSIDE
+    return np.where(within, _INSIDE, np.where(beyond, _OUTSIDE, _CUT))
 
-
-_COMPLEMENT = {"inside": "outside", "outside": "inside", "cut": "cut"}
 
 # Section intervals (lo, hi) come as (k, m) arrays: m intervals on each of k
 # lines, disjoint on a line; an interval with lo >= hi is empty, and
@@ -343,11 +345,22 @@ class DensityMeasure(BoundaryMeasure):
             keep &= (q[..., i] >= lo) & (q[..., i] <= hi)
         for ball, complement in self.clips:
             keep &= G.ball_contains(self.group, ball, pts) != complement
-        return np.where(keep, np.asarray(self.base_density(q), dtype=float),
-                        0.0)
+        return np.where(keep, self._base_values(q), 0.0)
 
-    def hull_state(self, corners: np.ndarray) -> str:
-        """Where the convex hull of ``corners`` (k, n) lies for this density.
+    def density_inside(self, pts: np.ndarray) -> np.ndarray:
+        """f(A(y)) without the box and clip tests: `density_at`, bit for
+        bit, on points in a hull that `hull_state` calls "inside". Boxes and
+        balls are convex, A is affine and the hull test keeps a _TIE
+        margin, so every test passes there."""
+        return self._base_values(self._to_base(np.asarray(pts, dtype=float)))
+
+    def _base_values(self, q: np.ndarray) -> np.ndarray:
+        return np.asarray(self.base_density(q), dtype=float)
+
+    def hull_state(self, corners: np.ndarray):
+        """Where the convex hull of ``corners`` (k, n) lies for this density;
+        for ``corners`` (..., k, n), an array of the states of each hull
+        along the leading axes.
 
         "inside": strictly inside the support box, the base box (through A)
         and every clip, where the density is smooth; "outside": where it is
@@ -355,14 +368,15 @@ class DensityMeasure(BoundaryMeasure):
         Boxes and balls are convex and A is affine, so the corners decide
         for the whole hull.
         """
-        state = _box_state(corners, self.support_box)
-        if state == "outside":
-            return state
-        state = _meet(state, _box_state(self._to_base(corners), self.base_box))
+        corners = np.asarray(corners, dtype=float)
+        state = np.minimum(
+            _box_state(corners, self.support_box),
+            _box_state(self._to_base(corners), self.base_box))
         for ball, complement in self.clips:
             clip = _ball_state(self.group, corners, ball)
-            state = _meet(state, _COMPLEMENT[clip] if complement else clip)
-        return state
+            state = np.minimum(state, _INSIDE - clip if complement else clip)
+        names = _STATES[state]
+        return str(names) if names.ndim == 0 else names
 
     def sections(self, base: np.ndarray, slope: float):
         """Where the density may be nonzero on vertical lines.
@@ -478,11 +492,12 @@ class DensityMeasure(BoundaryMeasure):
         """Mass of a ball in the smooth region, by the unit-ball polar rule.
 
         The value is the fine rule's; the error is its distance from the
-        coarse rule's plus a rounding floor.
+        coarse rule's plus a rounding floor. The ball's bounding box is
+        "inside", so the nodes take `density_inside`.
         """
         g = self.group
         nodes, w_fine, w_coarse = G.unit_ball_rule(g)
-        f = self.density_at(
+        f = self.density_inside(
             G.mul(g, ball.center, G.dilate(g, ball.radius, nodes)))
         scale = ball.radius ** g.hom_dim
         fine = scale * weighted_sum(w_fine, f[:w_fine.size])

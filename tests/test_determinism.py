@@ -3,8 +3,9 @@
 A BLAS dot product splits a long sum across threads, so its last bits move
 with ``OPENBLAS_NUM_THREADS``. The heat extension, the cell-grid
 convolution and the polar ball mass reduce their sums in a fixed order
-instead, the column rule of "cut" heat-extension values included; the same
-script run at one and at two BLAS threads must print the same bytes.
+instead, the column rule of "cut" heat-extension values and a slice call
+that mixes "inside", "cut" and "outside" points included; the same script
+run at one and at two BLAS threads must print the same bytes.
 """
 
 import os
@@ -42,6 +43,12 @@ flat = S.build_measure(gh, {"type": "density", "family": "polynomial",
                             "params": {"constant": 1.0}})
 print(repr(F.mollifier_convolution(flat, F.default_profile(), x, 2.0)))
 print(repr(F.measure_ball(mu_loc, F.Ball([0.05, -0.02, 0.01], 0.2))))
+# one slice whose hulls are inside, cut and outside: a batched call
+pts = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [3.0, 0.0, 0.0]])
+t = 1e-3
+states = mu_loc.hull_state(
+    G.mul(gh, pts[:, None, :], G.dilate(gh, t ** 0.5, corner_inv)))
+print(" ".join(states), repr(u(pts, t).tolist()))
 """
 
 
@@ -59,5 +66,6 @@ def test_sums_are_bitwise_equal_at_one_and_two_blas_threads():
     one, two = _run(1), _run(2)
     lines = one.splitlines()
     assert [line.split()[0] for line in lines[:3]] == ["inside", "cut", "cut"]
-    assert len(lines) == 5
+    assert len(lines) == 6
+    assert lines[5].split()[:3] == ["inside", "cut", "outside"]
     assert one == two

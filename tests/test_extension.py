@@ -483,10 +483,38 @@ def test_forcing_the_smooth_rule_across_a_clip_misses(gh, ph, monkeypatch):
     assert abs(rule - ref) < abs(fine - ref) < abs(forced - ref)
 
 
+# A slice whose hulls are "inside" (the first two points at t = 1e-4),
+# "cut" (near a support face or the clip sphere; past the face at
+# (1.55, 0, 0) the outer rules narrow at t = 1e-4) and "outside" (far
+# away) at once
+_SLICE = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, -0.02], [1.45, 0.0, 0.0],
+                   [1.55, 0.0, 0.0], [0.69, 0.0, 0.0], [-0.3, 1.4, 0.2],
+                   [0.0, 0.69, 0.0], [-0.69, 0.0, 0.01], [0.5, 0.48, 0.0],
+                   [-1.45, 0.3, 0.0], [0.2, -1.47, 0.1], [5.0, 0.0, 0.0],
+                   [20.0, 0.0, 0.0]])
+
+
 def test_limit_trace_batches_match_pointwise_values(p2):
+    # a slice call evaluates its points together (one hull test, batched
+    # inside blocks and cut lines); every value must equal the point's own
+    # call bit for bit, on every group and derived density
     u = F.heat_extend(plane_quadratic(), p2)
     region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
     trace = F.parabolic_limit(u, region, n_steps=4)
     for pi in range(trace.values.shape[0]):
         for ti, t in enumerate(trace.t_values):
             assert trace.values[pi, ti] == u(trace.points[pi, ti], float(t))
+    for label in F.GROUP_LABELS:
+        g = F.get_group(label)
+        profile = F.profile_for(g)
+        pts = _SLICE[:, :g.total_dim]
+        seen = set()
+        for name, mu in _derived_densities(g).items():
+            u = F.heat_extend(mu, profile)
+            for t in (1e-4, 0.0625, 1.0):
+                states = _hull_states(mu, profile, pts, t)
+                assert len(set(states)) > 1, (label, name, t, states)
+                seen.update(states)
+                for x, state, value in zip(pts, states, u(pts, t)):
+                    assert value == u(x, t), (label, name, t, x, state)
+        assert seen == {"inside", "cut", "outside"}, label

@@ -630,17 +630,30 @@ def test_hull_state_matches_density_samples(label, chain):
     box = mu.support_box
     width = box[:, 1] - box[:, 0]
     seen = {"inside": 0, "outside": 0, "cut": 0}
+    cubes, states, cut_differs = [], [], 0
     for _ in range(200):
         center = rng.uniform(box[:, 0] - 0.3 * width, box[:, 1] + 0.3 * width)
         half = rng.uniform(0.005, 0.05, n) * width
-        state = mu.hull_state(_cube(center, half))
+        cubes.append(_cube(center, half))
+        state = mu.hull_state(cubes[-1])
+        states.append(state)
         seen[state] += 1
-        f = mu.density_at(center + half * rng.uniform(-1.0, 1.0, (300, n)))
+        y = center + half * rng.uniform(-1.0, 1.0, (300, n))
+        f = mu.density_at(y)
+        # the mask-free values, bit for bit
+        bare = mu.density_inside(y).tobytes() == f.tobytes()
         if state == "outside":
             assert np.all(f == 0.0), (center, half)
         elif state == "inside":
             assert np.all(f > 0.0), (center, half)
+            assert bare, (center, half)
+        else:
+            cut_differs += not bare
     assert seen["inside"] and seen["outside"] and seen["cut"], seen
+    # one call on all 200 hulls gives each hull's own state
+    assert mu.hull_state(np.array(cubes)).tolist() == states
+    # negative control: across a jump the box and clip tests do matter
+    assert cut_differs
 
 
 # ---------------------------------------------------------------------------
