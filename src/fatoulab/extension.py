@@ -13,8 +13,9 @@ quadrature error independent of t, which matters when chasing limits along
 shrinking parabolic regions.
 
 Each group carries one eta-grid (``GroupDescriptor.eta_grid``), built once
-per kernel profile. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so
-the images of the eta-box's 2^n corners span the image of the whole grid,
+per kernel profile by ``kernels._ext_grid``, which the kernel battery reads
+too. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of
+the eta-box's 2^n corners span the image of the whole grid,
 and the density's ``hull_state`` classifies that hull. Where it lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
 converges geometrically on smooth integrands), with
@@ -29,8 +30,9 @@ density may be nonzero (see ``_column_rule``).
 A call at many points with one t (a slice, as the limit traces make) takes
 one pass per rule: one ``hull_state`` call classifies every point's hull;
 "inside" points share a block of density evaluations while points x nodes
-fit in _ETA_BLOCK rows; "cut" points on the grid's own outer rules share a
-``_column_rule`` call of up to _CUT_LINES vertical lines. Every step is row
+fit in one block of ``quadrature._BLOCK_ROWS`` rows; "cut" points on the
+grid's own outer rules share a ``_column_rule`` call of up to _CUT_LINES
+vertical lines. Every step is row
 by row and each point keeps its own fixed-order sum, so each value is the
 one a call at that point alone gives, bit for bit.
 
@@ -45,7 +47,6 @@ tolerance, mirroring the strong-derivative rule.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,8 +55,9 @@ import numpy as np
 from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .quadrature import (_legendre_projection, gauss_legendre, point_array,
-                         tensor_rule, weighted_sum)
+from .kernels import _EtaGrid, _ext_grid
+from .quadrature import (_BLOCK_ROWS, _legendre_projection, gauss_legendre,
+                         point_array, tensor_rule, weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -82,63 +84,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# scaled quadrature grid (one per group, cached on the kernel profile)
+# density values on the eta-grid (the grid itself: `kernels._ext_grid`)
 # ---------------------------------------------------------------------------
-
-# eta-grid rows per block of a density extension. Whole-grid temporaries
-# (6 MB each on the 262,144-node euclidean:3 grid) can make the C allocator
-# hand the heap back to the OS after every evaluation and fault it in again
-# on the next; blocks this size are reused in place. Densities are
-# pointwise, so blocks change no value.
-_ETA_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True, eq=False)
-class _EtaGrid:
-    """A group's gamma-weighted eta-grid, cached on the kernel profile.
-
-    Rows run column by column: the last (column) axis varies fastest, so
-    the rows of column c are c * m .. c * m + m - 1, m nodes per column.
-    """
-
-    eta_inv: np.ndarray     # (N, n) inverted nodes
-    gamma_w: np.ndarray     # (N,) gamma * quadrature weight
-    corner_inv: np.ndarray  # (2^n, n) inverted corners of the eta-box
-    axes: tuple             # per axis: (nodes, weights) of its rule
-
-
-def _ext_grid(profile: K.KernelProfile) -> _EtaGrid:
-    """The eta-grid of a group (``eta_grid`` on its descriptor), built once."""
-    cache = profile._caches
-    if "ext_grid" in cache:
-        return cache["ext_grid"]
-    g = profile.group
-    axes = tuple(gauss_legendre(*axis) for axis in g.eta_grid)
-    eta, w = tensor_rule(axes)
-    # gamma first, in row blocks (its values do not depend on the batch):
-    # its temporaries then share memory with eta alone, a block at a time
-    gamma_w = np.empty(w.size)
-    for start in range(0, w.size, _ETA_BLOCK):
-        rows = slice(start, start + _ETA_BLOCK)
-        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
-    box = [axis[:2] for axis in g.eta_grid]
-    corners = np.array(list(itertools.product(*box)), dtype=float)
-    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w,
-                                 G.inverse(g, corners), axes)
-    return cache["ext_grid"]
-
 
 def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
                   eta: np.ndarray, rows=None, owner=None) -> np.ndarray:
-    """``density`` at xs[owner] * eta[rows], by blocks of _ETA_BLOCK rows.
+    """``density`` at xs[owner] * eta[rows], by blocks of _BLOCK_ROWS rows.
 
     ``rows`` None takes every row of ``eta`` in order, and ``owner`` None
     the one point of ``xs`` (p, n).
     """
     n_rows = eta.shape[0] if rows is None else rows.size
     f = np.empty(n_rows)
-    for start in range(0, n_rows, _ETA_BLOCK):
-        block = slice(start, start + _ETA_BLOCK)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
         # a row gather of a column-major array would come out row-major
         y = eta[block] if rows is None else point_array(
             col[rows[block]] for col in eta.T)
@@ -151,10 +110,10 @@ def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
 def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
                    eta_t: np.ndarray) -> np.ndarray:
     """u at points whose eta-image hull is "inside": the whole grid, with
-    `DensityMeasure.density_inside`. On a grid of at most _ETA_BLOCK / p
+    `DensityMeasure.density_inside`. On a grid of at most _BLOCK_ROWS / p
     nodes, p points share one block; each point's sum is its own."""
     n_nodes = grid.gamma_w.size
-    per = max(1, _ETA_BLOCK // n_nodes)
+    per = max(1, _BLOCK_ROWS // n_nodes)
     out = np.empty(xs.shape[0])
     for start in range(0, xs.shape[0], per):
         batch = xs[start:start + per]
@@ -200,7 +159,7 @@ def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
 # Vertical lines per `_column_rule` call: points on the grid's own outer
 # rules share a call while points x columns stay within this (one point on
 # the Heisenberg group's 1,024 columns), so that its per-piece temporaries
-# stay near _ETA_BLOCK rows.
+# stay near _BLOCK_ROWS rows.
 _CUT_LINES = 1024
 
 

@@ -9,8 +9,8 @@ A group is one factory. It fills in a `GroupDescriptor` with everything that
 is particular to the group: its law, its gauge, a polar chart of the unit
 sphere {d = 1} (with the node counts of its surface and convolution rules
 and of the unit-ball rules that density ball masses use),
-a box containing the unit ball, and the axis specs of the kernel mass grid
-and the heat-extension eta-grid. Every other module reads these fields and
+a box containing the unit ball, and the axis specs of its one eta-grid,
+which serves every gamma integral. Every other module reads these fields and
 never asks which group it has; the quadrature rules themselves are built by
 :mod:`fatoulab.quadrature`. Horizontal flows and Brownian increments follow
 from the law: the flow of the i-th horizontal field is x -> x * (h e_i).
@@ -84,11 +84,11 @@ class GroupDescriptor:
     B(0,1); ``sphere`` is the polar chart of {d = 1}, and carries the
     (radial, polar, azimuth) node counts of the fine and coarse unit-ball
     rules (`unit_ball_rule`: 12 x (12 x 24) = 3,456 and 8 x (8 x 16) = 1,024
-    nodes on the Heisenberg group and on R^3). ``mass_grid`` and
-    ``eta_grid`` give, per axis, the composite Gauss-Legendre rule
-    (lo, hi, n_panels, order) of the kernel mass grid and of the
-    heat-extension eta-grid; a group has this one eta-grid. The first
-    ``n_horizontal`` coordinates span the first layer.
+    nodes on the Heisenberg group and on R^3). ``eta_grid`` gives, per
+    axis, the composite Gauss-Legendre rule (lo, hi, n_panels, order) of the
+    eta-grid, the one gamma-weighted grid of the heat extension,
+    `kernel_mass` and `check_semigroup`. The first ``n_horizontal``
+    coordinates span the first layer.
 
     The last coordinate is the column axis: it is central, so a left
     translation moves the vertical line {p + v e_last} onto the vertical
@@ -142,7 +142,6 @@ class GroupDescriptor:
     norm_fn: Callable = field(compare=False, repr=False)
     unit_box: tuple = field(compare=False, repr=False)
     sphere: SphereChart = field(compare=False, repr=False)
-    mass_grid: tuple = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
     section: Callable = field(compare=False, repr=False)
     n_horizontal: int = 0
@@ -424,7 +423,6 @@ def euclidean_group(n: int) -> GroupDescriptor:
     if n not in (1, 2, 3):
         raise GroupError(f"euclidean instances ship for n in 1..3, got {n}")
     vols = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-    mass_nodes = {1: 200, 2: 110, 3: 64}[n]
     eta_panels = {1: 12, 2: 6, 3: 4}[n]
     return GroupDescriptor(
         label=f"euclidean:{n}",
@@ -441,7 +439,6 @@ def euclidean_group(n: int) -> GroupDescriptor:
         norm_fn=_eu_norm,
         unit_box=((-1.0, 1.0),) * n,
         sphere=_EUCLIDEAN_SPHERES[n],
-        mass_grid=((-12.0, 12.0, 1, mass_nodes),) * n,
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
         section=_round_section,
         n_horizontal=n,
@@ -487,7 +484,6 @@ def heisenberg_group() -> GroupDescriptor:
                            spread=(-1.25, 1.25),
                            fine=(48, 64), coarse=(20, 24),
                            ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
-        mass_grid=((-9.0, 9.0, 1, 90),) * 2 + ((-30.0, 30.0, 1, 140),),
         eta_grid=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
         section=_koranyi_section,
         n_horizontal=2,

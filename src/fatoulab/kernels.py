@@ -38,6 +38,10 @@ elimination and it is evaluated by a vectorized de Boor recursion. The
 Gaussian certificate's c0 solves use a port of SciPy's Brent root finder.
 Neither needs SciPy at run time.
 
+Each profile caches its group's one gamma-weighted eta-grid (`_ext_grid`).
+The heat extension of a density sums against it, and so do `kernel_mass`
+and `check_semigroup`: the battery checks the rule that u uses.
+
 Constants are fixed by this construction and must pass the validation battery
 (`validate_profile`): positivity, symmetry, normalization, semigroup property,
 parabolic scaling, PDE residual with second-order signature, the spline
@@ -47,6 +51,7 @@ two-sided Gaussian envelope certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,7 +60,7 @@ import numpy as np
 
 from .errors import CertificationError, GroupError, NumericsError
 from . import groups as G
-from .quadrature import gauss_legendre, tensor_rule
+from .quadrature import _BLOCK_ROWS, gauss_legendre, tensor_rule, weighted_sum
 
 __all__ = [
     "KernelProfile",
@@ -503,18 +508,45 @@ def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
     return t ** (-q / 2.0) * k.gamma(scaled)
 
 
-def _mass_grid(k: KernelProfile):
-    """Cached scaled-coordinate quadrature grid covering the kernel mass."""
-    if "mass_grid" not in k._caches:
-        k._caches["mass_grid"] = tensor_rule(
-            [gauss_legendre(*axis) for axis in k.group.mass_grid]
-        )
-    return k._caches["mass_grid"]
+@dataclass(frozen=True, eq=False)
+class _EtaGrid:
+    """A group's gamma-weighted eta-grid, cached on the kernel profile.
+
+    Rows run column by column: the last (column) axis varies fastest, so
+    the rows of column c are c * m .. c * m + m - 1, m nodes per column.
+    """
+
+    eta_inv: np.ndarray     # (N, n) inverted nodes
+    gamma_w: np.ndarray     # (N,) gamma * quadrature weight
+    corner_inv: np.ndarray  # (2^n, n) inverted corners of the eta-box
+    axes: tuple             # per axis: (nodes, weights) of its rule
+
+
+def _ext_grid(profile: KernelProfile) -> _EtaGrid:
+    """The eta-grid of a group (``eta_grid`` on its descriptor), built once."""
+    cache = profile._caches
+    if "ext_grid" in cache:
+        return cache["ext_grid"]
+    g = profile.group
+    axes = tuple(gauss_legendre(*axis) for axis in g.eta_grid)
+    eta, w = tensor_rule(axes)
+    # gamma first, in row blocks (its values do not depend on the batch):
+    # its temporaries then share memory with eta alone, a block at a time
+    gamma_w = np.empty(w.size)
+    for start in range(0, w.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
+    box = [axis[:2] for axis in g.eta_grid]
+    corners = np.array(list(itertools.product(*box)), dtype=float)
+    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w,
+                                 G.inverse(g, corners), axes)
+    return cache["ext_grid"]
 
 
 def kernel_mass(k: KernelProfile, t: float) -> float:
-    """Total integral of Gamma(. , t) over the group (truncated quadrature)."""
-    pts, w = _mass_grid(k)
+    """Total integral of Gamma(. , t) over the group, on the eta-grid's
+    nodes and weights dilated by sqrt(t) (truncated quadrature)."""
+    pts, w = tensor_rule(_ext_grid(k).axes)
     nodes = G.dilate(k.group, math.sqrt(t), pts)
     vals = eval_kernel(k, nodes, t)
     return float(np.sum(w * vals) * t ** (k.group.hom_dim / 2.0))
@@ -523,21 +555,17 @@ def kernel_mass(k: KernelProfile, t: float) -> float:
 def check_semigroup(k: KernelProfile, x, t: float, tau: float) -> float:
     """Residual |Gamma(x, t+tau) - Int Gamma(xi^-1 x, t) Gamma(xi, tau) dm(xi)|.
 
-    The convolution is computed in coordinates scaled by sqrt(tau) so the
-    inner factor becomes the time-1 profile on a fixed grid.
+    With xi = delta_sqrt(tau)(eta) the inner factor is the time-1 profile:
+    the eta-grid's cached gamma * w, against Gamma(xi^-1 * x, t).
     """
     if not (t > 0 and tau > 0):
         raise NumericsError("semigroup check requires positive times")
     g = k.group
-    pts, w = _mass_grid(k)
-    if "mass_gamma" not in k._caches:
-        k._caches["mass_gamma"] = np.asarray(k.gamma(pts))
-    gam_eta = k._caches["mass_gamma"]
-    xi = G.dilate(g, math.sqrt(tau), pts)
-    args = G.mul(g, G.inverse(g, xi), np.asarray(x, dtype=float))
-    outer = eval_kernel(k, args, t)
-    conv = float(np.sum(w * gam_eta * outer))
-    direct = float(eval_kernel(k, np.asarray(x, dtype=float), t + tau))
+    grid = _ext_grid(k)
+    x = np.asarray(x, dtype=float)
+    args = G.mul(g, G.dilate(g, math.sqrt(tau), grid.eta_inv), x)
+    conv = weighted_sum(grid.gamma_w, eval_kernel(k, args, t))
+    direct = float(eval_kernel(k, x, t + tau))
     return abs(conv - direct)
 
 
@@ -665,7 +693,8 @@ def certify_gaussian(k: KernelProfile, grid_spec: dict | None = None) -> Gaussia
 
     Solves, per grid point, the minimal constant making each bound hold, takes
     the maximum, and applies a 2% margin so refinement keeps the certificate
-    valid. ``max_violation`` is re-evaluated at the certified c0.
+    valid. ``max_violation`` is re-evaluated at the certified c0 on the
+    kernel values of that pass: the grid is evaluated once.
     """
     g = k.group
     spec = {
@@ -684,11 +713,13 @@ def certify_gaussian(k: KernelProfile, grid_spec: dict | None = None) -> Gaussia
         return G.dilate(g, d * rt, dirs)
 
     need = 1.0
+    rows = []
     for t in spec["t_values"]:
         rt = math.sqrt(t)
         for d in spec["d_values"]:
             pts = _grid_points(d, rt)
             vals = np.atleast_1d(eval_kernel(k, pts, t)) * t ** (g.hom_dim / 2.0)
+            rows.append((d, vals))
             for v in vals:
                 v = float(v)
                 if v <= 0.0:
@@ -698,14 +729,10 @@ def certify_gaussian(k: KernelProfile, grid_spec: dict | None = None) -> Gaussia
                 need = max(need, _c0_upper(v, d), _c0_lower(v, d))
     c0 = need * float(spec["margin"])
     worst = -math.inf
-    for t in spec["t_values"]:
-        rt = math.sqrt(t)
-        for d in spec["d_values"]:
-            pts = _grid_points(d, rt)
-            vals = np.atleast_1d(eval_kernel(k, pts, t)) * t ** (g.hom_dim / 2.0)
-            up = c0 * math.exp(-d * d / c0)
-            lo = math.exp(-c0 * d * d) / c0
-            worst = max(worst, float(np.max(vals - up)), float(np.max(lo - vals)))
+    for d, vals in rows:
+        up = c0 * math.exp(-d * d / c0)
+        lo = math.exp(-c0 * d * d) / c0
+        worst = max(worst, float(np.max(vals - up)), float(np.max(lo - vals)))
     cert = GaussianCertificate(
         c0=float(c0),
         grid={kk: vv for kk, vv in spec.items() if kk != "margin"},

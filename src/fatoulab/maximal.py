@@ -48,7 +48,7 @@ from .errors import CertificationError, MeasureError
 from . import groups as G
 from . import kernels as K
 from .extension import HeatExtension
-from .quadrature import gauss_legendre, point_array, weighted_sum
+from .quadrature import ball_rule, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -198,17 +198,15 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
 def _phi_grid(g: G.GroupDescriptor, phi: RadialProfile):
     """phi-weighted polar grid in the scaled variable: (eta_inverse, weights).
 
-    Cached on the profile, so two profiles never share a grid.
+    `quadrature.ball_rule` with radial weight phi, up to its support
+    radius. Cached on the profile, so two profiles never share a grid.
     """
     if g in phi._grids:
         return phi._grids[g]
-    omega, w_s = g.sphere.rule(g.sphere.coarse)
-    r, w_r = gauss_legendre(0.0, min(phi.support_radius, 50.0), 4)
-    exps = np.array(g.layer_exponents, dtype=float)
-    eta = point_array(np.moveaxis(
-        r[:, None, None] ** exps[None, None, :] * omega[None, :, :], -1, 0))
-    w = (w_r * r ** (g.hom_dim - 1) * phi(r))[:, None] * w_s[None, :]
-    phi._grids[g] = out = (G.inverse(g, eta), w.ravel())
+    eta, w = ball_rule(g.sphere, (16, *g.sphere.coarse), g.layer_exponents,
+                       g.hom_dim, r_max=min(phi.support_radius, 50.0),
+                       n_panels=4, radial_weight=phi)
+    phi._grids[g] = out = (G.inverse(g, eta), w)
     return out
 
 

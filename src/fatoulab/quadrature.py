@@ -4,14 +4,16 @@
   column-major, so that each coordinate of every point is one contiguous
   column;
 * `gauss_legendre`: composite Gauss-Legendre panels on an interval (radial
-  rules, kernel lambda rules, each axis of the mass and eta grids, and the
-  section rules of density masses and convolutions);
+  rules, kernel lambda rules, each axis of the eta-grid, and the section
+  rules of density masses and convolutions);
 * `tensor_rule`: tensor products of one-dimensional rules;
 * `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
   yields its quadrature rules at any node count and its spread of
   deterministic directions;
-* `ball_rule`: the unit ball {d < 1} in homogeneous polar coordinates,
-  radial Gauss-Legendre times a sphere rule;
+* `ball_rule`: a ball {d < r_max} in homogeneous polar coordinates,
+  radial Gauss-Legendre (optionally weighted by a radial profile) times a
+  sphere rule: the unit-ball rules of density ball masses and the
+  mollifier's phi-weighted grid;
 * `weighted_sum`: sum_i w_i f_i in a fixed order, so that a quadrature
   value does not depend on how many threads the BLAS library runs.
 
@@ -40,8 +42,13 @@ import numpy as np
 __all__ = ["point_array", "gauss_legendre", "tensor_rule", "SphereChart",
            "ball_rule", "weighted_sum"]
 
-# rows per block of `weighted_sum`
-_SUM_BLOCK = 1 << 15
+# Rows per block of a long pass over a grid: `weighted_sum`, the eta-grid's
+# gamma values and every density pass of the heat extension. Whole-grid
+# temporaries (6 MB each on the 262,144-node euclidean:3 eta-grid) can make
+# the C allocator hand the heap back to the OS after every evaluation and
+# fault it in again on the next; blocks this size are reused in place.
+# Every blocked step is row by row, so blocks change no value.
+_BLOCK_ROWS = 1 << 15
 
 
 def point_array(columns) -> np.ndarray:
@@ -97,8 +104,8 @@ def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
     in order; a block's products are the only temporary.
     """
     total = 0.0
-    for start in range(0, w.size, _SUM_BLOCK):
-        rows = slice(start, start + _SUM_BLOCK)
+    for start in range(0, w.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         total += float(np.add.reduce(w[rows] * f[rows]))
     return total
 
@@ -185,20 +192,25 @@ class SphereChart:
         return self.embed(p, i * np.pi * (3.0 - np.sqrt(5.0)))
 
 
-def ball_rule(chart: SphereChart, counts: tuple, exponents, hom_dim: int):
-    """Rule (nodes, weights) on the unit ball {d < 1} of a homogeneous group.
+def ball_rule(chart: SphereChart, counts: tuple, exponents, hom_dim: int,
+              r_max: float = 1.0, n_panels: int = 1, radial_weight=None):
+    """Rule (nodes, weights) on the ball {d < r_max} of a homogeneous group.
 
     Homogeneous polar coordinates x = delta_r(omega) give
     dx = r^(Q-1) dr dsigma(omega) (Folland-Stein, Hardy Spaces on
-    Homogeneous Groups, 1982, Prop. 1.15), so the rule is ``counts[0]``
-    Gauss-Legendre nodes in r on [0, 1] with weight r^(Q-1), times the
-    chart's sphere rule with (polar, azimuth) counts ``counts[1:]``. Its
-    total weight is m(B(0, 1)); the ball B(c, R) takes nodes c * delta_R(x)
-    and weights R^Q w.
+    Homogeneous Groups, 1982, Prop. 1.15), so the rule is ``n_panels``
+    Gauss-Legendre panels of ``counts[0]`` nodes in r on [0, r_max] with
+    weight r^(Q-1), times ``radial_weight(r)`` if given, times the chart's
+    sphere rule with (polar, azimuth) counts ``counts[1:]``. On the unit
+    ball without a radial weight its total weight is m(B(0, 1)); the ball
+    B(c, R) takes nodes c * delta_R(x) and weights R^Q w.
     """
     omega, w_s = chart.rule(tuple(counts[1:]))
-    r, w_r = gauss_legendre(0.0, 1.0, 1, counts[0])
+    r, w_r = gauss_legendre(0.0, r_max, n_panels, counts[0])
     exps = np.asarray(exponents, dtype=float)
     nodes = r[:, None, None] ** exps * omega[None, :, :]
-    weights = np.multiply.outer(w_r * r ** (hom_dim - 1), w_s)
+    w_r = w_r * r ** (hom_dim - 1)
+    if radial_weight is not None:
+        w_r = w_r * radial_weight(r)
+    weights = np.multiply.outer(w_r, w_s)
     return point_array(np.moveaxis(nodes, -1, 0)), weights.ravel()

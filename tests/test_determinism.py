@@ -1,11 +1,13 @@
 """Quadrature sums do not depend on the BLAS thread count.
 
 A BLAS dot product splits a long sum across threads, so its last bits move
-with ``OPENBLAS_NUM_THREADS``. The heat extension, the cell-grid
-convolution and the polar ball mass reduce their sums in a fixed order
-instead, the column rule of "cut" heat-extension values and a slice call
-that mixes "inside", "cut" and "outside" points included; the same script
-run at one and at two BLAS threads must print the same bytes.
+with ``OPENBLAS_NUM_THREADS``. The heat extension, the mollifier
+convolution (the section rule above s = 1, the phi-weighted polar grid at
+s <= 1), the polar ball mass and the kernel battery's eta-grid sums
+(``kernel_mass``, ``check_semigroup``) give the same bits at any thread
+count instead, the column rule of "cut" heat-extension values and a slice
+call that mixes "inside", "cut" and "outside" points included; the same
+script run at one and at two BLAS threads must print the same bytes.
 """
 
 import os
@@ -18,7 +20,7 @@ SCRIPT = r"""
 import numpy as np
 import fatoulab as F
 from fatoulab import groups as G, kernels as K, scenarios as S
-from fatoulab.extension import _ext_grid
+from fatoulab.kernels import _ext_grid
 
 gh = F.heisenberg_group()
 profile = K.profile_for(gh)
@@ -49,6 +51,9 @@ t = 1e-3
 states = mu_loc.hull_state(
     G.mul(gh, pts[:, None, :], G.dilate(gh, t ** 0.5, corner_inv)))
 print(" ".join(states), repr(u(pts, t).tolist()))
+print(repr(K.kernel_mass(profile, 1.0)))
+print(repr(K.check_semigroup(profile, np.array([0.2, -0.1, 0.3]), 1.0, 0.5)))
+print(repr(F.mollifier_convolution(flat, F.default_profile(), x, 0.5)))
 """
 
 
@@ -66,6 +71,6 @@ def test_sums_are_bitwise_equal_at_one_and_two_blas_threads():
     one, two = _run(1), _run(2)
     lines = one.splitlines()
     assert [line.split()[0] for line in lines[:3]] == ["inside", "cut", "cut"]
-    assert len(lines) == 6
+    assert len(lines) == 9
     assert lines[5].split()[:3] == ["inside", "cut", "outside"]
     assert one == two

@@ -406,7 +406,7 @@ def test_midpoint_convexity_check_catches_a_nonconvex_gauge(g2):
 # ---------------------------------------------------------------------------
 
 def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
-    from fatoulab import extension as E, kernels as K, maximal as M
+    from fatoulab import extension as E, maximal as M
 
     phi = F.default_profile()
     for g, profile in ((g1, p1), (g2, p2), (g3, p3), (gh, ph)):
@@ -418,7 +418,6 @@ def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
             "phi-grid": M._phi_grid(g, phi)[0],
             "convolution-rule": mu._convolution_rule()[0],
             "unit-ball": G.unit_ball_rule(g)[0],
-            "mass-grid": K._mass_grid(profile)[0],
         }
         for name, pts in arrays.items():
             assert pts.ndim == 2 and pts.shape[1] == n, (g.label, name)

@@ -54,6 +54,59 @@ def test_euclidean_mass_and_semigroup(p1, p2):
     assert F.check_semigroup(p2, np.array([0.3, -0.4]), 1.0, 1.0) < 1e-8
 
 
+def test_kernel_mass_integrates_on_the_eta_grid(p1, p2, p3, ph):
+    # sqrt(t) is a power of 2, so the dilated nodes give back the eta-grid's
+    # own gamma values, and only the order of the sum differs
+    for k in (p1, p2, p3, ph):
+        total = math.fsum(K._ext_grid(k).gamma_w)
+        for t in (0.25, 1.0, 4.0):
+            assert abs(F.kernel_mass(k, t) - total) <= 1e-14, (k.group.label, t)
+
+
+def test_battery_and_heat_extension_build_one_grid_per_profile(p1, p2, p3, ph,
+                                                               monkeypatch):
+    built = []
+    make = K._EtaGrid
+
+    def counting(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(K, "_EtaGrid", counting)
+    for real in (p1, p2, p3, ph):
+        k = F.KernelProfile(group=real.group, gamma=real.gamma,
+                            gamma_accurate=real.gamma_accurate,
+                            quadrature_spec=dict(real.quadrature_spec))
+        built.clear()
+        assert F.validate_profile(k)["passed"]
+        n = k.group.total_dim
+        mu = F.DensityMeasure(k.group, lambda p: np.ones(p.shape[:-1]),
+                              [[-1.0, 1.0]] * n)
+        assert F.HeatExtension(mu, k)(np.zeros(n), 0.5) > 0.0
+        assert len(built) == 1, k.group.label
+
+
+def test_certificate_evaluates_its_grid_once(p1, p2, p3, ph, monkeypatch):
+    calls = []
+    real = K.eval_kernel
+
+    def counting(k, x, t):
+        calls.append(t)
+        return real(k, x, t)
+
+    monkeypatch.setattr(K, "eval_kernel", counting)
+    for k in (p1, p2, p3, ph):
+        kept = k.certificate
+        try:
+            calls.clear()
+            cert = K.certify_gaussian(k)
+        finally:
+            k.certificate = kept
+        # 3 times x 25 distances, one call each
+        assert len(calls) == 75, k.group.label
+        assert cert.c0 == EXPECTED_C0[k.group.label]
+
+
 def test_euclidean_pde_order(p1):
     r1 = F.pde_residual(p1, np.array([0.3]), 1.0, 2e-2)
     r2 = F.pde_residual(p1, np.array([0.3]), 1.0, 1e-2)
@@ -152,7 +205,8 @@ def test_heisenberg_gamma_exact_on_images(ph):
 
 
 def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
-    # the symmetric mass grid holds 1035 values of |z| x 70 of |s|
+    # the mass pass runs on the eta-grid, 32 x 32 x 64 = 65,536 nodes,
+    # symmetric on each axis: 136 values of |z| x 32 of |s| at t = 1
     counted = []
 
     def counting(fn):
@@ -165,7 +219,7 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
                         counting(K._direct_gamma_rho_sigma))
     monkeypatch.setattr(ph.gamma.spline, "ev", counting(ph.gamma.spline.ev))
     F.kernel_mass(ph, 1.0)
-    assert 0 < sum(counted) <= 72450
+    assert 0 < sum(counted) <= 4352
 
 
 def _direct_plain(rho2, sigma):
