@@ -352,6 +352,13 @@ def heat_extend(mu: BoundaryMeasure, profile: K.KernelProfile) -> HeatExtension:
     return HeatExtension(mu, profile)
 
 
+def _gauss_c0(profile: K.KernelProfile) -> float:
+    """The profile's Gaussian envelope constant, certified on first use."""
+    if profile.certificate is None:
+        K.certify_gaussian(profile)
+    return profile.certificate.c0
+
+
 def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
     """Height of the time strip on which the extension integral converges.
 
@@ -361,9 +368,7 @@ def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
     (a = 0) get an infinite strip.
     """
     g = mu.group
-    if profile.certificate is None:
-        K.certify_gaussian(profile)
-    c0 = profile.certificate.c0
+    c0 = _gauss_c0(profile)
     radii = 2.0 ** np.arange(0, 7)
     masses = np.array(
         [measure_ball(mu, G.Ball(np.zeros(g.total_dim), float(R)))[0] for R in radii]
@@ -589,41 +594,126 @@ def translation_commutation_check(mu: BoundaryMeasure, profile: K.KernelProfile,
             "rel_diff": abs(lhs - rhs) / denom}
 
 
+def _outer_terms(outer: BoundaryMeasure, rho: float):
+    """Masses m_j and distances d_j of the parts of ``outer``, with
+    N(x^-1 y) >= d_j for x in B(0, rho) and y in part j.
+
+    Each atom is a part of its own at d_j = max(rho, N(y) / C_L - rho). Each
+    density part sits at rho, the least the quasi-triangle inequality gives
+    outside B(0, 2 C_L rho), and carries its mass plus its quadrature error.
+    Parts of zero mass are dropped.
+    """
+    g = outer.group
+    masses, dists = [], []
+    for p in outer.parts():
+        if isinstance(p, AtomicMeasure):
+            masses.append(p.weights)
+            dists.append(np.maximum(
+                rho, G.norm(g, p.points) / g.quasi_triangle_const - rho))
+        else:
+            masses.append([sum(p._support_mass)])
+            dists.append([rho])
+    m, d = np.concatenate(masses), np.concatenate(dists)
+    keep = m > 0.0
+    return m[keep], d[keep]
+
+
+# gauges on which `tail_vanishing_check` samples its envelope rate
+_ENVELOPE_GAUGES = 25
+
+
+def _envelope_rate(profile: K.KernelProfile, s: np.ndarray,
+                   n_directions: int) -> float:
+    """Largest rate b <= 1 / c0 with gamma(z) <= c0 exp(-b N(z)^2) at
+    n_directions points of each gauge in ``s``, shrunk by the certificate's
+    margin; 0.0 where gamma reaches c0 (no Gaussian rate exists there).
+
+    The certificate samples d <= 8 only; this samples the distances a tail
+    bound reads, as far out as they go.
+    """
+    g = profile.group
+    cert = profile.certificate
+    dirs = G.unit_directions(g, n_directions)
+    pts = np.concatenate([G.dilate(g, float(r), dirs) for r in s])
+    vals = np.asarray(profile.gamma(pts), dtype=float).reshape(s.size, -1)
+    vals = vals.max(axis=1)
+    if np.any(vals >= cert.c0):
+        return 0.0
+    pos = vals > 0.0
+    rates = (math.log(cert.c0) - np.log(vals[pos])) / s[pos] ** 2
+    return min(1.0 / cert.c0,
+               float(rates.min(initial=math.inf)) / cert.log.get("margin", 1.0))
+
+
 def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
                          radius: float, t_schedule=None,
-                         n_directions: int = 6, n_radial: int = 3,
-                         tol: float = 1e-8) -> dict:
-    """Heat extension of the measure outside a ball, watched near the center.
+                         n_directions: int = 6, tol: float = 1e-8) -> dict:
+    """Heat of the measure outside a ball, bounded near the center.
 
-    The part of the measure at gauge distance >= radius contributes
-    uniformly vanishing heat as t -> 0 on the concentric ball of radius
-    radius / (2 C_L); this quantifies how much a far tail can leak into
-    local boundary behaviour. Reports the max over an inner sample grid for
-    each time and whether the smallest time is below tolerance.
+    The paper's localization: for x in B(0, rho), rho = radius / (2 C_L),
+    and y outside B(0, radius), N(x^-1 y) >= N(y) / C_L - N(x) >= rho. With
+    the upper Gaussian envelope Gamma(y, t) <= A t^(-Q/2) exp(-b N(y)^2 / t)
+    (Varopoulos, Saloff-Coste and Coulhon, *Analysis and Geometry on
+    Groups*, 1992) the outer part's heat obeys, uniformly on B(0, rho),
+
+        u_outer(x, t) <= B(t) = A t^(-Q/2) sum_j m_j exp(-b d_j^2 / t),
+
+    over the parts j of `_outer_terms`: every atom at its own distance,
+    every density part at rho with its mass plus its quadrature error.
+    ``sup_values[k]`` is B(t_k), computed in logs.
+
+    A = c0 comes from the profile's Gaussian certificate and C_L from the
+    group descriptor. The certificate's rate 1 / c0 holds only on its grid,
+    d <= 8, and fails beyond it on R^1, where c0 < 4. So b (``rate``) is
+    `_envelope_rate` on _ENVELOPE_GAUGES gauges spanning the scaled distances
+    d_j / sqrt(t_k) that B reads, n_directions points each: 1 / c0 on the
+    shipped H1 and R^2 profiles, and just under 1/4 on R^1. All of these
+    constants are sampled, not proved, so B is a bound only as far as they
+    are. ``dominated`` says a positive rate exists there, that is gamma
+    stays below c0 at every sampled point; ``vanishes`` needs it.
+
+    The rate 1 / c0 is loose on H1 (c0 = 65.28), so the default schedule
+    runs t = 4^0 .. 4^-8, and ``vanishes`` reads B at the last t: it says
+    the bound is below tolerance by then, which a long enough schedule
+    always reaches. ``monotone`` asks B to decrease along the schedule. B
+    rises while t is above about 2 b d^2 / Q, which is below t_0 = 1 on
+    every preset, so there ``monotone`` holds through its ``or vanishes``
+    clause alone and says nothing that ``vanishes`` does not. (The sampled
+    sups B replaces rose from t = 1 to t = 1/4 on 7 of the 14 presets too.)
     """
     g = mu.group
     if t_schedule is None:
-        t_schedule = 4.0 ** -np.arange(0, 8)
+        t_schedule = 4.0 ** -np.arange(0, 9)
     t_schedule = np.asarray(t_schedule, dtype=float)
+    c0 = _gauss_c0(profile)
     outer = restrict_complement(mu, G.Ball(np.zeros(g.total_dim), radius))
-    u = HeatExtension(outer, profile)
     inner_r = radius / (2.0 * g.quasi_triangle_const)
-    dirs = G.unit_directions(g, n_directions)
-    pts = [np.zeros(g.total_dim)]
-    for frac in np.linspace(0.3, 0.95, n_radial):
-        for d in dirs:
-            pts.append(G.dilate(g, frac * inner_r, d))
-    pts = np.array(pts)
-    values = np.array([u(pts, float(t)).max() for t in t_schedule])
+    m, d = _outer_terms(outer, inner_r)
+    values = np.zeros(t_schedule.size)
+    rate, dominated = 1.0 / c0, True
+    if m.size:
+        s = np.geomspace(d.min() / math.sqrt(t_schedule.max()),
+                         d.max() / math.sqrt(t_schedule.min()),
+                         _ENVELOPE_GAUGES)
+        rate = _envelope_rate(profile, s, n_directions)
+        dominated = rate > 0.0
+        # log of sum_j m_j exp(-b d_j^2 / t), shifted by its largest term
+        terms = np.log(m) - rate * np.outer(1.0 / t_schedule, d * d)
+        top = terms.max(axis=1)
+        log_b = (math.log(c0) - 0.5 * g.hom_dim * np.log(t_schedule) + top
+                 + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+        values = np.exp(log_b)
     slack = 1e-12 * max(1.0, float(values.max(initial=0.0)))
-    vanishes = bool(values[-1] <= tol * max(1.0, mu.total_mass))
+    vanishes = dominated and bool(values[-1] <= tol * max(1.0, mu.total_mass))
     monotone = bool(np.all(np.diff(values) <= slack)) or vanishes
     return {
         "radius": radius,
         "inner_radius": inner_r,
         "t_schedule": t_schedule,
         "sup_values": values,
+        "rate": rate,
         "outer_mass": outer.total_mass,
+        "dominated": dominated,
         "vanishes": vanishes,
         "monotone": monotone,
     }

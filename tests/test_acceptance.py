@@ -362,6 +362,11 @@ def test_criterion_7_reduction_invariance(capsys, gh, preset_reports):
                 f"restriction changed verdict for {label}: "
                 f"{reports[label].verdict} -> {rv.verdict}"
             )
+        if not (rv.tail["vanishes"] and rv.matches_expected):
+            problems.append(
+                f"{label} at radius {radius}: tail vanishes "
+                f"{rv.tail['vanishes']}, matches expected {rv.matches_expected}"
+            )
     elapsed = time.time() - t0
     ok = not problems
     announce(capsys, ok,

@@ -11,6 +11,7 @@ Closed-form oracles frozen here:
   giving a finite strip height 1 / (rate * c0 * C_L^2).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,103 @@ def test_tail_vanishing_remote_atom(p1, g1):
     assert out["outer_mass"] == 1.0
     assert out["vanishes"] and out["monotone"]
     assert out["sup_values"][-1] <= 1e-50
+
+
+def _translated_preset(label):
+    """A preset's measure moved to its vertex, its certified kernel profile
+    and its localization radius, as `run_scenario` builds them."""
+    cfg = next(c for suite in ("euclidean-gehring", "heisenberg-core")
+               for c in F.preset_suite(suite) if c["label"] == label)
+    sc = F.Scenario.from_config(cfg)
+    g = sc.group
+    profile = F.profile_for(g)
+    if profile.certificate is None:
+        F.certify_gaussian(profile)
+    mu = F.translate_measure(F.build_measure(g, sc.measure_spec), sc.vertex)
+    return mu, profile, sc.restrict_radius or 1.0 / g.quasi_triangle_const
+
+
+def _inner_points(g, inner_r, n_directions=6, n_radial=3):
+    """The center and n_radial shells of n_directions points each, at
+    fractions 0.3 .. 0.95 of ``inner_r``."""
+    dirs = G.unit_directions(g, n_directions)
+    pts = [np.zeros(g.total_dim)]
+    for frac in np.linspace(0.3, 0.95, n_radial):
+        pts.extend(G.dilate(g, frac * inner_r, dirs))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("label,radius", [
+    ("eg-translated-vertex", None), ("eg-plane-mixture", None),
+    ("hc-translated-vertex", None), ("hc-remote-atom", 0.55)])
+def test_tail_bound_dominates_the_sampled_heat(label, radius):
+    # the outer part's heat at inner points over the whole schedule, by
+    # quadrature: what the check evaluated before the bound
+    mu, profile, default = _translated_preset(label)
+    radius = radius or default
+    out = F.tail_vanishing_check(mu, profile, radius)
+    g = mu.group
+    outer = F.restrict_complement(mu, G.Ball(np.zeros(g.total_dim), radius))
+    u = F.HeatExtension(outer, profile)
+    pts = _inner_points(g, out["inner_radius"])
+    sampled = np.array([u(pts, float(t)).max() for t in out["t_schedule"]])
+    assert sampled[0] > 0.0
+    assert np.all(out["sup_values"] >= sampled), (out["sup_values"], sampled)
+    assert out["dominated"] and out["vanishes"]
+
+
+def test_tail_bound_on_the_remote_atom_at_a_smaller_radius():
+    # rho = 0.55 / (2 C_L) = 0.189; the atom at gauge 1 is at least
+    # 1 / C_L - rho = 0.498 from B(0, rho), which the bound uses
+    mu, profile, _ = _translated_preset("hc-remote-atom")
+    out = F.tail_vanishing_check(mu, profile, 0.55)
+    assert out["outer_mass"] == 1.0
+    assert out["vanishes"] and out["monotone"]
+    assert out["sup_values"][-1] <= 1e-80
+
+
+def test_tail_rate_holds_past_the_certified_distances(p1, g1):
+    # on R^1, c0 < 4: the certificate's rate 1 / c0 exceeds the kernel's
+    # 1/4, so c0 exp(-d^2 / c0) falls below gamma past d ~ 10. The atom at
+    # 3 is 2.525 from the inner point 0.475, and its exact heat there must
+    # stay under the bound at every t
+    mu = F.AtomicMeasure(g1, [[3.0]], [1.0])
+    out = F.tail_vanishing_check(mu, p1, radius=1.0)
+    assert out["rate"] < 0.25 < 1.0 / p1.certificate.c0
+    t = out["t_schedule"]
+    exact = np.exp(-(3.0 - 0.475) ** 2 / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
+    assert np.all(out["sup_values"] >= exact), (out["sup_values"], exact)
+    assert out["vanishes"]
+
+
+def _profile_copy(profile, **changes):
+    """A copy of a kernel profile with its own caches (empty by default)."""
+    return dataclasses.replace(profile, **{"_caches": {}, **changes})
+
+
+def test_tail_check_fails_on_a_slow_envelope_rate():
+    mu, profile, radius = _translated_preset("hc-translated-vertex")
+    assert F.tail_vanishing_check(mu, profile, radius)["vanishes"]
+    caches = dict(profile._caches)
+    cert = profile.certificate
+    slow = _profile_copy(
+        profile, _caches=dict(caches),
+        certificate=dataclasses.replace(cert, c0=100.0 * cert.c0))
+    out = F.tail_vanishing_check(mu, slow, radius)
+    assert out["dominated"] and not out["vanishes"]
+    assert profile.certificate is cert and profile._caches == caches
+
+
+def test_tail_check_fails_where_gamma_exceeds_the_envelope():
+    mu, profile, radius = _translated_preset("hc-translated-vertex")
+    caches = dict(profile._caches)
+    cert = profile.certificate
+    loud = _profile_copy(
+        profile, gamma=lambda coords: 1e5 * profile.gamma(coords))
+    out = F.tail_vanishing_check(mu, loud, radius)
+    assert not out["dominated"] and not out["vanishes"]
+    assert out["rate"] == 0.0
+    assert profile.certificate is cert and profile._caches == caches
 
 
 # ---------------------------------------------------------------------------
