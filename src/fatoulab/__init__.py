@@ -11,6 +11,8 @@ Heisenberg group):
 * boundary measures and strong-derivative traces (:mod:`fatoulab.measures`);
 * heat extensions and parabolic limit traces (:mod:`fatoulab.extension`);
 * maximal operators with explicit sandwich constants (:mod:`fatoulab.maximal`);
+* every bar that decides a verdict, and one pure function per decision
+  (:mod:`fatoulab.decisions`);
 * Monte Carlo cross-checks (:mod:`fatoulab.oracle`);
 * declarative scenarios, suites, and deterministic reports
   (:mod:`fatoulab.scenarios`) plus the ``fatou`` CLI (:mod:`fatoulab.cli`).
@@ -63,6 +65,14 @@ from .kernels import (
     pde_residual,
     profile_for,
     validate_profile,
+)
+from .decisions import (
+    TABLE,
+    DecisionTable,
+    TraceDecision,
+    scenario_decision,
+    tail_decision,
+    trace_decision,
 )
 from .measures import (
     AtomicMeasure,

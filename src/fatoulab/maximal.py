@@ -17,7 +17,9 @@ inflated by the quasi-triangle constant. All sups here are over shared
 finite grids, so the two lower inequalities hold grid-pointwise (exactly
 for atomic measures; densities carry a small quadrature allowance), while
 the upper one is checked with a disclosed slack covering the gap between a
-grid sup and the true sup.
+grid sup and the true sup. The slacks, the divergence flag and the argmax
+tie rule are ``decisions``'s; each check picks its slacks from the measure
+kind and reports them.
 
 All convolutions go through one function over rows (point, scale): the
 radial maximum's scales, every cone placement of the nontangential maximum
@@ -47,6 +49,8 @@ import numpy as np
 from .errors import CertificationError, MeasureError
 from . import groups as G
 from . import kernels as K
+from .decisions import (decade_flag, heat_chain_slack, holds_with_slack,
+                        sandwich_slacks, tied_argmax)
 from .extension import HeatExtension
 from .quadrature import ball_rule, weighted_sum
 from .measures import (
@@ -76,9 +80,6 @@ _SCALE_SWITCH = 1.0  # density conv: scaled grid below, section rule above
 # (row, atom) entries per block of an atomic convolution; rows are
 # independent, so blocks bound memory without moving a value
 _ATOM_ENTRIES = 1 << 16
-
-# values within this many ulps (relative) of a maximum tie for its argmax
-_ARGMAX_ULPS = 4
 
 # default cone placements of nontangential_max: beta values and directions
 _BETAS = (0.0, 0.6, 0.9)
@@ -144,30 +145,6 @@ def _scale_grid(grid, r_max: float = 1e3) -> np.ndarray:
     return s
 
 
-def _argmax(values: np.ndarray) -> int:
-    """First index within _ARGMAX_ULPS ulps of the maximum.
-
-    On a flat stretch the values differ by rounding only; a plain argmax
-    would let the last bits pick the scale.
-    """
-    i = int(np.argmax(values))
-    top = float(values[i])
-    if not math.isfinite(top):
-        return i
-    tie = _ARGMAX_ULPS * np.finfo(float).eps * abs(top)
-    return int(np.argmax(values >= top - tie))
-
-
-def _decade_flag(scales: np.ndarray, values: np.ndarray) -> bool:
-    """True when values keep growing by > 10x per decade at the smallest scale."""
-    if not np.all(np.isfinite(values)):
-        return True
-    i10 = int(np.searchsorted(scales, scales[0] * 10.0))
-    if i10 >= values.size:
-        i10 = values.size - 1
-    return bool(values[0] >= 10.0 * max(values[i10], 1e-300))
-
-
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood
 # ---------------------------------------------------------------------------
@@ -184,10 +161,10 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
     quot = masses / np.array([G.ball_volume(g, float(rr)) for rr in r])
     return {
         "value": float(quot.max()),
-        "argmax_r": float(r[_argmax(quot)]),
+        "argmax_r": float(r[tied_argmax(quot)]),
         "radii": r,
         "quotients": quot,
-        "divergent": _decade_flag(r, quot),
+        "divergent": decade_flag(r, quot),
     }
 
 
@@ -286,10 +263,10 @@ def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     vals = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     return {
         "value": float(vals.max()),
-        "argmax_s": float(s[_argmax(vals)]),
+        "argmax_s": float(s[tied_argmax(vals)]),
         "scales": s,
         "values": vals,
-        "divergent": _decade_flag(s, vals),
+        "divergent": decade_flag(s, vals),
     }
 
 
@@ -350,11 +327,11 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
     best = np.max(rows, axis=0)
     return {
         "value": float(best.max()),
-        "argmax_s": float(s[_argmax(best)]),
+        "argmax_s": float(s[tied_argmax(best)]),
         "scales": s,
         "values": best,
         "alpha": alpha,
-        "divergent": _decade_flag(s, best),
+        "divergent": decade_flag(s, best),
     }
 
 
@@ -408,24 +385,22 @@ def _is_atomic(mu: BoundaryMeasure) -> bool:
 
 
 def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
-                   alphas=(0.5, 1.0, 2.0), s_grid=None,
-                   slack_upper: float = 0.02,
-                   slack_lower: float | None = None) -> dict:
+                   alphas=(0.5, 1.0, 2.0), s_grid=None) -> dict:
     """Verify the maximal sandwich at a point over shared scale grids.
 
-    The two lower inequalities hold grid-pointwise; ``slack_lower`` (defaults
-    to 1e-9 for atomic measures, 1e-2 for densities whose two convolution
-    quadratures differ) absorbs only floating-point and quadrature error.
+    The two lower inequalities hold grid-pointwise; their slack
+    ``slack_lower`` absorbs only floating-point and quadrature error, and
+    is larger for densities, whose two convolution quadratures differ.
     ``slack_upper`` covers the gap between the grid sup and the true sup on
-    the Hardy-Littlewood side. The radial values serve as the beta = 0
-    placement of every aperture's nontangential maximum.
+    the Hardy-Littlewood side. Both are `decisions.sandwich_slacks` of the
+    measure kind. The radial values serve as the beta = 0 placement of
+    every aperture's nontangential maximum.
     """
     g = mu.group
     x = np.asarray(x, dtype=float)
     phi = phi or default_profile()
     s = _scale_grid(s_grid)
-    if slack_lower is None:
-        slack_lower = 1e-9 if _is_atomic(mu) else 1e-2
+    slack_upper, slack_lower = sandwich_slacks(_is_atomic(mu))
     hl = hardy_littlewood(mu, x, radii=s)
     rad = radial_max(mu, phi, x, s_grid=s)
     report = {
@@ -442,17 +417,17 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     chain_ok = True
     c_phi = sandwich_constants(g, phi, 1.0)["c_phi"]
     if not all_div:
-        chain_ok &= c_phi * hl["value"] <= rad["value"] * (1.0 + slack_lower)
+        chain_ok &= holds_with_slack(c_phi * hl["value"], rad["value"],
+                                     slack_lower)
     for alpha in alphas:
         nt = _nontangential(mu, phi, x, alpha, s, radial=rad["values"])
         consts = sandwich_constants(g, phi, alpha)
         if all_div and nt["divergent"]:
             ok_low, ok_up = True, True
         else:
-            ok_low = rad["value"] <= nt["value"] * (1.0 + slack_lower)
-            ok_up = nt["value"] <= consts["c_alpha_phi"] * hl["value"] * (
-                1.0 + slack_upper
-            )
+            ok_low = holds_with_slack(rad["value"], nt["value"], slack_lower)
+            ok_up = holds_with_slack(
+                nt["value"], consts["c_alpha_phi"] * hl["value"], slack_upper)
         chain_ok &= ok_low and ok_up
         report["alphas"][alpha] = {
             "nontangential": nt,
@@ -483,22 +458,23 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     vals = np.array([u(x, float(ss) ** 2) for ss in s])
     return {
         "value": float(vals.max()),
-        "argmax_s": float(s[_argmax(vals)]),
+        "argmax_s": float(s[tied_argmax(vals)]),
         "scales": s,
         "values": vals,
-        "divergent": _decade_flag(s, vals),
+        "divergent": decade_flag(s, vals),
     }
 
 
 def check_heat_chain(mu: BoundaryMeasure, profile: K.KernelProfile, x,
-                     s_grid=None, slack: float = 0.02) -> dict:
+                     s_grid=None) -> dict:
     """Sandwich the heat maximal function between two Gaussian radial maxima.
 
     The kernel certificate provides c0 with
     phi_low(r) = exp(-c0 r^2) / c0 <= gamma <= c0 exp(-r^2 / c0) = psi_high(r)
     pointwise in the gauge; convolving preserves the order scale by scale, so
     on a shared grid M_(phi_low) <= sup_s u(x, s^2) <= M_(psi_high) up to
-    quadrature slack.
+    the quadrature slack `decisions.heat_chain_slack` picks from the
+    measure kind.
     """
     if profile.certificate is None:
         K.certify_gaussian(profile)
@@ -517,14 +493,13 @@ def check_heat_chain(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     m_lo = radial_max(mu, lo, x, s_grid=s)
     m_hi = radial_max(mu, hi, x, s_grid=s)
     u_max = heat_max(mu, profile, x, s_grid=s)
+    slack = heat_chain_slack(_is_atomic(mu))
     divergent = m_lo["divergent"] and u_max["divergent"] and m_hi["divergent"]
     if divergent:
         ok = True
     else:
-        ok = (
-            m_lo["value"] <= u_max["value"] * (1.0 + slack)
-            and u_max["value"] <= m_hi["value"] * (1.0 + slack)
-        )
+        ok = (holds_with_slack(m_lo["value"], u_max["value"], slack)
+              and holds_with_slack(u_max["value"], m_hi["value"], slack))
     return {
         "c0": c0,
         "lower": m_lo,

@@ -48,9 +48,9 @@ the maximal module read the same rule, with more panels per vertical
 section (``DensityMeasure._convolution_rule``).
 
 The strong derivative at a point is estimated over a finite ball family along
-a shrinking radius schedule; the trace records all quotients, and convergence
-means the oscillation over the trailing window across ALL family members is
-below tolerance (ties count as not converged).
+a shrinking radius schedule; the trace records all quotients, and
+``decisions.trace_decision`` decides its estimate and convergence from them
+(the bars are ``decisions.TABLE``'s).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import numpy as np
 
 from .errors import GroupError, MeasureError
 from . import groups as G
+from .decisions import TABLE, trace_decision
 from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
 
 __all__ = [
@@ -679,8 +680,8 @@ class DerivativeTrace:
     """Quotient trace mu(x0 * delta_r(B)) / m(x0 * delta_r(B)) over a family.
 
     ``errors`` are the ball-mass error estimates divided by the same ball
-    volumes. ``converged`` means the oscillation of ALL family quotients
-    over the trailing window is strictly below tol * max(1, |estimate|).
+    volumes. ``estimate``, ``oscillation`` and ``converged`` are
+    ``decisions.trace_decision`` of the quotients.
     """
 
     ball_ids: tuple
@@ -690,8 +691,6 @@ class DerivativeTrace:
     estimate: float
     oscillation: float
     converged: bool
-    window: int
-    tol: float
     vertex: np.ndarray = field(default=None)
 
 
@@ -710,13 +709,14 @@ def default_radii(n: int = 16, start: float = 1.0, ratio: float = 0.5) -> np.nda
     return start * ratio ** np.arange(n)
 
 
-def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None, radii=None,
-                      window: int = 5, tol: float = 1e-2) -> DerivativeTrace:
+def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
+                      radii=None) -> DerivativeTrace:
     """Estimate the strong derivative of mu at x0 over a finite ball family.
 
     Quotients are mu(x0 * delta_r(B)) / m(x0 * delta_r(B)) for each family
-    ball B along the radius schedule. The estimate is the mean over the
-    trailing window; the universal-quantifier side is approximated by the
+    ball B along the radius schedule, which must be at least the decision
+    window long. `decisions.trace_decision` gives the estimate and the
+    convergence call; the universal-quantifier side is approximated by the
     family, which the trace discloses.
     """
     g = mu.group
@@ -729,7 +729,7 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None, radii=None,
     ):
         raise MeasureError("ball family must include the centered unit ball")
     r = np.asarray(radii if radii is not None else default_radii(), dtype=float)
-    if r.size < window or np.any(np.diff(r) >= 0):
+    if r.size < TABLE.window or np.any(np.diff(r) >= 0):
         raise MeasureError("radius schedule must be decreasing, >= window long")
     mu0 = translate_measure(mu, x0)
     quot = np.empty((len(fam), r.size))
@@ -741,21 +741,15 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None, radii=None,
             vol = G.ball_volume(g, small.radius)
             quot[bi, ri] = val / vol
             errs[bi, ri] = err / vol
-    tail = quot[:, -window:]
-    finite = np.all(np.isfinite(tail))
-    est = float(tail.mean()) if finite else math.inf
-    osc = float(tail.max() - tail.min()) if finite else math.inf
-    converged = bool(finite and osc < tol * max(1.0, abs(est)))
+    dec = trace_decision(quot)
     return DerivativeTrace(
         ball_ids=tuple(f"ball{i}" for i in range(len(fam))),
         radii=r,
         quotients=quot,
         errors=errs,
-        estimate=est,
-        oscillation=osc,
-        converged=converged,
-        window=window,
-        tol=tol,
+        estimate=dec.estimate,
+        oscillation=dec.oscillation,
+        converged=dec.converged,
         vertex=x0,
     )
 

@@ -12,6 +12,9 @@ checked to contribute vanishing heat, then runs both sides and compares:
 * one converges, the other not,
   or the values disagree         -> verdict "MISMATCH".
 
+``decisions.scenario_decision`` makes that call, and checks the
+expectations, from the traces alone; every bar is ``decisions.TABLE``'s.
+
 Configs are declarative JSON with a strict schema: unknown keys are
 rejected everywhere, densities come from a named whitelist, and reports are
 byte-reproducible (canonical JSON, no timestamps, provenance = config hash
@@ -32,6 +35,14 @@ from ._version import __version__
 from .errors import ConfigError
 from . import groups as G
 from . import kernels as K
+from .decisions import (
+    VERDICT_BOTH_DIVERGE,
+    VERDICT_EQUIVALENT,
+    VERDICT_MISMATCH,
+    TraceDecision,
+    scenario_decision,
+    trailing_window,
+)
 from .measures import (
     AtomicMeasure,
     DensityMeasure,
@@ -68,9 +79,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-VERDICT_EQUIVALENT = "equivalent"
-VERDICT_BOTH_DIVERGE = "both-diverge"
-VERDICT_MISMATCH = "MISMATCH"
 
 
 def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
@@ -204,8 +212,8 @@ _SCENARIO_KEYS = {
     "restrict_radius", "derivative", "limit", "expected_verdict",
     "expected_limit", "seed",
 }
-_DERIV_KEYS = {"tol", "window", "n_radii"}
-_LIMIT_KEYS = {"tol", "window", "n_steps", "t_max"}
+_DERIV_KEYS = {"n_radii"}
+_LIMIT_KEYS = {"n_steps", "t_max"}
 
 
 @dataclass(eq=False)
@@ -350,8 +358,6 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
         mu_loc,
         np.zeros(g.total_dim),
         radii=0.5 ** np.arange(n_radii) * min(0.5, radius / 2.0),
-        window=int(dov.get("window", 5)),
-        tol=float(dov.get("tol", 1e-2)),
     )
 
     u = HeatExtension(mu_loc, profile)
@@ -365,8 +371,6 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
         lt = parabolic_limit(
             u, region,
             n_steps=int(lov.get("n_steps", 12)),
-            window=int(lov.get("window", 5)),
-            tol=float(lov.get("tol", 1e-2)),
         )
         key = repr(float(alpha))
         limits[key] = {
@@ -377,35 +381,14 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
         }
         ltraces[key] = lt
 
-    deriv_conv = dtrace.converged
-    parab_conv = all(v["converged"] for v in limits.values())
-    agreement = {"threshold": None, "per_aperture": {}}
-    if deriv_conv and parab_conv:
-        agree_all = True
-        for key, summ in limits.items():
-            thr = max(1e-2, 2.0 * (dtrace.oscillation + summ["oscillation"]))
-            delta = abs(summ["estimate"] - dtrace.estimate)
-            ok = delta <= thr * max(1.0, abs(dtrace.estimate))
-            agreement["per_aperture"][key] = {
-                "delta": delta, "threshold": thr, "agree": bool(ok),
-            }
-            agree_all &= ok
-        verdict = VERDICT_EQUIVALENT if agree_all else VERDICT_MISMATCH
-    elif not deriv_conv and not parab_conv:
-        verdict = VERDICT_BOTH_DIVERGE
-    else:
-        verdict = VERDICT_MISMATCH
-
-    matches = True
-    if scenario.expected_verdict is not None:
-        matches &= verdict == scenario.expected_verdict
-    if scenario.expected_limit is not None and deriv_conv:
-        tol = max(2e-2, 5.0 * dtrace.oscillation)
-        matches &= (
-            abs(dtrace.estimate - scenario.expected_limit)
-            <= tol * max(1.0, abs(scenario.expected_limit))
-        )
-    matches &= tail["vanishes"]
+    decision = scenario_decision(
+        TraceDecision(dtrace.estimate, dtrace.oscillation, dtrace.converged),
+        {key: TraceDecision(lt.estimate, lt.oscillation, lt.converged)
+         for key, lt in ltraces.items()},
+        expected_verdict=scenario.expected_verdict,
+        expected_limit=scenario.expected_limit,
+        tail_vanishes=tail["vanishes"],
+    )
 
     provenance = {
         "schema_version": SCHEMA_VERSION,
@@ -424,13 +407,12 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
     return ScenarioReport(
         label=scenario.label,
         group_label=g.label,
-        verdict=verdict,
+        verdict=decision.verdict,
         derivative={
             "estimate": dtrace.estimate,
             "oscillation": dtrace.oscillation,
             "converged": dtrace.converged,
-            "quadrature_error": float(
-                dtrace.errors[:, -dtrace.window:].max()),
+            "quadrature_error": float(trailing_window(dtrace.errors).max()),
         },
         limits=limits,
         tail={
@@ -441,11 +423,11 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
             "monotone": tail["monotone"],
         },
         reductions=reductions,
-        agreement=agreement,
+        agreement=decision.agreement,
         provenance=provenance,
         expected_verdict=scenario.expected_verdict,
         expected_limit=scenario.expected_limit,
-        matches_expected=bool(matches),
+        matches_expected=decision.matches_expected,
         traces=traces,
     )
 
@@ -702,10 +684,8 @@ def run_maximal_case(cfg: dict, alphas=(0.5, 1.0, 2.0)) -> dict:
         r = M.check_sandwich(mu, np.asarray(x, dtype=float), alphas=alphas)
         ok &= r["chain_ok"]
         reports.append(r)
-    heat = M.check_heat_chain(
-        mu, profile, np.asarray(cfg["points"][0], dtype=float),
-        slack=0.02 if not M._is_atomic(mu) else 1e-9,
-    )
+    heat = M.check_heat_chain(mu, profile,
+                              np.asarray(cfg["points"][0], dtype=float))
     ok &= heat["chain_ok"]
     return {
         "label": cfg["label"],

@@ -8,7 +8,10 @@ Closed-form oracles frozen here:
 * a single atom extends to w * t^(-Q/2) gamma(delta_(1/sqrt t)(p^-1 x));
 * an atomic measure with masses 1 at 0 and e^125 at distance 50 has
   log-mass slope 125 / (64^2 - 32^2) across the outermost dyadic shell,
-  giving a finite strip height 1 / (rate * c0 * C_L^2).
+  giving a finite strip height b / (rate * C_L^2), with b the envelope rate
+  sampled out to gauge 50: just under the exact 1/4 on R^1, so the strip
+  stays below 1 / (4 rate), where the R^1 extension integral diverges, and
+  1 / c0 on R^2 and H1.
 """
 
 import dataclasses
@@ -324,14 +327,43 @@ def test_strip_infinite_for_compact(p1, ph, g1, gh):
     assert F.strip_of_definition(mu, ph) == math.inf
 
 
+def _strip_rate(profile):
+    """The envelope rate `strip_of_definition` samples."""
+    return E._envelope_rate(
+        profile, np.geomspace(1.0, E._STRIP_GAUGE_MAX, E._ENVELOPE_GAUGES),
+        E._STRIP_DIRECTIONS)
+
+
 def test_strip_finite_for_growing_atoms(p1, g1):
     far_weight = math.exp(125.0)
     mu = F.AtomicMeasure(g1, [[0.0], [50.0]], [1.0, far_weight])
     strip = F.strip_of_definition(mu, p1)
     rate = 125.0 / (64.0 ** 2 - 32.0 ** 2)
-    expected = 1.0 / (rate * p1.certificate.c0 * g1.quasi_triangle_const ** 2)
+    b = _strip_rate(p1)
+    # the certificate's 1 / c0 = 0.277 is above the R^1 kernel's exact 1/4
+    assert b == pytest.approx(0.2461, abs=1e-4)
+    assert b < 0.25 < 1.0 / p1.certificate.c0
+    expected = b / (rate * g1.quasi_triangle_const ** 2)
     assert strip == pytest.approx(expected, rel=1e-12)
-    assert math.isfinite(strip)
+    assert strip == pytest.approx(6.048, abs=1e-3)
+    # (4 pi t)^(-1/2) exp(-x^2 / 4t) against exp(rate x^2) diverges past
+    # t = 1 / (4 rate) = 6.144
+    assert strip < 1.0 / (4.0 * rate)
+
+
+@pytest.mark.parametrize("label, far", [
+    ("euclidean:2", [50.0, 0.0]), ("heisenberg:1", [50.0, 0.0, 0.0])])
+def test_strip_keeps_the_certificate_rate_where_it_holds(label, far):
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    mu = F.AtomicMeasure(g, [[0.0] * g.total_dim, far],
+                         [1.0, math.exp(125.0)])
+    rate = 125.0 / (64.0 ** 2 - 32.0 ** 2)
+    strip = F.strip_of_definition(mu, profile)
+    assert _strip_rate(profile) == 1.0 / profile.certificate.c0
+    assert strip == pytest.approx(
+        1.0 / (rate * profile.certificate.c0 * g.quasi_triangle_const ** 2),
+        rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_valid_config_builds():
     (lambda c: c.__setitem__("restrict_radius", 0.0), "restrict_radius"),
     (lambda c: c["measure"].__setitem__("surprise", 1), "surprise"),
     (lambda c: c["measure"].__setitem__("family", "cauchy"), "cauchy"),
-    (lambda c: c.__setitem__("derivative", {"tol": 1e-2, "extra": 1}), "extra"),
+    (lambda c: c.__setitem__("derivative", {"n_radii": 8, "extra": 1}), "extra"),
     (lambda c: c.__setitem__("limit", {"steps": 3}), "steps"),
 ])
 def test_config_rejection(mutate, fragment):
