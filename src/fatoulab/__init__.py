@@ -59,6 +59,7 @@ from .kernels import (
     euclidean_profile,
     gamma_euclidean,
     gamma_heisenberg,
+    gaussian_certificate,
     heisenberg_profile,
     imaginary_residue,
     kernel_mass,

@@ -354,13 +354,6 @@ def heat_extend(mu: BoundaryMeasure, profile: K.KernelProfile) -> HeatExtension:
     return HeatExtension(mu, profile)
 
 
-def _gauss_c0(profile: K.KernelProfile) -> float:
-    """The profile's Gaussian envelope constant, certified on first use."""
-    if profile.certificate is None:
-        K.certify_gaussian(profile)
-    return profile.certificate.c0
-
-
 def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
     """Height of the time strip on which the extension integral converges.
 
@@ -374,7 +367,6 @@ def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
     (a = 0) get an infinite strip.
     """
     g = mu.group
-    _gauss_c0(profile)
     radii = 2.0 ** np.arange(0, 7)
     masses = np.array(
         [measure_ball(mu, G.Ball(np.zeros(g.total_dim), float(R)))[0] for R in radii]
@@ -643,7 +635,7 @@ def _envelope_rate(profile: K.KernelProfile, s: np.ndarray,
     bound reads, as far out as they go.
     """
     g = profile.group
-    cert = profile.certificate
+    cert = K.gaussian_certificate(profile)
     dirs = G.unit_directions(g, n_directions)
     pts = np.concatenate([G.dilate(g, float(r), dirs) for r in s])
     vals = np.asarray(profile.gamma(pts), dtype=float).reshape(s.size, -1)
@@ -698,7 +690,7 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     if t_schedule is None:
         t_schedule = 4.0 ** -np.arange(0, 9)
     t_schedule = np.asarray(t_schedule, dtype=float)
-    c0 = _gauss_c0(profile)
+    c0 = K.gaussian_certificate(profile).c0
     outer = restrict_complement(mu, G.Ball(np.zeros(g.total_dim), radius))
     inner_r = radius / (2.0 * g.quasi_triangle_const)
     m, d = _outer_terms(outer, inner_r)

@@ -34,9 +34,14 @@ and scatters the values back.
 
 The spline is the not-a-knot bicubic interpolant that FITPACK builds for an
 s = 0 fit, with the same knots; its coefficients are solved here by banded
-elimination and it is evaluated by a vectorized de Boor recursion. The
-Gaussian certificate's c0 solves use a port of SciPy's Brent root finder.
-Neither needs SciPy at run time.
+elimination and it is evaluated by a vectorized de Boor recursion, so it
+needs no SciPy at run time.
+
+The Gaussian certificate's per-point constants are in closed form. At a grid
+value v and scaled distance d > 0, w = d^2/c turns c exp(-d^2/c) = v and
+w = c d^2 turns exp(-c d^2)/c = v into the same w e^w = d^2/v, so with
+Lambert's W = W0(d^2/v) they are c_up = d^2/W and c_low = W/d^2 = 1/c_up
+(v and 1/v at d = 0). Each bound holds from its root on.
 
 Each profile caches its group's one gamma-weighted eta-grid (`_ext_grid`).
 The heat extension of a density sums against it, and so do `kernel_mass`
@@ -75,11 +80,13 @@ __all__ = [
     "check_semigroup",
     "pde_residual",
     "certify_gaussian",
+    "gaussian_certificate",
     "validate_profile",
 ]
 
 _TABLE_RHO_MAX = 9.5
 _TABLE_SIG_MAX = 32.0
+_TABLE_SHAPE = (241, 481)  # (|z|, |s|) nodes of the kernel table
 _LAM_MAX = 14.0
 _CONTOUR_SIGMA = 24.0
 _TAU_SHIFT = 0.98 * math.pi / 8.0
@@ -384,10 +391,11 @@ class _HeisenbergGamma:
     column is summed by its own matrix-vector product.
     """
 
-    def __init__(self, n_rho: int = 241, n_sig: int = 481):
+    def __init__(self):
+        n_rho, n_sig = _TABLE_SHAPE
         self.rho_grid = np.linspace(0.0, _TABLE_RHO_MAX, n_rho)
         self.sig_grid = np.linspace(0.0, _TABLE_SIG_MAX, n_sig)
-        table = np.empty((n_rho, n_sig))
+        table = np.empty(_TABLE_SHAPE)
         r2 = self.rho_grid ** 2
         n_panels = _panel_counts(self.sig_grid)
         for n in np.unique(n_panels):
@@ -439,15 +447,16 @@ def gamma_heisenberg(z, s=None) -> np.ndarray | float:
     return float(out.reshape(-1)[0]) if scalar else out
 
 
-def imaginary_residue(s_values=(0.5, 3.0, 10.0), rho: float = 0.7) -> float:
+def imaginary_residue() -> float:
     """Max |imag| of the unsymmetrized inverse transform over symmetric nodes.
 
     The shipped evaluation uses the analytically symmetrized cosine form; this
     diagnostic verifies that the full two-sided integral has negligible
-    imaginary part on a symmetric rule.
+    imaginary part on a symmetric rule, at |z| = 0.7 and s = 0.5, 3, 10.
     """
+    rho = 0.7
     worst = 0.0
-    for s in s_values:
+    for s in (0.5, 3.0, 10.0):
         lam, wt = _gl_panels(-_LAM_MAX, _LAM_MAX, _panel_width(abs(s)))
         mask = np.abs(lam) > 1e-14
         lam, wt = lam[mask], wt[mask]
@@ -602,145 +611,76 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
 # Gaussian certificate
 # ---------------------------------------------------------------------------
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973).
-
-    A line-for-line port of SciPy's ``brentq.c``: the same steps, tolerance
-    2 delta = xtol + rtol |x| and iteration cap, so the same root to the bit.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericsError(
-            f"brentq bracket [{xa}, {xb}] has no sign change: "
-            f"f = {fpre}, {fcur}")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise NumericsError(f"brentq did not converge in {maxiter} iterations",
-                        estimate=xcur)
+_C0_MARGIN = 1.02  # headroom so refinement keeps the certificate valid
 
 
-def _c0_upper(value: float, d: float) -> float:
-    """Smallest c0 >= 1 with c0 exp(-d^2/c0) >= value."""
-    def f(c):
-        return math.log(c) - d * d / c - math.log(value)
-    if f(1.0) >= 0.0:
-        return 1.0
-    hi = 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise CertificationError("upper Gaussian bound requires c0 > 1e8")
-    return _brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-14)
+def _lambert_w0(z: np.ndarray) -> np.ndarray:
+    """W0(z), the root w >= 0 of w e^w = z >= 0: Halley's iteration (Corless
+    et al., Adv. Comput. Math. 5, 1996) divided through by e^w, so nothing
+    overflows, from log1p(z) for z <= e and log z - log log z above. Three
+    of its six steps reach rounding on 1e-12 <= z <= 1e300."""
+    big = np.log(np.fmax(z, math.e))
+    w = np.where(z <= math.e, np.log1p(z), big - np.log(big))
+    for _ in range(6):
+        f = w - z * np.exp(-w)
+        w = w - f / (w + 1.0 - 0.5 * (w + 2.0) * f / (w + 1.0))
+    return w
 
 
-def _c0_lower(value: float, d: float) -> float:
-    """Smallest c0 >= 1 with c0^-1 exp(-c0 d^2) <= value."""
-    def f(c):
-        return -math.log(c) - c * d * d - math.log(value)
-    if f(1.0) <= 0.0:
-        return 1.0
-    hi = 2.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise CertificationError("lower Gaussian bound requires c0 > 1e8")
-    return _brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-14)
+def _grid_values(k: KernelProfile) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The certificate's grid, and at each point x the scaled distance
+    d = N(x) / sqrt(t) and v = t^(Q/2) Gamma(x, t), one call per (t, d)."""
+    g = k.group
+    grid = {"d_values": [0.0] + np.geomspace(0.05, 8.0, 24).tolist(),
+            "t_values": [0.25, 1.0, 4.0], "n_directions": 12}
+    dirs = G.unit_directions(g, grid["n_directions"])
+    dist, vals = [], []
+    for t, d in itertools.product(grid["t_values"], grid["d_values"]):
+        pts = (G.dilate(g, d * math.sqrt(t), dirs) if d > 0.0
+               else np.zeros((1, g.total_dim)))
+        vals.append(np.atleast_1d(eval_kernel(k, pts, t)) * t ** (g.hom_dim / 2.0))
+        dist.append(np.full(vals[-1].size, d))
+    return grid, np.concatenate(dist), np.concatenate(vals)
 
 
-def certify_gaussian(k: KernelProfile, grid_spec: dict | None = None) -> GaussianCertificate:
+def _envelope_ratio(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """r = d^2 / W0(d^2 / v), and v at d = 0: the smallest c >= 1 with
+    c exp(-d^2 / c) >= v is max(1, r), and with exp(-c d^2) / c <= v it is
+    max(1, 1 / r) (see the module docstring)."""
+    r = v.copy()
+    far = d > 0.0
+    r[far] = d[far] ** 2 / _lambert_w0(d[far] ** 2 / v[far])
+    return r
+
+
+def certify_gaussian(k: KernelProfile) -> GaussianCertificate:
     """Certify the two-sided Gaussian envelope on a geometric (d, t) grid.
 
-    Solves, per grid point, the minimal constant making each bound hold, takes
-    the maximum, and applies a 2% margin so refinement keeps the certificate
-    valid. ``max_violation`` is re-evaluated at the certified c0 on the
-    kernel values of that pass: the grid is evaluated once.
+    c0 is the largest per-point constant, max(1, r, 1 / r) over the grid
+    with r from `_envelope_ratio`, times the margin. ``max_violation`` is
+    re-evaluated at c0 on the same kernel values: the grid is evaluated once.
     """
-    g = k.group
-    spec = {
-        "d_values": [0.0] + np.geomspace(0.05, 8.0, 24).tolist(),
-        "t_values": [0.25, 1.0, 4.0],
-        "n_directions": 12,
-        "margin": 1.02,
-    }
-    if grid_spec:
-        spec.update(grid_spec)
-    dirs = G.unit_directions(g, int(spec["n_directions"]))
+    grid, d, v = _grid_values(k)
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if np.any(bad):
+        raise CertificationError(f"kernel value {v[bad][0]} at scaled distance "
+                                 f"{d[bad][0]} is not finite and positive")
+    r = _envelope_ratio(d, v)
+    need = float(np.max(np.concatenate([[1.0], r, 1.0 / r])))
+    if not need <= 1e8:
+        raise CertificationError(f"Gaussian envelope requires c0 = {need:.3g} > 1e8")
+    c0 = need * _C0_MARGIN
+    worst = max(float(np.max(v - c0 * np.exp(-d * d / c0))),
+                float(np.max(np.exp(-c0 * d * d) / c0 - v)))
+    k.certificate = GaussianCertificate(
+        c0=c0, grid=grid, max_violation=worst,
+        log={"raw_c0": need, "margin": _C0_MARGIN})
+    return k.certificate
 
-    def _grid_points(d: float, rt: float) -> np.ndarray:
-        if d == 0.0:
-            return np.zeros((1, g.total_dim))
-        return G.dilate(g, d * rt, dirs)
 
-    need = 1.0
-    rows = []
-    for t in spec["t_values"]:
-        rt = math.sqrt(t)
-        for d in spec["d_values"]:
-            pts = _grid_points(d, rt)
-            vals = np.atleast_1d(eval_kernel(k, pts, t)) * t ** (g.hom_dim / 2.0)
-            rows.append((d, vals))
-            for v in vals:
-                v = float(v)
-                if v <= 0.0:
-                    raise CertificationError(
-                        f"kernel non-positive at scaled distance {d}"
-                    )
-                need = max(need, _c0_upper(v, d), _c0_lower(v, d))
-    c0 = need * float(spec["margin"])
-    worst = -math.inf
-    for d, vals in rows:
-        up = c0 * math.exp(-d * d / c0)
-        lo = math.exp(-c0 * d * d) / c0
-        worst = max(worst, float(np.max(vals - up)), float(np.max(lo - vals)))
-    cert = GaussianCertificate(
-        c0=float(c0),
-        grid={kk: vv for kk, vv in spec.items() if kk != "margin"},
-        max_violation=float(worst),
-        log={"raw_c0": float(need), "margin": float(spec["margin"])},
-    )
-    k.certificate = cert
-    return cert
+def gaussian_certificate(k: KernelProfile) -> GaussianCertificate:
+    """The profile's Gaussian certificate, certified on first use."""
+    return k.certificate or certify_gaussian(k)
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +707,7 @@ def _spline_vs_direct(k: KernelProfile) -> tuple[float, int] | None:
     return float(np.max(err)), len(pts)
 
 
-def validate_profile(k: KernelProfile, t_values=(0.25, 1.0, 4.0),
-                     tolerances: dict | None = None, seed: int = 1234) -> dict:
+def validate_profile(k: KernelProfile, seed: int = 1234) -> dict:
     """Run the full validation battery and record the result on the profile.
 
     Checks: positivity, inversion symmetry, normalization at each t, parabolic
@@ -785,8 +724,6 @@ def validate_profile(k: KernelProfile, t_values=(0.25, 1.0, 4.0),
         "pde_ratio": (2.5, 6.0),
         "spline_vs_direct": _SPLINE_VS_DIRECT_TOL,
     }
-    if tolerances:
-        tol.update(tolerances)
     g = k.group
     rng = np.random.default_rng(seed)
     checks = []
@@ -814,7 +751,7 @@ def validate_profile(k: KernelProfile, t_values=(0.25, 1.0, 4.0),
     record("symmetry", f"{n_pts} random points", sym, tol["symmetry"],
            sym <= tol["symmetry"])
 
-    for t in t_values:
+    for t in (0.25, 1.0, 4.0):
         m = kernel_mass(k, t)
         resid = abs(1.0 - m)
         record(f"normalization t={t}", "mass grid", resid,

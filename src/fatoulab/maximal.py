@@ -25,17 +25,17 @@ All convolutions go through one function over rows (point, scale): the
 radial maximum's scales, every cone placement of the nontangential maximum
 at every scale, and a single `mollifier_convolution`, which is one row, so
 a maximal value equals the single convolution bit for bit. Atomic parts
-take one (rows, atoms) distance matrix. Density convolutions switch
-quadrature by scale: for small s the mollifier is sharp, so a fixed
-phi-weighted polar grid in the scaled variable is used; above s = 1 the
+take one (rows, atoms) distance matrix. A density row whose mollifier
+support B(x, phi.support_radius * s) holds the support box uses the
 density's section rule in the original variable (Gauss-Legendre panels
 whose edges sit on the support faces, see
-``DensityMeasure._convolution_rule``) resolves phi_s directly. A row whose
-mollifier reaches past the support uses that rule on the whole support
-box, cached with its density values; a row whose mollifier support
-B(x, phi.support_radius * s) does not hold the support box uses it on the
-part of the box in that ball. Scale and radius grids must be finite,
-positive and strictly increasing.
+``DensityMeasure._convolution_rule``) on the whole box, cached with its
+density values, at every scale: the box may cover only a few nodes of a
+grid spread over the profile's support. Other rows switch quadrature by
+scale: for small s the mollifier is sharp, so a fixed phi-weighted polar
+grid in the scaled variable is used; above s = 1 the section rule on the
+part of the box in that ball resolves phi_s directly. Scale and radius
+grids must be finite, positive and strictly increasing.
 """
 
 from __future__ import annotations
@@ -195,16 +195,16 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
     to the k atoms (in row blocks of ``_ATOM_ENTRIES`` entries), one phi
     evaluation over it and a sum along each row in a fixed order (numpy's
     ``add.reduce`` on C-ordered rows, not BLAS), so a row's value does not
-    depend on the other rows. Density parts keep one rule per scale:
-    below ``_SCALE_SWITCH`` the phi-weighted grid in the scaled variable,
-    one density evaluation per row; above it the section rule of
-    ``DensityMeasure._convolution_rule``. It covers the whole support box,
-    cached with its density values and with one set of node distances for
-    each run of rows that share a point, where the ball B(x, R),
+    depend on the other rows. A density row whose ball B(x, R),
     R = phi.support_radius * s, holds the support box's corners (phi_s is
-    below 1e-14 of its peak past R); else it covers the support box's part
-    in that ball, one rule per row, so a sharp profile at small s keeps
-    its nodes where phi_s lives.
+    below 1e-14 of its peak past R) takes the section rule of
+    ``DensityMeasure._convolution_rule`` on the whole support box, at any
+    scale, cached with its density values and with one set of node
+    distances for each run of rows that share a point. Other rows take,
+    below ``_SCALE_SWITCH``, the phi-weighted grid in the scaled variable,
+    one density evaluation per row, and above it the section rule on the
+    support box's part in the ball, one rule per row, so a sharp profile
+    keeps its nodes where phi_s lives.
     """
     g = mu.group
     total = np.zeros(s.size)
@@ -223,18 +223,19 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
                                 * np.add.reduce(vals, axis=1))
             continue
         vals = np.empty(s.size)
-        for i in np.flatnonzero(s <= _SCALE_SWITCH):
-            eta_inv, w = _phi_grid(g, phi)
-            y = G.mul(g, pts[i], G.dilate(g, float(s[i]), eta_inv))
-            vals[i] = weighted_sum(w, part.density_at(y))
-        above = np.flatnonzero(s > _SCALE_SWITCH)
-        reach = phi.support_radius * s[above]
+        reach = phi.support_radius * s
         # balls are convex: one that holds the support box's corners holds
         # the box, and the row needs no clip
         corners = _tensor(part.support_box)
-        far = np.asarray(G.dist(g, corners[None, :, :], pts[above, None, :]))
+        covers = np.asarray(G.dist(g, corners[None, :, :], pts[:, None, :])
+                            ).max(axis=1) < reach
+        for i in np.flatnonzero((s <= _SCALE_SWITCH) & ~covers):
+            eta_inv, w = _phi_grid(g, phi)
+            y = G.mul(g, pts[i], G.dilate(g, float(s[i]), eta_inv))
+            vals[i] = weighted_sum(w, part.density_at(y))
+        above = np.flatnonzero((s > _SCALE_SWITCH) | covers)
         x = None
-        for i, r, inside in zip(above, reach, far.max(axis=1) < reach):
+        for i, r, inside in zip(above, reach[above], covers[above]):
             ball = None if inside else G.Ball(pts[i], float(r))
             if ball is not None or x is None or not np.array_equal(pts[i], x):
                 nodes, wf = part._convolution_rule(ball)
@@ -476,9 +477,7 @@ def check_heat_chain(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     the quadrature slack `decisions.heat_chain_slack` picks from the
     measure kind.
     """
-    if profile.certificate is None:
-        K.certify_gaussian(profile)
-    c0 = profile.certificate.c0
+    c0 = K.gaussian_certificate(profile).c0
     g = mu.group
     x = np.asarray(x, dtype=float)
     s = _scale_grid(s_grid, 3.0)

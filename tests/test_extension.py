@@ -228,8 +228,7 @@ def _translated_preset(label):
     sc = F.Scenario.from_config(cfg)
     g = sc.group
     profile = F.profile_for(g)
-    if profile.certificate is None:
-        F.certify_gaussian(profile)
+    F.gaussian_certificate(profile)
     mu = F.translate_measure(F.build_measure(g, sc.measure_spec), sc.vertex)
     return mu, profile, sc.restrict_radius or 1.0 / g.quasi_triangle_const
 

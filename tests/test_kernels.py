@@ -104,7 +104,9 @@ def test_certificate_evaluates_its_grid_once(p1, p2, p3, ph, monkeypatch):
             k.certificate = kept
         # 3 times x 25 distances, one call each
         assert len(calls) == 75, k.group.label
-        assert cert.c0 == EXPECTED_C0[k.group.label]
+        # d = 0 binds: the lower constant there is 1 / gamma(0)
+        v0 = float(k.gamma(np.zeros(k.group.total_dim)))
+        assert cert.c0 == 1.02 * (1.0 / v0), k.group.label
 
 
 def test_euclidean_pde_order(p1):
@@ -261,7 +263,8 @@ def test_heisenberg_table_builds_each_lambda_rule_once(ph, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# in-house spline and root finder against SciPy's FITPACK and brentq
+# in-house spline and Lambert W against SciPy's FITPACK and lambertw; the
+# certificate's closed-form constants against brentq roots
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -305,33 +308,78 @@ def test_spline_matches_fitpack(ph, fitpack):
     assert np.max(np.abs(machine.spline.ev(*nodes) - np.log(machine.table).ravel())) <= 1e-13
 
 
-def test_brentq_port_equals_scipy_on_certificate_solves(p1, p2, p3, ph, monkeypatch):
+def test_lambert_w0_equals_scipy():
+    from scipy.special import lambertw
+
+    z = np.logspace(-12, 300, 20_001)
+    ref = lambertw(z).real
+    assert np.max(np.abs(K._lambert_w0(z) - ref) / np.spacing(ref)) <= 2.0
+    assert K._lambert_w0(np.array([math.e]))[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def _brent_constant(f, increasing):
+    """Smallest c >= 1 with f(c) >= 0 (increasing f) or f(c) <= 0, by
+    doubling a bracket from [1, 2] and solving it with brentq."""
     from scipy.optimize import brentq
 
-    solves = []
-    port = K._brentq
+    sign = 1.0 if increasing else -1.0
+    if sign * f(1.0) >= 0.0:
+        return 1.0
+    hi = 2.0
+    while sign * f(hi) < 0.0:
+        hi *= 2.0
+    return brentq(f, 1.0, hi, xtol=1e-12, rtol=1e-14)
 
-    def both(f, a, b, xtol, rtol):
-        ours = port(f, a, b, xtol, rtol)
-        solves.append((ours, brentq(f, a, b, xtol=xtol, rtol=rtol)))
-        return ours
 
-    monkeypatch.setattr(K, "_brentq", both)
+def test_closed_form_constants_equal_brent_roots(p1, p2, p3, ph):
     for k in (p1, p2, p3, ph):
-        kept = k.certificate
-        try:
-            K.certify_gaussian(k)
-        finally:
-            k.certificate = kept
-    assert len(solves) > 100
-    assert all(ours == ref for ours, ref in solves)
+        _, d, v = K._grid_values(k)
+        r = K._envelope_ratio(d, v)
+        for di, vi, ri in zip(d, v, r):
+            up = _brent_constant(
+                lambda c: math.log(c) - di * di / c - math.log(vi), True)
+            low = _brent_constant(
+                lambda c: -math.log(c) - c * di * di - math.log(vi), False)
+            for ours, ref in ((max(1.0, ri), up), (max(1.0, 1.0 / ri), low)):
+                assert abs(ours - ref) <= 1e-12 + 1e-14 * ref, (
+                    k.group.label, di, vi)
 
 
-def test_brentq_rejects_a_bracket_without_sign_change():
-    with pytest.raises(F.NumericsError):
-        K._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-14)
-    assert K._brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-14, 1e-15) == \
-        pytest.approx(math.sqrt(2.0), rel=1e-14)
+def _profile_with(k, gamma):
+    return F.KernelProfile(group=k.group, gamma=gamma,
+                           gamma_accurate=gamma,
+                           quadrature_spec=dict(k.quadrature_spec))
+
+
+def test_certificate_rejects_a_constant_past_its_limit(p1, p2, p3, ph):
+    # negative control: gamma x 1e10 needs c0 = 1e10 gamma(0) > 1e8
+    for k in (p1, p2, p3, ph):
+        loud = _profile_with(k, lambda c, k=k: 1e10 * k.gamma(c))
+        with pytest.raises(F.CertificationError, match="requires c0"):
+            K.certify_gaussian(loud)
+        assert loud.certificate is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_certificate_rejects_a_value_that_is_not_positive(p1, ph, bad):
+    # negative control: one grid value NaN or 0, at the 8th scaled distance
+    for k in (p1, ph):
+        g = k.group
+        target = [0.0, *np.geomspace(0.05, 8.0, 24).tolist()][7]
+        hit = []
+
+        def spoiled(coords, k=k, g=g):
+            vals = np.array(k.gamma(coords), dtype=float)
+            on = np.flatnonzero(np.isclose(F.norm(g, coords), target))
+            if on.size and not hit:
+                hit.append(on[0])
+                vals.flat[on[0]] = bad
+            return vals
+
+        with pytest.raises(F.CertificationError,
+                           match=f"at scaled distance {target} is not finite"):
+            K.certify_gaussian(_profile_with(k, spoiled))
+        assert len(hit) == 1
 
 
 def test_runtime_needs_no_scipy():
@@ -495,10 +543,10 @@ def test_profile_for_routing(g1, gh, p1, ph):
 
 # each equals 1.02 / gamma(0) = 1.02 * (4 pi)^(Q/2) (Euclidean) or 1.02 * 64
 EXPECTED_C0 = {
-    "euclidean:1": 3.615805855847252,
-    "euclidean:2": 12.817698026646358,
-    "euclidean:3": 45.43755645414672,
-    "heisenberg:1": 65.28,
+    "euclidean:1": 3.615805855847253,
+    "euclidean:2": 12.817698026646356,
+    "euclidean:3": 45.43755645414674,
+    "heisenberg:1": 65.27999999999997,
 }
 
 

@@ -216,7 +216,7 @@ def test_heat_chain_fails_with_swapped_envelope(label):
     g = F.get_group(cfg["group"])
     mu = F.build_measure(g, cfg["measure"])
     profile = F.profile_for(g)
-    real = profile.certificate or F.certify_gaussian(profile)
+    real = F.gaussian_certificate(profile)
     profile.certificate = dataclasses.replace(real, c0=1.0 / real.c0)
     try:
         report = F.check_heat_chain(
@@ -338,16 +338,29 @@ def _conv_errors(mu, phi, scales):
 @pytest.mark.parametrize("name", sorted(_CONV_BOUNDS))
 def test_density_convolution_matches_split_reference(gh, ph, name):
     mu = _h1_density_v2(gh)
-    c0 = (ph.certificate or F.certify_gaussian(ph)).c0
+    c0 = F.gaussian_certificate(ph).c0
     phi = _gauss_profiles(c0)[name]
     errs = _conv_errors(mu, phi, np.array(_CONV_SCALES))
     assert np.all(errs <= _CONV_BOUNDS[name]), errs
 
 
+# scales at or below the switch where the upper Gaussian's ball,
+# B(x, 46.5 s), holds the support box for every placement: the phi-grid's
+# nodes spread over that ball, so only a few of them fall on the box
+_COVERING_SCALES = (0.1, 0.2, 0.5, 0.85, 1.0)
+
+
+def test_covering_rows_below_the_switch_match_split_reference(gh, ph):
+    mu = _h1_density_v2(gh)
+    phi = _gauss_profiles(F.gaussian_certificate(ph).c0)["upper"]
+    errs = _conv_errors(mu, phi, np.array(_COVERING_SCALES))
+    assert np.all(errs <= 1e-5), errs
+
+
 def test_unclipped_rule_misses_the_sharp_lower_profile(gh, ph, monkeypatch):
     # negative control: every row on the support box's cached rule
     mu = _h1_density_v2(gh)
-    c0 = (ph.certificate or F.certify_gaussian(ph)).c0
+    c0 = F.gaussian_certificate(ph).c0
     whole = F.DensityMeasure._convolution_rule
     monkeypatch.setattr(F.DensityMeasure, "_convolution_rule",
                         lambda self, ball=None: whole(self))
