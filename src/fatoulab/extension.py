@@ -34,7 +34,10 @@ fit in one block of ``quadrature._BLOCK_ROWS`` rows; "cut" points on the
 grid's own outer rules share a ``_column_rule`` call of up to _CUT_LINES
 vertical lines. Every step is row
 by row and each point keeps its own fixed-order sum, so each value is the
-one a call at that point alone gives, bit for bit.
+one a call at that point alone gives, bit for bit. A call at one point with
+many t (``HeatExtension._at_times``, the heat maximum's scales) gives an
+atomic part one kernel evaluation over every (t, atom) pair and a density
+part one slice per t, again with the bits of one call per t.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -59,7 +62,7 @@ from . import kernels as K
 from .decisions import tail_decision, trace_decision
 from .kernels import _EtaGrid, _ext_grid
 from .quadrature import (_BLOCK_ROWS, _legendre_projection, gauss_legendre,
-                         point_array, tensor_rule, weighted_sum)
+                         point_array, row_sums, tensor_rule, weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -113,7 +116,8 @@ def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
                    eta_t: np.ndarray) -> np.ndarray:
     """u at points whose eta-image hull is "inside": the whole grid, with
     `DensityMeasure.density_inside`. On a grid of at most _BLOCK_ROWS / p
-    nodes, p points share one block; each point's sum is its own."""
+    nodes, p points share one block; each point's sum is its own (see
+    `quadrature.row_sums`)."""
     n_nodes = grid.gamma_w.size
     per = max(1, _BLOCK_ROWS // n_nodes)
     out = np.empty(xs.shape[0])
@@ -124,9 +128,7 @@ def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
         f = _density_rows(mu.density_inside, mu.group, batch, eta_t,
                           np.tile(np.arange(n_nodes), k) if many else None,
                           np.repeat(np.arange(k), n_nodes) if many else None)
-        for i in range(k):
-            out[start + i] = weighted_sum(
-                grid.gamma_w, f[i * n_nodes:(i + 1) * n_nodes])
+        out[start:start + k] = row_sums(grid.gamma_w, f.reshape(k, n_nodes))
     return out
 
 
@@ -299,14 +301,21 @@ class HeatExtension:
         self.profile = profile
         self.group = mu.group
 
-    def __call__(self, x, t: float):
-        """u at the point x (total_dim finite coordinates) or at each point
-        of an array of them along its last axis, at time t > 0."""
+    def _points(self, x) -> np.ndarray:
+        """``x`` as an array of points: total_dim finite coordinates along
+        its last axis."""
         x = np.asarray(x, dtype=float)
         n = self.group.total_dim
         if x.shape[-1:] != (n,) or not np.all(np.isfinite(x)):
             raise GroupError(f"points must have {n} finite coordinates, got "
                              f"{np.array2string(x, threshold=8)}")
+        return x
+
+    def __call__(self, x, t: float):
+        """u at the point x (total_dim finite coordinates) or at each point
+        of an array of them along its last axis, at time t > 0."""
+        x = self._points(x)
+        n = self.group.total_dim
         if not (t > 0) or not math.isfinite(t):
             raise NumericsError(f"time must be positive, got {t}")
         scalar = x.ndim == 1
@@ -326,6 +335,38 @@ class HeatExtension:
                 rel = G.mul(g, G.inverse(g, part.points)[:, None, :],
                             pts[None, :, :])
                 total += part.weights @ K.eval_kernel(self.profile, rel, t)
+        return total
+
+    def _at_times(self, x, times) -> np.ndarray:
+        """u(x, t) at the one point x for each t of ``times``: the values of
+        ``self(x, t)``, bit for bit, in one call.
+
+        An atomic part takes its relative positions once and one kernel
+        evaluation over every (time, atom) pair, with `kernels.eval_kernel`'s
+        Python-float factors (1 / sqrt t)^e and t^(-Q/2); each time's sum
+        is a dot product with its own contiguous row, as `_eval` takes it. A
+        density part takes one slice per time. Parts are added in `_eval`'s
+        order.
+        """
+        x = self._points(x)
+        if x.ndim != 1:
+            raise GroupError("u at many times takes one point")
+        times = [float(t) for t in times]
+        if not all(t > 0 and math.isfinite(t) for t in times):
+            raise NumericsError(f"times must be positive, got {times}")
+        g = self.group
+        total = np.zeros(len(times))
+        for part in self.mu.parts():
+            if not isinstance(part, AtomicMeasure):
+                total += [self._density(part, x[None, :], t)[0] for t in times]
+            elif part.points.shape[0]:
+                rel = G.mul(g, G.inverse(g, part.points), x)
+                scale = np.array([[(1.0 / math.sqrt(t)) ** e
+                                   for e in g.layer_exponents] for t in times])
+                power = np.array([t ** (-g.hom_dim / 2.0) for t in times])
+                kern = power[:, None] * self.profile.gamma(
+                    rel[None, :, :] * scale[:, None, :])
+                total += [part.weights @ row for row in kern]
         return total
 
     def _density(self, mu: DensityMeasure, pts: np.ndarray, t: float):

@@ -34,6 +34,7 @@ quadrature on smooth integrands.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,6 +61,8 @@ __all__ = [
     "ball_volume",
     "ball_contains",
     "ball_bounding_box",
+    "ball_bounding_boxes",
+    "box_corners",
     "dilate_ball",
     "translate_ball",
     "surface_rule",
@@ -257,16 +260,27 @@ def ball_bounding_box(g: GroupDescriptor, ball: Ball) -> np.ndarray:
     Left translation is affine in exponential coordinates, so the box is the
     hull of the translated corners of the centered ball's box (exact).
     """
+    return ball_bounding_boxes(g, ball.center[None, :], [ball.radius])[0]
+
+
+def ball_bounding_boxes(g: GroupDescriptor, centers, radii) -> np.ndarray:
+    """`ball_bounding_box` of each ball B(centers[i], radii[i]), shape
+    (m, N, 2), in one pass. The dilation factors r^j are scalar powers, as
+    `dilate` takes them, so each box has the bits of a call with its ball
+    alone."""
     base = np.array(g.unit_box)
-    r = ball.radius
-    scale = np.array([r ** e for e in g.layer_exponents])
-    box0 = base * scale[:, None]
-    n = g.total_dim
-    corners = np.stack(
-        np.meshgrid(*[box0[i] for i in range(n)], indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    moved = mul(g, ball.center, corners)
-    return np.stack([moved.min(axis=0), moved.max(axis=0)], axis=1)
+    scale = np.array([[r ** e for e in g.layer_exponents] for r in radii])
+    corners = box_corners(base * scale[:, :, None])
+    moved = mul(g, np.asarray(centers, dtype=float)[:, None, :], corners)
+    return np.stack([moved.min(axis=1), moved.max(axis=1)], axis=-1)
+
+
+def box_corners(boxes: np.ndarray) -> np.ndarray:
+    """The 2^n corners (..., 2^n, n) of each box (..., n, 2) along the
+    leading axes."""
+    n = boxes.shape[-2]
+    choice = np.array(list(itertools.product((0, 1), repeat=n)))
+    return boxes[..., np.arange(n), choice]
 
 
 # ---------------------------------------------------------------------------

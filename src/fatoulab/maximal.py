@@ -36,6 +36,18 @@ scale: for small s the mollifier is sharp, so a fixed phi-weighted polar
 grid in the scaled variable is used; above s = 1 the section rule on the
 part of the box in that ball resolves phi_s directly. Scale and radius
 grids must be finite, positive and strictly increasing.
+
+Each density row is classified once, and no quadrature is spent on a value
+that is already known. One ``hull_state`` call takes the images of the
+phi-grid's bounding-box corners for every grid row: "inside" rows take
+``density_inside`` without the box and clip tests, "cut" rows
+``density_at``, and "outside" rows are 0.0 with nothing evaluated. Rows
+share blocks of up to ``quadrature._BLOCK_ROWS`` nodes, and each row's sum
+is its own (``quadrature.row_sums``). Ball masses of the Hardy-Littlewood
+radii come from one ``measures.ball_masses`` call, and the heat maximum's
+scales from one ``HeatExtension._at_times`` call, whose atomic parts take
+one kernel evaluation over every (scale, atom) pair. Every value keeps the
+bits of its one-row, one-ball or one-time call.
 """
 
 from __future__ import annotations
@@ -52,11 +64,13 @@ from . import kernels as K
 from .decisions import (decade_flag, heat_chain_slack, holds_with_slack,
                         sandwich_slacks, tied_argmax)
 from .extension import HeatExtension
-from .quadrature import ball_rule, weighted_sum
+from .quadrature import _BLOCK_ROWS, ball_rule, row_sums, weighted_sum
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
+    DensityMeasure,
     _point,
+    _scaled_images,
     _tensor,
     ball_masses,
 )
@@ -173,17 +187,80 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
 # ---------------------------------------------------------------------------
 
 def _phi_grid(g: G.GroupDescriptor, phi: RadialProfile):
-    """phi-weighted polar grid in the scaled variable: (eta_inverse, weights).
+    """phi-weighted polar grid in the scaled variable: (eta_inverse,
+    weights, corners).
 
     `quadrature.ball_rule` with radial weight phi, up to its support
-    radius. Cached on the profile, so two profiles never share a grid.
+    radius. ``corners`` are the 2^n corners of the nodes' bounding box:
+    eta -> x * delta_s(eta) is affine, so their images span the images of
+    every node. Cached on the profile, so two profiles never share a grid.
     """
     if g in phi._grids:
         return phi._grids[g]
     eta, w = ball_rule(g.sphere, (16, *g.sphere.coarse), g.layer_exponents,
                        g.hom_dim, r_max=min(phi.support_radius, 50.0),
                        n_panels=4, radial_weight=phi)
-    phi._grids[g] = out = (G.inverse(g, eta), w)
+    eta_inv = G.inverse(g, eta)
+    corners = G.box_corners(np.stack([eta_inv.min(axis=0),
+                                      eta_inv.max(axis=0)], axis=1))
+    phi._grids[g] = out = (eta_inv, w, corners)
+    return out
+
+
+def _grid_rows(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
+               s: np.ndarray) -> np.ndarray:
+    """(nu * phi_s)(x) of a density on the phi-weighted grid, for rows
+    (x, s) of ``pts`` and ``s``.
+
+    One `hull_state` call classifies the images x * delta_s(corners) of
+    every row's grid box: "inside" rows take `density_inside`, "cut" rows
+    `density_at`, and "outside" rows are 0.0 with nothing evaluated. Rows
+    share blocks of at most _BLOCK_ROWS nodes, and each row's sum is its
+    own `weighted_sum` (see `quadrature.row_sums`).
+    """
+    g = part.group
+    eta_inv, w, corners = _phi_grid(g, phi)
+    state = part.hull_state(_scaled_images(g, pts, s, corners))
+    out = np.zeros(s.size)
+    per = max(1, _BLOCK_ROWS // w.size)
+    for density, rows in ((part.density_inside, state == "inside"),
+                          (part.density_at, state == "cut")):
+        rows = np.flatnonzero(rows)
+        for start in range(0, rows.size, per):
+            block = rows[start:start + per]
+            y = _scaled_images(g, pts[block], s[block], eta_inv)
+            f = density(y.reshape(-1, g.total_dim))
+            out[block] = row_sums(w, f.reshape(block.size, w.size))
+    return out
+
+
+def _covering_rows(part: DensityMeasure, phi: RadialProfile,
+                   pts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(nu * phi_s)(x) of a density whose ball B(x, phi.support_radius * s)
+    holds the support box, for rows (x, s): the cached section rule of the
+    whole box, scaled by the Python-float factor s^(-Q).
+
+    Rows share blocks of rows x nodes where two or more fit in _BLOCK_ROWS
+    (the small rules of one and two dimensions); otherwise each row is its
+    own block, and a run of rows at one point shares one set of node
+    distances.
+    """
+    g = part.group
+    nodes, wf = part._convolution_rule()
+    out = np.array([float(ss) ** (-g.hom_dim) for ss in s])
+    per = _BLOCK_ROWS // max(1, wf.size)
+    if per > 1:
+        for start in range(0, s.size, per):
+            block = slice(start, start + per)
+            rho = np.asarray(G.dist(g, nodes[None, :, :], pts[block, None, :]))
+            out[block] *= row_sums(wf, phi(rho / s[block, None]))
+        return out
+    x = None
+    for i in range(s.size):
+        if x is None or not np.array_equal(pts[i], x):
+            x = pts[i]
+            rho = np.asarray(G.dist(g, nodes, x))
+        out[i] *= weighted_sum(wf, phi(rho / float(s[i])))
     return out
 
 
@@ -199,12 +276,10 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
     R = phi.support_radius * s, holds the support box's corners (phi_s is
     below 1e-14 of its peak past R) takes the section rule of
     ``DensityMeasure._convolution_rule`` on the whole support box, at any
-    scale, cached with its density values and with one set of node
-    distances for each run of rows that share a point. Other rows take,
-    below ``_SCALE_SWITCH``, the phi-weighted grid in the scaled variable,
-    one density evaluation per row, and above it the section rule on the
-    support box's part in the ball, one rule per row, so a sharp profile
-    keeps its nodes where phi_s lives.
+    scale (`_covering_rows`). Other rows take, below ``_SCALE_SWITCH``, the
+    phi-weighted grid in the scaled variable (`_grid_rows`), and above it
+    the section rule on the support box's part in the ball, one rule per
+    row, so a sharp profile keeps its nodes where phi_s lives.
     """
     g = mu.group
     total = np.zeros(s.size)
@@ -229,20 +304,15 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
         corners = _tensor(part.support_box)
         covers = np.asarray(G.dist(g, corners[None, :, :], pts[:, None, :])
                             ).max(axis=1) < reach
-        for i in np.flatnonzero((s <= _SCALE_SWITCH) & ~covers):
-            eta_inv, w = _phi_grid(g, phi)
-            y = G.mul(g, pts[i], G.dilate(g, float(s[i]), eta_inv))
-            vals[i] = weighted_sum(w, part.density_at(y))
-        above = np.flatnonzero((s > _SCALE_SWITCH) | covers)
-        x = None
-        for i, r, inside in zip(above, reach[above], covers[above]):
-            ball = None if inside else G.Ball(pts[i], float(r))
-            if ball is not None or x is None or not np.array_equal(pts[i], x):
-                nodes, wf = part._convolution_rule(ball)
-                x = pts[i] if ball is None else None
-                rho = np.asarray(G.dist(g, nodes, pts[i]))
+        for rows, rule in ((covers, _covering_rows),
+                           ((s <= _SCALE_SWITCH) & ~covers, _grid_rows)):
+            if np.any(rows):
+                vals[rows] = rule(part, phi, pts[rows], s[rows])
+        for i in np.flatnonzero((s > _SCALE_SWITCH) & ~covers):
+            nodes, wf = part._convolution_rule(G.Ball(pts[i], float(reach[i])))
             ss = float(s[i])
-            vals[i] = ss ** (-g.hom_dim) * weighted_sum(wf, phi(rho / ss))
+            vals[i] = ss ** (-g.hom_dim) * weighted_sum(
+                wf, phi(np.asarray(G.dist(g, nodes, pts[i])) / ss))
         total += vals
     return total
 
@@ -451,12 +521,14 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     """Grid sup over s of the heat extension u(x, s^2).
 
     The substitution t = s^2 aligns the heat semigroup with the mollifier
-    convention phi_s = s^(-Q) phi(delta_(1/s) argument).
+    convention phi_s = s^(-Q) phi(delta_(1/s) argument). Every scale comes
+    from one ``HeatExtension._at_times`` call, with the bits of u(x, s^2)
+    at each.
     """
     x = np.asarray(x, dtype=float)
     s = _scale_grid(s_grid, 3.0)
     u = HeatExtension(mu, profile)
-    vals = np.array([u(x, float(ss) ** 2) for ss in s])
+    vals = u._at_times(x, [float(ss) ** 2 for ss in s])
     return {
         "value": float(vals.max()),
         "argmax_s": float(s[tied_argmax(vals)]),

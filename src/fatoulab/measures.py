@@ -31,17 +31,21 @@ group's central column axis): a box or a ball meets such a line in one
 interval and a complement clip removes one, so the density is smooth
 between the ends it returns.
 
-A density's ball mass asks ``hull_state`` about the corners of the ball's
-bounding box. A ball in the smooth region ("inside") is integrated with the
-group's unit-ball polar rule mapped onto it, mu(B(c, R)) =
-R^Q int_(B(0,1)) f(c * delta_R(xi)) dxi: 3,456 nodes on the Heisenberg
-group, with the 1,024-node coarse rule's difference as the error. A ball
-where the density is zero has mass 0. A ball across a jump ("cut") is an
-iterated integral with exact inner limits (Stroud, Approximate Calculation
-of Multiple Integrals, 1971): Gauss-Legendre panels on the horizontal axes
-of its bounding box clipped to the support box, and on each vertical line
-Gauss-Legendre nodes on every interval that ``sections`` and the ball's own
-section leave (see ``DensityMeasure._section_rule``). A ball that holds
+Ball masses come many balls at a time: each kind has one
+``_ball_masses(centers, radii)``, and `measure_ball` is its one-ball case.
+Atoms take their distances once per distinct center. A density asks one
+``hull_state`` call about the corners of every ball's bounding box. A ball
+in the smooth region ("inside") is integrated with the group's unit-ball
+polar rule mapped onto it, mu(B(c, R)) = R^Q int_(B(0,1)) f(c *
+delta_R(xi)) dxi: 3,456 nodes on the Heisenberg group, with the 1,024-node
+coarse rule's difference as the error; such balls share blocks of density
+evaluations. A ball where the density is zero has mass 0. A ball across a
+jump ("cut") is an iterated integral with exact inner limits (Stroud,
+Approximate Calculation of Multiple Integrals, 1971): Gauss-Legendre
+panels on the horizontal axes of its bounding box clipped to the support
+box, and on each vertical line Gauss-Legendre nodes on every interval that
+``sections`` and the ball's own section leave (see
+``DensityMeasure._section_rule``). A ball that holds
 the support box gets the same rule's mass of the whole box, which is the
 total mass, computed once at construction. The mollifier convolutions of
 the maximal module read the same rule, with more panels per vertical
@@ -65,7 +69,8 @@ import numpy as np
 from .errors import GroupError, MeasureError
 from . import groups as G
 from .decisions import TABLE, trace_decision
-from .quadrature import gauss_legendre, point_array, tensor_rule, weighted_sum
+from .quadrature import (_BLOCK_ROWS, gauss_legendre, point_array, row_sums,
+                         tensor_rule, weighted_sum)
 
 __all__ = [
     "BoundaryMeasure",
@@ -97,6 +102,9 @@ _SECTION_RULES = ((4, 16, 1), (2, 8, 1))
 # the same for a density's mollifier convolutions above the maximal
 # module's scale switch: 27,648 nodes on the Heisenberg group
 _CONVOLUTION_RULE = (2, 12, 4)
+
+# (center, atom) pairs per block of atom distances
+_ATOM_ENTRIES = 1 << 16
 
 # Rounding floor of a ball mass by a rule, relative to the value: the
 # rule's nodes and weights, the density values and the fixed-order sum each
@@ -197,6 +205,26 @@ def _tensor(axes) -> np.ndarray:
     return point_array(np.meshgrid(*axes, indexing="ij"))
 
 
+def _scaled_images(g: G.GroupDescriptor, centers: np.ndarray, radii,
+                   nodes: np.ndarray) -> np.ndarray:
+    """c_i * delta_(r_i)(nodes) for each center c_i and radius r_i: points
+    (m, N, n), each coordinate one contiguous block, so that
+    ``reshape(m * N, n)`` is column-major (see `point_array`).
+
+    The dilation factors r_i^j are scalar powers, as `groups.dilate` takes
+    them, so each image has the bits of ``G.mul(g, c_i, G.dilate(g, r_i,
+    nodes))``.
+    """
+    scale = np.array([[r ** e for e in g.layer_exponents] for r in radii])
+    scaled = np.empty((g.total_dim, len(scale), nodes.shape[0]))
+    for f, col, out in zip(scale.T, nodes.T, scaled):
+        np.multiply.outer(f, col, out=out)
+    # both operands coordinate-major, so that the product is too
+    return G.mul(g, np.moveaxis(np.ascontiguousarray(centers.T)[:, :, None],
+                                0, -1),
+                 np.moveaxis(scaled, 0, -1))
+
+
 class BoundaryMeasure:
     """Base class for nonnegative measures on a stratified group.
 
@@ -216,14 +244,11 @@ class BoundaryMeasure:
     def total_mass(self) -> float:
         raise NotImplementedError
 
-    def _ball_mass(self, ball: G.Ball):
+    def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
+        """(values, errors) of the masses of the balls B(centers[i],
+        radii[i]), ``centers`` (m, n) and ``radii`` (m,) positive and
+        finite: the one ball-mass path of every kind (see `measure_ball`)."""
         raise NotImplementedError
-
-    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Values of `measure_ball` on B(center, r) for each r of
-        ``radii``, one call per radius."""
-        return np.array([measure_ball(self, G.Ball(center, float(r)))[0]
-                         for r in radii])
 
 
 class AtomicMeasure(BoundaryMeasure):
@@ -258,15 +283,22 @@ class AtomicMeasure(BoundaryMeasure):
             return np.zeros(0, dtype=bool)
         return G.ball_contains(self.group, ball, self.points)
 
-    def _ball_mass(self, ball: G.Ball):
-        return float(self.weights[self._in(ball)].sum()), 0.0
-
-    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """`_ball_mass` for each radius, from one set of atom distances."""
-        if self.points.shape[0] == 0:
-            return np.zeros(len(radii))
-        d = np.asarray(G.dist(self.group, self.points, center))
-        return np.array([float(self.weights[d < r].sum()) for r in radii])
+    def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
+        """The weight of the atoms in each ball, error 0: one pass of atom
+        distances per distinct center, in blocks of _ATOM_ENTRIES
+        (center, atom) pairs."""
+        vals, k = np.zeros(radii.size), self.points.shape[0]
+        if k == 0:
+            return vals, np.zeros(radii.size)
+        uniq, which = np.unique(centers, axis=0, return_inverse=True)
+        which = which.ravel()
+        step = _ATOM_ENTRIES // k + 1
+        for start in range(0, uniq.shape[0], step):
+            d = np.asarray(G.dist(self.group, self.points[None, :, :],
+                                  uniq[start:start + step, None, :]))
+            for i in np.flatnonzero((which >= start) & (which < start + step)):
+                vals[i] = self.weights[d[which[i] - start] < radii[i]].sum()
+        return vals, np.zeros(radii.size)
 
     def translate(self, x0):
         """Atoms move by p -> x0^-1 * p."""
@@ -468,41 +500,65 @@ class DensityMeasure(BoundaryMeasure):
         hi = np.minimum(bb[:, 1], self.support_box[:, 1])
         return None if np.any(hi <= lo) else (lo, hi)
 
-    def _ball_mass(self, ball: G.Ball):
-        g = self.group
-        bb = G.ball_bounding_box(g, ball)
-        clipped = self._clip_box(bb)
-        if clipped is None:
-            return 0.0, 0.0
-        # balls are convex, so a ball holding the corners of the support box
-        # holds all of it; the box center is tested only so that d has a
-        # spread when all corners are equally far
-        sb = self.support_box
-        d = np.asarray(G.dist(g, np.vstack([_tensor(sb), sb.mean(axis=1)]),
-                              ball.center))
-        if np.all(d[:-1] < ball.radius - _TIE * np.ptp(d)):
-            return self._support_mass
-        state = self.hull_state(_tensor(bb))
-        if state == "inside":
-            return self._polar_ball_mass(ball)
-        if state == "outside":
-            return 0.0, 0.0
-        return self._section_ball_mass(ball, *clipped)
+    def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
+        """Every ball classified at once, then one rule per class.
 
-    def _polar_ball_mass(self, ball: G.Ball):
-        """Mass of a ball in the smooth region, by the unit-ball polar rule.
+        A ball whose bounding box misses the support box has mass 0. A
+        ball that holds the support box's corners holds all of it (balls
+        are convex) and gets the support box's mass; the box center is
+        tested only so that the distances have a spread when all corners
+        are equally far. Of the rest, one `hull_state` call on the corners
+        of their bounding boxes sends "inside" balls to the polar rule, in
+        shared blocks, leaves "outside" balls at 0 and gives each "cut"
+        ball the section rule on its bounding box clipped to the support
+        box.
+        """
+        g, sb = self.group, self.support_box
+        m = radii.size
+        vals, errs = np.zeros(m), np.zeros(m)
+        boxes = G.ball_bounding_boxes(g, centers, radii)
+        lo = np.maximum(boxes[:, :, 0], sb[:, 0])
+        hi = np.minimum(boxes[:, :, 1], sb[:, 1])
+        meets = ~np.any(hi <= lo, axis=1)
+        d = np.asarray(G.dist(g, np.vstack([_tensor(sb), sb.mean(axis=1)]),
+                              centers[:, None, :]))
+        covers = meets & np.all(
+            d[:, :-1] < (radii - _TIE * np.ptp(d, axis=1))[:, None], axis=1)
+        vals[covers], errs[covers] = self._support_mass
+        rest = np.flatnonzero(meets & ~covers)
+        state = self.hull_state(G.box_corners(boxes[rest]))
+        inside = rest[state == "inside"]
+        if inside.size:
+            vals[inside], errs[inside] = self._polar_ball_mass(
+                centers[inside], radii[inside])
+        for i in rest[state == "cut"]:
+            vals[i], errs[i] = self._section_ball_mass(
+                G.Ball(centers[i], radii[i]), lo[i], hi[i])
+        return vals, errs
+
+    def _polar_ball_mass(self, centers: np.ndarray, radii: np.ndarray):
+        """(values, errors) of balls in the smooth region, by the unit-ball
+        polar rule.
 
         The value is the fine rule's; the error is its distance from the
-        coarse rule's plus a rounding floor. The ball's bounding box is
-        "inside", so the nodes take `density_inside`.
+        coarse rule's plus a rounding floor. The balls' bounding boxes are
+        "inside", so the nodes take `density_inside`; balls share blocks of
+        at most _BLOCK_ROWS nodes, and each ball's sums are its own.
         """
         g = self.group
         nodes, w_fine, w_coarse = G.unit_ball_rule(g)
-        f = self.density_inside(
-            G.mul(g, ball.center, G.dilate(g, ball.radius, nodes)))
-        scale = ball.radius ** g.hom_dim
-        fine = scale * weighted_sum(w_fine, f[:w_fine.size])
-        coarse = scale * weighted_sum(w_coarse, f[w_fine.size:])
+        n_nodes, n_fine = nodes.shape[0], w_fine.size
+        fine, coarse = np.empty(radii.size), np.empty(radii.size)
+        per = max(1, _BLOCK_ROWS // n_nodes)
+        for start in range(0, radii.size, per):
+            block = slice(start, start + per)
+            y = _scaled_images(g, centers[block], radii[block], nodes)
+            f = self.density_inside(y.reshape(-1, g.total_dim))
+            f = f.reshape(-1, n_nodes)
+            fine[block] = row_sums(w_fine, f[:, :n_fine])
+            coarse[block] = row_sums(w_coarse, f[:, n_fine:])
+        scale = np.array([r ** g.hom_dim for r in radii])
+        fine, coarse = scale * fine, scale * coarse
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
 
     def _section_ball_mass(self, ball: G.Ball | None, lo: np.ndarray,
@@ -589,12 +645,11 @@ class MixtureMeasure(BoundaryMeasure):
     def total_mass(self) -> float:
         return float(sum(c.total_mass for c in self.components))
 
-    def _ball_mass(self, ball: G.Ball):
-        vals, errs = zip(*(c._ball_mass(ball) for c in self.components))
-        return float(sum(vals)), float(sum(errs))
-
-    def _ball_masses(self, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        return sum(c._ball_masses(center, radii) for c in self.components)
+    def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
+        """The components' values and errors, summed in component order."""
+        vals, errs = zip(*(c._ball_masses(centers, radii)
+                           for c in self.components))
+        return sum(vals), sum(errs)
 
     def _each(self, op: str, arg) -> "MixtureMeasure":
         """The mixture of ``op(arg)`` of every component."""
@@ -621,21 +676,30 @@ def _point(g: G.GroupDescriptor, x, what: str) -> np.ndarray:
 
 
 def measure_ball(mu: BoundaryMeasure, ball: G.Ball):
-    """Mass of a quasi-metric ball; returns (value, error_estimate)."""
-    _point(mu.group, ball.center, "ball center")
-    return mu._ball_mass(ball)
+    """Mass of a quasi-metric ball; returns (value, error_estimate).
+
+    The one-ball case of the measure's ``_ball_masses``, which
+    `ball_masses` and `strong_derivative` call once for many balls: a
+    ball's value and error do not depend on the other balls of a call.
+    """
+    center = _point(mu.group, ball.center, "ball center")
+    vals, errs = mu._ball_masses(center[None, :],
+                                 np.array([ball.radius], dtype=float))
+    return float(vals[0]), float(errs[0])
 
 
 def ball_masses(mu: BoundaryMeasure, center, radii) -> np.ndarray:
     """Masses of the balls B(center, r), r in ``radii``, without error
-    estimates: the values of `measure_ball`, bit for bit, with each atomic
-    part's distances to the center taken once."""
+    estimates, from one ``_ball_masses`` call: the values of `measure_ball`,
+    bit for bit. Atoms take their distances to the center once, and a
+    density classifies every ball in one hull test."""
     center = _point(mu.group, center, "ball center")
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii > 0) & (radii < math.inf)):
         raise GroupError(f"ball radii must be positive and finite, got "
                          f"{np.array2string(radii, threshold=8)}")
-    return mu._ball_masses(center, radii)
+    return mu._ball_masses(np.broadcast_to(center, (radii.size, center.size)),
+                           radii)[0]
 
 
 def dilate_measure(mu: BoundaryMeasure, r: float) -> BoundaryMeasure:
@@ -715,9 +779,10 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
 
     Quotients are mu(x0 * delta_r(B)) / m(x0 * delta_r(B)) for each family
     ball B along the radius schedule, which must be at least the decision
-    window long. `decisions.trace_decision` gives the estimate and the
-    convergence call; the universal-quantifier side is approximated by the
-    family, which the trace discloses.
+    window long; every ball's mass comes from one ``_ball_masses`` call,
+    with `measure_ball`'s bits. `decisions.trace_decision` gives the
+    estimate and the convergence call; the universal-quantifier side is
+    approximated by the family, which the trace discloses.
     """
     g = mu.group
     x0 = np.asarray(x0, dtype=float)
@@ -731,16 +796,15 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
     r = np.asarray(radii if radii is not None else default_radii(), dtype=float)
     if r.size < TABLE.window or np.any(np.diff(r) >= 0):
         raise MeasureError("radius schedule must be decreasing, >= window long")
+    for ball in fam:
+        _point(g, ball.center, "ball center")
     mu0 = translate_measure(mu, x0)
-    quot = np.empty((len(fam), r.size))
-    errs = np.empty_like(quot)
-    for bi, ball in enumerate(fam):
-        for ri, rr in enumerate(r):
-            small = G.dilate_ball(g, rr, ball)
-            val, err = measure_ball(mu0, small)
-            vol = G.ball_volume(g, small.radius)
-            quot[bi, ri] = val / vol
-            errs[bi, ri] = err / vol
+    small = [G.dilate_ball(g, rr, ball) for ball in fam for rr in r]
+    vals, errs = mu0._ball_masses(np.array([b.center for b in small]),
+                                  np.array([b.radius for b in small]))
+    vol = np.array([G.ball_volume(g, b.radius) for b in small])
+    quot = (vals / vol).reshape(len(fam), r.size)
+    errs = (errs / vol).reshape(len(fam), r.size)
     dec = trace_decision(quot)
     return DerivativeTrace(
         ball_ids=tuple(f"ball{i}" for i in range(len(fam))),

@@ -15,7 +15,8 @@
   sphere rule: the unit-ball rules of density ball masses and the
   mollifier's phi-weighted grid;
 * `weighted_sum`: sum_i w_i f_i in a fixed order, so that a quadrature
-  value does not depend on how many threads the BLAS library runs.
+  value does not depend on how many threads the BLAS library runs;
+  `row_sums` is the same sum for each row of a block of rows.
 
 Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["point_array", "gauss_legendre", "tensor_rule", "SphereChart",
-           "ball_rule", "weighted_sum"]
+           "ball_rule", "weighted_sum", "row_sums"]
 
 # Rows per block of a long pass over a grid: `weighted_sum`, the eta-grid's
 # gamma values and every density pass of the heat extension. Whole-grid
@@ -108,6 +109,20 @@ def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
         rows = slice(start, start + _BLOCK_ROWS)
         total += float(np.add.reduce(w[rows] * f[rows]))
     return total
+
+
+def row_sums(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """`weighted_sum` of ``w`` (N,) against each row of ``f`` (k, N), bit
+    for bit.
+
+    Up to _BLOCK_ROWS nodes a row is one block: numpy's ``add.reduce``
+    along the contiguous rows of ``w * f`` sums each row as it sums that
+    row alone, and adding 0.0 maps -0.0 to 0.0 as `weighted_sum`'s start
+    does. Longer rows take `weighted_sum` one at a time.
+    """
+    if w.size > _BLOCK_ROWS:
+        return np.array([weighted_sum(w, row) for row in f])
+    return 0.0 + np.add.reduce(np.multiply(w, f, order="C"), axis=1)
 
 
 def tensor_rule(rules):

@@ -116,12 +116,25 @@ _DEFAULT_BOX = {
 }
 
 
+def _constant_fn(c: float):
+    """The density c at every point, without the gauge. A family whose
+    gauge term has coefficient 0 gives c + 0 * g = c bit for bit for a
+    finite gauge term g; adding 0.0 maps a c of -0.0 to 0.0, as that sum
+    does."""
+    def fn(pts, _c=c + 0.0):
+        return np.full(np.shape(pts)[:-1], _c)
+
+    return fn
+
+
 def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
     if family == "polynomial":
         _check_keys(params, {"constant", "quadratic"}, {"constant"}, where)
         c0 = _number(params["constant"], f"{where}.constant", minimum=0.0)
         c2 = _number(params.get("quadratic", 0.0), f"{where}.quadratic",
                      minimum=0.0)
+        if c2 == 0.0:
+            return _constant_fn(c0)
 
         def fn(pts, _c0=c0, _c2=c2):
             rho = np.asarray(G.norm(g, pts))
@@ -135,6 +148,8 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
         amp = _number(params["amplitude"], f"{where}.amplitude", minimum=0.0)
         width = _number(params["width"], f"{where}.width", minimum=0.0,
                         strict=True)
+        if amp == 0.0:
+            return _constant_fn(base)
 
         def fn(pts, _b=base, _a=amp, _w=width):
             rho = np.asarray(G.norm(g, pts))
@@ -150,6 +165,8 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
             raise ConfigError(
                 f"{where}: amplitude must not exceed baseline (nonnegativity)"
             )
+        if amp == 0.0:
+            return _constant_fn(base)
 
         def fn(pts, _b=base, _a=amp):
             rho = np.asarray(G.norm(g, pts))

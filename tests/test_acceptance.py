@@ -288,23 +288,31 @@ def test_criterion_6_scenario_suites(capsys, preset_reports):
     if osc["verdict"] != F.VERDICT_BOTH_DIVERGE:
         problems.append(f"oscillatory scenario verdict {osc['verdict']}")
 
-    # converged scenarios agree within max(1e-2, 2 * oscillation sum)
+    # converged scenarios agree within the decision table's agreement bar,
+    # re-decided from the report's own estimates and oscillations
+    def decided(summary):
+        return F.TraceDecision(summary["estimate"], summary["oscillation"],
+                               summary["converged"])
+
     for label, rep in reports.items():
         if rep.verdict != F.VERDICT_EQUIVALENT:
             continue
-        d_est, d_osc = rep.derivative["estimate"], rep.derivative["oscillation"]
-        for key, summary in rep.limits.items():
-            thr = max(1e-2, 2.0 * (d_osc + summary["oscillation"]))
-            delta = abs(summary["estimate"] - d_est)
-            if delta > thr * max(1.0, abs(d_est)):
-                problems.append(
-                    f"{label} aperture {key}: delta {delta:.3e} > {thr:.3e}"
-                )
+        dec = F.scenario_decision(
+            decided(rep.derivative),
+            {key: decided(summary) for key, summary in rep.limits.items()})
+        agreement = dec.agreement["per_aperture"]
+        if dec.verdict != F.VERDICT_EQUIVALENT or set(agreement) != set(
+                rep.limits):
+            problems.append(f"{label}: re-decided verdict {dec.verdict}")
+        for key, rec in agreement.items():
+            if not rec["agree"]:
+                problems.append(f"{label} aperture {key}: delta "
+                                f"{rec['delta']:.3e} > {rec['threshold']:.3e}")
     ok = not problems and elapsed < 900.0
     announce(capsys, ok,
              f"criterion 6: suites euclidean-gehring ({len(eu['cases'])} "
              f"scenarios) + heisenberg-core ({len(h1['cases'])}), zero "
-             f"mismatch, agreement within max(1e-2, 2*osc)"
+             f"mismatch, agreement within the decision table's bar"
              f"{'' if not problems else ' FAILED ' + '; '.join(problems)}, "
              f"{elapsed:.1f}s < 900s")
 

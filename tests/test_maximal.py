@@ -406,9 +406,10 @@ _SCALES = 2.0 ** np.arange(-_FLAT.size + 1, 1)
 class _FlatMeasure(F.BoundaryMeasure):
     """Ball quotients mu(B(x, r)) / m(B(x, r)) = _FLAT at r = _SCALES."""
 
-    def _ball_mass(self, ball):
-        i = int(np.flatnonzero(_SCALES == ball.radius)[0])
-        return 2.0 * ball.radius * _FLAT[i], 0.0
+    def _ball_masses(self, centers, radii):
+        i = np.searchsorted(_SCALES, radii)
+        assert np.array_equal(_SCALES[i], radii)
+        return 2.0 * radii * _FLAT[i], np.zeros(radii.size)
 
 
 class _FlatExtension:
@@ -417,8 +418,10 @@ class _FlatExtension:
     def __init__(self, mu, profile):
         pass
 
-    def __call__(self, x, t):
-        return float(_FLAT[np.flatnonzero(_SCALES == math.sqrt(t))[0]])
+    def _at_times(self, x, times):
+        s = np.sqrt(times)
+        assert np.array_equal(_SCALES, s)
+        return _FLAT.copy()
 
 
 def test_argmax_takes_the_first_scale_within_ulps_of_the_max(g1, p1,
@@ -460,23 +463,74 @@ def _batch_measures(g):
     return {"atomic": atoms, "density": density, "mixture": mixture}
 
 
-@pytest.mark.parametrize("entries", [None, 20])   # 20: blocks of 3 rows
-@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+def _small_blocks(monkeypatch, g, phi):
+    """Blocks of three atom rows, of two phi-grid rows in the maximal
+    module and of two unit-ball rules in ball masses, so that batched rows
+    straddle block boundaries."""
+    from fatoulab import maximal as M, measures as MS
+
+    monkeypatch.setattr(M, "_ATOM_ENTRIES", 20)
+    monkeypatch.setattr(MS, "_ATOM_ENTRIES", 20)
+    monkeypatch.setattr(M, "_BLOCK_ROWS", 2 * M._phi_grid(g, phi)[1].size + 1)
+    monkeypatch.setattr(MS, "_BLOCK_ROWS",
+                        2 * G.unit_ball_rule(g)[0].shape[0] + 1)
+
+
+def _grid_values(monkeypatch, mu, phi, pts, s):
+    """(rows, s, values) of the one `_grid_rows` call of a density's
+    `_conv_rows` on rows (pts, s)."""
+    from fatoulab import maximal as M
+
+    calls, grid_rows = [], M._grid_rows
+
+    def spy(part, phi, pts, s):
+        calls.append((pts, s, grid_rows(part, phi, pts, s)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(M, "_grid_rows", spy)
+    M._conv_rows(mu, phi, pts, s)
+    monkeypatch.setattr(M, "_grid_rows", grid_rows)
+    (rows,) = calls
+    return rows
+
+
+def _grid_reference(mu, phi, pts, s):
+    """phi-grid values of density rows with `density_at` at every node, one
+    row at a time."""
+    from fatoulab import maximal as M
+    from fatoulab.quadrature import weighted_sum
+
+    g = mu.group
+    eta_inv, w, _ = M._phi_grid(g, phi)
+    return np.array([
+        weighted_sum(w, mu.density_at(F.mul(g, x, F.dilate(g, ss, eta_inv))))
+        for x, ss in zip(pts, s.tolist())])
+
+
+def _cone_rows(g, x, s, alpha, k_dirs):
+    """Cone placements x * delta_(0.6 alpha s)(omega_k) of every scale,
+    after the rows of x itself, each row built one at a time."""
+    dirs = F.unit_directions(g, k_dirs)
+    return [[x] * s.size] + [
+        [F.mul(g, x, F.dilate(g, 0.6 * alpha * ss, dirs[k]))
+         for ss in s.tolist()] for k in range(k_dirs)]
+
+
+@pytest.mark.parametrize("entries", [None, 20])   # 20: see _small_blocks
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_batched_values_equal_single_calls_bitwise(label, entries,
                                                    monkeypatch):
     from fatoulab import maximal as M
 
-    if entries is not None:
-        monkeypatch.setattr(M, "_ATOM_ENTRIES", entries)
     g = F.get_group(label)
     phi = F.default_profile()
+    if entries is not None:
+        _small_blocks(monkeypatch, g, phi)
     x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
-    s = F.geometric_grid(0.05, 5.0, 4)     # both sides of the scale switch
+    s = F.geometric_grid(0.05, 5.0, 8)     # both sides of the scale switch
     alpha, betas, k_dirs = 1.0, (0.0, 0.6), 2
     dirs = F.unit_directions(g, k_dirs)
-    cone = [[x] * s.size] + [
-        [F.mul(g, x, F.dilate(g, 0.6 * alpha * float(ss), dirs[k])) for ss in s]
-        for k in range(k_dirs)]
+    cone = _cone_rows(g, x, s, alpha, k_dirs)
     for kind, mu in _batch_measures(g).items():
         single = np.array([[F.mollifier_convolution(mu, phi, xp, float(ss))
                             for xp, ss in zip(row, s)] for row in cone])
@@ -495,6 +549,100 @@ def test_batched_values_equal_single_calls_bitwise(label, entries,
         quot = [F.measure_ball(mu, F.Ball(x, float(r)))[0]
                 / F.ball_volume(g, float(r)) for r in s]
         assert hl["quotients"].tobytes() == np.array(quot).tobytes(), kind
+
+    # the density's phi-grid rows, inside and cut, against density_at at
+    # every node
+    mu = _batch_measures(g)["density"]
+    rows, ss, got = _grid_values(monkeypatch, mu, phi, np.concatenate(cone),
+                                 np.tile(s, len(cone)))
+    assert got.tobytes() == _grid_reference(mu, phi, rows, ss).tobytes()
+
+    # a cone placement whose mollifier ball misses the support: 0.0, and
+    # no density value is taken for it
+    far = M._cone_points(g, x, np.array([0.9 * 40.0 * 0.5]), dirs[0])
+    seen = []
+    for name in ("density_at", "density_inside"):
+        method = getattr(F.DensityMeasure, name)
+        monkeypatch.setattr(
+            F.DensityMeasure, name,
+            lambda self, p, _m=method: seen.append(p) or _m(self, p))
+    assert M._conv_rows(mu, phi, far, np.array([0.5])).tobytes() == \
+        np.zeros(1).tobytes()
+    assert F.mollifier_convolution(mu, phi, far[0], 0.5) == 0.0
+    assert seen == []
+
+
+@pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
+def test_bitwise_check_fails_when_every_hull_counts_inside(label,
+                                                           monkeypatch):
+    # negative control: with every hull "inside", the cut phi-grid rows
+    # skip the box and clip tests, and their values leave the reference
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    phi = F.default_profile()
+    x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
+    s = F.geometric_grid(0.05, 5.0, 4)
+    cone = _cone_rows(g, x, s, 1.0, 2)
+    mu = _batch_measures(g)["density"]
+    pts, ss = np.concatenate(cone), np.tile(s, len(cone))
+    rows, rs, got = _grid_values(monkeypatch, mu, phi, pts, ss)
+    ref = _grid_reference(mu, phi, rows, rs)
+    assert got.tobytes() == ref.tobytes()
+    corners = M._phi_grid(g, phi)[2]
+    state = np.array([mu.hull_state(F.mul(g, p, F.dilate(g, r, corners)))
+                      for p, r in zip(rows, rs.tolist())])
+    assert {"inside", "cut"} <= set(state)
+    monkeypatch.setattr(F.DensityMeasure, "hull_state",
+                        lambda self, c: np.full(np.shape(c)[:-2], "inside"))
+    _, _, forced = _grid_values(monkeypatch, mu, phi, pts, ss)
+    differ = forced != ref
+    assert np.any(differ[state == "cut"])
+    assert not np.any(differ[state == "inside"])
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_heat_max_equals_heat_extension_per_scale_bitwise(label):
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
+    s = F.geometric_grid(0.05, 3.0, 2)
+    for kind, mu in _batch_measures(g).items():
+        u = F.HeatExtension(mu, profile)
+        ref = np.array([u(x, float(ss) ** 2) for ss in s])
+        got = F.heat_max(mu, profile, x, s_grid=s)["values"]
+        assert got.tobytes() == ref.tobytes(), kind
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,
+                                                          monkeypatch):
+    g = F.get_group(label)
+    if small:
+        _small_blocks(monkeypatch, g, F.default_profile())
+    radii = 3.7 * 0.61 ** np.arange(8)
+    fam = F.default_ball_family(g)
+    # near the support: covering, cut and inside balls, and in the hole's
+    # "outside" balls; far from it: cut balls and balls that miss the box
+    near, far = (np.array(p)[:g.total_dim]
+                 for p in ([0.2, -0.1, 0.05], [2.4, 0.3, -0.2]))
+    measures = _batch_measures(g)
+    measures["hole"] = F.restrict_complement(measures["density"],
+                                             F.Ball(near, 0.6))
+    for x0 in (near, far):
+        for kind, mu in measures.items():
+            tr = F.strong_derivative(mu, x0, radii=radii)
+            mu0 = F.translate_measure(mu, x0)
+            quot, errs = np.empty((2, len(fam), radii.size))
+            for bi, ball in enumerate(fam):
+                for ri, rr in enumerate(radii):
+                    small_ball = F.dilate_ball(g, rr, ball)
+                    val, err = F.measure_ball(mu0, small_ball)
+                    vol = F.ball_volume(g, small_ball.radius)
+                    quot[bi, ri], errs[bi, ri] = val / vol, err / vol
+            assert tr.quotients.tobytes() == quot.tobytes(), (kind, x0)
+            assert tr.errors.tobytes() == errs.tobytes(), (kind, x0)
 
 
 @pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
