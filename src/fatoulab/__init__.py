@@ -11,8 +11,8 @@ Heisenberg group):
 * boundary measures and strong-derivative traces (:mod:`fatoulab.measures`);
 * heat extensions and parabolic limit traces (:mod:`fatoulab.extension`);
 * maximal operators with explicit sandwich constants (:mod:`fatoulab.maximal`);
-* every bar that decides a verdict, and one pure function per decision
-  (:mod:`fatoulab.decisions`);
+* every bar that decides a verdict, the one scale schedule both traces
+  read, and one pure function per decision (:mod:`fatoulab.decisions`);
 * Monte Carlo cross-checks (:mod:`fatoulab.oracle`);
 * declarative scenarios, suites, and deterministic reports
   (:mod:`fatoulab.scenarios`) plus the ``fatou`` CLI (:mod:`fatoulab.cli`).
@@ -68,8 +68,10 @@ from .kernels import (
     validate_profile,
 )
 from .decisions import (
+    SCALES,
     TABLE,
     DecisionTable,
+    ScaleSchedule,
     TraceDecision,
     scenario_decision,
     tail_decision,

@@ -14,6 +14,13 @@ else: each takes plain arrays, numbers and flags and returns plain data,
 so a verdict can be re-derived from written files alone. The maximal
 checks pick their slacks by the measure kind: atoms carry rounding only,
 densities two quadratures.
+
+``SCALES`` is the one scale axis both traces of a scenario are read on:
+the derivative's radii r_k and the parabolic times t_k = (r_k / kappa)^2.
+The paper's proof compares u(x, t) with ball averages at a radius
+comparable to sqrt(t), through the kernel's Gaussian bounds (Varopoulos,
+Saloff-Coste and Coulhon, *Analysis and Geometry on Groups*, 1992), so the
+two decision windows cover the same scales.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ __all__ = [
     "VERDICT_MISMATCH",
     "DecisionTable",
     "TABLE",
+    "ScaleSchedule",
+    "SCALES",
     "TraceDecision",
     "ScenarioDecision",
     "trailing_window",
@@ -74,6 +83,40 @@ class DecisionTable:
 
 
 TABLE = DecisionTable()
+
+
+@dataclass(frozen=True)
+class ScaleSchedule:
+    """The scales both traces of a scenario read.
+
+    For a restrict radius R the radii are r_k = min(0.5, R/2) 2^-(k + first)
+    for k < n_scales, and the parabolic times t_k = (r_k / kappa)^2, so t_0
+    is 4^-5 on R^n and 4.6e-4 on H1 (R = 1 / C_L). The decision windows
+    read the last ``TABLE.window`` scales; larger t, where the eta-box image
+    of a slice cuts a density's support box, are not sampled at all.
+    """
+
+    n_scales: int = 12
+    first: int = 4
+    kappa: float = 1.0
+
+    def radii(self, restrict_radius: float) -> np.ndarray:
+        """r_k, k < n_scales, for a restrict radius R."""
+        top = min(0.5, restrict_radius / 2.0)
+        return top * 0.5 ** (np.arange(self.n_scales) + self.first)
+
+    def times(self, t_first: float) -> np.ndarray:
+        """t_first 4^-k, k < n_scales: the t_k = (r_k / kappa)^2 of the
+        radii whose first time is t_first. Each r_k is r_0 times a power
+        of two, so these equal (r_k / kappa)^2 bit for bit."""
+        return t_first * 0.25 ** np.arange(self.n_scales)
+
+    def first_time(self, restrict_radius: float) -> float:
+        """t_0 = (r_0 / kappa)^2 for a restrict radius R."""
+        return float((self.radii(restrict_radius)[0] / self.kappa) ** 2)
+
+
+SCALES = ScaleSchedule()
 
 
 @dataclass(frozen=True)

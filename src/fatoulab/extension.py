@@ -41,11 +41,15 @@ part one slice per t, again with the bits of one call per t.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
-beta in [0, 1) and unit directions omega, with t shrinking geometrically.
-A limit trace records every sampled value, and the one rule of
-``decisions.trace_decision`` that the strong derivative uses decides its
-estimate and convergence; ``decisions.tail_decision`` decides the tail
-check.
+beta in [0, 1) and unit directions omega, with t shrinking geometrically
+along ``decisions.SCALES``: t_k = (r_k / kappa)^2 for the radii r_k the
+strong derivative reads, so both traces decide on one scale axis. A
+scenario starts at t_0 = 4^-5 on R^n and 4.6e-4 on H1; there no slice of
+any preset scenario reaches the column rule, which serves the larger t of
+other callers. A limit trace records every sampled value, and the one
+rule of ``decisions.trace_decision`` that the strong derivative uses
+decides its estimate and convergence; ``decisions.tail_decision`` decides
+the tail check.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .decisions import tail_decision, trace_decision
+from .decisions import SCALES, tail_decision, trace_decision
 from .kernels import _EtaGrid, _ext_grid
 from .quadrature import (_BLOCK_ROWS, _legendre_projection, gauss_legendre,
                          point_array, row_sums, tensor_rule, weighted_sum)
@@ -436,7 +440,12 @@ def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
 
 @dataclass(eq=False)
 class ParabolicRegion:
-    """Approach region {(x, t): d(vertex, x) < aperture * sqrt(t), t < t_max}."""
+    """Approach region {(x, t): d(vertex, x) < aperture * sqrt(t), t < t_max}.
+
+    `parabolic_limit` samples it at ``decisions.SCALES.times(t_max)``;
+    `scenarios.run_scenario` sets t_max to ``SCALES.first_time`` of its
+    restrict radius, (r_0 / kappa)^2 for the derivative's first radius.
+    """
 
     vertex: np.ndarray
     aperture: float = 1.0
@@ -455,11 +464,11 @@ class ParabolicRegion:
 class LimitTrace:
     """Sampled values of u along a shrinking parabolic region."""
 
-    t_values: np.ndarray          # (n_steps,)
+    t_values: np.ndarray          # (n_scales,)
     betas: np.ndarray             # (n_placements,) fractional offsets
     direction_ids: np.ndarray     # (n_placements,)
-    points: np.ndarray            # (n_placements, n_steps, dim)
-    values: np.ndarray            # (n_placements, n_steps)
+    points: np.ndarray            # (n_placements, n_scales, dim)
+    values: np.ndarray            # (n_placements, n_scales)
     estimate: float
     oscillation: float
     converged: bool
@@ -493,10 +502,12 @@ def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
 
 
 def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
-                    betas=(0.0, 0.5, 0.9), n_directions: int = 8,
-                    n_steps: int = 12, ratio: float = 0.25) -> LimitTrace:
+                    betas=(0.0, 0.5, 0.9), n_directions: int = 8) -> LimitTrace:
     """Follow u into the vertex along the region; returns the full trace.
 
+    The times are ``decisions.SCALES.times(region.t_max)``: t_max 4^-k for
+    k < SCALES.n_scales, the t_k = (r_k / kappa)^2 of the derivative's
+    radii when t_max is ``SCALES.first_time`` of the restrict radius.
     Placement (beta, omega) at time t sits at
     vertex * delta_(beta * aperture * sqrt(t))(omega); beta = 0 is the
     central axis and appears once. `decisions.trace_decision` of the
@@ -506,10 +517,10 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     _point(g, region.vertex, "region vertex")
     dirs = G.unit_directions(g, n_directions)
     placements = _placements(betas, n_directions)
-    t_vals = region.t_max * ratio ** np.arange(n_steps)
+    t_vals = SCALES.times(region.t_max)
     n_p = len(placements)
-    pts = np.empty((n_p, n_steps, g.total_dim))
-    vals = np.empty((n_p, n_steps))
+    pts = np.empty((n_p, t_vals.size, g.total_dim))
+    vals = np.empty((n_p, t_vals.size))
     for ti, t in enumerate(t_vals):
         pts[:, ti] = _slice_points(g, region, placements, dirs, float(t))
         vals[:, ti] = u(pts[:, ti], float(t))
@@ -717,7 +728,10 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     stays below c0 at every sampled point; ``vanishes`` needs it.
 
     The rate 1 / c0 is loose on H1 (c0 = 65.28), so the default schedule
-    runs t = 4^0 .. 4^-8. ``vanishes`` and ``monotone`` are
+    runs t = 4^0 .. 4^-8. It still bounds the outer heat at the smaller t
+    the parabolic trace now reads (``decisions.SCALES``, from 4^-5 on R^n
+    and 4.6e-4 on H1), because B falls past its peak, near 4.3e-4 on H1,
+    and keeps falling as t shrinks. ``vanishes`` and ``monotone`` are
     `decisions.tail_decision` of B: ``vanishes`` reads B at the last t, so
     it says the bound is below tolerance by then, which a long enough
     schedule always reaches. ``monotone`` asks B to decrease along the

@@ -36,6 +36,7 @@ from .errors import ConfigError
 from . import groups as G
 from . import kernels as K
 from .decisions import (
+    SCALES,
     VERDICT_BOTH_DIVERGE,
     VERDICT_EQUIVALENT,
     VERDICT_MISMATCH,
@@ -226,11 +227,21 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
 
 _SCENARIO_KEYS = {
     "schema_version", "label", "group", "measure", "vertex", "apertures",
-    "restrict_radius", "derivative", "limit", "expected_verdict",
-    "expected_limit", "seed",
+    "restrict_radius", "expected_verdict", "expected_limit", "seed",
 }
-_DERIV_KEYS = {"n_radii"}
-_LIMIT_KEYS = {"n_steps", "t_max"}
+# objects whose every key is gone: the scale schedule is decisions.SCALES
+_REMOVED_OBJECTS = ("derivative", "limit")
+
+
+def _reject_removed(cfg: dict) -> None:
+    for side in _REMOVED_OBJECTS:
+        if side in cfg:
+            opts = cfg[side]
+            keys = sorted(opts) if isinstance(opts, dict) else []
+            raise ConfigError(
+                f"config.{side}: removed (keys {keys}); both traces read "
+                f"the scale schedule decisions.SCALES"
+            )
 
 
 @dataclass(eq=False)
@@ -243,8 +254,6 @@ class Scenario:
     vertex: np.ndarray
     apertures: tuple
     restrict_radius: float | None
-    derivative_opts: dict
-    limit_opts: dict
     expected_verdict: str | None
     expected_limit: float | None
     seed: int
@@ -253,8 +262,9 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Scenario":
-        _check_keys(cfg, _SCENARIO_KEYS,
+        _check_keys(cfg, _SCENARIO_KEYS | set(_REMOVED_OBJECTS),
                     {"schema_version", "label", "group", "measure"}, "config")
+        _reject_removed(cfg)
         if cfg["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(
                 f"config.schema_version: expected {SCHEMA_VERSION}, "
@@ -285,10 +295,6 @@ class Scenario:
         rr = cfg.get("restrict_radius")
         if rr is not None:
             rr = _number(rr, "config.restrict_radius", minimum=0.0, strict=True)
-        dopts = dict(cfg.get("derivative", {}))
-        _check_keys(dopts, _DERIV_KEYS, set(), "config.derivative")
-        lopts = dict(cfg.get("limit", {}))
-        _check_keys(lopts, _LIMIT_KEYS, set(), "config.limit")
         ev = cfg.get("expected_verdict")
         if ev is not None and ev not in (
             VERDICT_EQUIVALENT, VERDICT_BOTH_DIVERGE, VERDICT_MISMATCH
@@ -309,8 +315,6 @@ class Scenario:
             vertex=vertex,
             apertures=apertures,
             restrict_radius=rr,
-            derivative_opts=dopts,
-            limit_opts=lopts,
             expected_verdict=ev,
             expected_limit=el,
             seed=seed,
@@ -368,26 +372,16 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
     mu_loc = restrict(mu_v, G.Ball(np.zeros(g.total_dim), radius))
     reductions.append({"op": "restrict-to-ball", "radius": radius})
 
-    dov = scenario.derivative_opts
-    n_radii = int(dov.get("n_radii", 16))
-    dtrace = strong_derivative(
-        mu_loc,
-        np.zeros(g.total_dim),
-        radii=0.5 ** np.arange(n_radii) * min(0.5, radius / 2.0),
-    )
+    dtrace = strong_derivative(mu_loc, np.zeros(g.total_dim),
+                               radii=SCALES.radii(radius))
 
     u = HeatExtension(mu_loc, profile)
-    lov = scenario.limit_opts
+    t_first = SCALES.first_time(radius)
     limits, ltraces = {}, {}
     for alpha in scenario.apertures:
-        region = ParabolicRegion(
-            np.zeros(g.total_dim), aperture=alpha,
-            t_max=float(lov.get("t_max", 0.25)),
-        )
-        lt = parabolic_limit(
-            u, region,
-            n_steps=int(lov.get("n_steps", 12)),
-        )
+        region = ParabolicRegion(np.zeros(g.total_dim), aperture=alpha,
+                                 t_max=t_first)
+        lt = parabolic_limit(u, region)
         key = repr(float(alpha))
         limits[key] = {
             "aperture": alpha,
@@ -415,6 +409,14 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
             "quasi_triangle_const": g.quasi_triangle_const,
             "unit_ball_volume": g.unit_ball_volume,
             "gauss_c0": c0,
+        },
+        "scales": {
+            "n_scales": SCALES.n_scales,
+            "kappa": SCALES.kappa,
+            "r_first": float(dtrace.radii[0]),
+            "r_last": float(dtrace.radii[-1]),
+            "t_first": t_first,
+            "t_last": float(lt.t_values[-1]),  # every aperture's last t
         },
     }
     traces = {"derivative": trace_to_csv(dtrace)}

@@ -49,7 +49,7 @@ def test_table_holds_the_bars_and_is_frozen():
 def test_removed_knobs_stay_removed():
     gone = {
         F.strong_derivative: {"window", "tol"},
-        F.parabolic_limit: {"window", "tol"},
+        F.parabolic_limit: {"window", "tol", "n_steps", "ratio"},
         F.tail_vanishing_check: {"tol"},
         F.check_sandwich: {"slack_upper", "slack_lower"},
         F.check_heat_chain: {"slack"},
@@ -70,6 +70,51 @@ def test_config_rejects_the_removed_trace_keys(side, key):
     with pytest.raises(F.ConfigError) as err:
         F.Scenario.from_config(cfg)
     assert key in str(err.value) and side in str(err.value)
+
+
+@pytest.mark.parametrize("side, key", [
+    ("derivative", "n_radii"), ("limit", "t_max"), ("limit", "n_steps")])
+def test_config_rejects_the_schedule_keys(side, key):
+    cfg = {"schema_version": 1, "label": "knob", "group": "euclidean:1",
+           "measure": {"type": "atomic", "points": [[0.5]], "weights": [1.0]},
+           side: {key: 0.25 if key == "t_max" else 8}}
+    with pytest.raises(F.ConfigError) as err:
+        F.Scenario.from_config(cfg)
+    assert key in str(err.value) and side in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the scale schedule
+# ---------------------------------------------------------------------------
+
+def test_schedule_is_frozen_and_its_radii_are_the_old_finest_twelve():
+    s = D.SCALES
+    assert (s.n_scales, s.first, s.kappa) == (12, 4, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.kappa = 2.0
+    for label in F.GROUP_LABELS:
+        radius = 1.0 / F.get_group(label).quasi_triangle_const
+        old = 0.5 ** np.arange(16) * min(0.5, radius / 2.0)
+        assert np.array_equal(s.radii(radius), old[4:])
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.6865537407193872, 0.3, 2.0])
+def test_schedule_times_are_the_squared_radii_bit_for_bit(radius):
+    s = D.SCALES
+    t = s.times(s.first_time(radius))
+    assert np.array_equal(t, (s.radii(radius) / s.kappa) ** 2)
+    assert np.all(np.diff(t) < 0)
+
+
+def test_schedule_first_time_on_each_group():
+    # 4^-5 on R^n; 4.6e-4 on H1, whose restrict radius is 1 / C_L
+    for label in F.GROUP_LABELS:
+        radius = 1.0 / F.get_group(label).quasi_triangle_const
+        t0 = D.SCALES.first_time(radius)
+        if label.startswith("euclidean"):
+            assert t0 == 4.0 ** -5
+        else:
+            assert t0 == pytest.approx(4.6e-4, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

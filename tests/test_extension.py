@@ -109,7 +109,7 @@ def test_points_and_vertices_are_checked(case):
     with pytest.raises(F.GroupError):
         u(np.stack([np.zeros_like(bad), bad]), 0.5)
     with pytest.raises(F.GroupError):
-        F.parabolic_limit(u, F.ParabolicRegion(bad), n_steps=5)
+        F.parabolic_limit(u, F.ParabolicRegion(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +150,10 @@ def test_parabolic_limit_rejects_bad_beta(p1):
 def test_limit_trace_csv(p1):
     u = F.heat_extend(line_quadratic(), p1)
     region = F.ParabolicRegion(np.zeros(1), t_max=0.25)
-    trace = F.parabolic_limit(u, region, n_steps=6)
+    trace = F.parabolic_limit(u, region)
     lines = F.limit_trace_to_csv(trace).strip().split("\n")
     assert lines[0] == "scale_t,beta,direction_id,x_coords,value"
-    assert len(lines) == 1 + 17 * 6
+    assert len(lines) == 1 + 17 * F.SCALES.n_scales
     t0, beta0, dir0, x0, v0 = lines[1].split(",")
     assert float(t0) == 0.25 and float(beta0) == 0.0 and int(dir0) == 0
     assert float(x0) == 0.0
@@ -629,9 +629,10 @@ def test_limit_trace_batches_match_pointwise_values(p2):
     # call bit for bit, on every group and derived density
     u = F.heat_extend(plane_quadratic(), p2)
     region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
-    trace = F.parabolic_limit(u, region, n_steps=4)
+    trace = F.parabolic_limit(u, region)
+    # the four largest t, where the slices cut the support box
     for pi in range(trace.values.shape[0]):
-        for ti, t in enumerate(trace.t_values):
+        for ti, t in enumerate(trace.t_values[:4]):
             assert trace.values[pi, ti] == u(trace.points[pi, ti], float(t))
     for label in F.GROUP_LABELS:
         g = F.get_group(label)
