@@ -35,7 +35,6 @@ from .groups import (
     ball_bounding_box,
     ball_contains,
     ball_volume,
-    certify_bilipschitz,
     dilate,
     dilate_ball,
     dist,
@@ -45,8 +44,6 @@ from .groups import (
     inverse,
     mul,
     norm,
-    polar_integrate,
-    surface_rule,
     translate_ball,
     unit_directions,
 )
@@ -61,7 +58,6 @@ from .kernels import (
     gamma_heisenberg,
     gaussian_certificate,
     heisenberg_profile,
-    imaginary_residue,
     kernel_mass,
     pde_residual,
     profile_for,
@@ -84,7 +80,6 @@ from .measures import (
     DerivativeTrace,
     MixtureMeasure,
     default_ball_family,
-    default_radii,
     dilate_measure,
     measure_ball,
     restrict,
@@ -98,14 +93,10 @@ from .extension import (
     LimitTrace,
     ParabolicRegion,
     dilation_commutation_check,
-    duality_check,
-    heat_extend,
     limit_trace_to_csv,
     parabolic_limit,
-    strip_of_definition,
     tail_vanishing_check,
     translation_commutation_check,
-    uniform_ratio_check,
 )
 from .maximal import (
     RadialProfile,
@@ -124,7 +115,6 @@ from .oracle import (
     PathEnsemble,
     kde_density,
     mc_ball_volume,
-    oracle_strong_derivative,
     simulate_horizontal_bm,
 )
 from .scenarios import (

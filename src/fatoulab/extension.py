@@ -44,12 +44,12 @@ sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
 beta in [0, 1) and unit directions omega, with t shrinking geometrically
 along ``decisions.SCALES``: t_k = (r_k / kappa)^2 for the radii r_k the
 strong derivative reads, so both traces decide on one scale axis. A
-scenario starts at t_0 = 4^-5 on R^n and 4.6e-4 on H1; there no slice of
-any preset scenario reaches the column rule, which serves the larger t of
-other callers. A limit trace records every sampled value, and the one
-rule of ``decisions.trace_decision`` that the strong derivative uses
-decides its estimate and convergence; ``decisions.tail_decision`` decides
-the tail check.
+scenario, and a region without its own t_max, starts at t_0 = 4^-5 on R^n
+and 4.6e-4 on H1; there no slice of any preset scenario reaches the column
+rule, which serves the larger t of other callers. A limit trace records
+every sampled value, and the one rule of ``decisions.trace_decision`` that
+the strong derivative uses decides its estimate and convergence;
+``decisions.tail_decision`` decides the tail check.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .measures import (
     BoundaryMeasure,
     DensityMeasure,
     _point,
-    measure_ball,
     restrict_complement,
 )
 
@@ -80,10 +79,6 @@ __all__ = [
     "HeatExtension",
     "ParabolicRegion",
     "LimitTrace",
-    "heat_extend",
-    "strip_of_definition",
-    "uniform_ratio_check",
-    "duality_check",
     "parabolic_limit",
     "limit_trace_to_csv",
     "dilation_commutation_check",
@@ -321,7 +316,7 @@ class HeatExtension:
         x = self._points(x)
         n = self.group.total_dim
         if not (t > 0) or not math.isfinite(t):
-            raise NumericsError(f"time must be positive, got {t}")
+            raise NumericsError(f"time must be positive and finite, got {t}")
         scalar = x.ndim == 1
         pts = x[None, :] if scalar else x.reshape(-1, n)
         out = self._eval(pts, float(t))
@@ -357,7 +352,8 @@ class HeatExtension:
             raise GroupError("u at many times takes one point")
         times = [float(t) for t in times]
         if not all(t > 0 and math.isfinite(t) for t in times):
-            raise NumericsError(f"times must be positive, got {times}")
+            raise NumericsError(
+                f"times must be positive and finite, got {times}")
         g = self.group
         total = np.zeros(len(times))
         for part in self.mu.parts():
@@ -395,45 +391,6 @@ class HeatExtension:
         return out
 
 
-def heat_extend(mu: BoundaryMeasure, profile: K.KernelProfile) -> HeatExtension:
-    return HeatExtension(mu, profile)
-
-
-def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
-    """Height of the time strip on which the extension integral converges.
-
-    Fits a quadratic-exponential growth rate a from ball masses
-    nu(B(0, R)) <= C exp(a R^2); the upper envelope c0 exp(-b N^2) then
-    gives convergence for t < b / (a * C_L^2). The certificate's rate
-    b = 1 / c0 holds only on its grid, d <= 8, and is above the true 1/4 on
-    R^1, so b is `_envelope_rate` on _ENVELOPE_GAUGES gauges out to
-    _STRIP_GAUGE_MAX, where the growing mass sits: 1 / c0 on the shipped H1
-    and R^2 profiles, just under 1/4 on R^1. Compactly supported measures
-    (a = 0) get an infinite strip.
-    """
-    g = mu.group
-    radii = 2.0 ** np.arange(0, 7)
-    masses = np.array(
-        [measure_ball(mu, G.Ball(np.zeros(g.total_dim), float(R)))[0] for R in radii]
-    )
-    if masses[-1] <= 0.0:
-        return math.inf
-    # asymptotic growth rate: slope of log-mass against R^2 on the outermost
-    # interval (zero once the support is exhausted)
-    lo, hi = masses[-2], masses[-1]
-    if hi <= max(lo, 1e-300):
-        return math.inf
-    rate = (math.log(hi) - math.log(max(lo, 1e-300))) / (
-        radii[-1] ** 2 - radii[-2] ** 2
-    )
-    if rate <= 1e-12:
-        return math.inf
-    b = _envelope_rate(profile,
-                       np.geomspace(1.0, _STRIP_GAUGE_MAX, _ENVELOPE_GAUGES),
-                       _STRIP_DIRECTIONS)
-    return b / (rate * g.quasi_triangle_const ** 2)
-
-
 # ---------------------------------------------------------------------------
 # parabolic regions and limit traces
 # ---------------------------------------------------------------------------
@@ -442,22 +399,29 @@ def strip_of_definition(mu: BoundaryMeasure, profile: K.KernelProfile) -> float:
 class ParabolicRegion:
     """Approach region {(x, t): d(vertex, x) < aperture * sqrt(t), t < t_max}.
 
-    `parabolic_limit` samples it at ``decisions.SCALES.times(t_max)``;
-    `scenarios.run_scenario` sets t_max to ``SCALES.first_time`` of its
-    restrict radius, (r_0 / kappa)^2 for the derivative's first radius.
+    `parabolic_limit` samples it at ``decisions.SCALES.times(t_max)``. A
+    region without t_max starts at ``SCALES.first_time`` of the group's
+    default restrict radius (``GroupDescriptor.restrict_radius``), (r_0 /
+    kappa)^2 for the first radius `measures.strong_derivative` reads by
+    default; `scenarios.run_scenario` sets t_max to ``SCALES.first_time``
+    of its own restrict radius.
     """
 
     vertex: np.ndarray
     aperture: float = 1.0
-    t_max: float = 1.0
+    t_max: float | None = None
 
     def __post_init__(self):
         self.vertex = np.asarray(self.vertex, dtype=float)
         if self.vertex.ndim != 1 or not np.all(np.isfinite(self.vertex)):
             raise GroupError(f"region vertex must be finite coordinates, "
                              f"got {self.vertex.tolist()}")
-        if not (self.aperture > 0) or not (self.t_max > 0):
-            raise MeasureError("aperture and t_max must be positive")
+        if not 0 < self.aperture < math.inf:
+            raise MeasureError("region aperture must be positive and finite, "
+                               f"got {self.aperture}")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise MeasureError("region t_max must be positive and finite, "
+                               f"got {self.t_max}")
 
 
 @dataclass(eq=False)
@@ -476,59 +440,54 @@ class LimitTrace:
     vertex: np.ndarray = field(default=None)
 
 
-def _placements(betas, n_directions: int) -> list:
-    """(beta, direction index) of each placement; beta = 0 is the central
-    axis and appears once."""
-    placements = []
-    for beta in betas:
-        if beta < 0 or beta >= 1:
-            raise MeasureError("beta offsets must lie in [0, 1)")
-        if beta == 0.0:
-            placements.append((0.0, 0))
-        else:
-            placements.extend((float(beta), k) for k in range(n_directions))
-    return placements
+# (beta, direction index) of each placement of a limit trace: beta = 0 is
+# the central axis and appears once, every other beta in each of
+# _N_DIRECTIONS directions
+_BETAS = (0.0, 0.5, 0.9)
+_N_DIRECTIONS = 8
+_PLACEMENTS = tuple((beta, k) for beta in _BETAS
+                    for k in range(1 if beta == 0.0 else _N_DIRECTIONS))
 
 
 def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
-                  placements: list, dirs: np.ndarray, t: float) -> np.ndarray:
-    """Points (len(placements), n) of the region's slice at time t."""
-    pts = np.empty((len(placements), g.total_dim))
-    for pi, (beta, k) in enumerate(placements):
+                  dirs: np.ndarray, t: float) -> np.ndarray:
+    """Points (len(_PLACEMENTS), n) of the region's slice at time t."""
+    pts = np.empty((len(_PLACEMENTS), g.total_dim))
+    for pi, (beta, k) in enumerate(_PLACEMENTS):
         offset = G.dilate(g, max(beta * region.aperture * math.sqrt(t), 0.0),
                           dirs[k]) if beta > 0 else np.zeros(g.total_dim)
         pts[pi] = G.mul(g, region.vertex, offset)
     return pts
 
 
-def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
-                    betas=(0.0, 0.5, 0.9), n_directions: int = 8) -> LimitTrace:
+def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:
     """Follow u into the vertex along the region; returns the full trace.
 
-    The times are ``decisions.SCALES.times(region.t_max)``: t_max 4^-k for
+    The times are ``decisions.SCALES.times(t_max)``: t_max 4^-k for
     k < SCALES.n_scales, the t_k = (r_k / kappa)^2 of the derivative's
-    radii when t_max is ``SCALES.first_time`` of the restrict radius.
-    Placement (beta, omega) at time t sits at
-    vertex * delta_(beta * aperture * sqrt(t))(omega); beta = 0 is the
-    central axis and appears once. `decisions.trace_decision` of the
-    values gives the estimate and the convergence call.
+    radii when t_max is ``SCALES.first_time`` of the restrict radius, as it
+    is for a region without t_max. Placement (beta, omega) at time t sits
+    at vertex * delta_(beta * aperture * sqrt(t))(omega) for beta in
+    _BETAS and _N_DIRECTIONS directions omega; beta = 0 is the central
+    axis and appears once. `decisions.trace_decision` of the values gives
+    the estimate and the convergence call.
     """
     g = u.group
     _point(g, region.vertex, "region vertex")
-    dirs = G.unit_directions(g, n_directions)
-    placements = _placements(betas, n_directions)
-    t_vals = SCALES.times(region.t_max)
-    n_p = len(placements)
-    pts = np.empty((n_p, t_vals.size, g.total_dim))
-    vals = np.empty((n_p, t_vals.size))
+    dirs = G.unit_directions(g, _N_DIRECTIONS)
+    t_max = (SCALES.first_time(g.restrict_radius) if region.t_max is None
+             else region.t_max)
+    t_vals = SCALES.times(t_max)
+    pts = np.empty((len(_PLACEMENTS), t_vals.size, g.total_dim))
+    vals = np.empty((len(_PLACEMENTS), t_vals.size))
     for ti, t in enumerate(t_vals):
-        pts[:, ti] = _slice_points(g, region, placements, dirs, float(t))
+        pts[:, ti] = _slice_points(g, region, dirs, float(t))
         vals[:, ti] = u(pts[:, ti], float(t))
     dec = trace_decision(vals)
     return LimitTrace(
         t_values=t_vals,
-        betas=np.array([b for b, _ in placements]),
-        direction_ids=np.array([k for _, k in placements]),
+        betas=np.array([b for b, _ in _PLACEMENTS]),
+        direction_ids=np.array([k for _, k in _PLACEMENTS]),
         points=pts,
         values=vals,
         estimate=dec.estimate,
@@ -557,59 +516,6 @@ def limit_trace_to_csv(trace: LimitTrace) -> str:
 # ---------------------------------------------------------------------------
 # consistency checks
 # ---------------------------------------------------------------------------
-
-def uniform_ratio_check(u: HeatExtension, region: ParabolicRegion,
-                        target: float, t: float,
-                        betas=(0.0, 0.5, 0.9), n_directions: int = 8) -> dict:
-    """Max relative deviation of u from a target value across the region
-    slice at time t: `parabolic_limit`'s placements, in one call of u."""
-    g = u.group
-    pts = _slice_points(g, region, _placements(betas, n_directions),
-                        G.unit_directions(g, n_directions), float(t))
-    worst = float(np.max(np.abs(u(pts, t) / target - 1.0), initial=0.0))
-    return {"t": t, "target": target, "max_rel_dev": worst}
-
-
-def _midpoint_cells(box: np.ndarray, cells: int):
-    """Centers (N, n) of ``cells`` midpoint cells per axis of ``box`` and
-    the cell volume."""
-    steps = (box[:, 1] - box[:, 0]) / cells
-    axes = [lo + h * (np.arange(cells) + 0.5) for (lo, _), h in zip(box, steps)]
-    return point_array(np.meshgrid(*axes, indexing="ij")), np.prod(steps)
-
-
-def duality_check(mu: BoundaryMeasure, profile: K.KernelProfile,
-                  x, t: float) -> dict:
-    """Evaluate the extension by two independent quadratures and compare.
-
-    Route A is the scaled eta-grid used by HeatExtension; route B integrates
-    in the original variable with a midpoint rule over the support box
-    (exact resummation for atomic parts). Agreement bounds the quadrature
-    error without assuming either route is right.
-    """
-    g = mu.group
-    x = np.asarray(x, dtype=float)
-    route_a = HeatExtension(mu, profile)(x, t)
-    route_b = 0.0
-    for part in mu.parts():
-        if isinstance(part, AtomicMeasure):
-            if part.points.shape[0] == 0:
-                continue
-            rel = G.mul(g, G.inverse(g, part.points), x)
-            route_b += float(
-                part.weights @ np.atleast_1d(K.eval_kernel(profile, rel, t)))
-        else:
-            ys, vol = _midpoint_cells(part.support_box,
-                                      {1: 600, 2: 150, 3: 60}[g.total_dim])
-            kv = K.eval_kernel(profile, G.mul(g, G.inverse(g, ys), x), t)
-            route_b += float((part.density_at(ys) * kv).sum() * vol)
-    denom = max(abs(route_a), abs(route_b), 1e-300)
-    return {
-        "scaled_grid": route_a,
-        "direct_grid": route_b,
-        "rel_diff": abs(route_a - route_b) / denom,
-    }
-
 
 def dilation_commutation_check(mu: BoundaryMeasure, profile: K.KernelProfile,
                                r: float, x, t: float) -> dict:
@@ -669,26 +575,26 @@ def _outer_terms(outer: BoundaryMeasure, rho: float):
     return m[keep], d[keep]
 
 
-# gauges on which `tail_vanishing_check` and `strip_of_definition` sample
-# their envelope rate; the strip samples out to _STRIP_GAUGE_MAX along
-# _STRIP_DIRECTIONS directions
+# gauges on which `tail_vanishing_check` samples its envelope rate, in
+# _TAIL_DIRECTIONS directions each, and the steps of its t schedule,
+# t = 4^0 .. 4^-(_TAIL_STEPS - 1)
 _ENVELOPE_GAUGES = 25
-_STRIP_GAUGE_MAX = 50.0
-_STRIP_DIRECTIONS = 6
+_TAIL_DIRECTIONS = 6
+_TAIL_STEPS = 9
 
 
-def _envelope_rate(profile: K.KernelProfile, s: np.ndarray,
-                   n_directions: int) -> float:
+def _envelope_rate(profile: K.KernelProfile, s: np.ndarray) -> float:
     """Largest rate b <= 1 / c0 with gamma(z) <= c0 exp(-b N(z)^2) at
-    n_directions points of each gauge in ``s``, shrunk by the certificate's
-    margin; 0.0 where gamma reaches c0 (no Gaussian rate exists there).
+    _TAIL_DIRECTIONS points of each gauge in ``s``, shrunk by the
+    certificate's margin; 0.0 where gamma reaches c0 (no Gaussian rate
+    exists there).
 
     The certificate samples d <= 8 only; this samples the distances a tail
     bound reads, as far out as they go.
     """
     g = profile.group
     cert = K.gaussian_certificate(profile)
-    dirs = G.unit_directions(g, n_directions)
+    dirs = G.unit_directions(g, _TAIL_DIRECTIONS)
     pts = np.concatenate([G.dilate(g, float(r), dirs) for r in s])
     vals = np.asarray(profile.gamma(pts), dtype=float).reshape(s.size, -1)
     vals = vals.max(axis=1)
@@ -701,8 +607,7 @@ def _envelope_rate(profile: K.KernelProfile, s: np.ndarray,
 
 
 def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
-                         radius: float, t_schedule=None,
-                         n_directions: int = 6) -> dict:
+                         radius: float) -> dict:
     """Heat of the measure outside a ball, bounded near the center.
 
     The paper's localization: for x in B(0, rho), rho = radius / (2 C_L),
@@ -720,21 +625,21 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     A = c0 comes from the profile's Gaussian certificate and C_L from the
     group descriptor. The certificate's rate 1 / c0 holds only on its grid,
     d <= 8, and fails beyond it on R^1, where c0 < 4. So b (``rate``) is
-    `_envelope_rate` on _ENVELOPE_GAUGES gauges spanning the scaled distances
-    d_j / sqrt(t_k) that B reads, n_directions points each: 1 / c0 on the
-    shipped H1 and R^2 profiles, and just under 1/4 on R^1. All of these
-    constants are sampled, not proved, so B is a bound only as far as they
-    are. ``dominated`` says a positive rate exists there, that is gamma
-    stays below c0 at every sampled point; ``vanishes`` needs it.
+    `_envelope_rate` on _ENVELOPE_GAUGES gauges spanning the scaled
+    distances d_j / sqrt(t_k) that B reads, _TAIL_DIRECTIONS points each:
+    1 / c0 on the shipped H1 and R^2 profiles, and just under 1/4 on R^1.
+    All of these constants are sampled, not proved, so B is a bound only as
+    far as they are. ``dominated`` says a positive rate exists there, that
+    is gamma stays below c0 at every sampled point; ``vanishes`` needs it.
 
-    The rate 1 / c0 is loose on H1 (c0 = 65.28), so the default schedule
-    runs t = 4^0 .. 4^-8. It still bounds the outer heat at the smaller t
-    the parabolic trace now reads (``decisions.SCALES``, from 4^-5 on R^n
-    and 4.6e-4 on H1), because B falls past its peak, near 4.3e-4 on H1,
-    and keeps falling as t shrinks. ``vanishes`` and ``monotone`` are
-    `decisions.tail_decision` of B: ``vanishes`` reads B at the last t, so
-    it says the bound is below tolerance by then, which a long enough
-    schedule always reaches. ``monotone`` asks B to decrease along the
+    The rate 1 / c0 is loose on H1 (c0 = 65.28), so the schedule
+    (``t_schedule``) runs t = 4^0 .. 4^-8. It still bounds the outer heat
+    at the smaller t the parabolic trace now reads (``decisions.SCALES``,
+    from 4^-5 on R^n and 4.6e-4 on H1), because B falls past its peak, near
+    4.3e-4 on H1, and keeps falling as t shrinks. ``vanishes`` and
+    ``monotone`` are `decisions.tail_decision` of B: ``vanishes`` reads B
+    at the last t, so it says the bound is below tolerance by then, which a
+    long enough schedule always reaches. ``monotone`` asks B to decrease along the
     schedule. B rises while t is above about 2 b d^2 / Q, which is below
     t_0 = 1 on every preset, so there ``monotone`` holds through its
     ``or vanishes`` clause alone and says nothing that ``vanishes`` does
@@ -742,9 +647,7 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     the 14 presets too.)
     """
     g = mu.group
-    if t_schedule is None:
-        t_schedule = 4.0 ** -np.arange(0, 9)
-    t_schedule = np.asarray(t_schedule, dtype=float)
+    t_schedule = 4.0 ** -np.arange(0, _TAIL_STEPS)
     c0 = K.gaussian_certificate(profile).c0
     outer = restrict_complement(mu, G.Ball(np.zeros(g.total_dim), radius))
     inner_r = radius / (2.0 * g.quasi_triangle_const)
@@ -755,7 +658,7 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
         s = np.geomspace(d.min() / math.sqrt(t_schedule.max()),
                          d.max() / math.sqrt(t_schedule.min()),
                          _ENVELOPE_GAUGES)
-        rate = _envelope_rate(profile, s, n_directions)
+        rate = _envelope_rate(profile, s)
         dominated = rate > 0.0
         # log of sum_j m_j exp(-b d_j^2 / t), shifted by its largest term
         terms = np.log(m) - rate * np.outer(1.0 / t_schedule, d * d)

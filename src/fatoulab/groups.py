@@ -7,11 +7,11 @@ measure, and the homogeneous dimension Q (so m(delta_r E) = r^Q m(E)).
 
 A group is one factory. It fills in a `GroupDescriptor` with everything that
 is particular to the group: its law, its gauge, a polar chart of the unit
-sphere {d = 1} (with the node counts of its surface and convolution rules
-and of the unit-ball rules that density ball masses use),
-a box containing the unit ball, and the axis specs of its one eta-grid,
-which serves every gamma integral. Every other module reads these fields and
-never asks which group it has; the quadrature rules themselves are built by
+sphere {d = 1} (with the node counts of its convolution rule and of the
+unit-ball rules that density ball masses use), a box containing the unit
+ball, and the axis specs of its one eta-grid, which serves every gamma
+integral. Every other module reads these fields and never asks which group
+it has; the quadrature rules themselves are built by
 :mod:`fatoulab.quadrature`. Horizontal flows and Brownian increments follow
 from the law: the flow of the i-th horizontal field is x -> x * (h e_i).
 
@@ -27,9 +27,7 @@ The quasi-triangle constant of the Heisenberg gauge is NOT assumed to be 1.
 It was found numerically (large-sample maximization of d(x*y)/(d(x)+d(y))
 plus local refinement, `_certify_quasi_triangle`); the descriptor stores the
 result and the search's log, and a tier-1 test reruns the search and checks
-that it reproduces both bit for bit. The unit-sphere surface rule used by
-``polar_integrate`` comes from the group's chart and reproduces Cartesian
-quadrature on smooth integrands.
+that it reproduces both bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GroupError, NumericsError
-from .quadrature import SphereChart, ball_rule, gauss_legendre, point_array
+from .quadrature import SphereChart, ball_rule, point_array
 
 __all__ = [
     "GROUP_LABELS",
@@ -65,11 +63,8 @@ __all__ = [
     "box_corners",
     "dilate_ball",
     "translate_ball",
-    "surface_rule",
-    "polar_integrate",
     "unit_ball_rule",
     "unit_directions",
-    "certify_bilipschitz",
 ]
 
 
@@ -150,6 +145,13 @@ class GroupDescriptor:
     n_horizontal: int = 0
     _ball_rules: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
+
+    @property
+    def restrict_radius(self) -> float:
+        """The default localization radius 1 / C_L: a scenario without its
+        own restricts its measure to B(0, 1 / C_L), and the library's
+        traces read ``decisions.SCALES`` at this radius by default."""
+        return 1.0 / self.quasi_triangle_const
 
     def __post_init__(self):
         if self.total_dim != sum(self.layer_dims):
@@ -423,10 +425,10 @@ def _koranyi_sphere(psi, phi):
 
 _EUCLIDEAN_SPHERES = {
     1: SphereChart(None, ball_fine=(12, 0, 0), ball_coarse=(8, 0, 0)),
-    2: SphereChart(_circle, fine=(0, 64), coarse=(0, 48),
+    2: SphereChart(_circle, coarse=(0, 48),
                    ball_fine=(12, 0, 24), ball_coarse=(8, 0, 16)),
     3: SphereChart(_round_sphere, polar=(-1.0, 1.0), spread=(-1.0, 1.0),
-                   fine=(32, 64), coarse=(16, 24),
+                   coarse=(16, 24),
                    ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
 }
 
@@ -496,7 +498,7 @@ def heisenberg_group() -> GroupDescriptor:
         sphere=SphereChart(_koranyi_sphere, density=0.25,
                            polar=(-0.5 * np.pi, 0.5 * np.pi),
                            spread=(-1.25, 1.25),
-                           fine=(48, 64), coarse=(20, 24),
+                           coarse=(20, 24),
                            ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
         eta_grid=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
         section=_koranyi_section,
@@ -524,43 +526,8 @@ def get_group(label: str) -> GroupDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# unit-sphere surface rule and polar integration
+# unit-ball rules and directions
 # ---------------------------------------------------------------------------
-
-def surface_rule(g: GroupDescriptor, resolution: int = 0):
-    """Quadrature rule (nodes, weights) on the unit sphere {d = 1}.
-
-    Total weight equals the surface constant sigma(S) = Q * m(B(0,1)).
-    ``resolution`` > 0 scales the node counts (for refinement studies).
-    """
-    mult = max(1, resolution)
-    return g.sphere.rule(tuple(n * mult for n in g.sphere.fine))
-
-
-def polar_integrate(g: GroupDescriptor, f, r_max: float, n_radial: int = 256,
-                    resolution: int = 0) -> float:
-    """Integrate f over {d(x) < r_max} in polar form.
-
-    Uses Int_0^rmax Int_S f(delta_r(w)) r^(Q-1) dsigma(w) dr with the cached
-    surface rule and composite Gauss-Legendre radial panels. Raises
-    ``NumericsError`` with a location if f produces non-finite values.
-    """
-    if r_max <= 0:
-        raise GroupError(f"r_max must be positive, got {r_max}")
-    omega, w_s = surface_rule(g, resolution)
-    r, w_r = gauss_legendre(0.0, r_max, max(1, n_radial // 16))
-    exps = np.array(g.layer_exponents, dtype=float)
-    pts = r[:, None, None] ** exps[None, None, :] * omega[None, :, :]
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise NumericsError(
-            "integrand returned a non-finite value",
-            location=pts[tuple(bad)].tolist(),
-        )
-    radial = vals @ w_s
-    return float(np.sum(w_r * r ** (g.hom_dim - 1) * radial))
-
 
 def unit_ball_rule(g: GroupDescriptor):
     """The unit ball's polar rules: (nodes, fine weights, coarse weights).
@@ -592,30 +559,3 @@ def unit_ball_rule(g: GroupDescriptor):
 def unit_directions(g: GroupDescriptor, k: int = 8) -> np.ndarray:
     """Deterministic spread of k points on the unit sphere {d = 1}."""
     return g.sphere.directions(k)
-
-
-def certify_bilipschitz(g: GroupDescriptor, n_samples: int = 200_000,
-                        seed: int = 7, box_half: float = 1.0) -> dict:
-    """Certify the two-sided comparison of d(y^-1 x) with the Euclidean distance.
-
-    On the box [-b, b]^N, finds c with
-    c^-1 ||x - y|| <= d(x, y) <= c ||x - y||^(1/step). Returns the constant and
-    the maximizing pairs.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box_half, box_half, size=(n_samples, g.total_dim))
-    y = rng.uniform(-box_half, box_half, size=(n_samples, g.total_dim))
-    d = np.asarray(dist(g, x, y))
-    eu = np.sqrt(((x - y) ** 2).sum(axis=-1))
-    keep = eu > 1e-12
-    lower = eu[keep] / d[keep]
-    upper = d[keep] / eu[keep] ** (1.0 / g.step)
-    c = float(max(lower.max(), upper.max()))
-    return {
-        "c": c,
-        "lower_max": float(lower.max()),
-        "upper_max": float(upper.max()),
-        "n_samples": n_samples,
-        "box_half": box_half,
-        "seed": seed,
-    }

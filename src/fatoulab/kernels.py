@@ -167,19 +167,11 @@ def euclidean_profile(n: int) -> KernelProfile:
 # Heisenberg profile
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, b: float, width: float):
-    """Composite Gauss-Legendre rule on [a, b], panels no wider than width."""
-    return gauss_legendre(a, b, max(1, int(math.ceil((b - a) / width))))
-
-
-def _panel_width(sigma: float) -> float:
-    return 0.5 if sigma <= 24.0 else min(0.5, 12.0 / sigma)
-
-
 def _panel_counts(freq: np.ndarray) -> np.ndarray:
     """Panels on [0, lambda_max] for integrands oscillating at ``freq``.
 
-    The width is `_panel_width(freq)`: 12 radians of oscillation per panel.
+    The width is min(0.5, 12 / freq), and 0.5 for freq <= 24: 12 radians
+    of oscillation per panel.
     """
     width = np.minimum(0.5, 12.0 / np.fmax(freq, 24.0))
     return np.ceil(_LAM_MAX / width).astype(np.int64)
@@ -445,26 +437,6 @@ def gamma_heisenberg(z, s=None) -> np.ndarray | float:
         sig = np.abs(np.asarray(s, dtype=float))
     out = _direct_gamma_rho_sigma(rho, sig)
     return float(out.reshape(-1)[0]) if scalar else out
-
-
-def imaginary_residue() -> float:
-    """Max |imag| of the unsymmetrized inverse transform over symmetric nodes.
-
-    The shipped evaluation uses the analytically symmetrized cosine form; this
-    diagnostic verifies that the full two-sided integral has negligible
-    imaginary part on a symmetric rule, at |z| = 0.7 and s = 0.5, 3, 10.
-    """
-    rho = 0.7
-    worst = 0.0
-    for s in (0.5, 3.0, 10.0):
-        lam, wt = _gl_panels(-_LAM_MAX, _LAM_MAX, _panel_width(abs(s)))
-        mask = np.abs(lam) > 1e-14
-        lam, wt = lam[mask], wt[mask]
-        four = 4.0 * lam
-        g = (lam / np.sinh(four)) * np.exp(-(lam / np.tanh(four)) * rho ** 2)
-        val = np.sum(wt * g * np.exp(1j * lam * s)) / (2.0 * math.pi ** 2)
-        worst = max(worst, abs(float(val.imag)))
-    return worst
 
 
 @lru_cache(maxsize=None)

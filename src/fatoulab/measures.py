@@ -52,9 +52,10 @@ the maximal module read the same rule, with more panels per vertical
 section (``DensityMeasure._convolution_rule``).
 
 The strong derivative at a point is estimated over a finite ball family along
-a shrinking radius schedule; the trace records all quotients, and
-``decisions.trace_decision`` decides its estimate and convergence from them
-(the bars are ``decisions.TABLE``'s).
+a shrinking radius schedule, by default ``decisions.SCALES``' radii at the
+group's default restrict radius 1 / C_L; the trace records all quotients,
+and ``decisions.trace_decision`` decides its estimate and convergence from
+them (the bars are ``decisions.TABLE``'s).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import GroupError, MeasureError
 from . import groups as G
-from .decisions import TABLE, trace_decision
+from .decisions import SCALES, TABLE, trace_decision
 from .quadrature import (_BLOCK_ROWS, gauss_legendre, point_array, row_sums,
                          tensor_rule, weighted_sum)
 
@@ -769,17 +770,16 @@ def default_ball_family(g: G.GroupDescriptor) -> list[G.Ball]:
     return fam
 
 
-def default_radii(n: int = 16, start: float = 1.0, ratio: float = 0.5) -> np.ndarray:
-    return start * ratio ** np.arange(n)
-
-
 def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
                       radii=None) -> DerivativeTrace:
     """Estimate the strong derivative of mu at x0 over a finite ball family.
 
     Quotients are mu(x0 * delta_r(B)) / m(x0 * delta_r(B)) for each family
     ball B along the radius schedule, which must be at least the decision
-    window long; every ball's mass comes from one ``_ball_masses`` call,
+    window long. Without ``radii`` it is ``decisions.SCALES.radii`` at the
+    group's default restrict radius (``GroupDescriptor.restrict_radius``),
+    the radii a scenario without its own restrict radius reads. Every
+    ball's mass comes from one ``_ball_masses`` call,
     with `measure_ball`'s bits. `decisions.trace_decision` gives the
     estimate and the convergence call; the universal-quantifier side is
     approximated by the family, which the trace discloses.
@@ -793,7 +793,8 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
         np.all(b.center == 0.0) and b.radius == 1.0 for b in fam
     ):
         raise MeasureError("ball family must include the centered unit ball")
-    r = np.asarray(radii if radii is not None else default_radii(), dtype=float)
+    r = np.asarray(radii if radii is not None
+                   else SCALES.radii(g.restrict_radius), dtype=float)
     if r.size < TABLE.window or np.any(np.diff(r) >= 0):
         raise MeasureError("radius schedule must be decreasing, >= window long")
     for ball in fam:

@@ -4,7 +4,9 @@ The diffusion generated by the sum of squares of the horizontal fields is
 simulated with Euler-Maruyama steps; its time-t law is exactly the heat
 kernel the deterministic side computes by quadrature, so kernel values can
 be cross-validated by kernel density estimation on simulated endpoints, and
-ball masses or derivative quotients by rejection counting.
+ball volumes by rejection counting. The tests' Monte Carlo derivative
+quotients (``tests/references.py``) draw from the same counter-based
+streams.
 
 Reproducibility: the stream for step j of a simulation is keyed by
 (seed, j), and path i always reads slot i of each step's draw. Growing the
@@ -21,15 +23,12 @@ import numpy as np
 
 from .errors import MeasureError, NumericsError
 from . import groups as G
-from .measures import (AtomicMeasure, BoundaryMeasure, measure_ball,
-                       translate_measure)
 
 __all__ = [
     "PathEnsemble",
     "simulate_horizontal_bm",
     "kde_density",
     "mc_ball_volume",
-    "oracle_strong_derivative",
 ]
 
 
@@ -141,51 +140,3 @@ def mc_ball_volume(g: G.GroupDescriptor, radius: float = 1.0,
         "box_volume": box_vol,
         "n_samples": n_samples,
     }
-
-
-def _mc_ball_mass(mu, ball: G.Ball, n_samples: int, seed: int):
-    """(estimate, stderr) for nu(ball); exact for atomic parts.
-
-    Density part i samples with seed + 7 * i.
-    """
-    g = mu.group
-    vals, errs = [], []
-    for i, part in enumerate(mu.parts()):
-        if isinstance(part, AtomicMeasure):
-            vals.append(measure_ball(part, ball)[0])
-            continue
-        bb = G.ball_bounding_box(g, ball)
-        lo = np.maximum(bb[:, 0], part.support_box[:, 0])
-        hi = np.minimum(bb[:, 1], part.support_box[:, 1])
-        if np.any(hi <= lo):
-            vals.append(0.0)
-            continue
-        vol = float(np.prod(hi - lo))
-        rng = _step_rng(seed + 7 * i, 1)
-        pts = rng.uniform(lo, hi, size=(n_samples, g.total_dim))
-        f = part.density_at(pts) * G.ball_contains(g, ball, pts)
-        vals.append(float(f.mean() * vol))
-        errs.append(float(f.std(ddof=1) / math.sqrt(n_samples) * vol))
-    return float(sum(vals)), math.hypot(*errs)
-
-
-def oracle_strong_derivative(mu: BoundaryMeasure, x0, radii,
-                             n_samples: int = 200_000, seed: int = 5) -> dict:
-    """Monte Carlo ball-quotient estimates nu(x0 * B_r) / m(B_r).
-
-    An independent check on the deterministic quotient quadrature: atoms are
-    counted exactly, densities sampled uniformly over the clipped bounding
-    box. Standard errors refer to the quotients.
-    """
-    g = mu.group
-    mu0 = translate_measure(mu, np.asarray(x0, dtype=float))
-    r = np.asarray(radii, dtype=float)
-    quot = np.empty(r.size)
-    err = np.empty(r.size)
-    for i, rr in enumerate(r):
-        ball = G.Ball(np.zeros(g.total_dim), float(rr))
-        v, e = _mc_ball_mass(mu0, ball, n_samples, seed + 13 * i)
-        vol = G.ball_volume(g, float(rr))
-        quot[i] = v / vol
-        err[i] = e / vol
-    return {"radii": r, "quotients": quot, "stderr": err}

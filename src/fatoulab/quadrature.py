@@ -21,9 +21,9 @@
 Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
 
-Layout: every rule's nodes, and every other bulk point array (the cell
-centres of `duality_check`'s route B, the section-rule nodes of density
-masses and convolutions, the mollifier grid), come out of `point_array`.
+Layout: every rule's nodes, and every other bulk point array (the
+section-rule nodes of density masses and convolutions, the mollifier
+grid), come out of `point_array`.
 The group primitives act row by row and keep their operands' layout, so a
 product, gauge or dilation over such an array reads and writes whole
 contiguous columns (the Heisenberg law and gauge are written per
@@ -149,19 +149,17 @@ class SphereChart:
     marks the sphere of a line, the two points 1 and -1.
 
     ``polar`` is the range of p that the quadrature rules cover and
-    ``spread`` the band of p that `directions` samples. ``fine`` and
-    ``coarse`` are (polar, azimuth) node counts: the surface rule's per unit
-    of resolution, and the mollifier convolution grids'. ``ball_fine`` and
-    ``ball_coarse`` are (radial, polar, azimuth) node counts of the two
-    unit-ball rules (see `ball_rule`) that density ball masses use, the
-    coarse one only for the error estimate.
+    ``spread`` the band of p that `directions` samples. ``coarse`` holds
+    the (polar, azimuth) node counts of the mollifier convolution grids.
+    ``ball_fine`` and ``ball_coarse`` are (radial, polar, azimuth) node
+    counts of the two unit-ball rules (see `ball_rule`) that density ball
+    masses use, the coarse one only for the error estimate.
     """
 
     embed: Callable | None
     density: float = 1.0
     polar: tuple | None = None
     spread: tuple | None = None
-    fine: tuple = (0, 0)
     coarse: tuple = (0, 0)
     ball_fine: tuple = (0, 0, 0)
     ball_coarse: tuple = (0, 0, 0)

@@ -360,7 +360,7 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
         "vertex": scenario.vertex.tolist(),
     })
 
-    radius = scenario.restrict_radius or 1.0 / g.quasi_triangle_const
+    radius = scenario.restrict_radius or g.restrict_radius
     tail = tail_vanishing_check(mu_v, profile, radius)
     reductions.append({
         "op": "tail-heat-check",

@@ -49,8 +49,9 @@ def test_table_holds_the_bars_and_is_frozen():
 def test_removed_knobs_stay_removed():
     gone = {
         F.strong_derivative: {"window", "tol"},
-        F.parabolic_limit: {"window", "tol", "n_steps", "ratio"},
-        F.tail_vanishing_check: {"tol"},
+        F.parabolic_limit: {"window", "tol", "n_steps", "ratio", "betas",
+                            "n_directions"},
+        F.tail_vanishing_check: {"tol", "t_schedule", "n_directions"},
         F.check_sandwich: {"slack_upper", "slack_lower"},
         F.check_heat_chain: {"slack"},
     }
@@ -115,6 +116,20 @@ def test_schedule_first_time_on_each_group():
             assert t0 == 4.0 ** -5
         else:
             assert t0 == pytest.approx(4.6e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("label", ["euclidean:1", "heisenberg:1"])
+def test_library_defaults_read_the_one_scale_axis(label):
+    # without radii or t_max, both traces read SCALES at the default
+    # restrict radius 1 / C_L, as a scenario does
+    g = F.get_group(label)
+    mu = F.AtomicMeasure(g, [[0.5] + [0.0] * (g.total_dim - 1)], [1.0])
+    radii = D.SCALES.radii(1.0 / g.quasi_triangle_const)
+    trace = F.strong_derivative(mu, np.zeros(g.total_dim))
+    assert np.array_equal(trace.radii, radii)
+    u = F.HeatExtension(mu, F.profile_for(g))
+    limit = F.parabolic_limit(u, F.ParabolicRegion(np.zeros(g.total_dim)))
+    assert np.array_equal(limit.t_values, (radii / D.SCALES.kappa) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,7 @@ Closed-form oracles frozen here:
 * density 1 + x^2 on a line segment extends to u(x, t) = 1 + x^2 + 2t
   (up to box truncation, negligible for |x| <= 1, t <= 0.5, box +-8);
 * density 1 + |x|^2 on a plane square extends to 1 + |x|^2 + 4t;
-* a single atom extends to w * t^(-Q/2) gamma(delta_(1/sqrt t)(p^-1 x));
-* an atomic measure with masses 1 at 0 and e^125 at distance 50 has
-  log-mass slope 125 / (64^2 - 32^2) across the outermost dyadic shell,
-  giving a finite strip height b / (rate * C_L^2), with b the envelope rate
-  sampled out to gauge 50: just under the exact 1/4 on R^1, so the strip
-  stays below 1 / (4 rate), where the R^1 extension integral diverges, and
-  1 / c0 on R^2 and H1.
+* a single atom extends to w * t^(-Q/2) gamma(delta_(1/sqrt t)(p^-1 x)).
 """
 
 import dataclasses
@@ -24,6 +18,7 @@ import fatoulab as F
 from fatoulab import extension as E
 from fatoulab import groups as G
 from fatoulab.quadrature import gauss_legendre, tensor_rule, weighted_sum
+from references import duality_check
 
 
 def line_quadratic():
@@ -47,7 +42,7 @@ def plane_quadratic():
 # ---------------------------------------------------------------------------
 
 def test_extension_closed_form_line(p1):
-    u = F.heat_extend(line_quadratic(), p1)
+    u = F.HeatExtension(line_quadratic(), p1)
     for x in (-1.0, 0.0, 0.5):
         for t in (0.1, 0.5):
             assert u(np.array([x]), t) == pytest.approx(
@@ -56,7 +51,7 @@ def test_extension_closed_form_line(p1):
 
 
 def test_extension_closed_form_plane(p2):
-    u = F.heat_extend(plane_quadratic(), p2)
+    u = F.HeatExtension(plane_quadratic(), p2)
     for x, y in ((0.0, 0.0), (0.5, -0.3)):
         for t in (0.1, 0.4):
             got = u(np.array([x, y]), t)
@@ -66,7 +61,7 @@ def test_extension_closed_form_plane(p2):
 def test_extension_atomic_exact(gh, ph):
     p = np.array([0.4, -0.3, 0.2])
     mu = F.AtomicMeasure(gh, [p], [2.5])
-    u = F.heat_extend(mu, ph)
+    u = F.HeatExtension(mu, ph)
     x = np.array([0.1, 0.2, -0.5])
     t = 0.7
     rel = F.mul(gh, F.inverse(gh, p), x)
@@ -77,8 +72,8 @@ def test_extension_atomic_exact(gh, ph):
 def test_extension_input_validation(p1, ph):
     mu = line_quadratic()
     with pytest.raises(F.MeasureError):
-        F.heat_extend(mu, ph)  # group mismatch
-    u = F.heat_extend(mu, p1)
+        F.HeatExtension(mu, ph)  # group mismatch
+    u = F.HeatExtension(mu, p1)
     with pytest.raises(F.NumericsError):
         u(np.array([0.0]), 0.0)
     with pytest.raises(F.NumericsError):
@@ -92,6 +87,22 @@ def test_region_validation():
         F.ParabolicRegion(np.zeros(1), t_max=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["aperture", "t_max"])
+def test_region_rejects_non_finite_parameters(name, value):
+    # they used to pass, and failed later as a dilation factor or a time
+    with pytest.raises(F.MeasureError, match=f"region {name} must be "
+                       "positive and finite"):
+        F.ParabolicRegion(np.zeros(1), **{name: value})
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_extension_rejects_non_finite_times(p1, t):
+    u = F.HeatExtension(line_quadratic(), p1)
+    with pytest.raises(F.NumericsError, match="positive and finite"):
+        u(np.array([0.0]), t)
+
+
 _BAD_POINTS = {"nan": [np.nan, 0.0], "inf": [0.0, -np.inf],
                "length": [0.0, 0.0, 0.0]}
 
@@ -102,7 +113,7 @@ def test_points_and_vertices_are_checked(case):
     # and a region with such a vertex raise instead of giving 0
     g = F.euclidean_group(2)
     mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]), [[-1, 1]] * 2)
-    u = F.heat_extend(mu, F.profile_for(g))
+    u = F.HeatExtension(mu, F.profile_for(g))
     bad = np.array(_BAD_POINTS[case])
     with pytest.raises(F.GroupError):
         u(bad, 0.5)
@@ -117,7 +128,7 @@ def test_points_and_vertices_are_checked(case):
 # ---------------------------------------------------------------------------
 
 def test_parabolic_limit_line(p1):
-    u = F.heat_extend(line_quadratic(), p1)
+    u = F.HeatExtension(line_quadratic(), p1)
     region = F.ParabolicRegion(np.zeros(1), aperture=1.0, t_max=0.25)
     trace = F.parabolic_limit(u, region)
     assert trace.converged
@@ -130,7 +141,7 @@ def test_parabolic_limit_line(p1):
 
 
 def test_parabolic_limit_aperture_invariance(p1):
-    u = F.heat_extend(line_quadratic(), p1)
+    u = F.HeatExtension(line_quadratic(), p1)
     estimates = []
     for aperture in (0.5, 1.0, 2.0):
         region = F.ParabolicRegion(np.zeros(1), aperture=aperture, t_max=0.25)
@@ -140,15 +151,8 @@ def test_parabolic_limit_aperture_invariance(p1):
     assert max(estimates) - min(estimates) <= 1e-3
 
 
-def test_parabolic_limit_rejects_bad_beta(p1):
-    u = F.heat_extend(line_quadratic(), p1)
-    region = F.ParabolicRegion(np.zeros(1))
-    with pytest.raises(F.MeasureError):
-        F.parabolic_limit(u, region, betas=(0.0, 1.0))
-
-
 def test_limit_trace_csv(p1):
-    u = F.heat_extend(line_quadratic(), p1)
+    u = F.HeatExtension(line_quadratic(), p1)
     region = F.ParabolicRegion(np.zeros(1), t_max=0.25)
     trace = F.parabolic_limit(u, region)
     lines = F.limit_trace_to_csv(trace).strip().split("\n")
@@ -161,11 +165,13 @@ def test_limit_trace_csv(p1):
 
 
 def test_uniform_ratio_near_boundary(p1):
-    u = F.heat_extend(line_quadratic(), p1)
-    region = F.ParabolicRegion(np.zeros(1), aperture=1.0)
-    out = F.uniform_ratio_check(u, region, target=1.0, t=1e-4)
+    # the trace's first slice sits at t = 1e-4
+    u = F.HeatExtension(line_quadratic(), p1)
+    region = F.ParabolicRegion(np.zeros(1), aperture=1.0, t_max=1e-4)
+    trace = F.parabolic_limit(u, region)
+    assert trace.t_values[0] == 1e-4
     # u - 1 = x^2 + 2t <= (0.9)^2 t + 2t < 3t on the slice
-    assert out["max_rel_dev"] <= 5e-4
+    assert np.max(np.abs(trace.values[:, 0] - 1.0)) <= 5e-4
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +180,12 @@ def test_uniform_ratio_near_boundary(p1):
 
 def test_duality_atomic_exact(gh, ph):
     mu = F.AtomicMeasure(gh, [[0.5, 0.0, 0.1], [-0.2, 0.3, 0.0]], [1.0, 2.0])
-    out = F.duality_check(mu, ph, np.array([0.1, -0.1, 0.2]), 0.8)
+    out = duality_check(mu, ph, np.array([0.1, -0.1, 0.2]), 0.8)
     assert out["rel_diff"] <= 1e-14
 
 
 def test_duality_density_line(p1):
-    out = F.duality_check(line_quadratic(), p1, np.array([0.3]), 0.5)
+    out = duality_check(line_quadratic(), p1, np.array([0.3]), 0.5)
     assert out["rel_diff"] <= 1e-3
 
 
@@ -188,7 +194,7 @@ def test_duality_density_heisenberg(gh, ph):
         gh, lambda p: np.ones(p.shape[:-1]),
         [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
-    out = F.duality_check(mu, ph, np.array([0.2, 0.1, 0.0]), 0.5)
+    out = duality_check(mu, ph, np.array([0.2, 0.1, 0.0]), 0.5)
     assert out["rel_diff"] <= 1e-2
 
 
@@ -230,7 +236,7 @@ def _translated_preset(label):
     profile = F.profile_for(g)
     F.gaussian_certificate(profile)
     mu = F.translate_measure(F.build_measure(g, sc.measure_spec), sc.vertex)
-    return mu, profile, sc.restrict_radius or 1.0 / g.quasi_triangle_const
+    return mu, profile, sc.restrict_radius or g.restrict_radius
 
 
 def _inner_points(g, inner_r, n_directions=6, n_radial=3):
@@ -286,6 +292,19 @@ def test_tail_rate_holds_past_the_certified_distances(p1, g1):
     assert out["vanishes"]
 
 
+@pytest.mark.parametrize("label, far", [
+    ("euclidean:2", [3.0, 0.0]), ("heisenberg:1", [3.0, 0.0, 0.0])])
+def test_tail_keeps_the_certificate_rate_where_it_holds(label, far):
+    # on R^2 and H1 gamma stays under c0 exp(-N^2 / c0) at every gauge the
+    # bound reads, so the rate is the certificate's own 1 / c0
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    out = F.tail_vanishing_check(F.AtomicMeasure(g, [far], [1.0]), profile,
+                                 radius=1.0)
+    assert out["outer_mass"] == 1.0
+    assert out["rate"] == 1.0 / F.gaussian_certificate(profile).c0
+
+
 def _profile_copy(profile, **changes):
     """A copy of a kernel profile with its own caches (empty by default)."""
     return dataclasses.replace(profile, **{"_caches": {}, **changes})
@@ -314,55 +333,6 @@ def test_tail_check_fails_where_gamma_exceeds_the_envelope():
     assert not out["dominated"] and not out["vanishes"]
     assert out["rate"] == 0.0
     assert profile.certificate is cert and profile._caches == caches
-
-
-# ---------------------------------------------------------------------------
-# strip of definition
-# ---------------------------------------------------------------------------
-
-def test_strip_infinite_for_compact(p1, ph, g1, gh):
-    assert F.strip_of_definition(line_quadratic(), p1) == math.inf
-    mu = F.AtomicMeasure(gh, [[0.5, 0.5, 0.2]], [3.0])
-    assert F.strip_of_definition(mu, ph) == math.inf
-
-
-def _strip_rate(profile):
-    """The envelope rate `strip_of_definition` samples."""
-    return E._envelope_rate(
-        profile, np.geomspace(1.0, E._STRIP_GAUGE_MAX, E._ENVELOPE_GAUGES),
-        E._STRIP_DIRECTIONS)
-
-
-def test_strip_finite_for_growing_atoms(p1, g1):
-    far_weight = math.exp(125.0)
-    mu = F.AtomicMeasure(g1, [[0.0], [50.0]], [1.0, far_weight])
-    strip = F.strip_of_definition(mu, p1)
-    rate = 125.0 / (64.0 ** 2 - 32.0 ** 2)
-    b = _strip_rate(p1)
-    # the certificate's 1 / c0 = 0.277 is above the R^1 kernel's exact 1/4
-    assert b == pytest.approx(0.2461, abs=1e-4)
-    assert b < 0.25 < 1.0 / p1.certificate.c0
-    expected = b / (rate * g1.quasi_triangle_const ** 2)
-    assert strip == pytest.approx(expected, rel=1e-12)
-    assert strip == pytest.approx(6.048, abs=1e-3)
-    # (4 pi t)^(-1/2) exp(-x^2 / 4t) against exp(rate x^2) diverges past
-    # t = 1 / (4 rate) = 6.144
-    assert strip < 1.0 / (4.0 * rate)
-
-
-@pytest.mark.parametrize("label, far", [
-    ("euclidean:2", [50.0, 0.0]), ("heisenberg:1", [50.0, 0.0, 0.0])])
-def test_strip_keeps_the_certificate_rate_where_it_holds(label, far):
-    g = F.get_group(label)
-    profile = F.profile_for(g)
-    mu = F.AtomicMeasure(g, [[0.0] * g.total_dim, far],
-                         [1.0, math.exp(125.0)])
-    rate = 125.0 / (64.0 ** 2 - 32.0 ** 2)
-    strip = F.strip_of_definition(mu, profile)
-    assert _strip_rate(profile) == 1.0 / profile.certificate.c0
-    assert strip == pytest.approx(
-        1.0 / (rate * profile.certificate.c0 * g.quasi_triangle_const ** 2),
-        rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +533,7 @@ def test_cut_and_outside_values_match_the_fine_loop(label):
     grid = _weighted_grid(profile, g.eta_grid)
     seen = set()
     for name, mu in _derived_densities(g).items():
-        u = F.heat_extend(mu, profile)
+        u = F.HeatExtension(mu, profile)
         tol = _CUT_TOL[label][name not in ("base", "translated")]
         for t in (1e-4, 0.0625, 1.0):
             got = u(pts, t)
@@ -602,13 +572,13 @@ def test_forcing_the_smooth_rule_across_a_clip_misses(gh, ph, monkeypatch):
     assert _hull_states(mu, ph, x[None], t) == ["cut"]
     ref = _reference(ph, "restricted", x, t)
     fine = _grid_loop(mu, _weighted_grid(ph, _FINE_H1), x[None], t)[0]
-    rule = F.heat_extend(mu, ph)(x, t)
+    rule = F.HeatExtension(mu, ph)(x, t)
     lo, hi, n_panels, _ = gh.eta_grid[-1]
     monkeypatch.setattr(
         F.DensityMeasure, "sections",
         _whole_panels(F.DensityMeasure.sections,
                       np.linspace(lo, hi, n_panels + 1)))
-    forced = F.heat_extend(mu, ph)(x, t)
+    forced = F.HeatExtension(mu, ph)(x, t)
     assert abs(rule - ref) < abs(fine - ref) < abs(forced - ref)
 
 
@@ -627,7 +597,7 @@ def test_limit_trace_batches_match_pointwise_values(p2):
     # a slice call evaluates its points together (one hull test, batched
     # inside blocks and cut lines); every value must equal the point's own
     # call bit for bit, on every group and derived density
-    u = F.heat_extend(plane_quadratic(), p2)
+    u = F.HeatExtension(plane_quadratic(), p2)
     region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
     trace = F.parabolic_limit(u, region)
     # the four largest t, where the slices cut the support box
@@ -640,7 +610,7 @@ def test_limit_trace_batches_match_pointwise_values(p2):
         pts = _SLICE[:, :g.total_dim]
         seen = set()
         for name, mu in _derived_densities(g).items():
-            u = F.heat_extend(mu, profile)
+            u = F.HeatExtension(mu, profile)
             for t in (1e-4, 0.0625, 1.0):
                 states = _hull_states(mu, profile, pts, t)
                 assert len(set(states)) > 1, (label, name, t, states)

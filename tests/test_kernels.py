@@ -25,6 +25,7 @@ from scipy.integrate import quad
 import fatoulab as F
 from fatoulab import kernels as K, quadrature
 from conftest import ensure_validated
+from references import imaginary_residue, panel_width
 
 GAMMA_EU1_ZERO = 0.28209479177387814  # (4 pi)^(-1/2)
 GAMMA_H_ZERO = 0.015625  # 1/64
@@ -226,7 +227,8 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
 
 def _direct_plain(rho2, sigma):
     """Reference column of the kernel table: its own lambda rule per sigma."""
-    lam, wt = K._gl_panels(0.0, K._LAM_MAX, K._panel_width(sigma))
+    lam, wt = quadrature.gauss_legendre(
+        0.0, K._LAM_MAX, max(1, math.ceil(K._LAM_MAX / panel_width(sigma))))
     four = 4.0 * lam
     amp = (lam / np.sinh(four)) * wt * np.cos(lam * sigma)
     cth = lam / np.tanh(four)
@@ -254,9 +256,9 @@ def test_heisenberg_table_builds_each_lambda_rule_once(ph, monkeypatch):
 
     monkeypatch.setattr(K, "gauss_legendre", counting)
     fresh = K._HeisenbergGamma()
-    rules = {max(1, math.ceil(K._LAM_MAX / K._panel_width(float(sg))))
+    rules = {max(1, math.ceil(K._LAM_MAX / panel_width(float(sg))))
              for sg in fresh.sig_grid}
-    widths = {K._panel_width(float(sg)) for sg in fresh.sig_grid}
+    widths = {panel_width(float(sg)) for sg in fresh.sig_grid}
     assert sorted(built) == sorted(rules)
     assert len(rules) < len(widths)
     assert np.array_equal(fresh.table, ph.gamma.table)
@@ -497,7 +499,7 @@ def test_heisenberg_against_mpmath(ph):
 
 
 def test_imaginary_residue_negligible():
-    assert F.imaginary_residue() <= 1e-10
+    assert imaginary_residue() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

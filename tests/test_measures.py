@@ -18,6 +18,7 @@ import pytest
 
 import fatoulab as F
 from fatoulab import groups as G, quadrature
+from references import oracle_strong_derivative
 
 V1_H = math.pi ** 2 / 8.0
 
@@ -359,9 +360,14 @@ def test_mixture_measure(g1):
 # strong derivative
 # ---------------------------------------------------------------------------
 
+# sixteen halvings from r = 1: the largest balls reach the support's edge,
+# which the default radii (decisions.SCALES, from r = 2^-5) never do
+_OLD_RADII = 0.5 ** np.arange(16)
+
+
 def test_derivative_quotient_oracle_line():
     mu = quadratic_line_measure()
-    trace = F.strong_derivative(mu, np.zeros(1))
+    trace = F.strong_derivative(mu, np.zeros(1), radii=_OLD_RADII)
     # centered unit ball row must follow 1 + r^2/3
     for ri, r in enumerate(trace.radii):
         assert trace.quotients[0, ri] == pytest.approx(1 + r * r / 3, abs=1e-5)
@@ -384,7 +390,7 @@ def test_derivative_errors_bound_the_quotient_errors():
     # support at the largest radii) alike
     mu = quadratic_line_measure()
     x0 = 0.3
-    trace = F.strong_derivative(mu, np.array([x0]))
+    trace = F.strong_derivative(mu, np.array([x0]), radii=_OLD_RADII)
     assert trace.errors.shape == trace.quotients.shape
     fam = F.default_ball_family(mu.group)
     for bi, ball in enumerate(fam):
@@ -403,7 +409,7 @@ def test_derivative_lebesgue_heisenberg(gh):
         gh, lambda p: np.ones(p.shape[:-1]),
         [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
     )
-    trace = F.strong_derivative(mu, np.zeros(3), radii=F.default_radii(8))
+    trace = F.strong_derivative(mu, np.zeros(3), radii=_OLD_RADII[:8])
     assert trace.converged
     assert trace.estimate == pytest.approx(1.0, rel=2e-3)
 
@@ -442,7 +448,7 @@ def test_default_family_shape(g1, gh):
 
 def test_trace_csv_format():
     mu = quadratic_line_measure()
-    trace = F.strong_derivative(mu, np.zeros(1), radii=F.default_radii(6))
+    trace = F.strong_derivative(mu, np.zeros(1), radii=_OLD_RADII[:6])
     lines = F.trace_to_csv(trace).strip().split("\n")
     assert lines[0] == "ball_id,r,quotient"
     assert len(lines) == 1 + 9 * 6
@@ -704,9 +710,9 @@ def test_mixture_consumers_sum_over_components(label):
 
     # part i samples with seed + 7 i; atoms are counted exactly
     radii = np.array([0.4, 0.2])
-    out = F.oracle_strong_derivative(mix, x, radii, n_samples=20_000, seed=3)
-    per = [F.oracle_strong_derivative(c, x, radii, n_samples=20_000,
-                                      seed=3 + 7 * i)
+    out = oracle_strong_derivative(mix, x, radii, n_samples=20_000, seed=3)
+    per = [oracle_strong_derivative(c, x, radii, n_samples=20_000,
+                                    seed=3 + 7 * i)
            for i, c in enumerate(comps)]
     assert list(out["quotients"]) == [
         summed(q) for q in zip(*(p["quotients"] for p in per))]

@@ -19,6 +19,7 @@ import pytest
 from scipy import stats
 
 import fatoulab as F
+from references import oracle_strong_derivative
 
 
 def sem(v):
@@ -98,8 +99,8 @@ def test_oracle_quotients_match_quadrature(g1):
         g1, lambda x: 1.0 + x[..., 0] ** 2, [[-2.0, 2.0]]
     )
     radii = np.array([1.0, 0.5, 0.25])
-    out = F.oracle_strong_derivative(mu, np.zeros(1), radii,
-                                     n_samples=100_000, seed=5)
+    out = oracle_strong_derivative(mu, np.zeros(1), radii,
+                                   n_samples=100_000, seed=5)
     for r, q, se in zip(radii, out["quotients"], out["stderr"]):
         expected = 1.0 + r * r / 3.0
         assert abs(q - expected) <= 4.0 * se + 1e-9, (r, q, expected, se)

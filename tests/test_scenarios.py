@@ -334,7 +334,7 @@ def test_split_scales_decide_the_bump_probe_wrongly():
     mu = F.restrict(mu, F.groups.Ball(np.zeros(1), 1.0))
     dtrace = F.strong_derivative(mu, np.zeros(1),
                                  radii=0.5 ** np.arange(16) * 0.5)
-    u = F.heat_extend(mu, F.profile_for(g))
+    u = F.HeatExtension(mu, F.profile_for(g))
     limits = {}
     for alpha in (0.5, 1.0):
         lt = F.parabolic_limit(u, F.ParabolicRegion(np.zeros(1), aperture=alpha,
