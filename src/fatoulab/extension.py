@@ -116,7 +116,10 @@ def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
     """u at points whose eta-image hull is "inside": the whole grid, with
     `DensityMeasure.density_inside`. On a grid of at most _BLOCK_ROWS / p
     nodes, p points share one block; each point's sum is its own (see
-    `quadrature.row_sums`)."""
+    `quadrature.row_sums`). A declared constant takes one `constant_sum`
+    for every point."""
+    if mu.constant is not None:
+        return np.full(xs.shape[0], mu.constant_sum(grid.gamma_w))
     n_nodes = grid.gamma_w.size
     per = max(1, _BLOCK_ROWS // n_nodes)
     out = np.empty(xs.shape[0])

@@ -40,14 +40,23 @@ grids must be finite, positive and strictly increasing.
 Each density row is classified once, and no quadrature is spent on a value
 that is already known. One ``hull_state`` call takes the images of the
 phi-grid's bounding-box corners for every grid row: "inside" rows take
-``density_inside`` without the box and clip tests, "cut" rows
-``density_at``, and "outside" rows are 0.0 with nothing evaluated. Rows
-share blocks of up to ``quadrature._BLOCK_ROWS`` nodes, and each row's sum
-is its own (``quadrature.row_sums``). Ball masses of the Hardy-Littlewood
-radii come from one ``measures.ball_masses`` call, and the heat maximum's
-scales from one ``HeatExtension._at_times`` call, whose atomic parts take
-one kernel evaluation over every (scale, atom) pair. Every value keeps the
-bits of its one-row, one-ball or one-time call.
+``density_inside`` without the box and clip tests (a density that declares
+a constant, one sum for all of them), "cut" rows ``density_at``, and
+"outside" rows are 0.0 with nothing evaluated. Rows share blocks of up to
+``quadrature._BLOCK_ROWS`` nodes, and each row's sum is its own
+(``quadrature.row_sums``). Ball masses of the Hardy-Littlewood radii come
+from one ``measures.ball_masses`` call, and the heat maximum's scales from
+one ``HeatExtension._at_times`` call, whose atomic parts take one kernel
+evaluation over every (scale, atom) pair. Every value keeps the bits of
+its one-row, one-ball or one-time call.
+
+A cone row of the nontangential maximum is not evaluated where it cannot
+be the max. On the whole-box rule its value is at most s^(-Q) phi(gap / s)
+times the rule's positive weight, gap a lower bound on the distance from
+the placement to the support box (`_row_bounds`); a row whose bound is
+below the radial value at its scale enters the max as -inf, so the max
+keeps its bits. The bound reads phi as nonincreasing, the profile's
+contract, which `RadialProfile` checks on a dense grid.
 """
 
 from __future__ import annotations
@@ -90,6 +99,10 @@ __all__ = [
 ]
 
 _SCALE_SWITCH = 1.0  # density conv: scaled grid below, section rule above
+
+# Relative margin of a pruned cone row's distance bound and value bound
+# (`_row_bounds`): a weighted sum of 27,648 terms rounds by less than 3e-12.
+_PRUNE_MARGIN = 1e-9
 
 # (row, atom) entries per block of an atomic convolution; rows are
 # independent, so blocks bound memory without moving a value
@@ -213,18 +226,23 @@ def _grid_rows(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
     (x, s) of ``pts`` and ``s``.
 
     One `hull_state` call classifies the images x * delta_s(corners) of
-    every row's grid box: "inside" rows take `density_inside`, "cut" rows
-    `density_at`, and "outside" rows are 0.0 with nothing evaluated. Rows
-    share blocks of at most _BLOCK_ROWS nodes, and each row's sum is its
-    own `weighted_sum` (see `quadrature.row_sums`).
+    every row's grid box: "inside" rows take `density_inside` (a declared
+    constant one `constant_sum` for all of them), "cut" rows `density_at`,
+    and "outside" rows are 0.0 with nothing evaluated. Rows share blocks
+    of at most _BLOCK_ROWS nodes, and each row's sum is its own
+    `weighted_sum` (see `quadrature.row_sums`).
     """
     g = part.group
     eta_inv, w, corners = _phi_grid(g, phi)
     state = part.hull_state(_scaled_images(g, pts, s, corners))
     out = np.zeros(s.size)
     per = max(1, _BLOCK_ROWS // w.size)
-    for density, rows in ((part.density_inside, state == "inside"),
-                          (part.density_at, state == "cut")):
+    passes = [(part.density_at, state == "cut")]
+    if part.constant is None:
+        passes.insert(0, (part.density_inside, state == "inside"))
+    else:
+        out[state == "inside"] = part.constant_sum(w)
+    for density, rows in passes:
         rows = np.flatnonzero(rows)
         for start in range(0, rows.size, per):
             block = rows[start:start + per]
@@ -264,6 +282,62 @@ def _covering_rows(part: DensityMeasure, phi: RadialProfile,
     return out
 
 
+def _covers(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
+            s: np.ndarray) -> np.ndarray:
+    """Mask of the rows (x, s) whose ball B(x, phi.support_radius * s)
+    holds the support box's corners, and so the box: balls are convex, and
+    such a row needs no clip."""
+    corners = _tensor(part.support_box)
+    return np.asarray(G.dist(part.group, corners[None, :, :], pts[:, None, :])
+                      ).max(axis=1) < phi.support_radius * s
+
+
+def _box_gap(g: G.GroupDescriptor, box: np.ndarray,
+             pts: np.ndarray) -> np.ndarray:
+    """A lower bound on d(x, y) over y in ``box``, for each row x of
+    ``pts``: the gauge of the point nearest 0 in the bounding box of
+    x^-1 * (box corners).
+
+    Left translation is affine, so that bounding box holds x^-1 * box, and
+    the gauge does not decrease as any coordinate grows in magnitude (on
+    R^n and for the Koranyi gauge), so no point of it is nearer 0.
+    """
+    moved = G.mul(g, G.inverse(g, pts)[:, None, :],
+                  _tensor(box)[None, :, :])
+    nearest = np.clip(0.0, moved.min(axis=1), moved.max(axis=1))
+    return np.asarray(G.norm(g, nearest))
+
+
+def _row_bounds(mu, phi: RadialProfile, pts: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+    """Upper bounds on `_conv_rows` (x, s) of rows on the whole-box rule;
+    inf on any other row.
+
+    A row bounded here has every part a density whose ball covers its
+    support box (`_covers`), so each part's value is s^(-Q) sum_i wf_i
+    phi(d(x, y_i) / s) over the cached whole-box rule (y_i, wf_i). phi is
+    nonincreasing and d(x, y_i) >= gap (`_box_gap`), so each part is at
+    most s^(-Q) phi(gap / s) sum_i max(wf_i, 0). gap is shrunk and the
+    bound grown by _PRUNE_MARGIN, far above the rounding of either side.
+    """
+    parts = mu.parts()
+    if not all(isinstance(p, DensityMeasure) for p in parts):
+        return np.full(s.size, np.inf)
+    g = mu.group
+    bound = np.zeros(s.size)
+    for part in parts:
+        covers = _covers(part, phi, pts, s)
+        if not np.any(covers):
+            return np.full(s.size, np.inf)
+        bound[~covers] = np.inf
+        _, wf = part._convolution_rule()
+        p, ss = pts[covers], s[covers]
+        gap = _box_gap(g, part.support_box, p) * (1.0 - _PRUNE_MARGIN)
+        bound[covers] += (ss ** (-g.hom_dim) * phi(gap / ss)
+                          * np.maximum(wf, 0.0).sum())
+    return bound * (1.0 + _PRUNE_MARGIN)
+
+
 def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
                s: np.ndarray) -> np.ndarray:
     """(nu * phi_s)(x) for each row (x, s) of ``pts`` (m, n) and ``s`` (m,).
@@ -299,11 +373,7 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
             continue
         vals = np.empty(s.size)
         reach = phi.support_radius * s
-        # balls are convex: one that holds the support box's corners holds
-        # the box, and the row needs no clip
-        corners = _tensor(part.support_box)
-        covers = np.asarray(G.dist(g, corners[None, :, :], pts[:, None, :])
-                            ).max(axis=1) < reach
+        covers = _covers(part, phi, pts, s)
         for rows, rule in ((covers, _covering_rows),
                            ((s <= _SCALE_SWITCH) & ~covers, _grid_rows)):
             if np.any(rows):
@@ -372,8 +442,11 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
     """`nontangential_max`, taking the beta = 0 row from ``radial``.
 
     ``radial`` holds the radial values of `radial_max` at x on the same
-    scales, or None to compute them here. Rows of `_conv_rows` do not
-    depend on each other, so either way every value has the same bits.
+    scales, or None to compute them here first. They are the floor of each
+    scale's max: a cone row whose `_row_bounds` bound is below its scale's
+    floor cannot be the max and is not evaluated; it enters the max as
+    -inf. Rows of `_conv_rows` do not depend on each other, so every value
+    has the bits of the max over all rows.
     """
     g = mu.group
     x = _point(g, x, "query point")
@@ -386,15 +459,19 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
         raise MeasureError(
             f"n_directions must be an integer >= 1, got {n_directions!r}")
     s = _scale_grid(s_grid)
+    if radial is None:
+        radial = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     dirs = G.unit_directions(g, n_directions)
     pts = [_cone_points(g, x, beta * alpha * s, dirs[k])
            for beta in betas if beta > 0 for k in range(n_directions)]
-    if radial is None:
-        pts.insert(0, np.broadcast_to(x, (s.size, x.size)))
-    rows = [radial] if radial is not None else []
+    rows = [radial]
     if pts:
-        vals = _conv_rows(mu, phi, np.concatenate(pts), np.tile(s, len(pts)))
-        rows += list(vals.reshape(len(pts), s.size))
+        floor = np.tile(radial, len(pts))
+        pts, ss = np.concatenate(pts), np.tile(s, len(pts))
+        keep = ~(_row_bounds(mu, phi, pts, ss) < floor)
+        vals = np.full(ss.size, -np.inf)
+        vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])
+        rows += list(vals.reshape(-1, s.size))
     best = np.max(rows, axis=0)
     return {
         "value": float(best.max()),

@@ -335,9 +335,17 @@ class DensityMeasure(BoundaryMeasure):
     delta_scale(y) into the base frame (``shift`` None: no translation),
     and ``clips``, (ball, complement) pairs in its own frame.
     ``support_box`` is its own box, which the section rules cover.
+
+    ``constant`` declares that f is that value at every point of the base
+    box; construction checks it at every validation node. Translation,
+    dilation and restriction keep it, as they leave f(A(y)) unchanged
+    where the density is nonzero. Where a rule's nodes all lie in the
+    smooth region ("inside"), a rule's sum is then `constant_sum`, without
+    a density value.
     """
 
-    def __init__(self, group: G.GroupDescriptor, density, support_box):
+    def __init__(self, group: G.GroupDescriptor, density, support_box,
+                 constant: float | None = None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -348,6 +356,7 @@ class DensityMeasure(BoundaryMeasure):
             raise MeasureError("support_box must be finite with lo <= hi")
         self.base_density = density
         self.base_box = self.support_box = box
+        self.constant = None if constant is None else float(constant)
         self.shift, self.scale, self.clips = None, 1.0, ()
         self._support_mass = self._validate()
 
@@ -357,6 +366,7 @@ class DensityMeasure(BoundaryMeasure):
         out = object.__new__(DensityMeasure)
         BoundaryMeasure.__init__(out, self.group)
         out.base_density, out.base_box = self.base_density, self.base_box
+        out.constant = self.constant
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
         out._support_mass = out._validate()
@@ -390,6 +400,13 @@ class DensityMeasure(BoundaryMeasure):
 
     def _base_values(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.base_density(q), dtype=float)
+
+    def constant_sum(self, w: np.ndarray) -> float:
+        """`quadrature.row_sums` of ``w`` (N,) against the declared
+        constant: the bits of every row of `density_inside` values on nodes
+        in the smooth region, as `row_sums` sums each row as it sums that
+        row alone and f(A(y)) is the constant there."""
+        return float(row_sums(w, np.full((1, w.size), self.constant))[0])
 
     def hull_state(self, corners: np.ndarray):
         """Where the convex hull of ``corners`` (k, n) lies for this density;
@@ -472,9 +489,10 @@ class DensityMeasure(BoundaryMeasure):
 
     def _validate(self):
         """Check the density at the nodes of the support box's section
-        rules; returns their mass of the box and its error (see
-        `_section_ball_mass`), which is the value on any ball that holds
-        the box, where the ball's cap removes nothing."""
+        rules, and a declared constant against f(A(y)) there; returns their
+        mass of the box and its error (see `_section_ball_mass`), which is
+        the value on any ball that holds the box, where the ball's cap
+        removes nothing."""
         def checked(pts):
             vals = self.density_at(pts)
             for bad, what in ((~np.isfinite(vals), "non-finite"),
@@ -482,6 +500,13 @@ class DensityMeasure(BoundaryMeasure):
                 if np.any(bad):
                     raise MeasureError(
                         f"density {what} at {pts[bad][0].tolist()}")
+            if self.constant is not None:
+                f = self.density_inside(pts)
+                off = f != self.constant
+                if np.any(off):
+                    raise MeasureError(
+                        f"density declared constant {self.constant!r} is "
+                        f"{f[off][0]!r} at {pts[off][0].tolist()}")
             return vals
 
         mass = self._section_ball_mass(None, *self.support_box.T, checked)
@@ -544,20 +569,25 @@ class DensityMeasure(BoundaryMeasure):
         The value is the fine rule's; the error is its distance from the
         coarse rule's plus a rounding floor. The balls' bounding boxes are
         "inside", so the nodes take `density_inside`; balls share blocks of
-        at most _BLOCK_ROWS nodes, and each ball's sums are its own.
+        at most _BLOCK_ROWS nodes, and each ball's sums are its own. A
+        declared constant takes each rule's `constant_sum` once.
         """
         g = self.group
         nodes, w_fine, w_coarse = G.unit_ball_rule(g)
         n_nodes, n_fine = nodes.shape[0], w_fine.size
-        fine, coarse = np.empty(radii.size), np.empty(radii.size)
-        per = max(1, _BLOCK_ROWS // n_nodes)
-        for start in range(0, radii.size, per):
-            block = slice(start, start + per)
-            y = _scaled_images(g, centers[block], radii[block], nodes)
-            f = self.density_inside(y.reshape(-1, g.total_dim))
-            f = f.reshape(-1, n_nodes)
-            fine[block] = row_sums(w_fine, f[:, :n_fine])
-            coarse[block] = row_sums(w_coarse, f[:, n_fine:])
+        if self.constant is not None:
+            fine = np.full(radii.size, self.constant_sum(w_fine))
+            coarse = np.full(radii.size, self.constant_sum(w_coarse))
+        else:
+            fine, coarse = np.empty(radii.size), np.empty(radii.size)
+            per = max(1, _BLOCK_ROWS // n_nodes)
+            for start in range(0, radii.size, per):
+                block = slice(start, start + per)
+                y = _scaled_images(g, centers[block], radii[block], nodes)
+                f = self.density_inside(y.reshape(-1, g.total_dim))
+                f = f.reshape(-1, n_nodes)
+                fine[block] = row_sums(w_fine, f[:, :n_fine])
+                coarse[block] = row_sums(w_coarse, f[:, n_fine:])
         scale = np.array([r ** g.hom_dim for r in radii])
         fine, coarse = scale * fine, scale * coarse
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
@@ -775,12 +805,12 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
     """Estimate the strong derivative of mu at x0 over a finite ball family.
 
     Quotients are mu(x0 * delta_r(B)) / m(x0 * delta_r(B)) for each family
-    ball B along the radius schedule, which must be at least the decision
-    window long. Without ``radii`` it is ``decisions.SCALES.radii`` at the
-    group's default restrict radius (``GroupDescriptor.restrict_radius``),
-    the radii a scenario without its own restrict radius reads. Every
-    ball's mass comes from one ``_ball_masses`` call,
-    with `measure_ball`'s bits. `decisions.trace_decision` gives the
+    ball B along the radius schedule, which must be positive, finite,
+    strictly decreasing and at least the decision window long. Without
+    ``radii`` it is ``decisions.SCALES.radii`` at the group's default
+    restrict radius (``GroupDescriptor.restrict_radius``), the radii a
+    scenario without its own restrict radius reads. Every ball's mass
+    comes from one ``_ball_masses`` call, with `measure_ball`'s bits. `decisions.trace_decision` gives the
     estimate and the convergence call; the universal-quantifier side is
     approximated by the family, which the trace discloses.
     """
@@ -795,6 +825,9 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
         raise MeasureError("ball family must include the centered unit ball")
     r = np.asarray(radii if radii is not None
                    else SCALES.radii(g.restrict_radius), dtype=float)
+    if not np.all((r > 0) & (r < math.inf)):
+        raise MeasureError("radius schedule must be positive and finite, got "
+                           f"{np.array2string(r, threshold=8)}")
     if r.size < TABLE.window or np.any(np.diff(r) >= 0):
         raise MeasureError("radius schedule must be decreasing, >= window long")
     for ball in fam:

@@ -118,17 +118,20 @@ _DEFAULT_BOX = {
 
 
 def _constant_fn(c: float):
-    """The density c at every point, without the gauge. A family whose
-    gauge term has coefficient 0 gives c + 0 * g = c bit for bit for a
-    finite gauge term g; adding 0.0 maps a c of -0.0 to 0.0, as that sum
-    does."""
-    def fn(pts, _c=c + 0.0):
+    """(the density c at every point, without the gauge; c). A family
+    whose gauge term has coefficient 0 gives c + 0 * g = c bit for bit for
+    a finite gauge term g; adding 0.0 maps a c of -0.0 to 0.0, as that sum
+    does. The constant is declared to the `DensityMeasure`."""
+    c = c + 0.0
+
+    def fn(pts, _c=c):
         return np.full(np.shape(pts)[:-1], _c)
 
-    return fn
+    return fn, c
 
 
 def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
+    """(density function, its declared constant or None) of a family."""
     if family == "polynomial":
         _check_keys(params, {"constant", "quadratic"}, {"constant"}, where)
         c0 = _number(params["constant"], f"{where}.constant", minimum=0.0)
@@ -141,7 +144,7 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
             rho = np.asarray(G.norm(g, pts))
             return _c0 + _c2 * rho ** 2
 
-        return fn
+        return fn, None
     if family == "gaussian-bump":
         _check_keys(params, {"baseline", "amplitude", "width"},
                     {"baseline", "amplitude", "width"}, where)
@@ -156,7 +159,7 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
             rho = np.asarray(G.norm(g, pts))
             return _b + _a * np.exp(-(rho / _w) ** 2)
 
-        return fn
+        return fn, None
     if family == "log-oscillatory":
         _check_keys(params, {"baseline", "amplitude"},
                     {"baseline", "amplitude"}, where)
@@ -173,7 +176,7 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
             rho = np.asarray(G.norm(g, pts))
             return _b + _a * np.sin(np.log(1.0 / np.maximum(rho, 1e-300)))
 
-        return fn
+        return fn, None
     raise ConfigError(f"{where}: unknown density family {family!r}")
 
 
@@ -206,8 +209,8 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
         )
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
-        fn = _density_fn(g, fam, params, f"{where}.params")
-        return DensityMeasure(g, fn, box)
+        fn, constant = _density_fn(g, fam, params, f"{where}.params")
+        return DensityMeasure(g, fn, box, constant)
     if kind == "mixture":
         _check_keys(spec, {"type", "components"}, {"type", "components"}, where)
         comps = spec["components"]

@@ -550,6 +550,40 @@ def test_cut_and_outside_values_match_the_fine_loop(label):
     assert seen == {"inside", "cut", "outside"}
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_constant_values_match_undeclared_bitwise(label,
+                                                           monkeypatch):
+    # a declared constant sums the eta-grid once; every inside value, and
+    # every cut and outside one, keeps the undeclared density's bits
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    box = [[-1.0, 1.2]] * n
+    fn = lambda p: np.full(p.shape[:-1], 1.5)  # noqa: E731
+    declared = F.DensityMeasure(g, fn, box, constant=1.5)
+    plain = F.DensityMeasure(g, fn, box)
+    x0 = np.array([0.1, -0.05, 0.02])[:n]
+    pts = np.array([[0.0] * n, [0.1, 0.05, -0.02][:n], [0.9, 0.0, 0.0][:n],
+                    [5.0, 0.0, 0.0][:n]])
+    seen = set()
+    for a, b in ((declared, plain),
+                 (declared.translate(x0), plain.translate(x0)),
+                 (declared.dilate(1.3), plain.dilate(1.3))):
+        assert a.constant == 1.5
+        ua, ub = F.HeatExtension(a, profile), F.HeatExtension(b, profile)
+        for t in (1e-4, 0.0625, 1.0):
+            seen.update(_hull_states(a, profile, pts, t))
+            assert ua(pts, t).tobytes() == ub(pts, t).tobytes(), t
+    assert seen == {"inside", "cut", "outside"}
+    # inside values take no density value
+    inside = np.array([[0.0] * n, [0.1, 0.05, -0.02][:n]])
+    assert set(_hull_states(declared, profile, inside, 1e-4)) == {"inside"}
+    want = F.HeatExtension(plain, profile)(inside, 1e-4)
+    monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
+    got = F.HeatExtension(declared, profile)(inside, 1e-4)
+    assert got.tobytes() == want.tobytes()
+
+
 def _whole_panels(sections, edges):
     """``sections`` widened to the column panels each interval touches."""
     def widened(self, base, slope):

@@ -645,6 +645,12 @@ def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,
             assert tr.errors.tobytes() == errs.tobytes(), (kind, x0)
 
 
+# conv rows of the check_sandwich below on the density: the 9 radial rows
+# and the cone rows (of 2 apertures x 8 placements x 9 scales = 144) that
+# are not bounded below the radial value
+_DENSITY_ROWS = {"euclidean:2": 126, "heisenberg:1": 137}
+
+
 @pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
 def test_check_sandwich_equals_separate_maximal_calls_bitwise(label,
                                                               monkeypatch):
@@ -670,9 +676,12 @@ def test_check_sandwich_equals_separate_maximal_calls_bitwise(label,
         rows.clear()
         rep = F.check_sandwich(mu, x, phi, alphas=alphas, s_grid=s)
         monkeypatch.setattr(M, "_conv_rows", conv_rows)
-        # the radial rows are evaluated once, not again per aperture:
-        # two betas > 0 times four directions per aperture
-        assert sum(rows) == s.size * (1 + 8 * len(alphas)), kind
+        # the radial rows are evaluated once, not again per aperture; of
+        # the two betas > 0 times four directions per aperture, the density
+        # skips the cone rows bounded below the radial value
+        full = s.size * (1 + 8 * len(alphas))
+        assert sum(rows) == {"atomic": full,
+                             "density": _DENSITY_ROWS[label]}[kind], kind
         for key in ("value", "argmax_s", "divergent"):
             assert rep["radial"][key] == rad[key], (kind, key)
         assert rep["radial"]["values"].tobytes() == rad["values"].tobytes()
@@ -682,6 +691,134 @@ def test_check_sandwich_equals_separate_maximal_calls_bitwise(label,
                 assert got[key] == nts[a][key], (kind, a, key)
             assert got["values"].tobytes() == nts[a]["values"].tobytes()
         assert rep["chain_ok"], kind
+
+
+# ---------------------------------------------------------------------------
+# work skipped where it cannot change a value
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_constant_grid_rows_match_undeclared_bitwise(label,
+                                                              monkeypatch):
+    # inside phi-grid rows of a declared constant take one sum for all
+    # rows and no density value; every row keeps the undeclared bits
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    phi = F.default_profile()
+    n = g.total_dim
+    box = [[-1.0, 1.2]] * n
+    fn = lambda p: np.full(p.shape[:-1], 1.5)  # noqa: E731
+    declared = F.DensityMeasure(g, fn, box, constant=1.5)
+    plain = F.DensityMeasure(g, fn, box)
+    x = np.array([0.2, -0.1, 0.05])[:n]
+    s = F.geometric_grid(0.01, 1.0, 8)
+    cone = _cone_rows(g, x, s, 1.0, 2)
+    pts, ss = np.concatenate(cone), np.tile(s, len(cone))
+    corners = M._phi_grid(g, phi)[2]
+    state = np.array([plain.hull_state(F.mul(g, p, F.dilate(g, r, corners)))
+                      for p, r in zip(pts, ss.tolist())])
+    assert {"inside", "cut"} <= set(state)
+    for a, b in ((declared, plain),
+                 (declared.translate(x), plain.translate(x)),
+                 (declared.dilate(1.3), plain.dilate(1.3))):
+        assert M._grid_rows(a, phi, pts, ss).tobytes() == \
+            M._grid_rows(b, phi, pts, ss).tobytes()
+    inside = state == "inside"
+    want = M._grid_rows(plain, phi, pts[inside], ss[inside])
+    monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
+    got = M._grid_rows(declared, phi, pts[inside], ss[inside])
+    assert got.tobytes() == want.tobytes()
+
+
+def _face_density(g):
+    """A smooth density on the box [2, 3]^n, off the query point 0: at
+    covering scales the cone placements toward the box beat the radial
+    value, and those away from it are bounded below it."""
+    return F.DensityMeasure(g, lambda p: 1.0 + 0.3 * np.cos(p[..., 0]),
+                            [[2.0, 3.0]] * g.total_dim)
+
+
+def _nt_rows(monkeypatch, mu, x, s, **patch):
+    """nontangential_max at aperture 1 and the number of rows that
+    `_conv_rows` evaluates, with the maximal module's names in ``patch``
+    replaced."""
+    from fatoulab import maximal as M
+
+    rows, conv_rows = [], M._conv_rows
+    with monkeypatch.context() as m:
+        for name, value in patch.items():
+            m.setattr(M, name, value)
+        m.setattr(M, "_conv_rows", lambda mu, phi, p, ss: rows.append(
+            ss.size) or conv_rows(mu, phi, p, ss))
+        out = F.nontangential_max(mu, F.default_profile(), x, 1.0, s_grid=s)
+    return out, sum(rows)
+
+
+def _unbounded(mu, phi, pts, s):
+    return np.full(s.size, np.inf)
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_pruned_cone_rows_keep_the_bits(label, monkeypatch):
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    phi = F.default_profile()
+    mu = _face_density(g)
+    x = np.zeros(g.total_dim)
+    s = F.geometric_grid(0.05, 5.0, 8)
+    pruned, n_pruned = _nt_rows(monkeypatch, mu, x, s)
+    full, n_full = _nt_rows(monkeypatch, mu, x, s, _row_bounds=_unbounded)
+    assert n_full == s.size * (1 + 2 * M._N_DIRECTIONS)
+    assert s.size < n_pruned < n_full      # some cone rows, not all, skipped
+    rad = F.radial_max(mu, phi, x, s_grid=s)["values"]
+    covering = M._covers(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
+    # a cone placement is the max at covering scales, so pruning every
+    # cone row there would move the values
+    assert np.any((full["values"] > rad) & covering)
+    for key in ("value", "argmax_s", "divergent"):
+        assert pruned[key] == full[key], key
+    assert pruned["values"].tobytes() == full["values"].tobytes()
+
+    # negative control: a gap twice the true one prunes rows that win
+    wide = lambda g_, box, p, _gap=M._box_gap: 2.0 * _gap(g_, box, p)  # noqa
+    inflated, _ = _nt_rows(monkeypatch, mu, x, s, _box_gap=wide)
+    assert inflated["values"].tobytes() != full["values"].tobytes()
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_box_gap_bounds_every_node_distance(label):
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    n = g.total_dim
+    rng = np.random.default_rng(11)
+    mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]),
+                          [[-0.4, 0.9], [0.2, 1.1], [-1.3, -0.5]][:n])
+    nodes = mu._convolution_rule()[0]
+    inner = mu.support_box[:, 0] + rng.uniform(size=(500, n)) * np.ptp(
+        mu.support_box, axis=1)
+    pts = np.vstack([rng.normal(scale=2.0, size=(60, n)),
+                     rng.uniform(-1.5, 1.5, size=(20, n)), inner[:5]])
+    gap = M._box_gap(g, mu.support_box, pts)
+    assert np.all(gap >= 0.0) and np.any(gap > 0.0) and np.any(gap == 0.0)
+    for x, gx in zip(pts, gap):
+        d = np.asarray(F.dist(g, np.vstack([nodes, inner]), x))
+        assert gx <= d.min(), (x.tolist(), gx, d.min())
+
+
+def test_rows_with_atoms_are_not_bounded(g2):
+    from fatoulab import maximal as M
+
+    phi = F.default_profile()
+    mix = _batch_measures(g2)["mixture"]
+    s = np.array([10.0, 50.0])
+    pts = np.zeros((2, 2))
+    assert np.all(M._covers(mix.components[1], phi, pts, s))
+    assert np.all(M._row_bounds(mix, phi, pts, s) == np.inf)
+    assert np.all(np.isfinite(
+        M._row_bounds(mix.components[1], phi, pts, s)))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,65 @@ def test_density_validation_errors(g1):
         F.DensityMeasure(g1, lambda x: np.ones(x.shape[:-1]), [[-1, 1], [-1, 1]])
 
 
+def test_declared_constant_is_checked(g1, gh):
+    with pytest.raises(F.MeasureError, match="declared constant"):
+        F.DensityMeasure(g1, lambda x: 1.0 + 0.1 * x[..., 0], [[-1, 1]],
+                         constant=1.0)
+    with pytest.raises(F.MeasureError, match="declared constant"):
+        F.DensityMeasure(gh, lambda x: np.ones(x.shape[:-1]),
+                         [[-1, 1]] * 3, constant=2.0)
+    # a contradiction away from a validation node is not seen, so the
+    # constant must come from the family, not from the values
+    mu = F.DensityMeasure(g1, lambda x: np.full(x.shape[:-1], 0.5),
+                          [[-1, 1]], constant=0.5)
+    assert mu.constant == 0.5
+
+
+def _declared_pair(g):
+    """The constant 1.5 on a box, declared and undeclared."""
+    box = [[-1.0, 1.2]] * g.total_dim
+    fn = lambda p: np.full(p.shape[:-1], 1.5)  # noqa: E731
+    return (F.DensityMeasure(g, fn, box, constant=1.5),
+            F.DensityMeasure(g, fn, box))
+
+
+def _derived(mu, g):
+    """The four reductions of a density, each keeping f(A(y))."""
+    x0 = np.array([0.1, -0.05, 0.02])[:g.total_dim]
+    ball = F.Ball(np.array([0.2, 0.1, 0.0])[:g.total_dim], 0.9)
+    return {"translate": mu.translate(x0), "dilate": mu.dilate(1.3),
+            "restrict": mu.restrict(ball),
+            "restrict_complement": mu.restrict_complement(ball)}
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_constant_ball_masses_match_undeclared_bitwise(label,
+                                                                monkeypatch):
+    g = F.get_group(label)
+    declared, plain = _declared_pair(g)
+    x = np.array([0.1, -0.2, 0.05])[:g.total_dim]
+    radii = np.geomspace(0.01, 3.0, 12)
+    pairs = {"base": (declared, plain)}
+    for name, mu in _derived(declared, g).items():
+        assert mu.constant == 1.5, name
+        pairs[name] = (mu, _derived(plain, g)[name])
+    centers = np.broadcast_to(x, (radii.size, x.size))
+    for name, (a, b) in pairs.items():
+        for u, v in zip(a._ball_masses(centers, radii),
+                        b._ball_masses(centers, radii)):
+            assert u.tobytes() == v.tobytes(), name
+    # the inside balls, by the polar rule, without a density value
+    state = declared.hull_state(G.box_corners(
+        G.ball_bounding_boxes(g, centers, radii)))
+    inside = state == "inside"
+    assert np.any(inside)
+    want = plain._polar_ball_mass(centers[inside], radii[inside])
+    monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
+    got = declared._polar_ball_mass(centers[inside], radii[inside])
+    for u, v in zip(got, want):
+        assert u.tobytes() == v.tobytes()
+
+
 def test_restrict_and_complement_additivity(g1, g2):
     mu = quadratic_line_measure()
     ball = F.Ball([0.0], 1.0)
@@ -437,6 +496,20 @@ def test_derivative_family_and_radii_validation(g1):
         F.strong_derivative(mu, np.zeros(1), radii=np.array([1.0, 0.5, 0.25]))
     with pytest.raises(F.MeasureError):
         F.strong_derivative(mu, np.zeros(1), radii=np.linspace(0.1, 1.0, 16))
+
+
+@pytest.mark.parametrize("radii", [
+    [math.nan] * 6,
+    [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0],
+    [math.inf, 1.0, 0.5, 0.25, 0.125, 0.0625],
+    [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.0],
+], ids=["nan", "negative", "inf-first", "zero-last"])
+def test_derivative_rejects_non_positive_or_non_finite_radii(g1, radii):
+    # rejected up front, naming the schedule, not later in groups.dilate
+    mu = F.AtomicMeasure(g1, [[0.3]], [1.0])
+    with pytest.raises(F.MeasureError, match="radius schedule must be "
+                       "positive and finite"):
+        F.strong_derivative(mu, np.zeros(1), radii=radii)
 
 
 def test_default_family_shape(g1, gh):

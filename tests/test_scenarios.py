@@ -105,6 +105,28 @@ def test_atomic_spec_shape_checked(g1):
 # running scenarios
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family, params, constant", [
+    ("polynomial", {"constant": 2.0}, 2.0),
+    ("polynomial", {"constant": 2.0, "quadratic": 0.0}, 2.0),
+    ("polynomial", {"constant": 2.0, "quadratic": 0.5}, None),
+    ("gaussian-bump", {"baseline": 1.0, "amplitude": 0.0, "width": 0.3}, 1.0),
+    ("gaussian-bump", {"baseline": 1.0, "amplitude": 0.2, "width": 0.3}, None),
+    ("log-oscillatory", {"baseline": -0.0, "amplitude": 0.0}, 0.0),
+    ("log-oscillatory", {"baseline": 1.0, "amplitude": 0.1}, None),
+])
+def test_only_constant_families_declare_a_constant(gh, family, params,
+                                                   constant):
+    mu = F.build_measure(gh, {"type": "density", "family": family,
+                              "params": params})
+    if constant is None:
+        assert mu.constant is None
+    else:
+        assert mu.constant == constant
+        assert not np.signbit(mu.constant)     # c + 0 * g maps -0.0 to 0.0
+        vals = mu.density_inside(np.array([[0.3, -0.2, 0.1]]))
+        assert vals.tobytes() == np.array([constant]).tobytes()
+
+
 def test_run_scenario_constant_density():
     report = F.run_scenario(line_config())
     assert report.verdict == "equivalent"
