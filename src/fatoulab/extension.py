@@ -20,7 +20,10 @@ and the density's ``hull_state`` classifies that hull. Where it lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
 converges geometrically on smooth integrands), with
 ``DensityMeasure.density_inside``: every box and clip test passes there, so
-they are skipped. Where the density is zero on it, u is 0.0 without
+they are skipped. A density that declares a gauge profile
+(``DensityMeasure.radial``) takes those values on the grid's own axes
+instead, by the group's column product and gauge, with the same bits (see
+`_radial_rows`). Where the density is zero on it, u is 0.0 without
 evaluating anything. Where a support face or a clip sphere cuts it, the
 grid is integrated column by column between exact limits: each eta-column
 maps onto a vertical line on which y_last is affine in eta_last, and
@@ -112,12 +115,14 @@ def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
 
 
 def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
-                   eta_t: np.ndarray) -> np.ndarray:
+                   eta_t: np.ndarray, sqrt_t: float) -> np.ndarray:
     """u at points whose eta-image hull is "inside": the whole grid, with
     `DensityMeasure.density_inside`. On a grid of at most _BLOCK_ROWS / p
     nodes, p points share one block; each point's sum is its own (see
     `quadrature.row_sums`). A declared constant takes one `constant_sum`
-    for every point."""
+    for every point. A declared radial density takes its values on the
+    grid's axes (`_radial_rows`), with the bits of the node images; any
+    other density maps every node."""
     if mu.constant is not None:
         return np.full(xs.shape[0], mu.constant_sum(grid.gamma_w))
     n_nodes = grid.gamma_w.size
@@ -126,12 +131,48 @@ def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
     for start in range(0, xs.shape[0], per):
         batch = xs[start:start + per]
         k = batch.shape[0]
-        many = k > 1
-        f = _density_rows(mu.density_inside, mu.group, batch, eta_t,
-                          np.tile(np.arange(n_nodes), k) if many else None,
-                          np.repeat(np.arange(k), n_nodes) if many else None)
+        if mu.radial is not None:
+            f = _radial_rows(mu, grid, batch, sqrt_t)
+        else:
+            many = k > 1
+            f = _density_rows(mu.density_inside, mu.group, batch, eta_t,
+                              np.tile(np.arange(n_nodes), k) if many else None,
+                              np.repeat(np.arange(k), n_nodes) if many else None)
         out[start:start + k] = row_sums(grid.gamma_w, f.reshape(k, n_nodes))
     return out
+
+
+def _radial_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
+                 sqrt_t: float) -> np.ndarray:
+    """`DensityMeasure.radial_inside` at xs[i] * delta_sqrt(t)(eta^-1) for
+    each point i of ``xs`` (k, n) and each node eta of the grid: (k, N),
+    nodes in `quadrature.tensor_rule` order.
+
+    The grid is a tensor product and the inverse negates (see
+    `groups.GroupDescriptor`), so coordinate j of the scaled inverted
+    nodes is -nodes_j * sqrt(t)^e_j along axis j alone: the bits of
+    ``G.dilate(g, sqrt_t, grid.eta_inv)``. The points run along a leading
+    axis, and the product, `_to_base` and the gauge go by columns
+    (``GroupDescriptor.mul_cols``, ``norm_cols``), so a coordinate that
+    varies along one or two axes is computed once per axis or pair, in the
+    order of the node images. Blocks of about _BLOCK_ROWS rows run along
+    the first grid axis.
+    """
+    g = mu.group
+    k, n = xs.shape
+    shape = (k,) + tuple(nodes.size for nodes, _ in grid.axes)
+    eta = [(-nodes * sqrt_t ** e).reshape(
+               (1,) * (j + 1) + (-1,) + (1,) * (n - j - 1))
+           for j, ((nodes, _), e) in enumerate(zip(grid.axes,
+                                                   g.layer_exponents))]
+    x = [col.reshape((k,) + (1,) * n) for col in xs.T]
+    f = np.empty(shape)
+    step = max(1, _BLOCK_ROWS * shape[1] // f.size)
+    for start in range(0, shape[1], step):
+        block = slice(start, start + step)
+        f[:, block] = mu.radial_inside(
+            g.mul_cols(x, [eta[0][:, block]] + eta[1:]))
+    return f.reshape(k, -1)
 
 
 def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
@@ -345,10 +386,11 @@ class HeatExtension:
 
         An atomic part takes its relative positions once and one kernel
         evaluation over every (time, atom) pair, with `kernels.eval_kernel`'s
-        Python-float factors (1 / sqrt t)^e and t^(-Q/2); each time's sum
-        is a dot product with its own contiguous row, as `_eval` takes it. A
-        density part takes one slice per time. Parts are added in `_eval`'s
-        order.
+        Python-float factors (1 / sqrt t)^e and t^(-Q/2) (`_time_power`: a
+        NumericsError where that overflows); each time's sum is a dot
+        product with its own contiguous row, as `_eval` takes it. A density
+        part takes one slice per time, and no such power. Parts are added
+        in `_eval`'s order.
         """
         x = self._points(x)
         if x.ndim != 1:
@@ -366,7 +408,8 @@ class HeatExtension:
                 rel = G.mul(g, G.inverse(g, part.points), x)
                 scale = np.array([[(1.0 / math.sqrt(t)) ** e
                                    for e in g.layer_exponents] for t in times])
-                power = np.array([t ** (-g.hom_dim / 2.0) for t in times])
+                power = np.array([K._time_power(g.hom_dim, t)
+                                  for t in times])
                 kern = power[:, None] * self.profile.gamma(
                     rel[None, :, :] * scale[:, None, :])
                 total += [part.weights @ row for row in kern]
@@ -387,7 +430,7 @@ class HeatExtension:
         # the scaled grid depends on t alone: once per slice
         eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
         inside = np.flatnonzero(states == "inside")
-        out[inside] = _inside_values(mu, grid, pts[inside], eta_t)
+        out[inside] = _inside_values(mu, grid, pts[inside], eta_t, sqrt_t)
         cut = np.flatnonzero(states == "cut")
         out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t,
                                eta_t)
@@ -454,13 +497,17 @@ _PLACEMENTS = tuple((beta, k) for beta in _BETAS
 
 def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
                   dirs: np.ndarray, t: float) -> np.ndarray:
-    """Points (len(_PLACEMENTS), n) of the region's slice at time t."""
-    pts = np.empty((len(_PLACEMENTS), g.total_dim))
-    for pi, (beta, k) in enumerate(_PLACEMENTS):
-        offset = G.dilate(g, max(beta * region.aperture * math.sqrt(t), 0.0),
-                          dirs[k]) if beta > 0 else np.zeros(g.total_dim)
-        pts[pi] = G.mul(g, region.vertex, offset)
-    return pts
+    """Points (len(_PLACEMENTS), n) of the region's slice at time t, from
+    one product: each offset delta_r(omega) takes the Python-float factors
+    r^e of `groups.dilate`, and beta = 0 the zero offset, so each row has
+    the bits of ``G.mul(g, vertex, G.dilate(g, r, omega))``."""
+    root = math.sqrt(t)
+    offsets = np.array([
+        [0.0] * g.total_dim if beta == 0.0 else
+        [c * (beta * region.aperture * root) ** e
+         for c, e in zip(dirs[k], g.layer_exponents)]
+        for beta, k in _PLACEMENTS])
+    return G.mul(g, region.vertex, offsets)
 
 
 def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:

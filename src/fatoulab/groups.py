@@ -124,6 +124,15 @@ class GroupDescriptor:
     groups), so that d(x, y) = N(y^-1 * x) and d(y, x) give the same bits;
     `dist` to many points passes them first, so that only the single point
     is inverted.
+
+    ``mul_cols`` and ``norm_cols`` are the same product and gauge on
+    points given as n coordinate columns that broadcast against each other
+    (on a tensor grid, a coordinate that varies along one axis is an array
+    along that axis alone), with the bits of ``mul_fn`` and ``norm_fn`` on
+    the broadcast points: each column is computed in the operation order
+    of its row form, and a 0-d column takes numpy's scalar path exactly
+    where the row form does. On a tensor grid this takes each sum or
+    product once per axis, or per pair of axes, instead of once per node.
     """
 
     label: str
@@ -138,6 +147,8 @@ class GroupDescriptor:
     mul_fn: Callable = field(compare=False, repr=False)
     inv_fn: Callable = field(compare=False, repr=False)
     norm_fn: Callable = field(compare=False, repr=False)
+    mul_cols: Callable = field(compare=False, repr=False)
+    norm_cols: Callable = field(compare=False, repr=False)
     unit_box: tuple = field(compare=False, repr=False)
     sphere: SphereChart = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
@@ -301,6 +312,18 @@ def _eu_norm(a):
     return np.sqrt((a * a).sum(axis=-1))
 
 
+def _eu_mul_cols(a, b):
+    return [ai + bi for ai, bi in zip(a, b)]
+
+
+def _eu_norm_cols(a):
+    # the squares summed left to right, as ``sum(axis=-1)`` sums them
+    total = a[0] * a[0]
+    for c in a[1:]:
+        total = total + c * c
+    return np.sqrt(total)
+
+
 def _h1_mul(a, b):
     # the coordinate sums, in the operands' layout, then 2 (y x' - x y')
     # added in place to the last column: s'' = (s + s') + 2 (y x' - x y')
@@ -310,6 +333,19 @@ def _h1_mul(a, b):
     c *= 2.0
     out[..., 2] += c
     return out
+
+
+def _h1_mul_cols(a, b):
+    # `_h1_mul` by columns: s'' = (s + s') + 2 (y x' - x y')
+    c = a[1] * b[0] - a[0] * b[1]
+    return [a[0] + b[0], a[1] + b[1], (a[2] + b[2]) + c * 2.0]
+
+
+def _h1_norm_cols(a):
+    # `_h1_norm` by columns: |z|^4 once per (x, y), then 16 s^2 per point
+    x, y, s = a
+    n4 = x * x + y * y
+    return (n4 * n4 + s * s * 16.0) ** 0.25
 
 
 def _h1_inv(a):
@@ -453,6 +489,8 @@ def euclidean_group(n: int) -> GroupDescriptor:
         mul_fn=_eu_mul,
         inv_fn=_eu_inv,
         norm_fn=_eu_norm,
+        mul_cols=_eu_mul_cols,
+        norm_cols=_eu_norm_cols,
         unit_box=((-1.0, 1.0),) * n,
         sphere=_EUCLIDEAN_SPHERES[n],
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
@@ -492,6 +530,8 @@ def heisenberg_group() -> GroupDescriptor:
         mul_fn=_h1_mul,
         inv_fn=_h1_inv,
         norm_fn=_h1_norm,
+        mul_cols=_h1_mul_cols,
+        norm_cols=_h1_norm_cols,
         unit_box=((-1.0, 1.0), (-1.0, 1.0), (-0.25, 0.25)),
         # the coarea Jacobian of the chart is the constant r^3/4, so the
         # surface density is 1/4

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -480,13 +481,43 @@ def profile_for(g: G.GroupDescriptor) -> KernelProfile:
 # kernel evaluation and checks
 # ---------------------------------------------------------------------------
 
+def _least_time(q: int) -> float:
+    """The least t > 0 at which the Python float t^(-q/2) is finite."""
+    def finite(t):
+        try:
+            t ** (-q / 2.0)
+        except OverflowError:
+            return False
+        return True
+
+    t = max(sys.float_info.max ** (-2.0 / q), math.ulp(0.0))
+    while not finite(t):
+        t = math.nextafter(t, math.inf)
+    while t > math.ulp(0.0) and finite(math.nextafter(t, 0.0)):
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _time_power(q: int, t: float) -> float:
+    """The kernel's factor t^(-Q/2) as a Python float, for Q = ``q`` and a
+    time t > 0. Below `_least_time` it overflows: NumericsError naming t
+    and that least time."""
+    try:
+        return t ** (-q / 2.0)
+    except OverflowError:
+        raise NumericsError(
+            f"kernel time {t!r} is below {_least_time(q)!r}, the least time "
+            f"at which t^(-Q/2) is finite for Q = {q}", estimate=t) from None
+
+
 def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
-    """Gamma(x, t) = t^(-Q/2) gamma(delta_(1/sqrt t)(x)); requires t > 0."""
+    """Gamma(x, t) = t^(-Q/2) gamma(delta_(1/sqrt t)(x)); requires t > 0
+    and t^(-Q/2) finite (see `_time_power`)."""
     if not (t > 0) or not math.isfinite(t):
         raise NumericsError(f"kernel time must be positive and finite, got {t}")
-    q = k.group.hom_dim
+    power = _time_power(k.group.hom_dim, t)
     scaled = G.dilate(k.group, 1.0 / math.sqrt(t), x)
-    return t ** (-q / 2.0) * k.gamma(scaled)
+    return power * k.gamma(scaled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,7 +597,7 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
 
     def ev(pt, tt):
         scaled = G.dilate(g, 1.0 / math.sqrt(tt), pt)
-        return float(gam(scaled)) * tt ** (-q / 2.0)
+        return float(gam(scaled)) * _time_power(q, tt)
 
     x = np.asarray(x, dtype=float)
     center = ev(x, t)

@@ -413,13 +413,15 @@ def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
 
 def _cone_points(g: G.GroupDescriptor, x: np.ndarray, r: np.ndarray,
                  omega: np.ndarray) -> np.ndarray:
-    """x * delta_(r_i)(omega) for each r_i > 0: rows (len(r), n).
+    """x * delta_(r_i)(omega) for each r_i > 0: rows (len(r), n), or for
+    directions ``omega`` (k, n) rows (k * len(r), n), direction by
+    direction, from one factor table and one product.
 
     Each row takes the same bits as ``G.mul(g, x, G.dilate(g, r_i,
     omega))``: the dilation factors r_i^e are Python powers, as there.
     """
     scale = np.array([[float(ri) ** e for e in g.layer_exponents] for ri in r])
-    return G.mul(g, x, omega * scale)
+    return G.mul(g, x, (omega[..., None, :] * scale).reshape(-1, g.total_dim))
 
 
 def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
@@ -462,12 +464,13 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
     if radial is None:
         radial = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     dirs = G.unit_directions(g, n_directions)
-    pts = [_cone_points(g, x, beta * alpha * s, dirs[k])
-           for beta in betas if beta > 0 for k in range(n_directions)]
+    pts = [_cone_points(g, x, beta * alpha * s, dirs)
+           for beta in betas if beta > 0]
     rows = [radial]
     if pts:
-        floor = np.tile(radial, len(pts))
-        pts, ss = np.concatenate(pts), np.tile(s, len(pts))
+        pts = np.concatenate(pts)
+        n_place = pts.shape[0] // s.size
+        floor, ss = np.tile(radial, n_place), np.tile(s, n_place)
         keep = ~(_row_bounds(mu, phi, pts, ss) < floor)
         vals = np.full(ss.size, -np.inf)
         vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])

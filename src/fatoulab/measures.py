@@ -342,10 +342,19 @@ class DensityMeasure(BoundaryMeasure):
     where the density is nonzero. Where a rule's nodes all lie in the
     smooth region ("inside"), a rule's sum is then `constant_sum`, without
     a density value.
+
+    ``radial`` declares a gauge profile: f(q) is ``radial(G.norm(g, q))``
+    bit for bit, ``radial`` acting elementwise on an array of gauges.
+    Construction checks it at every validation node, and the reductions
+    keep it as they keep ``constant``. `radial_inside` then gives
+    `density_inside` on points given as coordinate columns, with the
+    group's column product and gauge (``GroupDescriptor.mul_cols``,
+    ``norm_cols``): the heat extension's inside values take them on the
+    eta-grid's axes.
     """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box,
-                 constant: float | None = None):
+                 constant: float | None = None, radial=None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -357,6 +366,7 @@ class DensityMeasure(BoundaryMeasure):
         self.base_density = density
         self.base_box = self.support_box = box
         self.constant = None if constant is None else float(constant)
+        self.radial = radial
         self.shift, self.scale, self.clips = None, 1.0, ()
         self._support_mass = self._validate()
 
@@ -366,7 +376,7 @@ class DensityMeasure(BoundaryMeasure):
         out = object.__new__(DensityMeasure)
         BoundaryMeasure.__init__(out, self.group)
         out.base_density, out.base_box = self.base_density, self.base_box
-        out.constant = self.constant
+        out.constant, out.radial = self.constant, self.radial
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
         out._support_mass = out._validate()
@@ -400,6 +410,19 @@ class DensityMeasure(BoundaryMeasure):
 
     def _base_values(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.base_density(q), dtype=float)
+
+    def radial_inside(self, cols: list) -> np.ndarray:
+        """`density_inside` of a declared ``radial`` density, bit for bit,
+        at the points whose n coordinate columns ``cols`` broadcast against
+        each other: `_to_base`'s dilation and shift, then the gauge, by
+        columns, in `_to_base`'s and `groups.norm`'s operation order."""
+        g = self.group
+        if self.scale != 1.0:
+            cols = [c * self.scale ** e
+                    for c, e in zip(cols, g.layer_exponents)]
+        if self.shift is not None:
+            cols = g.mul_cols(self.shift, cols)
+        return np.asarray(self.radial(g.norm_cols(cols)), dtype=float)
 
     def constant_sum(self, w: np.ndarray) -> float:
         """`quadrature.row_sums` of ``w`` (N,) against the declared
@@ -489,10 +512,10 @@ class DensityMeasure(BoundaryMeasure):
 
     def _validate(self):
         """Check the density at the nodes of the support box's section
-        rules, and a declared constant against f(A(y)) there; returns their
-        mass of the box and its error (see `_section_ball_mass`), which is
-        the value on any ball that holds the box, where the ball's cap
-        removes nothing."""
+        rules, and a declared constant or gauge profile against f(A(y))
+        there; returns their mass of the box and its error (see
+        `_section_ball_mass`), which is the value on any ball that holds
+        the box, where the ball's cap removes nothing."""
         def checked(pts):
             vals = self.density_at(pts)
             for bad, what in ((~np.isfinite(vals), "non-finite"),
@@ -500,13 +523,25 @@ class DensityMeasure(BoundaryMeasure):
                 if np.any(bad):
                     raise MeasureError(
                         f"density {what} at {pts[bad][0].tolist()}")
+            if self.constant is None and self.radial is None:
+                return vals
+            q = self._to_base(pts)
+            f = self._base_values(q)
             if self.constant is not None:
-                f = self.density_inside(pts)
                 off = f != self.constant
                 if np.any(off):
                     raise MeasureError(
                         f"density declared constant {self.constant!r} is "
                         f"{f[off][0]!r} at {pts[off][0].tolist()}")
+            if self.radial is not None:
+                r = np.asarray(self.radial(G.norm(self.group, q)),
+                               dtype=float)
+                off = (f != r) | (np.signbit(f) != np.signbit(r))
+                if np.any(off):
+                    raise MeasureError(
+                        f"density declared radial is {f[off][0]!r}, not "
+                        f"radial(gauge) = {r[off][0]!r}, at "
+                        f"{pts[off][0].tolist()}")
             return vals
 
         mass = self._section_ball_mass(None, *self.support_box.T, checked)

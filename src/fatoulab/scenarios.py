@@ -118,20 +118,32 @@ _DEFAULT_BOX = {
 
 
 def _constant_fn(c: float):
-    """(the density c at every point, without the gauge; c). A family
-    whose gauge term has coefficient 0 gives c + 0 * g = c bit for bit for
-    a finite gauge term g; adding 0.0 maps a c of -0.0 to 0.0, as that sum
-    does. The constant is declared to the `DensityMeasure`."""
+    """(the density c at every point, without the gauge; c; no gauge
+    profile). A family whose gauge term has coefficient 0 gives
+    c + 0 * g = c bit for bit for a finite gauge term g; adding 0.0 maps a
+    c of -0.0 to 0.0, as that sum does. The constant is declared to the
+    `DensityMeasure`."""
     c = c + 0.0
 
     def fn(pts, _c=c):
         return np.full(np.shape(pts)[:-1], _c)
 
-    return fn, c
+    return fn, c, None
+
+
+def _radial_fn(g: G.GroupDescriptor, radial):
+    """(radial of the gauge; no constant; radial): the density is defined
+    through its profile, so that it equals the profile it declares to the
+    `DensityMeasure` bit for bit."""
+    def fn(pts):
+        return radial(np.asarray(G.norm(g, pts)))
+
+    return fn, None, radial
 
 
 def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
-    """(density function, its declared constant or None) of a family."""
+    """(density function, its declared constant or None, its declared gauge
+    profile or None) of a family."""
     if family == "polynomial":
         _check_keys(params, {"constant", "quadratic"}, {"constant"}, where)
         c0 = _number(params["constant"], f"{where}.constant", minimum=0.0)
@@ -140,11 +152,10 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
         if c2 == 0.0:
             return _constant_fn(c0)
 
-        def fn(pts, _c0=c0, _c2=c2):
-            rho = np.asarray(G.norm(g, pts))
+        def radial(rho, _c0=c0, _c2=c2):
             return _c0 + _c2 * rho ** 2
 
-        return fn, None
+        return _radial_fn(g, radial)
     if family == "gaussian-bump":
         _check_keys(params, {"baseline", "amplitude", "width"},
                     {"baseline", "amplitude", "width"}, where)
@@ -155,11 +166,10 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
         if amp == 0.0:
             return _constant_fn(base)
 
-        def fn(pts, _b=base, _a=amp, _w=width):
-            rho = np.asarray(G.norm(g, pts))
+        def radial(rho, _b=base, _a=amp, _w=width):
             return _b + _a * np.exp(-(rho / _w) ** 2)
 
-        return fn, None
+        return _radial_fn(g, radial)
     if family == "log-oscillatory":
         _check_keys(params, {"baseline", "amplitude"},
                     {"baseline", "amplitude"}, where)
@@ -172,11 +182,10 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
         if amp == 0.0:
             return _constant_fn(base)
 
-        def fn(pts, _b=base, _a=amp):
-            rho = np.asarray(G.norm(g, pts))
+        def radial(rho, _b=base, _a=amp):
             return _b + _a * np.sin(np.log(1.0 / np.maximum(rho, 1e-300)))
 
-        return fn, None
+        return _radial_fn(g, radial)
     raise ConfigError(f"{where}: unknown density family {family!r}")
 
 
@@ -209,8 +218,8 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
         )
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
-        fn, constant = _density_fn(g, fam, params, f"{where}.params")
-        return DensityMeasure(g, fn, box, constant)
+        fn, constant, radial = _density_fn(g, fam, params, f"{where}.params")
+        return DensityMeasure(g, fn, box, constant, radial)
     if kind == "mixture":
         _check_keys(spec, {"type", "components"}, {"type", "components"}, where)
         comps = spec["components"]

@@ -17,7 +17,9 @@ import pytest
 import fatoulab as F
 from fatoulab import extension as E
 from fatoulab import groups as G
-from fatoulab.quadrature import gauss_legendre, tensor_rule, weighted_sum
+from fatoulab import kernels as K
+from fatoulab.quadrature import (_BLOCK_ROWS, gauss_legendre, tensor_rule,
+                                 weighted_sum)
 from references import duality_check
 
 
@@ -149,6 +151,26 @@ def test_parabolic_limit_aperture_invariance(p1):
         assert trace.converged, f"aperture={aperture}"
         estimates.append(trace.estimate)
     assert max(estimates) - min(estimates) <= 1e-3
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_slice_points_match_one_placement_at_a_time(label):
+    # one product per slice, with the bits of vertex * dilate(r, omega) for
+    # each placement and of vertex * 0 on the axis, signed zeros included
+    g = F.get_group(label)
+    n = g.total_dim
+    dirs = G.unit_directions(g, E._N_DIRECTIONS)
+    for vertex in (np.array([0.3, -0.2, 0.1])[:n],
+                   np.array([-0.0, 0.0, -0.0])[:n]):
+        region = F.ParabolicRegion(vertex, aperture=1.7)
+        for t in (0.25, 1e-4, 3e-9):
+            want = np.array([
+                G.mul(g, vertex, G.dilate(g, beta * 1.7 * math.sqrt(t),
+                                          dirs[k]))
+                if beta > 0 else G.mul(g, vertex, np.zeros(n))
+                for beta, k in E._PLACEMENTS])
+            got = E._slice_points(g, region, dirs, t)
+            assert got.tobytes() == want.tobytes(), (vertex, t)
 
 
 def test_limit_trace_csv(p1):
@@ -582,6 +604,117 @@ def test_declared_constant_values_match_undeclared_bitwise(label,
     monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
     got = F.HeatExtension(declared, profile)(inside, 1e-4)
     assert got.tobytes() == want.tobytes()
+
+
+# the three gauge families, each with a nonzero gauge term
+_RADIAL_FAMILIES = {
+    "polynomial": {"constant": 1.0, "quadratic": 0.7},
+    "gaussian-bump": {"baseline": 1.0, "amplitude": 0.4, "width": 0.3},
+    "log-oscillatory": {"baseline": 1.0, "amplitude": 0.5},
+}
+
+
+def _radial_pairs(g, family):
+    """A gauge family's density, declared radial and undeclared, and their
+    reductions: name -> (declared, undeclared)."""
+    n = g.total_dim
+    declared = F.build_measure(g, {"type": "density", "family": family,
+                                   "params": _RADIAL_FAMILIES[family]})
+    plain = F.DensityMeasure(g, declared.base_density, declared.support_box)
+    x0 = np.array([0.1, -0.05, 0.02])[:n]
+    ball = F.Ball(np.array([0.2, 0.1, 0.0])[:n], 0.9)
+
+    def reductions(mu):
+        moved = mu.translate(x0)
+        return {"base": mu, "translated": moved, "dilated": mu.dilate(1.3),
+                "restricted": moved.restrict(ball),
+                "complement": moved.dilate(0.8).restrict_complement(ball)}
+
+    return {name: (a, b) for (name, a), b in zip(
+        reductions(declared).items(), reductions(plain).values())}
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_radial_values_match_undeclared_bitwise(label, monkeypatch):
+    # a declared radial density takes its inside values on the eta-grid's
+    # axes; every inside value, and every cut and outside one, keeps the
+    # node images' bits, in batches of points and one point at a time
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, -0.02], [-0.3, 0.2, 0.1],
+                    [0.05, -0.1, 0.3], [0.9, 0.0, 0.0],
+                    [5.0, 0.0, 0.0]])[:, :n]
+    seen = set()
+    for family in _RADIAL_FAMILIES:
+        for name, (a, b) in _radial_pairs(g, family).items():
+            assert a.radial is not None and b.radial is None, name
+            ua, ub = F.HeatExtension(a, profile), F.HeatExtension(b, profile)
+            # at the larger t most hulls are cut: one family is enough there
+            for t in (1e-4, 0.0625) if family == "polynomial" else (1e-4,):
+                seen.update(_hull_states(a, profile, pts, t))
+                got = ua(pts, t)
+                assert got.tobytes() == ub(pts, t).tobytes(), (family, name, t)
+                if name == "translated":
+                    assert got.tobytes() == np.array(
+                        [ua(x, t) for x in pts]).tobytes(), (family, t)
+    assert seen == {"inside", "cut", "outside"}
+    # more points than two batches of `_inside_values` hold
+    a, b = _radial_pairs(g, "gaussian-bump")["translated"]
+    per = max(1, _BLOCK_ROWS // E._ext_grid(profile).gamma_w.size)
+    cloud = np.random.default_rng(5).uniform(-0.2, 0.2,
+                                             size=(2 * per + 1, n))
+    assert set(_hull_states(a, profile, cloud, 1e-4)) == {"inside"}
+    want = F.HeatExtension(b, profile)(cloud, 1e-4)
+    # inside values take no node image
+    monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
+    got = F.HeatExtension(a, profile)(cloud, 1e-4)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_radial_node_values_see_a_one_ulp_change_of_an_axis(gh, ph):
+    # the axis values equal the node images' density values node by node;
+    # negative control: that equality can fail, as one eta axis moved by
+    # one ulp moves them
+    a, b = _radial_pairs(gh, "polynomial")["restricted"]
+    grid = E._ext_grid(ph)
+    x = np.array([[0.1, 0.05, -0.02]])
+    sqrt_t = 0.01
+    assert _hull_states(a, ph, x, sqrt_t ** 2) == ["inside"]
+    eta_t = G.dilate(gh, sqrt_t, grid.eta_inv)
+    want = E._density_rows(b.density_inside, gh, x, eta_t)
+    assert E._radial_rows(a, grid, x, sqrt_t)[0].tobytes() == want.tobytes()
+    for j, (nodes, w) in enumerate(grid.axes):
+        axes = (grid.axes[:j] + ((np.nextafter(nodes, np.inf), w),)
+                + grid.axes[j + 1:])
+        moved = dataclasses.replace(grid, axes=axes)
+        got = E._radial_rows(a, moved, x, sqrt_t)[0]
+        assert got.tobytes() != want.tobytes(), j
+
+
+def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
+    # t^(-Q/2) overflows below about 7.5e-155 on H1 and 3.1e-206 on R^3:
+    # atoms need it and raise a NumericsError naming the least time; a
+    # density never forms it
+    atom = F.HeatExtension(F.AtomicMeasure(gh, [[0.0, 0.0, 0.0]], [1.0]), ph)
+    least = K._least_time(4)
+    for call in (lambda: atom([0.0, 0.0, 0.0], 1e-160),
+                 lambda: atom._at_times([0.0, 0.0, 0.0], [1e-3, 1e-160])):
+        with pytest.raises(F.NumericsError, match=repr(least)) as err:
+            call()
+        assert "1e-160" in str(err.value)
+    assert math.isfinite(atom([0.0, 0.0, 0.0], least))
+    atom3 = F.HeatExtension(F.AtomicMeasure(g3, [[0.0] * 3], [1.0]), p3)
+    with pytest.raises(F.NumericsError, match="1e-207"):
+        atom3([0.0] * 3, 1e-207)
+    mu = F.build_measure(gh, {"type": "density", "family": "polynomial",
+                              "params": {"constant": 1.0, "quadratic": 0.5}})
+    u = F.HeatExtension(mu, ph)
+    x = np.array([0.3, 0.0, 0.0])
+    value = u(x, 1e-160)
+    # the eta-grid's gamma mass is 1 to about 1e-5
+    assert value == pytest.approx(1.0 + 0.5 * 0.3 ** 2, rel=1e-4)
+    assert u._at_times(x, [1e-160])[0] == value
 
 
 def _whole_panels(sections, edges):

@@ -357,6 +357,62 @@ def test_h1_primitives_match_the_expressions_bitwise():
     assert np.ndim(G._h1_norm(sample(3))) == 0
 
 
+def _columns(p):
+    """The coordinate columns of points ``p`` (..., n)."""
+    return [p[..., j] for j in range(p.shape[-1])]
+
+
+def _along(values, j, n, lead=0):
+    """``values`` as the column of grid axis j: shape (1,) * lead, then
+    one axis per coordinate with values on axis j alone."""
+    return values.reshape((1,) * (lead + j) + (-1,) + (1,) * (n - j - 1))
+
+
+def _assert_column_forms(g, a_cols, b_cols, a, b):
+    """mul_cols / norm_cols on columns equal mul_fn / norm_fn on the
+    broadcast points, bit for bit."""
+    want = g.mul_fn(a, b)
+    got = g.mul_cols(a_cols, b_cols)
+    shape = want.shape[:-1]
+    for j, col in enumerate(got):
+        assert _same_bits(np.broadcast_to(col, shape), want[..., j]), j
+    assert _same_bits(np.broadcast_to(g.norm_cols(got), shape),
+                      g.norm_fn(want))
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_column_forms_match_the_row_forms_bitwise(label):
+    # the column product and gauge give mul_fn's and norm_fn's bits where
+    # each coordinate varies along its own axis, as on a tensor grid
+    g = F.get_group(label)
+    n = g.total_dim
+    rng = np.random.default_rng(41)
+    spread = rng.choice([1e-3, 1.0, 30.0], size=(4001, 1))
+    a = rng.normal(size=(4001, n)) * spread
+    b = rng.normal(size=(4001, n)) * spread[::-1]
+    # random points, row against row, and one point
+    _assert_column_forms(g, _columns(a), _columns(b), a, b)
+    _assert_column_forms(g, _columns(a[0]), _columns(b[0]), a[0], b[0])
+    assert np.ndim(g.norm_cols(_columns(a[0]))) == 0
+    # one point (n,) against a tensor grid, on either side
+    axes = [rng.normal(size=m) * 3.0 for m in (17, 19, 23)[:n]]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    along = [_along(v, j, n) for j, v in enumerate(axes)]
+    x = rng.normal(size=n)
+    _assert_column_forms(g, list(x), along, x, grid)
+    _assert_column_forms(g, along, list(x), grid, x)
+    # points (k, 1, .., 1) on a leading axis against the grid
+    xs = rng.normal(size=(5, n))
+    lead = [c.reshape((5,) + (1,) * n) for c in xs.T]
+    _assert_column_forms(g, lead, [_along(v, j, n, 1)
+                                   for j, v in enumerate(axes)],
+                         xs.reshape((5,) + (1,) * n + (n,)), grid[None])
+    # a product of column forms, then a point times it (a shift)
+    moved = g.mul_cols(lead, [_along(v, j, n, 1) for j, v in enumerate(axes)])
+    rows = g.mul_fn(xs.reshape((5,) + (1,) * n + (n,)), grid[None])
+    _assert_column_forms(g, list(x), moved, x, rows)
+
+
 # ---------------------------------------------------------------------------
 # convexity of balls (density ball masses rely on it)
 # ---------------------------------------------------------------------------

@@ -534,6 +534,28 @@ def test_eval_kernel_rejects_bad_time(p1):
         F.eval_kernel(p1, np.array([0.0]), -1.0)
 
 
+@pytest.mark.parametrize("q, least", [(1, 5e-324), (2, 5.56e-309),
+                                      (3, 3.14e-206), (4, 7.46e-155)])
+def test_least_kernel_time_is_where_the_power_overflows(q, least):
+    t = K._least_time(q)
+    assert t == pytest.approx(least, rel=1e-3)
+    assert math.isfinite(K._time_power(q, t))
+    if t > math.ulp(0.0):
+        below = math.nextafter(t, 0.0)
+        with pytest.raises(F.NumericsError, match=repr(below)):
+            K._time_power(q, below)
+
+
+def test_eval_kernel_names_the_least_time(gh, ph, p3):
+    # below it t^(-Q/2) overflows: a NumericsError, not an OverflowError
+    with pytest.raises(F.NumericsError, match="1e-160") as err:
+        F.eval_kernel(ph, np.zeros(3), 1e-160)
+    assert repr(K._least_time(4)) in str(err.value)
+    with pytest.raises(F.NumericsError, match="1e-207"):
+        F.eval_kernel(p3, np.zeros(3), 1e-207)
+    assert math.isfinite(float(F.eval_kernel(ph, np.zeros(3), 1e-154)))
+
+
 def test_profile_for_routing(g1, gh, p1, ph):
     assert F.profile_for(g1) is p1
     assert F.profile_for(gh) is ph

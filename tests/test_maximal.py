@@ -163,6 +163,25 @@ def test_nontangential_dominates_radial(g2):
     assert nt["value"] >= rad["value"]
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_cone_points_share_one_factor_table(label):
+    # every direction's rows from one table and one product, with the bits
+    # of x * dilate(r_i, omega) for each row
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    n = g.total_dim
+    x = np.array([0.3, -0.7, 0.2])[:n]
+    r = 0.6 * F.geometric_grid(1e-2, 10.0, 9)
+    dirs = G.unit_directions(g, 4)
+    many = M._cone_points(g, x, r, dirs)
+    want = np.array([G.mul(g, x, G.dilate(g, float(ri), d))
+                     for d in dirs for ri in r])
+    assert many.tobytes() == want.tobytes()
+    assert np.concatenate([M._cone_points(g, x, r, d)
+                           for d in dirs]).tobytes() == want.tobytes()
+
+
 def test_mollifier_recovers_profile_mass(gh):
     mu = F.DensityMeasure(
         gh, lambda p: np.ones(p.shape[:-1]),

@@ -376,6 +376,42 @@ def test_declared_constant_ball_masses_match_undeclared_bitwise(label,
         assert u.tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_radial_is_checked_and_kept(label):
+    # the profile must give f's bits at every validation node: one node
+    # one ulp off is refused; the reductions keep the profile
+    from fatoulab.measures import _SECTION_RULES
+
+    g = F.get_group(label)
+    box = [[-1.0, 1.2]] * g.total_dim
+
+    def radial(rho):
+        return 1.0 + 0.7 * rho ** 2
+
+    def fn(p):
+        return radial(np.asarray(G.norm(g, p)))
+
+    mu = F.DensityMeasure(g, fn, box, radial=radial)
+    assert mu.radial is radial
+    for name, derived in _derived(mu, g).items():
+        assert derived.radial is radial, name
+    nodes, _ = mu._section_rule(*mu.support_box.T, _SECTION_RULES[0])
+    target = nodes[nodes.shape[0] // 3]
+    assert np.all(nodes == target, axis=1).sum() == 1
+
+    def bent(p):
+        v = fn(p)
+        return np.where(np.all(p == target, axis=-1), np.nextafter(v, 2.0), v)
+
+    F.DensityMeasure(g, bent, box)
+    with pytest.raises(F.MeasureError, match="declared radial"):
+        F.DensityMeasure(g, bent, box, radial=radial)
+    # a zero of the other sign is not the same bits either
+    with pytest.raises(F.MeasureError, match="declared radial"):
+        F.DensityMeasure(g, lambda p: np.zeros(p.shape[:-1]), box,
+                         radial=lambda rho: -0.0 * rho)
+
+
 def test_restrict_and_complement_additivity(g1, g2):
     mu = quadratic_line_measure()
     ball = F.Ball([0.0], 1.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
-from fatoulab import cli
+from fatoulab import cli, groups as G, scenarios as S
 
 
 def line_config(label="t-constant"):
@@ -118,6 +118,15 @@ def test_only_constant_families_declare_a_constant(gh, family, params,
                                                    constant):
     mu = F.build_measure(gh, {"type": "density", "family": family,
                               "params": params})
+    # exactly the families with a nonzero gauge term declare their gauge
+    # profile, and their density is that profile of the gauge, bit for bit
+    fn, declared, radial = S._density_fn(gh, family, params, "measure")
+    assert declared == constant
+    assert (radial is None) == (mu.radial is None) == (constant is not None)
+    if radial is not None:
+        pts = np.random.default_rng(3).normal(size=(257, 3))
+        assert fn(pts).tobytes() == radial(
+            np.asarray(G.norm(gh, pts))).tobytes()
     if constant is None:
         assert mu.constant is None
     else:
