@@ -20,27 +20,29 @@ and the density's ``hull_state`` classifies that hull. Where it lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
 converges geometrically on smooth integrands), with
 ``DensityMeasure.density_inside``: every box and clip test passes there, so
-they are skipped. A density that declares a gauge profile
-(``DensityMeasure.radial``) takes those values on the grid's own axes
-instead, by the group's column product and gauge, with the same bits (see
-`_radial_rows`). Where the density is zero on it, u is 0.0 without
-evaluating anything. Where a support face or a clip sphere cuts it, the
-grid is integrated column by column between exact limits: each eta-column
-maps onto a vertical line on which y_last is affine in eta_last, and
+they are skipped. Those values are taken on the grid's own axes, by the
+group's column product (see `_inside_rows`), with the bits of the node
+images; a density that declares a gauge profile (``DensityMeasure.radial``)
+takes the column gauge too, and one that declares a constant sums the grid
+once. Where the density is zero on it, u is 0.0 without evaluating
+anything. Where a support face or a clip sphere cuts it, the grid is
+integrated column by column between exact limits: each eta-column maps
+onto a vertical line on which y_last is affine in eta_last, and
 ``DensityMeasure.sections`` gives the intervals of that line where the
 density may be nonzero (see ``_column_rule``).
 
-A call at many points with one t (a slice, as the limit traces make) takes
-one pass per rule: one ``hull_state`` call classifies every point's hull;
-"inside" points share a block of density evaluations while points x nodes
-fit in one block of ``quadrature._BLOCK_ROWS`` rows; "cut" points on the
+One evaluator, ``HeatExtension._eval``, takes each point with its own
+time: a call at many points with one t (a slice, as the limit traces make)
+and a call at one point with many t (the heat maximum's scales) are its
+two shapes. An atomic part is one kernel evaluation over every (point,
+atom) pair, each point's row summed in a fixed order. A density part takes
+one pass per distinct t and per rule: one ``hull_state`` call classifies
+every point's hull; "inside" points share blocks of about
+``quadrature._BLOCK_ROWS`` rows on the grid's axes; "cut" points on the
 grid's own outer rules share a ``_column_rule`` call of up to _CUT_LINES
-vertical lines. Every step is row
-by row and each point keeps its own fixed-order sum, so each value is the
-one a call at that point alone gives, bit for bit. A call at one point with
-many t (``HeatExtension._at_times``, the heat maximum's scales) gives an
-atomic part one kernel evaluation over every (t, atom) pair and a density
-part one slice per t, again with the bits of one call per t.
+vertical lines, and only they build the scaled grid. Every step is row by
+row and each point keeps its own fixed-order sum, so each value is the one
+a call at that point and time alone gives, bit for bit.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -115,48 +117,39 @@ def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
 
 
 def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
-                   eta_t: np.ndarray, sqrt_t: float) -> np.ndarray:
+                   sqrt_t: float) -> np.ndarray:
     """u at points whose eta-image hull is "inside": the whole grid, with
-    `DensityMeasure.density_inside`. On a grid of at most _BLOCK_ROWS / p
-    nodes, p points share one block; each point's sum is its own (see
-    `quadrature.row_sums`). A declared constant takes one `constant_sum`
-    for every point. A declared radial density takes its values on the
-    grid's axes (`_radial_rows`), with the bits of the node images; any
-    other density maps every node."""
+    `DensityMeasure.density_inside`. A declared constant takes one
+    `constant_sum` for every point; any other density takes its values on
+    the grid's axes (`_inside_rows`), p points at a time while p x nodes
+    fit in _BLOCK_ROWS rows. Each point's sum is its own (see
+    `quadrature.row_sums`)."""
     if mu.constant is not None:
         return np.full(xs.shape[0], mu.constant_sum(grid.gamma_w))
-    n_nodes = grid.gamma_w.size
-    per = max(1, _BLOCK_ROWS // n_nodes)
+    per = max(1, _BLOCK_ROWS // grid.gamma_w.size)
     out = np.empty(xs.shape[0])
     for start in range(0, xs.shape[0], per):
         batch = xs[start:start + per]
-        k = batch.shape[0]
-        if mu.radial is not None:
-            f = _radial_rows(mu, grid, batch, sqrt_t)
-        else:
-            many = k > 1
-            f = _density_rows(mu.density_inside, mu.group, batch, eta_t,
-                              np.tile(np.arange(n_nodes), k) if many else None,
-                              np.repeat(np.arange(k), n_nodes) if many else None)
-        out[start:start + k] = row_sums(grid.gamma_w, f.reshape(k, n_nodes))
+        out[start:start + batch.shape[0]] = row_sums(
+            grid.gamma_w, _inside_rows(mu, grid, batch, sqrt_t))
     return out
 
 
-def _radial_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
+def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
                  sqrt_t: float) -> np.ndarray:
-    """`DensityMeasure.radial_inside` at xs[i] * delta_sqrt(t)(eta^-1) for
+    """`DensityMeasure._inside_cols` at xs[i] * delta_sqrt(t)(eta^-1) for
     each point i of ``xs`` (k, n) and each node eta of the grid: (k, N),
-    nodes in `quadrature.tensor_rule` order.
+    nodes in `quadrature.tensor_rule` order, with the bits of
+    `_density_rows` of ``density_inside`` on the node images.
 
     The grid is a tensor product and the inverse negates (see
     `groups.GroupDescriptor`), so coordinate j of the scaled inverted
     nodes is -nodes_j * sqrt(t)^e_j along axis j alone: the bits of
     ``G.dilate(g, sqrt_t, grid.eta_inv)``. The points run along a leading
-    axis, and the product, `_to_base` and the gauge go by columns
-    (``GroupDescriptor.mul_cols``, ``norm_cols``), so a coordinate that
-    varies along one or two axes is computed once per axis or pair, in the
-    order of the node images. Blocks of about _BLOCK_ROWS rows run along
-    the first grid axis.
+    axis, and the product goes by columns (``GroupDescriptor.mul_cols``),
+    so a coordinate that varies along one or two axes is computed once per
+    axis or pair, in the order of the node images. Blocks of about
+    _BLOCK_ROWS rows run along the first grid axis.
     """
     g = mu.group
     k, n = xs.shape
@@ -170,7 +163,7 @@ def _radial_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
     step = max(1, _BLOCK_ROWS * shape[1] // f.size)
     for start in range(0, shape[1], step):
         block = slice(start, start + step)
-        f[:, block] = mu.radial_inside(
+        f[:, block] = mu._inside_cols(
             g.mul_cols(x, [eta[0][:, block]] + eta[1:]))
     return f.reshape(k, -1)
 
@@ -211,11 +204,12 @@ _CUT_LINES = 1024
 
 
 def _cut_values(mu: DensityMeasure, profile: K.KernelProfile,
-                grid: _EtaGrid, xs: np.ndarray, sqrt_t: float,
-                eta_t: np.ndarray) -> np.ndarray:
+                grid: _EtaGrid, xs: np.ndarray, sqrt_t: float) -> np.ndarray:
     """u at points whose eta-image hull is "cut", by `_column_rule`: in
     batches of up to _CUT_LINES lines where the outer rules are the grid's,
-    one point at a time where `_outer_rules` narrows them."""
+    one point at a time where `_outer_rules` narrows them. The scaled grid
+    depends on t alone: it is built once per call."""
+    eta_t = G.dilate(mu.group, sqrt_t, grid.eta_inv)
     out = np.zeros(xs.shape[0])
     shared = []
     for i, x in enumerate(xs):
@@ -358,61 +352,46 @@ class HeatExtension:
         """u at the point x (total_dim finite coordinates) or at each point
         of an array of them along its last axis, at time t > 0."""
         x = self._points(x)
-        n = self.group.total_dim
-        if not (t > 0) or not math.isfinite(t):
-            raise NumericsError(f"time must be positive and finite, got {t}")
         scalar = x.ndim == 1
-        pts = x[None, :] if scalar else x.reshape(-1, n)
-        out = self._eval(pts, float(t))
+        pts = x[None, :] if scalar else x.reshape(-1, self.group.total_dim)
+        out = self._eval(pts, [t] * pts.shape[0])
         if scalar:
             return float(out[0])
         return out.reshape(x.shape[:-1])
 
-    def _eval(self, pts: np.ndarray, t: float) -> np.ndarray:
-        g = self.group
+    def _eval(self, pts: np.ndarray, times) -> np.ndarray:
+        """u at each point of ``pts`` (p, n) at its own time of ``times``
+        (p of them, each positive and finite): a slice for one time at
+        many points, the heat maximum's scales for one point at many times.
+
+        An atomic part takes every (point, atom) pair in one kernel
+        evaluation, with `kernels.eval_kernel`'s Python-float factors
+        (1 / sqrt t)^e and t^(-Q/2) (`_time_power`: a NumericsError where
+        that overflows), and sums each point's row with
+        `quadrature.row_sums`. A density part takes one slice per distinct
+        time, and no such power. So every value has the bits of a call at
+        its point and time alone.
+        """
+        times = [float(t) for t in times]
+        for t in times:
+            if not 0 < t < math.inf:
+                raise NumericsError(
+                    f"time must be positive and finite, got {t}")
+        g, at = self.group, np.array(times)
         total = np.zeros(pts.shape[0])
         for part in self.mu.parts():
             if not isinstance(part, AtomicMeasure):
-                total += self._density(part, pts, t)
+                for t in dict.fromkeys(times):
+                    rows = np.flatnonzero(at == t)
+                    total[rows] += self._density(part, pts[rows], t)
             elif part.points.shape[0]:
-                rel = G.mul(g, G.inverse(g, part.points)[:, None, :],
-                            pts[None, :, :])
-                total += part.weights @ K.eval_kernel(self.profile, rel, t)
-        return total
-
-    def _at_times(self, x, times) -> np.ndarray:
-        """u(x, t) at the one point x for each t of ``times``: the values of
-        ``self(x, t)``, bit for bit, in one call.
-
-        An atomic part takes its relative positions once and one kernel
-        evaluation over every (time, atom) pair, with `kernels.eval_kernel`'s
-        Python-float factors (1 / sqrt t)^e and t^(-Q/2) (`_time_power`: a
-        NumericsError where that overflows); each time's sum is a dot
-        product with its own contiguous row, as `_eval` takes it. A density
-        part takes one slice per time, and no such power. Parts are added
-        in `_eval`'s order.
-        """
-        x = self._points(x)
-        if x.ndim != 1:
-            raise GroupError("u at many times takes one point")
-        times = [float(t) for t in times]
-        if not all(t > 0 and math.isfinite(t) for t in times):
-            raise NumericsError(
-                f"times must be positive and finite, got {times}")
-        g = self.group
-        total = np.zeros(len(times))
-        for part in self.mu.parts():
-            if not isinstance(part, AtomicMeasure):
-                total += [self._density(part, x[None, :], t)[0] for t in times]
-            elif part.points.shape[0]:
-                rel = G.mul(g, G.inverse(g, part.points), x)
+                rel = G.mul(g, G.inverse(g, part.points), pts[:, None, :])
                 scale = np.array([[(1.0 / math.sqrt(t)) ** e
                                    for e in g.layer_exponents] for t in times])
-                power = np.array([K._time_power(g.hom_dim, t)
-                                  for t in times])
+                power = np.array([K._time_power(g.hom_dim, t) for t in times])
                 kern = power[:, None] * self.profile.gamma(
-                    rel[None, :, :] * scale[:, None, :])
-                total += [part.weights @ row for row in kern]
+                    rel * scale[:, None, :])
+                total += row_sums(part.weights, kern)
         return total
 
     def _density(self, mu: DensityMeasure, pts: np.ndarray, t: float):
@@ -425,15 +404,11 @@ class HeatExtension:
         corners = G.dilate(g, sqrt_t, grid.corner_inv)
         states = mu.hull_state(G.mul(g, pts[:, None, :], corners))
         out = np.zeros(pts.shape[0])
-        if np.all(states == "outside"):
-            return out
-        # the scaled grid depends on t alone: once per slice
-        eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
         inside = np.flatnonzero(states == "inside")
-        out[inside] = _inside_values(mu, grid, pts[inside], eta_t, sqrt_t)
+        out[inside] = _inside_values(mu, grid, pts[inside], sqrt_t)
         cut = np.flatnonzero(states == "cut")
-        out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t,
-                               eta_t)
+        if cut.size:
+            out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t)
         return out
 
 

@@ -115,23 +115,26 @@ class GroupDescriptor:
     ball that holds the corners of a box as holding the whole box, and a
     ball's vertical sections as single intervals.
 
-    ``mul_fn``, ``inv_fn`` and ``norm_fn`` act row by row on arrays whose
-    last axis holds the coordinates, broadcasting over the leading axes,
-    and keep their operands' layout: on the column-major point arrays of
+    ``mul_fn`` and ``norm_fn`` act row by row on arrays whose last axis
+    holds the coordinates, broadcasting over the leading axes, and keep
+    their operands' layout: on the column-major point arrays of
     :mod:`fatoulab.quadrature` they return column-major arrays, and a row's
-    value does not depend on the layout. The gauge must be symmetric,
-    N(x^-1) = N(x), with an inverse that is exact (negation on both shipped
-    groups), so that d(x, y) = N(y^-1 * x) and d(y, x) give the same bits;
-    `dist` to many points passes them first, so that only the single point
-    is inverted.
+    value does not depend on the layout, nor on whether the row is alone
+    or one of many. The coordinates are exponential coordinates of a
+    nilpotent group, where exp(X)^-1 = exp(-X) (Folland-Stein, Hardy
+    Spaces on Homogeneous Groups, 1982): the inverse is negation, exact,
+    and `inverse` and `dist` take it so. The gauge must be symmetric,
+    N(-x) = N(x), so that d(x, y) = N(y^-1 * x) and d(y, x) give the same
+    bits; `dist` to many points passes them first, so that only the single
+    point is negated.
 
     ``mul_cols`` and ``norm_cols`` are the same product and gauge on
     points given as n coordinate columns that broadcast against each other
     (on a tensor grid, a coordinate that varies along one axis is an array
     along that axis alone), with the bits of ``mul_fn`` and ``norm_fn`` on
     the broadcast points: each column is computed in the operation order
-    of its row form, and a 0-d column takes numpy's scalar path exactly
-    where the row form does. On a tensor grid this takes each sum or
+    of its row form, and a lone point (every column 0-d) goes as a row of
+    an array, as it does there. On a tensor grid this takes each sum or
     product once per axis, or per pair of axes, instead of once per node.
     """
 
@@ -145,7 +148,6 @@ class GroupDescriptor:
     unit_ball_volume: float
     certification: dict = field(compare=False, repr=False)
     mul_fn: Callable = field(compare=False, repr=False)
-    inv_fn: Callable = field(compare=False, repr=False)
     norm_fn: Callable = field(compare=False, repr=False)
     mul_cols: Callable = field(compare=False, repr=False)
     norm_cols: Callable = field(compare=False, repr=False)
@@ -219,8 +221,8 @@ def mul(g: GroupDescriptor, x, y) -> np.ndarray:
 
 
 def inverse(g: GroupDescriptor, x) -> np.ndarray:
-    """Group inverse x^(-1)."""
-    return g.inv_fn(_coords(x))
+    """Group inverse x^(-1) = -x (see `GroupDescriptor`)."""
+    return -_coords(x)
 
 
 def dilate(g: GroupDescriptor, r: float, x) -> np.ndarray:
@@ -240,9 +242,9 @@ def dist(g: GroupDescriptor, x, y) -> np.ndarray | float:
     """Quasi-distance d(x, y) = d(y^(-1) * x).
 
     Symmetric, so the distances from one point to many are taken with the
-    many as ``x``: only the one point is inverted.
+    many as ``x``: only the one point is negated.
     """
-    return g.norm_fn(g.mul_fn(g.inv_fn(_coords(y)), _coords(x)))
+    return g.norm_fn(g.mul_fn(-_coords(y), _coords(x)))
 
 
 def ball_volume(g: GroupDescriptor, radius: float) -> float:
@@ -304,10 +306,6 @@ def _eu_mul(a, b):
     return a + b
 
 
-def _eu_inv(a):
-    return -a
-
-
 def _eu_norm(a):
     return np.sqrt((a * a).sum(axis=-1))
 
@@ -343,17 +341,19 @@ def _h1_mul_cols(a, b):
 
 def _h1_norm_cols(a):
     # `_h1_norm` by columns: |z|^4 once per (x, y), then 16 s^2 per point
+    if all(np.ndim(c) == 0 for c in a):
+        return _h1_norm_cols([np.reshape(c, 1) for c in a]).reshape(())
     x, y, s = a
     n4 = x * x + y * y
     return (n4 * n4 + s * s * 16.0) ** 0.25
 
 
-def _h1_inv(a):
-    return -a
-
-
 def _h1_norm(a):
-    # ((x^2 + y^2)^2 + 16 s^2)^(1/4), updated in place (a scalar for one point)
+    # ((x^2 + y^2)^2 + 16 s^2)^(1/4), updated in place; one point goes as a
+    # row of an array, as numpy's scalar power has other bits than its
+    # array power
+    if a.ndim == 1:
+        return _h1_norm(a[None])[0]
     x, y, s = a[..., 0], a[..., 1], a[..., 2]
     n4 = x * x
     n4 += y * y
@@ -487,7 +487,6 @@ def euclidean_group(n: int) -> GroupDescriptor:
         unit_ball_volume=vols[n],
         certification={"method": "triangle inequality holds exactly", "value": 1.0},
         mul_fn=_eu_mul,
-        inv_fn=_eu_inv,
         norm_fn=_eu_norm,
         mul_cols=_eu_mul_cols,
         norm_cols=_eu_norm_cols,
@@ -508,8 +507,8 @@ _H1_CERTIFICATION = {
     "seed": 20260823,
     "sampled_max": 1.4555451820040473,
     "refined_max": 1.4565502155041443,
-    "argmax": [-2.290943159959668, 4.037839285948018, 1.2650254750090693,
-               3.8861724023748057, 2.539730525316797, 1.2650255184457084],
+    "argmax": [-2.8385956403765906, -2.81418606997304, -0.9377840421727641,
+               2.6305742434795105, -3.0095427472301486, -0.9377839272741952],
     "margin": 1e-9,
 }
 
@@ -528,7 +527,6 @@ def heisenberg_group() -> GroupDescriptor:
         unit_ball_volume=math.pi ** 2 / 8.0,
         certification=_H1_CERTIFICATION,
         mul_fn=_h1_mul,
-        inv_fn=_h1_inv,
         norm_fn=_h1_norm,
         mul_cols=_h1_mul_cols,
         norm_cols=_h1_norm_cols,

@@ -557,7 +557,11 @@ def _ext_grid(profile: KernelProfile) -> _EtaGrid:
 
 def kernel_mass(k: KernelProfile, t: float) -> float:
     """Total integral of Gamma(. , t) over the group, on the eta-grid's
-    nodes and weights dilated by sqrt(t) (truncated quadrature)."""
+    nodes and weights dilated by sqrt(t) (truncated quadrature); t must be
+    positive and finite."""
+    if not 0 < t < math.inf:
+        raise NumericsError(
+            f"kernel_mass needs a positive finite time, got t={t!r}")
     pts, w = tensor_rule(_ext_grid(k).axes)
     nodes = G.dilate(k.group, math.sqrt(t), pts)
     vals = eval_kernel(k, nodes, t)
@@ -568,10 +572,13 @@ def check_semigroup(k: KernelProfile, x, t: float, tau: float) -> float:
     """Residual |Gamma(x, t+tau) - Int Gamma(xi^-1 x, t) Gamma(xi, tau) dm(xi)|.
 
     With xi = delta_sqrt(tau)(eta) the inner factor is the time-1 profile:
-    the eta-grid's cached gamma * w, against Gamma(xi^-1 * x, t).
+    the eta-grid's cached gamma * w, against Gamma(xi^-1 * x, t). Both
+    times must be positive and finite.
     """
-    if not (t > 0 and tau > 0):
-        raise NumericsError("semigroup check requires positive times")
+    for name, value in (("t", t), ("tau", tau)):
+        if not 0 < value < math.inf:
+            raise NumericsError("semigroup check needs positive finite "
+                                f"times, got {name}={value!r}")
     g = k.group
     grid = _ext_grid(k)
     x = np.asarray(x, dtype=float)
@@ -586,9 +593,13 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
 
     L_h uses centered second differences along the exact horizontal flows,
     x -> x * (h e_i) by the group law; d_t,h is a centered time difference
-    with step h^2 (so the residual is second order in h). Requires
-    t > 2 h^2.
+    with step h^2 (so the residual is second order in h). Requires t and h
+    positive and finite, and t > 2 h^2.
     """
+    for name, value in (("t", t), ("h", h)):
+        if not 0 < value < math.inf:
+            raise NumericsError("pde_residual needs a positive finite time "
+                                f"and step, got {name}={value!r}")
     if not (t > 2.0 * h * h):
         raise NumericsError(f"pde_residual requires t > 2 h^2, got t={t}, h={h}")
     g = k.group

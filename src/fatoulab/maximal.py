@@ -42,13 +42,13 @@ that is already known. One ``hull_state`` call takes the images of the
 phi-grid's bounding-box corners for every grid row: "inside" rows take
 ``density_inside`` without the box and clip tests (a density that declares
 a constant, one sum for all of them), "cut" rows ``density_at``, and
-"outside" rows are 0.0 with nothing evaluated. Rows share blocks of up to
-``quadrature._BLOCK_ROWS`` nodes, and each row's sum is its own
-(``quadrature.row_sums``). Ball masses of the Hardy-Littlewood radii come
-from one ``measures.ball_masses`` call, and the heat maximum's scales from
-one ``HeatExtension._at_times`` call, whose atomic parts take one kernel
-evaluation over every (scale, atom) pair. Every value keeps the bits of
-its one-row, one-ball or one-time call.
+"outside" rows are 0.0 with nothing evaluated. Both are
+``DensityMeasure._image_sums``, the node-rule sum that the polar ball
+masses take too. Ball masses of the Hardy-Littlewood radii come from one
+``measures.ball_masses`` call, and the heat maximum's scales from one
+``HeatExtension._eval`` call with x at each scale's time, whose atomic
+parts take one kernel evaluation over every (scale, atom) pair. Every
+value keeps the bits of its one-row, one-ball or one-time call.
 
 A cone row of the nontangential maximum is not evaluated where it cannot
 be the max. On the whole-box rule its value is at most s^(-Q) phi(gap / s)
@@ -148,7 +148,11 @@ def default_profile() -> RadialProfile:
 
 def geometric_grid(r_min: float = 1e-3, r_max: float = 1e3,
                    per_decade: int = 40) -> np.ndarray:
-    """Geometric scale grid with a fixed density of points per decade."""
+    """Geometric scale grid with a fixed density of points per decade,
+    from r_min to r_max, 0 < r_min <= r_max < inf."""
+    if not 0 < r_min <= r_max < math.inf:
+        raise MeasureError("a geometric grid needs 0 < r_min <= r_max < inf, "
+                           f"got r_min={r_min!r}, r_max={r_max!r}")
     decades = math.log10(r_max / r_min)
     n = int(round(decades * per_decade)) + 1
     return np.geomspace(r_min, r_max, n)
@@ -226,29 +230,19 @@ def _grid_rows(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
     (x, s) of ``pts`` and ``s``.
 
     One `hull_state` call classifies the images x * delta_s(corners) of
-    every row's grid box: "inside" rows take `density_inside` (a declared
-    constant one `constant_sum` for all of them), "cut" rows `density_at`,
-    and "outside" rows are 0.0 with nothing evaluated. Rows share blocks
-    of at most _BLOCK_ROWS nodes, and each row's sum is its own
-    `weighted_sum` (see `quadrature.row_sums`).
+    every row's grid box: "inside" and "cut" rows are
+    `DensityMeasure._image_sums` of the grid, inside ones without the box
+    and clip tests, and "outside" rows are 0.0 with nothing evaluated.
     """
     g = part.group
     eta_inv, w, corners = _phi_grid(g, phi)
     state = part.hull_state(_scaled_images(g, pts, s, corners))
     out = np.zeros(s.size)
-    per = max(1, _BLOCK_ROWS // w.size)
-    passes = [(part.density_at, state == "cut")]
-    if part.constant is None:
-        passes.insert(0, (part.density_inside, state == "inside"))
-    else:
-        out[state == "inside"] = part.constant_sum(w)
-    for density, rows in passes:
-        rows = np.flatnonzero(rows)
-        for start in range(0, rows.size, per):
-            block = rows[start:start + per]
-            y = _scaled_images(g, pts[block], s[block], eta_inv)
-            f = density(y.reshape(-1, g.total_dim))
-            out[block] = row_sums(w, f.reshape(block.size, w.size))
+    for name in ("inside", "cut"):
+        rows = state == name
+        if np.any(rows):
+            out[rows] = part._image_sums(pts[rows], s[rows], eta_inv, (w,),
+                                         name == "inside")[:, 0]
     return out
 
 
@@ -502,8 +496,12 @@ def sandwich_constants(g: G.GroupDescriptor, phi: RadialProfile,
                         [2^Q phi(0) + sum_(j>=1) phi(2^(j-1) alpha) 2^((j+1) Q)].
 
     The series must converge (phi decaying faster than 2^(-j Q)); truncation
-    stops when a term falls below 1e-15 of the partial sum.
+    stops when a term falls below 1e-15 of the partial sum. The aperture
+    alpha must be positive and finite.
     """
+    if not 0 < alpha < math.inf:
+        raise MeasureError(
+            f"aperture must be positive and finite, got alpha={alpha!r}")
     c_phi = float(phi(1.0)) * g.unit_ball_volume
     q = g.hom_dim
     total = 2.0 ** q * float(phi(0.0))
@@ -602,13 +600,14 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
 
     The substitution t = s^2 aligns the heat semigroup with the mollifier
     convention phi_s = s^(-Q) phi(delta_(1/s) argument). Every scale comes
-    from one ``HeatExtension._at_times`` call, with the bits of u(x, s^2)
-    at each.
+    from one ``HeatExtension._eval`` call at x once per scale, with the
+    bits of u(x, s^2) at each.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(mu.group, x, "query point")
     s = _scale_grid(s_grid, 3.0)
     u = HeatExtension(mu, profile)
-    vals = u._at_times(x, [float(ss) ** 2 for ss in s])
+    vals = u._eval(np.broadcast_to(x, (s.size, x.size)),
+                   [float(ss) ** 2 for ss in s])
     return {
         "value": float(vals.max()),
         "argmax_s": float(s[tied_argmax(vals)]),

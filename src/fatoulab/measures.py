@@ -346,10 +346,10 @@ class DensityMeasure(BoundaryMeasure):
     ``radial`` declares a gauge profile: f(q) is ``radial(G.norm(g, q))``
     bit for bit, ``radial`` acting elementwise on an array of gauges.
     Construction checks it at every validation node, and the reductions
-    keep it as they keep ``constant``. `radial_inside` then gives
-    `density_inside` on points given as coordinate columns, with the
-    group's column product and gauge (``GroupDescriptor.mul_cols``,
-    ``norm_cols``): the heat extension's inside values take them on the
+    keep it as they keep ``constant``. `_inside_cols` then takes the
+    group's column gauge (``GroupDescriptor.norm_cols``) on the points'
+    coordinate columns, where any other density writes them out as
+    points: the heat extension's inside values take either on the
     eta-grid's axes.
     """
 
@@ -411,18 +411,27 @@ class DensityMeasure(BoundaryMeasure):
     def _base_values(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(self.base_density(q), dtype=float)
 
-    def radial_inside(self, cols: list) -> np.ndarray:
-        """`density_inside` of a declared ``radial`` density, bit for bit,
-        at the points whose n coordinate columns ``cols`` broadcast against
-        each other: `_to_base`'s dilation and shift, then the gauge, by
-        columns, in `_to_base`'s and `groups.norm`'s operation order."""
+    def _inside_cols(self, cols: list) -> np.ndarray:
+        """`density_inside`, bit for bit, at the points whose n coordinate
+        columns ``cols`` broadcast against each other: `_to_base`'s
+        dilation and shift by columns (``GroupDescriptor.mul_cols``), in
+        `_to_base`'s operation order. A declared ``radial`` density then
+        takes the column gauge (``norm_cols``); any other writes the
+        broadcast columns once into one column-major point array (see
+        `quadrature.point_array`) for the base f."""
         g = self.group
         if self.scale != 1.0:
             cols = [c * self.scale ** e
                     for c, e in zip(cols, g.layer_exponents)]
         if self.shift is not None:
             cols = g.mul_cols(self.shift, cols)
-        return np.asarray(self.radial(g.norm_cols(cols)), dtype=float)
+        if self.radial is not None:
+            return np.asarray(self.radial(g.norm_cols(cols)), dtype=float)
+        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+        q = np.empty((len(cols),) + shape)
+        for out, c in zip(q, cols):
+            out[...] = c
+        return self._base_values(q.reshape(len(cols), -1).T).reshape(shape)
 
     def constant_sum(self, w: np.ndarray) -> float:
         """`quadrature.row_sums` of ``w`` (N,) against the declared
@@ -603,29 +612,45 @@ class DensityMeasure(BoundaryMeasure):
 
         The value is the fine rule's; the error is its distance from the
         coarse rule's plus a rounding floor. The balls' bounding boxes are
-        "inside", so the nodes take `density_inside`; balls share blocks of
-        at most _BLOCK_ROWS nodes, and each ball's sums are its own. A
-        declared constant takes each rule's `constant_sum` once.
+        "inside", so both rules are `_image_sums` of the shared nodes.
         """
         g = self.group
         nodes, w_fine, w_coarse = G.unit_ball_rule(g)
-        n_nodes, n_fine = nodes.shape[0], w_fine.size
-        if self.constant is not None:
-            fine = np.full(radii.size, self.constant_sum(w_fine))
-            coarse = np.full(radii.size, self.constant_sum(w_coarse))
-        else:
-            fine, coarse = np.empty(radii.size), np.empty(radii.size)
-            per = max(1, _BLOCK_ROWS // n_nodes)
-            for start in range(0, radii.size, per):
-                block = slice(start, start + per)
-                y = _scaled_images(g, centers[block], radii[block], nodes)
-                f = self.density_inside(y.reshape(-1, g.total_dim))
-                f = f.reshape(-1, n_nodes)
-                fine[block] = row_sums(w_fine, f[:, :n_fine])
-                coarse[block] = row_sums(w_coarse, f[:, n_fine:])
+        fine, coarse = self._image_sums(centers, radii, nodes,
+                                        (w_fine, w_coarse)).T
         scale = np.array([r ** g.hom_dim for r in radii])
         fine, coarse = scale * fine, scale * coarse
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
+
+    def _image_sums(self, centers: np.ndarray, radii: np.ndarray,
+                    nodes: np.ndarray, rules: tuple,
+                    inside: bool = True) -> np.ndarray:
+        """Each rule's sum of the density at the node images
+        c_i * delta_(r_i)(nodes) of each center c_i and radius r_i (see
+        `_scaled_images`): (m, len(rules)), rule j being weights w_j on the
+        next w_j.size nodes.
+
+        ``inside`` images lie in the smooth region and take
+        `density_inside`; a declared constant there takes each rule's
+        `constant_sum`, with no density value. Other images take
+        `density_at`. Images share blocks of at most _BLOCK_ROWS nodes, and
+        each image's sums are its own (see `quadrature.row_sums`).
+        """
+        g, n_nodes = self.group, nodes.shape[0]
+        out = np.empty((radii.size, len(rules)))
+        if inside and self.constant is not None:
+            out[:] = [self.constant_sum(w) for w in rules]
+            return out
+        density = self.density_inside if inside else self.density_at
+        ends = np.cumsum([0] + [w.size for w in rules])
+        per = max(1, _BLOCK_ROWS // n_nodes)
+        for start in range(0, radii.size, per):
+            block = slice(start, start + per)
+            y = _scaled_images(g, centers[block], radii[block], nodes)
+            f = density(y.reshape(-1, g.total_dim)).reshape(-1, n_nodes)
+            for j, w in enumerate(rules):
+                out[block, j] = row_sums(w, f[:, ends[j]:ends[j + 1]])
+        return out
 
     def _section_ball_mass(self, ball: G.Ball | None, lo: np.ndarray,
                            hi: np.ndarray, density=None):

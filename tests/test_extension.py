@@ -683,13 +683,46 @@ def test_radial_node_values_see_a_one_ulp_change_of_an_axis(gh, ph):
     assert _hull_states(a, ph, x, sqrt_t ** 2) == ["inside"]
     eta_t = G.dilate(gh, sqrt_t, grid.eta_inv)
     want = E._density_rows(b.density_inside, gh, x, eta_t)
-    assert E._radial_rows(a, grid, x, sqrt_t)[0].tobytes() == want.tobytes()
+    assert E._inside_rows(a, grid, x, sqrt_t)[0].tobytes() == want.tobytes()
+    for moved in _axes_off_by_one_ulp(grid):
+        got = E._inside_rows(a, moved, x, sqrt_t)[0]
+        assert got.tobytes() != want.tobytes()
+
+
+def _axes_off_by_one_ulp(grid):
+    """The eta-grid with one axis's nodes moved up by one ulp, for each
+    axis in turn."""
     for j, (nodes, w) in enumerate(grid.axes):
         axes = (grid.axes[:j] + ((np.nextafter(nodes, np.inf), w),)
                 + grid.axes[j + 1:])
-        moved = dataclasses.replace(grid, axes=axes)
-        got = E._radial_rows(a, moved, x, sqrt_t)[0]
-        assert got.tobytes() != want.tobytes(), j
+        yield dataclasses.replace(grid, axes=axes)
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_undeclared_inside_values_match_the_node_images_bitwise(label):
+    # a density without a declared profile takes its inside values on the
+    # eta-grid's axes too; they equal density_inside on the node images,
+    # node by node, for points on a leading axis. Negative control: one
+    # eta axis moved by one ulp moves them
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    grid = E._ext_grid(profile)
+    n, n_nodes = g.total_dim, grid.gamma_w.size
+    xs = np.array([[0.1, 0.05, -0.02], [-0.2, 0.1, 0.05]])[:, :n]
+    sqrt_t = 0.01
+    eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
+    rows, owner = np.tile(np.arange(n_nodes), 2), np.repeat([0, 1], n_nodes)
+    mus = _derived_densities(g)
+    for name in ("base", "translated", "restricted", "dilated"):
+        mu = mus[name]
+        assert mu.constant is None and mu.radial is None, name
+        assert _hull_states(mu, profile, xs, sqrt_t ** 2) == ["inside"] * 2
+        want = E._density_rows(mu.density_inside, g, xs, eta_t, rows, owner)
+        got = E._inside_rows(mu, grid, xs, sqrt_t)
+        assert got.tobytes() == want.tobytes(), name
+    for moved in _axes_off_by_one_ulp(grid):
+        assert E._inside_rows(mu, moved, xs, sqrt_t).tobytes() != \
+            want.tobytes()
 
 
 def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
@@ -698,8 +731,10 @@ def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
     # density never forms it
     atom = F.HeatExtension(F.AtomicMeasure(gh, [[0.0, 0.0, 0.0]], [1.0]), ph)
     least = K._least_time(4)
+    # heat_max's scale 1e-80 is the time 1e-160
     for call in (lambda: atom([0.0, 0.0, 0.0], 1e-160),
-                 lambda: atom._at_times([0.0, 0.0, 0.0], [1e-3, 1e-160])):
+                 lambda: F.heat_max(atom.mu, ph, [0.0, 0.0, 0.0],
+                                    s_grid=[1e-80, math.sqrt(1e-3)])):
         with pytest.raises(F.NumericsError, match=repr(least)) as err:
             call()
         assert "1e-160" in str(err.value)
@@ -714,7 +749,7 @@ def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
     value = u(x, 1e-160)
     # the eta-grid's gamma mass is 1 to about 1e-5
     assert value == pytest.approx(1.0 + 0.5 * 0.3 ** 2, rel=1e-4)
-    assert u._at_times(x, [1e-160])[0] == value
+    assert F.heat_max(mu, ph, x, s_grid=[1e-80])["values"][0] == value
 
 
 def _whole_panels(sections, edges):
@@ -762,8 +797,9 @@ _SLICE = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, -0.02], [1.45, 0.0, 0.0],
 
 def test_limit_trace_batches_match_pointwise_values(p2):
     # a slice call evaluates its points together (one hull test, batched
-    # inside blocks and cut lines); every value must equal the point's own
-    # call bit for bit, on every group and derived density
+    # inside blocks and cut lines, one kernel evaluation for every atom);
+    # every value must equal the point's own call bit for bit, on every
+    # group, derived density, atomic measure and mixture
     u = F.HeatExtension(plane_quadratic(), p2)
     region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
     trace = F.parabolic_limit(u, region)
@@ -785,3 +821,18 @@ def test_limit_trace_batches_match_pointwise_values(p2):
                 for x, state, value in zip(pts, states, u(pts, t)):
                     assert value == u(x, t), (label, name, t, x, state)
         assert seen == {"inside", "cut", "outside"}, label
+        # each point's atom sum is its own, in a fixed order, not a BLAS
+        # product over the slice
+        n = g.total_dim
+        rng = np.random.default_rng(7)
+        atoms = F.AtomicMeasure(g, rng.uniform(-0.3, 0.3, size=(5, n)),
+                                rng.uniform(0.2, 2.0, size=5))
+        mixture = F.MixtureMeasure(g, [atoms,
+                                       _derived_densities(g)["restricted"]])
+        for mu, n_pts in ((atoms, 141), (mixture, 64)):
+            u = F.HeatExtension(mu, profile)
+            cloud = rng.uniform(-0.3, 0.3, size=(n_pts, n))
+            got = u(cloud, 0.01)
+            assert np.all(got > 0.0), label
+            assert got.tobytes() == np.array(
+                [u(x, 0.01) for x in cloud]).tobytes(), label

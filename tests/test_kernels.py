@@ -14,6 +14,7 @@ Oracles used here (derived by hand / with mpmath, frozen as constants):
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -53,6 +54,44 @@ def test_euclidean_mass_and_semigroup(p1, p2):
         assert F.kernel_mass(p1, t) == pytest.approx(1.0, abs=1e-6)
     assert F.check_semigroup(p1, np.array([0.7]), 1.0, 0.5) < 1e-8
     assert F.check_semigroup(p2, np.array([0.3, -0.4]), 1.0, 1.0) < 1e-8
+
+
+# (call on the R^1 profile, error, the argument and value it must name)
+_BAD_ENTRIES = {
+    "kernel-mass-negative": (lambda p: F.kernel_mass(p, -1.0),
+                             F.NumericsError, "t=-1.0"),
+    "kernel-mass-zero": (lambda p: F.kernel_mass(p, 0.0),
+                         F.NumericsError, "t=0.0"),
+    "kernel-mass-inf": (lambda p: F.kernel_mass(p, math.inf),
+                        F.NumericsError, "t=inf"),
+    "kernel-mass-nan": (lambda p: F.kernel_mass(p, math.nan),
+                        F.NumericsError, "t=nan"),
+    "semigroup-inf": (lambda p: F.check_semigroup(p, [0.0], 1.0, math.inf),
+                      F.NumericsError, "tau=inf"),
+    "pde-zero-step": (lambda p: F.pde_residual(p, [0.0], 1.0, 0.0),
+                      F.NumericsError, "h=0.0"),
+    "sandwich-negative": (lambda p: F.sandwich_constants(
+        p.group, F.default_profile(), -1.0), F.MeasureError, "alpha=-1.0"),
+    "sandwich-inf": (lambda p: F.sandwich_constants(
+        p.group, F.default_profile(), math.inf), F.MeasureError, "alpha=inf"),
+    "sandwich-zero": (lambda p: F.sandwich_constants(
+        p.group, F.default_profile(), 0.0), F.MeasureError, "alpha=0.0"),
+    "grid-zero": (lambda p: F.geometric_grid(0.0, 1.0),
+                  F.MeasureError, "r_min=0.0"),
+    "grid-reversed": (lambda p: F.geometric_grid(1.0, 1e-3),
+                      F.MeasureError, "r_max=0.001"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
+def test_public_helpers_check_their_input_at_entry(case, p1):
+    # kernel times and steps are NumericsErrors, as in eval_kernel;
+    # apertures and grid bounds MeasureErrors, as in nontangential_max.
+    # They used to raise math, division or numpy errors, a GroupError from
+    # a dilation, or return a constant of the wrong sign
+    call, error, named = _BAD_ENTRIES[case]
+    with pytest.raises(error, match=re.escape(named)):
+        call(p1)
 
 
 def test_kernel_mass_integrates_on_the_eta_grid(p1, p2, p3, ph):

@@ -437,7 +437,7 @@ class _FlatExtension:
     def __init__(self, mu, profile):
         pass
 
-    def _at_times(self, x, times):
+    def _eval(self, pts, times):
         s = np.sqrt(times)
         assert np.array_equal(_SCALES, s)
         return _FLAT.copy()
@@ -482,17 +482,17 @@ def _batch_measures(g):
     return {"atomic": atoms, "density": density, "mixture": mixture}
 
 
-def _small_blocks(monkeypatch, g, phi):
-    """Blocks of three atom rows, of two phi-grid rows in the maximal
-    module and of two unit-ball rules in ball masses, so that batched rows
-    straddle block boundaries."""
+def _small_blocks(monkeypatch, g, phi, rule_nodes):
+    """Blocks of three atom rows, of two rules of ``rule_nodes`` nodes in
+    `DensityMeasure._image_sums` (phi-grid rows or unit-ball rules), and
+    of covering rows as many as two phi-grid rows' nodes hold, so that
+    batched rows straddle block boundaries."""
     from fatoulab import maximal as M, measures as MS
 
     monkeypatch.setattr(M, "_ATOM_ENTRIES", 20)
     monkeypatch.setattr(MS, "_ATOM_ENTRIES", 20)
     monkeypatch.setattr(M, "_BLOCK_ROWS", 2 * M._phi_grid(g, phi)[1].size + 1)
-    monkeypatch.setattr(MS, "_BLOCK_ROWS",
-                        2 * G.unit_ball_rule(g)[0].shape[0] + 1)
+    monkeypatch.setattr(MS, "_BLOCK_ROWS", 2 * rule_nodes + 1)
 
 
 def _grid_values(monkeypatch, mu, phi, pts, s):
@@ -544,7 +544,7 @@ def test_batched_values_equal_single_calls_bitwise(label, entries,
     g = F.get_group(label)
     phi = F.default_profile()
     if entries is not None:
-        _small_blocks(monkeypatch, g, phi)
+        _small_blocks(monkeypatch, g, phi, M._phi_grid(g, phi)[1].size)
     x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
     s = F.geometric_grid(0.05, 5.0, 8)     # both sides of the scale switch
     alpha, betas, k_dirs = 1.0, (0.0, 0.6), 2
@@ -639,7 +639,8 @@ def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,
                                                           monkeypatch):
     g = F.get_group(label)
     if small:
-        _small_blocks(monkeypatch, g, F.default_profile())
+        _small_blocks(monkeypatch, g, F.default_profile(),
+                      G.unit_ball_rule(g)[0].shape[0])
     radii = 3.7 * 0.61 ** np.arange(8)
     fam = F.default_ball_family(g)
     # near the support: covering, cut and inside balls, and in the hole's
