@@ -80,6 +80,10 @@ class DecisionTable:
     heat_chain_slack_density: float = 0.02
     decade_growth: float = 10.0
     argmax_ulps: int = 4
+    # inside heat values: the compressed eta-rule's value is kept where its
+    # embedded estimate |Q6 - Q4| is at most this times |Q6|, a tenth of the
+    # 9.96e-6 mass the H1 eta-box already leaves out
+    eta_rule_tol: float = 1e-6
 
 
 TABLE = DecisionTable()

@@ -31,6 +31,22 @@ onto a vertical line on which y_last is affine in eta_last, and
 ``DensityMeasure.sections`` gives the intervals of that line where the
 density may be nonzero (see ``_column_rule``).
 
+An inside value may instead take the compressed eta-rule (`_eta_rule`):
+a positive rule Q6 on at most dim P_6 of the grid's own nodes (50 on H1)
+whose moments of graded degree <= 6 (a + b + 2c <= 6 on H1) are those of
+the grid's gamma * w, and a nested Q4 (22 nodes on H1) on Q6's nodes.
+Tchakaloff's theorem guarantees such rules and Caratheodory recombination
+finds them (`quadrature.compressed_rules`); they are built at the first
+inside sum that can use them. On an analytic integrand Q6 misses by the
+Taylor remainder past degree 6. So a point takes Q6 only where its hull,
+mapped into the base frame, boxes none of the points where the density
+declares it may fail to be analytic (``DensityMeasure.singular``, with the
+_TIE margin of the hull test; a density that declares nothing takes the
+whole grid), and keeps Q6's value only where |Q6 - Q4| <=
+``TABLE.eta_rule_tol`` |Q6| (1e-6, a tenth of the 9.96e-6 mass the H1
+eta-box leaves out). Every other point takes the whole grid, with the bits
+it had without the rule.
+
 One evaluator, ``HeatExtension._eval``, takes each point with its own
 time: a call at many points with one t (a slice, as the limit traces make)
 and a call at one point with many t (the heat maximum's scales) are its
@@ -38,7 +54,8 @@ two shapes. An atomic part is one kernel evaluation over every (point,
 atom) pair, each point's row summed in a fixed order. A density part takes
 one pass per distinct t and per rule: one ``hull_state`` call classifies
 every point's hull; "inside" points share blocks of about
-``quadrature._BLOCK_ROWS`` rows on the grid's axes; "cut" points on the
+``quadrature._BLOCK_ROWS`` rows of compressed node images, then of the
+grid's axes for the points that take the whole grid; "cut" points on the
 grid's own outer rules share a ``_column_rule`` call of up to _CUT_LINES
 vertical lines, and only they build the scaled grid. Every step is row by
 row and each point keeps its own fixed-order sum, so each value is the one
@@ -68,10 +85,11 @@ import numpy as np
 from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
-from .decisions import SCALES, tail_decision, trace_decision
+from .decisions import SCALES, TABLE, tail_decision, trace_decision
 from .kernels import _EtaGrid, _ext_grid
-from .quadrature import (_BLOCK_ROWS, _legendre_projection, gauss_legendre,
-                         point_array, row_sums, tensor_rule, weighted_sum)
+from .quadrature import (_BLOCK_ROWS, _legendre_projection, compressed_rules,
+                         gauss_legendre, point_array, row_sums, tensor_rule,
+                         weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -116,23 +134,89 @@ def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
     return f
 
 
-def _inside_values(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
+# Graded degrees of the compressed eta-rule and of the nested rule whose
+# difference from it is the rule's error estimate
+_RULE_DEGREES = (6, 4)
+
+
+@dataclass(frozen=True)
+class _EtaRule:
+    """The compressed eta-rule of a kernel profile: Q6 on a subset of the
+    eta-grid's nodes, and Q4 on a subset of Q6's (see `_eta_rule`)."""
+
+    eta_inv: np.ndarray     # (q, n) inverted nodes of Q6
+    w: np.ndarray           # (q,) Q6 weights
+    sub: np.ndarray         # positions in Q6 of Q4's nodes, ascending
+    w_sub: np.ndarray       # Q4 weights
+
+
+def _eta_rule(profile: K.KernelProfile) -> _EtaRule:
+    """The profile's compressed eta-rule, built at its first use and
+    cached on the profile: `quadrature.compressed_rules` of the eta-grid's
+    gamma * w at graded degrees _RULE_DEGREES (50 and 22 nodes on H1)."""
+    cache = profile._caches
+    if "eta_rule" not in cache:
+        grid = _ext_grid(profile)
+        (i6, w6), (i4, w4) = compressed_rules(
+            grid.axes, grid.gamma_w, profile.group.layer_exponents,
+            _RULE_DEGREES)
+        cache["eta_rule"] = _EtaRule(
+            point_array(col[i6] for col in grid.eta_inv.T), w6,
+            np.searchsorted(i6, i4), w4)
+    return cache["eta_rule"]
+
+
+def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
+                   grid: _EtaGrid, xs: np.ndarray, hulls: np.ndarray,
                    sqrt_t: float) -> np.ndarray:
-    """u at points whose eta-image hull is "inside": the whole grid, with
-    `DensityMeasure.density_inside`. A declared constant takes one
-    `constant_sum` for every point; any other density takes its values on
-    the grid's axes (`_inside_rows`), p points at a time while p x nodes
-    fit in _BLOCK_ROWS rows. Each point's sum is its own (see
-    `quadrature.row_sums`)."""
+    """u at points whose eta-image hull (corners ``hulls`` (p, 2^n, n)) is
+    "inside", with `DensityMeasure.density_inside`.
+
+    A declared constant takes one `constant_sum` for every point. A point
+    whose hull `DensityMeasure.analytic_hulls` clears takes the compressed
+    rule (`_rule_values`), and keeps its Q6 value where |Q6 - Q4| <=
+    ``TABLE.eta_rule_tol`` |Q6|. Every other point takes the whole grid on
+    its axes (`_inside_rows`), p points at a time while p x nodes fit in
+    _BLOCK_ROWS rows. Each point's sum is its own (see
+    `quadrature.row_sums`), and so is its choice of rule.
+    """
     if mu.constant is not None:
         return np.full(xs.shape[0], mu.constant_sum(grid.gamma_w))
-    per = max(1, _BLOCK_ROWS // grid.gamma_w.size)
     out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], per):
-        batch = xs[start:start + per]
-        out[start:start + batch.shape[0]] = row_sums(
-            grid.gamma_w, _inside_rows(mu, grid, batch, sqrt_t))
+    full = ~mu.analytic_hulls(hulls)
+    free = np.flatnonzero(~full)
+    if free.size:
+        q6, q4 = _rule_values(mu, _eta_rule(profile), xs[free], sqrt_t)
+        kept = abs(q6 - q4) <= TABLE.eta_rule_tol * abs(q6)
+        out[free[kept]] = q6[kept]
+        full[free[~kept]] = True
+    full = np.flatnonzero(full)
+    per = max(1, _BLOCK_ROWS // grid.gamma_w.size)
+    for start in range(0, full.size, per):
+        rows = full[start:start + per]
+        out[rows] = row_sums(grid.gamma_w,
+                             _inside_rows(mu, grid, xs[rows], sqrt_t))
     return out
+
+
+def _rule_values(mu: DensityMeasure, rule: _EtaRule, xs: np.ndarray,
+                 sqrt_t: float):
+    """(Q6, Q4) at each point x of ``xs`` (p, n): `DensityMeasure.
+    density_inside` at the node images x * delta_sqrt(t)(eta^-1) of Q6,
+    summed by each rule, p points at a time while p x nodes fit in
+    _BLOCK_ROWS rows, each point's sums its own (`quadrature.row_sums`)."""
+    g = mu.group
+    nodes = G.dilate(g, sqrt_t, rule.eta_inv)
+    q = nodes.shape[0]
+    q6, q4 = np.empty(xs.shape[0]), np.empty(xs.shape[0])
+    per = max(1, _BLOCK_ROWS // q)
+    for start in range(0, xs.shape[0], per):
+        block = slice(start, start + per)
+        y = G.mul(g, xs[block, None, :], nodes)
+        f = mu.density_inside(y.reshape(-1, g.total_dim)).reshape(-1, q)
+        q6[block] = row_sums(rule.w, f)
+        q4[block] = row_sums(rule.w_sub, f[:, rule.sub])
+    return q6, q4
 
 
 def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
@@ -402,10 +486,12 @@ class HeatExtension:
         grid = _ext_grid(self.profile)
         sqrt_t = math.sqrt(t)
         corners = G.dilate(g, sqrt_t, grid.corner_inv)
-        states = mu.hull_state(G.mul(g, pts[:, None, :], corners))
+        hulls = G.mul(g, pts[:, None, :], corners)
+        states = mu.hull_state(hulls)
         out = np.zeros(pts.shape[0])
         inside = np.flatnonzero(states == "inside")
-        out[inside] = _inside_values(mu, grid, pts[inside], sqrt_t)
+        out[inside] = _inside_values(mu, self.profile, grid, pts[inside],
+                                     hulls[inside], sqrt_t)
         cut = np.flatnonzero(states == "cut")
         if cut.size:
             out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t)

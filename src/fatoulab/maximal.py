@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, MeasureError
+from .errors import CertificationError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
 from .decisions import (decade_flag, heat_chain_slack, holds_with_slack,
@@ -601,13 +601,21 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
     The substitution t = s^2 aligns the heat semigroup with the mollifier
     convention phi_s = s^(-Q) phi(delta_(1/s) argument). Every scale comes
     from one ``HeatExtension._eval`` call at x once per scale, with the
-    bits of u(x, s^2) at each.
+    bits of u(x, s^2) at each. A scale whose square overflows is a
+    NumericsError naming it, as one whose square underflows to 0 is in
+    ``_eval``.
     """
     x = _point(mu.group, x, "query point")
     s = _scale_grid(s_grid, 3.0)
     u = HeatExtension(mu, profile)
-    vals = u._eval(np.broadcast_to(x, (s.size, x.size)),
-                   [float(ss) ** 2 for ss in s])
+    times = []
+    for ss in s:
+        try:
+            times.append(float(ss) ** 2)
+        except OverflowError:
+            raise NumericsError(f"scale {float(ss)!r} has no finite time "
+                                "s^2") from None
+    vals = u._eval(np.broadcast_to(x, (s.size, x.size)), times)
     return {
         "value": float(vals.max()),
         "argmax_s": float(s[tied_argmax(vals)]),

@@ -351,10 +351,19 @@ class DensityMeasure(BoundaryMeasure):
     coordinate columns, where any other density writes them out as
     points: the heat extension's inside values take either on the
     eta-grid's axes.
+
+    ``singular`` declares the points (k, n) of the base frame where f may
+    fail to be analytic; an empty array declares f analytic everywhere,
+    and None (the default) declares nothing. The reductions keep it, as
+    they keep ``radial``. The heat extension reads it through
+    `analytic_hulls`: a hull whose image under A boxes no declared point
+    may take the compressed eta-rule, whose error estimate then decides
+    (see :mod:`fatoulab.extension`); an undeclared density always takes
+    the full eta-grid.
     """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box,
-                 constant: float | None = None, radial=None):
+                 constant: float | None = None, radial=None, singular=None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -367,6 +376,13 @@ class DensityMeasure(BoundaryMeasure):
         self.base_box = self.support_box = box
         self.constant = None if constant is None else float(constant)
         self.radial = radial
+        if singular is not None:
+            singular = np.array(singular, dtype=float)
+            if (singular.ndim != 2 or singular.shape[1] != group.total_dim
+                    or not np.all(np.isfinite(singular))):
+                raise MeasureError("singular must be finite points of shape "
+                                   f"(k, {group.total_dim})")
+        self.singular = singular
         self.shift, self.scale, self.clips = None, 1.0, ()
         self._support_mass = self._validate()
 
@@ -377,6 +393,7 @@ class DensityMeasure(BoundaryMeasure):
         BoundaryMeasure.__init__(out, self.group)
         out.base_density, out.base_box = self.base_density, self.base_box
         out.constant, out.radial = self.constant, self.radial
+        out.singular = self.singular
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
         out._support_mass = out._validate()
@@ -460,6 +477,20 @@ class DensityMeasure(BoundaryMeasure):
             state = np.minimum(state, _INSIDE - clip if complement else clip)
         names = _STATES[state]
         return str(names) if names.ndim == 0 else names
+
+    def analytic_hulls(self, corners: np.ndarray) -> np.ndarray:
+        """For ``corners`` (..., k, n), whether each hull along the leading
+        axes is clear of every declared ``singular`` point: the box spanned
+        by the corners' images under A (which holds the hull's image, A
+        being affine) misses it by more than _TIE times the spread, as
+        `_box_state` tests a face. All False where nothing is declared."""
+        corners = np.asarray(corners, dtype=float)
+        clear = np.full(corners.shape[:-2], self.singular is not None)
+        if self.singular is not None:
+            q = self._to_base(corners)
+            for p in self.singular:
+                clear &= _box_state(q, np.stack([p, p], axis=1)) == _OUTSIDE
+        return clear
 
     def sections(self, base: np.ndarray, slope: float):
         """Where the density may be nonzero on vertical lines.

@@ -16,7 +16,11 @@
   mollifier's phi-weighted grid;
 * `weighted_sum`: sum_i w_i f_i in a fixed order, so that a quadrature
   value does not depend on how many threads the BLAS library runs;
-  `row_sums` is the same sum for each row of a block of rows.
+  `row_sums` is the same sum for each row of a block of rows;
+* `compressed_rules`: nested positive rules on a few nodes of a tensor
+  rule that keep its moments up to a graded degree (the heat extension's
+  compressed eta-rule), found by Caratheodory recombination in elementwise
+  NumPy steps, so that they too do not depend on the BLAS thread count.
 
 Which rule a group uses is data carried by its descriptor (see
 :mod:`fatoulab.groups`); nothing here knows about particular groups.
@@ -34,6 +38,8 @@ row the same way in either layout.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -41,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["point_array", "gauss_legendre", "tensor_rule", "SphereChart",
-           "ball_rule", "weighted_sum", "row_sums"]
+           "ball_rule", "weighted_sum", "row_sums", "graded_indices",
+           "compressed_rules"]
 
 # Rows per block of a long pass over a grid: `weighted_sum`, the eta-grid's
 # gamma values and every density pass of the heat extension. Whole-grid
@@ -136,6 +143,208 @@ def tensor_rule(rules):
     for _, w in rules[1:]:
         weights = np.multiply.outer(weights, w)
     return point_array(mesh), weights.ravel()
+
+
+# ---------------------------------------------------------------------------
+# compressed rules: positive subrules of a tensor rule that keep its moments
+# ---------------------------------------------------------------------------
+
+def graded_indices(exponents, degree: int) -> np.ndarray:
+    """Multi-indices a (D, n) with sum_j a_j e_j <= ``degree`` for the
+    coordinate weights e = ``exponents``, ordered by that graded degree,
+    so that those of any lower degree come first. D = dim P_degree: 50 on
+    the Heisenberg group (e = (1, 1, 2)) at degree 6, 22 at degree 4."""
+    exps = tuple(int(e) for e in exponents)
+    found = [a for a in itertools.product(*(range(degree // e + 1)
+                                            for e in exps))
+             if sum(k * e for k, e in zip(a, exps)) <= degree]
+    found.sort(key=lambda a: sum(k * e for k, e in zip(a, exps)))
+    return np.array(found, dtype=int).reshape(-1, len(exps))
+
+
+def _orthonormal_table(x: np.ndarray, m: np.ndarray, top: int) -> np.ndarray:
+    """p_0 .. p_top at each node of ``x`` (k,): the polynomials orthonormal
+    for the weights ``m`` (k,) >= 0, by the Stieltjes procedure (Gautschi,
+    Orthogonal Polynomials, 2004, Sec. 2.2.3): (k, top + 1)."""
+    out = np.zeros((x.size, top + 1))
+    out[:, 0] = 1.0 / math.sqrt(np.add.reduce(m))
+    prev, b = np.zeros(x.size), 0.0
+    for k in range(top):
+        p = out[:, k]
+        a = np.add.reduce(m * x * p * p)
+        q = (x - a) * p - b * prev
+        b = math.sqrt(np.add.reduce(m * q * q))
+        prev, out[:, k + 1] = p, q / b
+    return out
+
+
+def _axis_tables(rules, weights: np.ndarray, alphas: np.ndarray) -> list:
+    """Per axis, the table of `_orthonormal_table` on its nodes for the
+    marginal of ``weights`` on that axis, up to the largest power
+    ``alphas`` take there. Their products are near orthonormal for the
+    whole rule (exactly so where it is a product), which keeps the
+    moment rows of `_recombine` well scaled."""
+    sizes = tuple(nodes.size for nodes, _ in rules)
+    w = np.reshape(weights, sizes)
+    out = []
+    for j, ((nodes, _), top) in enumerate(zip(rules, alphas.max(axis=0))):
+        other = tuple(i for i in range(len(sizes)) if i != j)
+        marginal = np.add.reduce(w, axis=other) if other else w
+        out.append(_orthonormal_table(nodes, marginal, int(top)))
+    return out
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """A basis (k, k - rank) of the null space of ``a`` (D, k), by
+    Gauss-Jordan elimination with full pivoting.
+
+    Every step is elementwise or a reduction along one row, so the result
+    does not depend on how many threads the BLAS library runs. A pivot
+    below 1e-13 of the largest entry ends the elimination.
+    """
+    a = np.array(a, dtype=float)
+    n_rows, k = a.shape
+    cols = np.arange(k)
+    floor = 1e-13 * np.abs(a).max()
+    rank = 0
+    for r in range(min(n_rows, k)):
+        sub = np.abs(a[r:, r:])
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        if not sub[i, j] > floor:
+            break
+        a[[r, r + i]] = a[[r + i, r]]
+        a[:, [r, r + j]] = a[:, [r + j, r]]
+        cols[[r, r + j]] = cols[[r + j, r]]
+        a[r] /= a[r, r]
+        factor = a[:, r].copy()
+        factor[r] = 0.0
+        a -= np.multiply.outer(factor, a[r])
+        rank += 1
+    basis = np.zeros((k, k - rank))
+    basis[cols[:rank]] = -a[:rank, rank:]
+    basis[cols[rank:], np.arange(k - rank)] = 1.0
+    return basis
+
+
+def _caratheodory(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weights w' >= 0 on the k points of ``m`` (k, D), at most rank(m) of
+    them nonzero, with sum_i w'_i m_i = sum_i w_i m_i; ``m``'s first column
+    is a nonzero constant, so the total weight is kept.
+
+    Each null vector v of m^T moves the weights to w - alpha v, alpha the
+    largest step that keeps them nonnegative, which zeroes one of them; the
+    null vectors still to come are then made zero there too (Caratheodory's
+    theorem, as in Piazzon, Sommariva and Vianello, Dolomites Res. Notes
+    Approx. 10, 2017).
+    """
+    # each point's row scaled to largest entry 1, so that the pivot floor
+    # of `_null_space` reads every point on one scale
+    scale = 1.0 / np.abs(m).max(axis=1)
+    basis = _null_space((m * scale[:, None]).T) * scale[:, None]
+    w = w.copy()
+    for j in range(basis.shape[1]):
+        v = basis[:, j]
+        if not np.any(v > 0.0):
+            v = -v
+        pos = v > 0.0
+        ratio = np.full(w.size, np.inf)
+        ratio[pos] = w[pos] / v[pos]
+        i = int(np.argmin(ratio))
+        w = np.maximum(w - ratio[i] * v, 0.0)
+        w[i] = 0.0
+        basis[:, j + 1:] -= np.multiply.outer(v / v[i], basis[i, j + 1:])
+    return w
+
+
+def _recombine(m: np.ndarray, w: np.ndarray):
+    """(indices, weights) of at most D of the k points of ``m`` (k, D)
+    with positive weights whose moments sum_i w_i m_i equal those of
+    ``w`` (k,) > 0; ``m``'s first column is a nonzero constant.
+
+    Fast Caratheodory recombination (Maalouf, Jubran and Feldman, NeurIPS
+    2019): while more than 2D points remain, they are split into 2D runs
+    of consecutive points, each run is reduced to its total weight and
+    weighted mean, `_caratheodory` keeps at most D runs, and the points of
+    a kept run are reweighted by its new total over its old. Each round
+    halves the points at the cost of one (2D, D) elimination; the last one
+    runs on the points themselves.
+    """
+    idx = np.flatnonzero(w > 0.0)
+    w = np.array(w, dtype=float)
+    n_runs = 2 * m.shape[1]
+    while idx.size > n_runs:
+        starts = np.linspace(0, idx.size, n_runs + 1).astype(int)[:-1]
+        total = np.add.reduceat(w[idx], starts)
+        mean = np.add.reduceat(w[idx, None] * m[idx], starts) / total[:, None]
+        kept = _caratheodory(mean, total)
+        ratio = np.repeat(kept / total, np.diff(np.append(starts, idx.size)))
+        w[idx] *= ratio
+        idx = idx[ratio > 0.0]
+    out = _caratheodory(m[idx], w[idx])
+    return idx[out > 0.0], out[out > 0.0]
+
+
+def _refine(m: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``w`` after one step of iterative refinement of sum_i w_i m_i =
+    ``target`` in the least-squares sense: the normal equations G d = r
+    (G = m m^T, nonsingular on the independent rows Caratheodory leaves)
+    solved as the null vector (d, 1) of [G, -r]. It takes the rounding of
+    the eliminations out of the moments."""
+    resid = target - np.add.reduce(np.ascontiguousarray((w[:, None] * m).T),
+                                   axis=1)
+    gram = np.add.reduce(m[:, None, :] * m[None, :, :], axis=2)
+    v = _null_space(np.column_stack([gram, -np.add.reduce(m * resid,
+                                                          axis=1)]))[:, 0]
+    return w + v[:-1] / v[-1]
+
+
+def compressed_rules(rules, weights: np.ndarray, exponents, degrees):
+    """Nested positive rules on the nodes of the tensor rule ``rules``
+    (its ``tensor_rule`` order) with node weights ``weights`` (N,): for
+    each degree D of ``degrees`` (descending), (indices, weights) of at
+    most dim P_D nodes whose moments of graded degree <= D (coordinate
+    weights ``exponents``, see `graded_indices`) are the full rule's. Each
+    rule's nodes are a subset of the one before, and the indices ascend.
+
+    Tchakaloff's theorem gives such rules on the grid's own nodes. For the
+    first degree, `_recombine` finds one in two stages and never holds an
+    N x dim array: first the columns of the last axis, each as one point of
+    its summed moments, then the nodes of the columns that survive. Each
+    further rule recombines the one before. Moments are taken on products
+    of per-axis polynomials orthonormal for the rule's marginals (see
+    `_axis_tables`), which span the graded monomials' space.
+    """
+    alphas = graded_indices(exponents, degrees[0])
+    order = (alphas * np.asarray(exponents, dtype=int)).sum(axis=1)
+    tables = _axis_tables(rules, weights, alphas)
+    sizes = [nodes.size for nodes, _ in rules]
+    col = np.reshape(weights, (-1, sizes[-1]))
+    # per column: sum over the last axis of w * p_k, for each power k
+    last = np.stack([np.add.reduce(col * p, axis=1) for p in tables[-1].T],
+                    axis=1)
+    heads = np.unravel_index(np.arange(col.shape[0]), sizes[:-1] or (1,))
+    col_m = last[:, alphas[:, -1]]
+    for table, at, a in zip(tables[:-1], heads, alphas[:, :-1].T):
+        col_m = col_m * table[at][:, a]
+    target = np.add.reduce(np.ascontiguousarray(col_m.T), axis=1)
+    mass = col_m[:, 0]
+    live = np.flatnonzero(mass > 0.0)
+    keep, kept = _recombine(col_m[live] / mass[live, None], mass[live])
+    cols = live[keep]
+    nodes = (cols[:, None] * sizes[-1] + np.arange(sizes[-1])).ravel()
+    w = (weights[nodes].reshape(cols.size, -1)
+         * (kept / mass[cols])[:, None]).ravel()
+    m = np.ones((nodes.size, alphas.shape[0]))
+    for table, at, a in zip(tables, np.unravel_index(nodes, sizes), alphas.T):
+        m *= table[at][:, a]
+    out = []
+    for degree in degrees:
+        dim = int(np.count_nonzero(order <= degree))
+        pick, w = _recombine(m[:, :dim], w)
+        nodes, m = nodes[pick], m[pick]
+        w = _refine(m[:, :dim], w, target[:dim])
+        out.append((nodes, w))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,40 +117,42 @@ _DEFAULT_BOX = {
 }
 
 
-def _constant_fn(c: float):
+def _constant_fn(g: G.GroupDescriptor, c: float):
     """(the density c at every point, without the gauge; c; no gauge
-    profile). A family whose gauge term has coefficient 0 gives
-    c + 0 * g = c bit for bit for a finite gauge term g; adding 0.0 maps a
-    c of -0.0 to 0.0, as that sum does. The constant is declared to the
-    `DensityMeasure`."""
+    profile; no singular point). A family whose gauge term has coefficient
+    0 gives c + 0 * g = c bit for bit for a finite gauge term g; adding 0.0
+    maps a c of -0.0 to 0.0, as that sum does. The constant is declared to
+    the `DensityMeasure`, and so is analyticity everywhere."""
     c = c + 0.0
 
     def fn(pts, _c=c):
         return np.full(np.shape(pts)[:-1], _c)
 
-    return fn, c, None
+    return fn, c, None, np.zeros((0, g.total_dim))
 
 
 def _radial_fn(g: G.GroupDescriptor, radial):
-    """(radial of the gauge; no constant; radial): the density is defined
-    through its profile, so that it equals the profile it declares to the
-    `DensityMeasure` bit for bit."""
+    """(radial of the gauge; no constant; radial; the base origin): the
+    density is defined through its profile, so that it equals the profile
+    it declares to the `DensityMeasure` bit for bit. The gauge is not
+    smooth at the origin (on H1 not even its square is), so the origin is
+    declared singular and is the only such point."""
     def fn(pts):
         return radial(np.asarray(G.norm(g, pts)))
 
-    return fn, None, radial
+    return fn, None, radial, np.zeros((1, g.total_dim))
 
 
 def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
     """(density function, its declared constant or None, its declared gauge
-    profile or None) of a family."""
+    profile or None, its declared singular points) of a family."""
     if family == "polynomial":
         _check_keys(params, {"constant", "quadratic"}, {"constant"}, where)
         c0 = _number(params["constant"], f"{where}.constant", minimum=0.0)
         c2 = _number(params.get("quadratic", 0.0), f"{where}.quadratic",
                      minimum=0.0)
         if c2 == 0.0:
-            return _constant_fn(c0)
+            return _constant_fn(g, c0)
 
         def radial(rho, _c0=c0, _c2=c2):
             return _c0 + _c2 * rho ** 2
@@ -164,7 +166,7 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
         width = _number(params["width"], f"{where}.width", minimum=0.0,
                         strict=True)
         if amp == 0.0:
-            return _constant_fn(base)
+            return _constant_fn(g, base)
 
         def radial(rho, _b=base, _a=amp, _w=width):
             return _b + _a * np.exp(-(rho / _w) ** 2)
@@ -180,7 +182,7 @@ def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
                 f"{where}: amplitude must not exceed baseline (nonnegativity)"
             )
         if amp == 0.0:
-            return _constant_fn(base)
+            return _constant_fn(g, base)
 
         def radial(rho, _b=base, _a=amp):
             return _b + _a * np.sin(np.log(1.0 / np.maximum(rho, 1e-300)))
@@ -218,8 +220,9 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
         )
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
-        fn, constant, radial = _density_fn(g, fam, params, f"{where}.params")
-        return DensityMeasure(g, fn, box, constant, radial)
+        fn, constant, radial, singular = _density_fn(g, fam, params,
+                                                     f"{where}.params")
+        return DensityMeasure(g, fn, box, constant, radial, singular)
     if kind == "mixture":
         _check_keys(spec, {"type", "components"}, {"type", "components"}, where)
         comps = spec["components"]

@@ -42,6 +42,7 @@ def test_table_holds_the_bars_and_is_frozen():
     assert D.sandwich_slacks(False) == (0.02, 1e-2)
     assert (D.heat_chain_slack(True), D.heat_chain_slack(False)) == (1e-9, 0.02)
     assert (t.decade_growth, t.argmax_ulps) == (10.0, 4)
+    assert t.eta_rule_tol == 1e-6
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.spread_tol = 1.0
 

@@ -18,6 +18,8 @@ import fatoulab as F
 from fatoulab import extension as E
 from fatoulab import groups as G
 from fatoulab import kernels as K
+from fatoulab import quadrature
+from fatoulab.decisions import TABLE
 from fatoulab.quadrature import (_BLOCK_ROWS, gauss_legendre, tensor_rule,
                                  weighted_sum)
 from references import duality_check
@@ -616,10 +618,12 @@ _RADIAL_FAMILIES = {
 
 def _radial_pairs(g, family):
     """A gauge family's density, declared radial and undeclared, and their
-    reductions: name -> (declared, undeclared)."""
+    reductions: name -> (declared, undeclared). Neither declares singular
+    points, so every inside value of both takes the whole eta-grid."""
     n = g.total_dim
     declared = F.build_measure(g, {"type": "density", "family": family,
                                    "params": _RADIAL_FAMILIES[family]})
+    declared.singular = None
     plain = F.DensityMeasure(g, declared.base_density, declared.support_box)
     x0 = np.array([0.1, -0.05, 0.02])[:n]
     ball = F.Ball(np.array([0.2, 0.1, 0.0])[:n], 0.9)
@@ -836,3 +840,189 @@ def test_limit_trace_batches_match_pointwise_values(p2):
             assert np.all(got > 0.0), label
             assert got.tobytes() == np.array(
                 [u(x, 0.01) for x in cloud]).tobytes(), label
+
+
+# ---------------------------------------------------------------------------
+# the compressed eta-rule of inside values
+# ---------------------------------------------------------------------------
+
+def _moment_errors(g, grid, idx, w, degree):
+    """Per graded monomial of degree <= ``degree`` (coordinates scaled by
+    the eta-box), |rule - grid| over the grid's sum of gamma * w * |m|,
+    one monomial at a time so that no N x dim array is held."""
+    eta, _ = tensor_rule(grid.axes)
+    half = np.abs(eta).max(axis=0)
+    out = []
+    for a in quadrature.graded_indices(g.layer_exponents, degree):
+        m = np.prod((eta / half) ** a, axis=1)
+        full = weighted_sum(grid.gamma_w, m)
+        scale = weighted_sum(grid.gamma_w, np.abs(m))
+        out.append(abs(weighted_sum(w, m[idx]) - full) / scale)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_compressed_rules_keep_the_eta_grid_moments(label):
+    # Q6 and its nested Q4: positive weights on at most dim P_D of the
+    # grid's own nodes, Q4's among Q6's, every moment of graded degree <= D
+    # the grid's within 1e-13. Negative control: one Q6 weight off by 1e-3
+    # fails the moment check
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    grid = E._ext_grid(profile)
+    (i6, w6), (i4, w4) = quadrature.compressed_rules(
+        grid.axes, grid.gamma_w, g.layer_exponents, E._RULE_DEGREES)
+    dims = [len(quadrature.graded_indices(g.layer_exponents, d))
+            for d in E._RULE_DEGREES]
+    if label == "heisenberg:1":
+        assert dims == [50, 22]
+    assert i6.size <= dims[0] and i4.size <= dims[1]
+    assert np.all(w6 > 0.0) and np.all(w4 > 0.0)
+    assert np.all(np.diff(i6) > 0) and np.all(np.isin(i4, i6))
+    for (idx, w), degree in zip(((i6, w6), (i4, w4)), E._RULE_DEGREES):
+        assert _moment_errors(g, grid, idx, w, degree).max() <= 1e-13, degree
+    off = w6.copy()
+    off[np.argmax(off)] *= 1.0 + 1e-3
+    assert _moment_errors(g, grid, i6, off, 6).max() > 1e-13
+    # the heat extension's cached rule is this one, on the grid's nodes
+    rule = E._eta_rule(profile)
+    assert np.array_equal(rule.eta_inv, grid.eta_inv[i6])
+    assert rule.w.tobytes() == w6.tobytes()
+    assert np.array_equal(i6[rule.sub], i4)
+    assert rule.w_sub.tobytes() == w4.tobytes()
+
+
+def _gauge_density(g, family, params, vertex):
+    """A gauge family's density (base origin declared singular) seen from
+    ``vertex``, and the same with the declaration stripped."""
+    declared = F.translate_measure(
+        F.build_measure(g, {"type": "density", "family": family,
+                            "params": params}), vertex)
+    stripped = F.translate_measure(
+        F.build_measure(g, {"type": "density", "family": family,
+                            "params": params}), vertex)
+    stripped.singular = None
+    return declared, stripped
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_hulls_that_box_a_declared_point_take_the_full_grid(label):
+    # the vertex at the declared point: the hull holds it, and the value is
+    # the full grid's bit for bit. Off it, the hull is clear and the value
+    # is the compressed rule's, within the bar of the full grid's
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    params = _RADIAL_FAMILIES["gaussian-bump"]
+    t = 1e-4
+    for vertex, clear in ((np.zeros(n), False),
+                          (np.array([0.3, -0.2, 0.1])[:n], True)):
+        a, b = _gauge_density(g, "gaussian-bump", params, vertex)
+        x = np.array([0.01, 0.0, 0.0])[:n]
+        assert _hull_states(a, profile, x[None], t) == ["inside"]
+        corners = G.dilate(g, math.sqrt(t), E._ext_grid(profile).corner_inv)
+        hull = G.mul(g, x, corners)
+        assert bool(a.analytic_hulls(hull)) == clear
+        assert not b.analytic_hulls(hull)
+        got = F.HeatExtension(a, profile)(x, t)
+        want = F.HeatExtension(b, profile)(x, t)
+        if clear:
+            assert got != want
+            assert abs(got - want) <= TABLE.eta_rule_tol * abs(want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_a_narrow_bump_trips_the_estimate(label):
+    # a gaussian bump of width 0.02 seen from a vertex off its centre: the
+    # hull is clear of the centre, but Q4 and Q6 disagree by more than the
+    # bar, so the value is the full grid's bit for bit
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    params = {"baseline": 1.0, "amplitude": 2.0, "width": 0.02}
+    a, b = _gauge_density(g, "gaussian-bump", params,
+                          np.array([0.06, 0.0, 0.0])[:n])
+    x, sqrt_t = np.zeros((1, n)), 0.004
+    corners = G.dilate(g, sqrt_t, E._ext_grid(profile).corner_inv)
+    hull = G.mul(g, x[0], corners)
+    assert a.hull_state(hull) == "inside" and a.analytic_hulls(hull)
+    q6, q4 = E._rule_values(a, E._eta_rule(profile), x, sqrt_t)
+    assert abs(q6 - q4)[0] > TABLE.eta_rule_tol * abs(q6)[0]
+    got = F.HeatExtension(a, profile)(x[0], sqrt_t ** 2)
+    assert got == F.HeatExtension(b, profile)(x[0], sqrt_t ** 2)
+    assert got != q6[0]
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_compressed_batches_match_pointwise_values(label):
+    # a slice that mixes hulls holding the declared point, hulls the
+    # compressed rule keeps and hulls whose estimate trips: every value is
+    # the point's own call bit for bit, and the slice takes every rule
+    g = F.get_group(label)
+    profile = F.profile_for(g)
+    n = g.total_dim
+    vertex = np.array([0.06, 0.0, 0.0])[:n]
+    # the declared point's preimage, and the narrow bump's tripping point
+    cloud = np.vstack([G.inverse(g, vertex), np.zeros(n),
+                       np.random.default_rng(11).uniform(-0.12, 0.12,
+                                                         size=(40, n))])
+    seen = set()
+    for family, params in (("gaussian-bump", _RADIAL_FAMILIES[
+                                "gaussian-bump"]),
+                           ("gaussian-bump", {"baseline": 1.0,
+                                              "amplitude": 2.0,
+                                              "width": 0.02})):
+        a, b = _gauge_density(g, family, params, vertex)
+        u, full = F.HeatExtension(a, profile), F.HeatExtension(b, profile)
+        t = 1.6e-5
+        got, want = u(cloud, t), full(cloud, t)
+        assert got.tobytes() == np.array([u(x, t) for x in cloud]).tobytes()
+        same = got == want
+        assert np.all(abs(got - want) <= TABLE.eta_rule_tol * abs(want))
+        corners = G.dilate(g, math.sqrt(t), E._ext_grid(profile).corner_inv)
+        clear = a.analytic_hulls(G.mul(g, cloud[:, None, :], corners))
+        assert np.all(same[~clear])
+        seen.update({"guarded"} if np.any(~clear) else set())
+        seen.update({"compressed"} if np.any(~same) else set())
+        seen.update({"tripped"} if np.any(same & clear) else set())
+    assert seen == {"guarded", "compressed", "tripped"}
+
+
+def _trace_values(report):
+    """Every limit-trace value of a report, in CSV order, per aperture."""
+    return {key: np.array([float(line.rsplit(",", 1)[1])
+                           for line in csv.splitlines()[1:]])
+            for key, csv in report.traces.items() if key.startswith("limit")}
+
+
+@pytest.mark.parametrize("label", ["hc-translated-vertex",
+                                   "eg-translated-vertex"])
+def test_compressed_values_match_the_full_grid_on_the_translated_presets(
+        label, monkeypatch):
+    # with the singular declaration and with it stripped (every inside
+    # value on the full grid), each trace value agrees within the bar, the
+    # verdicts are equal and the limit estimates within 1e-12; and the
+    # compressed rule did take part
+    cfg = {c["label"]: c for s in ("euclidean-gehring", "heisenberg-core")
+           for c in F.preset_suite(s)}[label]
+    with_rule = F.run_scenario(cfg)
+    init = F.DensityMeasure.__init__
+
+    def stripped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.singular = None
+
+    monkeypatch.setattr(F.DensityMeasure, "__init__", stripped)
+    full = F.run_scenario(cfg)
+    assert with_rule.verdict == full.verdict
+    moved = 0
+    for key, vals in _trace_values(with_rule).items():
+        ref = _trace_values(full)[key]
+        assert np.all(abs(vals - ref) <= TABLE.eta_rule_tol * abs(ref)), key
+        moved += int(np.count_nonzero(vals != ref))
+    assert moved > 0
+    for key, lim in with_rule.limits.items():
+        assert abs(lim["estimate"] - full.limits[key]["estimate"]) <= \
+            1e-12 * abs(full.limits[key]["estimate"]), key

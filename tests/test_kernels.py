@@ -103,6 +103,34 @@ def test_kernel_mass_integrates_on_the_eta_grid(p1, p2, p3, ph):
             assert abs(F.kernel_mass(k, t) - total) <= 1e-14, (k.group.label, t)
 
 
+def _h1_box_tail(s_edge, z_edge):
+    """gamma's mass outside the H1 eta-box |s| <= s_edge, |z_i| <= z_edge,
+    to first order in the two tails: the s-marginal is Levy's area law
+    (1/8) sech(pi s / 8), whose mass past |s| = S is (4/pi) arctan
+    e^(-pi S / 8), and each z_i is normal with variance 2, whose mass past
+    |z_i| = Z is erfc(Z / 2)."""
+    return (4.0 / math.pi * math.atan(math.exp(-math.pi * s_edge / 8.0))
+            + 2.0 * math.erfc(z_edge / 2.0))
+
+
+def test_h1_eta_box_loses_the_closed_form_tail(gh, ph):
+    # 1 - kernel_mass (9.9619e-6) is the box's tail (9.9661e-6) within
+    # 1e-8; negative control: the tail of a box with s out to 25 (6.96e-5)
+    # fails the same check
+    (_, z_edge, _, _), _, (_, s_edge, _, _) = gh.eta_grid
+    deficit = 1.0 - F.kernel_mass(ph, 1.0)
+    assert abs(deficit - _h1_box_tail(s_edge, z_edge)) <= 1e-8
+    assert abs(deficit - _h1_box_tail(25.0, z_edge)) > 1e-8
+
+
+def test_compressed_rule_keeps_the_eta_grid_mass(ph):
+    # Q6's weights sum to the grid's gamma * w within 1e-15 relative
+    from fatoulab import extension as E
+    grid = K._ext_grid(ph)
+    total = math.fsum(grid.gamma_w)
+    assert abs(math.fsum(E._eta_rule(ph).w) - total) <= 1e-15 * total
+
+
 def test_battery_and_heat_extension_build_one_grid_per_profile(p1, p2, p3, ph,
                                                                monkeypatch):
     built = []

@@ -633,6 +633,19 @@ def test_heat_max_equals_heat_extension_per_scale_bitwise(label):
         assert got.tobytes() == ref.tobytes(), kind
 
 
+def test_heat_max_names_a_scale_whose_square_overflows(gh, ph):
+    # 1e160 is finite, but its square is not a float: a NumericsError
+    # naming the scale, not a bare OverflowError; the scale below it keeps
+    # its value
+    mu = F.AtomicMeasure(gh, [[0.0, 0.0, 0.0]], [1.0])
+    x = [0.1, 0.0, 0.0]
+    with pytest.raises(F.NumericsError, match="1e[+]?160") as err:
+        F.heat_max(mu, ph, x, s_grid=[1.0, 1e160])
+    assert not isinstance(err.value, OverflowError)
+    assert F.heat_max(mu, ph, x, s_grid=[1.0])["values"][0] == \
+        F.HeatExtension(mu, ph)(x, 1.0)
+
+
 @pytest.mark.parametrize("small", [False, True])
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,

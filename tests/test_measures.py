@@ -412,6 +412,26 @@ def test_declared_radial_is_checked_and_kept(label):
                          radial=lambda rho: -0.0 * rho)
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_declared_singular_points_are_checked_and_kept(label):
+    # finite (k, n) points, kept by every reduction; anything else is a
+    # MeasureError
+    g = F.get_group(label)
+    n = g.total_dim
+    box = [[-1.0, 1.2]] * n
+    fn = lambda p: 1.0 + (p * p).sum(axis=-1)  # noqa: E731
+    assert F.DensityMeasure(g, fn, box).singular is None
+    mu = F.DensityMeasure(g, fn, box, singular=[[0.1] * n])
+    for name, derived in _derived(mu, g).items():
+        assert derived.singular is mu.singular, name
+    assert F.DensityMeasure(g, fn, box, singular=np.zeros((0, n))
+                            ).singular.shape == (0, n)
+    for bad in ([0.1] * n, [[0.1] * (n + 1)], [[np.nan] * n],
+                [[np.inf] * n]):
+        with pytest.raises(F.MeasureError, match="singular"):
+            F.DensityMeasure(g, fn, box, singular=bad)
+
+
 def test_restrict_and_complement_additivity(g1, g2):
     mu = quadratic_line_measure()
     ball = F.Ball([0.0], 1.0)

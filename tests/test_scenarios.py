@@ -120,9 +120,14 @@ def test_only_constant_families_declare_a_constant(gh, family, params,
                               "params": params})
     # exactly the families with a nonzero gauge term declare their gauge
     # profile, and their density is that profile of the gauge, bit for bit
-    fn, declared, radial = S._density_fn(gh, family, params, "measure")
+    fn, declared, radial, singular = S._density_fn(gh, family, params,
+                                                   "measure")
     assert declared == constant
     assert (radial is None) == (mu.radial is None) == (constant is not None)
+    # a gauge family declares the base origin singular, a constant nothing
+    assert mu.singular.tobytes() == singular.tobytes()
+    assert singular.shape == ((0, 3) if radial is None else (1, 3))
+    assert not np.any(singular)
     if radial is not None:
         pts = np.random.default_rng(3).normal(size=(257, 3))
         assert fn(pts).tobytes() == radial(
