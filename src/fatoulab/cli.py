@@ -2,13 +2,16 @@
 
 Exit codes: 0 all checks passed; 1 a verdict mismatch or battery failure;
 2 usage or configuration error; 3 numerical failure (quadrature breakdown
-or certification not achievable).
+or certification not achievable). A reader that closes standard output
+early (``fatou suite ... | head -1``) changes neither: the command runs to
+its end with its output discarded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -190,7 +193,50 @@ def _cmd_oracle_validate(args) -> int:
     return 0 if ok else 1
 
 
+class _DiscardOnBrokenPipe:
+    """Standard output that, once its reader is gone, discards the rest.
+
+    The first write or flush that meets a closed pipe points the stream's
+    file descriptor at os.devnull, so later writes, and the flush at
+    interpreter exit, succeed without output and without a traceback.
+    """
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def _discard(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv=None) -> int:
+    stdout = sys.stdout
+    sys.stdout = _DiscardOnBrokenPipe(stdout)
+    try:
+        return _main(argv)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -571,7 +571,8 @@ def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
     return G.mul(g, region.vertex, offsets)
 
 
-def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:
+def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
+                    central=None) -> LimitTrace:
     """Follow u into the vertex along the region; returns the full trace.
 
     The times are ``decisions.SCALES.times(t_max)``: t_max 4^-k for
@@ -580,8 +581,13 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:
     is for a region without t_max. Placement (beta, omega) at time t sits
     at vertex * delta_(beta * aperture * sqrt(t))(omega) for beta in
     _BETAS and _N_DIRECTIONS directions omega; beta = 0 is the central
-    axis and appears once. `decisions.trace_decision` of the values gives
-    the estimate and the convergence call.
+    axis and appears once, first. `decisions.trace_decision` of the values
+    gives the estimate and the convergence call.
+
+    The central axis does not depend on the aperture. ``central`` holds its
+    values, the first row of ``values`` of a trace of u with the same vertex
+    and times, or None to evaluate them here. Every value is u at its own
+    point and time, so either way the trace has the same bits.
     """
     g = u.group
     _point(g, region.vertex, "region vertex")
@@ -591,9 +597,16 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:
     t_vals = SCALES.times(t_max)
     pts = np.empty((len(_PLACEMENTS), t_vals.size, g.total_dim))
     vals = np.empty((len(_PLACEMENTS), t_vals.size))
+    rows = slice(0 if central is None else 1, None)
+    if central is not None:
+        central = np.asarray(central, dtype=float)
+        if central.shape != t_vals.shape:
+            raise MeasureError(f"central needs one value per time, "
+                               f"{t_vals.size}, got shape {central.shape}")
+        vals[0] = central
     for ti, t in enumerate(t_vals):
         pts[:, ti] = _slice_points(g, region, dirs, float(t))
-        vals[:, ti] = u(pts[:, ti], float(t))
+        vals[rows, ti] = u(pts[rows, ti], float(t))
     dec = trace_decision(vals)
     return LimitTrace(
         t_values=t_vals,

@@ -23,7 +23,15 @@ the analyticity strip) which extracts the e^(-tau |s|) decay before
 quadrature, and past that the real-axis rule is kept, because the shifted
 integrand picks up an oscillation of frequency ~|z|^2 that its panels do not
 resolve. The rule is chosen per point, so a value never depends on what else
-is in the call. Bulk evaluation goes through a bicubic spline of log gamma in
+is in the call. Each point keeps only the first k panels of its rule on
+[0, lambda_max]: with lam = u + i tau, every term is at most its weight times
+the envelope (u + tau) / sinh(4u) exp(-|z|^2 u tanh 4u), which decreases in
+u, so the dropped panels' terms are at most the panel width times the
+envelope's sum over their left edges, and k is the least count whose bound
+is at most 2^-60 of the rule's first term, below the full rule's own
+rounding (see `_direct_gamma_rho_sigma`). On the maximal sandwich's heat
+chains, where |z|^2 reaches the thousands, that keeps 0.13M of 1.82M lambda
+nodes. Bulk evaluation goes through a bicubic spline of log gamma in
 (|z|, |s|); the direct quadrature backs the PDE-residual and certification
 paths and points outside the table. The table's |s|-columns share lambda
 rules (one for every |s| <= 24, one per panel count beyond), so each rule's
@@ -66,7 +74,8 @@ import numpy as np
 
 from .errors import CertificationError, GroupError, NumericsError
 from . import groups as G
-from .quadrature import _BLOCK_ROWS, gauss_legendre, tensor_rule, weighted_sum
+from .quadrature import (_BLOCK_ROWS, gauss_legendre, leading_panels,
+                         tensor_rule, weighted_sum)
 
 __all__ = [
     "KernelProfile",
@@ -93,6 +102,9 @@ _CONTOUR_SIGMA = 24.0
 _TAU_SHIFT = 0.98 * math.pi / 8.0
 # entries of one (points x nodes) quadrature matrix in the direct branches
 _CHUNK_ENTRIES = 1 << 20
+# a direct-branch lambda rule drops the panels whose terms are bounded by at
+# most this share of its first term: below the full rule's own rounding
+_TAIL_SHARE = 2.0 ** -60
 # points per pass of the spline evaluator: its (16 x points) temporaries stay
 # at 512 kB, below glibc's mmap threshold after set-up, so they reuse heap
 # memory instead of faulting in fresh pages on every call
@@ -185,37 +197,78 @@ def _row_chunks(n_rows: int, n_nodes: int):
         yield slice(start, start + step)
 
 
-def _plain_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndarray:
-    """Cosine-transform quadrature on the real lambda axis, one row per point."""
-    lam, wt = gauss_legendre(0.0, _LAM_MAX, n_panels)
+def _plain_terms(rho2: np.ndarray, sigma: np.ndarray, lam: np.ndarray,
+                 wt: np.ndarray) -> np.ndarray:
+    """Cosine-transform terms on the real lambda axis: row i holds point i's
+    terms at its own nodes ``lam[i]`` and weights ``wt[i]``."""
     four = 4.0 * lam
     base = lam / np.sinh(four)
     cth = lam / np.tanh(four)
-    out = np.empty(sigma.size)
-    for rows in _row_chunks(sigma.size, lam.size):
-        ex = np.exp(-np.outer(rho2[rows], cth))
-        cos = np.cos(np.outer(sigma[rows], lam))
-        out[rows] = (ex * cos * (base * wt)[None, :]).sum(axis=1) / math.pi ** 2
-    return out
+    ex = np.exp(-(rho2[:, None] * cth))
+    return ex * np.cos(sigma[:, None] * lam) * (base * wt)
 
 
-def _shifted_rows(rho2: np.ndarray, sigma: np.ndarray, n_panels: int) -> np.ndarray:
-    """Contour-shifted quadrature (lam -> lam + i tau), one row per point.
+def _shifted_terms(rho2: np.ndarray, sigma: np.ndarray, u: np.ndarray,
+                   wt: np.ndarray) -> np.ndarray:
+    """Contour-shifted terms (lam = u + i tau), row by row as `_plain_terms`.
 
-    The shift extracts the e^(-tau sigma) decay before quadrature.
+    The shift extracts the e^(-tau sigma) decay before quadrature; the terms
+    leave that factor out.
     """
-    tau = _TAU_SHIFT
-    u, wt = gauss_legendre(0.0, _LAM_MAX, n_panels)
-    lam = u + 1j * tau
+    lam = u + 1j * _TAU_SHIFT
     four = 4.0 * lam
     base = (lam / np.sinh(four)) * wt
     cth = lam / np.tanh(four)
+    envelope = np.exp(-(rho2[:, None] * cth))
+    phase = np.exp(1j * (sigma[:, None] * u))
+    return (envelope * phase * base).real
+
+
+def _lambda_envelope(u: np.ndarray, rho2: np.ndarray, tau: float) -> np.ndarray:
+    """(u + tau) / sinh(4u) exp(-rho2 u tanh 4u) for u > 0: a bound on the
+    integrand's modulus at lam = u + i tau, decreasing in u (see
+    `_direct_gamma_rho_sigma`)."""
+    four = 4.0 * u
+    return (u + tau) / np.sinh(four) * np.exp(-rho2 * u * np.tanh(four))
+
+
+def _kept_panels(rho2: np.ndarray, n_panels: np.ndarray, tau: float,
+                 first: np.ndarray) -> np.ndarray:
+    """Per point, the least k >= 1 whose dropped panels k .. n - 1 are
+    bounded by at most _TAIL_SHARE * ``first``.
+
+    Panel j's terms are bounded by its width h = lambda_max / n times the
+    envelope at its left edge j h, where `_lambda_envelope` is largest.
+    Points are taken in order of n, in chunks of at most _CHUNK_ENTRIES
+    (point, panel) bounds.
+    """
+    kept = np.empty(n_panels.size, dtype=np.int64)
+    order = np.argsort(n_panels, kind="stable")
+    for rows in _row_chunks(order.size, int(n_panels.max())):
+        sel = order[rows]
+        n = n_panels[sel, None]
+        # column c bounds panel c + 1: left edge (c + 1) * (lambda_max / n)
+        j = np.arange(1, int(n.max()) + 1)
+        dropped = j < n
+        env = np.zeros(dropped.shape)
+        edges = j * (_LAM_MAX / n)
+        env[dropped] = _lambda_envelope(
+            edges[dropped], np.broadcast_to(rho2[sel, None], env.shape)[dropped],
+            tau)
+        tail = np.cumsum(env[:, ::-1], axis=1)[:, ::-1] * (_LAM_MAX / n)
+        kept[sel] = 1 + np.argmax(tail <= _TAIL_SHARE * first[sel, None], axis=1)
+    return kept
+
+
+def _cut_rows(terms, rho2: np.ndarray, sigma: np.ndarray,
+              n_panels: np.ndarray, k: int) -> np.ndarray:
+    """Row sums of ``terms`` on the first k panels of each point's rule
+    ``gauss_legendre(0, lambda_max, n)``: one fixed-length C-order sum a row."""
     out = np.empty(sigma.size)
-    for rows in _row_chunks(sigma.size, u.size):
-        envelope = np.exp(-np.outer(rho2[rows], cth))
-        phase = np.exp(1j * np.outer(sigma[rows], u))
-        out[rows] = (envelope * phase * base[None, :]).real.sum(axis=1)
-    return out * np.exp(-tau * sigma) / math.pi ** 2
+    for rows in _row_chunks(sigma.size, 16 * k):
+        lam, wt = leading_panels(_LAM_MAX, n_panels[rows], k)
+        out[rows] = terms(rho2[rows], sigma[rows], lam, wt).sum(axis=1)
+    return out
 
 
 def _direct_gamma_rho_sigma(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -227,10 +280,25 @@ def _direct_gamma_rho_sigma(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     while rho^2 is below ~1.6 sigma, the real axis beyond. Panels resolve the
     oscillation in lam: frequency sigma on the real axis, and sigma + 1.5 rho^2
     on the shifted contour, where Im(lam coth 4 lam) turns rho^2 into a phase.
-    Points sharing a rule are batched, and every row is summed on its own, so
-    a value never depends on what else is in the call. Far points whose shift
-    factor exp(-tau sigma - rho^2/4) underflows double precision are exact
-    zeros.
+    Far points whose shift factor exp(-tau sigma - rho^2/4) underflows double
+    precision are exact zeros.
+
+    Each point keeps only the first k of its rule's n panels, node for node
+    the full rule's (`quadrature.leading_panels`). With lam = u + i tau
+    (tau = 0 on the real axis), |lam / sinh 4 lam| <= (u + tau) / sinh 4u,
+    since |sinh(x + iy)|^2 = sinh^2 x + sin^2 y, and Re(lam coth 4 lam) >=
+    u tanh 4u: it is u coth 4u on the real axis, and (u sinh 8u + tau sin
+    8 tau) / (cosh 8u - cos 8 tau) on the shifted contour, where sin 8 tau
+    > 0. So every term of panel j is at most its weight times the envelope
+    (u + tau) / sinh(4u) exp(-rho^2 u tanh 4u) at the panel's left edge, and
+    the terms of panels k .. n - 1 at most h times the sum of those edge
+    values, h the panel width. k is the least count whose bound is at most
+    2^-60 (_TAIL_SHARE) of the rule's first term, so at most 2^-60 of the
+    kept terms' absolute sum, where the full rule rounds at about 2^-52. k
+    comes from these closed forms and that one term, before the rule is
+    built, and points sharing (contour, k) are batched, each row on its own
+    nodes. Every row is summed on its own, so a value never depends on what
+    else is in the call.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
@@ -248,13 +316,20 @@ def _direct_gamma_rho_sigma(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     shifted = far & ~zero & (log_shifted < log_real)
     freq = np.where(shifted, flat_s + 1.5 * r2, flat_s)
     n_panels = _panel_counts(np.where(zero, 0.0, freq))  # zeros need no rule
-    for rule, use in ((_plain_rows, ~zero & ~shifted), (_shifted_rows, shifted)):
-        idx = np.nonzero(use)[0]
-        idx = idx[np.argsort(n_panels[idx], kind="stable")]
-        cuts = np.nonzero(np.diff(n_panels[idx]))[0] + 1
-        for sel in np.split(idx, cuts):
-            if sel.size:
-                out[sel] = rule(r2[sel], flat_s[sel], int(n_panels[sel[0]]))
+    for terms, use, shift in ((_plain_terms, ~zero & ~shifted, 0.0),
+                              (_shifted_terms, shifted, tau)):
+        idx = np.flatnonzero(use)
+        if not idx.size:
+            continue
+        lam, wt = leading_panels(_LAM_MAX, n_panels[idx], 1)
+        first = np.abs(terms(r2[idx], flat_s[idx], lam[:, :1], wt[:, :1])[:, 0])
+        kept = _kept_panels(r2[idx], n_panels[idx], shift, first)
+        for k in np.unique(kept):
+            sel = idx[kept == k]
+            sums = _cut_rows(terms, r2[sel], flat_s[sel], n_panels[sel], int(k))
+            if shift:
+                sums = sums * np.exp(-tau * flat_s[sel])
+            out[sel] = sums / math.pi ** 2
     # oscillatory cancellation floor: a strictly positive resolution limit
     low = far & ~zero & (out <= 0.0)
     out[low] = 1e-18 * np.exp(-tau * flat_s[low] - 0.25 * r2[low])

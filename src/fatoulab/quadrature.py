@@ -5,7 +5,8 @@
   column;
 * `gauss_legendre`: composite Gauss-Legendre panels on an interval (radial
   rules, kernel lambda rules, each axis of the eta-grid, and the section
-  rules of density masses and convolutions);
+  rules of density masses and convolutions); `leading_panels` gives the
+  first panels of many such rules at once, each with its full rule's bits;
 * `tensor_rule`: tensor products of one-dimensional rules;
 * `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
   yields its quadrature rules at any node count and its spread of
@@ -46,9 +47,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["point_array", "gauss_legendre", "tensor_rule", "SphereChart",
-           "ball_rule", "weighted_sum", "row_sums", "graded_indices",
-           "compressed_rules"]
+__all__ = ["point_array", "gauss_legendre", "leading_panels", "tensor_rule",
+           "SphereChart", "ball_rule", "weighted_sum", "row_sums",
+           "graded_indices", "compressed_rules"]
 
 # Rows per block of a long pass over a grid: `weighted_sum`, the eta-grid's
 # gamma values and every density pass of the heat extension. Whole-grid
@@ -88,19 +89,39 @@ def _legendre_projection(order: int) -> np.ndarray:
     return out
 
 
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Nodes and weights of ``order``-point Gauss-Legendre panels between
+    consecutive ``edges`` along the last axis, panel by panel."""
+    xs, ws = _leggauss(order)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    return ((half[..., None] * xs + mid[..., None]).reshape(shape),
+            (half[..., None] * ws).reshape(shape))
+
+
 def gauss_legendre(a: float, b: float, n_panels: int, order: int = 16):
     """Composite Gauss-Legendre rule: ``n_panels`` equal panels on [a, b].
 
     Returns (nodes, weights), panel by panel, each panel carrying ``order``
     nodes.
     """
-    xs, ws = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (half[:, None] * xs[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * ws[None, :]).ravel()
-    return nodes, weights
+    return _panel_nodes(np.linspace(a, b, n_panels + 1), order)
+
+
+def leading_panels(b: float, n_panels: np.ndarray, k: int, order: int = 16):
+    """The first ``k`` panels of each row's rule ``gauss_legendre(0, b, n)``.
+
+    ``n_panels`` holds one panel count n >= k per row. Returns (nodes,
+    weights), each (rows, k * order): row i is the first k * order nodes and
+    weights of its own full rule, bit for bit, since the edges are those of
+    numpy's linspace, j * (b / n) with the last one b.
+    """
+    n = np.asarray(n_panels)[:, None]
+    j = np.arange(k + 1)
+    edges = j * (b / n)
+    edges[j == n] = b
+    return _panel_nodes(edges, order)
 
 
 def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:

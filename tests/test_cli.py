@@ -1,4 +1,10 @@
-"""Command-line usage errors exit with code 2 before doing any work."""
+"""Command-line usage errors exit with code 2 before doing any work, and a
+reader that closes standard output early changes neither the exit status
+nor standard error."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +23,27 @@ def test_degenerate_counts_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "PASS" not in captured.out and "nan" not in captured.out
+
+
+@pytest.mark.parametrize("argv, status, err", [
+    (["kernel-check", "--group", "euclidean:1"], 0, ""),
+    (["maximal-check", "--n-atomic", "0", "--n-density", "0"], 2,
+     "error: maximal-check needs at least one case\n"),
+])
+def test_main_against_a_closed_pipe(argv, status, err):
+    # the pipe's read end is closed before main writes, so every write to
+    # standard output meets EPIPE, as under `fatou ... | head -0`; this used
+    # to end in a BrokenPipeError traceback and exit status 1
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys; from fatoulab.cli import main; sys.exit(main(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == status
+    assert proc.stderr == err

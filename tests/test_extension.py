@@ -155,6 +155,20 @@ def test_parabolic_limit_aperture_invariance(p1):
     assert max(estimates) - min(estimates) <= 1e-3
 
 
+def test_parabolic_limit_takes_the_central_values_it_is_given(p1):
+    # another aperture's beta = 0 row gives the trace its own bits; a row
+    # without one value per time is a MeasureError
+    u = F.HeatExtension(line_quadratic(), p1)
+    first = F.parabolic_limit(u, F.ParabolicRegion(np.zeros(1), aperture=1.0))
+    region = F.ParabolicRegion(np.zeros(1), aperture=2.0)
+    alone = F.parabolic_limit(u, region)
+    shared = F.parabolic_limit(u, region, central=first.values[0])
+    assert shared.values.tobytes() == alone.values.tobytes()
+    assert shared.points.tobytes() == alone.points.tobytes()
+    with pytest.raises(F.MeasureError, match="one value per time"):
+        F.parabolic_limit(u, region, central=first.values[0][:-1])
+
+
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_slice_points_match_one_placement_at_a_time(label):
     # one product per slice, with the bits of vertex * dilate(r, omega) for

@@ -292,6 +292,143 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
     assert 0 < sum(counted) <= 4352
 
 
+# ---------------------------------------------------------------------------
+# the direct branch's lambda-rule cutoff: each point keeps the panels whose
+# dropped tail is bounded below 2^-60 of its first term
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+CONTOURS = {"real": (0.0, K._plain_terms),
+            "shifted": (K._TAU_SHIFT, K._shifted_terms)}
+
+
+def test_leading_panels_are_the_full_rules_own_nodes():
+    counts = np.array([1, 3, 28, 29, 97, 467, 1001, 4673])
+    for k in (1, 2, 28):
+        n = counts[counts >= k]
+        lam, wt = quadrature.leading_panels(K._LAM_MAX, n, k)
+        for row, count in enumerate(n):
+            full_lam, full_wt = quadrature.gauss_legendre(0.0, K._LAM_MAX,
+                                                          int(count))
+            assert np.array_equal(lam[row], full_lam[:16 * k]), (count, k)
+            assert np.array_equal(wt[row], full_wt[:16 * k]), (count, k)
+    # k = n takes the rule's exact right end, as linspace does
+    lam, wt = quadrature.leading_panels(K._LAM_MAX, counts, int(counts[-1]))
+    ref = quadrature.gauss_legendre(0.0, K._LAM_MAX, int(counts[-1]))
+    assert np.array_equal(lam[-1], ref[0]) and np.array_equal(wt[-1], ref[1])
+
+
+@pytest.mark.parametrize("contour", sorted(CONTOURS))
+def test_lambda_envelope_bounds_the_integrand(contour):
+    # on lam = u + i tau: |lam / sinh 4 lam| <= (u + tau) / sinh 4u and
+    # Re(lam coth 4 lam) >= u tanh 4u, so the integrand's modulus is at most
+    # the envelope, which decreases in u
+    tau, _ = CONTOURS[contour]
+    u = np.linspace(1e-4, K._LAM_MAX, 200_001)
+    lam = u + 1j * tau
+    four = 4.0 * lam
+    assert np.all(np.abs(lam / np.sinh(four))
+                  <= (u + tau) / np.sinh(4.0 * u) * (1.0 + 4.0 * EPS))
+    re = (lam / np.tanh(four)).real
+    assert np.all(re >= u * np.tanh(4.0 * u) * (1.0 - 4.0 * EPS))
+    for rho2 in (0.0, 1.0, 100.0, 2670.0):
+        env = K._lambda_envelope(u, rho2, tau)
+        modulus = np.abs(lam / np.sinh(four)
+                         * np.exp(-rho2 * (lam / np.tanh(four))))
+        # up to the rounding of exp at an exponent of size rho2 u, on the
+        # moduli that are normal numbers
+        normal = modulus >= np.finfo(float).tiny
+        slack = 1.0 + 8.0 * EPS * (1.0 + rho2 * u)
+        assert np.all((modulus <= env * slack)[normal]), rho2
+        assert np.all(np.diff(env) <= 0.0), rho2
+
+
+def test_shifted_contour_real_part_and_the_bound_it_does_not_give():
+    # Re(lam coth 4 lam) = (u sinh 8u + tau sin 8 tau) / (cosh 8u - cos 8 tau)
+    # on the shifted contour; negative control: it is not >= u, which the
+    # real axis gives (0.483 at u = 0.5), so the envelope takes u tanh 4u
+    tau = K._TAU_SHIFT
+    u = np.linspace(1e-4, 10.0, 20_001)
+    lam = u + 1j * tau
+    re = (lam / np.tanh(4.0 * lam)).real
+    closed = ((u * np.sinh(8.0 * u) + tau * math.sin(8.0 * tau))
+              / (np.cosh(8.0 * u) - math.cos(8.0 * tau)))
+    assert np.max(np.abs(re - closed) / closed) <= 1e-13
+    half = (0.5 + 1j * tau) / np.tanh(4.0 * (0.5 + 1j * tau))
+    assert half.real == pytest.approx(0.483, abs=1e-3)
+    assert np.any(re < u)
+    real_axis = u / np.tanh(4.0 * u)
+    assert np.all(real_axis >= u)
+
+
+def _full_rule_terms(terms, rho2, sigma, n):
+    """Every term (n panels x 16) of one point's full lambda rule."""
+    lam, wt = quadrature.leading_panels(K._LAM_MAX, np.array([n]), int(n))
+    return terms(np.array([rho2]), np.array([sigma]), lam, wt).reshape(-1, 16)
+
+
+@pytest.mark.parametrize("contour", sorted(CONTOURS))
+def test_discrete_tail_bound_covers_every_dropped_tail(contour):
+    # for every cut k: h * sum_(j >= k) envelope(j h) >= the absolute sum of
+    # the full rule's terms on panels k .. n - 1, and `_kept_panels` takes
+    # the least k whose bound is at most 2^-60 of the rule's first term
+    tau, terms = CONTOURS[contour]
+    for rho2 in (0.0, 1.0, 10.0, 100.0, 1000.0, 2670.0):
+        for sigma in (0.5, 25.0, 40.0, 100.0, 300.0):
+            freq = sigma + 1.5 * rho2 if tau else sigma
+            n = int(K._panel_counts(np.array([freq]))[0])
+            full = np.abs(_full_rule_terms(terms, rho2, sigma, n))
+            dropped = np.cumsum(full.sum(axis=1)[::-1])[::-1][1:]
+            h = K._LAM_MAX / n
+            env = K._lambda_envelope(np.arange(1, n) * h, rho2, tau)
+            bound = np.cumsum(env[::-1])[::-1] * h
+            assert np.all(bound >= dropped), (contour, rho2, sigma)
+            first = full[0, 0]
+            k = int(K._kept_panels(np.array([rho2]), np.array([n]), tau,
+                                   np.array([first]))[0])
+            bound_at = np.append(bound, 0.0)  # bound_at[k - 1]: panels k ..
+            assert bound_at[k - 1] <= K._TAIL_SHARE * first
+            assert k == 1 or bound_at[k - 2] > K._TAIL_SHARE * first
+
+
+def _cut_and_full(monkeypatch, rho, sigma):
+    """Direct-branch values with the cutoff and with every panel kept, and
+    each point's absolute sum of its full rule's terms, scaled as its value
+    (0 for the exact zeros, which take no rule)."""
+    cut = K._direct_gamma_rho_sigma(rho, sigma)
+    l1 = {}
+    rows = K._cut_rows
+
+    def recording(terms, rho2, sig, n_panels, k):
+        for r2, s, n in zip(rho2, sig, n_panels):
+            scale = math.exp(-K._TAU_SHIFT * s) if terms is K._shifted_terms else 1.0
+            total = np.abs(_full_rule_terms(terms, r2, s, n)).sum()
+            l1[(r2, s)] = total * scale / math.pi ** 2
+        return rows(terms, rho2, sig, n_panels, k)
+
+    monkeypatch.setattr(K, "_kept_panels", lambda rho2, n, tau, first: n.copy())
+    monkeypatch.setattr(K, "_cut_rows", recording)
+    full = K._direct_gamma_rho_sigma(rho, sigma)
+    monkeypatch.undo()
+    return cut, full, np.array([l1.get((r * r, s), 0.0)
+                                for r, s in zip(rho, sigma)])
+
+
+def test_cut_values_agree_with_the_full_rule(monkeypatch):
+    # MIXED_BATCH, a seeded random batch and FAR_FIELD, on the direct branch
+    # at every point: the cut moves a value by at most 4 eps of its terms'
+    # absolute sum, and no exact zero moves
+    rng = np.random.default_rng(28)
+    pts = np.concatenate([MIXED_BATCH, np.array(list(FAR_FIELD)),
+                          rng.normal(size=(60, 3)) * [6, 6, 40],
+                          rng.normal(size=(20, 3)) * [3, 3, 150]])
+    rho, sigma = np.hypot(pts[:, 0], pts[:, 1]), np.abs(pts[:, 2])
+    cut, full, l1 = _cut_and_full(monkeypatch, rho, sigma)
+    assert np.all(np.abs(cut - full) <= 4.0 * EPS * l1)
+    assert np.array_equal(cut == 0.0, full == 0.0)
+    assert np.count_nonzero(l1) >= 90
+
+
 def _direct_plain(rho2, sigma):
     """Reference column of the kernel table: its own lambda rule per sigma."""
     lam, wt = quadrature.gauss_legendre(

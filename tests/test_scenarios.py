@@ -384,3 +384,37 @@ def test_split_scales_decide_the_bump_probe_wrongly():
     assert decision.verdict == "MISMATCH"
     # the same measure on the shared schedule is equivalent
     assert F.run_scenario(cfg).verdict == "equivalent"
+
+
+@pytest.mark.parametrize("label", ["eg-bump", "hc-remote-atom"])
+def test_apertures_share_the_central_axis_values(label, monkeypatch):
+    # the beta = 0 placement does not depend on the aperture: run_scenario
+    # evaluates it once, at each of the 12 times, and hands it to every
+    # later trace; its report and every CSV keep their bytes
+    from fatoulab import extension as E
+    cfg = next(c for name in F.suite_names()
+               for c in S.preset_suite(name) if c["label"] == label)
+    rows = []
+    real_eval = E.HeatExtension._eval
+
+    def counting(self, pts, times):
+        rows.append(pts.shape[0])
+        return real_eval(self, pts, times)
+
+    monkeypatch.setattr(E.HeatExtension, "_eval", counting)
+    shared = F.run_scenario(cfg)
+    n_apertures = len(shared.limits)
+    assert n_apertures == 2
+    assert sum(rows) == F.SCALES.n_scales * (
+        n_apertures * len(E._PLACEMENTS) - (n_apertures - 1))
+    real_limit = S.parabolic_limit
+    monkeypatch.setattr(S, "parabolic_limit",
+                        lambda u, region, central=None: real_limit(u, region))
+    rows.clear()
+    alone = F.run_scenario(cfg)
+    assert sum(rows) == F.SCALES.n_scales * n_apertures * len(E._PLACEMENTS)
+    assert F.report_to_json(shared) == F.report_to_json(alone)
+    assert shared.traces == alone.traces
+    central = [[line for line in csv.split("\n")[1:] if line.split(",")[1:2] == ["0.0"]]
+               for key, csv in shared.traces.items() if key.startswith("limit-")]
+    assert len(central[0]) == F.SCALES.n_scales and central[0] == central[1]
