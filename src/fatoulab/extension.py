@@ -55,11 +55,10 @@ atom) pair, each point's row summed in a fixed order. A density part takes
 one pass per distinct t and per rule: one ``hull_state`` call classifies
 every point's hull; "inside" points share blocks of about
 ``quadrature._BLOCK_ROWS`` rows of compressed node images, then of the
-grid's axes for the points that take the whole grid; "cut" points on the
-grid's own outer rules share a ``_column_rule`` call of up to _CUT_LINES
-vertical lines, and only they build the scaled grid. Every step is row by
-row and each point keeps its own fixed-order sum, so each value is the one
-a call at that point and time alone gives, bit for bit.
+grid's axes for the points that take the whole grid; "cut" points take
+``_column_rule`` one at a time. Every step is row by row and each point
+keeps its own fixed-order sum, so each value is the one a call at that
+point and time alone gives, bit for bit.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -87,9 +86,8 @@ from . import groups as G
 from . import kernels as K
 from .decisions import SCALES, TABLE, tail_decision, trace_decision
 from .kernels import _EtaGrid, _ext_grid
-from .quadrature import (_BLOCK_ROWS, _legendre_projection, compressed_rules,
-                         gauss_legendre, point_array, row_sums, tensor_rule,
-                         weighted_sum)
+from .quadrature import (_BLOCK_ROWS, compressed_rules, gauss_legendre,
+                         point_array, row_sums, tensor_rule, weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -114,23 +112,14 @@ __all__ = [
 # density values on the eta-grid (the grid itself: `kernels._ext_grid`)
 # ---------------------------------------------------------------------------
 
-def _density_rows(density, g: G.GroupDescriptor, xs: np.ndarray,
-                  eta: np.ndarray, rows=None, owner=None) -> np.ndarray:
-    """``density`` at xs[owner] * eta[rows], by blocks of _BLOCK_ROWS rows.
-
-    ``rows`` None takes every row of ``eta`` in order, and ``owner`` None
-    the one point of ``xs`` (p, n).
-    """
-    n_rows = eta.shape[0] if rows is None else rows.size
-    f = np.empty(n_rows)
-    for start in range(0, n_rows, _BLOCK_ROWS):
+def _density_rows(density, g: G.GroupDescriptor, x: np.ndarray,
+                  eta: np.ndarray) -> np.ndarray:
+    """``density`` at x * eta[i] for the point x and each row of ``eta``,
+    by blocks of _BLOCK_ROWS rows."""
+    f = np.empty(eta.shape[0])
+    for start in range(0, eta.shape[0], _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        # a row gather of a column-major array would come out row-major
-        y = eta[block] if rows is None else point_array(
-            col[rows[block]] for col in eta.T)
-        x = xs[0] if owner is None else point_array(
-            col[owner[block]] for col in xs.T)
-        f[block] = density(G.mul(g, x, y))
+        f[block] = density(G.mul(g, x, eta[block]))
     return f
 
 
@@ -280,44 +269,25 @@ def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
     return rules, cached
 
 
-# Vertical lines per `_column_rule` call: points on the grid's own outer
-# rules share a call while points x columns stay within this (one point on
-# the Heisenberg group's 1,024 columns), so that its per-piece temporaries
-# stay near _BLOCK_ROWS rows.
-_CUT_LINES = 1024
-
-
 def _cut_values(mu: DensityMeasure, profile: K.KernelProfile,
                 grid: _EtaGrid, xs: np.ndarray, sqrt_t: float) -> np.ndarray:
-    """u at points whose eta-image hull is "cut", by `_column_rule`: in
-    batches of up to _CUT_LINES lines where the outer rules are the grid's,
-    one point at a time where `_outer_rules` narrows them. The scaled grid
-    depends on t alone: it is built once per call."""
-    eta_t = G.dilate(mu.group, sqrt_t, grid.eta_inv)
+    """u at points whose eta-image hull is "cut", one point at a time by
+    `_column_rule` on its `_outer_rules`; 0.0 where the support box misses
+    the eta-box."""
     out = np.zeros(xs.shape[0])
-    shared = []
     for i, x in enumerate(xs):
         outer, cached = _outer_rules(mu, grid, x, sqrt_t)
-        if cached:
-            shared.append(i)
-        elif outer is not None:
-            out[i] = _column_rule(mu, profile, grid, xs[i:i + 1], sqrt_t,
-                                  eta_t, outer, False)[0]
-    n_cols = math.prod(nodes.size for nodes, _ in grid.axes[:-1])
-    per = max(1, _CUT_LINES // n_cols)
-    for start in range(0, len(shared), per):
-        batch = shared[start:start + per]
-        out[batch] = _column_rule(mu, profile, grid, xs[batch], sqrt_t,
-                                  eta_t, list(grid.axes[:-1]), True)
+        if outer is not None:
+            out[i] = _column_rule(mu, profile, grid, x, sqrt_t, outer, cached)
     return out
 
 
 def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
-                 grid: _EtaGrid, xs: np.ndarray, sqrt_t: float,
-                 eta_t: np.ndarray, outer: list, cached: bool) -> np.ndarray:
-    """u(x, t) at each point x of ``xs`` (p, n), a density whose clips cut
-    the eta-image, on the outer rules ``outer`` (the grid's own if
-    ``cached``; see `_outer_rules`).
+                 grid: _EtaGrid, x: np.ndarray, sqrt_t: float,
+                 outer: list, cached: bool) -> float:
+    """u(x, t) at the point x, a density whose clips cut the eta-image, on
+    the outer rules ``outer`` (the grid's own if ``cached``; see
+    `_outer_rules`).
 
     Under eta -> x * delta_sqrt(t)(eta^-1) the eta-column over (eta_1, ..,
     eta_(n-1)) maps onto a vertical line on which y_last = c - sqrt(t)^e
@@ -325,87 +295,49 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     where the density may be nonzero. Each column is integrated between
     those exact limits on the grid's column panels:
 
-    * a panel wholly inside an interval keeps its cached gamma * w;
+    * a panel wholly inside an interval keeps its cached gamma * w, and
+      only its rows of the grid's inverted nodes are dilated;
     * a panel that an interval end falls in is integrated over the covered
-      piece only, with the panel's number of Gauss-Legendre nodes; gamma
-      there comes from the Legendre interpolant of the panel's cached
-      values (exact below degree ``order``);
+      piece only, with the panel's number of Gauss-Legendre nodes and
+      fresh gamma at the piece's own nodes;
     * rows outside the intervals are never evaluated.
 
     Where a support face cuts an outer axis, every column is new and every
-    piece takes fresh gamma.
-
-    The p points share one ``sections`` call on their p x columns lines,
-    one interpolation and one density pass (every step is row by row);
-    each point's value is its own `weighted_sum`, in the order of a call
-    with that point alone.
-
-    The interpolant spares fresh gamma, whose nodes in the eta-box's
-    corners lie beyond the Heisenberg kernel table and fall back to direct
-    quadrature; against fresh gamma it moves u by at most 6e-7 relative on
-    the hc-translated-vertex cut calls, far below the rule's own error.
+    piece is a partial one. The value is one `weighted_sum`: whole panels
+    first, then partial pieces, each in column order.
     """
     g = mu.group
-    p = xs.shape[0]
     col_lo, col_hi, n_panels, order = g.eta_grid[-1]
     m = n_panels * order
     heads, w_cols = tensor_rule(outer + [(np.zeros(1), np.ones(1))])
-    n_cols = w_cols.size
-    # line j of point i is line i * n_cols + j
     heads_t = G.dilate(g, sqrt_t, G.inverse(g, heads))
-    base = G.mul(g, point_array(np.repeat(c, n_cols) for c in xs.T),
-                 point_array(np.tile(c, p) for c in heads_t.T))
-    lo, hi = mu.sections(base, -sqrt_t ** g.layer_exponents[-1])
-    # the covered piece of each (line, interval, panel)
+    lo, hi = mu.sections(G.mul(g, x, heads_t),
+                         -sqrt_t ** g.layer_exponents[-1])
+    # the covered piece of each (column, interval, panel)
     edges = np.linspace(col_lo, col_hi, n_panels + 1)
     p_lo = np.maximum(lo[:, :, None], edges[:-1])
     p_hi = np.minimum(hi[:, :, None], edges[1:])
     live = p_lo < p_hi
     whole = live & (p_lo == edges[:-1]) & (p_hi == edges[1:]) & cached
-    line, _, panel = np.nonzero(whole)
-    whole_of, col = np.divmod(line, n_cols)
+    col, _, panel = np.nonzero(whole)
     rows = ((col * m + panel * order)[:, None] + np.arange(order)).ravel()
     part = live & ~whole
-    line, _, panel = np.nonzero(part)
-    part_of, col = np.divmod(line, n_cols)
+    col = np.nonzero(part)[0]
     a, b = p_lo[part], p_hi[part]
     ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
     eta = point_array(np.repeat(h[col], order) for h in heads.T)
     eta[:, -1] = ((0.5 * (a + b))[:, None]
                   + 0.5 * (b - a)[:, None] * ref_x).ravel()
     w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
-    if cached:
-        # Legendre coefficients of gamma on each piece's panel, then their
-        # sum at the piece's nodes in the panel's own coordinate; the sums
-        # run along rows with numpy's add.reduce, not BLAS
-        s_w = grid.axes[-1][1].reshape(n_panels, order)
-        own = (col * m + panel * order)[:, None] + np.arange(order)
-        known = grid.gamma_w[own] / (w_cols[col, None] * s_w[panel])
-        coef = np.add.reduce(_legendre_projection(order) * known[:, None, :],
-                             axis=2)
-        mid = 0.5 * (edges[panel] + edges[panel + 1])
-        xi = ((eta[:, -1].reshape(-1, order) - mid[:, None])
-              / (0.5 * (edges[1] - edges[0])))
-        gamma = np.add.reduce(np.polynomial.legendre.legvander(xi, order - 1)
-                              * coef[:, None, :], axis=2).ravel()
-    else:
-        gamma = profile.gamma(eta)
-    one = p == 1
-    f_rows = _density_rows(mu.density_at, g, xs, eta_t, rows,
-                           None if one else np.repeat(whole_of, order))
-    f_part = _density_rows(mu.density_at, g, xs,
-                           G.dilate(g, sqrt_t, G.inverse(g, eta)), None,
-                           None if one else np.repeat(part_of, order))
-    gw_rows, gw_part = grid.gamma_w[rows], gamma * w
-    # each point's rows and piece nodes are contiguous, in line order
-    r_end = order * np.searchsorted(whole_of, np.arange(p + 1))
-    s_end = order * np.searchsorted(part_of, np.arange(p + 1))
-    out = np.empty(p)
-    for i in range(p):
-        r, s = slice(r_end[i], r_end[i + 1]), slice(s_end[i], s_end[i + 1])
-        out[i] = weighted_sum(np.concatenate([gw_rows[r], gw_part[s]]),
-                              np.concatenate([f_rows[r], f_part[s]]))
-    return out
+    # a row gather of a column-major array would come out row-major
+    eta_rows = G.dilate(g, sqrt_t,
+                        point_array(c[rows] for c in grid.eta_inv.T))
+    f = np.concatenate([
+        _density_rows(mu.density_at, g, x, eta_rows),
+        _density_rows(mu.density_at, g, x,
+                      G.dilate(g, sqrt_t, G.inverse(g, eta)))])
+    return weighted_sum(np.concatenate([grid.gamma_w[rows],
+                                        profile.gamma(eta) * w]), f)
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,9 @@ def dist(g: GroupDescriptor, x, y) -> np.ndarray | float:
 
 def ball_volume(g: GroupDescriptor, radius: float) -> float:
     """Haar measure of a quasi-metric ball: m(B(x, r)) = m(B(0,1)) r^Q."""
-    if radius <= 0:
-        raise GroupError(f"ball radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise GroupError(f"ball radius must be positive and finite, "
+                         f"got {radius}")
     return g.unit_ball_volume * radius ** g.hom_dim
 
 

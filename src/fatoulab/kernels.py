@@ -648,15 +648,19 @@ def check_semigroup(k: KernelProfile, x, t: float, tau: float) -> float:
 
     With xi = delta_sqrt(tau)(eta) the inner factor is the time-1 profile:
     the eta-grid's cached gamma * w, against Gamma(xi^-1 * x, t). Both
-    times must be positive and finite.
+    times must be positive and finite, and x a point: total_dim finite
+    coordinates.
     """
     for name, value in (("t", t), ("tau", tau)):
         if not 0 < value < math.inf:
             raise NumericsError("semigroup check needs positive finite "
                                 f"times, got {name}={value!r}")
     g = k.group
-    grid = _ext_grid(k)
     x = np.asarray(x, dtype=float)
+    if x.shape != (g.total_dim,) or not np.all(np.isfinite(x)):
+        raise GroupError(f"semigroup check needs {g.total_dim} finite "
+                         f"coordinates, got x={x.tolist()}")
+    grid = _ext_grid(k)
     args = G.mul(g, G.dilate(g, math.sqrt(tau), grid.eta_inv), x)
     conv = weighted_sum(grid.gamma_w, eval_kernel(k, args, t))
     direct = float(eval_kernel(k, x, t + tau))

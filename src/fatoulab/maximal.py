@@ -149,10 +149,14 @@ def default_profile() -> RadialProfile:
 def geometric_grid(r_min: float = 1e-3, r_max: float = 1e3,
                    per_decade: int = 40) -> np.ndarray:
     """Geometric scale grid with a fixed density of points per decade,
-    from r_min to r_max, 0 < r_min <= r_max < inf."""
+    from r_min to r_max, 0 < r_min <= r_max < inf, per_decade a positive
+    integer."""
     if not 0 < r_min <= r_max < math.inf:
         raise MeasureError("a geometric grid needs 0 < r_min <= r_max < inf, "
                            f"got r_min={r_min!r}, r_max={r_max!r}")
+    if not (isinstance(per_decade, numbers.Integral) and per_decade >= 1):
+        raise MeasureError("a geometric grid needs a positive integer "
+                           f"per_decade, got per_decade={per_decade!r}")
     decades = math.log10(r_max / r_min)
     n = int(round(decades * per_decade)) + 1
     return np.geomspace(r_min, r_max, n)

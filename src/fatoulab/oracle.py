@@ -17,6 +17,7 @@ results are independent of chunking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, step]))
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a positive integer; a MeasureError otherwise."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise MeasureError(f"{name} must be a positive integer, "
+                           f"got {name}={value!r}")
+    return int(value)
+
+
 def simulate_horizontal_bm(g: G.GroupDescriptor, n_paths: int,
                            t_final: float = 1.0, n_steps: int = 800,
                            seed: int = 0) -> PathEnsemble:
@@ -60,8 +69,10 @@ def simulate_horizontal_bm(g: G.GroupDescriptor, n_paths: int,
     horizontal coordinates, and the Ito correction vanishes because the two
     horizontal drivers are independent.
     """
-    if n_paths <= 0 or n_steps <= 0 or not (t_final > 0):
-        raise MeasureError("n_paths, n_steps, t_final must be positive")
+    n_paths, n_steps = _count("n_paths", n_paths), _count("n_steps", n_steps)
+    if not 0 < t_final < math.inf:
+        raise MeasureError("t_final must be positive and finite, "
+                           f"got t_final={t_final!r}")
     dt = t_final / n_steps
     amp = math.sqrt(2.0 * dt)
     m = g.n_horizontal
@@ -93,12 +104,19 @@ def kde_density(ensemble: PathEnsemble, points,
     that pointwise z-scores against a smooth target stay centered).
     Returns values, empirical standard errors, and effective sample sizes;
     ``low_ess`` flags queries resting on fewer than ~30 effective paths.
+    The factor must be positive and finite, and the query points finite.
     """
     X = ensemble.endpoints
     n, d = X.shape
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != d:
         raise MeasureError(f"query points must have dimension {d}")
+    if not np.all(np.isfinite(pts)):
+        raise MeasureError("query points must be finite, "
+                           f"got {np.array2string(pts, threshold=8)}")
+    if not 0 < bandwidth_factor < math.inf:
+        raise MeasureError("bandwidth_factor must be positive and finite, "
+                           f"got bandwidth_factor={bandwidth_factor!r}")
     sigma = X.std(axis=0, ddof=1)
     if np.any(sigma <= 0):
         raise NumericsError("degenerate ensemble: zero variance coordinate")
@@ -127,7 +145,9 @@ def kde_density(ensemble: PathEnsemble, points,
 
 def mc_ball_volume(g: G.GroupDescriptor, radius: float = 1.0,
                    n_samples: int = 400_000, seed: int = 11) -> dict:
-    """Haar volume of a gauge ball by rejection from its bounding box."""
+    """Haar volume of a gauge ball by rejection from its bounding box, on
+    ``n_samples`` (a positive integer) uniform points."""
+    n_samples = _count("n_samples", n_samples)
     ball = G.Ball(np.zeros(g.total_dim), radius)
     box = G.ball_bounding_box(g, ball)
     box_vol = float(np.prod(box[:, 1] - box[:, 0]))

@@ -77,18 +77,6 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-@lru_cache(maxsize=None)
-def _legendre_projection(order: int) -> np.ndarray:
-    """The (order, order) matrix taking values at the ``order``
-    Gauss-Legendre nodes on [-1, 1] to the Legendre coefficients of their
-    interpolant (exact below degree ``order``), computed once per order."""
-    xs, ws = gauss_legendre(-1.0, 1.0, 1, order)
-    out = ((np.polynomial.legendre.legvander(xs, order - 1) * ws[:, None]).T
-           * (np.arange(order)[:, None] + 0.5))
-    out.flags.writeable = False
-    return out
-
-
 def _panel_nodes(edges: np.ndarray, order: int):
     """Nodes and weights of ``order``-point Gauss-Legendre panels between
     consecutive ``edges`` along the last axis, panel by panel."""

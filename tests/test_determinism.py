@@ -35,8 +35,8 @@ x = np.zeros(3)
 for t in (1e-3, 0.0625):
     state = mu_loc.hull_state(G.dilate(gh, t ** 0.5, corner_inv))
     print(state, repr(u(x, t)))
-# the hole cuts the cached columns: partial panels with interpolated
-# gamma, whole panels from the cache
+# the hole cuts the cached columns: partial panels with fresh gamma,
+# whole panels from the cache
 mu_tail = F.restrict_complement(mu, F.Ball(np.zeros(3), 0.6))
 t = 0.015625
 state = mu_tail.hull_state(G.dilate(gh, t ** 0.5, corner_inv))

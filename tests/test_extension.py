@@ -588,6 +588,28 @@ def test_cut_and_outside_values_match_the_fine_loop(label):
     assert seen == {"inside", "cut", "outside"}
 
 
+@pytest.mark.parametrize("s_top", [7.0, 3.3])
+def test_partial_panels_take_fresh_gamma(gh, ph, s_top):
+    # a density equal to 1 on [-100, 100]^2 x [-100, s_top] at x = 0,
+    # t = 1: every column keeps the grid's own z-rule and is cut at
+    # eta_s = -s_top inside a panel of [-15, 0]. The reference is that
+    # z-rule times 64 Gauss-Legendre panels on [-s_top, 30]. Gamma
+    # interpolated from the panel's cached values missed by 2.2e-7 and
+    # 1.0e-7; fresh gamma misses by 7.3e-11 and 2.2e-10
+    mu = F.build_measure(gh, {"type": "density", "family": "polynomial",
+                              "params": {"constant": 1.0},
+                              "box": [[-100.0, 100.0], [-100.0, 100.0],
+                                      [-100.0, s_top]]})
+    x = np.zeros(3)
+    assert _hull_states(mu, ph, x[None], 1.0) == ["cut"]
+    grid = E._ext_grid(ph)
+    eta, w = tensor_rule(list(grid.axes[:2])
+                         + [gauss_legendre(-s_top, 30.0, 64)])
+    ref = weighted_sum(ph.gamma(eta), w)
+    got = F.HeatExtension(mu, ph)(x, 1.0)
+    assert abs(got - ref) <= 1e-9 * ref, (got, ref)
+
+
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_declared_constant_values_match_undeclared_bitwise(label,
                                                            monkeypatch):
@@ -700,7 +722,7 @@ def test_radial_node_values_see_a_one_ulp_change_of_an_axis(gh, ph):
     sqrt_t = 0.01
     assert _hull_states(a, ph, x, sqrt_t ** 2) == ["inside"]
     eta_t = G.dilate(gh, sqrt_t, grid.eta_inv)
-    want = E._density_rows(b.density_inside, gh, x, eta_t)
+    want = E._density_rows(b.density_inside, gh, x[0], eta_t)
     assert E._inside_rows(a, grid, x, sqrt_t)[0].tobytes() == want.tobytes()
     for moved in _axes_off_by_one_ulp(grid):
         got = E._inside_rows(a, moved, x, sqrt_t)[0]
@@ -725,17 +747,17 @@ def test_undeclared_inside_values_match_the_node_images_bitwise(label):
     g = F.get_group(label)
     profile = F.profile_for(g)
     grid = E._ext_grid(profile)
-    n, n_nodes = g.total_dim, grid.gamma_w.size
+    n = g.total_dim
     xs = np.array([[0.1, 0.05, -0.02], [-0.2, 0.1, 0.05]])[:, :n]
     sqrt_t = 0.01
     eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
-    rows, owner = np.tile(np.arange(n_nodes), 2), np.repeat([0, 1], n_nodes)
     mus = _derived_densities(g)
     for name in ("base", "translated", "restricted", "dilated"):
         mu = mus[name]
         assert mu.constant is None and mu.radial is None, name
         assert _hull_states(mu, profile, xs, sqrt_t ** 2) == ["inside"] * 2
-        want = E._density_rows(mu.density_inside, g, xs, eta_t, rows, owner)
+        want = np.stack([E._density_rows(mu.density_inside, g, x, eta_t)
+                         for x in xs])
         got = E._inside_rows(mu, grid, xs, sqrt_t)
         assert got.tobytes() == want.tobytes(), name
     for moved in _axes_off_by_one_ulp(grid):
@@ -815,9 +837,9 @@ _SLICE = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, -0.02], [1.45, 0.0, 0.0],
 
 def test_limit_trace_batches_match_pointwise_values(p2):
     # a slice call evaluates its points together (one hull test, batched
-    # inside blocks and cut lines, one kernel evaluation for every atom);
-    # every value must equal the point's own call bit for bit, on every
-    # group, derived density, atomic measure and mixture
+    # inside blocks, one kernel evaluation for every atom; cut points go
+    # one at a time); every value must equal the point's own call bit for
+    # bit, on every group, derived density, atomic measure and mixture
     u = F.HeatExtension(plane_quadratic(), p2)
     region = F.ParabolicRegion(np.array([0.2, -0.1]), aperture=1.0, t_max=0.25)
     trace = F.parabolic_limit(u, region)

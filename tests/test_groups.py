@@ -88,6 +88,13 @@ def test_ball_volume_oracle(gh, g1, g3):
     assert g3.unit_ball_volume == pytest.approx(4.0 * math.pi / 3.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+def test_ball_volume_rejects_bad_radii(gh, radius):
+    # NaN and inf radii used to return NaN and inf
+    with pytest.raises(F.GroupError, match="positive and finite"):
+        F.ball_volume(gh, radius)
+
+
 def test_ball_volume_vs_monte_carlo(gh):
     mc = F.mc_ball_volume(gh, 1.0, n_samples=400_000, seed=11)
     z = (mc["estimate"] - gh.unit_ball_volume) / mc["stderr"]

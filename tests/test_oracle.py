@@ -13,6 +13,7 @@ deterministic reruns of a single pre-checked draw.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,34 @@ def test_determinism_and_prefix_stability(gh):
     assert np.array_equal(big.endpoints[:1_000], a.endpoints)
     other = F.simulate_horizontal_bm(gh, 1_000, n_steps=50, seed=10)
     assert not np.array_equal(other.endpoints, a.endpoints)
+
+
+# (call on the R^1 group and a small ensemble of it, the argument and
+# value the MeasureError must name)
+_BAD_ORACLE_INPUTS = {
+    "paths-infinite-time": (lambda g, ens: F.simulate_horizontal_bm(
+        g, 10, t_final=math.inf), "t_final=inf"),
+    "paths-float-count": (lambda g, ens: F.simulate_horizontal_bm(g, 10.0),
+                          "n_paths=10.0"),
+    "ball-volume-no-samples": (lambda g, ens: F.mc_ball_volume(
+        g, n_samples=0), "n_samples=0"),
+    "kde-negative-bandwidth": (lambda g, ens: F.kde_density(
+        ens, [[0.0]], bandwidth_factor=-1.0), "bandwidth_factor=-1.0"),
+    "kde-nan-bandwidth": (lambda g, ens: F.kde_density(
+        ens, [[0.0]], bandwidth_factor=math.nan), "bandwidth_factor=nan"),
+    "kde-nan-query": (lambda g, ens: F.kde_density(ens, [[math.nan]]),
+                      "[[nan]]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ORACLE_INPUTS))
+def test_oracle_checks_its_input_at_entry(case, g1):
+    # these used to return NaN endpoints, raise a TypeError or a
+    # ZeroDivisionError, or return a negative or NaN density
+    ens = F.simulate_horizontal_bm(g1, 200, n_steps=10, seed=1)
+    call, named = _BAD_ORACLE_INPUTS[case]
+    with pytest.raises(F.MeasureError, match=re.escape(named)):
+        call(g1, ens)
 
 
 def test_kde_line_density(g1):
