@@ -22,14 +22,13 @@ converges geometrically on smooth integrands), with
 ``DensityMeasure.density_inside``: every box and clip test passes there, so
 they are skipped. Those values are taken on the grid's own axes, by the
 group's column product (see `_inside_rows`), with the bits of the node
-images; a density that declares a gauge profile (``DensityMeasure.radial``)
-takes the column gauge too, and one that declares a constant sums the grid
-once. Where the density is zero on it, u is 0.0 without evaluating
-anything. Where a support face or a clip sphere cuts it, the grid is
-integrated column by column between exact limits: each eta-column maps
-onto a vertical line on which y_last is affine in eta_last, and
-``DensityMeasure.sections`` gives the intervals of that line where the
-density may be nonzero (see ``_column_rule``).
+images; a density that declares a constant sums the grid once. Where the
+density is zero on it, u is 0.0 without evaluating anything. Where a
+support face or a clip sphere cuts it, the grid is integrated column by
+column between exact limits: each eta-column maps onto a vertical line on
+which y_last is affine in eta_last, and ``DensityMeasure.sections`` gives
+the intervals of that line where the density may be nonzero (see
+``_column_rule``).
 
 An inside value may instead take the compressed eta-rule (`_eta_rule`):
 a positive rule Q6 on at most dim P_6 of the grid's own nodes (50 on H1)
@@ -535,6 +534,8 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
         if central.shape != t_vals.shape:
             raise MeasureError(f"central needs one value per time, "
                                f"{t_vals.size}, got shape {central.shape}")
+        if not np.all(np.isfinite(central)):
+            raise MeasureError("central values must be finite")
         vals[0] = central
     for ti, t in enumerate(t_vals):
         pts[:, ti] = _slice_points(g, region, dirs, float(t))

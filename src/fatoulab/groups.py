@@ -128,14 +128,13 @@ class GroupDescriptor:
     bits; `dist` to many points passes them first, so that only the single
     point is negated.
 
-    ``mul_cols`` and ``norm_cols`` are the same product and gauge on
-    points given as n coordinate columns that broadcast against each other
-    (on a tensor grid, a coordinate that varies along one axis is an array
-    along that axis alone), with the bits of ``mul_fn`` and ``norm_fn`` on
-    the broadcast points: each column is computed in the operation order
-    of its row form, and a lone point (every column 0-d) goes as a row of
-    an array, as it does there. On a tensor grid this takes each sum or
-    product once per axis, or per pair of axes, instead of once per node.
+    ``mul_cols`` is the same product on points given as n coordinate
+    columns that broadcast against each other (on a tensor grid, a
+    coordinate that varies along one axis is an array along that axis
+    alone), with the bits of ``mul_fn`` on the broadcast points: each
+    column is computed in the operation order of its row form. On a tensor
+    grid this takes each sum or product once per axis, or per pair of
+    axes, instead of once per node.
     """
 
     label: str
@@ -150,7 +149,6 @@ class GroupDescriptor:
     mul_fn: Callable = field(compare=False, repr=False)
     norm_fn: Callable = field(compare=False, repr=False)
     mul_cols: Callable = field(compare=False, repr=False)
-    norm_cols: Callable = field(compare=False, repr=False)
     unit_box: tuple = field(compare=False, repr=False)
     sphere: SphereChart = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
@@ -315,14 +313,6 @@ def _eu_mul_cols(a, b):
     return [ai + bi for ai, bi in zip(a, b)]
 
 
-def _eu_norm_cols(a):
-    # the squares summed left to right, as ``sum(axis=-1)`` sums them
-    total = a[0] * a[0]
-    for c in a[1:]:
-        total = total + c * c
-    return np.sqrt(total)
-
-
 def _h1_mul(a, b):
     # the coordinate sums, in the operands' layout, then 2 (y x' - x y')
     # added in place to the last column: s'' = (s + s') + 2 (y x' - x y')
@@ -338,15 +328,6 @@ def _h1_mul_cols(a, b):
     # `_h1_mul` by columns: s'' = (s + s') + 2 (y x' - x y')
     c = a[1] * b[0] - a[0] * b[1]
     return [a[0] + b[0], a[1] + b[1], (a[2] + b[2]) + c * 2.0]
-
-
-def _h1_norm_cols(a):
-    # `_h1_norm` by columns: |z|^4 once per (x, y), then 16 s^2 per point
-    if all(np.ndim(c) == 0 for c in a):
-        return _h1_norm_cols([np.reshape(c, 1) for c in a]).reshape(())
-    x, y, s = a
-    n4 = x * x + y * y
-    return (n4 * n4 + s * s * 16.0) ** 0.25
 
 
 def _h1_norm(a):
@@ -490,7 +471,6 @@ def euclidean_group(n: int) -> GroupDescriptor:
         mul_fn=_eu_mul,
         norm_fn=_eu_norm,
         mul_cols=_eu_mul_cols,
-        norm_cols=_eu_norm_cols,
         unit_box=((-1.0, 1.0),) * n,
         sphere=_EUCLIDEAN_SPHERES[n],
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
@@ -530,7 +510,6 @@ def heisenberg_group() -> GroupDescriptor:
         mul_fn=_h1_mul,
         norm_fn=_h1_norm,
         mul_cols=_h1_mul_cols,
-        norm_cols=_h1_norm_cols,
         unit_box=((-1.0, 1.0), (-1.0, 1.0), (-0.25, 0.25)),
         # the coarea Jacobian of the chart is the constant r^3/4, so the
         # surface density is 1/4

@@ -259,14 +259,10 @@ class AtomicMeasure(BoundaryMeasure):
         super().__init__(group)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if pts.shape[0] != w.shape[0]:
-            raise MeasureError("points and weights must have matching length")
-        if pts.size and pts.shape[1] != group.total_dim:
+        if w.ndim != 1 or pts.shape != (w.size, group.total_dim):
             raise MeasureError(
-                f"points have dimension {pts.shape[1]}, group needs {group.total_dim}"
-            )
-        if pts.size == 0:
-            pts = pts.reshape(0, group.total_dim)
+                f"points must have shape (k, {group.total_dim}) and weights "
+                f"(k,), got {pts.shape} and {w.shape}")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
             raise MeasureError("atoms must be finite")
         if np.any(w < 0):
@@ -343,19 +339,10 @@ class DensityMeasure(BoundaryMeasure):
     smooth region ("inside"), a rule's sum is then `constant_sum`, without
     a density value.
 
-    ``radial`` declares a gauge profile: f(q) is ``radial(G.norm(g, q))``
-    bit for bit, ``radial`` acting elementwise on an array of gauges.
-    Construction checks it at every validation node, and the reductions
-    keep it as they keep ``constant``. `_inside_cols` then takes the
-    group's column gauge (``GroupDescriptor.norm_cols``) on the points'
-    coordinate columns, where any other density writes them out as
-    points: the heat extension's inside values take either on the
-    eta-grid's axes.
-
     ``singular`` declares the points (k, n) of the base frame where f may
     fail to be analytic; an empty array declares f analytic everywhere,
     and None (the default) declares nothing. The reductions keep it, as
-    they keep ``radial``. The heat extension reads it through
+    they keep ``constant``. The heat extension reads it through
     `analytic_hulls`: a hull whose image under A boxes no declared point
     may take the compressed eta-rule, whose error estimate then decides
     (see :mod:`fatoulab.extension`); an undeclared density always takes
@@ -363,7 +350,7 @@ class DensityMeasure(BoundaryMeasure):
     """
 
     def __init__(self, group: G.GroupDescriptor, density, support_box,
-                 constant: float | None = None, radial=None, singular=None):
+                 constant: float | None = None, singular=None):
         super().__init__(group)
         box = np.asarray(support_box, dtype=float)
         if box.shape != (group.total_dim, 2):
@@ -375,7 +362,6 @@ class DensityMeasure(BoundaryMeasure):
         self.base_density = density
         self.base_box = self.support_box = box
         self.constant = None if constant is None else float(constant)
-        self.radial = radial
         if singular is not None:
             singular = np.array(singular, dtype=float)
             if (singular.ndim != 2 or singular.shape[1] != group.total_dim
@@ -392,8 +378,7 @@ class DensityMeasure(BoundaryMeasure):
         out = object.__new__(DensityMeasure)
         BoundaryMeasure.__init__(out, self.group)
         out.base_density, out.base_box = self.base_density, self.base_box
-        out.constant, out.radial = self.constant, self.radial
-        out.singular = self.singular
+        out.constant, out.singular = self.constant, self.singular
         out.support_box, out.shift, out.scale, out.clips = (
             support_box, shift, scale, clips)
         out._support_mass = out._validate()
@@ -432,9 +417,8 @@ class DensityMeasure(BoundaryMeasure):
         """`density_inside`, bit for bit, at the points whose n coordinate
         columns ``cols`` broadcast against each other: `_to_base`'s
         dilation and shift by columns (``GroupDescriptor.mul_cols``), in
-        `_to_base`'s operation order. A declared ``radial`` density then
-        takes the column gauge (``norm_cols``); any other writes the
-        broadcast columns once into one column-major point array (see
+        `_to_base`'s operation order, then the broadcast columns written
+        once into one column-major point array (see
         `quadrature.point_array`) for the base f."""
         g = self.group
         if self.scale != 1.0:
@@ -442,8 +426,6 @@ class DensityMeasure(BoundaryMeasure):
                     for c, e in zip(cols, g.layer_exponents)]
         if self.shift is not None:
             cols = g.mul_cols(self.shift, cols)
-        if self.radial is not None:
-            return np.asarray(self.radial(g.norm_cols(cols)), dtype=float)
         shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
         q = np.empty((len(cols),) + shape)
         for out, c in zip(q, cols):
@@ -552,10 +534,10 @@ class DensityMeasure(BoundaryMeasure):
 
     def _validate(self):
         """Check the density at the nodes of the support box's section
-        rules, and a declared constant or gauge profile against f(A(y))
-        there; returns their mass of the box and its error (see
-        `_section_ball_mass`), which is the value on any ball that holds
-        the box, where the ball's cap removes nothing."""
+        rules, and a declared constant against f(A(y)) there; returns
+        their mass of the box and its error (see `_section_ball_mass`),
+        which is the value on any ball that holds the box, where the
+        ball's cap removes nothing."""
         def checked(pts):
             vals = self.density_at(pts)
             for bad, what in ((~np.isfinite(vals), "non-finite"),
@@ -563,25 +545,13 @@ class DensityMeasure(BoundaryMeasure):
                 if np.any(bad):
                     raise MeasureError(
                         f"density {what} at {pts[bad][0].tolist()}")
-            if self.constant is None and self.radial is None:
-                return vals
-            q = self._to_base(pts)
-            f = self._base_values(q)
             if self.constant is not None:
+                f = self._base_values(self._to_base(pts))
                 off = f != self.constant
                 if np.any(off):
                     raise MeasureError(
                         f"density declared constant {self.constant!r} is "
                         f"{f[off][0]!r} at {pts[off][0].tolist()}")
-            if self.radial is not None:
-                r = np.asarray(self.radial(G.norm(self.group, q)),
-                               dtype=float)
-                off = (f != r) | (np.signbit(f) != np.signbit(r))
-                if np.any(off):
-                    raise MeasureError(
-                        f"density declared radial is {f[off][0]!r}, not "
-                        f"radial(gauge) = {r[off][0]!r}, at "
-                        f"{pts[off][0].tolist()}")
             return vals
 
         mass = self._section_ball_mass(None, *self.support_box.T, checked)
@@ -817,6 +787,9 @@ def ball_masses(mu: BoundaryMeasure, center, radii) -> np.ndarray:
     density classifies every ball in one hull test."""
     center = _point(mu.group, center, "ball center")
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size == 0:
+        raise GroupError(f"ball radii must be a non-empty 1-d array, got "
+                         f"shape {radii.shape}")
     if not np.all((radii > 0) & (radii < math.inf)):
         raise GroupError(f"ball radii must be positive and finite, got "
                          f"{np.array2string(radii, threshold=8)}")
@@ -916,6 +889,9 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
         raise MeasureError("ball family must include the centered unit ball")
     r = np.asarray(radii if radii is not None
                    else SCALES.radii(g.restrict_radius), dtype=float)
+    if r.ndim != 1:
+        raise MeasureError(f"radius schedule must be a 1-d array, got shape "
+                           f"{r.shape}")
     if not np.all((r > 0) & (r < math.inf)):
         raise MeasureError("radius schedule must be positive and finite, got "
                            f"{np.array2string(r, threshold=8)}")

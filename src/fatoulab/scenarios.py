@@ -118,34 +118,32 @@ _DEFAULT_BOX = {
 
 
 def _constant_fn(g: G.GroupDescriptor, c: float):
-    """(the density c at every point, without the gauge; c; no gauge
-    profile; no singular point). A family whose gauge term has coefficient
-    0 gives c + 0 * g = c bit for bit for a finite gauge term g; adding 0.0
-    maps a c of -0.0 to 0.0, as that sum does. The constant is declared to
-    the `DensityMeasure`, and so is analyticity everywhere."""
+    """(the density c at every point, without the gauge; c; no singular
+    point). A family whose gauge term has coefficient 0 gives c + 0 * g =
+    c bit for bit for a finite gauge term g; adding 0.0 maps a c of -0.0
+    to 0.0, as that sum does. The constant is declared to the
+    `DensityMeasure`, and so is analyticity everywhere."""
     c = c + 0.0
 
     def fn(pts, _c=c):
         return np.full(np.shape(pts)[:-1], _c)
 
-    return fn, c, None, np.zeros((0, g.total_dim))
+    return fn, c, np.zeros((0, g.total_dim))
 
 
 def _radial_fn(g: G.GroupDescriptor, radial):
-    """(radial of the gauge; no constant; radial; the base origin): the
-    density is defined through its profile, so that it equals the profile
-    it declares to the `DensityMeasure` bit for bit. The gauge is not
-    smooth at the origin (on H1 not even its square is), so the origin is
-    declared singular and is the only such point."""
+    """(radial of the gauge; no constant; the base origin). The gauge is
+    not smooth at the origin (on H1 not even its square is), so the origin
+    is declared singular and is the only such point."""
     def fn(pts):
         return radial(np.asarray(G.norm(g, pts)))
 
-    return fn, None, radial, np.zeros((1, g.total_dim))
+    return fn, None, np.zeros((1, g.total_dim))
 
 
 def _density_fn(g: G.GroupDescriptor, family: str, params: dict, where: str):
-    """(density function, its declared constant or None, its declared gauge
-    profile or None, its declared singular points) of a family."""
+    """(density function, its declared constant or None, its declared
+    singular points) of a family."""
     if family == "polynomial":
         _check_keys(params, {"constant", "quadratic"}, {"constant"}, where)
         c0 = _number(params["constant"], f"{where}.constant", minimum=0.0)
@@ -220,9 +218,9 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
         )
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
-        fn, constant, radial, singular = _density_fn(g, fam, params,
-                                                     f"{where}.params")
-        return DensityMeasure(g, fn, box, constant, radial, singular)
+        fn, constant, singular = _density_fn(g, fam, params,
+                                             f"{where}.params")
+        return DensityMeasure(g, fn, box, constant, singular)
     if kind == "mixture":
         _check_keys(spec, {"type", "components"}, {"type", "components"}, where)
         comps = spec["components"]
@@ -685,27 +683,32 @@ def _atoms_plus_noise(base_cfg: dict, k: int, seed: int) -> list[dict]:
     return out
 
 
+def _query_points_plus_noise(base_cfg: dict, seed: int) -> dict:
+    """A case config with its query points moved by a deterministic
+    jitter, as `_atoms_plus_noise` moves atoms."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    pts = np.asarray(base_cfg["points"], dtype=float)
+    return dict(base_cfg,
+                points=(pts + 0.15 * rng.standard_normal(pts.shape)).tolist())
+
+
 def maximal_cases(n_atomic: int = 20, n_density: int = 5) -> list[dict]:
-    """Deterministic case list for the maximal-sandwich suite."""
+    """Deterministic case list for the maximal-sandwich suite: atomic
+    variants with jittered atoms, then the density bases, then density
+    variants with jittered query points."""
     atomic_bases = [c for c in _MAXIMAL_CASES if c["measure"]["type"] == "atomic"]
     density_bases = [c for c in _MAXIMAL_CASES if c["measure"]["type"] == "density"]
     cases = []
-    i = 0
-    while len(cases) < n_atomic:
+    for i in range(n_atomic):
         base = atomic_bases[i % len(atomic_bases)]
         variant = _atoms_plus_noise(base, 1, seed=1000 + i)[0]
-        variant["label"] = f"{base['label']}-v{i}"
-        cases.append(variant)
-        i += 1
-    out = cases[:n_atomic]
-    j = 0
-    dens = []
-    while len(dens) < n_density:
-        base = dict(density_bases[j % len(density_bases)])
-        base = dict(base, label=f"{base['label']}-v{j}")
-        dens.append(base)
-        j += 1
-    return out + dens
+        cases.append(dict(variant, label=f"{base['label']}-v{i}"))
+    for j in range(n_density):
+        base = density_bases[j % len(density_bases)]
+        if j >= len(density_bases):
+            base = _query_points_plus_noise(base, seed=2000 + j)
+        cases.append(dict(base, label=f"{base['label']}-v{j}"))
+    return cases
 
 
 def run_maximal_case(cfg: dict, alphas=(0.5, 1.0, 2.0)) -> dict:

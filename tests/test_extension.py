@@ -169,6 +169,18 @@ def test_parabolic_limit_takes_the_central_values_it_is_given(p1):
         F.parabolic_limit(u, region, central=first.values[0][:-1])
 
 
+def test_parabolic_limit_refuses_non_finite_central_values(p1):
+    # an all-NaN row gave the estimate inf; any non-finite value is a
+    # MeasureError
+    u = F.HeatExtension(line_quadratic(), p1)
+    region = F.ParabolicRegion(np.zeros(1), aperture=1.0)
+    central = F.parabolic_limit(u, region).values[0]
+    for bad in (np.full_like(central, np.nan),
+                np.where(np.arange(central.size) == 2, np.inf, central)):
+        with pytest.raises(F.MeasureError, match="finite"):
+            F.parabolic_limit(u, region, central=bad)
+
+
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_slice_points_match_one_placement_at_a_time(label):
     # one product per slice, with the bits of vertex * dilate(r, omega) for
@@ -645,40 +657,38 @@ def test_declared_constant_values_match_undeclared_bitwise(label,
 
 
 # the three gauge families, each with a nonzero gauge term
-_RADIAL_FAMILIES = {
+_GAUGE_FAMILIES = {
     "polynomial": {"constant": 1.0, "quadratic": 0.7},
     "gaussian-bump": {"baseline": 1.0, "amplitude": 0.4, "width": 0.3},
     "log-oscillatory": {"baseline": 1.0, "amplitude": 0.5},
 }
 
 
-def _radial_pairs(g, family):
-    """A gauge family's density, declared radial and undeclared, and their
-    reductions: name -> (declared, undeclared). Neither declares singular
-    points, so every inside value of both takes the whole eta-grid."""
+def _gauge_reductions(g, family, plain=False):
+    """A gauge family's density and its reductions: name -> measure. The
+    singular declaration is stripped, so every inside value takes the
+    whole eta-grid; `plain` takes a DensityMeasure of the family's
+    function alone in its place."""
     n = g.total_dim
-    declared = F.build_measure(g, {"type": "density", "family": family,
-                                   "params": _RADIAL_FAMILIES[family]})
-    declared.singular = None
-    plain = F.DensityMeasure(g, declared.base_density, declared.support_box)
+    mu = F.build_measure(g, {"type": "density", "family": family,
+                             "params": _GAUGE_FAMILIES[family]})
+    mu.singular = None
+    if plain:
+        mu = F.DensityMeasure(g, mu.base_density, mu.support_box)
     x0 = np.array([0.1, -0.05, 0.02])[:n]
     ball = F.Ball(np.array([0.2, 0.1, 0.0])[:n], 0.9)
-
-    def reductions(mu):
-        moved = mu.translate(x0)
-        return {"base": mu, "translated": moved, "dilated": mu.dilate(1.3),
-                "restricted": moved.restrict(ball),
-                "complement": moved.dilate(0.8).restrict_complement(ball)}
-
-    return {name: (a, b) for (name, a), b in zip(
-        reductions(declared).items(), reductions(plain).values())}
+    moved = mu.translate(x0)
+    return {"base": mu, "translated": moved, "dilated": mu.dilate(1.3),
+            "restricted": moved.restrict(ball),
+            "complement": moved.dilate(0.8).restrict_complement(ball)}
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
-def test_declared_radial_values_match_undeclared_bitwise(label, monkeypatch):
-    # a declared radial density takes its inside values on the eta-grid's
-    # axes; every inside value, and every cut and outside one, keeps the
-    # node images' bits, in batches of points and one point at a time
+def test_declared_radial_values_match_undeclared_bitwise(label):
+    # a gauge family from build_measure, f = r(N(y)), keeps the bits of a
+    # DensityMeasure of its function alone in every reduction and hull
+    # state; each value is the one a call at that point alone gives, also
+    # in more inside points than two batches of `_inside_values` hold
     g = F.get_group(label)
     profile = F.profile_for(g)
     n = g.total_dim
@@ -686,47 +696,30 @@ def test_declared_radial_values_match_undeclared_bitwise(label, monkeypatch):
                     [0.05, -0.1, 0.3], [0.9, 0.0, 0.0],
                     [5.0, 0.0, 0.0]])[:, :n]
     seen = set()
-    for family in _RADIAL_FAMILIES:
-        for name, (a, b) in _radial_pairs(g, family).items():
-            assert a.radial is not None and b.radial is None, name
+    for family in _GAUGE_FAMILIES:
+        for name, a in _gauge_reductions(g, family).items():
+            b = _gauge_reductions(g, family, plain=True)[name]
             ua, ub = F.HeatExtension(a, profile), F.HeatExtension(b, profile)
             # at the larger t most hulls are cut: one family is enough there
             for t in (1e-4, 0.0625) if family == "polynomial" else (1e-4,):
                 seen.update(_hull_states(a, profile, pts, t))
-                got = ua(pts, t)
-                assert got.tobytes() == ub(pts, t).tobytes(), (family, name, t)
-                if name == "translated":
-                    assert got.tobytes() == np.array(
-                        [ua(x, t) for x in pts]).tobytes(), (family, t)
+                assert ua(pts, t).tobytes() == ub(pts, t).tobytes(), \
+                    (family, name, t)
     assert seen == {"inside", "cut", "outside"}
-    # more points than two batches of `_inside_values` hold
-    a, b = _radial_pairs(g, "gaussian-bump")["translated"]
     per = max(1, _BLOCK_ROWS // E._ext_grid(profile).gamma_w.size)
     cloud = np.random.default_rng(5).uniform(-0.2, 0.2,
                                              size=(2 * per + 1, n))
-    assert set(_hull_states(a, profile, cloud, 1e-4)) == {"inside"}
-    want = F.HeatExtension(b, profile)(cloud, 1e-4)
-    # inside values take no node image
-    monkeypatch.setattr(F.DensityMeasure, "density_inside", None)
-    got = F.HeatExtension(a, profile)(cloud, 1e-4)
-    assert got.tobytes() == want.tobytes()
-
-
-def test_radial_node_values_see_a_one_ulp_change_of_an_axis(gh, ph):
-    # the axis values equal the node images' density values node by node;
-    # negative control: that equality can fail, as one eta axis moved by
-    # one ulp moves them
-    a, b = _radial_pairs(gh, "polynomial")["restricted"]
-    grid = E._ext_grid(ph)
-    x = np.array([[0.1, 0.05, -0.02]])
-    sqrt_t = 0.01
-    assert _hull_states(a, ph, x, sqrt_t ** 2) == ["inside"]
-    eta_t = G.dilate(gh, sqrt_t, grid.eta_inv)
-    want = E._density_rows(b.density_inside, gh, x[0], eta_t)
-    assert E._inside_rows(a, grid, x, sqrt_t)[0].tobytes() == want.tobytes()
-    for moved in _axes_off_by_one_ulp(grid):
-        got = E._inside_rows(a, moved, x, sqrt_t)[0]
-        assert got.tobytes() != want.tobytes()
+    pts = np.vstack([pts[[0, 4, 5]], cloud])
+    seen = set()
+    for family in _GAUGE_FAMILIES:
+        mu = _gauge_reductions(g, family)["translated"]
+        assert set(_hull_states(mu, profile, cloud, 1e-4)) == {"inside"}
+        u = F.HeatExtension(mu, profile)
+        for t in (1e-4, 0.0625):
+            seen.update(_hull_states(mu, profile, pts, t))
+            assert u(pts, t).tobytes() == np.array(
+                [u(x, t) for x in pts]).tobytes(), (family, t)
+    assert seen == {"inside", "cut", "outside"}
 
 
 def _axes_off_by_one_ulp(grid):
@@ -738,31 +731,68 @@ def _axes_off_by_one_ulp(grid):
         yield dataclasses.replace(grid, axes=axes)
 
 
+# points on a leading axis, inside for every density below at t = 1e-4
+_NODE_POINTS = np.array([[0.1, 0.05, -0.02], [-0.2, 0.1, 0.05],
+                         [1.3, -0.2, 0.1], [-1.2, 0.3, -0.1]])
+
+
+def _node_rows(mu, profile, grid, sqrt_t):
+    """The inside points of `_NODE_POINTS` for mu, with `_inside_rows` and
+    `_density_rows` of ``density_inside`` on their node images."""
+    g = mu.group
+    candidates = _NODE_POINTS[:, :g.total_dim]
+    inside = np.array(_hull_states(mu, profile, candidates,
+                                   sqrt_t ** 2)) == "inside"
+    assert np.count_nonzero(inside) >= 2
+    xs = candidates[inside]
+    eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
+    want = np.stack([E._density_rows(mu.density_inside, g, x, eta_t)
+                     for x in xs])
+    return xs, E._inside_rows(mu, grid, xs, sqrt_t), want
+
+
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_undeclared_inside_values_match_the_node_images_bitwise(label):
-    # a density without a declared profile takes its inside values on the
-    # eta-grid's axes too; they equal density_inside on the node images,
-    # node by node, for points on a leading axis. Negative control: one
-    # eta axis moved by one ulp moves them
+    # a density without a declared constant takes its inside values on the
+    # eta-grid's axes; they equal density_inside on the node images, node
+    # by node, for points on a leading axis: a bump's reductions and each
+    # gauge family's five. Negative control: one eta axis moved by one ulp
+    # moves the restricted bump's
     g = F.get_group(label)
     profile = F.profile_for(g)
     grid = E._ext_grid(profile)
-    n = g.total_dim
-    xs = np.array([[0.1, 0.05, -0.02], [-0.2, 0.1, 0.05]])[:, :n]
-    sqrt_t = 0.01
-    eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
-    mus = _derived_densities(g)
-    for name in ("base", "translated", "restricted", "dilated"):
-        mu = mus[name]
-        assert mu.constant is None and mu.radial is None, name
-        assert _hull_states(mu, profile, xs, sqrt_t ** 2) == ["inside"] * 2
-        want = np.stack([E._density_rows(mu.density_inside, g, x, eta_t)
-                         for x in xs])
-        got = E._inside_rows(mu, grid, xs, sqrt_t)
-        assert got.tobytes() == want.tobytes(), name
+    bump = _derived_densities(g)
+    mus = {("bump", name): bump[name]
+           for name in ("base", "translated", "restricted", "dilated")}
+    for family in _GAUGE_FAMILIES:
+        mus.update({(family, name): mu for name, mu in
+                    _gauge_reductions(g, family).items()})
+    for key, mu in mus.items():
+        assert mu.constant is None, key
+        _, got, want = _node_rows(mu, profile, grid, 0.01)
+        assert got.tobytes() == want.tobytes(), key
+    xs, _, want = _node_rows(mus[("bump", "restricted")], profile, grid, 0.01)
     for moved in _axes_off_by_one_ulp(grid):
-        assert E._inside_rows(mu, moved, xs, sqrt_t).tobytes() != \
-            want.tobytes()
+        assert E._inside_rows(mus[("bump", "restricted")], moved, xs,
+                              0.01).tobytes() != want.tobytes()
+
+
+def test_radial_node_values_see_a_one_ulp_change_of_an_axis():
+    # each gauge family's restricted density takes the node images'
+    # density values node by node; negative control: that equality can
+    # fail, as one eta axis moved by one ulp moves them (far from a narrow
+    # bump, f can hide an ulp of its argument)
+    for label in F.GROUP_LABELS:
+        g = F.get_group(label)
+        profile = F.profile_for(g)
+        grid = E._ext_grid(profile)
+        for family in _GAUGE_FAMILIES:
+            mu = _gauge_reductions(g, family)["restricted"]
+            xs, got, want = _node_rows(mu, profile, grid, 0.01)
+            assert got.tobytes() == want.tobytes(), (label, family)
+            for moved in _axes_off_by_one_ulp(grid):
+                assert E._inside_rows(mu, moved, xs, 0.01).tobytes() != \
+                    want.tobytes(), (label, family)
 
 
 def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
@@ -949,7 +979,7 @@ def test_hulls_that_box_a_declared_point_take_the_full_grid(label):
     g = F.get_group(label)
     profile = F.profile_for(g)
     n = g.total_dim
-    params = _RADIAL_FAMILIES["gaussian-bump"]
+    params = _GAUGE_FAMILIES["gaussian-bump"]
     t = 1e-4
     for vertex, clear in ((np.zeros(n), False),
                           (np.array([0.3, -0.2, 0.1])[:n], True)):
@@ -1005,7 +1035,7 @@ def test_compressed_batches_match_pointwise_values(label):
                        np.random.default_rng(11).uniform(-0.12, 0.12,
                                                          size=(40, n))])
     seen = set()
-    for family, params in (("gaussian-bump", _RADIAL_FAMILIES[
+    for family, params in (("gaussian-bump", _GAUGE_FAMILIES[
                                 "gaussian-bump"]),
                            ("gaussian-bump", {"baseline": 1.0,
                                               "amplitude": 2.0,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
-from fatoulab import groups as G, quadrature
+from fatoulab import groups as G, measures as M, quadrature
 from references import oracle_strong_derivative
 
 V1_H = math.pi ** 2 / 8.0
@@ -55,6 +55,19 @@ def test_atomic_validation_errors(g1, gh):
         F.AtomicMeasure(g1, [[np.nan]], [1.0])
     with pytest.raises(F.MeasureError):
         F.AtomicMeasure(gh, [[0.0, 0.0]], [1.0])
+
+
+def test_atomic_points_and_weights_need_their_shapes(g1, gh):
+    # points with extra axes whose shape[1] matches, 2-d weights, and no
+    # points with a weight were kept as given
+    for points, weights in ((np.zeros((1, 1, 1)), [1.0]),
+                            ([[0.0], [1.0]], [[1.0], [2.0]]),
+                            ([], [1.0])):
+        with pytest.raises(F.MeasureError, match="shape"):
+            F.AtomicMeasure(g1, points, weights)
+    assert F.AtomicMeasure(gh, np.zeros((0, 3)), []).points.shape == (0, 3)
+    with pytest.raises(F.MeasureError, match="shape"):
+        F.AtomicMeasure(gh, np.zeros((0, 2)), [])
 
 
 def test_dilate_atomic_oracle(gh):
@@ -377,42 +390,6 @@ def test_declared_constant_ball_masses_match_undeclared_bitwise(label,
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
-def test_declared_radial_is_checked_and_kept(label):
-    # the profile must give f's bits at every validation node: one node
-    # one ulp off is refused; the reductions keep the profile
-    from fatoulab.measures import _SECTION_RULES
-
-    g = F.get_group(label)
-    box = [[-1.0, 1.2]] * g.total_dim
-
-    def radial(rho):
-        return 1.0 + 0.7 * rho ** 2
-
-    def fn(p):
-        return radial(np.asarray(G.norm(g, p)))
-
-    mu = F.DensityMeasure(g, fn, box, radial=radial)
-    assert mu.radial is radial
-    for name, derived in _derived(mu, g).items():
-        assert derived.radial is radial, name
-    nodes, _ = mu._section_rule(*mu.support_box.T, _SECTION_RULES[0])
-    target = nodes[nodes.shape[0] // 3]
-    assert np.all(nodes == target, axis=1).sum() == 1
-
-    def bent(p):
-        v = fn(p)
-        return np.where(np.all(p == target, axis=-1), np.nextafter(v, 2.0), v)
-
-    F.DensityMeasure(g, bent, box)
-    with pytest.raises(F.MeasureError, match="declared radial"):
-        F.DensityMeasure(g, bent, box, radial=radial)
-    # a zero of the other sign is not the same bits either
-    with pytest.raises(F.MeasureError, match="declared radial"):
-        F.DensityMeasure(g, lambda p: np.zeros(p.shape[:-1]), box,
-                         radial=lambda rho: -0.0 * rho)
-
-
-@pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_declared_singular_points_are_checked_and_kept(label):
     # finite (k, n) points, kept by every reduction; anything else is a
     # MeasureError
@@ -566,6 +543,20 @@ def test_derivative_rejects_non_positive_or_non_finite_radii(g1, radii):
     with pytest.raises(F.MeasureError, match="radius schedule must be "
                        "positive and finite"):
         F.strong_derivative(mu, np.zeros(1), radii=radii)
+
+
+def test_radii_must_be_a_non_empty_1d_array(g1):
+    # a scalar, a 2-d or an empty array raised bare numpy errors in
+    # ball_masses (an empty one gave [] on atoms), and a 2-d schedule
+    # numpy's ambiguous-truth-value ValueError in strong_derivative
+    atom = F.AtomicMeasure(g1, [[0.3]], [1.0])
+    for mu in (atom, quadratic_line_measure()):
+        for radii in (0.5, [[0.5, 0.2]], []):
+            with pytest.raises(F.GroupError, match="non-empty 1-d"):
+                M.ball_masses(mu, [0.0], radii)
+    with pytest.raises(F.MeasureError, match="1-d"):
+        F.strong_derivative(atom, np.zeros(1),
+                            radii=np.stack([_OLD_RADII[:6]] * 2, axis=1))
 
 
 def test_default_family_shape(g1, gh):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fatoulab as F
-from fatoulab import cli, groups as G, scenarios as S
+from fatoulab import cli, scenarios as S
 
 
 def line_config(label="t-constant"):
@@ -118,20 +118,12 @@ def test_only_constant_families_declare_a_constant(gh, family, params,
                                                    constant):
     mu = F.build_measure(gh, {"type": "density", "family": family,
                               "params": params})
-    # exactly the families with a nonzero gauge term declare their gauge
-    # profile, and their density is that profile of the gauge, bit for bit
-    fn, declared, radial, singular = S._density_fn(gh, family, params,
-                                                   "measure")
+    _, declared, singular = S._density_fn(gh, family, params, "measure")
     assert declared == constant
-    assert (radial is None) == (mu.radial is None) == (constant is not None)
     # a gauge family declares the base origin singular, a constant nothing
     assert mu.singular.tobytes() == singular.tobytes()
-    assert singular.shape == ((0, 3) if radial is None else (1, 3))
+    assert singular.shape == ((1, 3) if constant is None else (0, 3))
     assert not np.any(singular)
-    if radial is not None:
-        pts = np.random.default_rng(3).normal(size=(257, 3))
-        assert fn(pts).tobytes() == radial(
-            np.asarray(G.norm(gh, pts))).tobytes()
     if constant is None:
         assert mu.constant is None
     else:
@@ -250,6 +242,15 @@ def test_maximal_case_list():
     # deterministic regeneration
     again = F.maximal_cases(20, 5)
     assert cases == again
+
+
+def test_maximal_cases_are_distinct_apart_from_their_labels():
+    # density variants past the bases were copies of them; each now has
+    # its base's query points jittered, and the bases keep theirs
+    cases = F.maximal_cases(20, 5)
+    bodies = [json.dumps(dict(c, label=None), sort_keys=True) for c in cases]
+    assert len(set(bodies)) == len(cases)
+    assert F.maximal_cases(20, 3) == cases[:23]
 
 
 # ---------------------------------------------------------------------------
