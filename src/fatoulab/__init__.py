@@ -31,7 +31,6 @@ from .groups import (
     GROUP_LABELS,
     Ball,
     GroupDescriptor,
-    GroupPoint,
     ball_bounding_box,
     ball_contains,
     ball_volume,

@@ -36,7 +36,10 @@ whose moments of graded degree <= 6 (a + b + 2c <= 6 on H1) are those of
 the grid's gamma * w, and a nested Q4 (22 nodes on H1) on Q6's nodes.
 Tchakaloff's theorem guarantees such rules and Caratheodory recombination
 finds them (`quadrature.compressed_rules`); they are built at the first
-inside sum that can use them. On an analytic integrand Q6 misses by the
+inside sum that can use them. Both are sums of one density pass at Q6's
+node images, taken by ``DensityMeasure._image_sums``, the one node-rule
+sum, which the polar ball masses and the maximal module's phi-grid rows
+take too. On an analytic integrand Q6 misses by the
 Taylor remainder past degree 6. So a point takes Q6 only where its hull,
 mapped into the base frame, boxes none of the points where the density
 declares it may fail to be analytic (``DensityMeasure.singular``, with the
@@ -86,7 +89,8 @@ from . import kernels as K
 from .decisions import SCALES, TABLE, tail_decision, trace_decision
 from .kernels import _EtaGrid, _ext_grid
 from .quadrature import (_BLOCK_ROWS, compressed_rules, gauss_legendre,
-                         point_array, row_sums, tensor_rule, weighted_sum)
+                         point_array, row_sums, section_pieces, tensor_rule,
+                         weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -137,6 +141,12 @@ class _EtaRule:
     sub: np.ndarray         # positions in Q6 of Q4's nodes, ascending
     w_sub: np.ndarray       # Q4 weights
 
+    @property
+    def rules(self) -> tuple:
+        """Q6 and Q4 as the (weights, node positions) pairs of
+        `DensityMeasure._image_sums`."""
+        return (self.w, slice(None)), (self.w_sub, self.sub)
+
 
 def _eta_rule(profile: K.KernelProfile) -> _EtaRule:
     """The profile's compressed eta-rule, built at its first use and
@@ -162,7 +172,8 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
 
     A declared constant takes one `constant_sum` for every point. A point
     whose hull `DensityMeasure.analytic_hulls` clears takes the compressed
-    rule (`_rule_values`), and keeps its Q6 value where |Q6 - Q4| <=
+    rule: Q6 and Q4 are `DensityMeasure._image_sums` of Q6's nodes, Q4 on
+    its subset of them, and the point keeps its Q6 value where |Q6 - Q4| <=
     ``TABLE.eta_rule_tol`` |Q6|. Every other point takes the whole grid on
     its axes (`_inside_rows`), p points at a time while p x nodes fit in
     _BLOCK_ROWS rows. Each point's sum is its own (see
@@ -174,7 +185,9 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
     full = ~mu.analytic_hulls(hulls)
     free = np.flatnonzero(~full)
     if free.size:
-        q6, q4 = _rule_values(mu, _eta_rule(profile), xs[free], sqrt_t)
+        rule = _eta_rule(profile)
+        q6, q4 = mu._image_sums(xs[free], np.full(free.size, sqrt_t),
+                                rule.eta_inv, rule.rules).T
         kept = abs(q6 - q4) <= TABLE.eta_rule_tol * abs(q6)
         out[free[kept]] = q6[kept]
         full[free[~kept]] = True
@@ -185,26 +198,6 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
         out[rows] = row_sums(grid.gamma_w,
                              _inside_rows(mu, grid, xs[rows], sqrt_t))
     return out
-
-
-def _rule_values(mu: DensityMeasure, rule: _EtaRule, xs: np.ndarray,
-                 sqrt_t: float):
-    """(Q6, Q4) at each point x of ``xs`` (p, n): `DensityMeasure.
-    density_inside` at the node images x * delta_sqrt(t)(eta^-1) of Q6,
-    summed by each rule, p points at a time while p x nodes fit in
-    _BLOCK_ROWS rows, each point's sums its own (`quadrature.row_sums`)."""
-    g = mu.group
-    nodes = G.dilate(g, sqrt_t, rule.eta_inv)
-    q = nodes.shape[0]
-    q6, q4 = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-    per = max(1, _BLOCK_ROWS // q)
-    for start in range(0, xs.shape[0], per):
-        block = slice(start, start + per)
-        y = G.mul(g, xs[block, None, :], nodes)
-        f = mu.density_inside(y.reshape(-1, g.total_dim)).reshape(-1, q)
-        q6[block] = row_sums(rule.w, f)
-        q4[block] = row_sums(rule.w_sub, f[:, rule.sub])
-    return q6, q4
 
 
 def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
@@ -297,8 +290,9 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     * a panel wholly inside an interval keeps its cached gamma * w, and
       only its rows of the grid's inverted nodes are dilated;
     * a panel that an interval end falls in is integrated over the covered
-      piece only, with the panel's number of Gauss-Legendre nodes and
-      fresh gamma at the piece's own nodes;
+      piece only, with the panel's number of Gauss-Legendre nodes
+      (`quadrature.section_pieces`, as the section rules of density masses
+      take them) and fresh gamma at the piece's own nodes;
     * rows outside the intervals are never evaluated.
 
     Where a support face cuts an outer axis, every column is new and every
@@ -320,14 +314,8 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     whole = live & (p_lo == edges[:-1]) & (p_hi == edges[1:]) & cached
     col, _, panel = np.nonzero(whole)
     rows = ((col * m + panel * order)[:, None] + np.arange(order)).ravel()
-    part = live & ~whole
-    col = np.nonzero(part)[0]
-    a, b = p_lo[part], p_hi[part]
-    ref_x, ref_w = gauss_legendre(-1.0, 1.0, 1, order)
-    eta = point_array(np.repeat(h[col], order) for h in heads.T)
-    eta[:, -1] = ((0.5 * (a + b))[:, None]
-                  + 0.5 * (b - a)[:, None] * ref_x).ravel()
-    w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
+    eta, w = section_pieces(heads, w_cols, p_lo, p_hi, live & ~whole, 1,
+                            order)
     # a row gather of a column-major array would come out row-major
     eta_rows = G.dilate(g, sqrt_t,
                         point_array(c[rows] for c in grid.eta_inv.T))

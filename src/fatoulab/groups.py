@@ -46,7 +46,6 @@ from .quadrature import SphereChart, ball_rule, point_array
 __all__ = [
     "GROUP_LABELS",
     "GroupDescriptor",
-    "GroupPoint",
     "Ball",
     "euclidean_group",
     "heisenberg_group",
@@ -97,6 +96,8 @@ class GroupDescriptor:
     coordinates, and misses it for rho >= 1: sqrt(1 - rho^4) / 4 on the
     Heisenberg group and sqrt(1 - rho^2) on R^n. B(c, R) = c * delta_R(B(0, 1))
     then meets every vertical line in one interval of known ends.
+    ``default_box`` holds rows (lo, hi) of the support box of a scenario
+    density whose config gives none.
 
     A density is assumed smooth inside its support box: its clips (the box
     edges, and the balls of ``restrict`` and ``restrict_complement``) are
@@ -153,6 +154,7 @@ class GroupDescriptor:
     sphere: SphereChart = field(compare=False, repr=False)
     eta_grid: tuple = field(compare=False, repr=False)
     section: Callable = field(compare=False, repr=False)
+    default_box: tuple = field(compare=False, repr=False)
     n_horizontal: int = 0
     _ball_rules: dict = field(default_factory=dict, init=False, compare=False,
                               repr=False)
@@ -173,22 +175,6 @@ class GroupDescriptor:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupPoint:
-    """A single group element: coordinates plus the group it belongs to."""
-
-    coords: np.ndarray
-    group: GroupDescriptor
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.group.total_dim,):
-            raise GroupError(
-                f"point has shape {c.shape}, expected ({self.group.total_dim},)"
-            )
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True, eq=False)
 class Ball:
     """Quasi-metric ball B(center, radius) = {y : d(center, y) < radius}."""
 
@@ -203,24 +189,18 @@ class Ball:
         object.__setattr__(self, "center", center)
 
 
-def _coords(x) -> np.ndarray:
-    if isinstance(x, GroupPoint):
-        return x.coords
-    return np.asarray(x, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # group operations (vectorized over leading axes)
 # ---------------------------------------------------------------------------
 
 def mul(g: GroupDescriptor, x, y) -> np.ndarray:
     """Group product x * y, broadcasting over leading axes."""
-    return g.mul_fn(_coords(x), _coords(y))
+    return g.mul_fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 def inverse(g: GroupDescriptor, x) -> np.ndarray:
     """Group inverse x^(-1) = -x (see `GroupDescriptor`)."""
-    return -_coords(x)
+    return -np.asarray(x, dtype=float)
 
 
 def dilate(g: GroupDescriptor, r: float, x) -> np.ndarray:
@@ -228,12 +208,12 @@ def dilate(g: GroupDescriptor, r: float, x) -> np.ndarray:
     if not (r > 0) or not math.isfinite(r):
         raise GroupError(f"dilation factor must be positive and finite, got {r}")
     scale = np.array([r ** e for e in g.layer_exponents])
-    return _coords(x) * scale
+    return np.asarray(x, dtype=float) * scale
 
 
 def norm(g: GroupDescriptor, x) -> np.ndarray | float:
     """Homogeneous quasi-norm d(x); vectorized over leading axes."""
-    return g.norm_fn(_coords(x))
+    return g.norm_fn(np.asarray(x, dtype=float))
 
 
 def dist(g: GroupDescriptor, x, y) -> np.ndarray | float:
@@ -242,7 +222,8 @@ def dist(g: GroupDescriptor, x, y) -> np.ndarray | float:
     Symmetric, so the distances from one point to many are taken with the
     many as ``x``: only the one point is negated.
     """
-    return g.norm_fn(g.mul_fn(-_coords(y), _coords(x)))
+    return g.norm_fn(g.mul_fn(-np.asarray(y, dtype=float),
+                              np.asarray(x, dtype=float)))
 
 
 def ball_volume(g: GroupDescriptor, radius: float) -> float:
@@ -475,6 +456,7 @@ def euclidean_group(n: int) -> GroupDescriptor:
         sphere=_EUCLIDEAN_SPHERES[n],
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
         section=_round_section,
+        default_box=((-2.0, 2.0),) * n,
         n_horizontal=n,
     )
 
@@ -520,6 +502,7 @@ def heisenberg_group() -> GroupDescriptor:
                            ball_fine=(12, 12, 24), ball_coarse=(8, 8, 16)),
         eta_grid=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
         section=_koranyi_section,
+        default_box=((-1.5, 1.5),) * 3,
         n_horizontal=2,
     )
 

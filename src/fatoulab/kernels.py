@@ -586,10 +586,18 @@ def _time_power(q: int, t: float) -> float:
 
 
 def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
-    """Gamma(x, t) = t^(-Q/2) gamma(delta_(1/sqrt t)(x)); requires t > 0
-    and t^(-Q/2) finite (see `_time_power`)."""
+    """Gamma(x, t) = t^(-Q/2) gamma(delta_(1/sqrt t)(x)) at the points
+    along the last axis of ``x``, which must hold total_dim coordinates (a
+    GroupError otherwise; only the width is checked, so a large node array
+    pays nothing); requires t > 0 and t^(-Q/2) finite (see
+    `_time_power`)."""
     if not (t > 0) or not math.isfinite(t):
         raise NumericsError(f"kernel time must be positive and finite, got {t}")
+    x = np.asarray(x, dtype=float)
+    n = k.group.total_dim
+    if x.shape[-1:] != (n,):
+        raise GroupError(f"kernel points need {n} coordinates along the "
+                         f"last axis, got shape {x.shape}")
     power = _time_power(k.group.hom_dim, t)
     scaled = G.dilate(k.group, 1.0 / math.sqrt(t), x)
     return power * k.gamma(scaled)
@@ -673,7 +681,8 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
     L_h uses centered second differences along the exact horizontal flows,
     x -> x * (h e_i) by the group law; d_t,h is a centered time difference
     with step h^2 (so the residual is second order in h). Requires t and h
-    positive and finite, and t > 2 h^2.
+    positive and finite, t > 2 h^2, and x a point: total_dim finite
+    coordinates.
     """
     for name, value in (("t", t), ("h", h)):
         if not 0 < value < math.inf:
@@ -682,6 +691,10 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
     if not (t > 2.0 * h * h):
         raise NumericsError(f"pde_residual requires t > 2 h^2, got t={t}, h={h}")
     g = k.group
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.total_dim,) or not np.all(np.isfinite(x)):
+        raise GroupError(f"pde_residual needs {g.total_dim} finite "
+                         f"coordinates, got x={x.tolist()}")
     q = g.hom_dim
     gam = k.gamma_accurate
 
@@ -689,7 +702,6 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
         scaled = G.dilate(g, 1.0 / math.sqrt(tt), pt)
         return float(gam(scaled)) * _time_power(q, tt)
 
-    x = np.asarray(x, dtype=float)
     center = ev(x, t)
     spatial = 0.0
     for step in h * np.eye(g.total_dim)[: g.n_horizontal]:

@@ -24,11 +24,14 @@ kind and reports them.
 All convolutions go through one function over rows (point, scale): the
 radial maximum's scales, every cone placement of the nontangential maximum
 at every scale, and a single `mollifier_convolution`, which is one row, so
-a maximal value equals the single convolution bit for bit. Atomic parts
-take one (rows, atoms) distance matrix. A density row whose mollifier
-support B(x, phi.support_radius * s) holds the support box uses the
-density's section rule in the original variable (Gauss-Legendre panels
-whose edges sit on the support faces, see
+a maximal value equals the single convolution bit for bit. Atoms and a
+density's section rules are fixed weighted nodes (y_i, w_i), and every sum
+over such nodes is one function, `_node_sums`: sum_i w_i phi(d(x, y_i) /
+s), each caller with its own factor s^(-Q). A density row whose mollifier
+support B(x, phi.support_radius * s) holds the support box (the density's
+one cover test, ``DensityMeasure._covered``, which its ball masses read
+too) uses the density's section rule in the original variable
+(Gauss-Legendre panels whose edges sit on the support faces, see
 ``DensityMeasure._convolution_rule``) on the whole box, cached with its
 density values, at every scale: the box may cover only a few nodes of a
 grid spread over the profile's support. Other rows switch quadrature by
@@ -73,7 +76,7 @@ from . import kernels as K
 from .decisions import (decade_flag, heat_chain_slack, holds_with_slack,
                         sandwich_slacks, tied_argmax)
 from .extension import HeatExtension
-from .quadrature import _BLOCK_ROWS, ball_rule, row_sums, weighted_sum
+from .quadrature import _BLOCK_ROWS, ball_rule, row_sums
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -103,10 +106,6 @@ _SCALE_SWITCH = 1.0  # density conv: scaled grid below, section rule above
 # Relative margin of a pruned cone row's distance bound and value bound
 # (`_row_bounds`): a weighted sum of 27,648 terms rounds by less than 3e-12.
 _PRUNE_MARGIN = 1e-9
-
-# (row, atom) entries per block of an atomic convolution; rows are
-# independent, so blocks bound memory without moving a value
-_ATOM_ENTRIES = 1 << 16
 
 # default cone placements of nontangential_max: beta values and directions
 _BETAS = (0.0, 0.6, 0.9)
@@ -245,49 +244,37 @@ def _grid_rows(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
     for name in ("inside", "cut"):
         rows = state == name
         if np.any(rows):
-            out[rows] = part._image_sums(pts[rows], s[rows], eta_inv, (w,),
+            out[rows] = part._image_sums(pts[rows], s[rows], eta_inv,
+                                         ((w, slice(None)),),
                                          name == "inside")[:, 0]
     return out
 
 
-def _covering_rows(part: DensityMeasure, phi: RadialProfile,
-                   pts: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(nu * phi_s)(x) of a density whose ball B(x, phi.support_radius * s)
-    holds the support box, for rows (x, s): the cached section rule of the
-    whole box, scaled by the Python-float factor s^(-Q).
+def _node_sums(g: G.GroupDescriptor, nodes: np.ndarray, w: np.ndarray,
+               phi: RadialProfile, pts: np.ndarray,
+               s: np.ndarray) -> np.ndarray:
+    """sum_i w_i phi(d(x, y_i) / s) over fixed weighted nodes (y_i, w_i),
+    for each row (x, s) of ``pts`` (m, n) and ``s`` (m,): the one sum of
+    atoms and of a density's section rules, without the factor s^(-Q).
 
-    Rows share blocks of rows x nodes where two or more fit in _BLOCK_ROWS
-    (the small rules of one and two dimensions); otherwise each row is its
-    own block, and a run of rows at one point shares one set of node
-    distances.
+    Rows share blocks of at most _BLOCK_ROWS (row, node) pairs, one row at
+    least; a block whose rows sit at one point takes its node distances
+    once, and so does a run of one-row blocks at one point. Each row's sum
+    is its own `quadrature.row_sums`, so a row's value does not depend on
+    the other rows.
     """
-    g = part.group
-    nodes, wf = part._convolution_rule()
-    out = np.array([float(ss) ** (-g.hom_dim) for ss in s])
-    per = _BLOCK_ROWS // max(1, wf.size)
-    if per > 1:
-        for start in range(0, s.size, per):
-            block = slice(start, start + per)
-            rho = np.asarray(G.dist(g, nodes[None, :, :], pts[block, None, :]))
-            out[block] *= row_sums(wf, phi(rho / s[block, None]))
-        return out
+    out = np.empty(s.size)
+    per = max(1, _BLOCK_ROWS // max(1, w.size))
     x = None
-    for i in range(s.size):
-        if x is None or not np.array_equal(pts[i], x):
-            x = pts[i]
-            rho = np.asarray(G.dist(g, nodes, x))
-        out[i] *= weighted_sum(wf, phi(rho / float(s[i])))
+    for start in range(0, s.size, per):
+        block = slice(start, start + per)
+        p = pts[block]
+        if not np.all(p == p[0]):
+            x, rho = None, np.asarray(G.dist(g, nodes[None], p[:, None]))
+        elif x is None or not np.array_equal(p[0], x):
+            x, rho = p[0], np.asarray(G.dist(g, nodes, p[0]))
+        out[block] = row_sums(w, phi(rho / s[block, None]))
     return out
-
-
-def _covers(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
-            s: np.ndarray) -> np.ndarray:
-    """Mask of the rows (x, s) whose ball B(x, phi.support_radius * s)
-    holds the support box's corners, and so the box: balls are convex, and
-    such a row needs no clip."""
-    corners = _tensor(part.support_box)
-    return np.asarray(G.dist(part.group, corners[None, :, :], pts[:, None, :])
-                      ).max(axis=1) < phi.support_radius * s
 
 
 def _box_gap(g: G.GroupDescriptor, box: np.ndarray,
@@ -311,12 +298,13 @@ def _row_bounds(mu, phi: RadialProfile, pts: np.ndarray,
     """Upper bounds on `_conv_rows` (x, s) of rows on the whole-box rule;
     inf on any other row.
 
-    A row bounded here has every part a density whose ball covers its
-    support box (`_covers`), so each part's value is s^(-Q) sum_i wf_i
-    phi(d(x, y_i) / s) over the cached whole-box rule (y_i, wf_i). phi is
-    nonincreasing and d(x, y_i) >= gap (`_box_gap`), so each part is at
-    most s^(-Q) phi(gap / s) sum_i max(wf_i, 0). gap is shrunk and the
-    bound grown by _PRUNE_MARGIN, far above the rounding of either side.
+    A row bounded here has every part a density whose ball holds its
+    support box (`DensityMeasure._covered`), so each part's value is
+    s^(-Q) sum_i wf_i phi(d(x, y_i) / s) over the cached whole-box rule
+    (y_i, wf_i). phi is nonincreasing and d(x, y_i) >= gap (`_box_gap`),
+    so each part is at most s^(-Q) phi(gap / s) sum_i max(wf_i, 0). gap
+    is shrunk and the bound grown by _PRUNE_MARGIN, far above the rounding
+    of either side.
     """
     parts = mu.parts()
     if not all(isinstance(p, DensityMeasure) for p in parts):
@@ -324,7 +312,7 @@ def _row_bounds(mu, phi: RadialProfile, pts: np.ndarray,
     g = mu.group
     bound = np.zeros(s.size)
     for part in parts:
-        covers = _covers(part, phi, pts, s)
+        covers = part._covered(pts, phi.support_radius * s)
         if not np.any(covers):
             return np.full(s.size, np.inf)
         bound[~covers] = np.inf
@@ -340,47 +328,39 @@ def _conv_rows(mu, phi: RadialProfile, pts: np.ndarray,
                s: np.ndarray) -> np.ndarray:
     """(nu * phi_s)(x) for each row (x, s) of ``pts`` (m, n) and ``s`` (m,).
 
-    Atomic parts take one (m, k) matrix of distances from the rows' points
-    to the k atoms (in row blocks of ``_ATOM_ENTRIES`` entries), one phi
-    evaluation over it and a sum along each row in a fixed order (numpy's
-    ``add.reduce`` on C-ordered rows, not BLAS), so a row's value does not
-    depend on the other rows. A density row whose ball B(x, R),
-    R = phi.support_radius * s, holds the support box's corners (phi_s is
-    below 1e-14 of its peak past R) takes the section rule of
+    Atomic parts are `_node_sums` over the atoms, times the numpy factor
+    s^(-Q). A density row whose ball B(x, R), R = phi.support_radius * s,
+    holds the support box (`DensityMeasure._covered`; phi_s is below
+    1e-14 of its peak past R) is `_node_sums` over the section rule of
     ``DensityMeasure._convolution_rule`` on the whole support box, at any
-    scale (`_covering_rows`). Other rows take, below ``_SCALE_SWITCH``, the
-    phi-weighted grid in the scaled variable (`_grid_rows`), and above it
-    the section rule on the support box's part in the ball, one rule per
-    row, so a sharp profile keeps its nodes where phi_s lives.
+    scale, times the Python-float factor s^(-Q). Other rows take, below
+    ``_SCALE_SWITCH``, the phi-weighted grid in the scaled variable
+    (`_grid_rows`), and above it the section rule on the support box's
+    part in the ball, one rule per row, so a sharp profile keeps its nodes
+    where phi_s lives.
     """
     g = mu.group
     total = np.zeros(s.size)
     for part in mu.parts():
         if isinstance(part, AtomicMeasure):
-            if part.points.shape[0] == 0:
-                continue
-            step = _ATOM_ENTRIES // part.points.shape[0] + 1
-            for start in range(0, s.size, step):
-                rows = slice(start, start + step)
-                rho = np.asarray(G.dist(g, part.points[None, :, :],
-                                        pts[rows, None, :]))
-                vals = np.ascontiguousarray(
-                    phi(rho / s[rows, None]) * part.weights)
-                total[rows] += (s[rows] ** (-g.hom_dim)
-                                * np.add.reduce(vals, axis=1))
+            if part.points.shape[0]:
+                total += s ** (-g.hom_dim) * _node_sums(
+                    g, part.points, part.weights, phi, pts, s)
             continue
         vals = np.empty(s.size)
         reach = phi.support_radius * s
-        covers = _covers(part, phi, pts, s)
-        for rows, rule in ((covers, _covering_rows),
-                           ((s <= _SCALE_SWITCH) & ~covers, _grid_rows)):
-            if np.any(rows):
-                vals[rows] = rule(part, phi, pts[rows], s[rows])
+        covers = part._covered(pts, reach)
+        if np.any(covers):
+            vals[covers] = np.array(
+                [float(ss) ** (-g.hom_dim) for ss in s[covers]]) * _node_sums(
+                g, *part._convolution_rule(), phi, pts[covers], s[covers])
+        grid = (s <= _SCALE_SWITCH) & ~covers
+        if np.any(grid):
+            vals[grid] = _grid_rows(part, phi, pts[grid], s[grid])
         for i in np.flatnonzero((s > _SCALE_SWITCH) & ~covers):
-            nodes, wf = part._convolution_rule(G.Ball(pts[i], float(reach[i])))
-            ss = float(s[i])
-            vals[i] = ss ** (-g.hom_dim) * weighted_sum(
-                wf, phi(np.asarray(G.dist(g, nodes, pts[i])) / ss))
+            rule = part._convolution_rule(G.Ball(pts[i], float(reach[i])))
+            vals[i] = float(s[i]) ** (-g.hom_dim) * _node_sums(
+                g, *rule, phi, pts[i:i + 1], s[i:i + 1])[0]
         total += vals
     return total
 

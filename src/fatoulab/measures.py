@@ -45,11 +45,14 @@ Approximate Calculation of Multiple Integrals, 1971): Gauss-Legendre
 panels on the horizontal axes of its bounding box clipped to the support
 box, and on each vertical line Gauss-Legendre nodes on every interval that
 ``sections`` and the ball's own section leave (see
-``DensityMeasure._section_rule``). A ball that holds
-the support box gets the same rule's mass of the whole box, which is the
-total mass, computed once at construction. The mollifier convolutions of
-the maximal module read the same rule, with more panels per vertical
-section (``DensityMeasure._convolution_rule``).
+``DensityMeasure._section_rule`` and `quadrature.section_pieces`). A ball
+that holds the support box gets the same rule's mass of the whole box,
+which is the total mass, computed once at construction. Whether a ball
+holds the box is one test, ``DensityMeasure._covered``: every corner of
+the box nearer the center than the radius by a _TIE margin. The
+mollifier convolutions of the maximal module read the same test and the
+same rule, with more panels per vertical section
+(``DensityMeasure._convolution_rule``).
 
 The strong derivative at a point is estimated over a finite ball family along
 a shrinking radius schedule, by default ``decisions.SCALES``' radii at the
@@ -71,7 +74,7 @@ from .errors import GroupError, MeasureError
 from . import groups as G
 from .decisions import SCALES, TABLE, trace_decision
 from .quadrature import (_BLOCK_ROWS, gauss_legendre, point_array, row_sums,
-                         tensor_rule, weighted_sum)
+                         section_pieces, tensor_rule, weighted_sum)
 
 __all__ = [
     "BoundaryMeasure",
@@ -571,18 +574,28 @@ class DensityMeasure(BoundaryMeasure):
         hi = np.minimum(bb[:, 1], self.support_box[:, 1])
         return None if np.any(hi <= lo) else (lo, hi)
 
+    def _covered(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Mask of the balls B(centers[i], radii[i]) that hold the support
+        box: every corner is nearer the center than the radius by more
+        than _TIE times the spread of the distances, and balls are convex.
+        The box center is tested only so that the distances have a spread
+        when all corners are equally far."""
+        sb = self.support_box
+        d = np.asarray(G.dist(self.group,
+                              np.vstack([_tensor(sb), sb.mean(axis=1)]),
+                              centers[:, None, :]))
+        return np.all(
+            d[:, :-1] < (radii - _TIE * np.ptp(d, axis=1))[:, None], axis=1)
+
     def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
         """Every ball classified at once, then one rule per class.
 
         A ball whose bounding box misses the support box has mass 0. A
-        ball that holds the support box's corners holds all of it (balls
-        are convex) and gets the support box's mass; the box center is
-        tested only so that the distances have a spread when all corners
-        are equally far. Of the rest, one `hull_state` call on the corners
-        of their bounding boxes sends "inside" balls to the polar rule, in
-        shared blocks, leaves "outside" balls at 0 and gives each "cut"
-        ball the section rule on its bounding box clipped to the support
-        box.
+        ball that holds the support box (`_covered`) gets the support box's
+        mass. Of the rest, one `hull_state` call on the corners of their
+        bounding boxes sends "inside" balls to the polar rule, in shared
+        blocks, leaves "outside" balls at 0 and gives each "cut" ball the
+        section rule on its bounding box clipped to the support box.
         """
         g, sb = self.group, self.support_box
         m = radii.size
@@ -591,10 +604,7 @@ class DensityMeasure(BoundaryMeasure):
         lo = np.maximum(boxes[:, :, 0], sb[:, 0])
         hi = np.minimum(boxes[:, :, 1], sb[:, 1])
         meets = ~np.any(hi <= lo, axis=1)
-        d = np.asarray(G.dist(g, np.vstack([_tensor(sb), sb.mean(axis=1)]),
-                              centers[:, None, :]))
-        covers = meets & np.all(
-            d[:, :-1] < (radii - _TIE * np.ptp(d, axis=1))[:, None], axis=1)
+        covers = meets & self._covered(centers, radii)
         vals[covers], errs[covers] = self._support_mass
         rest = np.flatnonzero(meets & ~covers)
         state = self.hull_state(G.box_corners(boxes[rest]))
@@ -617,8 +627,10 @@ class DensityMeasure(BoundaryMeasure):
         """
         g = self.group
         nodes, w_fine, w_coarse = G.unit_ball_rule(g)
-        fine, coarse = self._image_sums(centers, radii, nodes,
-                                        (w_fine, w_coarse)).T
+        k = w_fine.size
+        fine, coarse = self._image_sums(
+            centers, radii, nodes,
+            ((w_fine, slice(k)), (w_coarse, slice(k, None)))).T
         scale = np.array([r ** g.hom_dim for r in radii])
         fine, coarse = scale * fine, scale * coarse
         return fine, abs(fine - coarse) + _ROUNDING * abs(fine)
@@ -628,8 +640,11 @@ class DensityMeasure(BoundaryMeasure):
                     inside: bool = True) -> np.ndarray:
         """Each rule's sum of the density at the node images
         c_i * delta_(r_i)(nodes) of each center c_i and radius r_i (see
-        `_scaled_images`): (m, len(rules)), rule j being weights w_j on the
-        next w_j.size nodes.
+        `_scaled_images`): (m, len(rules)). Rule j is a pair (w_j, at_j)
+        of weights and the positions in ``nodes`` of their nodes, a slice
+        or an index array: the fine and coarse unit-ball rules on their
+        own runs of nodes, or the compressed eta-rule's Q4 on a subset of
+        Q6's nodes.
 
         ``inside`` images lie in the smooth region and take
         `density_inside`; a declared constant there takes each rule's
@@ -640,17 +655,16 @@ class DensityMeasure(BoundaryMeasure):
         g, n_nodes = self.group, nodes.shape[0]
         out = np.empty((radii.size, len(rules)))
         if inside and self.constant is not None:
-            out[:] = [self.constant_sum(w) for w in rules]
+            out[:] = [self.constant_sum(w) for w, _ in rules]
             return out
         density = self.density_inside if inside else self.density_at
-        ends = np.cumsum([0] + [w.size for w in rules])
         per = max(1, _BLOCK_ROWS // n_nodes)
         for start in range(0, radii.size, per):
             block = slice(start, start + per)
             y = _scaled_images(g, centers[block], radii[block], nodes)
             f = density(y.reshape(-1, g.total_dim)).reshape(-1, n_nodes)
-            for j, w in enumerate(rules):
-                out[block, j] = row_sums(w, f[:, ends[j]:ends[j + 1]])
+            for j, (w, at) in enumerate(rules):
+                out[block, j] = row_sums(w, f[:, at])
         return out
 
     def _section_ball_mass(self, ball: G.Ball | None, lo: np.ndarray,
@@ -677,25 +691,19 @@ class DensityMeasure(BoundaryMeasure):
         Gauss-Legendre panels, so its horizontal faces are panel edges.
         Each vertical line meets the density in the intervals of
         ``sections``, capped by the ball's own section, and every interval
-        takes its panels of Gauss-Legendre nodes.
+        takes its panels of Gauss-Legendre nodes
+        (`quadrature.section_pieces`).
         """
-        g = self.group
         n_panels, order, n_sub = rule
         heads, w_cols = tensor_rule(
             [gauss_legendre(a, b, n_panels, order)
              for a, b in zip(lo[:-1], hi[:-1])] + [(np.zeros(1), np.ones(1))])
         s_lo, s_hi = self.sections(heads, 1.0)
         if ball is not None:
-            s_lo, s_hi = _cap(s_lo, s_hi, *_ball_section(g, heads, 1.0, ball))
-        live = s_lo < s_hi
-        col = np.nonzero(live)[0]
-        a, b = s_lo[live], s_hi[live]
-        ref_x, ref_w = gauss_legendre(-1.0, 1.0, n_sub, order)
-        pts = point_array(np.repeat(h[col], ref_x.size) for h in heads.T)
-        pts[:, -1] = ((0.5 * (a + b))[:, None]
-                      + 0.5 * (b - a)[:, None] * ref_x).ravel()
-        w = ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
-        return pts, w
+            s_lo, s_hi = _cap(s_lo, s_hi,
+                              *_ball_section(self.group, heads, 1.0, ball))
+        return section_pieces(heads, w_cols, s_lo, s_hi, s_lo < s_hi, n_sub,
+                              order)
 
     @cached_property
     def _support_convolution_rule(self):

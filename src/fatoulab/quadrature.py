@@ -8,6 +8,9 @@
   rules of density masses and convolutions); `leading_panels` gives the
   first panels of many such rules at once, each with its full rule's bits;
 * `tensor_rule`: tensor products of one-dimensional rules;
+* `section_pieces`: Gauss-Legendre panels on pieces of vertical lines
+  between exact limits, the inner rule of the section rules of density
+  masses and convolutions and of the heat extension's cut values;
 * `SphereChart`: a polar chart of a group's unit sphere {d = 1}, which
   yields its quadrature rules at any node count and its spread of
   deterministic directions;
@@ -48,8 +51,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["point_array", "gauss_legendre", "leading_panels", "tensor_rule",
-           "SphereChart", "ball_rule", "weighted_sum", "row_sums",
-           "graded_indices", "compressed_rules"]
+           "section_pieces", "SphereChart", "ball_rule", "weighted_sum",
+           "row_sums", "graded_indices", "compressed_rules"]
 
 # Rows per block of a long pass over a grid: `weighted_sum`, the eta-grid's
 # gamma values and every density pass of the heat extension. Whole-grid
@@ -152,6 +155,30 @@ def tensor_rule(rules):
     for _, w in rules[1:]:
         weights = np.multiply.outer(weights, w)
     return point_array(mesh), weights.ravel()
+
+
+def section_pieces(heads: np.ndarray, w_cols: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, keep: np.ndarray, n_panels: int,
+                   order: int):
+    """Nodes (N, n) and weights (N,) of the pieces [lo, hi] of vertical
+    lines where ``keep`` is set, each piece ``n_panels`` Gauss-Legendre
+    panels of ``order`` nodes in the last coordinate: the inner rule of an
+    iterated integral with exact limits (Stroud, Approximate Calculation
+    of Multiple Integrals, 1971).
+
+    ``heads`` (k, n) and ``w_cols`` (k,) are the outer rule, one vertical
+    line per row; ``lo``, ``hi`` and ``keep`` share a shape whose first
+    axis runs over those lines, so a piece sits on the line of its first
+    index and carries that line's weight. Pieces come in C order of
+    ``keep``.
+    """
+    col = np.nonzero(keep)[0]
+    a, b = lo[keep], hi[keep]
+    ref_x, ref_w = gauss_legendre(-1.0, 1.0, n_panels, order)
+    pts = point_array(np.repeat(h[col], ref_x.size) for h in heads.T)
+    pts[:, -1] = ((0.5 * (a + b))[:, None]
+                  + 0.5 * (b - a)[:, None] * ref_x).ravel()
+    return pts, ((w_cols[col] * 0.5 * (b - a))[:, None] * ref_w).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,6 @@ def _number(v, where: str, minimum=None, strict=False) -> float:
 # measure construction (whitelisted density families)
 # ---------------------------------------------------------------------------
 
-_DEFAULT_BOX = {
-    "euclidean:1": [[-2.0, 2.0]],
-    "euclidean:2": [[-2.0, 2.0]] * 2,
-    "euclidean:3": [[-2.0, 2.0]] * 3,
-    "heisenberg:1": [[-1.5, 1.5], [-1.5, 1.5], [-1.5, 1.5]],
-}
-
-
 def _constant_fn(g: G.GroupDescriptor, c: float):
     """(the density c at every point, without the gauge; c; no singular
     point). A family whose gauge term has coefficient 0 gives c + 0 * g =
@@ -213,9 +205,7 @@ def build_measure(g: G.GroupDescriptor, spec: dict, where: str = "measure"):
                     {"type", "family"}, where)
         fam = spec["family"]
         params = spec.get("params", {})
-        box = np.asarray(
-            spec.get("box", _DEFAULT_BOX[g.label]), dtype=float
-        )
+        box = np.asarray(spec.get("box", g.default_box), dtype=float)
         if box.shape != (g.total_dim, 2):
             raise ConfigError(f"{where}.box: expected shape ({g.total_dim}, 2)")
         fn, constant, singular = _density_fn(g, fam, params,

@@ -1014,7 +1014,8 @@ def test_a_narrow_bump_trips_the_estimate(label):
     corners = G.dilate(g, sqrt_t, E._ext_grid(profile).corner_inv)
     hull = G.mul(g, x[0], corners)
     assert a.hull_state(hull) == "inside" and a.analytic_hulls(hull)
-    q6, q4 = E._rule_values(a, E._eta_rule(profile), x, sqrt_t)
+    rule = E._eta_rule(profile)
+    q6, q4 = a._image_sums(x, np.full(1, sqrt_t), rule.eta_inv, rule.rules).T
     assert abs(q6 - q4)[0] > TABLE.eta_rule_tol * abs(q6)[0]
     got = F.HeatExtension(a, profile)(x[0], sqrt_t ** 2)
     assert got == F.HeatExtension(b, profile)(x[0], sqrt_t ** 2)

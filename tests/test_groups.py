@@ -276,11 +276,17 @@ def test_get_group_registry(gh):
         F.get_group("euclidean:7")
 
 
-def test_group_point_wrapper(gh):
-    p = F.GroupPoint(np.array([1.0, 0.0, 0.0]), gh)
-    assert p.coords.shape == (3,)
-    with pytest.raises(F.GroupError):
-        F.GroupPoint(np.array([1.0, 0.0]), gh)
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_every_group_label_has_a_kernel_profile_and_a_default_box(label):
+    # every registered label has its kernel profile, and a scenario
+    # density without a box takes the descriptor's
+    g = F.get_group(label)
+    assert F.profile_for(g).group is g
+    box = np.array(g.default_box, dtype=float)
+    assert box.shape == (g.total_dim, 2) and np.all(box[:, 0] < box[:, 1])
+    mu = F.build_measure(g, {"type": "density", "family": "polynomial",
+                             "params": {"constant": 1.0}})
+    assert mu.support_box.tobytes() == box.tobytes()
 
 
 def test_rules_come_from_the_descriptor_not_the_label(g2, gh):

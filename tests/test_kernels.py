@@ -73,6 +73,18 @@ _BAD_ENTRIES = {
                             F.GroupError, "x=[nan]"),
     "pde-zero-step": (lambda p: F.pde_residual(p, [0.0], 1.0, 0.0),
                       F.NumericsError, "h=0.0"),
+    # a point of the wrong width (the narrow ones on the R^2 profile), or
+    # a NaN coordinate, used to give a number: 0.2697, 0.0761, 3.47e-6, NaN
+    "kernel-wide-point": (lambda p: F.eval_kernel(p, [0.3, 0.3], 1.0),
+                          F.GroupError, "shape (2,)"),
+    "kernel-narrow-point": (lambda p: F.eval_kernel(
+        F.profile_for(F.euclidean_group(2)), [0.3], 1.0),
+        F.GroupError, "shape (1,)"),
+    "pde-narrow-point": (lambda p: F.pde_residual(
+        F.profile_for(F.euclidean_group(2)), [0.3], 1.0, 1e-2),
+        F.GroupError, "x=[0.3]"),
+    "pde-nan-point": (lambda p: F.pde_residual(p, [math.nan], 1.0, 1e-2),
+                      F.GroupError, "x=[nan]"),
     "sandwich-negative": (lambda p: F.sandwich_constants(
         p.group, F.default_profile(), -1.0), F.MeasureError, "alpha=-1.0"),
     "sandwich-inf": (lambda p: F.sandwich_constants(

@@ -483,15 +483,16 @@ def _batch_measures(g):
 
 
 def _small_blocks(monkeypatch, g, phi, rule_nodes):
-    """Blocks of three atom rows, of two rules of ``rule_nodes`` nodes in
-    `DensityMeasure._image_sums` (phi-grid rows or unit-ball rules), and
-    of covering rows as many as two phi-grid rows' nodes hold, so that
-    batched rows straddle block boundaries."""
+    """Blocks of three rows of the nine atoms in `maximal._node_sums`,
+    where every covering row of a density's section rule is then a block
+    of its own; of three atom centers in the atoms' ball masses; and of two
+    rules of ``rule_nodes`` nodes in `DensityMeasure._image_sums` (phi-grid
+    rows or unit-ball rules), so that batched rows straddle block
+    boundaries."""
     from fatoulab import maximal as M, measures as MS
 
-    monkeypatch.setattr(M, "_ATOM_ENTRIES", 20)
+    monkeypatch.setattr(M, "_BLOCK_ROWS", 3 * 9)
     monkeypatch.setattr(MS, "_ATOM_ENTRIES", 20)
-    monkeypatch.setattr(M, "_BLOCK_ROWS", 2 * M._phi_grid(g, phi)[1].size + 1)
     monkeypatch.setattr(MS, "_BLOCK_ROWS", 2 * rule_nodes + 1)
 
 
@@ -806,7 +807,8 @@ def test_pruned_cone_rows_keep_the_bits(label, monkeypatch):
     assert n_full == s.size * (1 + 2 * M._N_DIRECTIONS)
     assert s.size < n_pruned < n_full      # some cone rows, not all, skipped
     rad = F.radial_max(mu, phi, x, s_grid=s)["values"]
-    covering = M._covers(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
+    covering = mu._covered(np.broadcast_to(x, (s.size, x.size)),
+                           phi.support_radius * s)
     # a cone placement is the max at covering scales, so pruning every
     # cone row there would move the values
     assert np.any((full["values"] > rad) & covering)
@@ -841,6 +843,37 @@ def test_box_gap_bounds_every_node_distance(label):
         assert gx <= d.min(), (x.tolist(), gx, d.min())
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_ball_masses_and_convolution_rows_make_one_cover_call(label,
+                                                              monkeypatch):
+    # a ball whose farthest support corner lies within _TIE of its radius
+    # is too close to tell: neither the ball mass nor the convolution row
+    # reads it as holding the box. Control: a margin ten times _TIE makes
+    # both read it so
+    from fatoulab import measures as MS
+
+    g = F.get_group(label)
+    mu = F.DensityMeasure(g, lambda p: 1.0 + 0.3 * np.cos(p[..., 0]),
+                          [[-1.0, 1.0]] * g.total_dim)
+    phi = F.default_profile()
+    x = np.zeros(g.total_dim)
+    corner = float(np.max(F.dist(g, MS._tensor(mu.support_box), x)))
+    whole, cut = [], []
+    rule, section = mu._convolution_rule, mu._section_ball_mass
+    monkeypatch.setattr(mu, "_convolution_rule", lambda ball=None:
+                        whole.append(ball is None) or rule(ball))
+    monkeypatch.setattr(mu, "_section_ball_mass", lambda *a:
+                        cut.append(a) or section(*a))
+    for margin, covered in ((0.1, False), (10.0, True)):
+        radius = corner * (1.0 + margin * MS._TIE)
+        assert corner < radius
+        whole.clear()
+        cut.clear()
+        F.mollifier_convolution(mu, phi, x, radius / phi.support_radius)
+        F.measure_ball(mu, F.Ball(x, radius))
+        assert any(whole) == (not cut) == covered, (margin, whole, len(cut))
+
+
 def test_rows_with_atoms_are_not_bounded(g2):
     from fatoulab import maximal as M
 
@@ -848,7 +881,7 @@ def test_rows_with_atoms_are_not_bounded(g2):
     mix = _batch_measures(g2)["mixture"]
     s = np.array([10.0, 50.0])
     pts = np.zeros((2, 2))
-    assert np.all(M._covers(mix.components[1], phi, pts, s))
+    assert np.all(mix.components[1]._covered(pts, phi.support_radius * s))
     assert np.all(M._row_bounds(mix, phi, pts, s) == np.inf)
     assert np.all(np.isfinite(
         M._row_bounds(mix.components[1], phi, pts, s)))
