@@ -15,8 +15,9 @@ shrinking parabolic regions.
 Each group carries one eta-grid (``GroupDescriptor.eta_grid``), built once
 per kernel profile by ``kernels._ext_grid``, which the kernel battery reads
 too. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of
-the eta-box's 2^n corners span the image of the whole grid,
-and the density's ``hull_state`` classifies that hull. Where it lies inside
+the eta-box's 2^n corners span the image of the whole grid. The corner
+images of every point of a slice are one `groups.images` call, and the
+density's ``hull_state`` classifies each hull. Where a hull lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
 converges geometrically on smooth integrands), with
 ``DensityMeasure.density_inside``: every box and clip test passes there, so
@@ -64,7 +65,8 @@ point and time alone gives, bit for bit.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
-beta in [0, 1) and unit directions omega, with t shrinking geometrically
+beta in [0, 1) and unit directions omega (`groups.images` of the
+directions), with t shrinking geometrically
 along ``decisions.SCALES``: t_k = (r_k / kappa)^2 for the radii r_k the
 strong derivative reads, so both traces decide on one scale axis. A
 scenario, and a region without its own t_max, starts at t_0 = 4^-5 on R^n
@@ -389,8 +391,8 @@ class HeatExtension:
                     total[rows] += self._density(part, pts[rows], t)
             elif part.points.shape[0]:
                 rel = G.mul(g, G.inverse(g, part.points), pts[:, None, :])
-                scale = np.array([[(1.0 / math.sqrt(t)) ** e
-                                   for e in g.layer_exponents] for t in times])
+                scale = G.dilation_factors(
+                    g, [1.0 / math.sqrt(t) for t in times])
                 power = np.array([K._time_power(g.hom_dim, t) for t in times])
                 kern = power[:, None] * self.profile.gamma(
                     rel * scale[:, None, :])
@@ -404,8 +406,7 @@ class HeatExtension:
         g = self.group
         grid = _ext_grid(self.profile)
         sqrt_t = math.sqrt(t)
-        corners = G.dilate(g, sqrt_t, grid.corner_inv)
-        hulls = G.mul(g, pts[:, None, :], corners)
+        hulls = G.images(g, pts, [sqrt_t] * pts.shape[0], grid.corner_inv)
         states = mu.hull_state(hulls)
         out = np.zeros(pts.shape[0])
         inside = np.flatnonzero(states == "inside")
@@ -477,17 +478,15 @@ _PLACEMENTS = tuple((beta, k) for beta in _BETAS
 
 def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
                   dirs: np.ndarray, t: float) -> np.ndarray:
-    """Points (len(_PLACEMENTS), n) of the region's slice at time t, from
-    one product: each offset delta_r(omega) takes the Python-float factors
-    r^e of `groups.dilate`, and beta = 0 the zero offset, so each row has
-    the bits of ``G.mul(g, vertex, G.dilate(g, r, omega))``."""
+    """Points (len(_PLACEMENTS), n) of the region's slice at time t, in
+    _PLACEMENTS order: the vertex times the zero offset for beta = 0, then
+    `groups.images` of the directions at each beta > 0, so each row has the
+    bits of ``G.mul(g, vertex, G.dilate(g, r, omega))``."""
     root = math.sqrt(t)
-    offsets = np.array([
-        [0.0] * g.total_dim if beta == 0.0 else
-        [c * (beta * region.aperture * root) ** e
-         for c, e in zip(dirs[k], g.layer_exponents)]
-        for beta, k in _PLACEMENTS])
-    return G.mul(g, region.vertex, offsets)
+    radii = [beta * region.aperture * root for beta in _BETAS if beta > 0.0]
+    return np.concatenate([
+        G.mul(g, region.vertex, np.zeros((1, g.total_dim))),
+        G.images(g, region.vertex, radii, dirs).reshape(-1, g.total_dim)])
 
 
 def parabolic_limit(u: HeatExtension, region: ParabolicRegion,

@@ -15,6 +15,14 @@ it has; the quadrature rules themselves are built by
 :mod:`fatoulab.quadrature`. Horizontal flows and Brownian increments follow
 from the law: the flow of the i-th horizontal field is x -> x * (h e_i).
 
+Every sum the library compares runs over fixed nodes moved by the two
+symmetries of a homogeneous group, left translation and dilation:
+y = c * delta_r(eta). `images` is the one builder of such images, for many
+(c, r) at once, with the factor table `dilation_factors` (Python-float
+powers r^j, as `dilate` takes them), so an image has the same bits alone
+or in a batch. `box_corners` is the one builder of box corners, and a
+ball's bounding box is the hull of the `images` of the unit box's corners.
+
 Shipped instances:
 
 * ``euclidean_group(n)`` for n in {1, 2, 3}: abelian, step 1, Euclidean norm,
@@ -60,6 +68,8 @@ __all__ = [
     "ball_bounding_box",
     "ball_bounding_boxes",
     "box_corners",
+    "dilation_factors",
+    "images",
     "dilate_ball",
     "translate_ball",
     "unit_ball_rule",
@@ -249,6 +259,36 @@ def translate_ball(g: GroupDescriptor, x0, ball: Ball) -> Ball:
     return Ball(mul(g, x0, ball.center), ball.radius)
 
 
+def dilation_factors(g: GroupDescriptor, radii) -> np.ndarray:
+    """The dilation factors r^e of each radius r of ``radii``: a table
+    (m, n), row i scaling layer j by r_i^j.
+
+    The factors are Python-float powers, so a point scaled by row i has
+    the bits of `dilate` at r_i, and a row does not depend on the others.
+    """
+    return np.array([r ** e for r in np.asarray(radii, dtype=float).tolist()
+                     for e in g.layer_exponents]).reshape(-1, g.total_dim)
+
+
+def images(g: GroupDescriptor, centers, radii, nodes) -> np.ndarray:
+    """c_i * delta_(r_i)(nodes) for each center c_i and radius r_i: points
+    (m, N, n) for ``centers`` (m, n), or one center (n,) for every radius,
+    and ``nodes`` (N, n).
+
+    Each coordinate is one contiguous block, so that ``reshape(m * N, n)``
+    is column-major (see `quadrature.point_array`). The factors are
+    `dilation_factors`, so each image has the bits of ``mul(g, c_i,
+    dilate(g, r_i, nodes))``, whether its row is alone or in a batch.
+    """
+    # both operands coordinate-major (n, m, N), so that the product is too
+    scaled = np.multiply(dilation_factors(g, radii).T[:, :, None],
+                         np.asarray(nodes, dtype=float).T[:, None, :],
+                         order="C")
+    c = np.ascontiguousarray(np.asarray(centers, dtype=float).T)
+    return mul(g, c.reshape(g.total_dim, -1, 1).transpose(1, 2, 0),
+               scaled.transpose(1, 2, 0))
+
+
 def ball_bounding_box(g: GroupDescriptor, ball: Ball) -> np.ndarray:
     """Axis-aligned bounding box of a ball, shape (N, 2).
 
@@ -260,19 +300,17 @@ def ball_bounding_box(g: GroupDescriptor, ball: Ball) -> np.ndarray:
 
 def ball_bounding_boxes(g: GroupDescriptor, centers, radii) -> np.ndarray:
     """`ball_bounding_box` of each ball B(centers[i], radii[i]), shape
-    (m, N, 2), in one pass. The dilation factors r^j are scalar powers, as
-    `dilate` takes them, so each box has the bits of a call with its ball
-    alone."""
-    base = np.array(g.unit_box)
-    scale = np.array([[r ** e for e in g.layer_exponents] for r in radii])
-    corners = box_corners(base * scale[:, :, None])
-    moved = mul(g, np.asarray(centers, dtype=float)[:, None, :], corners)
+    (m, N, 2), in one pass: the hull of the `images` of the unit box's
+    corners, so each box has the bits of a call with its ball alone."""
+    moved = images(g, centers, radii, box_corners(np.array(g.unit_box)))
     return np.stack([moved.min(axis=1), moved.max(axis=1)], axis=-1)
 
 
-def box_corners(boxes: np.ndarray) -> np.ndarray:
+def box_corners(boxes) -> np.ndarray:
     """The 2^n corners (..., 2^n, n) of each box (..., n, 2) along the
-    leading axes."""
+    leading axes, the first axis slowest: the one corner builder of the
+    package."""
+    boxes = np.asarray(boxes, dtype=float)
     n = boxes.shape[-2]
     choice = np.array(list(itertools.product((0, 1), repeat=n)))
     return boxes[..., np.arange(n), choice]

@@ -51,6 +51,10 @@ w = c d^2 turns exp(-c d^2)/c = v into the same w e^w = d^2/v, so with
 Lambert's W = W0(d^2/v) they are c_up = d^2/W and c_low = W/d^2 = 1/c_up
 (v and 1/v at d = 0). Each bound holds from its root on.
 
+`profile_for` reads a descriptor's structure, not its label: step 1 takes
+the Euclidean profile of its dimension, the Heisenberg descriptor the
+Heisenberg profile.
+
 Each profile caches its group's one gamma-weighted eta-grid (`_ext_grid`).
 The heat extension of a density sums against it, and so do `kernel_mass`
 and `check_semigroup`: the battery checks the rule that u uses.
@@ -536,20 +540,16 @@ def heisenberg_profile() -> KernelProfile:
     )
 
 
-_PROFILES = {
-    "euclidean:1": lambda: euclidean_profile(1),
-    "euclidean:2": lambda: euclidean_profile(2),
-    "euclidean:3": lambda: euclidean_profile(3),
-    "heisenberg:1": heisenberg_profile,
-}
-
-
 def profile_for(g: G.GroupDescriptor) -> KernelProfile:
-    """Kernel profile for a shipped group, looked up by its registry label."""
-    try:
-        return _PROFILES[g.label]()
-    except KeyError:
-        raise GroupError(f"no kernel profile for group {g.label}") from None
+    """Kernel profile for a shipped group, read from its structure: the
+    Euclidean profile of its dimension at step 1, the Heisenberg profile
+    for the Heisenberg descriptor, a GroupError naming the label
+    otherwise."""
+    if g.step == 1:
+        return euclidean_profile(g.total_dim)
+    if g == G.heisenberg_group():
+        return heisenberg_profile()
+    raise GroupError(f"no kernel profile for group {g.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +631,7 @@ def _ext_grid(profile: KernelProfile) -> _EtaGrid:
     for start in range(0, w.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
-    box = [axis[:2] for axis in g.eta_grid]
-    corners = np.array(list(itertools.product(*box)), dtype=float)
+    corners = G.box_corners([axis[:2] for axis in g.eta_grid])
     cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w,
                                  G.inverse(g, corners), axes)
     return cache["ext_grid"]

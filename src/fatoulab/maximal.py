@@ -53,6 +53,11 @@ masses take too. Ball masses of the Hardy-Littlewood radii come from one
 parts take one kernel evaluation over every (scale, atom) pair. Every
 value keeps the bits of its one-row, one-ball or one-time call.
 
+The cone placements x * delta_(beta alpha s)(omega) of the nontangential
+maximum are `groups.images` of the directions, one factor table per beta.
+The radial, nontangential and heat maxima report one grid sup record
+(`_grid_sup`); the Hardy-Littlewood maximum keeps its own keys.
+
 A cone row of the nontangential maximum is not evaluated where it cannot
 be the max. On the whole-box rule its value is at most s^(-Q) phi(gap / s)
 times the rule's positive weight, gap a lower bound on the distance from
@@ -82,8 +87,6 @@ from .measures import (
     BoundaryMeasure,
     DensityMeasure,
     _point,
-    _scaled_images,
-    _tensor,
     ball_masses,
 )
 
@@ -159,6 +162,19 @@ def geometric_grid(r_min: float = 1e-3, r_max: float = 1e3,
     decades = math.log10(r_max / r_min)
     n = int(round(decades * per_decade)) + 1
     return np.geomspace(r_min, r_max, n)
+
+
+def _grid_sup(s: np.ndarray, vals: np.ndarray) -> dict:
+    """The grid sup of ``vals`` over the scales ``s``: its value, its
+    scale (the `decisions.tied_argmax` tie rule), the grid, the values and
+    the `decisions.decade_flag` divergence flag."""
+    return {
+        "value": float(vals.max()),
+        "argmax_s": float(s[tied_argmax(vals)]),
+        "scales": s,
+        "values": vals,
+        "divergent": decade_flag(s, vals),
+    }
 
 
 def _scale_grid(grid, r_max: float = 1e3) -> np.ndarray:
@@ -239,7 +255,7 @@ def _grid_rows(part: DensityMeasure, phi: RadialProfile, pts: np.ndarray,
     """
     g = part.group
     eta_inv, w, corners = _phi_grid(g, phi)
-    state = part.hull_state(_scaled_images(g, pts, s, corners))
+    state = part.hull_state(G.images(g, pts, s, corners))
     out = np.zeros(s.size)
     for name in ("inside", "cut"):
         rows = state == name
@@ -287,8 +303,7 @@ def _box_gap(g: G.GroupDescriptor, box: np.ndarray,
     the gauge does not decrease as any coordinate grows in magnitude (on
     R^n and for the Koranyi gauge), so no point of it is nearer 0.
     """
-    moved = G.mul(g, G.inverse(g, pts)[:, None, :],
-                  _tensor(box)[None, :, :])
+    moved = G.mul(g, G.inverse(g, pts)[:, None, :], G.box_corners(box))
     nearest = np.clip(0.0, moved.min(axis=1), moved.max(axis=1))
     return np.asarray(G.norm(g, nearest))
 
@@ -380,26 +395,7 @@ def radial_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     x = _point(mu.group, x, "query point")
     s = _scale_grid(s_grid)
     vals = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
-    return {
-        "value": float(vals.max()),
-        "argmax_s": float(s[tied_argmax(vals)]),
-        "scales": s,
-        "values": vals,
-        "divergent": decade_flag(s, vals),
-    }
-
-
-def _cone_points(g: G.GroupDescriptor, x: np.ndarray, r: np.ndarray,
-                 omega: np.ndarray) -> np.ndarray:
-    """x * delta_(r_i)(omega) for each r_i > 0: rows (len(r), n), or for
-    directions ``omega`` (k, n) rows (k * len(r), n), direction by
-    direction, from one factor table and one product.
-
-    Each row takes the same bits as ``G.mul(g, x, G.dilate(g, r_i,
-    omega))``: the dilation factors r_i^e are Python powers, as there.
-    """
-    scale = np.array([[float(ri) ** e for e in g.layer_exponents] for ri in r])
-    return G.mul(g, x, (omega[..., None, :] * scale).reshape(-1, g.total_dim))
+    return _grid_sup(s, vals)
 
 
 def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
@@ -442,26 +438,20 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
     if radial is None:
         radial = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     dirs = G.unit_directions(g, n_directions)
-    pts = [_cone_points(g, x, beta * alpha * s, dirs)
+    # x * delta_(beta alpha s)(omega), one factor table per beta, rows
+    # direction by direction
+    pts = [G.images(g, x, beta * alpha * s, dirs).swapaxes(0, 1)
            for beta in betas if beta > 0]
     rows = [radial]
     if pts:
-        pts = np.concatenate(pts)
+        pts = np.concatenate(pts).reshape(-1, x.size)
         n_place = pts.shape[0] // s.size
         floor, ss = np.tile(radial, n_place), np.tile(s, n_place)
         keep = ~(_row_bounds(mu, phi, pts, ss) < floor)
         vals = np.full(ss.size, -np.inf)
         vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])
         rows += list(vals.reshape(-1, s.size))
-    best = np.max(rows, axis=0)
-    return {
-        "value": float(best.max()),
-        "argmax_s": float(s[tied_argmax(best)]),
-        "scales": s,
-        "values": best,
-        "alpha": alpha,
-        "divergent": decade_flag(s, best),
-    }
+    return dict(_grid_sup(s, np.max(rows, axis=0)), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +590,7 @@ def heat_max(mu: BoundaryMeasure, profile: K.KernelProfile, x,
             raise NumericsError(f"scale {float(ss)!r} has no finite time "
                                 "s^2") from None
     vals = u._eval(np.broadcast_to(x, (s.size, x.size)), times)
-    return {
-        "value": float(vals.max()),
-        "argmax_s": float(s[tied_argmax(vals)]),
-        "scales": s,
-        "values": vals,
-        "divergent": decade_flag(s, vals),
-    }
+    return _grid_sup(s, vals)
 
 
 def check_heat_chain(mu: BoundaryMeasure, profile: K.KernelProfile, x,

@@ -33,15 +33,17 @@ between the ends it returns.
 
 Ball masses come many balls at a time: each kind has one
 ``_ball_masses(centers, radii)``, and `measure_ball` is its one-ball case.
-Atoms take their distances once per distinct center. A density asks one
-``hull_state`` call about the corners of every ball's bounding box. A ball
-in the smooth region ("inside") is integrated with the group's unit-ball
-polar rule mapped onto it, mu(B(c, R)) = R^Q int_(B(0,1)) f(c *
-delta_R(xi)) dxi: 3,456 nodes on the Heisenberg group, with the 1,024-node
-coarse rule's difference as the error; such balls share blocks of density
-evaluations. A ball where the density is zero has mass 0. A ball across a
-jump ("cut") is an iterated integral with exact inner limits (Stroud,
-Approximate Calculation of Multiple Integrals, 1971): Gauss-Legendre
+Atoms take their distances once per distinct center, in blocks of at most
+``quadrature._BLOCK_ROWS`` (center, atom) pairs. A density asks one
+``hull_state`` call about the corners (`groups.box_corners`) of every
+ball's bounding box. A ball in the smooth region ("inside") is integrated
+with the group's unit-ball polar rule mapped onto it, mu(B(c, R)) = R^Q
+int_(B(0,1)) f(c * delta_R(xi)) dxi: 3,456 nodes on the Heisenberg group,
+with the 1,024-node coarse rule's difference as the error; such balls
+share blocks of density evaluations at the node images of
+`groups.images`. A ball where the density is zero has mass 0. A ball
+across a jump ("cut") is an iterated integral with exact inner limits
+(Stroud, Approximate Calculation of Multiple Integrals, 1971): Gauss-Legendre
 panels on the horizontal axes of its bounding box clipped to the support
 box, and on each vertical line Gauss-Legendre nodes on every interval that
 ``sections`` and the ball's own section leave (see
@@ -73,7 +75,7 @@ import numpy as np
 from .errors import GroupError, MeasureError
 from . import groups as G
 from .decisions import SCALES, TABLE, trace_decision
-from .quadrature import (_BLOCK_ROWS, gauss_legendre, point_array, row_sums,
+from .quadrature import (_BLOCK_ROWS, gauss_legendre, row_sums,
                          section_pieces, tensor_rule, weighted_sum)
 
 __all__ = [
@@ -106,9 +108,6 @@ _SECTION_RULES = ((4, 16, 1), (2, 8, 1))
 # the same for a density's mollifier convolutions above the maximal
 # module's scale switch: 27,648 nodes on the Heisenberg group
 _CONVOLUTION_RULE = (2, 12, 4)
-
-# (center, atom) pairs per block of atom distances
-_ATOM_ENTRIES = 1 << 16
 
 # Rounding floor of a ball mass by a rule, relative to the value: the
 # rule's nodes and weights, the density values and the fixed-order sum each
@@ -203,32 +202,6 @@ def _cut_out(lo, hi, lo2, hi2):
             np.concatenate([np.minimum(hi, lo2), hi], axis=1))
 
 
-def _tensor(axes) -> np.ndarray:
-    """Points (N, d) of the grid of per-axis nodes, the first axis slowest
-    (column-major, see `point_array`)."""
-    return point_array(np.meshgrid(*axes, indexing="ij"))
-
-
-def _scaled_images(g: G.GroupDescriptor, centers: np.ndarray, radii,
-                   nodes: np.ndarray) -> np.ndarray:
-    """c_i * delta_(r_i)(nodes) for each center c_i and radius r_i: points
-    (m, N, n), each coordinate one contiguous block, so that
-    ``reshape(m * N, n)`` is column-major (see `point_array`).
-
-    The dilation factors r_i^j are scalar powers, as `groups.dilate` takes
-    them, so each image has the bits of ``G.mul(g, c_i, G.dilate(g, r_i,
-    nodes))``.
-    """
-    scale = np.array([[r ** e for e in g.layer_exponents] for r in radii])
-    scaled = np.empty((g.total_dim, len(scale), nodes.shape[0]))
-    for f, col, out in zip(scale.T, nodes.T, scaled):
-        np.multiply.outer(f, col, out=out)
-    # both operands coordinate-major, so that the product is too
-    return G.mul(g, np.moveaxis(np.ascontiguousarray(centers.T)[:, :, None],
-                                0, -1),
-                 np.moveaxis(scaled, 0, -1))
-
-
 class BoundaryMeasure:
     """Base class for nonnegative measures on a stratified group.
 
@@ -285,14 +258,14 @@ class AtomicMeasure(BoundaryMeasure):
 
     def _ball_masses(self, centers: np.ndarray, radii: np.ndarray):
         """The weight of the atoms in each ball, error 0: one pass of atom
-        distances per distinct center, in blocks of _ATOM_ENTRIES
-        (center, atom) pairs."""
+        distances per distinct center, in blocks of at most _BLOCK_ROWS
+        (center, atom) pairs, one center at least."""
         vals, k = np.zeros(radii.size), self.points.shape[0]
         if k == 0:
             return vals, np.zeros(radii.size)
         uniq, which = np.unique(centers, axis=0, return_inverse=True)
         which = which.ravel()
-        step = _ATOM_ENTRIES // k + 1
+        step = max(1, _BLOCK_ROWS // k)
         for start in range(0, uniq.shape[0], step):
             d = np.asarray(G.dist(self.group, self.points[None, :, :],
                                   uniq[start:start + step, None, :]))
@@ -505,7 +478,7 @@ class DensityMeasure(BoundaryMeasure):
         step = x0 if self.scale == 1.0 else G.dilate(g, self.scale, x0)
         shift = step if self.shift is None else G.mul(g, self.shift, step)
         back = G.inverse(g, x0)
-        moved = G.mul(g, back, _tensor(self.support_box))
+        moved = G.mul(g, back, G.box_corners(self.support_box))
         box = np.stack([moved.min(axis=0), moved.max(axis=0)], axis=1)
         clips = tuple((G.translate_ball(g, back, ball), complement)
                       for ball, complement in self.clips)
@@ -582,7 +555,7 @@ class DensityMeasure(BoundaryMeasure):
         when all corners are equally far."""
         sb = self.support_box
         d = np.asarray(G.dist(self.group,
-                              np.vstack([_tensor(sb), sb.mean(axis=1)]),
+                              np.vstack([G.box_corners(sb), sb.mean(axis=1)]),
                               centers[:, None, :]))
         return np.all(
             d[:, :-1] < (radii - _TIE * np.ptp(d, axis=1))[:, None], axis=1)
@@ -640,7 +613,7 @@ class DensityMeasure(BoundaryMeasure):
                     inside: bool = True) -> np.ndarray:
         """Each rule's sum of the density at the node images
         c_i * delta_(r_i)(nodes) of each center c_i and radius r_i (see
-        `_scaled_images`): (m, len(rules)). Rule j is a pair (w_j, at_j)
+        `groups.images`): (m, len(rules)). Rule j is a pair (w_j, at_j)
         of weights and the positions in ``nodes`` of their nodes, a slice
         or an index array: the fine and coarse unit-ball rules on their
         own runs of nodes, or the compressed eta-rule's Q4 on a subset of
@@ -661,7 +634,7 @@ class DensityMeasure(BoundaryMeasure):
         per = max(1, _BLOCK_ROWS // n_nodes)
         for start in range(0, radii.size, per):
             block = slice(start, start + per)
-            y = _scaled_images(g, centers[block], radii[block], nodes)
+            y = G.images(g, centers[block], radii[block], nodes)
             f = density(y.reshape(-1, g.total_dim)).reshape(-1, n_nodes)
             for j, (w, at) in enumerate(rules):
                 out[block, j] = row_sums(w, f[:, at])

@@ -464,14 +464,15 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -724,33 +725,30 @@ def run_maximal_case(cfg: dict, alphas=(0.5, 1.0, 2.0)) -> dict:
     }
 
 
+def _suite_result(name: str, cases: list) -> dict:
+    """Suite result {suite, cases, n_mismatch, passed} of cases that each
+    carry their own ``passed``."""
+    n_mismatch = sum(not c["passed"] for c in cases)
+    return {"suite": name, "cases": cases, "n_mismatch": n_mismatch,
+            "passed": n_mismatch == 0}
+
+
 def summarize_suite(name: str, reports) -> dict:
     """Suite result {suite, cases, n_mismatch, passed} from scenario reports.
 
     A case fails on a MISMATCH verdict or when it does not match its
     expectations.
     """
-    cases = []
-    n_mismatch = 0
-    for rep in reports:
-        bad = rep.verdict == VERDICT_MISMATCH or not rep.matches_expected
-        n_mismatch += bad
-        cases.append({
-            "label": rep.label,
-            "verdict": rep.verdict,
-            "expected": rep.expected_verdict,
-            "passed": not bad,
-        })
-    return {
-        "suite": name,
-        "cases": cases,
-        "n_mismatch": int(n_mismatch),
-        "passed": n_mismatch == 0,
-    }
+    return _suite_result(name, [
+        {"label": rep.label, "verdict": rep.verdict,
+         "expected": rep.expected_verdict,
+         "passed": bool(rep.verdict != VERDICT_MISMATCH
+                        and rep.matches_expected)}
+        for rep in reports])
 
 
 def run_suite(name: str, out_dir: str | None = None) -> dict:
-    """Run a preset suite; returns {suite, cases, passed}."""
+    """Run a preset suite; returns {suite, cases, n_mismatch, passed}."""
     if name in _PRESETS:
         reports = [run_scenario(c) for c in preset_suite(name)]
         if out_dir:
@@ -758,22 +756,15 @@ def run_suite(name: str, out_dir: str | None = None) -> dict:
                 emit_report(rep, out_dir)
         return summarize_suite(name, reports)
     if name == "maximal-sandwich":
-        results = [run_maximal_case(c) for c in maximal_cases()]
-        passed = all(r["passed"] for r in results)
-        cases = [{"label": r["label"], "passed": r["passed"]} for r in results]
-        return {"suite": name, "cases": cases,
-                "n_mismatch": sum(not r["passed"] for r in results),
-                "passed": passed}
+        return _suite_result(name, [
+            {"label": r["label"], "passed": r["passed"]}
+            for r in map(run_maximal_case, maximal_cases())])
     if name == "kernel-battery":
         cases = []
-        all_ok = True
         for label in G.GROUP_LABELS:
             profile = K.profile_for(G.get_group(label))
             report = K.validate_profile(profile)
             cases.append({"label": label, "passed": report["passed"],
                           "checks": report["checks"]})
-            all_ok &= report["passed"]
-        return {"suite": name, "cases": cases,
-                "n_mismatch": sum(not c["passed"] for c in cases),
-                "passed": all_ok}
+        return _suite_result(name, cases)
     raise ConfigError(f"unknown suite {name!r}; available: {suite_names()}")

@@ -242,6 +242,28 @@ def test_ball_bounding_box_contains_ball(gh):
     assert np.all(pts <= box[:, 1] + 1e-12)
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_node_images_and_bounding_boxes_keep_their_rows_bits(label):
+    # a row of `images` alone has the bits it has in a batch, and those of
+    # c * dilate(r, nodes); the boxes of m balls are each ball's box
+    g = F.get_group(label)
+    rng = np.random.default_rng(32)
+    n = g.total_dim
+    centers = rng.normal(size=(7, n)) * rng.choice([1e-3, 1.0, 30.0],
+                                                   size=(7, 1))
+    radii = rng.uniform(1e-3, 5.0, size=7)
+    nodes = rng.normal(size=(11, n))
+    batch = G.images(g, centers, radii, nodes)
+    assert batch.shape == (7, 11, n)
+    for c, r, row in zip(centers, radii, batch):
+        alone = G.images(g, c[None], [r], nodes)[0]
+        assert alone.tobytes() == row.tobytes()
+        assert row.tobytes() == G.mul(g, c, G.dilate(g, r, nodes)).tobytes()
+    boxes = G.ball_bounding_boxes(g, centers, radii)
+    for c, r, box in zip(centers, radii, boxes):
+        assert box.tobytes() == G.ball_bounding_box(g, G.Ball(c, r)).tobytes()
+
+
 def test_dilate_translate_ball_semantics(gh):
     ball = F.Ball(np.array([0.4, 0.1, -0.2]), 0.8)
     rng = np.random.default_rng(12)

@@ -165,20 +165,19 @@ def test_nontangential_dominates_radial(g2):
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_cone_points_share_one_factor_table(label):
-    # every direction's rows from one table and one product, with the bits
-    # of x * dilate(r_i, omega) for each row
-    from fatoulab import maximal as M
-
+    # every direction's rows from one table and one product, and one
+    # direction's rows alone, with the bits of x * dilate(r_i, omega) for
+    # each row
     g = F.get_group(label)
     n = g.total_dim
     x = np.array([0.3, -0.7, 0.2])[:n]
     r = 0.6 * F.geometric_grid(1e-2, 10.0, 9)
     dirs = G.unit_directions(g, 4)
-    many = M._cone_points(g, x, r, dirs)
+    many = G.images(g, x, r, dirs).swapaxes(0, 1).reshape(-1, n)
     want = np.array([G.mul(g, x, G.dilate(g, float(ri), d))
                      for d in dirs for ri in r])
     assert many.tobytes() == want.tobytes()
-    assert np.concatenate([M._cone_points(g, x, r, d)
+    assert np.concatenate([G.images(g, x, r, d[None])[:, 0]
                            for d in dirs]).tobytes() == want.tobytes()
 
 
@@ -343,7 +342,7 @@ def _conv_errors(mu, phi, scales):
     x0 = np.zeros(g.total_dim)
     dirs = G.unit_directions(g, 4)
     rows = [np.broadcast_to(x0, (scales.size, 3))] + [
-        M._cone_points(g, x0, 0.9 * scales, d) for d in dirs]
+        G.images(g, x0, 0.9 * scales, d[None])[:, 0] for d in dirs]
     errs, base = np.zeros(scales.size), None
     for pts in rows:
         got = M._conv_rows(mu, phi, np.ascontiguousarray(pts), scales)
@@ -482,18 +481,18 @@ def _batch_measures(g):
     return {"atomic": atoms, "density": density, "mixture": mixture}
 
 
-def _small_blocks(monkeypatch, g, phi, rule_nodes):
-    """Blocks of three rows of the nine atoms in `maximal._node_sums`,
+def _small_blocks(monkeypatch, rows):
+    """Blocks of ``rows`` rows in both `maximal._node_sums` and the
+    measures module: at 20, two rows of the nine atoms in `_node_sums`,
     where every covering row of a density's section rule is then a block
-    of its own; of three atom centers in the atoms' ball masses; and of two
-    rules of ``rule_nodes`` nodes in `DensityMeasure._image_sums` (phi-grid
-    rows or unit-ball rules), so that batched rows straddle block
-    boundaries."""
+    of its own, and two atom centers in the atoms' ball masses; at twice a
+    node rule's size plus one, two rows of that rule in
+    `DensityMeasure._image_sums` (phi-grid rows or unit-ball rules). Either
+    way batched rows straddle block boundaries."""
     from fatoulab import maximal as M, measures as MS
 
-    monkeypatch.setattr(M, "_BLOCK_ROWS", 3 * 9)
-    monkeypatch.setattr(MS, "_ATOM_ENTRIES", 20)
-    monkeypatch.setattr(MS, "_BLOCK_ROWS", 2 * rule_nodes + 1)
+    monkeypatch.setattr(M, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(MS, "_BLOCK_ROWS", rows)
 
 
 def _grid_values(monkeypatch, mu, phi, pts, s):
@@ -536,16 +535,18 @@ def _cone_rows(g, x, s, alpha, k_dirs):
          for ss in s.tolist()] for k in range(k_dirs)]
 
 
-@pytest.mark.parametrize("entries", [None, 20])   # 20: see _small_blocks
+# block rows of `_small_blocks`: None keeps the default, 20 splits the
+# atoms' rows and centers, "rules" the phi-grid rows
+@pytest.mark.parametrize("rows", [None, 20, "rules"])
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
-def test_batched_values_equal_single_calls_bitwise(label, entries,
-                                                   monkeypatch):
+def test_batched_values_equal_single_calls_bitwise(label, rows, monkeypatch):
     from fatoulab import maximal as M
 
     g = F.get_group(label)
     phi = F.default_profile()
-    if entries is not None:
-        _small_blocks(monkeypatch, g, phi, M._phi_grid(g, phi)[1].size)
+    if rows is not None:
+        _small_blocks(monkeypatch, 2 * M._phi_grid(g, phi)[1].size + 1
+                      if rows == "rules" else rows)
     x = np.array([0.2, -0.1, 0.05])[:g.total_dim]
     s = F.geometric_grid(0.05, 5.0, 8)     # both sides of the scale switch
     alpha, betas, k_dirs = 1.0, (0.0, 0.6), 2
@@ -561,7 +562,7 @@ def test_batched_values_equal_single_calls_bitwise(label, entries,
         assert nt["values"].tobytes() == single.max(axis=0).tobytes(), kind
         # each placement row, as nontangential_max builds it
         for k in range(k_dirs):
-            pts = M._cone_points(g, x, 0.6 * alpha * s, dirs[k])
+            pts = G.images(g, x, 0.6 * alpha * s, dirs[k][None])[:, 0]
             assert pts.tobytes() == np.array(cone[k + 1]).tobytes(), kind
             got = M._conv_rows(mu, phi, pts, s)
             assert got.tobytes() == single[k + 1].tobytes(), kind
@@ -579,7 +580,7 @@ def test_batched_values_equal_single_calls_bitwise(label, entries,
 
     # a cone placement whose mollifier ball misses the support: 0.0, and
     # no density value is taken for it
-    far = M._cone_points(g, x, np.array([0.9 * 40.0 * 0.5]), dirs[0])
+    far = G.images(g, x, [0.9 * 40.0 * 0.5], dirs[:1])[:, 0]
     seen = []
     for name in ("density_at", "density_inside"):
         method = getattr(F.DensityMeasure, name)
@@ -647,14 +648,15 @@ def test_heat_max_names_a_scale_whose_square_overflows(gh, ph):
         F.HeatExtension(mu, ph)(x, 1.0)
 
 
-@pytest.mark.parametrize("small", [False, True])
+# True: blocks of 20 rows (`_small_blocks`), "rules": of two unit-ball rules
+@pytest.mark.parametrize("small", [False, True, "rules"])
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,
                                                           monkeypatch):
     g = F.get_group(label)
     if small:
-        _small_blocks(monkeypatch, g, F.default_profile(),
-                      G.unit_ball_rule(g)[0].shape[0])
+        _small_blocks(monkeypatch, 2 * G.unit_ball_rule(g)[0].shape[0] + 1
+                      if small == "rules" else 20)
     radii = 3.7 * 0.61 ** np.arange(8)
     fam = F.default_ball_family(g)
     # near the support: covering, cut and inside balls, and in the hole's
@@ -857,7 +859,7 @@ def test_ball_masses_and_convolution_rows_make_one_cover_call(label,
                           [[-1.0, 1.0]] * g.total_dim)
     phi = F.default_profile()
     x = np.zeros(g.total_dim)
-    corner = float(np.max(F.dist(g, MS._tensor(mu.support_box), x)))
+    corner = float(np.max(F.dist(g, G.box_corners(mu.support_box), x)))
     whole, cut = [], []
     rule, section = mu._convolution_rule, mu._section_ball_mass
     monkeypatch.setattr(mu, "_convolution_rule", lambda ball=None:

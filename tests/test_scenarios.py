@@ -184,6 +184,20 @@ def test_report_json_deterministic():
     assert "np.float64" not in a
 
 
+def test_report_json_writes_booleans_as_booleans():
+    # bool is a subclass of int: the canonical JSON must not turn a flag
+    # into 1 or 0
+    cfg = F.preset_suite("euclidean-gehring")[0]
+    payload = json.loads(F.report_to_json(F.run_scenario(cfg)))
+    flags = [payload["derivative"]["converged"], payload["matches_expected"],
+             payload["tail"]["vanishes"], payload["tail"]["monotone"]]
+    flags += [lim["converged"] for lim in payload["limits"].values()]
+    flags += [a["agree"]
+              for a in payload["agreement"]["per_aperture"].values()]
+    assert len(flags) == 8
+    assert all(type(f) is bool for f in flags), flags
+
+
 def test_emit_report_files_deterministic(tmp_path):
     report = F.run_scenario(line_config())
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
