@@ -168,9 +168,10 @@ def _eta_rule(profile: K.KernelProfile) -> _EtaRule:
 
 def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
                    grid: _EtaGrid, xs: np.ndarray, hulls: np.ndarray,
-                   sqrt_t: float) -> np.ndarray:
+                   sqrt_t: np.ndarray) -> np.ndarray:
     """u at points whose eta-image hull (corners ``hulls`` (p, 2^n, n)) is
-    "inside", with `DensityMeasure.density_inside`.
+    "inside", each at its own sqrt(t) of ``sqrt_t`` (p,), with
+    `DensityMeasure.density_inside`.
 
     A declared constant takes one `constant_sum` for every point. A point
     whose hull `DensityMeasure.analytic_hulls` clears takes the compressed
@@ -188,8 +189,8 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
     free = np.flatnonzero(~full)
     if free.size:
         rule = _eta_rule(profile)
-        q6, q4 = mu._image_sums(xs[free], np.full(free.size, sqrt_t),
-                                rule.eta_inv, rule.rules).T
+        q6, q4 = mu._image_sums(xs[free], sqrt_t[free], rule.eta_inv,
+                                rule.rules).T
         kept = abs(q6 - q4) <= TABLE.eta_rule_tol * abs(q6)
         out[free[kept]] = q6[kept]
         full[free[~kept]] = True
@@ -197,34 +198,36 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
     per = max(1, _BLOCK_ROWS // grid.gamma_w.size)
     for start in range(0, full.size, per):
         rows = full[start:start + per]
-        out[rows] = row_sums(grid.gamma_w,
-                             _inside_rows(mu, grid, xs[rows], sqrt_t))
+        out[rows] = row_sums(grid.gamma_w, _inside_rows(mu, grid, xs[rows],
+                                                        sqrt_t[rows]))
     return out
 
 
 def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
-                 sqrt_t: float) -> np.ndarray:
-    """`DensityMeasure._inside_cols` at xs[i] * delta_sqrt(t)(eta^-1) for
-    each point i of ``xs`` (k, n) and each node eta of the grid: (k, N),
-    nodes in `quadrature.tensor_rule` order, with the bits of
-    `_density_rows` of ``density_inside`` on the node images.
+                 sqrt_t: np.ndarray) -> np.ndarray:
+    """`DensityMeasure._inside_cols` at xs[i] * delta_sqrt(t_i)(eta^-1) for
+    each point i of ``xs`` (k, n), at its sqrt(t_i) of ``sqrt_t`` (k,), and
+    each node eta of the grid: (k, N), nodes in `quadrature.tensor_rule`
+    order, with the bits of ``density_inside`` on the node images.
 
     The grid is a tensor product and the inverse negates (see
-    `groups.GroupDescriptor`), so coordinate j of the scaled inverted
-    nodes is -nodes_j * sqrt(t)^e_j along axis j alone: the bits of
-    ``G.dilate(g, sqrt_t, grid.eta_inv)``. The points run along a leading
-    axis, and the product goes by columns (``GroupDescriptor.mul_cols``),
-    so a coordinate that varies along one or two axes is computed once per
-    axis or pair, in the order of the node images. Blocks of about
-    _BLOCK_ROWS rows run along the first grid axis.
+    `groups.GroupDescriptor`), so coordinate j of row i's scaled inverted
+    nodes is -nodes_j times the factor sqrt(t_i)^e_j of
+    `groups.dilation_factors`, along axis j alone: the bits of
+    ``G.dilate(g, sqrt_t[i], grid.eta_inv)``. The points run along a
+    leading axis, and the product goes by columns
+    (``GroupDescriptor.mul_cols``), so a coordinate that varies along one
+    or two axes is computed once per axis or pair, in the order of the
+    node images. Blocks of about _BLOCK_ROWS rows run along the first grid
+    axis.
     """
     g = mu.group
     k, n = xs.shape
     shape = (k,) + tuple(nodes.size for nodes, _ in grid.axes)
-    eta = [(-nodes * sqrt_t ** e).reshape(
-               (1,) * (j + 1) + (-1,) + (1,) * (n - j - 1))
-           for j, ((nodes, _), e) in enumerate(zip(grid.axes,
-                                                   g.layer_exponents))]
+    factors = G.dilation_factors(g, sqrt_t)
+    eta = [(-nodes * factors[:, j:j + 1]).reshape(
+               (k,) + (1,) * j + (-1,) + (1,) * (n - j - 1))
+           for j, (nodes, _) in enumerate(grid.axes)]
     x = [col.reshape((k,) + (1,) * n) for col in xs.T]
     f = np.empty(shape)
     step = max(1, _BLOCK_ROWS * shape[1] // f.size)
@@ -264,15 +267,16 @@ def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
 
 
 def _cut_values(mu: DensityMeasure, profile: K.KernelProfile,
-                grid: _EtaGrid, xs: np.ndarray, sqrt_t: float) -> np.ndarray:
-    """u at points whose eta-image hull is "cut", one point at a time by
-    `_column_rule` on its `_outer_rules`; 0.0 where the support box misses
-    the eta-box."""
+                grid: _EtaGrid, xs: np.ndarray,
+                sqrt_t: np.ndarray) -> np.ndarray:
+    """u at points whose eta-image hull is "cut", each at its own sqrt(t)
+    of ``sqrt_t``, one point at a time by `_column_rule` on its
+    `_outer_rules`; 0.0 where the support box misses the eta-box."""
     out = np.zeros(xs.shape[0])
-    for i, x in enumerate(xs):
-        outer, cached = _outer_rules(mu, grid, x, sqrt_t)
+    for i, (x, root) in enumerate(zip(xs, sqrt_t.tolist())):
+        outer, cached = _outer_rules(mu, grid, x, root)
         if outer is not None:
-            out[i] = _column_rule(mu, profile, grid, x, sqrt_t, outer, cached)
+            out[i] = _column_rule(mu, profile, grid, x, root, outer, cached)
     return out
 
 
@@ -367,28 +371,28 @@ class HeatExtension:
     def _eval(self, pts: np.ndarray, times) -> np.ndarray:
         """u at each point of ``pts`` (p, n) at its own time of ``times``
         (p of them, each positive and finite): a slice for one time at
-        many points, the heat maximum's scales for one point at many times.
+        many points, a limit trace's placements at all of its times, the
+        heat maximum's scales for one point at many times.
 
         An atomic part takes every (point, atom) pair in one kernel
         evaluation, with `kernels.eval_kernel`'s Python-float factors
         (1 / sqrt t)^e and t^(-Q/2) (`_time_power`: a NumericsError where
         that overflows), and sums each point's row with
-        `quadrature.row_sums`. A density part takes one slice per distinct
-        time, and no such power. So every value has the bits of a call at
-        its point and time alone.
+        `quadrature.row_sums`. A density part takes every row in one
+        `_density` pass, and no such power. So every value has the bits of
+        a call at its point and time alone.
         """
         times = [float(t) for t in times]
         for t in times:
             if not 0 < t < math.inf:
                 raise NumericsError(
                     f"time must be positive and finite, got {t}")
-        g, at = self.group, np.array(times)
+        g = self.group
         total = np.zeros(pts.shape[0])
         for part in self.mu.parts():
             if not isinstance(part, AtomicMeasure):
-                for t in dict.fromkeys(times):
-                    rows = np.flatnonzero(at == t)
-                    total[rows] += self._density(part, pts[rows], t)
+                total += self._density(
+                    part, pts, np.array([math.sqrt(t) for t in times]))
             elif part.points.shape[0]:
                 rel = G.mul(g, G.inverse(g, part.points), pts[:, None, :])
                 scale = G.dilation_factors(
@@ -399,22 +403,23 @@ class HeatExtension:
                 total += row_sums(part.weights, kern)
         return total
 
-    def _density(self, mu: DensityMeasure, pts: np.ndarray, t: float):
-        """The eta-grid rule the hull of each point's eta-image calls for:
-        one hull test for the slice, then one pass per rule over the points
-        that take it."""
+    def _density(self, mu: DensityMeasure, pts: np.ndarray,
+                 sqrt_t: np.ndarray):
+        """The eta-grid rule the hull of each point's eta-image calls for,
+        each row at its own sqrt(t) of ``sqrt_t``: one hull test for every
+        row, then one pass per rule over the rows that take it."""
         g = self.group
         grid = _ext_grid(self.profile)
-        sqrt_t = math.sqrt(t)
-        hulls = G.images(g, pts, [sqrt_t] * pts.shape[0], grid.corner_inv)
+        hulls = G.images(g, pts, sqrt_t, grid.corner_inv)
         states = mu.hull_state(hulls)
         out = np.zeros(pts.shape[0])
         inside = np.flatnonzero(states == "inside")
         out[inside] = _inside_values(mu, self.profile, grid, pts[inside],
-                                     hulls[inside], sqrt_t)
+                                     hulls[inside], sqrt_t[inside])
         cut = np.flatnonzero(states == "cut")
         if cut.size:
-            out[cut] = _cut_values(mu, self.profile, grid, pts[cut], sqrt_t)
+            out[cut] = _cut_values(mu, self.profile, grid, pts[cut],
+                                   sqrt_t[cut])
         return out
 
 
@@ -513,7 +518,8 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     t_max = (SCALES.first_time(g.restrict_radius) if region.t_max is None
              else region.t_max)
     t_vals = SCALES.times(t_max)
-    pts = np.empty((len(_PLACEMENTS), t_vals.size, g.total_dim))
+    pts = np.stack([_slice_points(g, region, dirs, t)
+                    for t in t_vals.tolist()], axis=1)
     vals = np.empty((len(_PLACEMENTS), t_vals.size))
     rows = slice(0 if central is None else 1, None)
     if central is not None:
@@ -524,9 +530,10 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
         if not np.all(np.isfinite(central)):
             raise MeasureError("central values must be finite")
         vals[0] = central
-    for ti, t in enumerate(t_vals):
-        pts[:, ti] = _slice_points(g, region, dirs, float(t))
-        vals[rows, ti] = u(pts[rows, ti], float(t))
+    # every (placement, time) row in one call, the times fastest
+    vals[rows] = u._eval(u._points(pts[rows]).reshape(-1, g.total_dim),
+                         t_vals.tolist() * len(_PLACEMENTS[rows])
+                         ).reshape(-1, t_vals.size)
     dec = trace_decision(vals)
     return LimitTrace(
         t_values=t_vals,

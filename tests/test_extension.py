@@ -737,18 +737,19 @@ _NODE_POINTS = np.array([[0.1, 0.05, -0.02], [-0.2, 0.1, 0.05],
 
 
 def _node_rows(mu, profile, grid, sqrt_t):
-    """The inside points of `_NODE_POINTS` for mu, with `_inside_rows` and
-    `_density_rows` of ``density_inside`` on their node images."""
+    """The inside points of `_NODE_POINTS` for mu, each at ``sqrt_t``
+    (their per-row array), with `_inside_rows` and ``density_inside`` on
+    their node images."""
     g = mu.group
     candidates = _NODE_POINTS[:, :g.total_dim]
     inside = np.array(_hull_states(mu, profile, candidates,
                                    sqrt_t ** 2)) == "inside"
     assert np.count_nonzero(inside) >= 2
     xs = candidates[inside]
+    roots = np.full(xs.shape[0], sqrt_t)
     eta_t = G.dilate(g, sqrt_t, grid.eta_inv)
-    want = np.stack([E._density_rows(mu.density_inside, g, x, eta_t)
-                     for x in xs])
-    return xs, E._inside_rows(mu, grid, xs, sqrt_t), want
+    want = np.stack([mu.density_inside(G.mul(g, x, eta_t)) for x in xs])
+    return xs, E._inside_rows(mu, grid, xs, roots), want
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
@@ -774,7 +775,8 @@ def test_undeclared_inside_values_match_the_node_images_bitwise(label):
     xs, _, want = _node_rows(mus[("bump", "restricted")], profile, grid, 0.01)
     for moved in _axes_off_by_one_ulp(grid):
         assert E._inside_rows(mus[("bump", "restricted")], moved, xs,
-                              0.01).tobytes() != want.tobytes()
+                              np.full(xs.shape[0], 0.01)
+                              ).tobytes() != want.tobytes()
 
 
 def test_radial_node_values_see_a_one_ulp_change_of_an_axis():
@@ -791,8 +793,10 @@ def test_radial_node_values_see_a_one_ulp_change_of_an_axis():
             xs, got, want = _node_rows(mu, profile, grid, 0.01)
             assert got.tobytes() == want.tobytes(), (label, family)
             for moved in _axes_off_by_one_ulp(grid):
-                assert E._inside_rows(mu, moved, xs, 0.01).tobytes() != \
-                    want.tobytes(), (label, family)
+                assert E._inside_rows(mu, moved, xs,
+                                      np.full(xs.shape[0], 0.01)
+                                      ).tobytes() != want.tobytes(), \
+                    (label, family)
 
 
 def test_small_times_fail_for_atoms_and_not_for_densities(gh, ph, g3, p3):
