@@ -139,15 +139,9 @@ def _cmd_maximal_check(args) -> int:
         raise ConfigError("--n-atomic and --n-density must be >= 0")
     if args.n_atomic + args.n_density == 0:
         raise ConfigError("maximal-check needs at least one case")
-    cases = S.maximal_cases(args.n_atomic, args.n_density)
-    results = [S.run_maximal_case(c) for c in cases]
-    passed = all(r["passed"] for r in results)
-    print(f"maximal sandwich: {'PASS' if passed else 'FAIL'} "
-          f"({len(results)} cases)")
-    for r in results:
-        mark = "ok " if r["passed"] else "FAIL"
-        print(f"  [{mark}] {r['label']}")
-    return 0 if passed else 1
+    result = S._maximal_suite(args.n_atomic, args.n_density)
+    _print_suite(result)
+    return 0 if result["passed"] else 1
 
 
 def _cmd_oracle_validate(args) -> int:

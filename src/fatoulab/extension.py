@@ -16,7 +16,7 @@ Each group carries one eta-grid (``GroupDescriptor.eta_grid``), built once
 per kernel profile by ``kernels._ext_grid``, which the kernel battery reads
 too. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of
 the eta-box's 2^n corners span the image of the whole grid. The corner
-images of every point of a slice are one `groups.images` call, and the
+images of every (point, time) row are one `groups.images` call, and the
 density's ``hull_state`` classifies each hull. Where a hull lies inside
 the density's smooth region the whole grid is summed (Gauss-Legendre
 converges geometrically on smooth integrands), with
@@ -25,11 +25,16 @@ they are skipped. Those values are taken on the grid's own axes, by the
 group's column product (see `_inside_rows`), with the bits of the node
 images; a density that declares a constant sums the grid once. Where the
 density is zero on it, u is 0.0 without evaluating anything. Where a
-support face or a clip sphere cuts it, the grid is integrated column by
-column between exact limits: each eta-column maps onto a vertical line on
-which y_last is affine in eta_last, and ``DensityMeasure.sections`` gives
-the intervals of that line where the density may be nonzero (see
-``_column_rule``).
+support face or a clip sphere cuts it, the value takes one cut rule:
+
+* every outer (non-column) axis takes Gauss-Legendre panels between the
+  support box's faces' eta-images and the eta-box's ends
+  (`_outer_rules`); where no face cuts the axis this is the grid's own
+  rule;
+* each eta-column then maps onto a vertical line on which y_last is affine
+  in eta_last, ``DensityMeasure.sections`` gives the intervals of that
+  line where the density may be nonzero, and the covered piece of each
+  column panel takes fresh gamma at its own nodes (`_column_rule`).
 
 An inside value may instead take the compressed eta-rule (`_eta_rule`):
 a positive rule Q6 on at most dim P_6 of the grid's own nodes (50 on H1)
@@ -50,18 +55,20 @@ whole grid), and keeps Q6's value only where |Q6 - Q4| <=
 eta-box leaves out). Every other point takes the whole grid, with the bits
 it had without the rule.
 
-One evaluator, ``HeatExtension._eval``, takes each point with its own
-time: a call at many points with one t (a slice, as the limit traces make)
-and a call at one point with many t (the heat maximum's scales) are its
-two shapes. An atomic part is one kernel evaluation over every (point,
-atom) pair, each point's row summed in a fixed order. A density part takes
-one pass per distinct t and per rule: one ``hull_state`` call classifies
-every point's hull; "inside" points share blocks of about
+One evaluator, ``HeatExtension._eval``, takes rows: each point with its
+own time, as ball masses and convolution rows take each center with its
+own radius. A slice at one t, a limit trace's placements at all of its
+times and the heat maximum's scales at one point are each one call. An
+atomic part is one kernel evaluation over every (point, atom) pair, each
+row summed in a fixed order. A density part takes one pass over every row,
+each at its own sqrt(t), and one pass per rule: one ``hull_state`` call
+classifies every row's hull; "inside" rows share blocks of about
 ``quadrature._BLOCK_ROWS`` rows of compressed node images, then of the
-grid's axes for the points that take the whole grid; "cut" points take
-``_column_rule`` one at a time. Every step is row by row and each point
-keeps its own fixed-order sum, so each value is the one a call at that
-point and time alone gives, bit for bit.
+grid's axes (scaled by the rows of `groups.dilation_factors`) for the
+rows that take the whole grid; "cut" rows take ``_column_rule`` one at a
+time. Every step is row by row and each row keeps its own fixed-order sum,
+so each value is the one a call at that point and time alone gives, bit
+for bit.
 
 Parabolic approach regions have a boundary vertex and an aperture: the
 sampled points are vertex * delta_(beta * aperture * sqrt(t))(omega) for
@@ -116,17 +123,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # density values on the eta-grid (the grid itself: `kernels._ext_grid`)
 # ---------------------------------------------------------------------------
-
-def _density_rows(density, g: G.GroupDescriptor, x: np.ndarray,
-                  eta: np.ndarray) -> np.ndarray:
-    """``density`` at x * eta[i] for the point x and each row of ``eta``,
-    by blocks of _BLOCK_ROWS rows."""
-    f = np.empty(eta.shape[0])
-    for start in range(0, eta.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        f[block] = density(G.mul(g, x, eta[block]))
-    return f
-
 
 # Graded degrees of the compressed eta-rule and of the nested rule whose
 # difference from it is the rule's error estimate
@@ -238,76 +234,64 @@ def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
     return f.reshape(k, -1)
 
 
-def _outer_rules(mu: DensityMeasure, grid: _EtaGrid, x: np.ndarray,
-                 sqrt_t: float):
-    """Rules of the non-column axes for a cut value, and whether they are
-    the grid's own; None when the support box misses the eta-box.
+def _outer_rules(mu: DensityMeasure, x: np.ndarray, sqrt_t: float):
+    """Rules of the non-column axes for a cut value at the point x; None
+    when the support box misses the eta-box.
 
     First-layer coordinates add, so y_i = x_i - sqrt(t) eta_i and the
-    support box's faces on axis i map to two values of eta_i. Where they
-    leave at most half of the axis's range, the axis takes Gauss-Legendre
-    panels (no wider than the grid's) between them instead, and its
-    integrand no longer jumps at a face.
+    support box's faces on axis i map to two values of eta_i. Each axis
+    takes Gauss-Legendre panels, no wider than the grid's, between those
+    values and the eta-box's ends, so its integrand never jumps at a face
+    (Stroud, Approximate Calculation of Multiple Integrals, 1971). Where no
+    face cuts the axis, this is the grid's own rule, bit for bit.
     """
     g = mu.group
-    rules, cached = [], True
+    rules = []
     for i, (lo, hi, n_panels, order) in enumerate(g.eta_grid[:-1]):
         scale = sqrt_t ** g.layer_exponents[i]
         a = max(lo, (x[i] - mu.support_box[i, 1]) / scale)
         b = min(hi, (x[i] - mu.support_box[i, 0]) / scale)
         if not a < b:
-            return None, False
-        if 2.0 * (b - a) > hi - lo:
-            rules.append(grid.axes[i])
-        else:
-            k = math.ceil(n_panels * (b - a) / (hi - lo))
-            rules.append(gauss_legendre(a, b, k, order))
-            cached = False
-    return rules, cached
+            return None
+        rules.append(gauss_legendre(
+            a, b, math.ceil(n_panels * (b - a) / (hi - lo)), order))
+    return rules
 
 
 def _cut_values(mu: DensityMeasure, profile: K.KernelProfile,
-                grid: _EtaGrid, xs: np.ndarray,
-                sqrt_t: np.ndarray) -> np.ndarray:
+                xs: np.ndarray, sqrt_t: np.ndarray) -> np.ndarray:
     """u at points whose eta-image hull is "cut", each at its own sqrt(t)
     of ``sqrt_t``, one point at a time by `_column_rule` on its
     `_outer_rules`; 0.0 where the support box misses the eta-box."""
     out = np.zeros(xs.shape[0])
     for i, (x, root) in enumerate(zip(xs, sqrt_t.tolist())):
-        outer, cached = _outer_rules(mu, grid, x, root)
+        outer = _outer_rules(mu, x, root)
         if outer is not None:
-            out[i] = _column_rule(mu, profile, grid, x, root, outer, cached)
+            out[i] = _column_rule(mu, profile, x, root, outer)
     return out
 
 
 def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
-                 grid: _EtaGrid, x: np.ndarray, sqrt_t: float,
-                 outer: list, cached: bool) -> float:
+                 x: np.ndarray, sqrt_t: float, outer: list) -> float:
     """u(x, t) at the point x, a density whose clips cut the eta-image, on
-    the outer rules ``outer`` (the grid's own if ``cached``; see
-    `_outer_rules`).
+    the outer rules ``outer`` (see `_outer_rules`).
 
     Under eta -> x * delta_sqrt(t)(eta^-1) the eta-column over (eta_1, ..,
     eta_(n-1)) maps onto a vertical line on which y_last = c - sqrt(t)^e
     eta_last, and ``mu.sections`` gives the eta_last-intervals of that line
     where the density may be nonzero. Each column is integrated between
-    those exact limits on the grid's column panels:
+    those exact limits on the grid's column panels: the covered piece of
+    each panel takes the panel's number of Gauss-Legendre nodes
+    (`quadrature.section_pieces`, as the section rules of density masses
+    take them) and fresh gamma at the piece's own nodes. Rows outside the
+    intervals are never evaluated.
 
-    * a panel wholly inside an interval keeps its cached gamma * w, and
-      only its rows of the grid's inverted nodes are dilated;
-    * a panel that an interval end falls in is integrated over the covered
-      piece only, with the panel's number of Gauss-Legendre nodes
-      (`quadrature.section_pieces`, as the section rules of density masses
-      take them) and fresh gamma at the piece's own nodes;
-    * rows outside the intervals are never evaluated.
-
-    Where a support face cuts an outer axis, every column is new and every
-    piece is a partial one. The value is one `weighted_sum`: whole panels
-    first, then partial pieces, each in column order.
+    gamma and the density are taken one _BLOCK_ROWS block of pieces at a
+    time, in column order, and the block sums are added in
+    `weighted_sum`'s order.
     """
     g = mu.group
     col_lo, col_hi, n_panels, order = g.eta_grid[-1]
-    m = n_panels * order
     heads, w_cols = tensor_rule(outer + [(np.zeros(1), np.ones(1))])
     heads_t = G.dilate(g, sqrt_t, G.inverse(g, heads))
     lo, hi = mu.sections(G.mul(g, x, heads_t),
@@ -316,21 +300,14 @@ def _column_rule(mu: DensityMeasure, profile: K.KernelProfile,
     edges = np.linspace(col_lo, col_hi, n_panels + 1)
     p_lo = np.maximum(lo[:, :, None], edges[:-1])
     p_hi = np.minimum(hi[:, :, None], edges[1:])
-    live = p_lo < p_hi
-    whole = live & (p_lo == edges[:-1]) & (p_hi == edges[1:]) & cached
-    col, _, panel = np.nonzero(whole)
-    rows = ((col * m + panel * order)[:, None] + np.arange(order)).ravel()
-    eta, w = section_pieces(heads, w_cols, p_lo, p_hi, live & ~whole, 1,
-                            order)
-    # a row gather of a column-major array would come out row-major
-    eta_rows = G.dilate(g, sqrt_t,
-                        point_array(c[rows] for c in grid.eta_inv.T))
-    f = np.concatenate([
-        _density_rows(mu.density_at, g, x, eta_rows),
-        _density_rows(mu.density_at, g, x,
-                      G.dilate(g, sqrt_t, G.inverse(g, eta)))])
-    return weighted_sum(np.concatenate([grid.gamma_w[rows],
-                                        profile.gamma(eta) * w]), f)
+    eta, w = section_pieces(heads, w_cols, p_lo, p_hi, p_lo < p_hi, 1, order)
+    total = 0.0
+    for start in range(0, w.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        f = mu.density_at(G.mul(g, x, G.dilate(g, sqrt_t,
+                                               G.inverse(g, eta[rows]))))
+        total += weighted_sum(profile.gamma(eta[rows]) * w[rows], f)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +395,7 @@ class HeatExtension:
                                      hulls[inside], sqrt_t[inside])
         cut = np.flatnonzero(states == "cut")
         if cut.size:
-            out[cut] = _cut_values(mu, self.profile, grid, pts[cut],
-                                   sqrt_t[cut])
+            out[cut] = _cut_values(mu, self.profile, pts[cut], sqrt_t[cut])
         return out
 
 
@@ -509,8 +485,9 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
 
     The central axis does not depend on the aperture. ``central`` holds its
     values, the first row of ``values`` of a trace of u with the same vertex
-    and times, or None to evaluate them here. Every value is u at its own
-    point and time, so either way the trace has the same bits.
+    and times, or None to evaluate them here. Every other (placement, time)
+    row is one ``HeatExtension._eval`` call, and each value there is u at
+    its own point and time, so either way the trace has the same bits.
     """
     g = u.group
     _point(g, region.vertex, "region vertex")
@@ -696,8 +673,13 @@ def tail_vanishing_check(mu: BoundaryMeasure, profile: K.KernelProfile,
     ``or vanishes`` clause alone and says nothing that ``vanishes`` does
     not. (The sampled sups B replaces rose from t = 1 to t = 1/4 on 7 of
     the 14 presets too.)
+
+    The measure and the profile must share a group, as in `HeatExtension`:
+    a MeasureError otherwise.
     """
     g = mu.group
+    if g.label != profile.group.label:
+        raise MeasureError("measure and kernel profile use different groups")
     t_schedule = 4.0 ** -np.arange(0, _TAIL_STEPS)
     c0 = K.gaussian_certificate(profile).c0
     outer = restrict_complement(mu, G.Ball(np.zeros(g.total_dim), radius))

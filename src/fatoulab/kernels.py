@@ -494,29 +494,14 @@ class _HeisenbergGamma:
         out = vals[inverse]
         return float(out[0]) if scalar else out
 
-    def accurate(self, coords) -> np.ndarray | float:
-        rho, sig, inverse, scalar = _distinct_pairs(coords)
-        out = _direct_gamma_rho_sigma(rho, sig)[inverse]
-        return float(out[0]) if scalar else out
 
-
-def gamma_heisenberg(z, s=None) -> np.ndarray | float:
-    """Heisenberg time-1 profile gamma(z, s) by direct quadrature.
-
-    Accepts a complex z plus real s, or a coordinate array (..., 3).
-    """
-    if s is None:
-        c = np.asarray(z, dtype=float)
-        scalar = c.ndim == 1
-        rho = np.hypot(c[..., 0], c[..., 1])
-        sig = np.abs(c[..., 2])
-    else:
-        zz = np.asarray(z, dtype=complex)
-        scalar = zz.ndim == 0 and np.ndim(s) == 0
-        rho = np.abs(zz)
-        sig = np.abs(np.asarray(s, dtype=float))
-    out = _direct_gamma_rho_sigma(rho, sig)
-    return float(out.reshape(-1)[0]) if scalar else out
+def gamma_heisenberg(coords) -> np.ndarray | float:
+    """Heisenberg time-1 profile gamma by direct quadrature, at a point (3,)
+    or at the points of a coordinate array (..., 3), each distinct
+    (|z|, |s|) pair once: the profile's ``gamma_accurate``."""
+    rho, sig, inverse, scalar = _distinct_pairs(coords)
+    out = _direct_gamma_rho_sigma(rho, sig)[inverse]
+    return float(out[0]) if scalar else out
 
 
 @lru_cache(maxsize=None)
@@ -526,7 +511,7 @@ def heisenberg_profile() -> KernelProfile:
     return KernelProfile(
         group=g,
         gamma=machine,
-        gamma_accurate=machine.accurate,
+        gamma_accurate=gamma_heisenberg,
         quadrature_spec={
             "form": "mehler-cosine",
             "lambda_max": _LAM_MAX,
@@ -607,8 +592,9 @@ def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
 class _EtaGrid:
     """A group's gamma-weighted eta-grid, cached on the kernel profile.
 
-    Rows run column by column: the last (column) axis varies fastest, so
-    the rows of column c are c * m .. c * m + m - 1, m nodes per column.
+    Rows are in `quadrature.tensor_rule` order, the last (column) axis
+    fastest, which the inside values' column product (``_inside_rows`` of
+    the extension module) reproduces axis by axis.
     """
 
     eta_inv: np.ndarray     # (N, n) inverted nodes

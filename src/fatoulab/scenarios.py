@@ -733,6 +733,15 @@ def _suite_result(name: str, cases: list) -> dict:
             "passed": n_mismatch == 0}
 
 
+def _maximal_suite(n_atomic: int = 20, n_density: int = 5) -> dict:
+    """The maximal-sandwich suite result of `maximal_cases` (n_atomic,
+    n_density): ``fatou suite maximal-sandwich`` at the defaults and
+    ``fatou maximal-check`` at its counts."""
+    return _suite_result("maximal-sandwich", [
+        {"label": r["label"], "passed": r["passed"]}
+        for r in map(run_maximal_case, maximal_cases(n_atomic, n_density))])
+
+
 def summarize_suite(name: str, reports) -> dict:
     """Suite result {suite, cases, n_mismatch, passed} from scenario reports.
 
@@ -756,9 +765,7 @@ def run_suite(name: str, out_dir: str | None = None) -> dict:
                 emit_report(rep, out_dir)
         return summarize_suite(name, reports)
     if name == "maximal-sandwich":
-        return _suite_result(name, [
-            {"label": r["label"], "passed": r["passed"]}
-            for r in map(run_maximal_case, maximal_cases())])
+        return _maximal_suite()
     if name == "kernel-battery":
         cases = []
         for label in G.GROUP_LABELS:

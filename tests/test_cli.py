@@ -47,3 +47,17 @@ def test_main_against_a_closed_pipe(argv, status, err):
         os.close(write_end)
     assert proc.returncode == status
     assert proc.stderr == err
+
+
+def test_maximal_check_prints_the_maximal_suite_result(capsys):
+    # `fatou maximal-check` and `fatou suite maximal-sandwich` print one
+    # suite result, built by one function, at the given counts
+    from fatoulab import scenarios as S
+    from fatoulab.cli import _print_suite
+
+    assert main(["maximal-check", "--n-atomic", "2", "--n-density", "0"]) == 0
+    got = capsys.readouterr().out
+    _print_suite(S._maximal_suite(2, 0))
+    assert got == capsys.readouterr().out
+    assert got.splitlines()[0] == \
+        "suite maximal-sandwich: PASS (2 cases, 0 failing)"

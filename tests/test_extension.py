@@ -276,6 +276,15 @@ def test_tail_vanishing_remote_atom(p1, g1):
     assert out["sup_values"][-1] <= 1e-50
 
 
+def test_tail_check_refuses_a_profile_of_another_group(g1, ph):
+    # an R^1 atom checked with the H1 profile would mix H1's envelope
+    # constant with R^1's homogeneous dimension (it read "vanishes" at rate
+    # 0.0153); like HeatExtension, the check refuses the pair
+    mu = F.AtomicMeasure(g1, [[3.0]], [1.0])
+    with pytest.raises(F.MeasureError, match="different groups"):
+        F.tail_vanishing_check(mu, ph, radius=1.0)
+
+
 def _translated_preset(label):
     """A preset's measure moved to its vertex, its certified kernel profile
     and its localization radius, as `run_scenario` builds them."""
@@ -557,17 +566,36 @@ def _reference(profile, name, x, t):
 
 # Bounds on the column rule's relative error at the cut values below, per
 # group, for the box-clipped measures (base, translated) and for those with
-# a ball clip, each just above the worst error measured. A box face that
-# cuts an outer eta-axis inside the eta-box is integrated across on the
-# grid's own outer rule (heisenberg:1 translated, t = 0.0625: 2.9e-4); the
-# outer rule also integrates across the square-root kink where a clip
-# sphere's sections shrink to zero (euclidean:2 complement: 1.07e-2).
+# a ball clip, each just above the worst error measured. Every outer axis
+# is clipped at the box faces (heisenberg:1 translated, t = 0.0625:
+# 2.1e-6); the outer rule still integrates across the square-root kink
+# where a clip sphere's sections shrink to zero (euclidean:2 complement:
+# 1.07e-2).
 _CUT_TOL = {
     "euclidean:1": (1e-12, 1e-12),
     "euclidean:2": (1e-12, 1.2e-2),
     "euclidean:3": (1e-12, 1e-2),
-    "heisenberg:1": (4e-4, 1e-2),
+    "heisenberg:1": (5e-6, 1e-2),
 }
+
+# a point whose eta-image a face of the base box crosses along the first
+# (outer) eta-axis at t = 4^-3, on R^n
+_FACE_POINT = np.array([1.45, 0.2, 0.1])
+
+
+def _face_errors(g):
+    """Worst relative error of the box-clipped cut values at _FACE_POINT
+    and t = 4^-3 against the exact-limit reference."""
+    profile = F.profile_for(g)
+    x, t = _FACE_POINT[:g.total_dim], 4.0 ** -3
+    worst = 0.0
+    for name in ("base", "translated"):
+        mu = _derived_densities(g)[name]
+        assert _hull_states(mu, profile, x[None], t) == ["cut"], name
+        ref = _reference(profile, name, x, t)
+        got = F.HeatExtension(mu, profile)(x, t)
+        worst = max(worst, abs(got - ref) / abs(ref))
+    return worst
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
@@ -598,6 +626,111 @@ def test_cut_and_outside_values_match_the_fine_loop(label):
                     ref = _reference(profile, name, x, t)
                     assert abs(a - ref) <= tol * abs(ref), (where, a, ref)
     assert seen == {"inside", "cut", "outside"}
+    if g.step == 1:
+        assert _face_errors(g) <= _CUT_TOL[label][0]
+
+
+def _erf_errors(n):
+    """Worst relative error of u for density 1 on [-1.5, 1.5]^n at
+    x = (x0, 0.2, 0.1)[:n], x0 in {1.1, 1.3, 1.45, 1.5, 1.6}, and
+    t = 4^-1 .. 4^-8, against the erf product of the heat kernel
+    (4 pi t)^(-n/2) exp(-|x|^2 / 4t). A face crosses the eta-box's first
+    axis at most of these (x, t); the others are inside or outside."""
+    g = F.euclidean_group(n)
+    profile = F.profile_for(g)
+    mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]),
+                          [[-1.5, 1.5]] * n)
+    u = F.HeatExtension(mu, profile)
+    worst = 0.0
+    for x0 in (1.1, 1.3, 1.45, 1.5, 1.6):
+        x = np.array([x0, 0.2, 0.1][:n])
+        for t in 4.0 ** -np.arange(1, 9):
+            h = 2.0 * math.sqrt(t)
+            ref = math.prod(0.5 * (math.erf((1.5 - c) / h)
+                                   + math.erf((1.5 + c) / h)) for c in x)
+            got = u(x, t)
+            # far past the face both vanish: there the error is |u|
+            worst = max(worst, abs(got - ref) / ref if ref else abs(got))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cut_values_match_erf_products_across_faces(n):
+    # a face across an outer eta-axis: each axis is clipped at the faces'
+    # eta-images, so the values come within 1e-11 of the closed form (3.8e-12
+    # measured; integrating across the face missed by 3.9e-2 and 5.9e-2)
+    assert _erf_errors(n) <= 1e-11
+
+
+def _h1_chain_errors():
+    """Worst relative error of the heat-chain values u(0, s^2) of density 1
+    on the H1 default box [-1.5, 1.5]^3 (the maximal suite's
+    ms-h1-density-v2) at the cut scales s < 0.4, where the box's faces
+    cross the first-layer eta-axes inside half their range, against a
+    Gauss-Legendre product rule between the faces' eta-images (gamma is
+    even in each coordinate, so 8 times an octant), itself checked against
+    its refinement."""
+    gh = F.heisenberg_group()
+    ph = F.profile_for(gh)
+    mu = F.build_measure(gh, {"type": "density", "family": "polynomial",
+                              "params": {"constant": 1.0}})
+    assert mu.support_box.tolist() == [[-1.5, 1.5]] * 3
+    chain = F.heat_max(mu, ph, np.zeros(3))
+    (lo, hi, _, _), _, (s_lo, s_hi, _, _) = gh.eta_grid
+    worst, n_cut = 0.0, 0
+    for s, value in zip(chain["scales"].tolist(), chain["values"].tolist()):
+        if s >= 0.4 or _hull_states(mu, ph, np.zeros((1, 3)),
+                                    s * s) != ["cut"]:
+            continue
+        a, c = min(hi, 1.5 / s), min(s_hi, 1.5 / s ** 2)
+        refs = []
+        for k in (2, 3):
+            eta, w = tensor_rule([gauss_legendre(0.0, a, k)] * 2
+                                 + [gauss_legendre(0.0, c, 2 * k)])
+            refs.append(8.0 * weighted_sum(w, ph.gamma(eta)))
+        assert abs(refs[1] - refs[0]) <= 1e-9 * refs[1], s
+        worst = max(worst, abs(value - refs[1]) / refs[1])
+        n_cut += 1
+    assert n_cut == 13
+    return worst
+
+
+def test_h1_heat_chain_cut_values_match_the_product_rule():
+    # the maximal suite's H1 heat chain reads u at scales whose eta-images
+    # a face of the support box crosses along both first-layer axes; they
+    # come within 1e-8 of the product rule (6.6e-10 measured; integrating
+    # across the faces missed by 4.3e-3)
+    assert _h1_chain_errors() <= 1e-8
+
+
+def _half_range_rules(mu, x, sqrt_t):
+    """`extension._outer_rules` with an axis whose faces leave more than
+    half its range kept on the grid's own rule, across the faces."""
+    g = mu.group
+    rules = []
+    for i, (lo, hi, n_panels, order) in enumerate(g.eta_grid[:-1]):
+        scale = sqrt_t ** g.layer_exponents[i]
+        a = max(lo, (x[i] - mu.support_box[i, 1]) / scale)
+        b = min(hi, (x[i] - mu.support_box[i, 0]) / scale)
+        if not a < b:
+            return None
+        if 2.0 * (b - a) > hi - lo:
+            a, b = lo, hi
+        rules.append(gauss_legendre(
+            a, b, math.ceil(n_panels * (b - a) / (hi - lo)), order))
+    return rules
+
+
+def test_face_checks_fail_when_outer_axes_integrate_across_faces(
+        monkeypatch):
+    # negative control: with the half-range rule, which clips an outer axis
+    # only where the faces leave at most half of it, every face check above
+    # misses its bar
+    monkeypatch.setattr(E, "_outer_rules", _half_range_rules)
+    for n in (2, 3):
+        assert _face_errors(F.euclidean_group(n)) > 1e-12
+        assert _erf_errors(n) > 1e-11
+    assert _h1_chain_errors() > 1e-8
 
 
 @pytest.mark.parametrize("s_top", [7.0, 3.3])

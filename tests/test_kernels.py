@@ -641,7 +641,7 @@ def test_spline_vs_direct_row_catches_a_bad_table_column(ph):
     bad = K._HeisenbergGamma()
     bad.table[:, 100] *= 1.0 + 1e-3
     bad.spline = K._BicubicSpline(bad.rho_grid, bad.sig_grid, np.log(bad.table))
-    scaled = F.KernelProfile(group=ph.group, gamma=bad, gamma_accurate=bad.accurate,
+    scaled = F.KernelProfile(group=ph.group, gamma=bad, gamma_accurate=K.gamma_heisenberg,
                              quadrature_spec=dict(ph.quadrature_spec))
     bad_err, _ = K._spline_vs_direct(scaled)
     assert bad_err > K._SPLINE_VS_DIRECT_TOL
