@@ -365,15 +365,14 @@ class HeatExtension:
                 raise NumericsError(
                     f"time must be positive and finite, got {t}")
         g = self.group
+        roots = np.array([math.sqrt(t) for t in times])
         total = np.zeros(pts.shape[0])
         for part in self.mu.parts():
             if not isinstance(part, AtomicMeasure):
-                total += self._density(
-                    part, pts, np.array([math.sqrt(t) for t in times]))
+                total += self._density(part, pts, roots)
             elif part.points.shape[0]:
                 rel = G.mul(g, G.inverse(g, part.points), pts[:, None, :])
-                scale = G.dilation_factors(
-                    g, [1.0 / math.sqrt(t) for t in times])
+                scale = G.dilation_factors(g, 1.0 / roots)
                 power = np.array([K._time_power(g.hom_dim, t) for t in times])
                 kern = power[:, None] * self.profile.gamma(
                     rel * scale[:, None, :])

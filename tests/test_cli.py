@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from fatoulab.cli import main
+from fatoulab import scenarios as S
+from fatoulab.cli import _print_suite, main
 
 
 @pytest.mark.parametrize("argv", [
@@ -52,9 +53,6 @@ def test_main_against_a_closed_pipe(argv, status, err):
 def test_maximal_check_prints_the_maximal_suite_result(capsys):
     # `fatou maximal-check` and `fatou suite maximal-sandwich` print one
     # suite result, built by one function, at the given counts
-    from fatoulab import scenarios as S
-    from fatoulab.cli import _print_suite
-
     assert main(["maximal-check", "--n-atomic", "2", "--n-density", "0"]) == 0
     got = capsys.readouterr().out
     _print_suite(S._maximal_suite(2, 0))

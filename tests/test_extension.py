@@ -566,11 +566,10 @@ def _reference(profile, name, x, t):
 
 # Bounds on the column rule's relative error at the cut values below, per
 # group, for the box-clipped measures (base, translated) and for those with
-# a ball clip, each just above the worst error measured. Every outer axis
-# is clipped at the box faces (heisenberg:1 translated, t = 0.0625:
-# 2.1e-6); the outer rule still integrates across the square-root kink
-# where a clip sphere's sections shrink to zero (euclidean:2 complement:
-# 1.07e-2).
+# a ball clip, each just above the worst error measured (heisenberg:1
+# translated, t = 0.0625: 2.1e-6). The outer rules stop at the box faces
+# but still integrate across the square-root kink where a clip sphere's
+# sections shrink to zero (euclidean:2 complement: 1.07e-2).
 _CUT_TOL = {
     "euclidean:1": (1e-12, 1e-12),
     "euclidean:2": (1e-12, 1.2e-2),
