@@ -109,10 +109,14 @@ _CHUNK_ENTRIES = 1 << 20
 # a direct-branch lambda rule drops the panels whose terms are bounded by at
 # most this share of its first term: below the full rule's own rounding
 _TAIL_SHARE = 2.0 ** -60
-# points per pass of the spline evaluator: its (16 x points) temporaries stay
-# at 512 kB, below glibc's mmap threshold after set-up, so they reuse heap
-# memory instead of faulting in fresh pages on every call
+# pairs, and axis values, per pass of the spline evaluator: its (16 x pairs)
+# temporaries and the de Boor recursion's (6 x values) stay at 512 kB, below
+# glibc's mmap threshold after set-up, so they reuse heap memory instead of
+# faulting in fresh pages on every call
 _SPLINE_CHUNK = 1 << 12
+# the distinct (|z|, |s|) pairs of a call are marked in a (#|z| x #|s|)
+# table while it has at most this many entries per point (`_distinct_pairs`)
+_PAIR_TABLE_SHARE = 4
 # largest relative error of the kernel-table spline against direct
 # quadrature at held-out cell midpoints (measured: 1.59e-5, near rho = 0,
 # |s| = 31.8, where gamma ~ 9e-13)
@@ -158,9 +162,20 @@ class KernelProfile:
 # Euclidean profile
 # ---------------------------------------------------------------------------
 
+def _check_width(x: np.ndarray, n: int) -> None:
+    """A GroupError unless the last axis of ``x`` holds n coordinates; only
+    the width is checked, so a large point array pays nothing."""
+    if x.shape[-1:] != (n,):
+        raise GroupError(f"kernel points need {n} coordinates along the "
+                         f"last axis, got shape {x.shape}")
+
+
 def gamma_euclidean(n: int, x) -> np.ndarray | float:
-    """Time-1 Euclidean heat profile (4 pi)^(-n/2) exp(-|x|^2/4)."""
+    """Time-1 Euclidean heat profile (4 pi)^(-n/2) exp(-|x|^2/4), at the
+    points along the last axis of ``x``, which must hold n coordinates (a
+    GroupError otherwise)."""
     c = np.asarray(x, dtype=float)
+    _check_width(c, n)
     r2 = (c * c).sum(axis=-1)
     return (4.0 * math.pi) ** (-n / 2.0) * np.exp(-r2 / 4.0)
 
@@ -340,19 +355,61 @@ def _direct_gamma_rho_sigma(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
+def _ranks(x: np.ndarray):
+    """The distinct values of ``x`` (m,), ascending, and the position of
+    each entry of ``x`` among them."""
+    order = np.argsort(x)
+    ordered = x[order]
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    at = np.empty(x.size, dtype=np.intp)
+    if new.all():
+        at[order] = np.arange(x.size)
+        return ordered, at
+    at[order] = np.cumsum(new) - 1
+    return ordered[new], at
+
+
 def _distinct_pairs(coords):
     """Distinct (|z|, |s|) pairs of a coordinate array, and the map back.
 
-    Returns (rho, sigma, inverse, scalar): gamma over the input is
-    ``vals[inverse]`` for vals evaluated on the distinct pairs.
+    Returns (rho, sigma, at_rho, at_sigma, inverse, scalar): the distinct
+    |z| and the distinct |s| values, each ascending; for each distinct
+    pair, in ascending (|z|, |s|) order, the positions of its |z| in rho
+    and of its |s| in sigma; and ``inverse``, so that gamma over the input
+    is ``vals[inverse]`` for vals evaluated on the pairs.
+
+    Each axis is sorted on its own, as floats (`_ranks`), and a point's
+    code is its two positions, i * #sigma + j. Where every point has its
+    own |z|, the points are the pairs, in the order of |z|. Otherwise the
+    codes present are marked in a (#rho x #sigma) table while it has at
+    most _PAIR_TABLE_SHARE entries per point, and sorted past that.
     """
     c = np.asarray(coords, dtype=float)
+    _check_width(c, 3)
     scalar = c.ndim == 1
     c = np.atleast_2d(c)
-    key = np.hypot(c[..., 0], c[..., 1]).astype(complex)
-    key.imag = np.abs(c[..., 2])
-    pairs, inverse = np.unique(key.ravel(), return_inverse=True)
-    return pairs.real, pairs.imag, inverse.reshape(key.shape), scalar
+    rho, i = _ranks(np.hypot(c[..., 0], c[..., 1]).ravel())
+    sigma, j = _ranks(np.abs(c[..., 2]).ravel())
+    if rho.size == i.size:
+        at_rho, inverse = np.arange(i.size), i
+        at_sigma = np.empty_like(j)
+        at_sigma[i] = j
+    else:
+        code = i * sigma.size + j
+        cells = rho.size * sigma.size
+        if cells <= _PAIR_TABLE_SHARE * code.size:
+            seen = np.zeros(cells, dtype=bool)
+            seen[code] = True
+            pairs = np.flatnonzero(seen)
+            index = np.empty(cells, dtype=np.intp)
+            index[pairs] = np.arange(pairs.size)
+            inverse = index[code]
+        else:
+            pairs, inverse = np.unique(code, return_inverse=True)
+        at_rho, at_sigma = np.divmod(pairs, sigma.size)
+    return rho, sigma, at_rho, at_sigma, inverse.reshape(c.shape[:-1]), scalar
 
 
 def _not_a_knot_knots(x: np.ndarray) -> np.ndarray:
@@ -363,6 +420,10 @@ def _not_a_knot_knots(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.full(4, x[0]), x[2:-2], np.full(4, x[-1])])
 
 
+# offsets of the knots t[l-2] .. t[l+3] that `_cubic_basis` reads
+_NEAR_KNOTS = np.arange(-2, 4)[:, None]
+
+
 def _cubic_basis(t: np.ndarray, x: np.ndarray):
     """Interval index and the four cubic B-splines that are nonzero at x.
 
@@ -370,18 +431,20 @@ def _cubic_basis(t: np.ndarray, x: np.ndarray):
     last interval, and h[i] = B_(l-3+i)(x), by the de Boor-Cox recursion in
     the order of FITPACK's fpbspl.
     """
-    l = np.clip(np.searchsorted(t, x, side="right") - 1, 3, t.size - 5)
-    near = t[l + np.arange(-2, 4)[:, None]]  # t[l-2] .. t[l+3]
-    from_left = x - near
-    to_right = near - x
+    l = np.searchsorted(t, x, side="right") - 1
+    np.maximum(l, 3, out=l)
+    np.minimum(l, t.size - 5, out=l)
+    near = t[l + _NEAR_KNOTS]  # t[l-2] .. t[l+3]
+    from_left = x - near[:3]
+    to_right = near[3:] - x
     h = np.ones((1, x.size))
     for j in range(1, 4):
         # the pairs (t[l+i], t[l+i-j]) for i = 1..j
         right, left = slice(3, 3 + j), slice(3 - j, 3)
         f = h / (near[right] - near[left])
         h = np.zeros((j + 1, x.size))
-        h[1:] = f * from_left[left]
-        h[:-1] += f * to_right[right]
+        np.multiply(f, from_left[left], out=h[1:])
+        h[:-1] += f * to_right[:j]
     return l, h
 
 
@@ -431,21 +494,31 @@ class _BicubicSpline:
         self.ty = _not_a_knot_knots(y)
         c = _collocation_solve(x, self.tx, z)
         self.coeffs = np.ascontiguousarray(_collocation_solve(y, self.ty, c.T).T)
-
-    def ev(self, x, y) -> np.ndarray:
-        """Spline values at the points (x[i], y[i]) inside the grid."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        flat = self.coeffs.ravel()
         ny = self.coeffs.shape[1]
-        offsets = (np.arange(4)[:, None] * ny + np.arange(4)).reshape(16, 1)
-        out = np.empty(x.size)
-        for start in range(0, x.size, _SPLINE_CHUNK):
+        # positions in the flat coefficients of a pair's 4 x 4 block
+        self.offsets = (np.arange(4)[:, None] * ny + np.arange(4)).reshape(16, 1)
+
+    def ev(self, x, y, at_x, at_y) -> np.ndarray:
+        """Spline values at the pairs (x[at_x[k]], y[at_y[k]]), every x and
+        y inside the grid.
+
+        The basis of each axis value is computed once (`_axis_bases`), as a
+        tensor-product spline allows (de Boor, A Practical Guide to Splines,
+        1978, ch. XVII). Each pair gathers its 16 coefficients and sums its
+        16 terms in one fixed order, so its value does not depend on the
+        other pairs.
+        """
+        first_x, hx = _axis_bases(self.tx, x)
+        first_y, hy = _axis_bases(self.ty, y)
+        ny = self.coeffs.shape[1]
+        flat = self.coeffs.ravel()
+        out = np.empty(at_x.size)
+        for start in range(0, out.size, _SPLINE_CHUNK):
             part = slice(start, start + _SPLINE_CHUNK)
-            lx, hx = _cubic_basis(self.tx, x[part])
-            ly, hy = _cubic_basis(self.ty, y[part])
-            c = flat[(lx - 3) * ny + (ly - 3) + offsets].reshape(4, 4, -1)
-            terms = (c * hx[:, None] * hy[None, :]).reshape(16, -1)
+            i, j = at_x[part], at_y[part]
+            c = flat[first_x[i] * ny + first_y[j] + self.offsets]
+            terms = (c.reshape(4, 4, -1) * hx[:, i][:, None]
+                     * hy[:, j][None, :]).reshape(16, -1)
             total = terms[0]
             for term in terms[1:]:
                 total = total + term
@@ -453,11 +526,30 @@ class _BicubicSpline:
         return out
 
 
+def _axis_bases(t: np.ndarray, x: np.ndarray):
+    """`_cubic_basis` at every value of ``x`` (m,), _SPLINE_CHUNK values a
+    pass: the index l - 3 of the first of the four B-splines nonzero at
+    each value, and their values (4, m)."""
+    if x.size <= _SPLINE_CHUNK:
+        l, h = _cubic_basis(t, x)
+        return l - 3, h
+    first = np.empty(x.size, dtype=np.intp)
+    h = np.empty((4, x.size))
+    for start in range(0, x.size, _SPLINE_CHUNK):
+        part = slice(start, start + _SPLINE_CHUNK)
+        l, h[:, part] = _cubic_basis(t, x[part])
+        first[part] = l - 3
+    return first, h
+
+
 class _HeisenbergGamma:
     """Table-backed evaluation of the Heisenberg time-1 profile.
 
     gamma depends only on (|z|, |s|): each call evaluates every distinct pair
-    once and scatters the values back to the input's shape. The table's
+    once (`_distinct_pairs`) and scatters the values back to the input's
+    shape. Inside the table the spline takes the B-spline basis of each
+    distinct |z| and each distinct |s| once (`_BicubicSpline.ev`), beyond
+    it the direct quadrature takes each pair on its own. The table's
     columns are grouped by their lambda rule (`_panel_counts`); a rule's
     (rho, lambda) exponential matrix serves all of its columns, and each
     column is summed by its own matrix-vector product.
@@ -484,13 +576,19 @@ class _HeisenbergGamma:
         self.spline = _BicubicSpline(self.rho_grid, self.sig_grid, np.log(table))
 
     def __call__(self, coords) -> np.ndarray | float:
-        rho, sig, inverse, scalar = _distinct_pairs(coords)
-        vals = np.empty(rho.size)
-        inside = (rho <= _TABLE_RHO_MAX) & (sig <= _TABLE_SIG_MAX)
+        rho, sig, at_rho, at_sig, inverse, scalar = _distinct_pairs(coords)
+        # the axis values inside the table lead their ascending lists
+        n_rho = np.searchsorted(rho, _TABLE_RHO_MAX, side="right")
+        n_sig = np.searchsorted(sig, _TABLE_SIG_MAX, side="right")
+        inside = (at_rho < n_rho) & (at_sig < n_sig)
+        vals = np.empty(at_rho.size)
         if np.any(inside):
-            vals[inside] = np.exp(self.spline.ev(rho[inside], sig[inside]))
+            vals[inside] = np.exp(self.spline.ev(
+                rho[:n_rho], sig[:n_sig], at_rho[inside], at_sig[inside]))
         if not np.all(inside):
-            vals[~inside] = _direct_gamma_rho_sigma(rho[~inside], sig[~inside])
+            beyond = ~inside
+            vals[beyond] = _direct_gamma_rho_sigma(rho[at_rho[beyond]],
+                                                   sig[at_sig[beyond]])
         out = vals[inverse]
         return float(out[0]) if scalar else out
 
@@ -499,8 +597,8 @@ def gamma_heisenberg(coords) -> np.ndarray | float:
     """Heisenberg time-1 profile gamma by direct quadrature, at a point (3,)
     or at the points of a coordinate array (..., 3), each distinct
     (|z|, |s|) pair once: the profile's ``gamma_accurate``."""
-    rho, sig, inverse, scalar = _distinct_pairs(coords)
-    out = _direct_gamma_rho_sigma(rho, sig)[inverse]
+    rho, sig, at_rho, at_sig, inverse, scalar = _distinct_pairs(coords)
+    out = _direct_gamma_rho_sigma(rho[at_rho], sig[at_sig])[inverse]
     return float(out[0]) if scalar else out
 
 
@@ -579,10 +677,7 @@ def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
     if not (t > 0) or not math.isfinite(t):
         raise NumericsError(f"kernel time must be positive and finite, got {t}")
     x = np.asarray(x, dtype=float)
-    n = k.group.total_dim
-    if x.shape[-1:] != (n,):
-        raise GroupError(f"kernel points need {n} coordinates along the "
-                         f"last axis, got shape {x.shape}")
+    _check_width(x, k.group.total_dim)
     power = _time_power(k.group.hom_dim, t)
     scaled = G.dilate(k.group, 1.0 / math.sqrt(t), x)
     return power * k.gamma(scaled)
@@ -804,8 +899,15 @@ def validate_profile(k: KernelProfile, seed: int = 1234) -> dict:
     scaling identity, semigroup property, PDE residual with second-order
     Richardson signature, for a table-backed profile the spline against
     direct quadrature at held-out points, and the Gaussian envelope
-    certificate.
+    certificate. ``seed`` draws the held-out points: any seed of
+    ``numpy.random.default_rng``, a NumericsError for another value.
     """
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise NumericsError("the battery's seed must be a numpy seed: a "
+                            "nonnegative integer or a sequence of them, "
+                            f"got seed={seed!r}") from None
     tol = {
         "symmetry": 1e-8,
         "normalization": 1e-3,
@@ -815,7 +917,6 @@ def validate_profile(k: KernelProfile, seed: int = 1234) -> dict:
         "spline_vs_direct": _SPLINE_VS_DIRECT_TOL,
     }
     g = k.group
-    rng = np.random.default_rng(seed)
     checks = []
 
     def record(name, grid, resid, bound, passed):

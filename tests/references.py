@@ -12,7 +12,10 @@ and is used only by the tests that compare the two:
 * `imaginary_residue`: the imaginary part of the Heisenberg kernel's
   unsymmetrized inverse transform, which the cosine form drops;
 * `panel_width`: the lambda-panel width of one |s|, which
-  `kernels._panel_counts` computes for many.
+  `kernels._panel_counts` computes for many;
+* `complex_key_pairs` and `heisenberg_gamma`: the Heisenberg profile's
+  distinct (|z|, |s|) pairs by one ``np.unique`` on a complex key, and the
+  table-backed gamma on them with the spline's basis taken point by point.
 """
 
 import math
@@ -194,3 +197,52 @@ def imaginary_residue() -> float:
         val = np.sum(wt * g * np.exp(1j * lam * s)) / (2.0 * math.pi ** 2)
         worst = max(worst, abs(float(val.imag)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg profile's distinct pairs and table-backed gamma
+# ---------------------------------------------------------------------------
+
+def complex_key_pairs(coords):
+    """Distinct (|z|, |s|) pairs of a coordinate array, ascending, by
+    ``np.unique`` on the complex key |z| + i |s|: (rho, sigma, inverse,
+    scalar), gamma over the input being ``vals[inverse]``."""
+    c = np.asarray(coords, dtype=float)
+    scalar = c.ndim == 1
+    c = np.atleast_2d(c)
+    key = np.hypot(c[..., 0], c[..., 1]).astype(complex)
+    key.imag = np.abs(c[..., 2])
+    pairs, inverse = np.unique(key.ravel(), return_inverse=True)
+    return pairs.real, pairs.imag, inverse.reshape(key.shape), scalar
+
+
+def _spline_points(spline, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The bicubic spline at the points (x[i], y[i]), each point's basis on
+    its own: 16 gathered coefficients times the two bases, summed term by
+    term in C order."""
+    lx, hx = K._cubic_basis(spline.tx, x)
+    ly, hy = K._cubic_basis(spline.ty, y)
+    ny = spline.coeffs.shape[1]
+    offsets = (np.arange(4)[:, None] * ny + np.arange(4)).reshape(16, 1)
+    c = spline.coeffs.ravel()[(lx - 3) * ny + (ly - 3) + offsets]
+    terms = (c.reshape(4, 4, -1) * hx[:, None] * hy[None, :]).reshape(16, -1)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def heisenberg_gamma(machine, coords):
+    """The table-backed Heisenberg gamma of ``machine`` on the pairs of
+    `complex_key_pairs`: the spline inside the table, the direct quadrature
+    beyond it."""
+    rho, sig, inverse, scalar = complex_key_pairs(coords)
+    vals = np.empty(rho.size)
+    inside = (rho <= K._TABLE_RHO_MAX) & (sig <= K._TABLE_SIG_MAX)
+    if np.any(inside):
+        vals[inside] = np.exp(_spline_points(machine.spline, rho[inside],
+                                             sig[inside]))
+    if not np.all(inside):
+        vals[~inside] = K._direct_gamma_rho_sigma(rho[~inside], sig[~inside])
+    out = vals[inverse]
+    return float(out[0]) if scalar else out

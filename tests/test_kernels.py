@@ -26,7 +26,8 @@ from scipy.integrate import quad
 import fatoulab as F
 from fatoulab import kernels as K, quadrature
 from conftest import ensure_validated
-from references import imaginary_residue, panel_width
+from references import (complex_key_pairs, heisenberg_gamma,
+                        imaginary_residue, panel_width)
 
 GAMMA_EU1_ZERO = 0.28209479177387814  # (4 pi)^(-1/2)
 GAMMA_H_ZERO = 0.015625  # 1/64
@@ -85,6 +86,26 @@ _BAD_ENTRIES = {
         F.GroupError, "x=[0.3]"),
     "pde-nan-point": (lambda p: F.pde_residual(p, [math.nan], 1.0, 1e-2),
                       F.GroupError, "x=[nan]"),
+    # a profile read points of the wrong width: H1 dropped a fourth
+    # coordinate or raised a bare IndexError on two, R^2 summed three
+    "gamma-h1-wide": (lambda p: F.gamma_heisenberg([0.1, 0.2, 0.3, 0.4]),
+                      F.GroupError, "shape (4,)"),
+    "gamma-h1-narrow": (lambda p: F.gamma_heisenberg([0.1, 0.2]),
+                        F.GroupError, "shape (2,)"),
+    "profile-h1-wide": (lambda p: F.heisenberg_profile().gamma(
+        np.zeros((5, 4))), F.GroupError, "shape (5, 4)"),
+    "profile-h1-narrow": (lambda p: F.heisenberg_profile().gamma(
+        np.zeros((5, 2))), F.GroupError, "shape (5, 2)"),
+    "gamma-r2-wide": (lambda p: F.gamma_euclidean(2, [0.1, 0.2, 0.3]),
+                      F.GroupError, "shape (3,)"),
+    # battery seeds numpy refuses used to raise its bare ValueError or
+    # TypeError
+    "battery-seed-negative": (lambda p: F.validate_profile(p, seed=-1),
+                              F.NumericsError, "seed=-1"),
+    "battery-seed-fraction": (lambda p: F.validate_profile(p, seed=1.5),
+                              F.NumericsError, "seed=1.5"),
+    "battery-seed-text": (lambda p: F.validate_profile(p, seed="a"),
+                          F.NumericsError, "seed='a'"),
     "sandwich-negative": (lambda p: F.sandwich_constants(
         p.group, F.default_profile(), -1.0), F.MeasureError, "alpha=-1.0"),
     "sandwich-inf": (lambda p: F.sandwich_constants(
@@ -104,7 +125,8 @@ _BAD_ENTRIES = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
 def test_public_helpers_check_their_input_at_entry(case, p1):
-    # kernel times and steps are NumericsErrors, as in eval_kernel;
+    # kernel times, steps and battery seeds are NumericsErrors, as in
+    # eval_kernel; points of the wrong width GroupErrors;
     # apertures and grid bounds MeasureErrors, as in nontangential_max;
     # a point with a non-finite coordinate is a GroupError. They used to
     # raise math, division or numpy errors, a GroupError from a dilation,
@@ -300,16 +322,84 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
     counted = []
 
     def counting(fn):
-        def wrapped(rho, sigma):
-            counted.append(np.size(rho))
-            return fn(rho, sigma)
+        def wrapped(rho, sigma, *at):
+            counted.append(np.size(at[0] if at else rho))
+            return fn(rho, sigma, *at)
         return wrapped
 
+    K._ext_grid(ph)  # built first: its own gamma pass is not counted
     monkeypatch.setattr(K, "_direct_gamma_rho_sigma",
                         counting(K._direct_gamma_rho_sigma))
     monkeypatch.setattr(ph.gamma.spline, "ev", counting(ph.gamma.spline.ev))
     F.kernel_mass(ph, 1.0)
     assert 0 < sum(counted) <= 4352
+
+
+def _pair_map_inputs(ph):
+    """Coordinate arrays for the H1 pair map, by name: the eta-grid and a
+    row block of it, where the (#|z| x #|s|) table marks the pairs; clouds
+    whose |z| repeat, with points past the kernel table, where the codes
+    are sorted; a cloud whose every point has its own |z|; and edge
+    shapes and values."""
+    grid = K.tensor_rule(K._ext_grid(ph).axes)[0]
+    rng = np.random.default_rng(5)
+    cloud = rng.normal(size=(300, 3)) * 2.0
+    wide = rng.normal(size=(300, 3)) * [6.0, 6.0, 30.0]
+    flips = np.array([[-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    return {
+        "mass-grid": grid,
+        "eta-block": grid[:1 << 15],
+        "repeated-cloud": np.concatenate([cloud, cloud * flips[0],
+                                          cloud[::-1] * flips[1]]),
+        "repeated-beyond-table": np.concatenate([wide, wide * flips[2]]),
+        "scattered": rng.normal(size=(432, 3)) * 1.5,
+        "signed-zeros": np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
+                                  [0.0, -0.0, 0.5], [-0.0, -0.0, -0.5]]),
+        "one-point": np.array([0.3, -0.2, 0.7]),
+        "no-points": np.zeros((0, 3)),
+        "nested": rng.normal(size=(2, 2, 3)),
+        "infinite": np.array([[math.inf, 0.0, 0.0], [0.0, 0.0, math.inf],
+                              [1.0, 1.0, -math.inf], [0.1, 0.2, 0.3]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["mass-grid", "eta-block", "repeated-cloud",
+                                  "repeated-beyond-table", "scattered",
+                                  "signed-zeros", "one-point", "no-points",
+                                  "nested", "infinite"])
+def test_pair_map_matches_the_complex_key_reference(ph, name):
+    # the pairs come in the reference's ascending (|z|, |s|) order, and
+    # gamma keeps its bits, on every branch of the map
+    coords = _pair_map_inputs(ph)[name]
+    rho, sig, at_rho, at_sig, inverse, scalar = K._distinct_pairs(coords)
+    ref_rho, ref_sig, ref_inverse, ref_scalar = complex_key_pairs(coords)
+    assert rho[at_rho].tobytes() == ref_rho.tobytes()
+    assert sig[at_sig].tobytes() == ref_sig.tobytes()
+    assert np.array_equal(inverse, ref_inverse) and scalar == ref_scalar
+    n = max(1, inverse.size)
+    table = rho.size * sig.size <= K._PAIR_TABLE_SHARE * n
+    branch = ("own |z|" if rho.size == inverse.size else
+              "table" if table else "sorted codes")
+    assert branch == {"mass-grid": "table", "eta-block": "table",
+                      "repeated-cloud": "sorted codes",
+                      "repeated-beyond-table": "sorted codes",
+                      "scattered": "own |z|"}.get(name, branch)
+    got, want = ph.gamma(coords), heisenberg_gamma(ph.gamma, coords)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if name == "infinite":
+        assert np.all(got[:3] == 0.0)
+
+
+def test_pair_map_reads_nan_as_nan(ph):
+    coords = np.array([[math.nan, 0.0, 0.0], [0.0, 0.0, math.nan],
+                       [0.1, 0.2, 0.3], [math.nan] * 3])
+    nan = [True, True, False, True]
+    for gam in (ph.gamma, K.gamma_heisenberg):
+        got = gam(coords)
+        assert np.isnan(got).tolist() == nan
+        assert got[2] == gam(coords[2])
+    assert ph.gamma(coords)[2] == heisenberg_gamma(ph.gamma, coords)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +615,16 @@ def test_spline_matches_fitpack(ph, fitpack):
     rng = np.random.default_rng(12)
     random = (rng.uniform(0.0, K._TABLE_RHO_MAX, 400_000),
               rng.uniform(0.0, K._TABLE_SIG_MAX, 400_000))
+    def ours(r, s):
+        at = np.arange(np.size(r))
+        return machine.spline.ev(np.ravel(r), np.ravel(s), at, at)
+
     for name, (r, s) in {"nodes": nodes, "edges": edges, "corners": corners,
                          "random": random}.items():
-        ours = machine.spline.ev(r, s)
         ref = fitpack.ev(np.ravel(r), np.ravel(s))
-        assert np.max(np.abs(ours - ref)) <= 1e-13, name
+        assert np.max(np.abs(ours(r, s) - ref)) <= 1e-13, name
     # an interpolant: the table is reproduced at its nodes
-    assert np.max(np.abs(machine.spline.ev(*nodes) - np.log(machine.table).ravel())) <= 1e-13
+    assert np.max(np.abs(ours(*nodes) - np.log(machine.table).ravel())) <= 1e-13
 
 
 def test_lambert_w0_equals_scipy():

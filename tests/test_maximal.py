@@ -684,7 +684,7 @@ def test_strong_derivative_equals_per_ball_masses_bitwise(label, small,
 # conv rows of the check_sandwich below on the density: the 9 radial rows
 # and the cone rows (of 2 apertures x 8 placements x 9 scales = 144) that
 # are not bounded below the radial value
-_DENSITY_ROWS = {"euclidean:2": 126, "heisenberg:1": 137}
+_DENSITY_ROWS = {"euclidean:2": 101, "heisenberg:1": 114}
 
 
 @pytest.mark.parametrize("label", ["euclidean:2", "heisenberg:1"])
@@ -791,7 +791,7 @@ def _nt_rows(monkeypatch, mu, x, s, **patch):
     return out, sum(rows)
 
 
-def _unbounded(mu, phi, pts, s):
+def _unbounded(mu, phi, pts, s, split=0):
     return np.full(s.size, np.inf)
 
 
@@ -822,6 +822,65 @@ def test_pruned_cone_rows_keep_the_bits(label, monkeypatch):
     wide = lambda g_, box, p, _gap=M._box_gap: 2.0 * _gap(g_, box, p)  # noqa
     inflated, _ = _nt_rows(monkeypatch, mu, x, s, _box_gap=wide)
     assert inflated["values"].tobytes() != full["values"].tobytes()
+
+
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_pruned_cone_rows_keep_the_bits_on_cells(label, monkeypatch):
+    # the cell bound prunes rows that the whole-box bound keeps, and no
+    # value moves. Negative control: a gap twice the true one on the cells
+    # alone, the whole box kept as it is, prunes rows that win
+    from fatoulab import maximal as M
+
+    g = F.get_group(label)
+    mu = _face_density(g)
+    x = np.zeros(g.total_dim)
+    s = F.geometric_grid(0.05, 5.0, 8)
+    full, _ = _nt_rows(monkeypatch, mu, x, s, _row_bounds=_unbounded)
+    whole_box = lambda mu, phi, p, ss, split=0, _b=M._row_bounds: (  # noqa
+        _b(mu, phi, p, ss) if split == 0 else _unbounded(mu, phi, p, ss))
+    _, n_whole = _nt_rows(monkeypatch, mu, x, s, _row_bounds=whole_box)
+    pruned, n_pruned = _nt_rows(monkeypatch, mu, x, s)
+    # on R^1 the face rows the whole box keeps are kept by the cells too
+    assert n_pruned < n_whole or (label == "euclidean:1"
+                                  and n_pruned == n_whole)
+    assert pruned["values"].tobytes() == full["values"].tobytes()
+
+    wide = lambda g_, boxes, p, _gap=M._box_gap: (  # noqa: E731
+        (2.0 if len(boxes) > 1 else 1.0) * _gap(g_, boxes, p))
+    inflated, _ = _nt_rows(monkeypatch, mu, x, s, _box_gap=wide)
+    assert inflated["values"].tobytes() != full["values"].tobytes()
+
+
+def test_cell_bounds_hold_on_the_maximal_density_presets(monkeypatch):
+    # every covered cone row of the three density presets, at the suite's
+    # apertures and scales: the whole-box and the cell bound are at least
+    # the row's value
+    from fatoulab import maximal as M, scenarios as S
+
+    seen, row_bounds = [], M._row_bounds
+
+    def recording(mu, phi, pts, s, split=0):
+        if split == 0:
+            seen.append((mu, phi, pts, s))
+        return row_bounds(mu, phi, pts, s, split)
+
+    monkeypatch.setattr(M, "_row_bounds", recording)
+    cases = S.maximal_cases(0, 3)
+    assert {c["group"] for c in cases} == {"euclidean:1", "euclidean:2",
+                                          "heisenberg:1"}
+    for cfg in cases:
+        seen.clear()
+        S.run_maximal_case(cfg)
+        n_rows = 0
+        for mu, phi, pts, s in seen:
+            whole = row_bounds(mu, phi, pts, s)
+            rows = np.isfinite(whole)
+            cells = row_bounds(mu, phi, pts[rows], s[rows], M._CELL_SPLIT)
+            vals = M._conv_rows(mu, phi, pts[rows], s[rows])
+            assert np.all(whole[rows] >= vals) and np.all(cells >= vals)
+            assert np.all(cells <= whole[rows] * (1.0 + 1e-12))
+            n_rows += np.count_nonzero(rows)
+        assert n_rows > 0, cfg["label"]
 
 
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
