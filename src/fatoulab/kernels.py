@@ -109,10 +109,10 @@ _CHUNK_ENTRIES = 1 << 20
 # a direct-branch lambda rule drops the panels whose terms are bounded by at
 # most this share of its first term: below the full rule's own rounding
 _TAIL_SHARE = 2.0 ** -60
-# pairs, and axis values, per pass of the spline evaluator: its (16 x pairs)
-# temporaries and the de Boor recursion's (6 x values) stay at 512 kB, below
-# glibc's mmap threshold after set-up, so they reuse heap memory instead of
-# faulting in fresh pages on every call
+# pairs per pass of the spline evaluator, and most axis values whose bases
+# a pass holds: its (16 x pairs) temporaries and the de Boor recursion's
+# (6 x values) stay at 512 kB, below glibc's mmap threshold after set-up, so
+# they reuse heap memory instead of faulting in fresh pages on every call
 _SPLINE_CHUNK = 1 << 12
 # the distinct (|z|, |s|) pairs of a call are marked in a (#|z| x #|s|)
 # table while it has at most this many entries per point (`_distinct_pairs`)
@@ -364,9 +364,6 @@ def _ranks(x: np.ndarray):
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     at = np.empty(x.size, dtype=np.intp)
-    if new.all():
-        at[order] = np.arange(x.size)
-        return ordered, at
     at[order] = np.cumsum(new) - 1
     return ordered[new], at
 
@@ -495,51 +492,45 @@ class _BicubicSpline:
         c = _collocation_solve(x, self.tx, z)
         self.coeffs = np.ascontiguousarray(_collocation_solve(y, self.ty, c.T).T)
         ny = self.coeffs.shape[1]
-        # positions in the flat coefficients of a pair's 4 x 4 block
-        self.offsets = (np.arange(4)[:, None] * ny + np.arange(4)).reshape(16, 1)
+        # positions in the flat coefficients of a pair's 4 x 4 block, from
+        # that of its intervals' (l_x, l_y): the B-splines l - 3 .. l
+        near = np.arange(-3, 1)
+        self.offsets = (near[:, None] * ny + near).reshape(16, 1)
 
     def ev(self, x, y, at_x, at_y) -> np.ndarray:
-        """Spline values at the pairs (x[at_x[k]], y[at_y[k]]), every x and
-        y inside the grid.
+        """Spline values at the pairs (x[at_x[k]], y[at_y[k]]), ``at_x``
+        nondecreasing, every x and y inside the grid.
 
-        The basis of each axis value is computed once (`_axis_bases`), as a
-        tensor-product spline allows (de Boor, A Practical Guide to Splines,
-        1978, ch. XVII). Each pair gathers its 16 coefficients and sums its
-        16 terms in one fixed order, so its value does not depend on the
-        other pairs.
+        A tensor-product spline needs each axis value's basis
+        (`_cubic_basis`) once (de Boor, A Practical Guide to Splines,
+        1978, ch. XVII). The pairs go _SPLINE_CHUNK a pass, and a pass
+        takes the basis of each x in the run of ``x`` that its pairs span.
+        The basis of each y is taken once per call while ``y`` has at most
+        _SPLINE_CHUNK values, and once per pair past that, so a scattered
+        call holds no more bases than one pass's. Each pair gathers its 16
+        coefficients and sums its 16 terms in one fixed order, so its
+        value does not depend on the other pairs.
         """
-        first_x, hx = _axis_bases(self.tx, x)
-        first_y, hy = _axis_bases(self.ty, y)
         ny = self.coeffs.shape[1]
         flat = self.coeffs.ravel()
+        few_y = y.size <= _SPLINE_CHUNK
+        if few_y:
+            ly, hy = _cubic_basis(self.ty, y)
         out = np.empty(at_x.size)
         for start in range(0, out.size, _SPLINE_CHUNK):
             part = slice(start, start + _SPLINE_CHUNK)
             i, j = at_x[part], at_y[part]
-            c = flat[first_x[i] * ny + first_y[j] + self.offsets]
+            lx, hx = _cubic_basis(self.tx, x[i[0]:i[-1] + 1])
+            i = i - i[0]
+            lj, hj = (ly[j], hy[:, j]) if few_y else _cubic_basis(self.ty, y[j])
+            c = flat[lx[i] * ny + lj + self.offsets]
             terms = (c.reshape(4, 4, -1) * hx[:, i][:, None]
-                     * hy[:, j][None, :]).reshape(16, -1)
+                     * hj[None, :]).reshape(16, -1)
             total = terms[0]
             for term in terms[1:]:
-                total = total + term
+                total += term
             out[part] = total
         return out
-
-
-def _axis_bases(t: np.ndarray, x: np.ndarray):
-    """`_cubic_basis` at every value of ``x`` (m,), _SPLINE_CHUNK values a
-    pass: the index l - 3 of the first of the four B-splines nonzero at
-    each value, and their values (4, m)."""
-    if x.size <= _SPLINE_CHUNK:
-        l, h = _cubic_basis(t, x)
-        return l - 3, h
-    first = np.empty(x.size, dtype=np.intp)
-    h = np.empty((4, x.size))
-    for start in range(0, x.size, _SPLINE_CHUNK):
-        part = slice(start, start + _SPLINE_CHUNK)
-        l, h[:, part] = _cubic_basis(t, x[part])
-        first[part] = l - 3
-    return first, h
 
 
 class _HeisenbergGamma:
@@ -548,8 +539,9 @@ class _HeisenbergGamma:
     gamma depends only on (|z|, |s|): each call evaluates every distinct pair
     once (`_distinct_pairs`) and scatters the values back to the input's
     shape. Inside the table the spline takes the B-spline basis of each
-    distinct |z| and each distinct |s| once (`_BicubicSpline.ev`), beyond
-    it the direct quadrature takes each pair on its own. The table's
+    distinct |z| once, and of each distinct |s| once while a call has at
+    most _SPLINE_CHUNK of them (`_BicubicSpline.ev`); beyond the table the
+    direct quadrature takes each pair on its own. The table's
     columns are grouped by their lambda rule (`_panel_counts`); a rule's
     (rho, lambda) exponential matrix serves all of its columns, and each
     column is summed by its own matrix-vector product.

@@ -62,11 +62,12 @@ A cone row of the nontangential maximum is not evaluated where it cannot
 be the max. On the whole-box rule its value is at most s^(-Q) sum_k
 phi(gap_k / s) times the positive weight of cell k of the rule's nodes,
 gap_k a lower bound on the distance from the placement to the bounding
-box of the cell's nodes (`_row_bounds`). The rule is bounded first as
-one cell, then the rows that bound keeps on cells that split each of its
-panels in two on every axis (4 x 4 x 8 on the Heisenberg group); a row
-whose bound is below the radial value at its scale enters the max as
--inf, so the max keeps its bits. The bound reads phi as nonincreasing,
+box of the cell's nodes (`_row_bounds`). The cells split each panel of
+the rule in two on every axis (4 x 4 x 8 on the Heisenberg group) and are
+cached on the part (`DensityMeasure._rule_cells`). Every row is bounded
+first with all cells as one, then the rows that bound keeps on the cells;
+a row whose bound is below the radial value at its scale enters the max
+as -inf, so the max keeps its bits. The bound reads phi as nonincreasing,
 the profile's contract, which `RadialProfile` checks on a dense grid.
 """
 
@@ -86,7 +87,6 @@ from .decisions import (decade_flag, heat_chain_slack, holds_with_slack,
 from .extension import HeatExtension
 from .quadrature import _BLOCK_ROWS, ball_rule, row_sums
 from .measures import (
-    _CONVOLUTION_RULE,
     AtomicMeasure,
     BoundaryMeasure,
     DensityMeasure,
@@ -113,10 +113,6 @@ _SCALE_SWITCH = 1.0  # density conv: scaled grid below, section rule above
 # Relative margin of a pruned cone row's distance bound and value bound
 # (`_row_bounds`): a weighted sum of 27,648 terms rounds by less than 3e-12.
 _PRUNE_MARGIN = 1e-9
-# a cone row that the whole-box bound keeps is bounded again on cells of the
-# whole-box rule, each of its panels split in two on every axis: 4 x 4 x 8
-# cells on the Heisenberg group (`_rule_cells`)
-_CELL_SPLIT = 2
 
 # default cone placements of nontangential_max: beta values and directions
 _BETAS = (0.0, 0.6, 0.9)
@@ -319,48 +315,22 @@ def _box_gap(g: G.GroupDescriptor, boxes: np.ndarray,
     return np.asarray(G.norm(g, nearest))
 
 
-def _rule_cells(part: DensityMeasure, split: int):
-    """Cells of the whole-box rule (y_i, wf_i) of ``part``: the bounding
-    boxes (K, n, 2) of their nodes and their sums of max(wf_i, 0) (K,),
-    cells without positive weight left out.
-
-    At ``split`` 0 the rule is one cell. Otherwise a node's cell on each
-    axis is its slot among ``split`` times that axis's panels of
-    _CONVOLUTION_RULE (horizontal panels, section panels on the last
-    axis), laid evenly over the support box.
-    """
-    y, wf = part._convolution_rule()
-    n_panels, _, n_sub = _CONVOLUTION_RULE
-    n = y.shape[1]
-    counts = np.maximum(np.array([n_panels] * (n - 1) + [n_sub]) * split, 1)
-    box = part.support_box
-    slot = ((y - box[:, 0]) * (counts / np.ptp(box, axis=1))).astype(np.intp)
-    cell = np.ravel_multi_index(np.clip(slot, 0, counts - 1).T, counts)
-    lo = np.full((n, counts.prod()), np.inf)
-    hi = np.full((n, counts.prod()), -np.inf)
-    for axis in range(n):
-        np.minimum.at(lo[axis], cell, y[:, axis])
-        np.maximum.at(hi[axis], cell, y[:, axis])
-    weight = np.bincount(cell, np.maximum(wf, 0.0), counts.prod())
-    keep = weight > 0.0
-    return np.stack([lo.T[keep], hi.T[keep]], axis=-1), weight[keep]
-
-
 def _row_bounds(mu, phi: RadialProfile, pts: np.ndarray, s: np.ndarray,
-                split: int = 0) -> np.ndarray:
+                cells: bool = False) -> np.ndarray:
     """Upper bounds on `_conv_rows` (x, s) of rows on the whole-box rule;
     inf on any other row.
 
     A row bounded here has every part a density whose ball holds its
     support box (`DensityMeasure._covered`), so each part's value is
     s^(-Q) sum_i wf_i phi(d(x, y_i) / s) over the cached whole-box rule
-    (y_i, wf_i). Its nodes fall in cells k (`_rule_cells` at ``split``),
-    phi is nonincreasing and d(x, y_i) >= gap_k for the nodes of cell k
-    (`_box_gap` of their bounding box), so each part is at most
-    s^(-Q) sum_k phi(gap_k / s) sum_(i in k) max(wf_i, 0). Each gap is
-    shrunk and the bound grown by _PRUNE_MARGIN, far above the rounding
-    of either side. Rows share blocks of at most _BLOCK_ROWS (row, cell
-    corner) pairs.
+    (y_i, wf_i). Its nodes fall in cells k (`DensityMeasure._rule_cells`,
+    all of them one cell unless ``cells``), phi is nonincreasing and
+    d(x, y_i) >= gap_k for the nodes of cell k (`_box_gap` of their
+    bounding box), so each part is at most
+    s^(-Q) sum_k phi(gap_k / s) sum_(i in k) max(wf_i, 0); a part without
+    positive weight adds 0. Each gap is shrunk and the bound grown by
+    _PRUNE_MARGIN, far above the rounding of either side. Rows share
+    blocks of at most _BLOCK_ROWS (row, cell corner) pairs.
     """
     parts = mu.parts()
     if not all(isinstance(p, DensityMeasure) for p in parts):
@@ -372,7 +342,13 @@ def _row_bounds(mu, phi: RadialProfile, pts: np.ndarray, s: np.ndarray,
         if not np.any(covers):
             return np.full(s.size, np.inf)
         bound[~covers] = np.inf
-        boxes, weight = _rule_cells(part, split)
+        boxes, weight = part._rule_cells
+        if not weight.size:
+            continue
+        if not cells:
+            boxes = np.stack([boxes[..., 0].min(axis=0),
+                              boxes[..., 1].max(axis=0)], axis=-1)[None]
+            weight = weight.sum(keepdims=True)
         rows = np.flatnonzero(covers)
         per = max(1, _BLOCK_ROWS // (weight.size << g.total_dim))
         for start in range(0, rows.size, per):
@@ -497,7 +473,7 @@ def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
         keep = ~(bound < floor)
         again = keep & np.isfinite(bound)
         keep[again] = ~(_row_bounds(mu, phi, pts[again], ss[again],
-                                    _CELL_SPLIT) < floor[again])
+                                    cells=True) < floor[again])
         vals = np.full(ss.size, -np.inf)
         vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])
         rows += list(vals.reshape(-1, s.size))

@@ -108,6 +108,10 @@ _SECTION_RULES = ((4, 16, 1), (2, 8, 1))
 # the same for a density's mollifier convolutions above the maximal
 # module's scale switch: 27,648 nodes on the Heisenberg group
 _CONVOLUTION_RULE = (2, 12, 4)
+# cells of the whole-box convolution rule that bound its sums
+# (`DensityMeasure._rule_cells`): each panel of _CONVOLUTION_RULE split in
+# two on every axis, 4 x 4 x 8 cells on the Heisenberg group
+_CELL_SPLIT = 2
 
 # Rounding floor of a ball mass by a rule, relative to the value: the
 # rule's nodes and weights, the density values and the fixed-order sum each
@@ -683,6 +687,36 @@ class DensityMeasure(BoundaryMeasure):
         """`_convolution_rule` of the whole support box."""
         pts, w = self._section_rule(*self.support_box.T, _CONVOLUTION_RULE)
         return pts, w * self.density_at(pts)
+
+    @cached_property
+    def _rule_cells(self):
+        """Cells of the whole-box rule (y_i, wf_i) of `_convolution_rule`:
+        the bounding boxes (K, n, 2) of their nodes and their sums of
+        max(wf_i, 0) (K,), cells without positive weight left out.
+
+        A node's cell on each axis is its slot among _CELL_SPLIT times that
+        axis's panels of _CONVOLUTION_RULE (horizontal panels, section
+        panels on the last axis), laid evenly over the support box; an axis
+        of zero width is one slot.
+        """
+        y, wf = self._support_convolution_rule
+        n_panels, _, n_sub = _CONVOLUTION_RULE
+        n = self.group.total_dim
+        box = self.support_box
+        width = np.ptp(box, axis=1)
+        counts = np.where(width > 0.0, np.array([n_panels] * (n - 1) + [n_sub])
+                          * _CELL_SPLIT, 1)
+        per_unit = np.divide(counts, width, out=np.zeros(n), where=width > 0.0)
+        slot = ((y - box[:, 0]) * per_unit).astype(np.intp)
+        cell = np.ravel_multi_index(np.clip(slot, 0, counts - 1).T, counts)
+        lo = np.full((n, counts.prod()), np.inf)
+        hi = np.full((n, counts.prod()), -np.inf)
+        for axis in range(n):
+            np.minimum.at(lo[axis], cell, y[:, axis])
+            np.maximum.at(hi[axis], cell, y[:, axis])
+        weight = np.bincount(cell, np.maximum(wf, 0.0), counts.prod())
+        keep = weight > 0.0
+        return np.stack([lo.T[keep], hi.T[keep]], axis=-1), weight[keep]
 
     def _convolution_rule(self, ball: G.Ball | None = None):
         """Nodes (N, n) and weights times density values of the section

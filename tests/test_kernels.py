@@ -339,7 +339,8 @@ def _pair_map_inputs(ph):
     """Coordinate arrays for the H1 pair map, by name: the eta-grid and a
     row block of it, where the (#|z| x #|s|) table marks the pairs; clouds
     whose |z| repeat, with points past the kernel table, where the codes
-    are sorted; a cloud whose every point has its own |z|; and edge
+    are sorted; clouds whose every point has its own |z|, one of them
+    with more |s| values than a spline pass holds bases for; and edge
     shapes and values."""
     grid = K.tensor_rule(K._ext_grid(ph).axes)[0]
     rng = np.random.default_rng(5)
@@ -353,6 +354,7 @@ def _pair_map_inputs(ph):
                                           cloud[::-1] * flips[1]]),
         "repeated-beyond-table": np.concatenate([wide, wide * flips[2]]),
         "scattered": rng.normal(size=(432, 3)) * 1.5,
+        "scattered-many": rng.normal(size=(3 * K._SPLINE_CHUNK, 3)) * 1.5,
         "signed-zeros": np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
                                   [0.0, -0.0, 0.5], [-0.0, -0.0, -0.5]]),
         "one-point": np.array([0.3, -0.2, 0.7]),
@@ -365,8 +367,9 @@ def _pair_map_inputs(ph):
 
 @pytest.mark.parametrize("name", ["mass-grid", "eta-block", "repeated-cloud",
                                   "repeated-beyond-table", "scattered",
-                                  "signed-zeros", "one-point", "no-points",
-                                  "nested", "infinite"])
+                                  "scattered-many", "signed-zeros",
+                                  "one-point", "no-points", "nested",
+                                  "infinite"])
 def test_pair_map_matches_the_complex_key_reference(ph, name):
     # the pairs come in the reference's ascending (|z|, |s|) order, and
     # gamma keeps its bits, on every branch of the map
@@ -383,7 +386,10 @@ def test_pair_map_matches_the_complex_key_reference(ph, name):
     assert branch == {"mass-grid": "table", "eta-block": "table",
                       "repeated-cloud": "sorted codes",
                       "repeated-beyond-table": "sorted codes",
-                      "scattered": "own |z|"}.get(name, branch)
+                      "scattered": "own |z|",
+                      "scattered-many": "own |z|"}.get(name, branch)
+    if name == "scattered-many":
+        assert sig.size > K._SPLINE_CHUNK
     got, want = ph.gamma(coords), heisenberg_gamma(ph.gamma, coords)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

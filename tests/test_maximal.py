@@ -791,7 +791,7 @@ def _nt_rows(monkeypatch, mu, x, s, **patch):
     return out, sum(rows)
 
 
-def _unbounded(mu, phi, pts, s, split=0):
+def _unbounded(mu, phi, pts, s, cells=False):
     return np.full(s.size, np.inf)
 
 
@@ -836,8 +836,8 @@ def test_pruned_cone_rows_keep_the_bits_on_cells(label, monkeypatch):
     x = np.zeros(g.total_dim)
     s = F.geometric_grid(0.05, 5.0, 8)
     full, _ = _nt_rows(monkeypatch, mu, x, s, _row_bounds=_unbounded)
-    whole_box = lambda mu, phi, p, ss, split=0, _b=M._row_bounds: (  # noqa
-        _b(mu, phi, p, ss) if split == 0 else _unbounded(mu, phi, p, ss))
+    whole_box = lambda mu, phi, p, ss, cells=False, _b=M._row_bounds: (  # noqa
+        _unbounded(mu, phi, p, ss) if cells else _b(mu, phi, p, ss))
     _, n_whole = _nt_rows(monkeypatch, mu, x, s, _row_bounds=whole_box)
     pruned, n_pruned = _nt_rows(monkeypatch, mu, x, s)
     # on R^1 the face rows the whole box keeps are kept by the cells too
@@ -851,6 +851,30 @@ def test_pruned_cone_rows_keep_the_bits_on_cells(label, monkeypatch):
     assert inflated["values"].tobytes() != full["values"].tobytes()
 
 
+@pytest.mark.parametrize("label", F.GROUP_LABELS)
+def test_cone_rows_of_parts_without_positive_weight(label, monkeypatch):
+    # a density that is 0 everywhere and a support box of zero width on
+    # its last axis: rules without positive weight, which the bounds read
+    # as adding 0, with no division by a zero count or width
+    import warnings
+
+    g = F.get_group(label)
+    n = g.total_dim
+    x = np.zeros(n)
+    s = F.geometric_grid(0.05, 5.0, 8)
+    zero = F.DensityMeasure(g, lambda p: np.zeros(p.shape[:-1]),
+                            [[2.0, 3.0]] * n, constant=0.0)
+    flat = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]),
+                            [[2.0, 3.0]] * (n - 1) + [[2.5, 2.5]])
+    for mu in (zero, flat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pruned, _ = _nt_rows(monkeypatch, mu, x, s)
+        full, _ = _nt_rows(monkeypatch, mu, x, s, _row_bounds=_unbounded)
+        assert pruned["values"].tobytes() == full["values"].tobytes()
+        assert not np.any(pruned["values"])
+
+
 def test_cell_bounds_hold_on_the_maximal_density_presets(monkeypatch):
     # every covered cone row of the three density presets, at the suite's
     # apertures and scales: the whole-box and the cell bound are at least
@@ -859,10 +883,10 @@ def test_cell_bounds_hold_on_the_maximal_density_presets(monkeypatch):
 
     seen, row_bounds = [], M._row_bounds
 
-    def recording(mu, phi, pts, s, split=0):
-        if split == 0:
+    def recording(mu, phi, pts, s, cells=False):
+        if not cells:
             seen.append((mu, phi, pts, s))
-        return row_bounds(mu, phi, pts, s, split)
+        return row_bounds(mu, phi, pts, s, cells)
 
     monkeypatch.setattr(M, "_row_bounds", recording)
     cases = S.maximal_cases(0, 3)
@@ -875,10 +899,10 @@ def test_cell_bounds_hold_on_the_maximal_density_presets(monkeypatch):
         for mu, phi, pts, s in seen:
             whole = row_bounds(mu, phi, pts, s)
             rows = np.isfinite(whole)
-            cells = row_bounds(mu, phi, pts[rows], s[rows], M._CELL_SPLIT)
+            on_cells = row_bounds(mu, phi, pts[rows], s[rows], cells=True)
             vals = M._conv_rows(mu, phi, pts[rows], s[rows])
-            assert np.all(whole[rows] >= vals) and np.all(cells >= vals)
-            assert np.all(cells <= whole[rows] * (1.0 + 1e-12))
+            assert np.all(whole[rows] >= vals) and np.all(on_cells >= vals)
+            assert np.all(on_cells <= whole[rows] * (1.0 + 1e-12))
             n_rows += np.count_nonzero(rows)
         assert n_rows > 0, cfg["label"]
 
