@@ -13,8 +13,8 @@ quadrature error independent of t, which matters when chasing limits along
 shrinking parabolic regions.
 
 Each group carries one eta-grid (``GroupDescriptor.eta_grid``), built once
-per kernel profile by ``kernels._ext_grid``, which the kernel battery reads
-too. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of
+per kernel profile (``KernelProfile.eta_grid``), which the kernel battery
+reads too. The map eta -> x * delta_sqrt(t)(eta^-1) is affine, so the images of
 the eta-box's 2^n corners span the image of the whole grid. The corner
 images of every (point, time) row are one `groups.images` call, and the
 density's ``hull_state`` classifies each hull. Where a hull lies inside
@@ -36,17 +36,17 @@ support face or a clip sphere cuts it, the value takes one cut rule:
   line where the density may be nonzero, and the covered piece of each
   column panel takes fresh gamma at its own nodes (`_column_rule`).
 
-An inside value may instead take the compressed eta-rule (`_eta_rule`):
-a positive rule Q6 on at most dim P_6 of the grid's own nodes (50 on H1)
-whose moments of graded degree <= 6 (a + b + 2c <= 6 on H1) are those of
-the grid's gamma * w, and a nested Q4 (22 nodes on H1) on Q6's nodes.
-Tchakaloff's theorem guarantees such rules and Caratheodory recombination
-finds them (`quadrature.compressed_rules`); they are built at the first
-inside sum that can use them. Both are sums of one density pass at Q6's
-node images, taken by ``DensityMeasure._image_sums``, the one node-rule
-sum, which the polar ball masses and the maximal module's phi-grid rows
-take too. On an analytic integrand Q6 misses by the
-Taylor remainder past degree 6. So a point takes Q6 only where its hull,
+An inside value may instead take the compressed eta-rule
+(``KernelProfile.eta_rule``): a positive rule Q6 on at most dim P_6 of the
+grid's own nodes (50 on H1) whose moments of graded degree <= 6 (a + b + 2c
+<= 6 on H1) are those of the grid's gamma * w, and a nested Q4 (22 nodes on
+H1) on Q6's nodes. Tchakaloff's theorem guarantees such rules and
+Caratheodory recombination finds them (`quadrature.compressed_rules`); they
+are built at the first inside sum that can use them. Both are sums of one
+density pass at Q6's node images, taken by ``DensityMeasure._image_sums``,
+the one node-rule sum, which the polar ball masses and the maximal module's
+phi-grid rows take too. On an analytic integrand Q6 misses by the Taylor
+remainder past degree 6. So a point takes Q6 only where its hull,
 mapped into the base frame, boxes none of the points where the density
 declares it may fail to be analytic (``DensityMeasure.singular``, with the
 _TIE margin of the hull test; a density that declares nothing takes the
@@ -78,7 +78,8 @@ along ``decisions.SCALES``: t_k = (r_k / kappa)^2 for the radii r_k the
 strong derivative reads, so both traces decide on one scale axis. A
 scenario, and a region without its own t_max, starts at t_0 = 4^-5 on R^n
 and 4.6e-4 on H1; there no slice of any preset scenario reaches the column
-rule, which serves the larger t of other callers. A limit trace records
+rule, which serves the larger t of other callers. A limit trace
+evaluates all of its placements, the central axis included, and records
 every sampled value, and the one rule of ``decisions.trace_decision`` that
 the strong derivative uses decides its estimate and convergence;
 ``decisions.tail_decision`` decides the tail check.
@@ -96,10 +97,8 @@ from .errors import GroupError, MeasureError, NumericsError
 from . import groups as G
 from . import kernels as K
 from .decisions import SCALES, TABLE, tail_decision, trace_decision
-from .kernels import _EtaGrid, _ext_grid
-from .quadrature import (_BLOCK_ROWS, compressed_rules, gauss_legendre,
-                         point_array, row_sums, section_pieces, tensor_rule,
-                         weighted_sum)
+from .quadrature import (_BLOCK_ROWS, gauss_legendre, row_sums,
+                         section_pieces, tensor_rule, weighted_sum)
 from .measures import (
     AtomicMeasure,
     BoundaryMeasure,
@@ -121,49 +120,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# density values on the eta-grid (the grid itself: `kernels._ext_grid`)
+# density values on the eta-grid (``KernelProfile.eta_grid``)
 # ---------------------------------------------------------------------------
 
-# Graded degrees of the compressed eta-rule and of the nested rule whose
-# difference from it is the rule's error estimate
-_RULE_DEGREES = (6, 4)
-
-
-@dataclass(frozen=True)
-class _EtaRule:
-    """The compressed eta-rule of a kernel profile: Q6 on a subset of the
-    eta-grid's nodes, and Q4 on a subset of Q6's (see `_eta_rule`)."""
-
-    eta_inv: np.ndarray     # (q, n) inverted nodes of Q6
-    w: np.ndarray           # (q,) Q6 weights
-    sub: np.ndarray         # positions in Q6 of Q4's nodes, ascending
-    w_sub: np.ndarray       # Q4 weights
-
-    @property
-    def rules(self) -> tuple:
-        """Q6 and Q4 as the (weights, node positions) pairs of
-        `DensityMeasure._image_sums`."""
-        return (self.w, slice(None)), (self.w_sub, self.sub)
-
-
-def _eta_rule(profile: K.KernelProfile) -> _EtaRule:
-    """The profile's compressed eta-rule, built at its first use and
-    cached on the profile: `quadrature.compressed_rules` of the eta-grid's
-    gamma * w at graded degrees _RULE_DEGREES (50 and 22 nodes on H1)."""
-    cache = profile._caches
-    if "eta_rule" not in cache:
-        grid = _ext_grid(profile)
-        (i6, w6), (i4, w4) = compressed_rules(
-            grid.axes, grid.gamma_w, profile.group.layer_exponents,
-            _RULE_DEGREES)
-        cache["eta_rule"] = _EtaRule(
-            point_array(col[i6] for col in grid.eta_inv.T), w6,
-            np.searchsorted(i6, i4), w4)
-    return cache["eta_rule"]
-
-
 def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
-                   grid: _EtaGrid, xs: np.ndarray, hulls: np.ndarray,
+                   xs: np.ndarray, hulls: np.ndarray,
                    sqrt_t: np.ndarray) -> np.ndarray:
     """u at points whose eta-image hull (corners ``hulls`` (p, 2^n, n)) is
     "inside", each at its own sqrt(t) of ``sqrt_t`` (p,), with
@@ -178,13 +139,14 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
     _BLOCK_ROWS rows. Each point's sum is its own (see
     `quadrature.row_sums`), and so is its choice of rule.
     """
+    grid = profile.eta_grid
     if mu.constant is not None:
         return np.full(xs.shape[0], mu.constant_sum(grid.gamma_w))
     out = np.empty(xs.shape[0])
     full = ~mu.analytic_hulls(hulls)
     free = np.flatnonzero(~full)
     if free.size:
-        rule = _eta_rule(profile)
+        rule = profile.eta_rule
         q6, q4 = mu._image_sums(xs[free], sqrt_t[free], rule.eta_inv,
                                 rule.rules).T
         kept = abs(q6 - q4) <= TABLE.eta_rule_tol * abs(q6)
@@ -199,7 +161,7 @@ def _inside_values(mu: DensityMeasure, profile: K.KernelProfile,
     return out
 
 
-def _inside_rows(mu: DensityMeasure, grid: _EtaGrid, xs: np.ndarray,
+def _inside_rows(mu: DensityMeasure, grid: K._EtaGrid, xs: np.ndarray,
                  sqrt_t: np.ndarray) -> np.ndarray:
     """`DensityMeasure._inside_cols` at xs[i] * delta_sqrt(t_i)(eta^-1) for
     each point i of ``xs`` (k, n), at its sqrt(t_i) of ``sqrt_t`` (k,), and
@@ -371,9 +333,11 @@ class HeatExtension:
             if not isinstance(part, AtomicMeasure):
                 total += self._density(part, pts, roots)
             elif part.points.shape[0]:
+                # the powers first: where t^(-Q/2) is finite, so is every
+                # (1 / sqrt t)^e, e <= Q
+                power = np.array([K._time_power(g.hom_dim, t) for t in times])
                 rel = G.mul(g, G.inverse(g, part.points), pts[:, None, :])
                 scale = G.dilation_factors(g, 1.0 / roots)
-                power = np.array([K._time_power(g.hom_dim, t) for t in times])
                 kern = power[:, None] * self.profile.gamma(
                     rel * scale[:, None, :])
                 total += row_sums(part.weights, kern)
@@ -385,12 +349,12 @@ class HeatExtension:
         each row at its own sqrt(t) of ``sqrt_t``: one hull test for every
         row, then one pass per rule over the rows that take it."""
         g = self.group
-        grid = _ext_grid(self.profile)
+        grid = self.profile.eta_grid
         hulls = G.images(g, pts, sqrt_t, grid.corner_inv)
         states = mu.hull_state(hulls)
         out = np.zeros(pts.shape[0])
         inside = np.flatnonzero(states == "inside")
-        out[inside] = _inside_values(mu, self.profile, grid, pts[inside],
+        out[inside] = _inside_values(mu, self.profile, pts[inside],
                                      hulls[inside], sqrt_t[inside])
         cut = np.flatnonzero(states == "cut")
         if cut.size:
@@ -469,8 +433,7 @@ def _slice_points(g: G.GroupDescriptor, region: ParabolicRegion,
         G.images(g, region.vertex, radii, dirs).reshape(-1, g.total_dim)])
 
 
-def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
-                    central=None) -> LimitTrace:
+def parabolic_limit(u: HeatExtension, region: ParabolicRegion) -> LimitTrace:
     """Follow u into the vertex along the region; returns the full trace.
 
     The times are ``decisions.SCALES.times(t_max)``: t_max 4^-k for
@@ -479,14 +442,10 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     is for a region without t_max. Placement (beta, omega) at time t sits
     at vertex * delta_(beta * aperture * sqrt(t))(omega) for beta in
     _BETAS and _N_DIRECTIONS directions omega; beta = 0 is the central
-    axis and appears once, first. `decisions.trace_decision` of the values
-    gives the estimate and the convergence call.
-
-    The central axis does not depend on the aperture. ``central`` holds its
-    values, the first row of ``values`` of a trace of u with the same vertex
-    and times, or None to evaluate them here. Every other (placement, time)
-    row is one ``HeatExtension._eval`` call, and each value there is u at
-    its own point and time, so either way the trace has the same bits.
+    axis and appears once, first. Every (placement, time) row is one
+    ``HeatExtension._eval`` call, each value u at its own point and time.
+    `decisions.trace_decision` of the values gives the estimate and the
+    convergence call.
     """
     g = u.group
     _point(g, region.vertex, "region vertex")
@@ -496,20 +455,9 @@ def parabolic_limit(u: HeatExtension, region: ParabolicRegion,
     t_vals = SCALES.times(t_max)
     pts = np.stack([_slice_points(g, region, dirs, t)
                     for t in t_vals.tolist()], axis=1)
-    vals = np.empty((len(_PLACEMENTS), t_vals.size))
-    rows = slice(0 if central is None else 1, None)
-    if central is not None:
-        central = np.asarray(central, dtype=float)
-        if central.shape != t_vals.shape:
-            raise MeasureError(f"central needs one value per time, "
-                               f"{t_vals.size}, got shape {central.shape}")
-        if not np.all(np.isfinite(central)):
-            raise MeasureError("central values must be finite")
-        vals[0] = central
     # every (placement, time) row in one call, the times fastest
-    vals[rows] = u._eval(u._points(pts[rows]).reshape(-1, g.total_dim),
-                         t_vals.tolist() * len(_PLACEMENTS[rows])
-                         ).reshape(-1, t_vals.size)
+    vals = u._eval(u._points(pts).reshape(-1, g.total_dim),
+                   t_vals.tolist() * len(_PLACEMENTS)).reshape(-1, t_vals.size)
     dec = trace_decision(vals)
     return LimitTrace(
         t_values=t_vals,

@@ -6,7 +6,8 @@ second layer: group multiplication, inverse, anisotropic dilations delta_r
 measure, and the homogeneous dimension Q (so m(delta_r E) = r^Q m(E)).
 
 A group is one factory. It fills in a `GroupDescriptor` with everything that
-is particular to the group: its law, its gauge, a polar chart of the unit
+is particular to the group: its law, its gauge, the dimension of each
+layer (which fixes the rest of its grading), a polar chart of the unit
 sphere {d = 1} (with the node counts of its convolution rule and of the
 unit-ball rules that density ball masses use), a box containing the unit
 ball, and the axis specs of its one eta-grid, which serves every gamma
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -94,8 +95,15 @@ class GroupDescriptor:
     nodes on the Heisenberg group and on R^3). ``eta_grid`` gives, per
     axis, the composite Gauss-Legendre rule (lo, hi, n_panels, order) of the
     eta-grid, the one gamma-weighted grid of the heat extension,
-    `kernel_mass` and `check_semigroup`. The first ``n_horizontal``
-    coordinates span the first layer.
+    `kernel_mass` and `check_semigroup`.
+
+    ``layer_dims`` holds dim V_j of each layer j, and fixes the rest of the
+    grading (Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982): the
+    ``step``, the dimension ``total_dim``, the homogeneous dimension
+    ``hom_dim`` Q = sum_j j dim V_j, each coordinate's dilation exponent
+    ``layer_exponents`` and the first layer's dimension ``n_horizontal``,
+    whose coordinates come first. They are derived at first use, and so is
+    the descriptor's `unit_ball_rule`.
 
     The last coordinate is the column axis: it is central, so a left
     translation moves the vertical line {p + v e_last} onto the vertical
@@ -149,11 +157,7 @@ class GroupDescriptor:
     """
 
     label: str
-    step: int
     layer_dims: tuple[int, ...]
-    total_dim: int
-    hom_dim: int
-    layer_exponents: tuple[int, ...]
     quasi_triangle_const: float
     unit_ball_volume: float
     certification: dict = field(compare=False, repr=False)
@@ -165,9 +169,6 @@ class GroupDescriptor:
     eta_grid: tuple = field(compare=False, repr=False)
     section: Callable = field(compare=False, repr=False)
     default_box: tuple = field(compare=False, repr=False)
-    n_horizontal: int = 0
-    _ball_rules: dict = field(default_factory=dict, init=False, compare=False,
-                              repr=False)
 
     @property
     def restrict_radius(self) -> float:
@@ -176,12 +177,50 @@ class GroupDescriptor:
         traces read ``decisions.SCALES`` at this radius by default."""
         return 1.0 / self.quasi_triangle_const
 
-    def __post_init__(self):
-        if self.total_dim != sum(self.layer_dims):
-            raise GroupError("layer_dims inconsistent with total_dim")
-        q = sum((j + 1) * d for j, d in enumerate(self.layer_dims))
-        if q != self.hom_dim:
-            raise GroupError("hom_dim inconsistent with layer_dims")
+    @cached_property
+    def step(self) -> int:
+        """The number of layers."""
+        return len(self.layer_dims)
+
+    @cached_property
+    def total_dim(self) -> int:
+        """The topological dimension, sum_j dim V_j."""
+        return sum(self.layer_dims)
+
+    @cached_property
+    def hom_dim(self) -> int:
+        """The homogeneous dimension Q = sum_j j dim V_j."""
+        return sum(j * d for j, d in enumerate(self.layer_dims, 1))
+
+    @cached_property
+    def layer_exponents(self) -> tuple[int, ...]:
+        """The dilation exponent j of each coordinate, in layer j."""
+        return tuple(j for j, d in enumerate(self.layer_dims, 1)
+                     for _ in range(d))
+
+    @cached_property
+    def n_horizontal(self) -> int:
+        """The dimension of the first layer, whose coordinates come
+        first."""
+        return self.layer_dims[0]
+
+    @cached_property
+    def unit_ball_rule(self) -> tuple:
+        """`unit_ball_rule` of the descriptor, built at its first use."""
+        nodes, weights = [], []
+        for counts in (self.sphere.ball_fine, self.sphere.ball_coarse):
+            x, w = ball_rule(self.sphere, counts, self.layer_exponents,
+                             self.hom_dim)
+            total = math.fsum(w)
+            if (abs(total - self.unit_ball_volume)
+                    > 1e-12 * self.unit_ball_volume):
+                raise NumericsError(
+                    f"unit-ball rule {counts} of {self.label} has total "
+                    f"weight {total!r}, not m(B(0,1)) = "
+                    f"{self.unit_ball_volume!r}", estimate=total)
+            nodes.append(x)
+            weights.append(w)
+        return point_array(np.vstack(nodes).T), *weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +304,15 @@ def dilation_factors(g: GroupDescriptor, radii) -> np.ndarray:
 
     The factors are Python-float powers, so a point scaled by row i has
     the bits of `dilate` at r_i, and a row does not depend on the others.
+    A factor past the largest float is a GroupError naming the radius.
     """
-    return np.array([r ** e for r in np.asarray(radii, dtype=float).tolist()
-                     for e in g.layer_exponents]).reshape(-1, g.total_dim)
+    radii = np.asarray(radii, dtype=float).tolist()
+    try:
+        return np.array([r ** e for r in radii for e in g.layer_exponents]
+                        ).reshape(-1, g.total_dim)
+    except OverflowError:
+        raise GroupError(f"dilation factors of radius {max(radii)!r} "
+                         "overflow") from None
 
 
 def images(g: GroupDescriptor, centers, radii, nodes) -> np.ndarray:
@@ -479,11 +524,7 @@ def euclidean_group(n: int) -> GroupDescriptor:
     eta_panels = {1: 12, 2: 6, 3: 4}[n]
     return GroupDescriptor(
         label=f"euclidean:{n}",
-        step=1,
         layer_dims=(n,),
-        total_dim=n,
-        hom_dim=n,
-        layer_exponents=(1,) * n,
         quasi_triangle_const=1.0,
         unit_ball_volume=vols[n],
         certification={"method": "triangle inequality holds exactly", "value": 1.0},
@@ -495,7 +536,6 @@ def euclidean_group(n: int) -> GroupDescriptor:
         eta_grid=((-12.0, 12.0, eta_panels, 16),) * n,
         section=_round_section,
         default_box=((-2.0, 2.0),) * n,
-        n_horizontal=n,
     )
 
 
@@ -519,11 +559,7 @@ def heisenberg_group() -> GroupDescriptor:
     """First Heisenberg group with Koranyi gauge; Q = 4, m(B(0,1)) = pi^2/8."""
     return GroupDescriptor(
         label="heisenberg:1",
-        step=2,
         layer_dims=(2, 1),
-        total_dim=3,
-        hom_dim=4,
-        layer_exponents=(1, 1, 2),
         quasi_triangle_const=_H1_QUASI_TRIANGLE,
         unit_ball_volume=math.pi ** 2 / 8.0,
         certification=_H1_CERTIFICATION,
@@ -541,7 +577,6 @@ def heisenberg_group() -> GroupDescriptor:
         eta_grid=((-7.5, 7.5, 2, 16),) * 2 + ((-30.0, 30.0, 4, 16),),
         section=_koranyi_section,
         default_box=((-1.5, 1.5),) * 3,
-        n_horizontal=2,
     )
 
 
@@ -572,27 +607,12 @@ def unit_ball_rule(g: GroupDescriptor):
     """The unit ball's polar rules: (nodes, fine weights, coarse weights).
 
     ``nodes`` holds the fine rule's nodes followed by the coarse rule's, so
-    one evaluation serves both. Built once per descriptor from the sphere
-    chart's ``ball_fine`` and ``ball_coarse`` counts. Raises
-    ``NumericsError`` if either rule's total weight misses
-    ``unit_ball_volume`` by more than 1e-12 relative.
+    one evaluation serves both. Built once per descriptor, as its cached
+    ``unit_ball_rule``, from the sphere chart's ``ball_fine`` and
+    ``ball_coarse`` counts. Raises ``NumericsError`` if either rule's total
+    weight misses ``unit_ball_volume`` by more than 1e-12 relative.
     """
-    if "rule" in g._ball_rules:
-        return g._ball_rules["rule"]
-    nodes, weights = [], []
-    for counts in (g.sphere.ball_fine, g.sphere.ball_coarse):
-        x, w = ball_rule(g.sphere, counts, g.layer_exponents, g.hom_dim)
-        total = math.fsum(w)
-        if abs(total - g.unit_ball_volume) > 1e-12 * g.unit_ball_volume:
-            raise NumericsError(
-                f"unit-ball rule {counts} of {g.label} has total weight "
-                f"{total!r}, not m(B(0,1)) = {g.unit_ball_volume!r}",
-                estimate=total,
-            )
-        nodes.append(x)
-        weights.append(w)
-    g._ball_rules["rule"] = out = (point_array(np.vstack(nodes).T), *weights)
-    return out
+    return g.unit_ball_rule
 
 
 def unit_directions(g: GroupDescriptor, k: int = 8) -> np.ndarray:

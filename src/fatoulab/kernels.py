@@ -55,9 +55,11 @@ Lambert's W = W0(d^2/v) they are c_up = d^2/W and c_low = W/d^2 = 1/c_up
 the Euclidean profile of its dimension, the Heisenberg descriptor the
 Heisenberg profile.
 
-Each profile caches its group's one gamma-weighted eta-grid (`_ext_grid`).
-The heat extension of a density sums against it, and so do `kernel_mass`
-and `check_semigroup`: the battery checks the rule that u uses.
+Each profile caches its group's one gamma-weighted eta-grid
+(``KernelProfile.eta_grid``) and the compressed rule on its nodes
+(``KernelProfile.eta_rule``). The heat extension of a density sums against
+them, and `kernel_mass` and `check_semigroup` against the grid: the battery
+checks the rule that u uses.
 
 Constants are fixed by this construction and must pass the validation battery
 (`validate_profile`): positivity, symmetry, normalization, semigroup property,
@@ -72,14 +74,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CertificationError, GroupError, NumericsError
 from . import groups as G
-from .quadrature import (_BLOCK_ROWS, gauss_legendre, leading_panels,
-                         tensor_rule, weighted_sum)
+from .quadrature import (_BLOCK_ROWS, compressed_rules, gauss_legendre,
+                         leading_panels, point_array, tensor_rule,
+                         weighted_sum)
 
 __all__ = [
     "KernelProfile",
@@ -149,13 +152,42 @@ class KernelProfile:
     quadrature_spec: dict
     validation: dict | None = None
     certificate: GaussianCertificate | None = None
-    _caches: dict = field(default_factory=dict, repr=False)
 
     @property
     def validation_state(self) -> str:
         if self.validation is None:
             return "unchecked"
         return "validated" if self.validation.get("passed") else "failed"
+
+    @cached_property
+    def eta_grid(self) -> _EtaGrid:
+        """The group's gamma-weighted eta-grid (``eta_grid`` on its
+        descriptor), built at its first use."""
+        g = self.group
+        axes = tuple(gauss_legendre(*axis) for axis in g.eta_grid)
+        eta, w = tensor_rule(axes)
+        # gamma first, in row blocks (its values do not depend on the
+        # batch): its temporaries then share memory with eta alone, a block
+        # at a time
+        gamma_w = np.empty(w.size)
+        for start in range(0, w.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            gamma_w[rows] = self.gamma(eta[rows]) * w[rows]
+        corners = G.box_corners([axis[:2] for axis in g.eta_grid])
+        return _EtaGrid(G.inverse(g, eta), gamma_w, G.inverse(g, corners),
+                        axes)
+
+    @cached_property
+    def eta_rule(self) -> _EtaRule:
+        """The compressed eta-rule, built at its first use:
+        `quadrature.compressed_rules` of the eta-grid's gamma * w at graded
+        degrees _RULE_DEGREES (50 and 22 nodes on H1)."""
+        grid = self.eta_grid
+        (i6, w6), (i4, w4) = compressed_rules(
+            grid.axes, grid.gamma_w, self.group.layer_exponents,
+            _RULE_DEGREES)
+        return _EtaRule(point_array(col[i6] for col in grid.eta_inv.T), w6,
+                        np.searchsorted(i6, i4), w4)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +709,8 @@ def eval_kernel(k: KernelProfile, x, t: float) -> np.ndarray | float:
 
 @dataclass(frozen=True, eq=False)
 class _EtaGrid:
-    """A group's gamma-weighted eta-grid, cached on the kernel profile.
+    """A group's gamma-weighted eta-grid, cached on the kernel profile
+    (``KernelProfile.eta_grid``).
 
     Rows are in `quadrature.tensor_rule` order, the last (column) axis
     fastest, which the inside values' column product (``_inside_rows`` of
@@ -690,24 +723,27 @@ class _EtaGrid:
     axes: tuple             # per axis: (nodes, weights) of its rule
 
 
-def _ext_grid(profile: KernelProfile) -> _EtaGrid:
-    """The eta-grid of a group (``eta_grid`` on its descriptor), built once."""
-    cache = profile._caches
-    if "ext_grid" in cache:
-        return cache["ext_grid"]
-    g = profile.group
-    axes = tuple(gauss_legendre(*axis) for axis in g.eta_grid)
-    eta, w = tensor_rule(axes)
-    # gamma first, in row blocks (its values do not depend on the batch):
-    # its temporaries then share memory with eta alone, a block at a time
-    gamma_w = np.empty(w.size)
-    for start in range(0, w.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        gamma_w[rows] = profile.gamma(eta[rows]) * w[rows]
-    corners = G.box_corners([axis[:2] for axis in g.eta_grid])
-    cache["ext_grid"] = _EtaGrid(G.inverse(g, eta), gamma_w,
-                                 G.inverse(g, corners), axes)
-    return cache["ext_grid"]
+# Graded degrees of the compressed eta-rule and of the nested rule whose
+# difference from it is the rule's error estimate
+_RULE_DEGREES = (6, 4)
+
+
+@dataclass(frozen=True)
+class _EtaRule:
+    """The compressed eta-rule of a kernel profile
+    (``KernelProfile.eta_rule``): Q6 on a subset of the eta-grid's nodes,
+    and Q4 on a subset of Q6's."""
+
+    eta_inv: np.ndarray     # (q, n) inverted nodes of Q6
+    w: np.ndarray           # (q,) Q6 weights
+    sub: np.ndarray         # positions in Q6 of Q4's nodes, ascending
+    w_sub: np.ndarray       # Q4 weights
+
+    @property
+    def rules(self) -> tuple:
+        """Q6 and Q4 as the (weights, node positions) pairs of
+        `DensityMeasure._image_sums`."""
+        return (self.w, slice(None)), (self.w_sub, self.sub)
 
 
 def kernel_mass(k: KernelProfile, t: float) -> float:
@@ -717,7 +753,7 @@ def kernel_mass(k: KernelProfile, t: float) -> float:
     if not 0 < t < math.inf:
         raise NumericsError(
             f"kernel_mass needs a positive finite time, got t={t!r}")
-    pts, w = tensor_rule(_ext_grid(k).axes)
+    pts, w = tensor_rule(k.eta_grid.axes)
     nodes = G.dilate(k.group, math.sqrt(t), pts)
     vals = eval_kernel(k, nodes, t)
     return float(np.sum(w * vals) * t ** (k.group.hom_dim / 2.0))
@@ -740,7 +776,7 @@ def check_semigroup(k: KernelProfile, x, t: float, tau: float) -> float:
     if x.shape != (g.total_dim,) or not np.all(np.isfinite(x)):
         raise GroupError(f"semigroup check needs {g.total_dim} finite "
                          f"coordinates, got x={x.tolist()}")
-    grid = _ext_grid(k)
+    grid = k.eta_grid
     args = G.mul(g, G.dilate(g, math.sqrt(tau), grid.eta_inv), x)
     conv = weighted_sum(grid.gamma_w, eval_kernel(k, args, t))
     direct = float(eval_kernel(k, x, t + tau))
@@ -771,8 +807,10 @@ def pde_residual(k: KernelProfile, x, t: float, h: float) -> float:
     gam = k.gamma_accurate
 
     def ev(pt, tt):
+        # the power first: where it is finite, so is every (1/sqrt t)^e
+        power = _time_power(q, tt)
         scaled = G.dilate(g, 1.0 / math.sqrt(tt), pt)
-        return float(gam(scaled)) * _time_power(q, tt)
+        return float(gam(scaled)) * power
 
     center = ev(x, t)
     spatial = 0.0

@@ -24,7 +24,11 @@ kind and reports them.
 All convolutions go through one function over rows (point, scale): the
 radial maximum's scales, every cone placement of the nontangential maximum
 at every scale, and a single `mollifier_convolution`, which is one row, so
-a maximal value equals the single convolution bit for bit. Atoms and a
+a maximal value equals the single convolution bit for bit. One pass,
+`_cone_maxima`, gives the radial maximum at a point and the nontangential
+maximum of each of its apertures: the radial rows, then every aperture's
+cone rows at once. `nontangential_max` is its one-aperture case, and
+`check_sandwich` reads both sides of its chain from it. Atoms and a
 density's section rules are fixed weighted nodes (y_i, w_i), and every sum
 over such nodes is one function, `_node_sums`: sum_i w_i phi(d(x, y_i) /
 s), each caller with its own factor s^(-Q). A density row whose mollifier
@@ -54,7 +58,8 @@ parts take one kernel evaluation over every (scale, atom) pair. Every
 value keeps the bits of its one-row, one-ball or one-time call.
 
 The cone placements x * delta_(beta alpha s)(omega) of the nontangential
-maximum are `groups.images` of the directions, one factor table per beta.
+maximum are `groups.images` of the directions, one factor table per
+aperture and beta.
 The radial, nontangential and heat maxima report one grid sup record
 (`_grid_sup`); the Hardy-Littlewood maximum keeps its own keys.
 
@@ -62,12 +67,13 @@ A cone row of the nontangential maximum is not evaluated where it cannot
 be the max. On the whole-box rule its value is at most s^(-Q) sum_k
 phi(gap_k / s) times the positive weight of cell k of the rule's nodes,
 gap_k a lower bound on the distance from the placement to the bounding
-box of the cell's nodes (`_row_bounds`). The cells split each panel of
-the rule in two on every axis (4 x 4 x 8 on the Heisenberg group) and are
-cached on the part (`DensityMeasure._rule_cells`). Every row is bounded
-first with all cells as one, then the rows that bound keeps on the cells;
-a row whose bound is below the radial value at its scale enters the max
-as -inf, so the max keeps its bits. The bound reads phi as nonincreasing,
+box of the cell's nodes (`_row_bounds`); `_cone_maxima` takes the radial
+values first, as the floor the bounds are compared with. The cells split
+each panel of the rule in two on every axis (4 x 4 x 8 on the Heisenberg
+group) and are cached on the part (`DensityMeasure._rule_cells`). Every
+row is bounded first with all cells as one, then the rows that bound
+keeps on the cells; a row whose bound is below the radial value at its
+scale enters the max as -inf, so the max keeps its bits. The bound reads phi as nonincreasing,
 the profile's contract, which `RadialProfile` checks on a dense grid.
 """
 
@@ -210,6 +216,7 @@ def hardy_littlewood(mu: BoundaryMeasure, x, radii=None) -> dict:
     its distances to x once for all radii (see ``ball_masses``).
     """
     g = mu.group
+    x = _point(g, x, "query point")
     r = _scale_grid(radii)
     masses = ball_masses(mu, x, r)
     quot = masses / np.array([G.ball_volume(g, float(rr)) for rr in r])
@@ -427,57 +434,63 @@ def nontangential_max(mu: BoundaryMeasure, phi: RadialProfile, x,
     Samples x' = x * delta_(beta * alpha * s)(omega) for beta in [0, 1) and
     ``n_directions`` >= 1 unit directions; beta = 0 is x itself and
     reproduces the radial value, so the nontangential grid sup dominates
-    the radial one by construction. All placements at all scales are rows
-    of one convolution call.
+    the radial one by construction. The one-aperture case of
+    `_cone_maxima`.
     """
-    return _nontangential(mu, phi, x, alpha, s_grid, betas, n_directions)
+    x = _point(mu.group, x, "query point")
+    return _cone_maxima(mu, phi, x, [alpha], _scale_grid(s_grid), betas,
+                        n_directions)[1][0]
 
 
-def _nontangential(mu: BoundaryMeasure, phi: RadialProfile, x, alpha: float,
-                   s_grid=None, betas=_BETAS, n_directions=_N_DIRECTIONS,
-                   radial=None) -> dict:
-    """`nontangential_max`, taking the beta = 0 row from ``radial``.
+def _cone_maxima(mu: BoundaryMeasure, phi: RadialProfile, x: np.ndarray,
+                 alphas, s: np.ndarray, betas, n_directions) -> tuple:
+    """The radial record at the point x over the scales ``s`` and each
+    aperture's nontangential record, in one pass: (radial, [record per
+    alpha of ``alphas``]).
 
-    ``radial`` holds the radial values of `radial_max` at x on the same
-    scales, or None to compute them here first. They are the floor of each
-    scale's max: a cone row whose `_row_bounds` bound, on the whole box or
-    on its cells, is below its scale's floor cannot be the max and is not
-    evaluated; it enters the max as -inf. Rows of `_conv_rows` do not depend on each other, so every value
-    has the bits of the max over all rows.
+    The radial values are one `_conv_rows` call; they are the beta = 0 row
+    of every aperture and the floor of each scale's max. The cone rows of
+    every aperture are placed at once; a cone row whose `_row_bounds`
+    bound, on the whole box or on its cells, is below its scale's floor
+    cannot be the max and is not evaluated: it enters the max as -inf. The
+    rows that are left are one more `_conv_rows` call. Rows of
+    `_conv_rows` do not depend on each other, so every value has the bits
+    of the max over all rows.
     """
     g = mu.group
-    x = _point(g, x, "query point")
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise MeasureError(f"aperture must be positive and finite, got {alpha}")
+    alphas = list(alphas)
+    for alpha in alphas:
+        if not (alpha > 0) or not math.isfinite(alpha):
+            raise MeasureError(
+                f"aperture must be positive and finite, got {alpha}")
     betas = [float(b) for b in betas]
     if not all(0.0 <= b < 1.0 for b in betas):
         raise MeasureError(f"cone placements need beta in [0, 1), got {betas}")
+    betas = [b for b in betas if b > 0]
     if not (isinstance(n_directions, numbers.Integral) and n_directions >= 1):
         raise MeasureError(
             f"n_directions must be an integer >= 1, got {n_directions!r}")
-    s = _scale_grid(s_grid)
-    if radial is None:
-        radial = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
+    radial = _conv_rows(mu, phi, np.broadcast_to(x, (s.size, x.size)), s)
     dirs = G.unit_directions(g, n_directions)
-    # x * delta_(beta alpha s)(omega), one factor table per beta, rows
-    # direction by direction
-    pts = [G.images(g, x, beta * alpha * s, dirs).swapaxes(0, 1)
-           for beta in betas if beta > 0]
-    rows = [radial]
-    if pts:
-        pts = np.concatenate(pts).reshape(-1, x.size)
-        n_place = pts.shape[0] // s.size
-        floor, ss = np.tile(radial, n_place), np.tile(s, n_place)
-        # the whole-box bound, then cells of its rule on the rows it keeps
-        bound = _row_bounds(mu, phi, pts, ss)
-        keep = ~(bound < floor)
-        again = keep & np.isfinite(bound)
-        keep[again] = ~(_row_bounds(mu, phi, pts[again], ss[again],
-                                    cells=True) < floor[again])
-        vals = np.full(ss.size, -np.inf)
-        vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])
-        rows += list(vals.reshape(-1, s.size))
-    return dict(_grid_sup(s, np.max(rows, axis=0)), alpha=alpha)
+    # x * delta_(beta alpha s)(omega), one factor table per (alpha, beta),
+    # rows direction by direction
+    pts = np.array([G.images(g, x, beta * alpha * s, dirs).swapaxes(0, 1)
+                    for alpha in alphas for beta in betas]).reshape(-1, x.size)
+    n_place = len(betas) * n_directions
+    floor = np.tile(radial, len(alphas) * n_place)
+    ss = np.tile(s, len(alphas) * n_place)
+    # the whole-box bound, then cells of its rule on the rows it keeps
+    bound = _row_bounds(mu, phi, pts, ss)
+    keep = ~(bound < floor)
+    again = keep & np.isfinite(bound)
+    keep[again] = ~(_row_bounds(mu, phi, pts[again], ss[again], cells=True)
+                    < floor[again])
+    vals = np.full(ss.size, -np.inf)
+    vals[keep] = _conv_rows(mu, phi, pts[keep], ss[keep])
+    return _grid_sup(s, radial), [
+        dict(_grid_sup(s, np.max([radial, *cone], axis=0)), alpha=alpha)
+        for alpha, cone in zip(alphas,
+                               vals.reshape(len(alphas), n_place, s.size))]
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +555,16 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     is larger for densities, whose two convolution quadratures differ.
     ``slack_upper`` covers the gap between the grid sup and the true sup on
     the Hardy-Littlewood side. Both are `decisions.sandwich_slacks` of the
-    measure kind. The radial values serve as the beta = 0 placement of
-    every aperture's nontangential maximum.
+    measure kind. The radial maximum and every aperture's nontangential
+    maximum are one `_cone_maxima` pass.
     """
     g = mu.group
-    x = np.asarray(x, dtype=float)
+    x = _point(g, x, "query point")
     phi = phi or default_profile()
     s = _scale_grid(s_grid)
     slack_upper, slack_lower = sandwich_slacks(_is_atomic(mu))
     hl = hardy_littlewood(mu, x, radii=s)
-    rad = radial_max(mu, phi, x, s_grid=s)
+    rad, nts = _cone_maxima(mu, phi, x, alphas, s, _BETAS, _N_DIRECTIONS)
     report = {
         "x": x.tolist(),
         "group": g.label,
@@ -568,8 +581,8 @@ def check_sandwich(mu: BoundaryMeasure, x, phi: RadialProfile | None = None,
     if not all_div:
         chain_ok &= holds_with_slack(c_phi * hl["value"], rad["value"],
                                      slack_lower)
-    for alpha in alphas:
-        nt = _nontangential(mu, phi, x, alpha, s, radial=rad["values"])
+    for nt in nts:
+        alpha = nt["alpha"]
         consts = sandwich_constants(g, phi, alpha)
         if all_div and nt["divergent"]:
             ok_low, ok_up = True, True

@@ -915,10 +915,13 @@ def strong_derivative(mu: BoundaryMeasure, x0, ball_family=None,
     for ball in fam:
         _point(g, ball.center, "ball center")
     mu0 = translate_measure(mu, x0)
-    small = [G.dilate_ball(g, rr, ball) for ball in fam for rr in r]
-    vals, errs = mu0._ball_masses(np.array([b.center for b in small]),
-                                  np.array([b.radius for b in small]))
-    vol = np.array([G.ball_volume(g, b.radius) for b in small])
+    # delta_r(B(c, s)) = B(delta_r(c), r s) for each family ball and radius,
+    # ball-major, with the bits of `groups.dilate_ball`
+    centers = (np.array([b.center for b in fam])[:, None, :]
+               * G.dilation_factors(g, r)).reshape(-1, g.total_dim)
+    radii = (r * np.array([[b.radius] for b in fam])).ravel()
+    vol = np.array([G.ball_volume(g, rr) for rr in radii])
+    vals, errs = mu0._ball_masses(centers, radii)
     quot = (vals / vol).reshape(len(fam), r.size)
     errs = (errs / vol).reshape(len(fam), r.size)
     dec = trace_decision(quot)

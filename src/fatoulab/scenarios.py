@@ -381,12 +381,10 @@ def run_scenario(scenario: Scenario | dict) -> ScenarioReport:
     u = HeatExtension(mu_loc, profile)
     t_first = SCALES.first_time(radius)
     limits, ltraces = {}, {}
-    central = None  # the beta = 0 row, the same for every aperture
     for alpha in scenario.apertures:
         region = ParabolicRegion(np.zeros(g.total_dim), aperture=alpha,
                                  t_max=t_first)
-        lt = parabolic_limit(u, region, central=central)
-        central = lt.values[0]
+        lt = parabolic_limit(u, region)
         key = repr(float(alpha))
         limits[key] = {
             "aperture": alpha,

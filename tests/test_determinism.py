@@ -20,7 +20,6 @@ SCRIPT = r"""
 import numpy as np
 import fatoulab as F
 from fatoulab import groups as G, kernels as K, scenarios as S
-from fatoulab.kernels import _ext_grid
 
 gh = F.heisenberg_group()
 profile = K.profile_for(gh)
@@ -30,7 +29,7 @@ spec = {"type": "density", "family": "polynomial",
 mu = F.translate_measure(S.build_measure(gh, spec), [0.3, -0.2, 0.1])
 mu_loc = F.restrict(mu, F.Ball(np.zeros(3), 1.0 / gh.quasi_triangle_const))
 u = F.HeatExtension(mu_loc, profile)
-corner_inv = _ext_grid(profile).corner_inv
+corner_inv = profile.eta_grid.corner_inv
 x = np.zeros(3)
 for t in (1e-3, 0.0625):
     state = mu_loc.hull_state(G.dilate(gh, t ** 0.5, corner_inv))

@@ -155,32 +155,6 @@ def test_parabolic_limit_aperture_invariance(p1):
     assert max(estimates) - min(estimates) <= 1e-3
 
 
-def test_parabolic_limit_takes_the_central_values_it_is_given(p1):
-    # another aperture's beta = 0 row gives the trace its own bits; a row
-    # without one value per time is a MeasureError
-    u = F.HeatExtension(line_quadratic(), p1)
-    first = F.parabolic_limit(u, F.ParabolicRegion(np.zeros(1), aperture=1.0))
-    region = F.ParabolicRegion(np.zeros(1), aperture=2.0)
-    alone = F.parabolic_limit(u, region)
-    shared = F.parabolic_limit(u, region, central=first.values[0])
-    assert shared.values.tobytes() == alone.values.tobytes()
-    assert shared.points.tobytes() == alone.points.tobytes()
-    with pytest.raises(F.MeasureError, match="one value per time"):
-        F.parabolic_limit(u, region, central=first.values[0][:-1])
-
-
-def test_parabolic_limit_refuses_non_finite_central_values(p1):
-    # an all-NaN row gave the estimate inf; any non-finite value is a
-    # MeasureError
-    u = F.HeatExtension(line_quadratic(), p1)
-    region = F.ParabolicRegion(np.zeros(1), aperture=1.0)
-    central = F.parabolic_limit(u, region).values[0]
-    for bad in (np.full_like(central, np.nan),
-                np.where(np.arange(central.size) == 2, np.inf, central)):
-        with pytest.raises(F.MeasureError, match="finite"):
-            F.parabolic_limit(u, region, central=bad)
-
-
 @pytest.mark.parametrize("label", F.GROUP_LABELS)
 def test_slice_points_match_one_placement_at_a_time(label):
     # one product per slice, with the bits of vertex * dilate(r, omega) for
@@ -364,34 +338,36 @@ def test_tail_keeps_the_certificate_rate_where_it_holds(label, far):
     assert out["rate"] == 1.0 / F.gaussian_certificate(profile).c0
 
 
-def _profile_copy(profile, **changes):
-    """A copy of a kernel profile with its own caches (empty by default)."""
-    return dataclasses.replace(profile, **{"_caches": {}, **changes})
+def _cached(profile):
+    """The cached eta-grid and eta-rule of a kernel profile, None where
+    not yet built."""
+    return [vars(profile).get(name) for name in ("eta_grid", "eta_rule")]
 
 
 def test_tail_check_fails_on_a_slow_envelope_rate():
     mu, profile, radius = _translated_preset("hc-translated-vertex")
     assert F.tail_vanishing_check(mu, profile, radius)["vanishes"]
-    caches = dict(profile._caches)
+    cached = _cached(profile)
     cert = profile.certificate
-    slow = _profile_copy(
-        profile, _caches=dict(caches),
-        certificate=dataclasses.replace(cert, c0=100.0 * cert.c0))
+    slow = dataclasses.replace(
+        profile, certificate=dataclasses.replace(cert, c0=100.0 * cert.c0))
     out = F.tail_vanishing_check(mu, slow, radius)
     assert out["dominated"] and not out["vanishes"]
-    assert profile.certificate is cert and profile._caches == caches
+    assert profile.certificate is cert
+    assert all(a is b for a, b in zip(_cached(profile), cached))
 
 
 def test_tail_check_fails_where_gamma_exceeds_the_envelope():
     mu, profile, radius = _translated_preset("hc-translated-vertex")
-    caches = dict(profile._caches)
+    cached = _cached(profile)
     cert = profile.certificate
-    loud = _profile_copy(
+    loud = dataclasses.replace(
         profile, gamma=lambda coords: 1e5 * profile.gamma(coords))
     out = F.tail_vanishing_check(mu, loud, radius)
     assert not out["dominated"] and not out["vanishes"]
     assert out["rate"] == 0.0
-    assert profile.certificate is cert and profile._caches == caches
+    assert profile.certificate is cert
+    assert all(a is b for a, b in zip(_cached(profile), cached))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +404,7 @@ def _grid_loop(mu, grid, pts, t):
 
 
 def _hull_states(mu, profile, pts, t):
-    corner_inv = E._ext_grid(profile).corner_inv
+    corner_inv = profile.eta_grid.corner_inv
     corners = G.dilate(mu.group, math.sqrt(t), corner_inv)
     return [mu.hull_state(G.mul(mu.group, x, corners)) for x in pts]
 
@@ -746,7 +722,7 @@ def test_partial_panels_take_fresh_gamma(gh, ph, s_top):
                                       [-100.0, s_top]]})
     x = np.zeros(3)
     assert _hull_states(mu, ph, x[None], 1.0) == ["cut"]
-    grid = E._ext_grid(ph)
+    grid = ph.eta_grid
     eta, w = tensor_rule(list(grid.axes[:2])
                          + [gauss_legendre(-s_top, 30.0, 64)])
     ref = weighted_sum(ph.gamma(eta), w)
@@ -838,7 +814,7 @@ def test_declared_radial_values_match_undeclared_bitwise(label):
                 assert ua(pts, t).tobytes() == ub(pts, t).tobytes(), \
                     (family, name, t)
     assert seen == {"inside", "cut", "outside"}
-    per = max(1, _BLOCK_ROWS // E._ext_grid(profile).gamma_w.size)
+    per = max(1, _BLOCK_ROWS // profile.eta_grid.gamma_w.size)
     cloud = np.random.default_rng(5).uniform(-0.2, 0.2,
                                              size=(2 * per + 1, n))
     pts = np.vstack([pts[[0, 4, 5]], cloud])
@@ -893,7 +869,7 @@ def test_undeclared_inside_values_match_the_node_images_bitwise(label):
     # moves the restricted bump's
     g = F.get_group(label)
     profile = F.profile_for(g)
-    grid = E._ext_grid(profile)
+    grid = profile.eta_grid
     bump = _derived_densities(g)
     mus = {("bump", name): bump[name]
            for name in ("base", "translated", "restricted", "dilated")}
@@ -919,7 +895,7 @@ def test_radial_node_values_see_a_one_ulp_change_of_an_axis():
     for label in F.GROUP_LABELS:
         g = F.get_group(label)
         profile = F.profile_for(g)
-        grid = E._ext_grid(profile)
+        grid = profile.eta_grid
         for family in _GAUGE_FAMILIES:
             mu = _gauge_reductions(g, family)["restricted"]
             xs, got, want = _node_rows(mu, profile, grid, 0.01)
@@ -1071,23 +1047,23 @@ def test_compressed_rules_keep_the_eta_grid_moments(label):
     # fails the moment check
     g = F.get_group(label)
     profile = F.profile_for(g)
-    grid = E._ext_grid(profile)
+    grid = profile.eta_grid
     (i6, w6), (i4, w4) = quadrature.compressed_rules(
-        grid.axes, grid.gamma_w, g.layer_exponents, E._RULE_DEGREES)
+        grid.axes, grid.gamma_w, g.layer_exponents, K._RULE_DEGREES)
     dims = [len(quadrature.graded_indices(g.layer_exponents, d))
-            for d in E._RULE_DEGREES]
+            for d in K._RULE_DEGREES]
     if label == "heisenberg:1":
         assert dims == [50, 22]
     assert i6.size <= dims[0] and i4.size <= dims[1]
     assert np.all(w6 > 0.0) and np.all(w4 > 0.0)
     assert np.all(np.diff(i6) > 0) and np.all(np.isin(i4, i6))
-    for (idx, w), degree in zip(((i6, w6), (i4, w4)), E._RULE_DEGREES):
+    for (idx, w), degree in zip(((i6, w6), (i4, w4)), K._RULE_DEGREES):
         assert _moment_errors(g, grid, idx, w, degree).max() <= 1e-13, degree
     off = w6.copy()
     off[np.argmax(off)] *= 1.0 + 1e-3
     assert _moment_errors(g, grid, i6, off, 6).max() > 1e-13
     # the heat extension's cached rule is this one, on the grid's nodes
-    rule = E._eta_rule(profile)
+    rule = profile.eta_rule
     assert np.array_equal(rule.eta_inv, grid.eta_inv[i6])
     assert rule.w.tobytes() == w6.tobytes()
     assert np.array_equal(i6[rule.sub], i4)
@@ -1122,7 +1098,7 @@ def test_hulls_that_box_a_declared_point_take_the_full_grid(label):
         a, b = _gauge_density(g, "gaussian-bump", params, vertex)
         x = np.array([0.01, 0.0, 0.0])[:n]
         assert _hull_states(a, profile, x[None], t) == ["inside"]
-        corners = G.dilate(g, math.sqrt(t), E._ext_grid(profile).corner_inv)
+        corners = G.dilate(g, math.sqrt(t), profile.eta_grid.corner_inv)
         hull = G.mul(g, x, corners)
         assert bool(a.analytic_hulls(hull)) == clear
         assert not b.analytic_hulls(hull)
@@ -1147,10 +1123,10 @@ def test_a_narrow_bump_trips_the_estimate(label):
     a, b = _gauge_density(g, "gaussian-bump", params,
                           np.array([0.06, 0.0, 0.0])[:n])
     x, sqrt_t = np.zeros((1, n)), 0.004
-    corners = G.dilate(g, sqrt_t, E._ext_grid(profile).corner_inv)
+    corners = G.dilate(g, sqrt_t, profile.eta_grid.corner_inv)
     hull = G.mul(g, x[0], corners)
     assert a.hull_state(hull) == "inside" and a.analytic_hulls(hull)
-    rule = E._eta_rule(profile)
+    rule = profile.eta_rule
     q6, q4 = a._image_sums(x, np.full(1, sqrt_t), rule.eta_inv, rule.rules).T
     assert abs(q6 - q4)[0] > TABLE.eta_rule_tol * abs(q6)[0]
     got = F.HeatExtension(a, profile)(x[0], sqrt_t ** 2)
@@ -1184,7 +1160,7 @@ def test_compressed_batches_match_pointwise_values(label):
         assert got.tobytes() == np.array([u(x, t) for x in cloud]).tobytes()
         same = got == want
         assert np.all(abs(got - want) <= TABLE.eta_rule_tol * abs(want))
-        corners = G.dilate(g, math.sqrt(t), E._ext_grid(profile).corner_inv)
+        corners = G.dilate(g, math.sqrt(t), profile.eta_grid.corner_inv)
         clear = a.analytic_hulls(G.mul(g, cloud[:, None, :], corners))
         assert np.all(same[~clear])
         seen.update({"guarded"} if np.any(~clear) else set())

@@ -64,6 +64,25 @@ def test_dilate_rejects_nonpositive(gh):
         F.dilate(gh, -1.0, [1.0, 0.0, 0.0])
 
 
+def test_overflowing_dilation_factors_are_group_errors(gh):
+    # (1e160)^2 is past the largest float: the factor table names the
+    # radius, and so do the strong derivative's dilated balls and the
+    # nontangential maximum's cone placements, not a bare OverflowError
+    mu = F.AtomicMeasure(gh, [[0.1, 0.0, 0.0]], [1.0])
+    calls = [
+        lambda: G.dilation_factors(gh, [1.0, 1e160]),
+        lambda: F.strong_derivative(mu, np.zeros(3),
+                                    radii=np.geomspace(1e160, 1e150, 12)),
+        lambda: F.nontangential_max(mu, F.default_profile(), np.zeros(3),
+                                    1.0, s_grid=[1e170]),
+    ]
+    for call in calls:
+        with pytest.raises(F.GroupError, match="overflow"):
+            call()
+    assert G.dilation_factors(gh, [1e150]).tolist() == [[1e150, 1e150,
+                                                         1e150 ** 2]]
+
+
 def test_norm_oracles(gh):
     assert F.norm(gh, np.array([1.0, 0.0, 0.0])) == 1.0
     assert F.norm(gh, np.array([0.0, 0.0, 1.0])) == 2.0
@@ -122,6 +141,33 @@ def test_unit_ball_rule_total_weight(g1, g2, g3, gh):
     # 12 x (12 x 24) and 8 x (8 x 16) nodes on the Heisenberg group
     _, w_fine, w_coarse = G.unit_ball_rule(gh)
     assert (w_fine.size, w_coarse.size) == (3456, 1024)
+
+
+@pytest.mark.parametrize("label, dims", [
+    # step, total_dim, hom_dim, layer_exponents, n_horizontal
+    ("euclidean:1", (1, 1, 1, (1,), 1)),
+    ("euclidean:2", (1, 2, 2, (1, 1), 2)),
+    ("euclidean:3", (1, 3, 3, (1, 1, 1), 3)),
+    ("heisenberg:1", (2, 3, 4, (1, 1, 2), 2)),
+])
+def test_layer_dims_fix_the_grading(label, dims):
+    # every dimension follows from layer_dims, Q = sum_j j dim V_j; a
+    # replaced copy derives its own, and builds its own unit-ball rule
+    g = F.get_group(label)
+    names = ("step", "total_dim", "hom_dim", "layer_exponents",
+             "n_horizontal")
+    assert tuple(getattr(g, name) for name in names) == dims
+    wide = dataclasses.replace(g, layer_dims=g.layer_dims + (1,))
+    assert (wide.step, wide.total_dim, wide.hom_dim) == (
+        dims[0] + 1, dims[1] + 1, dims[2] + dims[0] + 1)
+    assert wide.layer_exponents == dims[3] + (dims[0] + 1,)
+    assert tuple(getattr(g, name) for name in names) == dims
+    rule = G.unit_ball_rule(g)
+    copy = dataclasses.replace(g)
+    assert copy == g and G.unit_ball_rule(copy) is not rule
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(G.unit_ball_rule(copy), rule))
+    assert G.unit_ball_rule(g) is rule
 
 
 def test_unit_ball_rule_rejects_a_wrong_unit_ball_volume(gh):
@@ -486,7 +532,7 @@ def test_midpoint_convexity_check_catches_a_nonconvex_gauge(g2):
 # ---------------------------------------------------------------------------
 
 def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
-    from fatoulab import extension as E, maximal as M
+    from fatoulab import maximal as M
 
     phi = F.default_profile()
     for g, profile in ((g1, p1), (g2, p2), (g3, p3), (gh, ph)):
@@ -494,7 +540,7 @@ def test_bulk_point_arrays_are_column_major(g1, g2, g3, gh, p1, p2, p3, ph):
         mu = F.DensityMeasure(g, lambda p: np.ones(p.shape[:-1]),
                               [[-1.0, 1.0]] * n)
         arrays = {
-            "eta-grid": E._ext_grid(profile).eta_inv,
+            "eta-grid": profile.eta_grid.eta_inv,
             "phi-grid": M._phi_grid(g, phi)[0],
             "convolution-rule": mu._convolution_rule()[0],
             "unit-ball": G.unit_ball_rule(g)[0],

@@ -140,7 +140,7 @@ def test_kernel_mass_integrates_on_the_eta_grid(p1, p2, p3, ph):
     # sqrt(t) is a power of 2, so the dilated nodes give back the eta-grid's
     # own gamma values, and only the order of the sum differs
     for k in (p1, p2, p3, ph):
-        total = math.fsum(K._ext_grid(k).gamma_w)
+        total = math.fsum(k.eta_grid.gamma_w)
         for t in (0.25, 1.0, 4.0):
             assert abs(F.kernel_mass(k, t) - total) <= 1e-14, (k.group.label, t)
 
@@ -167,10 +167,9 @@ def test_h1_eta_box_loses_the_closed_form_tail(gh, ph):
 
 def test_compressed_rule_keeps_the_eta_grid_mass(ph):
     # Q6's weights sum to the grid's gamma * w within 1e-15 relative
-    from fatoulab import extension as E
-    grid = K._ext_grid(ph)
+    grid = ph.eta_grid
     total = math.fsum(grid.gamma_w)
-    assert abs(math.fsum(E._eta_rule(ph).w) - total) <= 1e-15 * total
+    assert abs(math.fsum(ph.eta_rule.w) - total) <= 1e-15 * total
 
 
 def test_battery_and_heat_extension_build_one_grid_per_profile(p1, p2, p3, ph,
@@ -327,7 +326,7 @@ def test_heisenberg_mass_pass_evaluates_distinct_pairs_once(ph, monkeypatch):
             return fn(rho, sigma, *at)
         return wrapped
 
-    K._ext_grid(ph)  # built first: its own gamma pass is not counted
+    ph.eta_grid  # built first: its own gamma pass is not counted
     monkeypatch.setattr(K, "_direct_gamma_rho_sigma",
                         counting(K._direct_gamma_rho_sigma))
     monkeypatch.setattr(ph.gamma.spline, "ev", counting(ph.gamma.spline.ev))
@@ -342,7 +341,7 @@ def _pair_map_inputs(ph):
     are sorted; clouds whose every point has its own |z|, one of them
     with more |s| values than a spline pass holds bases for; and edge
     shapes and values."""
-    grid = K.tensor_rule(K._ext_grid(ph).axes)[0]
+    grid = K.tensor_rule(ph.eta_grid.axes)[0]
     rng = np.random.default_rng(5)
     cloud = rng.normal(size=(300, 3)) * 2.0
     wide = rng.normal(size=(300, 3)) * [6.0, 6.0, 30.0]
@@ -756,7 +755,7 @@ def test_validation_catches_a_kernel_with_the_wrong_homogeneous_dimension(p2):
     # (t + tau)^(-1/2) while its convolution at t = 1 is not.
     g = copy.copy(p2.group)
     object.__setattr__(g, "hom_dim", p2.group.hom_dim + 1)
-    object.__setattr__(g, "_ball_rules", {})
+    vars(g).pop("unit_ball_rule", None)
     wrong = F.KernelProfile(group=g, gamma=p2.gamma,
                             gamma_accurate=p2.gamma_accurate,
                             quadrature_spec=dict(p2.quadrature_spec))
@@ -816,7 +815,7 @@ def test_heisenberg_marginals_on_the_eta_grid(ph):
     # misses the s-law by 1.2e-3, and gamma with z scaled by 1.01 the
     # z-law by 1.6e-3; scaling s keeps the z-marginal, so it is no control
     # for it
-    grid = K._ext_grid(ph)
+    grid = ph.eta_grid
     s_err, z_err = _h1_marginals(ph.gamma, grid)
     assert s_err <= 1e-8 and z_err <= 1e-9, (s_err, z_err)
     s_scaled = _h1_marginals(
@@ -915,6 +914,25 @@ def test_eval_kernel_names_the_least_time(gh, ph, p3):
     with pytest.raises(F.NumericsError, match="1e-207"):
         F.eval_kernel(p3, np.zeros(3), 1e-207)
     assert math.isfinite(float(F.eval_kernel(ph, np.zeros(3), 1e-154)))
+
+
+@pytest.mark.parametrize("call", ["heat-extension", "heat-max",
+                                  "pde-residual"])
+def test_very_small_times_name_the_least_time(call, gh, ph):
+    # at t = 1e-320 the dilation factor (1 / sqrt t)^2 overflows as a
+    # Python float before t^(-Q/2) would: each call takes the power first,
+    # so it is a NumericsError naming the least time, not an OverflowError
+    mu = F.AtomicMeasure(gh, [[0.0, 0.0, 0.0]], [1.0])
+    x = np.array([0.1, 0.0, 0.2])
+    calls = {
+        "heat-extension": lambda: F.HeatExtension(mu, ph)(x, 1e-320),
+        "heat-max": lambda: F.heat_max(mu, ph, x, s_grid=[1e-160]),
+        "pde-residual": lambda: F.pde_residual(ph, x, 1e-320, 1e-200),
+    }
+    with pytest.raises(F.NumericsError,
+                       match=re.escape(repr(K._least_time(4)))) as err:
+        calls[call]()
+    assert not isinstance(err.value, OverflowError)
 
 
 def test_profile_for_routing(g1, gh, p1, ph):

@@ -712,9 +712,11 @@ def test_check_sandwich_equals_separate_maximal_calls_bitwise(label,
         rows.clear()
         rep = F.check_sandwich(mu, x, phi, alphas=alphas, s_grid=s)
         monkeypatch.setattr(M, "_conv_rows", conv_rows)
-        # the radial rows are evaluated once, not again per aperture; of
-        # the two betas > 0 times four directions per aperture, the density
-        # skips the cone rows bounded below the radial value
+        # two calls: the radial rows, once for every aperture, then every
+        # aperture's cone rows; of the two betas > 0 times four directions
+        # per aperture, the density skips the cone rows bounded below the
+        # radial value
+        assert len(rows) == 2 and rows[0] == s.size, (kind, rows)
         full = s.size * (1 + 8 * len(alphas))
         assert sum(rows) == {"atomic": full,
                              "density": _DENSITY_ROWS[label]}[kind], kind
@@ -1023,6 +1025,14 @@ _BAD_INPUTS = {
 def test_maximal_functions_reject_bad_inputs(case, p1):
     with pytest.raises(F.MeasureError):
         _BAD_INPUTS[case](_atom_line(), F.default_profile(), p1)
+
+
+@pytest.mark.parametrize("call", ["hardy_littlewood", "check_sandwich"])
+def test_a_query_point_of_the_wrong_width_is_named(call):
+    # two coordinates on R^1 are a GroupError naming the query point, not
+    # the ball center that the ball masses would be given
+    with pytest.raises(F.GroupError, match="query point"):
+        getattr(F, call)(_atom_line(), [0.0, 1.0])
 
 
 def test_heat_chain_holds_on_the_kernels_cut_lambda_rules(monkeypatch):
